@@ -478,7 +478,7 @@ let crash_spec =
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
           "Arm node-level faults on the fault sweep: scripted \
-           ($(i,stop\\@2ms:p1,recover\\@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Adds quorum \
+           ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Adds quorum \
            failover and availability columns; runs whose crashed processors' work is \
            missing are marked degraded instead of aborting the sweep.  Without \
            $(b,--faults), sweeps the drop = 0 point only.")

@@ -284,7 +284,7 @@ let crash =
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
           "Apply one node-crash plan to every run: scripted \
-           ($(i,stop\\@2ms:p1,recover\\@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Overrides the \
+           ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Overrides the \
            per-run seeded dimension of $(b,--crash-events).")
 
 let crash_events =

@@ -177,7 +177,12 @@ open Cmdliner
 
 let backend =
   Arg.(
-    value & opt string "rt" & info [ "backend"; "b" ] ~docv:"BACKEND" ~doc:"rt, vm or blast.")
+    value & opt string "rt"
+    & info [ "backend"; "b" ] ~docv:"BACKEND"
+        ~doc:
+          ("Write-detection backend: "
+          ^ String.concat ", " (List.filter (( <> ) "standalone") Config.backend_names)
+          ^ "."))
 
 let nprocs = Arg.(value & opt int 4 & info [ "nprocs"; "n" ] ~docv:"N" ~doc:"Client processors.")
 let keys = Arg.(value & opt int 1024 & info [ "keys" ] ~docv:"K" ~doc:"Keyspace size.")
@@ -251,7 +256,7 @@ let crash_spec =
     value & opt (some string) None
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
-          "Arm node-level faults: scripted ($(i,stop\\@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
+          "Arm node-level faults: scripted ($(i,stop@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
            the store's buckets fail over by majority quorum and the oracle checks the \
            survivors' view.")
 

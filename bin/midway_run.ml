@@ -178,7 +178,8 @@ let app_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"APP")
 let backend =
   Arg.(
     value & opt string "rt"
-    & info [ "backend"; "b" ] ~docv:"BACKEND" ~doc:"rt, vm, blast or standalone.")
+    & info [ "backend"; "b" ] ~docv:"BACKEND"
+        ~doc:("Write-detection backend: " ^ String.concat ", " Midway.Config.backend_names ^ "."))
 
 let nprocs = Arg.(value & opt int 8 & info [ "nprocs"; "n" ] ~docv:"N")
 
@@ -213,7 +214,7 @@ let crash_spec =
     value & opt (some string) None
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
-          "Arm node-level faults: scripted ($(i,stop\\@2ms:p1,recover\\@8ms:p1)) or seeded \
+          "Arm node-level faults: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded \
            ($(i,n=2,seed=7)).  Crashed processors' locks fail over to live peers by majority \
            quorum; the run completes with the survivors and reports failovers and \
            availability.")

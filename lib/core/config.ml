@@ -82,7 +82,6 @@ type t = {
   obs : bool;
   obs_span_cap : int;
   adaptive : bool;
-  striped : backend option;
 }
 
 let make ?(cost = Midway_stats.Cost_model.default) backend ~nprocs =
@@ -118,7 +117,6 @@ let make ?(cost = Midway_stats.Cost_model.default) backend ~nprocs =
     obs = false;
     obs_span_cap = 0;
     adaptive = false;
-    striped = None;
   }
 
 let with_schedule_seed seed cfg = { cfg with sched_policy = Midway_sched.Engine.Seeded seed }

@@ -150,12 +150,6 @@ type t = {
           rate).  [false] (the default) never switches, so runs are
           bit-identical to a fixed-backend build — the same
           off-is-invisible contract as [ecsan] / [faults] / [obs]. *)
-  striped : backend option;
-      (** [Some b]: shared regions alternate between [backend] (even
-          allocation ordinals) and [b] (odd ordinals) at creation, a
-          static mixed-backend machine — the per-region dispatch test
-          rig.  [None] (the default) gives every region [backend],
-          which is the bit-identical degenerate case. *)
 }
 
 val make : ?cost:Midway_stats.Cost_model.t -> backend -> nprocs:int -> t

@@ -21,7 +21,7 @@
       update history.)
 
     This module only mutates data structures and reports what it did; cost
-    charging and counter accounting belong to the runtime. *)
+    charging and counter accounting belong to {!Detector}. *)
 
 type t
 
@@ -83,7 +83,8 @@ val scan :
     those of a per-line emission.  [region_of] maps an address to its
     region (runs never span regions).  In [Update_queue] mode only queued
     entries are visited: the caller is responsible for lines it received
-    from third parties (see the runtime's per-lock history). *)
+    from third parties (see {!Detector}'s per-lock update-queue
+    history). *)
 
 val queue_length : t -> int
 (** [Update_queue] mode: entries currently queued (0 in other modes). *)

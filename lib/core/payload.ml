@@ -38,3 +38,22 @@ let read_pieces space ~proc ranges =
 
 let write_pieces space ~proc pieces =
   List.iter (fun p -> Space.write_bytes space ~proc p.addr p.data) pieces
+
+let page_runs payload ~page_size =
+  let pages = ref 0 and runs = ref 0 and last = ref (-1) in
+  let note addr len =
+    if len > 0 then begin
+      incr runs;
+      let first = addr / page_size and last_page = (addr + len - 1) / page_size in
+      let first = if first = !last then first + 1 else first in
+      if last_page >= first then pages := !pages + (last_page - first + 1);
+      if last_page > !last then last := last_page
+    end
+  in
+  let note_piece (p : vm_piece) = note p.addr (Bytes.length p.data) in
+  (match payload with
+  | Rt_lines lines -> List.iter (fun (ln : rt_line) -> note ln.addr ln.len) lines
+  | Vm_full pieces | Blast_data pieces -> List.iter note_piece pieces
+  | Vm_updates updates -> List.iter (fun u -> List.iter note_piece u.pieces) updates
+  | Empty -> ());
+  (!pages, !runs)

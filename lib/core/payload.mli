@@ -37,3 +37,9 @@ val read_pieces : Midway_memory.Space.t -> proc:int -> Range.t list -> vm_piece 
 
 val write_pieces : Midway_memory.Space.t -> proc:int -> vm_piece list -> unit
 (** Apply pieces to a processor's memory. *)
+
+val page_runs : t -> page_size:int -> int * int
+(** [(pages, runs)]: the distinct pages and the contiguous runs the
+    payload's data covers — its shape as the adaptive policy sees it.
+    Pieces must arrive in ascending address order, as both the gather
+    buffer and the diff engine produce them. *)

@@ -124,6 +124,8 @@ let reset_window s =
   s.est_vm_ns <- 0;
   s.rebounds <- 0
 
+let manages = function Config.Rt | Config.Vm -> true | _ -> false
+
 let decide t ~region ~current =
   let s = stats_for t region in
   if s.collects < t.min_window then None

@@ -46,6 +46,10 @@ val note_collect :
     transfer (diff-free under VM — see the paper's quicksort
     discussion). *)
 
+val manages : Config.backend -> bool
+(** Whether the controller elects for regions running this backend:
+    [Rt] and [Vm] only. *)
+
 val decide : t -> region:int -> current:Config.backend -> Config.backend option
 (** Close the region's window and recommend a switch, or [None] to stay.
     Only meaningful for regions currently running [Rt] or [Vm]

@@ -9,30 +9,14 @@ module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
 module Metrics = Midway_obs.Metrics
 
-type backend_state =
-  | B_rt of Dirtybits.t
-  | B_vm of Vm_state.t
-  | B_twin of Twin_state.t  (* section 3.5: no detection, diff everything bound *)
-  | B_vmfine of Vm_state.t * Dirtybits.t
-      (* section 3.4's rejected variant: VM trapping feeding an RT-style
-         per-line timestamp history *)
-  | B_none  (* blast and standalone: no write detection *)
-
 type ctx = {
   cid : int;
   machine : t;
   proc : Engine.proc;
   counters : Counters.t;
-  mutable lamport : int;
-  mutable rt_global_seen : Timestamp.t;  (* untargetted mode: everything-consistent-as-of cursor *)
-  backend : backend_state;  (* the machine-default detection state *)
-  (* Lazily created alternate detection states, used by regions elected
-     away from the machine default (hybrid write detection).  A fixed
-     configuration never touches them. *)
-  mutable alt_rt : Dirtybits.t option;
-  mutable alt_vm : Vm_state.t option;
-  mutable alt_twin : Twin_state.t option;
-  gather : Gather.t;  (* reusable run buffer for write collection *)
+  mutable detectors : (Config.backend * Detector.t) list;
+      (* one per scheme this processor has used: the machine default,
+         built at [create], then the others in order of first use *)
   check : Midway_check.Check.t option;  (* ECSan, when cfg.ecsan *)
 }
 
@@ -54,20 +38,15 @@ and t = {
          then goes through the ack/retransmission channel *)
   crash : crash_state option;
   mutable ctxs : ctx array;  (* filled right after construction *)
-  rt_untargetted_history : (int, Timestamp.t) Hashtbl.t;
-      (* untargetted update-queue mode: global line -> stamp history *)
+  detection : Detector.env;  (* what every processor's detectors share *)
   trace : Trace.t;
   mutable locks : Sync.lock list;
   mutable barriers : Sync.barrier list;
   mutable next_sync_id : int;
   mutable ran : bool;
-  (* --- per-region backend election (hybrid write detection) --- *)
-  mutable region_backend : Config.backend option array;
-      (* by region index; [None] means the machine default.  Only
-         consulted when [mixed] is set, so fixed configurations take the
-         exact pre-hybrid code path. *)
-  mutable mixed : bool;  (* some region's backend differs from the default *)
-  mutable striped_ord : int;  (* shared regions assigned under cfg.striped *)
+  mutable elected : Config.backend option array;
+      (* the election table: by region index, the scheme a re-elected
+         region runs; [None] means the machine default *)
   mutable switches : int;  (* backend switches committed so far *)
   region_ns : (int, int) Hashtbl.t;
       (* region index -> collect+apply ns attributed to transfers of
@@ -83,27 +62,14 @@ and t = {
          pre-obs code path. *)
 }
 
-let electable = function
-  | Config.Rt | Config.Vm | Config.Twin | Config.Blast -> true
-  | Config.Vm_fine | Config.Standalone -> false
-
 let create (cfg : Config.t) =
-  if cfg.backend = Config.Standalone && cfg.nprocs > 1 then
-    invalid_arg "Runtime.create: the standalone backend is uniprocessor only";
-  if cfg.untargetted && cfg.backend <> Config.Rt then
-    invalid_arg "Runtime.create: the untargetted model is implemented for the RT backend only";
-  if (cfg.adaptive || cfg.striped <> None) && cfg.untargetted then
+  Detector.validate cfg;
+  if cfg.adaptive && cfg.untargetted then
     invalid_arg
       "Runtime.create: per-region backends need targetted bindings (untargetted consistency \
        is machine-wide by construction)";
-  if cfg.adaptive && not (cfg.backend = Config.Rt || cfg.backend = Config.Vm) then
+  if cfg.adaptive && not (Policy.manages cfg.backend) then
     invalid_arg "Runtime.create: adaptive elects between rt and vm; start from one of them";
-  (match cfg.striped with
-  | Some alt when not (electable alt && electable cfg.backend) ->
-      invalid_arg
-        "Runtime.create: striped regions need per-region electable backends \
-         (rt|vm|twin|blast) on both sides"
-  | _ -> ());
   let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
   let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
   let net =
@@ -153,6 +119,8 @@ let create (cfg : Config.t) =
       Some (Midway_check.Check.create ~context ~nprocs:cfg.nprocs ())
   in
   let obsv = if cfg.obs then Some (Obs.create ~cap:cfg.obs_span_cap ()) else None in
+  let counters = Array.init cfg.nprocs (fun _ -> Counters.create ()) in
+  let detection = Detector.env cfg space ~counters ~reliable:(reliable <> None) in
   (match obsv with
   | None -> ()
   | Some o ->
@@ -203,15 +171,13 @@ let create (cfg : Config.t) =
             })
           cfg.crash;
       ctxs = [||];
-      rt_untargetted_history = Hashtbl.create 64;
+      detection;
       trace;
       locks = [];
       barriers = [];
       next_sync_id = 0;
       ran = false;
-      region_backend = Array.make 16 None;
-      mixed = false;
-      striped_ord = 0;
+      elected = Array.make 16 None;
       switches = 0;
       region_ns = Hashtbl.create 16;
       policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
@@ -225,23 +191,8 @@ let create (cfg : Config.t) =
           cid;
           machine;
           proc = Engine.proc engine cid;
-          counters = Counters.create ();
-          lamport = 1;
-          rt_global_seen = Timestamp.never_seen;
-          backend =
-            (match cfg.backend with
-            | Config.Rt -> B_rt (Dirtybits.create ~mode:cfg.rt_mode ~group:cfg.two_level_group)
-            | Config.Vm -> B_vm (Vm_state.create ~page_size:cfg.cost.page_size)
-            | Config.Twin -> B_twin (Twin_state.create ())
-            | Config.Vm_fine ->
-                B_vmfine
-                  ( Vm_state.create ~page_size:cfg.cost.page_size,
-                    Dirtybits.create ~mode:Config.Plain ~group:cfg.two_level_group )
-            | Config.Blast | Config.Standalone -> B_none);
-          alt_rt = None;
-          alt_vm = None;
-          alt_twin = None;
-          gather = Gather.create ();
+          counters = counters.(cid);
+          detectors = [ (cfg.backend, Detector.create detection ~proc:cid cfg.backend) ];
           check;
         });
   machine
@@ -261,97 +212,60 @@ let obs t = t.obsv
 let all_counters t = Array.map (fun c -> c.counters) t.ctxs
 
 (* Observability label conventions: "p3/lock2", "p0/barrier1". *)
-let lock_label p lid = Printf.sprintf "p%d/lock%d" p lid
-
-let barrier_label p bid = Printf.sprintf "p%d/barrier%d" p bid
-
-(* The RT "diff" is the dirtybit scan; VM and twin diff against pages or
-   twins.  The note distinguishes them in an exported trace. *)
-let diff_note = function
-  | B_rt _ -> "dirtybit scan"
-  | B_vm _ -> "page diff"
-  | B_twin _ -> "twin compare"
-  | B_vmfine _ -> "page diff + dirtybit scan"
-  | B_none -> "no detection"
+let sync_label kind p id = Printf.sprintf "p%d/%s%d" p kind id
 
 (* ------------------------------------------------------------------ *)
-(* Per-region backend election (hybrid write detection)                *)
+(* Per-region scheme election (hybrid write detection)                 *)
 (*                                                                     *)
-(* Each lock-bound region carries its own detection choice.  The       *)
-(* machine default (cfg.backend) is the degenerate case: [mixed] stays *)
-(* false, every helper below collapses to the default in O(1), and the *)
-(* protocol runs the exact pre-hybrid code path.                       *)
+(* Each region carries its own detection scheme in the election table; *)
+(* a region never re-elected runs the machine default.  Each processor *)
+(* keeps one detector per scheme it uses, so a fixed-backend machine   *)
+(* is the one-detector case.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let region_index_of t addr = addr / t.cfg.region_size
 
 let ensure_region_slot t idx =
-  let cap = Array.length t.region_backend in
+  let cap = Array.length t.elected in
   if idx >= cap then begin
     let fresh = Array.make (max (idx + 1) (cap * 2)) None in
-    Array.blit t.region_backend 0 fresh 0 cap;
-    t.region_backend <- fresh
+    Array.blit t.elected 0 fresh 0 cap;
+    t.elected <- fresh
   end
 
-let backend_of_region t idx =
-  if (not t.mixed) || idx < 0 || idx >= Array.length t.region_backend then t.cfg.backend
-  else match t.region_backend.(idx) with Some b -> b | None -> t.cfg.backend
+let scheme_of_region t idx =
+  if idx < 0 || idx >= Array.length t.elected then t.cfg.backend
+  else match Array.unsafe_get t.elected idx with Some b -> b | None -> t.cfg.backend
 
-(* The detection state [c] uses for backend [b]: the machine-default
-   state when [b] is the default, a lazily created alternate otherwise.
-   One state per backend serves every region elected to it — the states
-   are address-keyed internally, and a switch resets the region's slice
-   of each (see [switch_region_backend]). *)
-let state_for (c : ctx) (b : Config.backend) =
-  let cfg = c.machine.cfg in
-  if b = cfg.backend then c.backend
-  else
-    match b with
-    | Config.Rt -> (
-        match c.alt_rt with
-        | Some db -> B_rt db
-        | None ->
-            let db = Dirtybits.create ~mode:cfg.rt_mode ~group:cfg.two_level_group in
-            c.alt_rt <- Some db;
-            B_rt db)
-    | Config.Vm -> (
-        match c.alt_vm with
-        | Some vm -> B_vm vm
-        | None ->
-            let vm = Vm_state.create ~page_size:cfg.cost.page_size in
-            c.alt_vm <- Some vm;
-            B_vm vm)
-    | Config.Twin -> (
-        match c.alt_twin with
-        | Some tw -> B_twin tw
-        | None ->
-            let tw = Twin_state.create () in
-            c.alt_twin <- Some tw;
-            B_twin tw)
-    | Config.Blast -> B_none
-    | Config.Vm_fine | Config.Standalone ->
-        invalid_arg "Runtime.state_for: vm-fine and standalone are machine-wide backends"
+(* [c]'s detector for [scheme], built on first use.  One detector per
+   scheme serves every region elected to it: detectors are address-keyed
+   internally, and a switch wipes the region's slice of each (see
+   [switch_region_backend]). *)
+let rec find_detector (c : ctx) scheme = function
+  | (s, d) :: rest -> if s == scheme then d else find_detector c scheme rest
+  | [] ->
+      let d = Detector.create c.machine.detection ~proc:c.cid scheme in
+      c.detectors <- c.detectors @ [ (scheme, d) ];
+      d
 
-(* The backend a binding runs under: the unanimous election over the
-   regions its non-empty ranges live in.  A binding spanning regions
-   with *different* elections degrades to [conflict] — Blast for locks
-   (whole-data copy: always correct, never clever), Twin for barriers
-   (Blast cannot carry barrier-bound data). *)
-let elected_backend ?(conflict = Config.Blast) t ranges =
-  if not t.mixed then t.cfg.backend
-  else begin
-    let b = ref None and clash = ref false in
-    List.iter
-      (fun (r : Range.t) ->
-        if not (Range.is_empty r) then begin
-          let rb = backend_of_region t (region_index_of t r.Range.addr) in
-          match !b with
-          | None -> b := Some rb
-          | Some prev -> if prev <> rb then clash := true
-        end)
-      ranges;
-    if !clash then conflict else match !b with Some rb -> rb | None -> t.cfg.backend
-  end
+let detector (c : ctx) scheme = find_detector c scheme c.detectors
+
+(* The scheme a binding runs under: the unanimous election over the
+   regions its non-empty ranges live in, or [conflict] when they differ
+   (see [Detector.lock_fallback] and [Detector.barrier_fallback]). *)
+let rec unanimous t ~conflict ~first scheme = function
+  | [] -> scheme
+  | (r : Range.t) :: rest ->
+      if Range.is_empty r then unanimous t ~conflict ~first scheme rest
+      else
+        let rs = scheme_of_region t (region_index_of t r.Range.addr) in
+        if first || rs == scheme then unanimous t ~conflict ~first:false rs rest else conflict
+
+let lock_scheme t ranges =
+  unanimous t ~conflict:Detector.lock_fallback ~first:true t.cfg.backend ranges
+
+let barrier_scheme t ranges =
+  unanimous t ~conflict:Detector.barrier_fallback ~first:true t.cfg.backend ranges
 
 (* Host-side per-region time accounting: mirrors every increment of the
    per-processor [collect_time_ns] counters, attributed to the region of
@@ -370,24 +284,7 @@ let bump_region_ns t ranges ns =
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:t.cfg.default_line_size in
   let kind = if private_ then Region.Private else Region.Shared in
-  let a = Space.alloc t.space ~kind ~line_size bytes in
-  (* Static striping: alternate shared regions between the machine
-     default and the configured alternate, by shared-region creation
-     ordinal.  Deterministic in the allocation order, so the qcheck
-     mixed-digest property can build half-RT/half-VM machines from
-     configuration alone. *)
-  (match t.cfg.striped with
-  | Some alt when not private_ ->
-      let idx = region_index_of t a in
-      ensure_region_slot t idx;
-      if t.region_backend.(idx) = None then begin
-        let b = if t.striped_ord land 1 = 1 then alt else t.cfg.backend in
-        t.striped_ord <- t.striped_ord + 1;
-        t.region_backend.(idx) <- Some b;
-        if b <> t.cfg.backend then t.mixed <- true
-      end
-  | _ -> ());
-  a
+  Space.alloc t.space ~kind ~line_size bytes
 
 (* ECSan sees the caller's raw range lists (pre-normalization), so its
    lint can flag degenerate entries the protocol silently drops. *)
@@ -431,8 +328,6 @@ let now_ns c = Engine.clock c.proc
 let work_ns c ns = Engine.charge c.proc ns
 
 let work_cycles c cycles = Engine.charge c.proc (cycles * c.machine.cfg.cost.cycle_ns)
-
-let region_of c addr = Space.region_of_addr c.machine.space addr
 
 (* ------------------------------------------------------------------ *)
 (* Crash faults (armed by [Config.crash]; every helper below is inert   *)
@@ -503,71 +398,16 @@ let lowest_live_fiber (t : t) ~at =
 (* Write trapping                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let lines_touched (region : Region.t) addr len =
-  let first = (addr - Region.base region) / region.line_size in
-  let last = (addr + max len 1 - 1 - Region.base region) / region.line_size in
-  last - first + 1
-
-let vm_trap c vm addr len =
-  let cost = c.machine.cfg.cost in
-  let region = region_of c addr in
-  match region.Region.kind with
-  | Region.Private -> ()
-  | Region.Shared ->
-      (* One protection check (and possibly one fault) per page touched;
-         stores of <= 8 bytes touch one page because allocations are
-         8-byte aligned. *)
-      let psize = cost.page_size in
-      let first = addr / psize and last = (addr + max len 1 - 1) / psize in
-      for page = first to last do
-        let page_addr = max addr (page * psize) in
-        let ns =
-          Vm_state.on_write vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost
-            ~addr:page_addr
-        in
-        if ns > 0 then begin
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + ns;
-          Engine.charge c.proc ns
-        end
-      done
-
+(* A store traps through the detector its *region* elected, whatever the
+   machine default says. *)
 let trap c addr len =
-  let cfg = c.machine.cfg in
-  let cost = cfg.cost in
-  (* On a mixed machine the store template is the *region's* — a write
-     into a VM-elected region faults, one into an RT-elected region sets
-     dirtybits, whatever the machine default says. *)
-  let bst =
-    if not c.machine.mixed then c.backend
-    else state_for c (backend_of_region c.machine (region_index_of c.machine addr))
-  in
-  match bst with
-  | B_none | B_twin _ -> ()
-  | B_vmfine (vm, _) -> vm_trap c vm addr len
-  | B_rt db -> begin
-      let region = region_of c addr in
-      match region.Region.kind with
-      | Region.Private ->
-          (* Misclassified write: the region's null template returns after
-             six instructions. *)
-          c.counters.dirtybits_misclassified <- c.counters.dirtybits_misclassified + 1;
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + cost.dirtybit_set_private_ns;
-          Engine.charge c.proc cost.dirtybit_set_private_ns
-      | Region.Shared ->
-          let n = lines_touched region addr len in
-          Dirtybits.note_write db ~region ~addr ~len;
-          c.counters.dirtybits_set <- c.counters.dirtybits_set + n;
-          let per_line =
-            match cfg.rt_mode with
-            | Config.Plain -> cost.dirtybit_set_ns
-            | Config.Two_level -> cost.dirtybit_set_ns + cost.cycle_ns
-            | Config.Update_queue -> 3 * cost.dirtybit_set_ns
-          in
-          let ns = n * per_line in
-          c.counters.trap_time_ns <- c.counters.trap_time_ns + ns;
-          Engine.charge c.proc ns
-    end
-  | B_vm vm -> vm_trap c vm addr len
+  let t = c.machine in
+  let region = Space.region_of_addr t.space addr in
+  let ns = Detector.trap (detector c (scheme_of_region t region.Region.index)) ~region ~addr ~len in
+  if ns > 0 then begin
+    c.counters.trap_time_ns <- c.counters.trap_time_ns + ns;
+    Engine.charge c.proc ns
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Typed access                                                        *)
@@ -646,482 +486,6 @@ let write_int_private c addr v =
   ecsan_access c addr 8 ~op:"write_int_private" ~access:Midway_check.Check.Private_write
 
 (* ------------------------------------------------------------------ *)
-(* Write collection: RT                                                *)
-(* ------------------------------------------------------------------ *)
-
-let scan_cost (cfg : Config.t) (counts : Dirtybits.scan_counts) =
-  let cost = cfg.cost in
-  (counts.clean_reads * cost.dirtybit_read_clean_ns)
-  + (counts.dirty_reads * cost.dirtybit_read_dirty_ns)
-  + (counts.group_checks * cost.dirtybit_read_clean_ns)
-  + (counts.queue_entries * cost.dirtybit_read_dirty_ns)
-
-(* Collect the update set a requester is missing, stamping this
-   processor's fresh modifications.  [select] distinguishes lock
-   transfers from barrier arrivals. *)
-(* Snapshot a run's bytes out of the collector's memory: one blit. *)
-let run_reader (c : ctx) ~addr ~len = Space.read_bytes c.machine.space ~proc:c.cid addr ~len
-
-let rt_collect (c : ctx) db ~ranges ~select =
-  let cfg = c.machine.cfg in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let g = c.gather in
-  Gather.clear g;
-  let emit ~addr ~len ~ts ~fresh:_ ~lines = Gather.push_run g ~addr ~len ~ts ~descs:lines in
-  let counts = Dirtybits.scan db ~region_of:(region_of c) ~ranges ~stamp ~select ~emit in
-  c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + counts.clean_reads;
-  c.counters.dirty_dirtybits_read <- c.counters.dirty_dirtybits_read + counts.dirty_reads;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), scan_cost cfg counts, stamp)
-
-(* Untargetted consistency: the whole allocated shared space is the
-   collection target of every transfer. *)
-let shared_ranges (t : t) =
-  Midway_memory.Space.regions t.space
-  |> List.filter_map (fun (r : Region.t) ->
-         match r.Region.kind with
-         | Region.Shared when r.Region.used > 0 -> Some (Range.v (Region.base r) r.Region.used)
-         | Region.Shared | Region.Private -> None)
-
-(* Update-queue trapping keeps no full scan, so third-party history comes
-   from the lock's sparse history table. *)
-let rt_collect_lock (c : ctx) db (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let targetted = not cfg.untargetted in
-  let ranges = if targetted then l.Sync.ranges else shared_ranges c.machine in
-  let last_seen =
-    if targetted then l.Sync.rt_last_seen.(for_)
-    else c.machine.ctxs.(for_).rt_global_seen
-  in
-  let lines, cost_ns, stamp = rt_collect c db ~ranges ~select:(Transfer last_seen) in
-  match cfg.rt_mode with
-  | Config.Plain | Config.Two_level -> (lines, cost_ns, stamp)
-  | Config.Update_queue ->
-      (* Record fresh lines, then add history lines the requester missed.
-         Under the untargetted model the history spans the whole space,
-         so it lives on the machine rather than per lock. *)
-      let history =
-        if targetted then l.Sync.rt_history else c.machine.rt_untargetted_history
-      in
-      (* The history is per line; expand each coalesced run back into its
-         constituent lines. *)
-      List.iter
-        (fun (ln : Payload.rt_line) ->
-          let line_len = ln.len / ln.descs in
-          for i = 0 to ln.descs - 1 do
-            Hashtbl.replace history (ln.addr + (i * line_len)) ln.ts
-          done)
-        lines;
-      let extra = ref [] in
-      let extra_count = ref 0 in
-      Hashtbl.iter
-        (fun addr ts ->
-          incr extra_count;
-          if ts > last_seen && ts <> stamp then begin
-            let region = region_of c addr in
-            let len = region.Region.line_size in
-            if Range.clip (Range.v addr len) ~within:ranges <> [] then
-              extra :=
-                {
-                  Payload.addr;
-                  len;
-                  ts;
-                  data = Space.read_bytes c.machine.space ~proc:c.cid addr ~len;
-                  descs = 1;
-                }
-                :: !extra
-          end)
-        history;
-      c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + !extra_count;
-      let cost_ns = cost_ns + (!extra_count * cfg.cost.dirtybit_read_clean_ns) in
-      (lines @ List.rev !extra, cost_ns, stamp)
-
-let rt_apply (c : ctx) db (lines : Payload.rt_line list) =
-  let cfg = c.machine.cfg in
-  let cost = cfg.cost in
-  (* With the reliable channel armed, protocol retries can replay a
-     logical update: a line whose installed stamp already reaches the
-     incoming one is stale and skipped.  The test never runs on a
-     fault-free fabric, keeping those runs bit-identical to the seed. *)
-  let guard_stale = c.machine.reliable <> None in
-  let track_history = cfg.untargetted && cfg.rt_mode = Config.Update_queue in
-  let note_history addr ts =
-    match Hashtbl.find_opt c.machine.rt_untargetted_history addr with
-    | Some old when old >= ts -> ()
-    | _ -> Hashtbl.replace c.machine.rt_untargetted_history addr ts
-  in
-  let apply_ns = ref 0 in
-  List.iter
-    (fun (ln : Payload.rt_line) ->
-      let region = region_of c ln.addr in
-      let line_len = ln.len / ln.descs in
-      (* Costs are charged per line: copy_cost_ns floors an integer
-         division, so charging the run as one block would drift from the
-         per-line total. *)
-      let per_line_ns =
-        cost.dirtybit_update_ns + cfg.apply_line_ns
-        + Cost_model.copy_cost_ns cost ~bytes:line_len ~warm:true
-      in
-      if not guard_stale then begin
-        (* Fast path: install the whole run with one blit and one
-           timestamp sweep. *)
-        Space.write_bytes c.machine.space ~proc:c.cid ln.addr ln.data;
-        Dirtybits.set_ts_run db ~region ~addr:ln.addr ~lines:ln.descs ~ts:ln.ts;
-        if track_history then
-          for i = 0 to ln.descs - 1 do
-            note_history (ln.addr + (i * line_len)) ln.ts
-          done;
-        c.counters.dirtybits_updated <- c.counters.dirtybits_updated + ln.descs;
-        apply_ns := !apply_ns + (ln.descs * per_line_ns)
-      end
-      else
-        (* Replays may have installed some of the run's lines already, so
-           staleness is decided line by line. *)
-        for i = 0 to ln.descs - 1 do
-          let addr = ln.addr + (i * line_len) in
-          let stale =
-            let cur = Dirtybits.line_ts db ~region ~addr in
-            Timestamp.is_stamp cur && cur >= ln.ts
-          in
-          if stale then
-            c.counters.duplicates_suppressed <- c.counters.duplicates_suppressed + 1
-          else begin
-            Space.write_bytes c.machine.space ~proc:c.cid addr
-              (Bytes.sub ln.data (i * line_len) line_len);
-            Dirtybits.set_ts db ~region ~addr ~ts:ln.ts;
-            if track_history then note_history addr ln.ts;
-            c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-            apply_ns := !apply_ns + per_line_ns
-          end
-        done)
-    lines;
-  !apply_ns
-
-(* ------------------------------------------------------------------ *)
-(* Write collection: VM                                                *)
-(* ------------------------------------------------------------------ *)
-
-let vm_log_trim (cfg : Config.t) log =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  take cfg.update_log_window log
-
-(* A rebinding in (seen, current) forces a *diff-free* full transfer:
-   the paper's VM-DSM ships all bound data "without performing a diff"
-   when the binding changed (section 4, quicksort).  This is decidable
-   from the log alone, before any diffing. *)
-let vm_rebound_since (l : Sync.lock) ~seen ~current =
-  seen < current
-  && List.exists (fun (inc, e) -> inc > seen && e = Sync.Full_marker) l.Sync.vm_log
-
-let vm_debug_lid =
-  match Sys.getenv_opt "MIDWAY_VM_DEBUG" with
-  | Some s -> ( try Some (int_of_string s) with _ -> None)
-  | None -> None
-
-let vm_debug_pieces pieces =
-  String.concat ","
-    (List.map
-       (fun (p : Payload.vm_piece) ->
-         Printf.sprintf "%d+%d" p.Payload.addr (Bytes.length p.Payload.data))
-       pieces)
-
-let vm_debug_payload = function
-  | Payload.Empty -> "empty"
-  | Payload.Vm_full pieces -> Printf.sprintf "full[%s]" (vm_debug_pieces pieces)
-  | Payload.Vm_updates us ->
-      Printf.sprintf "updates[%s]"
-        (String.concat " | "
-           (List.map
-              (fun (u : Payload.vm_update) ->
-                Printf.sprintf "inc%d:%s" u.Payload.incarnation (vm_debug_pieces u.Payload.pieces))
-              us))
-  | _ -> "?"
-
-let vm_collect_lock (c : ctx) vm (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let bound = Sync.lock_bound_bytes l in
-  let this_inc = l.Sync.incarnation in
-  let seen = l.Sync.vm_inc_seen.(for_) in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  if vm_rebound_since l ~seen ~current:this_inc then begin
-    (* Diff-free full transfer after a rebinding: ship the releaser's
-       current bound data as is.  Pages stay dirty and writable (no
-       protection churn) and any saved diffs under the ranges are
-       superseded.  The shipped words are absorbed into the twins: the
-       full transfer makes them the protocol's current state, and leaving
-       them differing from their twins would let a later collection
-       (possibly of another lock sharing the page) resurrect them with
-       data the protocol has since moved past. *)
-    Vm_state.absorb vm ~space:c.machine.space ~proc:c.cid ~ranges:l.Sync.ranges;
-    Vm_state.discard_pending vm ~ranges:l.Sync.ranges;
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Full_marker) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-    let payload =
-      Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d serves p%d REBOUND-FULL seen=%d inc=%d %s\n%!"
-        l.Sync.lid c.cid for_ seen this_inc (vm_debug_payload payload);
-    (payload, 0, this_inc)
-  end
-  else begin
-    let pieces, diff_ns =
-      Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-        ~cost:cfg.cost ~ranges:l.Sync.ranges
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d collect for p%d seen=%d inc=%d own-diff=[%s]\n%!"
-        l.Sync.lid c.cid for_ seen this_inc (vm_debug_pieces pieces);
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Pieces pieces) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-    let payload =
-      if seen >= this_inc then Payload.Empty
-      else begin
-        let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen) l.Sync.vm_log in
-        (* The log window may no longer reach back to the requester's
-           cursor ("Midway's implementation of VM-DSM does not save all
-           the updates"): then, or when the concatenated updates exceed
-           the bound data, all of the bound data is sent instead. *)
-        let covered = List.length taken = this_inc - seen in
-        let updates =
-          List.rev_map
-            (fun (inc, e) -> { Payload.incarnation = inc; producer = -1; pieces = pieces_of e })
-            taken
-          (* rev_map of newest-first gives oldest-first, the application order *)
-        in
-        let bytes =
-          List.fold_left (fun acc u -> acc + Payload.pieces_bytes u.Payload.pieces) 0 updates
-        in
-        if (not covered) || bytes > bound then
-          Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-        else Payload.Vm_updates updates
-      end
-    in
-    if vm_debug_lid = Some l.Sync.lid then
-      Printf.eprintf "[vm] lock %d: p%d serves p%d seen=%d inc=%d -> %s\n%!" l.Sync.lid c.cid
-        for_ seen this_inc (vm_debug_payload payload);
-    (payload, diff_ns, this_inc)
-  end
-
-let vm_apply (c : ctx) vm payload =
-  let cfg = c.machine.cfg in
-  let apply pieces =
-    Vm_state.apply_pieces vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost pieces
-  in
-  match payload with
-  | Payload.Vm_updates updates ->
-      List.fold_left (fun acc (u : Payload.vm_update) -> acc + apply u.Payload.pieces) 0 updates
-  | Payload.Vm_full pieces -> apply pieces
-  | Payload.Empty -> 0
-  | Payload.Rt_lines _ | Payload.Blast_data _ ->
-      invalid_arg "Runtime.vm_apply: wrong payload kind"
-
-(* ------------------------------------------------------------------ *)
-(* Blast                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let blast_collect (c : ctx) (l : Sync.lock) =
-  let bound = Sync.lock_bound_bytes l in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-  Payload.Blast_data (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-
-let blast_apply (c : ctx) pieces =
-  let cfg = c.machine.cfg in
-  Payload.write_pieces c.machine.space ~proc:c.cid pieces;
-  Cost_model.copy_cost_ns cfg.cost ~bytes:(Payload.pieces_bytes pieces) ~warm:true
-
-(* ------------------------------------------------------------------ *)
-(* Twin backend (section 3.5): no trapping; diff all bound data        *)
-(* ------------------------------------------------------------------ *)
-
-let twin_collect_lock (c : ctx) tw (l : Sync.lock) ~for_ =
-  let cfg = c.machine.cfg in
-  let bound = Sync.lock_bound_bytes l in
-  let this_inc = l.Sync.incarnation in
-  let seen = l.Sync.vm_inc_seen.(for_) in
-  c.counters.bound_bytes_scanned <- c.counters.bound_bytes_scanned + bound;
-  if vm_rebound_since l ~seen ~current:this_inc then begin
-    (* Diff-free full transfer after a rebinding; re-snapshot the twin so
-       the next comparison starts from the shipped state. *)
-    Twin_state.refresh tw ~space:c.machine.space ~proc:c.cid ~id:l.Sync.lid
-      ~ranges:l.Sync.ranges;
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Full_marker) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + bound;
-    (Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges), 0, this_inc)
-  end
-  else begin
-    let pieces, diff_ns =
-      Twin_state.collect tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-        ~cost:cfg.cost ~id:l.Sync.lid ~ranges:l.Sync.ranges
-    in
-    l.Sync.vm_log <- vm_log_trim cfg ((this_inc, Sync.Pieces pieces) :: l.Sync.vm_log);
-    l.Sync.incarnation <- this_inc + 1;
-    c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-    let payload =
-      if seen >= this_inc then Payload.Empty
-      else begin
-        let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen) l.Sync.vm_log in
-        let covered = List.length taken = this_inc - seen in
-        let updates =
-          List.rev_map
-            (fun (inc, e) -> { Payload.incarnation = inc; producer = -1; pieces = pieces_of e })
-            taken
-        in
-        let bytes =
-          List.fold_left (fun acc u -> acc + Payload.pieces_bytes u.Payload.pieces) 0 updates
-        in
-        if (not covered) || bytes > bound then
-          Payload.Vm_full (Payload.read_pieces c.machine.space ~proc:c.cid l.Sync.ranges)
-        else Payload.Vm_updates updates
-      end
-    in
-    (payload, diff_ns, this_inc)
-  end
-
-let twin_apply (c : ctx) tw ~id ~ranges payload =
-  let cfg = c.machine.cfg in
-  let apply pieces =
-    Twin_state.apply_pieces tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost ~id ~ranges pieces
-  in
-  match payload with
-  | Payload.Vm_updates updates ->
-      List.fold_left (fun acc (u : Payload.vm_update) -> acc + apply u.Payload.pieces) 0 updates
-  | Payload.Vm_full pieces -> apply pieces
-  | Payload.Empty -> 0
-  | Payload.Rt_lines _ | Payload.Blast_data _ ->
-      invalid_arg "Runtime.twin_apply: wrong payload kind"
-
-(* ------------------------------------------------------------------ *)
-(* Vm_fine (section 3.4's rejected variant): VM trapping, RT history   *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold a page diff into the per-line timestamp table, then collect the
-   requester's missing lines exactly as RT does.  The cost is the sum the
-   paper predicts: diff + stamp installs + a full RT-style scan. *)
-let vmfine_collect (c : ctx) vm db ~ranges ~last_seen =
-  let cfg = c.machine.cfg in
-  let pieces, diff_ns =
-    Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost:cfg.cost
-      ~ranges
-  in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let stamp_ns = ref 0 in
-  List.iter
-    (fun (p : Payload.vm_piece) ->
-      let region = region_of c p.Payload.addr in
-      Range.iter_lines
-        (Range.v p.Payload.addr (Bytes.length p.Payload.data))
-        ~line_size:region.Region.line_size
-        ~f:(fun ~addr ~len:_ ->
-          Dirtybits.set_ts db ~region ~addr ~ts:stamp;
-          c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-          stamp_ns := !stamp_ns + cfg.cost.dirtybit_update_ns))
-    pieces;
-  let g = c.gather in
-  Gather.clear g;
-  let emit ~addr ~len ~ts ~fresh:_ ~lines = Gather.push_run g ~addr ~len ~ts ~descs:lines in
-  let counts =
-    Dirtybits.scan db ~region_of:(region_of c) ~ranges ~stamp
-      ~select:(Dirtybits.Transfer last_seen) ~emit
-  in
-  c.counters.clean_dirtybits_read <- c.counters.clean_dirtybits_read + counts.clean_reads;
-  c.counters.dirty_dirtybits_read <- c.counters.dirty_dirtybits_read + counts.dirty_reads;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), diff_ns + !stamp_ns + scan_cost cfg counts, stamp)
-
-(* Barrier arrival: the fresh modifications are exactly the diffed
-   pieces, so no scan is needed — stamp them and ship their lines. *)
-let vmfine_barrier_collect (c : ctx) vm db ~ranges =
-  let cfg = c.machine.cfg in
-  let pieces, diff_ns =
-    Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters ~cost:cfg.cost
-      ~ranges
-  in
-  c.lamport <- c.lamport + 1;
-  let stamp = Timestamp.make ~time:c.lamport ~proc:c.cid ~nprocs:cfg.nprocs in
-  let seen = Hashtbl.create 16 in
-  let g = c.gather in
-  Gather.clear g;
-  let extra_ns = ref 0 in
-  let last_region = ref (-1) in
-  List.iter
-    (fun (p : Payload.vm_piece) ->
-      let region = region_of c p.Payload.addr in
-      if region.Region.index <> !last_region then begin
-        (* Runs never span regions (line sizes may differ across them). *)
-        Gather.seal g;
-        last_region := region.Region.index
-      end;
-      Range.iter_lines
-        (Range.v p.Payload.addr (Bytes.length p.Payload.data))
-        ~line_size:region.Region.line_size
-        ~f:(fun ~addr ~len ->
-          if not (Hashtbl.mem seen addr) then begin
-            Hashtbl.replace seen addr ();
-            Dirtybits.set_ts db ~region ~addr ~ts:stamp;
-            c.counters.dirtybits_updated <- c.counters.dirtybits_updated + 1;
-            extra_ns := !extra_ns + cfg.cost.dirtybit_update_ns;
-            Gather.push_line g ~addr ~len ~ts:stamp
-          end))
-    pieces;
-  c.counters.bound_bytes_scanned <-
-    c.counters.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.counters.dirty_bytes_found <- c.counters.dirty_bytes_found + Gather.total_bytes g;
-  (Gather.to_rt_lines g ~read:(run_reader c), diff_ns + !extra_ns, stamp)
-
-let vmfine_apply (c : ctx) vm db (lines : Payload.rt_line list) =
-  let cfg = c.machine.cfg in
-  (* the data lands in memory and in any twin of a dirty page, then the
-     timestamps install as at an RT requester.  Runs are split back into
-     per-line pieces: the copy cost model floors an integer division per
-     piece, so applying a run as one block would drift from the per-line
-     total. *)
-  let pieces =
-    List.concat_map
-      (fun (ln : Payload.rt_line) ->
-        if ln.Payload.descs = 1 then [ { Payload.addr = ln.addr; data = ln.data } ]
-        else begin
-          let line_len = ln.len / ln.descs in
-          List.init ln.descs (fun i ->
-              {
-                Payload.addr = ln.addr + (i * line_len);
-                data = Bytes.sub ln.data (i * line_len) line_len;
-              })
-        end)
-      lines
-  in
-  let copy_ns =
-    Vm_state.apply_pieces vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-      ~cost:cfg.cost pieces
-  in
-  List.fold_left
-    (fun acc (ln : Payload.rt_line) ->
-      let region = region_of c ln.Payload.addr in
-      Dirtybits.set_ts_run db ~region ~addr:ln.Payload.addr ~lines:ln.Payload.descs
-        ~ts:ln.Payload.ts;
-      c.counters.dirtybits_updated <- c.counters.dirtybits_updated + ln.Payload.descs;
-      acc + (ln.Payload.descs * (cfg.cost.dirtybit_update_ns + cfg.apply_line_ns)))
-    copy_ns lines
-
-(* ------------------------------------------------------------------ *)
 (* Lock protocol                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1151,41 +515,6 @@ let send_msg ?(overhead_bytes = 0) (t : t) ~kind ~src ~dst ~payload_bytes ~at =
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: replication at release, quorum failover              *)
 (* ------------------------------------------------------------------ *)
-
-(* Install a replica snapshot of [l]'s bound data at [nc], making it look
-   like a freshly received full transfer.  For the timestamp backends the
-   covered lines are stamped newer than anything any processor has seen:
-   a replica is authoritative regardless of local stamps (it bypasses
-   [rt_apply]'s staleness guard on purpose), and the fresh stamp makes
-   the new owner's subsequent collections ship the recovered data to
-   every requester whose cursor was reset by the epoch bump. *)
-let install_replica (nc : ctx) (l : Sync.lock) (pieces : Payload.vm_piece list) =
-  let t = nc.machine in
-  let cost = t.cfg.cost in
-  let bytes = Payload.pieces_bytes pieces in
-  match state_for nc (elected_backend t l.Sync.ranges) with
-  | B_rt db | B_vmfine (_, db) ->
-      let time = 1 + Array.fold_left (fun acc (c : ctx) -> max acc c.lamport) 0 t.ctxs in
-      nc.lamport <- time;
-      let stamp = Timestamp.make ~time ~proc:nc.cid ~nprocs:t.cfg.nprocs in
-      Payload.write_pieces t.space ~proc:nc.cid pieces;
-      let lines = ref 0 in
-      List.iter
-        (fun (range : Range.t) ->
-          if not (Range.is_empty range) then
-            let region = region_of nc range.Range.addr in
-            Range.iter_lines range ~line_size:region.Region.line_size ~f:(fun ~addr ~len:_ ->
-                incr lines;
-                Dirtybits.set_ts db ~region ~addr ~ts:stamp))
-        l.Sync.ranges;
-      nc.counters.dirtybits_updated <- nc.counters.dirtybits_updated + !lines;
-      l.Sync.rt_stamp <- stamp;
-      l.Sync.rt_last_seen.(nc.cid) <- stamp;
-      (!lines * (cost.dirtybit_update_ns + t.cfg.apply_line_ns))
-      + Cost_model.copy_cost_ns cost ~bytes ~warm:false
-  | B_vm vm -> vm_apply nc vm (Payload.Vm_full pieces)
-  | B_twin tw -> twin_apply nc tw ~id:l.Sync.lid ~ranges:l.Sync.ranges (Payload.Vm_full pieces)
-  | B_none -> blast_apply nc pieces
 
 (* Ship a snapshot of the lock's bound data to [cr_replicas] backups when
    an exclusive holder releases.  The snapshot itself lives with the lock
@@ -1260,10 +589,7 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
     if not cr.cr_broken then begin
       (* Epoch rules first: every processor's cursor resets, so the next
          transfer from the new owner ships current bindings in full. *)
-      Array.fill l.Sync.rt_last_seen 0 n Timestamp.never_seen;
-      Hashtbl.reset l.Sync.rt_history;
-      l.Sync.incarnation <- l.Sync.incarnation + 1;
-      l.Sync.vm_log <- [ (l.Sync.incarnation - 1, Sync.Full_marker) ];
+      Sync.rebind_lock l ~nprocs:n ~ranges:l.Sync.ranges;
       match l.Sync.replica with
       | Some (_epoch, snapshot) ->
           (* Fetch from a live backup (free when the new owner is one). *)
@@ -1284,10 +610,9 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
               | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
           | None -> ());
           nc.counters.data_received_bytes <- nc.counters.data_received_bytes + bytes;
-          t_done := !t_done + install_replica nc l snapshot;
-          (match state_for nc (elected_backend t l.Sync.ranges) with
-          | B_vm _ | B_twin _ -> l.Sync.vm_inc_seen.(new_owner) <- l.Sync.incarnation
-          | _ -> ())
+          (* Installed like a freshly received full transfer. *)
+          t_done :=
+            !t_done + Detector.install_full (detector nc (lock_scheme t l.Sync.ranges)) l snapshot
       | None ->
           (* The owner died without ever releasing: nothing was committed,
              so the new owner's own copy — untouched since the bind — is
@@ -1316,7 +641,9 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
         Obs.span o Obs.Failover ~proc:new_owner ~sync:l.Sync.lid
           ~note:(Printf.sprintf "p%d suspected, %d vote(s)" suspect !votes)
           ~t0:at ~t1:(max at !t_done) ();
-        Metrics.incr (Obs.metrics o) ~name:"failovers" ~label:(lock_label new_owner l.Sync.lid) 1);
+        Metrics.incr (Obs.metrics o) ~name:"failovers"
+          ~label:(sync_label "lock" new_owner l.Sync.lid)
+          1);
     Some !t_done
   end
 
@@ -1354,17 +681,16 @@ let safe_to_switch t idx =
    per-processor detection state, old and new alike.  The modeled cost
    of a switch is exactly those forced full transfers. *)
 let switch_region_backend t ~region_index ~to_ ~at =
-  if not (electable to_) then
+  if not (Detector.electable to_) then
     invalid_arg "Runtime.switch_region_backend: vm-fine and standalone are machine-wide";
-  if not (electable t.cfg.backend) then
+  if not (Detector.electable t.cfg.backend) then
     invalid_arg "Runtime.switch_region_backend: the machine backend is not per-region electable";
   if t.cfg.untargetted then
     invalid_arg "Runtime.switch_region_backend: untargetted bindings are machine-wide";
   ensure_region_slot t region_index;
-  let from_ = backend_of_region t region_index in
+  let from_ = scheme_of_region t region_index in
   if from_ <> to_ then begin
-    t.region_backend.(region_index) <- Some to_;
-    if to_ <> t.cfg.backend then t.mixed <- true;
+    t.elected.(region_index) <- Some to_;
     t.switches <- t.switches + 1;
     let span = region_span t region_index in
     List.iter
@@ -1378,15 +704,7 @@ let switch_region_backend t ~region_index ~to_ ~at =
     | None -> ()  (* nothing allocated there yet: no state to wipe *)
     | Some region ->
         Array.iter
-          (fun c ->
-            (match c.backend with
-            | B_rt db | B_vmfine (_, db) -> Dirtybits.reset_region db region
-            | _ -> ());
-            (match c.alt_rt with Some db -> Dirtybits.reset_region db region | None -> ());
-            (match c.backend with
-            | B_vm vm | B_vmfine (vm, _) -> Vm_state.forget vm ~ranges:[ span ]
-            | _ -> ());
-            (match c.alt_vm with Some vm -> Vm_state.forget vm ~ranges:[ span ] | None -> ()))
+          (fun c -> List.iter (fun (_, d) -> Detector.forget_region d region) c.detectors)
           t.ctxs);
     Trace.record t.trace
       (Trace.Backend_switched
@@ -1402,31 +720,6 @@ let switch_region_backend t ~region_index ~to_ ~at =
         Metrics.incr (Obs.metrics o) ~name:"backend_switches"
           ~label:(Printf.sprintf "region%d" region_index) 1
   end
-
-(* Payload shape as the policy sees it: distinct pages and contiguous
-   runs covered by the shipped data (pieces arrive in ascending address
-   order from both the gather buffer and the diff engine). *)
-let payload_page_stats t payload =
-  let psize = t.cfg.cost.Cost_model.page_size in
-  let pages = ref 0 and runs = ref 0 and last = ref (-1) in
-  let note addr len =
-    if len > 0 then begin
-      incr runs;
-      let first = addr / psize and last_page = (addr + len - 1) / psize in
-      let first = if first = !last then first + 1 else first in
-      if last_page >= first then pages := !pages + (last_page - first + 1);
-      if last_page > !last then last := last_page
-    end
-  in
-  let note_piece (p : Payload.vm_piece) = note p.Payload.addr (Bytes.length p.Payload.data) in
-  (match payload with
-  | Payload.Rt_lines lines ->
-      List.iter (fun (ln : Payload.rt_line) -> note ln.Payload.addr ln.Payload.len) lines
-  | Payload.Vm_full pieces | Payload.Blast_data pieces -> List.iter note_piece pieces
-  | Payload.Vm_updates updates ->
-      List.iter (fun (u : Payload.vm_update) -> List.iter note_piece u.Payload.pieces) updates
-  | Payload.Empty -> ());
-  (!pages, !runs)
 
 let first_bound_region t ranges =
   match List.find_opt (fun (r : Range.t) -> not (Range.is_empty r)) ranges with
@@ -1447,25 +740,75 @@ let maybe_adapt t ranges ~at =
             let idx = region_index_of t r.Range.addr in
             if not (List.mem idx !seen) then begin
               seen := idx :: !seen;
-              match backend_of_region t idx with
-              | (Config.Rt | Config.Vm) as current ->
-                  if safe_to_switch t idx then (
-                    let w = Policy.window p ~region:idx in
-                    match Policy.decide p ~region:idx ~current with
-                    | Some target ->
-                        (if Sys.getenv_opt "MIDWAY_POLICY_DEBUG" <> None then
-                           let collects, rt_ns, vm_ns = w in
-                           Printf.eprintf
-                             "[policy] region %d %s->%s collects=%d est_rt=%d est_vm=%d\n%!"
-                             idx (Config.backend_name current) (Config.backend_name target)
-                             collects rt_ns vm_ns);
-                        switch_region_backend t ~region_index:idx ~to_:target ~at;
-                        Policy.note_switch p ~region:idx
-                    | None -> ())
-              | _ -> ()
+              let current = scheme_of_region t idx in
+              if Policy.manages current && safe_to_switch t idx then
+                match Policy.decide p ~region:idx ~current with
+                | Some target ->
+                    switch_region_backend t ~region_index:idx ~to_:target ~at;
+                    Policy.note_switch p ~region:idx
+                | None -> ()
             end
           end)
         ranges
+
+(* One collection at [c], for a transfer of the [kind] object [sync]
+   bound to [ranges] starting at [t0] on [c]'s clock, and its
+   accounting: the counters, the region's time, the adaptive policy's
+   observation ([rebound] marks a rebinding-forced full), and the obs
+   spans and metrics.  Returns the payload, the collection time, the
+   cursor for [Detector.advance] and the application bytes shipped. *)
+let collect (c : ctx) d ~kind ~sync ~ranges ~bound_bytes ~rebound ~t0 run =
+  let t = c.machine in
+  (* Side-effect-free counter reads, taken only to attribute this
+     collection's page-diff output to the obs registry. *)
+  let pages0 = if t.obsv = None then 0 else c.counters.pages_diffed in
+  let dirty0 = if t.obsv = None then 0 else c.counters.dirty_bytes_found in
+  let payload, ns, cursor = run () in
+  c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
+  bump_region_ns t ranges ns;
+  let app = Payload.app_bytes payload in
+  (match t.policy with
+  | None -> ()
+  | Some p -> (
+      match first_bound_region t ranges with
+      | None -> ()
+      | Some region ->
+          let pages, runs = Payload.page_runs payload ~page_size:t.cfg.cost.page_size in
+          Policy.note_collect p ~region:region.Region.index ~line_size:region.Region.line_size
+            ~bound_bytes ~payload_bytes:app ~payload_pages:pages ~payload_runs:runs ~rebound));
+  c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
+  (match t.obsv with
+  | None -> ()
+  | Some o ->
+      let lbl = sync_label kind c.cid sync in
+      let m = Obs.metrics o in
+      Obs.span o Obs.Collect ~proc:c.cid ~sync ~bytes:app ~t0 ~t1:(t0 + ns) ();
+      Obs.span o Obs.Diff ~proc:c.cid ~sync ~note:(Detector.label d) ~t0 ~t1:(t0 + ns) ();
+      Metrics.observe m ~name:"collect_ns" ~label:lbl ns;
+      Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
+      let pages = c.counters.pages_diffed - pages0 in
+      if pages > 0 then
+        Metrics.observe m ~name:"diff_bytes_per_page"
+          ~label:(Printf.sprintf "p%d" c.cid)
+          ~buckets:Metrics.bytes_buckets
+          ((c.counters.dirty_bytes_found - dirty0) / pages));
+  (payload, ns, cursor, app)
+
+(* Apply a payload delivered to [c] at [deliver] (the receiver is
+   blocked, so its memory is quiescent), with its accounting.  Returns
+   the apply time. *)
+let apply (c : ctx) d ~kind ~sync ~ranges ~app ~deliver payload =
+  let t = c.machine in
+  let ns = Detector.apply d ~id:sync ~ranges payload in
+  c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
+  bump_region_ns t ranges ns;
+  c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
+  (match t.obsv with
+  | None -> ()
+  | Some o ->
+      Obs.span o Obs.Apply ~proc:c.cid ~sync ~bytes:app ~t0:deliver ~t1:(deliver + ns) ();
+      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(sync_label kind c.cid sync) ns);
+  ns
 
 (* Serve one pending request: runs at the releaser side (conceptually on
    its runtime thread), computes the update payload, applies it at the
@@ -1476,123 +819,33 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   let releaser = l.Sync.owner in
   let rc = t.ctxs.(releaser) and qc = t.ctxs.(q) in
   let service_time = max arrival l.Sync.free_at in
-  (* Side-effect-free counter reads, taken only to attribute this
-     collection's page-diff output to the obs registry. *)
-  let pages0 = if t.obsv = None then 0 else rc.counters.pages_diffed in
-  let dirty0 = if t.obsv = None then 0 else rc.counters.dirty_bytes_found in
-  (* The lock's elected backend decides both sides of the transfer; on a
-     fixed machine this is the machine default and [state_for] hands
-     back the per-processor state untouched. *)
-  let lb = elected_backend t l.Sync.ranges in
-  let rbst = state_for rc lb in
+  (* The lock's elected scheme decides both sides of the transfer. *)
+  let scheme = lock_scheme t l.Sync.ranges in
+  let rd = detector rc scheme in
   (* Whether this transfer will be a rebinding-forced full, read off the
-     cursors before the collection consumes them (policy input only). *)
-  let policy_rebound =
-    (* Only *application* rebinds count as rebinding-heavy behaviour:
-       epoch bumps at or below the lock's [switch_inc] watermark were
-       forced by a backend switch (and a first-ever transfer is merely
-       cold), so without the watermark gate the policy's own switches —
-       and program start — would read as diff-free-full traffic and bias
-       it toward VM. *)
+     cursors before the collection consumes them (policy input only).
+     Only *application* rebinds count as rebinding-heavy behaviour: epoch
+     bumps at or below the lock's [switch_inc] watermark were forced by a
+     backend switch (and a first-ever transfer is merely cold), so
+     without the watermark gate the policy's own switches — and program
+     start — would read as diff-free-full traffic and bias it toward
+     VM. *)
+  let rebound =
     t.policy <> None
     && l.Sync.incarnation > l.Sync.switch_inc
-    &&
-    match rbst with
-    | B_vm _ | B_twin _ ->
-        vm_rebound_since l ~seen:l.Sync.vm_inc_seen.(q) ~current:l.Sync.incarnation
-    | _ -> l.Sync.rt_last_seen.(q) = Timestamp.never_seen
+    && Detector.ships_full rd l ~for_:q
   in
-  let payload, collect_ns, stamp_info =
-    match rbst with
-    | B_rt db ->
-        let lines, ns, stamp = rt_collect_lock rc db l ~for_:q in
-        ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-    | B_vm vm ->
-        let payload, ns, inc = vm_collect_lock rc vm l ~for_:q in
-        (payload, ns, inc)
-    | B_twin tw ->
-        let payload, ns, inc = twin_collect_lock rc tw l ~for_:q in
-        (payload, ns, inc)
-    | B_vmfine (vm, db) ->
-        let lines, ns, stamp =
-          vmfine_collect rc vm db ~ranges:l.Sync.ranges ~last_seen:l.Sync.rt_last_seen.(q)
-        in
-        ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-    | B_none -> (blast_collect rc l, 0, 0)
+  let ranges = l.Sync.ranges in
+  let payload, collect_ns, cursor, app =
+    collect rc rd ~kind:"lock" ~sync:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
+      ~rebound ~t0:service_time (fun () -> Detector.collect_lock rd l ~for_:q)
   in
-  rc.counters.collect_time_ns <- rc.counters.collect_time_ns + collect_ns;
-  bump_region_ns t l.Sync.ranges collect_ns;
-  let app = Payload.app_bytes payload in
-  (match t.policy with
-  | None -> ()
-  | Some p -> (
-      match first_bound_region t l.Sync.ranges with
-      | None -> ()
-      | Some region ->
-          let pages, runs = payload_page_stats t payload in
-          Policy.note_collect p ~region:region.Region.index
-            ~line_size:region.Region.line_size
-            ~bound_bytes:(Sync.lock_bound_bytes l) ~payload_bytes:app ~payload_pages:pages
-            ~payload_runs:runs ~rebound:policy_rebound));
-  rc.counters.data_sent_bytes <- rc.counters.data_sent_bytes + app;
   rc.counters.messages <- rc.counters.messages + 1;
-  (match t.obsv with
-  | None -> ()
-  | Some o ->
-      let lid = l.Sync.lid in
-      let lbl = lock_label releaser lid in
-      let m = Obs.metrics o in
-      Obs.span o Obs.Collect ~proc:releaser ~sync:lid ~bytes:app ~t0:service_time
-        ~t1:(service_time + collect_ns) ();
-      Obs.span o Obs.Diff ~proc:releaser ~sync:lid ~note:(diff_note rbst)
-        ~t0:service_time ~t1:(service_time + collect_ns) ();
-      Metrics.observe m ~name:"collect_ns" ~label:lbl collect_ns;
-      Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
-      let pages = rc.counters.pages_diffed - pages0 in
-      if pages > 0 then
-        Metrics.observe m ~name:"diff_bytes_per_page"
-          ~label:(Printf.sprintf "p%d" releaser)
-          ~buckets:Metrics.bytes_buckets
-          ((rc.counters.dirty_bytes_found - dirty0) / pages));
   let finish deliver =
-  (* Apply at the requester (it is blocked; its memory is quiescent). *)
   let apply_ns =
-    match (state_for qc lb, payload) with
-    | B_rt db, Payload.Rt_lines lines -> rt_apply qc db lines
-    | B_rt _, Payload.Empty -> 0
-    | B_vm vm, _ -> vm_apply qc vm payload
-    | B_twin tw, _ -> twin_apply qc tw ~id:l.Sync.lid ~ranges:l.Sync.ranges payload
-    | B_vmfine (vm, db), Payload.Rt_lines lines -> vmfine_apply qc vm db lines
-    | B_vmfine _, Payload.Empty -> 0
-    | B_none, Payload.Blast_data pieces -> blast_apply qc pieces
-    | B_none, Payload.Empty -> 0
-    | _ -> invalid_arg "Runtime.serve: payload/backend mismatch"
+    apply qc (detector qc scheme) ~kind:"lock" ~sync:l.Sync.lid ~ranges ~app ~deliver payload
   in
-  qc.counters.collect_time_ns <- qc.counters.collect_time_ns + apply_ns;
-  bump_region_ns t l.Sync.ranges apply_ns;
-  qc.counters.data_received_bytes <- qc.counters.data_received_bytes + app;
-  (match t.obsv with
-  | None -> ()
-  | Some o ->
-      Obs.span o Obs.Apply ~proc:q ~sync:l.Sync.lid ~bytes:app ~t0:deliver
-        ~t1:(deliver + apply_ns) ();
-      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(lock_label q l.Sync.lid)
-        apply_ns);
-  (* Advance cursors. *)
-  (match rbst with
-  | B_rt _ | B_vmfine _ ->
-      l.Sync.rt_stamp <- stamp_info;
-      l.Sync.rt_last_seen.(q) <- stamp_info;
-      l.Sync.rt_last_seen.(releaser) <- stamp_info;
-      if t.cfg.untargetted then begin
-        qc.rt_global_seen <- max qc.rt_global_seen stamp_info;
-        rc.rt_global_seen <- max rc.rt_global_seen stamp_info
-      end;
-      qc.lamport <- max qc.lamport (Timestamp.time stamp_info ~nprocs:t.cfg.nprocs)
-  | B_vm _ | B_twin _ ->
-      l.Sync.vm_inc_seen.(q) <- stamp_info;
-      l.Sync.vm_inc_seen.(releaser) <- stamp_info
-  | B_none -> ());
+  Detector.advance rd l ~requester:q cursor;
   (match mode with
   | Sync.Exclusive ->
       l.Sync.owner <- q;
@@ -1738,7 +991,7 @@ let acquire_mode c l mode =
         let t1 = now_ns c in
         Obs.span o Obs.Acquire_wait ~proc:c.cid ~sync:l.Sync.lid ~t0:req_at ~t1 ();
         Metrics.observe (Obs.metrics o) ~name:"acquire_latency_ns"
-          ~label:(lock_label c.cid l.Sync.lid)
+          ~label:(sync_label "lock" c.cid l.Sync.lid)
           (t1 - req_at));
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
@@ -1812,45 +1065,6 @@ let rebind c l ranges =
 (* Barrier protocol                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_collect (c : ctx) (b : Sync.barrier) =
-  if c.machine.cfg.untargetted && b.Sync.branges <> [] then
-    failwith "Runtime.barrier: the untargetted model supports lock-based data sharing only";
-  (* Barriers elect like locks; a barrier spanning differently-elected
-     regions degrades to Twin (Blast cannot carry barrier-bound data). *)
-  match state_for c (elected_backend ~conflict:Config.Twin c.machine b.Sync.branges) with
-  | B_rt db ->
-      let lines, ns, stamp = rt_collect c db ~ranges:b.Sync.branges ~select:Dirtybits.Fresh_only in
-      ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-  | B_vm vm ->
-      let cfg = c.machine.cfg in
-      let pieces, ns =
-        Vm_state.collect vm ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-          ~cost:cfg.cost ~ranges:b.Sync.branges
-      in
-      c.counters.bound_bytes_scanned <-
-        c.counters.bound_bytes_scanned + Range.total_bytes b.Sync.branges;
-      c.counters.dirty_bytes_found <-
-        c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-      ((if pieces = [] then Payload.Empty else Payload.Vm_full pieces), ns, 0)
-  | B_vmfine (vm, db) ->
-      let lines, ns, stamp = vmfine_barrier_collect c vm db ~ranges:b.Sync.branges in
-      ((if lines = [] then Payload.Empty else Payload.Rt_lines lines), ns, stamp)
-  | B_twin tw ->
-      let cfg = c.machine.cfg in
-      let pieces, ns =
-        Twin_state.collect tw ~space:c.machine.space ~proc:c.cid ~counters:c.counters
-          ~cost:cfg.cost ~id:b.Sync.bid ~ranges:b.Sync.branges
-      in
-      c.counters.bound_bytes_scanned <-
-        c.counters.bound_bytes_scanned + Range.total_bytes b.Sync.branges;
-      c.counters.dirty_bytes_found <-
-        c.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
-      ((if pieces = [] then Payload.Empty else Payload.Vm_full pieces), ns, 0)
-  | B_none ->
-      if b.Sync.branges <> [] then
-        failwith "Runtime.barrier: the blast backend does not support barrier-bound data";
-      (Payload.Empty, 0, 0)
-
 (* With crash faults armed a barrier completes once every participant
    whose fiber can still arrive has arrived: crash-stopped processors
    that never reached the barrier are not waited for (their fibers are
@@ -1898,14 +1112,10 @@ let barrier_release t (b : Sync.barrier) =
     List.fold_left (fun acc a -> acc + Payload.descriptors a.Sync.a_payload) 0 arrivals
   in
   let t_release = t_all + (merge_lines * t.cfg.apply_line_ns) in
-  let max_time =
-    List.fold_left
-      (fun acc a ->
-        if Timestamp.is_stamp a.Sync.a_stamp && a.Sync.a_stamp > Timestamp.initial then
-          max acc (Timestamp.time a.Sync.a_stamp ~nprocs:t.cfg.nprocs)
-        else acc)
-      0 arrivals
-  in
+  (* Barriers elect like locks; every arrival collected under [scheme]
+     (a switch waits for the barrier's mailboxes to drain). *)
+  let scheme = barrier_scheme t b.Sync.branges in
+  let cursor = List.fold_left (fun acc a -> max acc a.Sync.a_stamp) 0 arrivals in
   List.iter
     (fun a ->
       let p = a.Sync.a_proc in
@@ -1934,30 +1144,11 @@ let barrier_release t (b : Sync.barrier) =
                a dead one dies at its post-block crash check either way. *)
             t_release + s.Reliable.s_elapsed_ns
       in
+      let d = detector pc scheme in
       let apply_ns =
-        match
-          ( state_for pc (elected_backend ~conflict:Config.Twin t b.Sync.branges),
-            payload )
-        with
-        | B_rt db, Payload.Rt_lines lines -> rt_apply pc db lines
-        | B_vm vm, (Payload.Vm_full _ as pl) -> vm_apply pc vm pl
-        | B_twin tw, (Payload.Vm_full _ as pl) ->
-            twin_apply pc tw ~id:b.Sync.bid ~ranges:b.Sync.branges pl
-        | B_vmfine (vm, db), Payload.Rt_lines lines -> vmfine_apply pc vm db lines
-        | _, Payload.Empty -> 0
-        | _ -> invalid_arg "Runtime.barrier_release: payload/backend mismatch"
+        apply pc d ~kind:"barrier" ~sync:b.Sync.bid ~ranges:b.Sync.branges ~app ~deliver payload
       in
-      pc.counters.collect_time_ns <- pc.counters.collect_time_ns + apply_ns;
-      bump_region_ns t b.Sync.branges apply_ns;
-      pc.counters.data_received_bytes <- pc.counters.data_received_bytes + app;
-      (match t.obsv with
-      | None -> ()
-      | Some o ->
-          Obs.span o Obs.Apply ~proc:p ~sync:b.Sync.bid ~bytes:app ~t0:deliver
-            ~t1:(deliver + apply_ns) ();
-          Metrics.observe (Obs.metrics o) ~name:"apply_ns"
-            ~label:(barrier_label p b.Sync.bid) apply_ns);
-      if max_time > 0 then pc.lamport <- max pc.lamport max_time;
+      Detector.advance_barrier d cursor;
       a.Sync.a_waker ~at:(deliver + apply_ns)
       end)
     arrivals;
@@ -1990,45 +1181,15 @@ let barrier c b =
     | None -> ()
   end
   else begin
-    let pages0 = if t.obsv = None then 0 else c.counters.pages_diffed in
-    let dirty0 = if t.obsv = None then 0 else c.counters.dirty_bytes_found in
-    let collect_t0 = now_ns c in
-    let payload, collect_ns, stamp = barrier_collect c b in
-    c.counters.collect_time_ns <- c.counters.collect_time_ns + collect_ns;
-    bump_region_ns t b.Sync.branges collect_ns;
+    if t.cfg.untargetted && b.Sync.branges <> [] then
+      failwith "Runtime.barrier: the untargetted model supports lock-based data sharing only";
+    let d = detector c (barrier_scheme t b.Sync.branges) in
+    let ranges = b.Sync.branges in
+    let payload, collect_ns, cursor, app =
+      collect c d ~kind:"barrier" ~sync:b.Sync.bid ~ranges ~bound_bytes:(Range.total_bytes ranges)
+        ~rebound:false ~t0:(now_ns c) (fun () -> Detector.collect_barrier d b)
+    in
     Engine.charge c.proc collect_ns;
-    let app = Payload.app_bytes payload in
-    (match t.policy with
-    | None -> ()
-    | Some p -> (
-        match first_bound_region t b.Sync.branges with
-        | None -> ()
-        | Some region ->
-            let pages, runs = payload_page_stats t payload in
-            Policy.note_collect p ~region:region.Region.index
-              ~line_size:region.Region.line_size
-              ~bound_bytes:(Range.total_bytes b.Sync.branges) ~payload_bytes:app
-              ~payload_pages:pages ~payload_runs:runs ~rebound:false));
-    c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
-    (match t.obsv with
-    | None -> ()
-    | Some o ->
-        let bid = b.Sync.bid in
-        let lbl = barrier_label c.cid bid in
-        let m = Obs.metrics o in
-        Obs.span o Obs.Collect ~proc:c.cid ~sync:bid ~bytes:app ~t0:collect_t0
-          ~t1:(now_ns c) ();
-        Obs.span o Obs.Diff ~proc:c.cid ~sync:bid
-          ~note:(diff_note (state_for c (elected_backend ~conflict:Config.Twin t b.Sync.branges)))
-          ~t0:collect_t0 ~t1:(now_ns c) ();
-        Metrics.observe m ~name:"collect_ns" ~label:lbl collect_ns;
-        Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
-        let pages = c.counters.pages_diffed - pages0 in
-        if pages > 0 then
-          Metrics.observe m ~name:"diff_bytes_per_page"
-            ~label:(Printf.sprintf "p%d" c.cid)
-            ~buckets:Metrics.bytes_buckets
-            ((c.counters.dirty_bytes_found - dirty0) / pages));
     if c.cid <> b.Sync.manager then c.counters.messages <- c.counters.messages + 1;
     (* With crash faults armed the arrival can exhaust its retries
        against a dead manager; the lowest live processor takes over the
@@ -2066,7 +1227,7 @@ let barrier c b =
                 a_deliver = deliver;
                 a_waker = wake;
                 a_payload = payload;
-                a_stamp = stamp;
+                a_stamp = cursor;
               };
             ];
         if barrier_ready t b then barrier_release t b);
@@ -2076,7 +1237,7 @@ let barrier c b =
         let t1 = now_ns c in
         Obs.span o Obs.Barrier_wait ~proc:c.cid ~sync:b.Sync.bid ~t0:wait0 ~t1 ();
         Metrics.observe (Obs.metrics o) ~name:"barrier_wait_ns"
-          ~label:(barrier_label c.cid b.Sync.bid)
+          ~label:(sync_label "barrier" c.cid b.Sync.bid)
           (t1 - wait0));
     crash_check c
   end;
@@ -2259,39 +1420,7 @@ let check_invariants t =
           (List.length l.Sync.readers);
       if l.Sync.pending <> [] then
         report "lock %d has %d pending request(s) at end of run" l.Sync.lid
-          (List.length l.Sync.pending);
-      (* RT: only the owner may have unstamped (locally dirty) lines in
-         the lock's bound ranges — a sentinel elsewhere means a processor
-         wrote the data without holding the lock.  The gate is per lock:
-         on a mixed machine each lock answers to its elected backend
-         (switches reset the departed backend's region state, so the
-         check stays sound across re-elections). *)
-      if elected_backend t l.Sync.ranges = Config.Rt && not t.cfg.untargetted then
-        let killed p =
-          match t.crash with Some cr -> cr.cr_killed.(p) | None -> false
-        in
-        Array.iteri
-          (fun p (ctx : ctx) ->
-            (* A crash-stopped processor legitimately leaves its lost
-               in-section writes locally dirty: they were never collected
-               and the failover reverted everyone else to the replica. *)
-            if p <> l.Sync.owner && not (killed p) then
-              match (match ctx.backend with B_rt db -> Some db | _ -> ctx.alt_rt) with
-              | Some db ->
-                  List.iter
-                    (fun (range : Range.t) ->
-                      Range.iter_lines range ~line_size:(region_of ctx range.Range.addr).Region.line_size
-                        ~f:(fun ~addr ~len:_ ->
-                          if
-                            Dirtybits.line_ts db ~region:(region_of ctx addr) ~addr
-                            = Timestamp.locally_dirty
-                          then
-                            report
-                              "lock %d: p%d has a locally dirty line at %#x without ownership"
-                              l.Sync.lid p addr))
-                    l.Sync.ranges
-              | None -> ())
-          t.ctxs)
+          (List.length l.Sync.pending))
     t.locks;
   List.iter
     (fun (b : Sync.barrier) ->
@@ -2305,23 +1434,28 @@ let check_invariants t =
       report "reliable channel has %d unacked message(s) in flight at end of run"
         (Reliable.unacked ch)
   | Some _ | None -> ());
-  (* VM: every dirty page must have a twin — in the machine-default
-     state and in any alternate state a hybrid election created. *)
+  (* Every detector checks its own state.  A lock's data may be left
+     locally dirty only at its owner: the gate is per lock, each lock
+     answering to its elected scheme (switches wipe the departed scheme's
+     region state, so the check stays sound across re-elections).  A
+     crash-stopped processor legitimately leaves its lost in-section
+     writes locally dirty: they were never collected and the failover
+     reverted everyone else to the replica. *)
+  let killed p = match t.crash with Some cr -> cr.cr_killed.(p) | None -> false in
   Array.iter
-    (fun (ctx : ctx) ->
-      let vms =
-        (match ctx.backend with B_vm vm -> [ vm ] | _ -> [])
-        @ match ctx.alt_vm with Some vm -> [ vm ] | None -> []
-      in
+    (fun (c : ctx) ->
       List.iter
-        (fun vm ->
-          List.iter
-            (fun (p : Midway_vmem.Page_table.page) ->
-              if p.Midway_vmem.Page_table.twin = None then
-                report "p%d: dirty page %d without a twin" ctx.cid
-                  p.Midway_vmem.Page_table.number)
-            (Midway_vmem.Page_table.dirty_pages (Vm_state.page_table vm)))
-        vms)
+        (fun (scheme, d) ->
+          let unowned =
+            if t.cfg.untargetted || killed c.cid then []
+            else
+              List.filter
+                (fun (l : Sync.lock) ->
+                  l.Sync.owner <> c.cid && lock_scheme t l.Sync.ranges == scheme)
+                t.locks
+          in
+          List.iter (fun s -> problems := s :: !problems) (Detector.invariants d ~unowned))
+        c.detectors)
     t.ctxs;
   (* Every bound range must point at mapped, allocated memory: a lock
      left bound to freed or never-allocated space would make collection
@@ -2386,13 +1520,13 @@ let availability t =
 
 (* --- hybrid write detection introspection and control --------------- *)
 
-let region_backend_at t ~addr = backend_of_region t (region_index_of t addr)
+let region_backend_at t ~addr = scheme_of_region t (region_index_of t addr)
 
 let region_assignments t =
   let out = ref [] in
   Array.iteri
     (fun i b -> match b with Some b -> out := (i, b) :: !out | None -> ())
-    t.region_backend;
+    t.elected;
   List.rev !out
 
 let backend_switches t = t.switches

@@ -94,9 +94,11 @@ val run_each : t -> (ctx -> unit) array -> unit
 
 val check_invariants : t -> string list
 (** After [run]: verify structural protocol invariants — no lock or
-    barrier left held/parked, no pending requests, no locally-dirty RT
-    lines on non-owners of a lock's data (a write without ownership), no
-    VM dirty page without a twin, every binding inside mapped allocated
+    barrier left held/parked, no pending requests, every processor's
+    detectors' own checks ({!Detector.invariants}: no locally-dirty
+    timestamp-history lines on non-owners of a lock's data — a write
+    without ownership — and no dirty page without a twin under vm and
+    vm-fine alike), every binding inside mapped allocated
     memory, (with ECSan on) the sanitizer's binding index in sync with
     the protocol's own records, and (under fault injection) no message
     left unacked in the reliable channel.  Returns human-readable
@@ -138,16 +140,21 @@ val availability : t -> float
 
 (** {1 Per-region hybrid write detection}
 
-    Write detection is a per-region choice: every region runs the
+    Write detection is a per-region choice.  The machine keeps an
+    election table from region to scheme: every region runs the
     machine-wide default backend until it is re-elected, either manually
-    ({!set_region_backend}), at allocation time ({!Config.t.striped}),
-    or online by the adaptive controller ({!Config.t.adaptive}, see
-    {!Policy} and doc/ADAPTIVE.md).  A switch is only legal at a safe
-    point — no intersecting lock held or read-held, no intersecting
-    barrier mid-episode — and epoch-bumps every intersecting binding
-    ({!Sync.rebind_lock}), so the next transfer after a switch is a
-    diff-free full and no stale detection state can leak across the
-    boundary. *)
+    ({!set_region_backend}) or online by the adaptive controller
+    ({!Config.t.adaptive}, see {!Policy} and doc/ADAPTIVE.md).  Each
+    processor keeps one {!Detector.t} per scheme it uses — the default
+    built at {!create}, the others on first use — so a fixed-backend
+    machine is the one-detector case.  A transfer runs under the scheme
+    its binding's regions elected, or under {!Detector.lock_fallback} /
+    {!Detector.barrier_fallback} when they differ.  A switch is only
+    legal at a safe point — no intersecting lock held or read-held, no
+    intersecting barrier mid-episode — and epoch-bumps every
+    intersecting binding ({!Sync.rebind_lock}), so the next transfer
+    after a switch is a diff-free full and no stale detection state can
+    leak across the boundary. *)
 
 val region_backend_at : t -> addr:int -> Config.backend
 (** The backend currently electing write detection for the region

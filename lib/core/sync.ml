@@ -14,7 +14,6 @@ type lock = {
   mutable readers : int list;
   mutable acquires : int;
   rt_last_seen : Timestamp.t array;
-  mutable rt_stamp : Timestamp.t;
   rt_history : (int, Timestamp.t) Hashtbl.t;
   mutable incarnation : int;
   vm_inc_seen : int array;
@@ -56,7 +55,6 @@ let make_lock ~lid ~nprocs ~owner ~ranges =
     readers = [];
     acquires = 0;
     rt_last_seen = Array.make nprocs Timestamp.never_seen;
-    rt_stamp = Timestamp.initial;
     rt_history = Hashtbl.create 16;
     incarnation = 0;
     vm_inc_seen = Array.make nprocs (-1);

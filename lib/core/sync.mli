@@ -8,8 +8,8 @@
     per-processor consistency cursors (RT timestamps, VM incarnations),
     and the VM update log.
 
-    The state machines live in {!Runtime}; this module owns the plain
-    data. *)
+    The state machines live in {!Runtime} (the protocol) and {!Detector}
+    (the cursors and the log); this module owns the plain data. *)
 
 type waker = at:int -> unit
 (** Resume a blocked processor fiber at a virtual time. *)
@@ -37,7 +37,6 @@ type lock = {
   mutable acquires : int;
   (* RT-DSM *)
   rt_last_seen : Timestamp.t array;  (** per-processor consistency cursor *)
-  mutable rt_stamp : Timestamp.t;  (** stamp of the most recent transfer *)
   rt_history : (int, Timestamp.t) Hashtbl.t;
       (** update-queue trapping mode only: line address -> newest stamp, the
           sparse update history that replaces full scans *)

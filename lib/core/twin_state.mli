@@ -14,7 +14,7 @@
     baseline is the processor's last consistency point on the object; for
     data never synchronized the baseline is the initial zeroed memory, so
     a missing (or rebinding-invalidated) twin materializes as zeros.
-    Incarnation history reuses the VM-DSM update log in the runtime, as
+    Incarnation history reuses the VM-DSM update log ({!Detector}), as
     the paper notes it must ("this approach would still require
     management of the update incarnations"). *)
 

@@ -12,15 +12,9 @@ type pending_page = {
 type t = {
   pt : Page_table.t;
   pending : (int, pending_page) Hashtbl.t;  (* page number -> saved diff *)
-  trace_faults : bool;  (* MIDWAY_FAULT_TRACE, sampled once at creation *)
 }
 
-let create ~page_size =
-  {
-    pt = Page_table.create ~page_size;
-    pending = Hashtbl.create 64;
-    trace_faults = Sys.getenv_opt "MIDWAY_FAULT_TRACE" <> None;
-  }
+let create ~page_size = { pt = Page_table.create ~page_size; pending = Hashtbl.create 64 }
 
 let page_table t = t.pt
 
@@ -38,7 +32,6 @@ let on_write t ~space ~proc ~counters ~cost ~addr =
       | None -> assert false (* the page was read-only *)
       | Some _page ->
           counters.Counters.write_faults <- counters.Counters.write_faults + 1;
-          if t.trace_faults then Printf.eprintf "FAULT %d\n" (addr / psize);
           cost.Cost_model.page_fault_ns)
 
 let pending_for t number =

@@ -9,7 +9,7 @@
      regions and boundary probes;
    - the VM zero-copy collect path failing loudly on a page that spans
      two regions (the migrated-bucket shape);
-   - mixed-backend machines (striped rt/vm regions) converging to the
+   - mixed-backend machines (alternating rt/vm regions) converging to the
      same memory image as pure-backend runs, with per-region collect
      accounting summing exactly to the processor counters;
    - the adaptive controller's window/hysteresis/cooldown/min-gain
@@ -322,15 +322,21 @@ let test_vm_collect_crosses_region_is_loud () =
 
 (* Four lock areas, each filling its own 4 KB region; every processor
    does commutative lock-guarded adds, so the converged image is
-   schedule- and backend-independent.  A striped machine (regions
-   alternating rt/vm) must produce the identical image, and per-region
-   collect accounting must sum exactly to the processors' collect_time
-   counters. *)
+   schedule- and backend-independent.  A mixed machine (odd areas'
+   regions re-elected to [odd], the others on the machine default) must
+   produce the identical image, and per-region collect accounting must
+   sum exactly to the processors' collect_time counters. *)
 
-let run_mixed_program ~nprocs ~seed cfg =
+let run_mixed_program ?odd ~nprocs ~seed cfg =
   let areas = 4 and cells = 16 in
   let machine = R.create cfg in
   let bases = Array.init areas (fun _ -> R.alloc machine ~line_size:64 4096) in
+  Option.iter
+    (fun b ->
+      Array.iteri
+        (fun a base -> if a land 1 = 1 then R.set_region_backend machine ~addr:base b)
+        bases)
+    odd;
   let locks =
     Array.init areas (fun a ->
         R.new_lock machine ~owner:(a mod nprocs) [ Range.v bases.(a) (cells * 8) ])
@@ -381,10 +387,7 @@ let mixed_digest_prop =
       let cfg backend = { (Config.make backend ~nprocs) with Config.region_size = 4096 } in
       let m_rt, img_rt = run_mixed_program ~nprocs ~seed (cfg Config.Rt) in
       let m_vm, img_vm = run_mixed_program ~nprocs ~seed (cfg Config.Vm) in
-      let m_mix, img_mix =
-        run_mixed_program ~nprocs ~seed
-          { (cfg Config.Rt) with Config.striped = Some Config.Vm }
-      in
+      let m_mix, img_mix = run_mixed_program ~odd:Config.Vm ~nprocs ~seed (cfg Config.Rt) in
       List.for_all (fun m -> R.check_invariants m = []) [ m_rt; m_vm; m_mix ]
       && R.region_assignments m_mix <> []  (* odd regions really run vm *)
       && List.for_all region_accounting_consistent [ m_rt; m_vm; m_mix ]
