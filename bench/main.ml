@@ -11,10 +11,8 @@
       trapping organizations of section 3.5, the VM update-log window,
       and the "blast" no-detection strawman.
 
-   4. A wall-clock mode (`bench wallclock`) that times the full
-      experiment driver on the host for sor/matmul/water under both RT
-      and VM and writes BENCH_wallclock.json — the repo's perf
-      trajectory baseline.  See doc/PERFORMANCE.md.
+   Host-time measurement of the simulator itself lives in perfbench/
+   (see perfbench/README.md).
 
    The experiment scale can be set with BENCH_SCALE (default 0.1; use
    1.0 for the paper's problem sizes) and BENCH_NPROCS (default 8). *)
@@ -425,87 +423,6 @@ let ablation_water_styles ~scale =
     ];
   print_endline (Midway_util.Texttab.render t)
 
-(* ------------------------------------------------------------------ *)
-(* Part 4: wall-clock mode                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Host wall-clock time of the full experiment driver (machine build,
-   simulation, oracle verification) — the number the hot-path work is
-   judged against.  The simulated results themselves must not move; this
-   measures only how fast the host produces them. *)
-
-module Json = Midway_util.Json
-
-let wallclock_apps =
-  [ Midway_report.Suite.Sor; Midway_report.Suite.Matmul; Midway_report.Suite.Water ]
-
-let wallclock_backends = [ Midway.Config.Rt; Midway.Config.Vm ]
-
-let time_run app backend ~scale ~nprocs =
-  let cfg = Midway.Config.make backend ~nprocs in
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  let o = Midway_report.Suite.run_app app cfg ~scale in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let name = Midway_report.Suite.app_name app in
-  Printf.printf "  %-8s %-3s %8.2f s wall  (%s s simulated, %s)\n%!" name
-    (Midway.Config.backend_name backend)
-    wall_s
-    (Printf.sprintf "%.3f" (Midway_apps.Outcome.elapsed_s o))
-    (if o.Midway_apps.Outcome.ok then "ok" else "ORACLE FAILED");
-  Json.Obj
-    [
-      ("app", Json.Str name);
-      ("backend", Json.Str (Midway.Config.backend_name backend));
-      ("wall_s", Json.Float wall_s);
-      ("sim_elapsed_ns", Json.Int (Midway.Runtime.elapsed_ns o.Midway_apps.Outcome.machine));
-      ("ok", Json.Bool o.Midway_apps.Outcome.ok);
-    ]
-
-let run_wallclock ~scale ~nprocs =
-  let out =
-    match Sys.getenv_opt "BENCH_OUT" with Some p -> p | None -> "BENCH_wallclock.json"
-  in
-  let label = match Sys.getenv_opt "BENCH_LABEL" with Some l -> l | None -> "current" in
-  Printf.printf "=== Wall-clock benchmark (scale %.2f, %d procs) ===\n%!" scale nprocs;
-  let runs =
-    List.concat_map
-      (fun app ->
-        List.map (fun backend -> time_run app backend ~scale ~nprocs) wallclock_backends)
-      wallclock_apps
-  in
-  (* A previous run's file (env BENCH_BASELINE) rides along as the
-     baseline section, so before/after timings live in one artifact. *)
-  let baseline =
-    match Sys.getenv_opt "BENCH_BASELINE" with
-    | None -> Json.Null
-    | Some path -> (
-        let contents =
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
-        in
-        match Json.member "current" (Json.of_string contents) with
-        | Some section -> section
-        | None -> Json.Null)
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "midway-wallclock/1");
-        ("scale", Json.Float scale);
-        ("nprocs", Json.Int nprocs);
-        ("baseline", baseline);
-        ("current", Json.Obj [ ("label", Json.Str label); ("runs", Json.List runs) ]);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
-
 let () =
   let scale =
     match Sys.getenv_opt "BENCH_SCALE" with Some s -> float_of_string s | None -> 0.1
@@ -513,14 +430,11 @@ let () =
   let nprocs =
     match Sys.getenv_opt "BENCH_NPROCS" with Some s -> int_of_string s | None -> 8
   in
-  match Array.to_list Sys.argv with
-  | _ :: "wallclock" :: _ -> run_wallclock ~scale ~nprocs
-  | _ ->
-      run_microbenchmarks ();
-      run_experiments ~scale ~nprocs;
-      ablation_rt_modes ~scale;
-      ablation_backends ~scale;
-      ablation_update_log ~scale;
-      ablation_granularity ();
-      ablation_untargetted ();
-      ablation_water_styles ~scale
+  run_microbenchmarks ();
+  run_experiments ~scale ~nprocs;
+  ablation_rt_modes ~scale;
+  ablation_backends ~scale;
+  ablation_update_log ~scale;
+  ablation_granularity ();
+  ablation_untargetted ();
+  ablation_water_styles ~scale

@@ -1,0 +1,29 @@
+#!/bin/sh
+# Bad numeric flags must be usage errors: each invocation below has to
+# exit nonzero, but not with 125 (cmdliner's code for an uncaught
+# exception), and has to name the offending flag on stderr.  Run from
+# the directory holding the built tools:  sh check_bad_flags.sh
+status=0
+expect_usage_error() {
+  flag=$1
+  shift
+  err=$("$@" 2>&1 >/dev/null)
+  code=$?
+  if [ "$code" -eq 0 ] || [ "$code" -eq 125 ] || ! printf '%s' "$err" | grep -q -e "$flag"; then
+    echo "not a usage error naming $flag (exit $code): $*" >&2
+    printf '%s\n' "$err" | head -3 >&2
+    status=1
+  fi
+}
+expect_usage_error --nprocs ./midway_kv.exe --nprocs 0
+expect_usage_error --nprocs ./midway_run.exe sor --nprocs 0
+expect_usage_error --nprocs ./midway_fuzz.exe --nprocs 0
+expect_usage_error --nprocs ./midway_analyze.exe --nprocs 0 --apps counter
+expect_usage_error --trace ./midway_run.exe sor --trace=-1
+expect_usage_error --buckets ./midway_kv.exe --keys 10 --buckets 3
+expect_usage_error --schedules ./midway_fuzz.exe --schedules=-1 --apps counter
+expect_usage_error --scale ./midway_run.exe sor --scale=-1
+expect_usage_error --scale ./midway_fuzz.exe --scale=-1 --apps counter
+expect_usage_error --scale ./experiments.exe --scale=-1 --only table1
+expect_usage_error --requests ./midway_kv.exe --requests 10 --nprocs 4
+exit $status

@@ -310,19 +310,9 @@ let run_hybrid scale nprocs md_file =
       close_out oc;
       Printf.printf "\nwrote %s\n" path)
 
-let run only scale nprocs apps csv_file md_file faults crash_spec ecsan obs trace_out
-    metrics_out kv hybrid =
-  let obs = obs || trace_out <> None || metrics_out <> None in
-  let crash =
-    match crash_spec with
-    | None -> None
-    | Some s -> (
-        match Midway_simnet.Crash.parse_spec ~nprocs s with
-        | Ok plan -> Some plan
-        | Error msg ->
-            Printf.eprintf "--crash: %s\n" msg;
-            exit 2)
-  in
+let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
+    { Midway_cli.Cli.obs; trace_out; metrics_out } kv hybrid =
+  let crash = Midway_cli.Cli.crash_plan ~nprocs crash_spec in
   (* the scaling sweep is opt-in: it reruns each application eight times *)
   let default = List.filter (fun e -> e <> "speedup") experiments in
   let only = match only with [] -> default | l -> l in
@@ -421,6 +411,7 @@ let run only scale nprocs apps csv_file md_file faults crash_spec ecsan obs trac
   end
 
 open Cmdliner
+module Cli = Midway_cli.Cli
 
 let only =
   Arg.(
@@ -430,15 +421,13 @@ let only =
         ~doc:"Comma-separated subset of: table1, fig2, table2, table3, fig3, table4, fig4, table5.")
 
 let scale =
-  Arg.(
-    value & opt float 0.25
-    & info [ "scale" ] ~docv:"S"
-        ~doc:
-          "Problem scale relative to the paper's parameters (1.0 = 343-molecule water, 250k \
-           quicksort, 512x512 matmul, 1000x1000 sor, 32x32-grid cholesky).")
+  Cli.scale ~names:[ "scale" ]
+    ~doc:
+      "Problem scale relative to the paper's parameters (1.0 = 343-molecule water, 250k \
+       quicksort, 512x512 matmul, 1000x1000 sor, 32x32-grid cholesky)."
+    0.25
 
-let nprocs =
-  Arg.(value & opt int 8 & info [ "nprocs" ] ~docv:"N" ~doc:"Simulated processors.")
+let nprocs = Cli.nprocs ~names:[ "nprocs" ] ~doc:"Simulated processors." 8
 
 let apps =
   Arg.(
@@ -472,48 +461,28 @@ let faults =
            $(b,--faults drop=0.02,seed=42).")
 
 let crash_spec =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "crash" ] ~docv:"SPEC"
-        ~doc:
-          "Arm node-level faults on the fault sweep: scripted \
-           ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Adds quorum \
-           failover and availability columns; runs whose crashed processors' work is \
-           missing are marked degraded instead of aborting the sweep.  Without \
-           $(b,--faults), sweeps the drop = 0 point only.")
+  Cli.crash
+    ~doc:
+      "Arm node-level faults on the fault sweep: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) \
+       or seeded ($(i,n=2,seed=7)).  Adds quorum failover and availability columns; runs \
+       whose crashed processors' work is missing are marked degraded instead of aborting the \
+       sweep.  Without $(b,--faults), sweeps the drop = 0 point only."
 
 let ecsan =
-  Arg.(
-    value & flag
-    & info [ "ecsan" ]
-        ~doc:
-          "Run every suite application under the entry-consistency sanitizer; any \
-           violation aborts the experiment with a nonzero exit.")
+  Cli.ecsan
+    ~doc:
+      "Run every suite application under the entry-consistency sanitizer; any violation \
+       aborts the experiment with a nonzero exit."
 
 let obs =
-  Arg.(
-    value & flag
-    & info [ "obs" ]
-        ~doc:
-          "Run the suite with the observability layer armed (protocol spans + metrics).  \
-           Implied by $(b,--trace-out) / $(b,--metrics-out).")
-
-let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write every suite run's protocol spans as one Chrome trace-event JSON (one \
-           Perfetto process per run, one track per processor) to $(docv).")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write every suite run's metrics registry as JSON (keyed by run) to $(docv).")
+  Cli.obs
+    ~doc:
+      "Run the suite with the observability layer armed (the protocol event log, its spans \
+       and metrics).  Implied by $(b,--trace-out) / $(b,--metrics-out)."
+    ~trace_doc:
+      "Write every suite run's protocol spans as one Chrome trace-event JSON (one Perfetto \
+       process per run, one track per processor) to $(docv)."
+    ~metrics_doc:"Write every suite run's metrics registry as JSON (keyed by run) to $(docv)."
 
 let kv =
   Arg.(
@@ -541,6 +510,6 @@ let cmd =
     (Cmd.info "midway-experiments" ~doc)
     Term.(
       const run $ only $ scale $ nprocs $ apps $ csv_file $ md_file $ faults $ crash_spec
-      $ ecsan $ obs $ trace_out $ metrics_out $ kv $ hybrid)
+      $ ecsan $ obs $ kv $ hybrid)
 
 let () = exit (Cmd.eval cmd)

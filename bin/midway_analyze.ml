@@ -111,6 +111,7 @@ let run apps_csv nprocs dump_ir expect_clean expect_specs confirm schedules sche
   if !failed then 1 else 0
 
 open Cmdliner
+module Cli = Midway_cli.Cli
 
 let apps =
   Arg.(
@@ -121,7 +122,7 @@ let apps =
           "Comma-separated workloads to analyze (any with an EC-IR lift: the synthetic \
            workloads, deadlocky, ecgen:SEED, ecgen-buggy:SEED).")
 
-let nprocs = Arg.(value & opt int 4 & info [ "nprocs"; "n" ] ~docv:"N")
+let nprocs = Cli.nprocs 4
 
 let dump_ir =
   Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print each workload's EC-IR before its report.")
@@ -149,10 +150,7 @@ let confirm =
           "Hand every static warning to the schedule explorer as a hunt target; exit 1 if \
            any warning is not realized by some execution (CONFIRMED vs unconfirmed).")
 
-let schedules =
-  Arg.(
-    value & opt int 6
-    & info [ "schedules" ] ~docv:"N" ~doc:"Schedule seeds per backend in a --confirm hunt.")
+let schedules = Cli.schedules ~doc:"Schedule seeds per backend in a --confirm hunt." 6
 
 let schedule_seed =
   Arg.(value & opt int 1 & info [ "schedule-seed" ] ~docv:"SEED" ~doc:"Base schedule seed.")

@@ -124,16 +124,7 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
         Printf.eprintf "--trace-out/--metrics-out apply to --replay runs only\n";
         exit 2
       end;
-      let crash_plan =
-        match crash with
-        | None -> None
-        | Some s -> (
-            match Midway_simnet.Crash.parse_spec ~nprocs s with
-            | Ok plan -> Some plan
-            | Error msg ->
-                Printf.eprintf "--crash: %s\n" msg;
-                exit 2)
-      in
+      let crash_plan = Midway_cli.Cli.crash_plan ~nprocs crash in
       let crash_armed = crash_plan <> None || crash_events > 0 in
       let workloads =
         match (apps_csv, demo_bug) with
@@ -228,6 +219,7 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
       else 1
 
 open Cmdliner
+module Cli = Midway_cli.Cli
 
 let apps =
   Arg.(
@@ -246,22 +238,16 @@ let backends =
     & info [ "backends"; "b" ] ~docv:"LIST"
         ~doc:"Comma-separated backends to sweep (rt, vm, twin, vm-fine, blast).")
 
-let schedules =
-  Arg.(
-    value & opt int 8
-    & info [ "schedules" ] ~docv:"N" ~doc:"Schedule seeds per (workload, backend) pair.")
+let schedules = Cli.schedules ~doc:"Schedule seeds per (workload, backend) pair." 8
 
 let schedule_seed =
   Arg.(
     value & opt int 1
     & info [ "schedule-seed" ] ~docv:"SEED" ~doc:"Base schedule seed; run $(i,i) uses SEED+i.")
 
-let nprocs = Arg.(value & opt int 4 & info [ "nprocs"; "n" ] ~docv:"N")
+let nprocs = Cli.nprocs 4
 
-let scale =
-  Arg.(
-    value & opt float 0.05
-    & info [ "scale"; "s" ] ~docv:"S" ~doc:"Application problem scale (applications only).")
+let scale = Cli.scale ~doc:"Application problem scale (applications only)." 0.05
 
 let faults =
   Arg.(
@@ -278,14 +264,11 @@ let fault_seed =
     & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Base seed of the fault-schedule derivation.")
 
 let crash =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "crash" ] ~docv:"SPEC"
-        ~doc:
-          "Apply one node-crash plan to every run: scripted \
-           ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded ($(i,n=2,seed=7)).  Overrides the \
-           per-run seeded dimension of $(b,--crash-events).")
+  Cli.crash
+    ~doc:
+      "Apply one node-crash plan to every run: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) or \
+       seeded ($(i,n=2,seed=7)).  Overrides the per-run seeded dimension of \
+       $(b,--crash-events)."
 
 let crash_events =
   Arg.(
@@ -306,10 +289,7 @@ let crash_horizon =
     & info [ "crash-horizon" ] ~docv:"NS"
         ~doc:"Window (virtual ns) the seeded crash episodes land in.")
 
-let trace =
-  Arg.(
-    value & opt int 64
-    & info [ "trace" ] ~docv:"N" ~doc:"Protocol trace capacity (tail is shown on failure).")
+let trace = Cli.trace ~doc:"Protocol event log capacity (its tail is shown on failure)." 64
 
 let no_ecsan =
   Arg.(value & flag & info [ "no-ecsan" ] ~doc:"Judge runs without the entry-consistency sanitizer.")
@@ -360,21 +340,15 @@ let replay_file =
         ~doc:"Re-execute a dumped counterexample; exit 0 iff the failure reproduces.")
 
 let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "With $(b,--replay): write the replayed (shrunk) schedule's protocol spans as \
-           Chrome trace-event JSON to $(docv) — the span timeline is usually the fastest \
-           way to see the ordering that breaks.")
+  Cli.trace_out
+    ~doc:
+      "With $(b,--replay): write the replayed (shrunk) schedule's protocol spans as Chrome \
+       trace-event JSON to $(docv) — the span timeline is usually the fastest way to see the \
+       ordering that breaks."
 
 let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"With $(b,--replay): write the replayed run's metrics registry as JSON to $(docv).")
+  Cli.metrics_out
+    ~doc:"With $(b,--replay): write the replayed run's metrics registry as JSON to $(docv)."
 
 let cmd =
   let doc = "seeded schedule fuzzer with record/replay and counterexample shrinking" in

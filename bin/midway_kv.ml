@@ -49,12 +49,16 @@ let latency_row label (h : Metrics.hist_view) =
     h.Metrics.h_max
 
 let run backend_name nprocs keys buckets requests workload_name dist_name theta arrival_ns
-    max_scan seed service_ns preload migrate_every broken crash_spec ecsan obs trace_out
-    metrics_out =
+    max_scan seed service_ns preload migrate_every broken crash_spec ecsan
+    { Midway_cli.Cli.obs; trace_out; metrics_out } =
   let backend =
     match Config.backend_of_string backend_name with Ok b -> b | Error msg -> die "%s" msg
   in
   if backend = Config.Standalone then die "midway-kv needs a distributed backend";
+  if keys mod buckets <> 0 then die "--buckets %d must divide --keys %d" buckets keys;
+  if requests mod nprocs <> 0 then
+    die "--requests %d must be a multiple of --nprocs %d (requests are split evenly)" requests
+      nprocs;
   let mix =
     match String.lowercase_ascii workload_name with
     | "a" -> Ycsb.mix_a
@@ -72,17 +76,13 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
     | s -> die "unknown distribution %S (expected uniform|zipfian|scrambled)" s
   in
   let arrival = if arrival_ns <= 0 then Ycsb.Closed else Ycsb.Poisson arrival_ns in
-  let per_client = max 1 (requests / nprocs) in
+  let per_client = requests / nprocs in
   let preload = if preload < 0 then keys / 2 else preload in
-  let obs = obs || trace_out <> None || metrics_out <> None in
   let cfg = { (Config.make backend ~nprocs) with Config.ecsan; obs } in
   let cfg =
-    match crash_spec with
+    match Midway_cli.Cli.crash_plan ~nprocs crash_spec with
     | None -> cfg
-    | Some s -> (
-        match Midway_simnet.Crash.parse_spec ~nprocs s with
-        | Ok plan -> Config.with_crash plan cfg
-        | Error msg -> die "--crash: %s" msg)
+    | Some plan -> Config.with_crash plan cfg
   in
   let kv_cfg =
     {
@@ -174,6 +174,7 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
   if violations <> [] || invariants <> [] || ecsan_bad then exit 1
 
 open Cmdliner
+module Cli = Midway_cli.Cli
 
 let backend =
   Arg.(
@@ -184,16 +185,17 @@ let backend =
           ^ String.concat ", " (List.filter (( <> ) "standalone") Config.backend_names)
           ^ "."))
 
-let nprocs = Arg.(value & opt int 4 & info [ "nprocs"; "n" ] ~docv:"N" ~doc:"Client processors.")
-let keys = Arg.(value & opt int 1024 & info [ "keys" ] ~docv:"K" ~doc:"Keyspace size.")
+let keys = Arg.(value & opt Cli.positive 1024 & info [ "keys" ] ~docv:"K" ~doc:"Keyspace size.")
 
 let buckets =
-  Arg.(value & opt int 32 & info [ "buckets" ] ~docv:"B" ~doc:"Shards (must divide --keys).")
+  Arg.(
+    value & opt Cli.positive 32 & info [ "buckets" ] ~docv:"B" ~doc:"Shards (must divide --keys).")
 
 let requests =
   Arg.(
-    value & opt int 20_000
-    & info [ "requests" ] ~docv:"R" ~doc:"Total requests, split evenly across clients.")
+    value & opt Cli.positive 20_000
+    & info [ "requests" ] ~docv:"R"
+        ~doc:"Total requests, split evenly across clients (a multiple of --nprocs).")
 
 let workload =
   Arg.(
@@ -251,45 +253,27 @@ let broken =
     & info [ "broken-migration" ]
         ~doc:"Demo bug: migrations drop the presence flags (the oracle must catch it).")
 
-let crash_spec =
-  Arg.(
-    value & opt (some string) None
-    & info [ "crash" ] ~docv:"SPEC"
-        ~doc:
-          "Arm node-level faults: scripted ($(i,stop@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
-           the store's buckets fail over by majority quorum and the oracle checks the \
-           survivors' view.")
-
-let ecsan = Arg.(value & flag & info [ "ecsan" ] ~doc:"Run under the entry-consistency sanitizer.")
-
-let obs =
-  Arg.(
-    value & flag
-    & info [ "obs" ]
-        ~doc:
-          "Arm the observability layer: per-request spans on the simulated timeline.  Implied \
-           by $(b,--trace-out) / $(b,--metrics-out).")
-
-let trace_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write protocol + kv_request spans as Chrome trace-event JSON to $(docv).")
-
-let metrics_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine and store registries as JSON ($(i,{\"machine\": .., \"kv\": ..})) \
-           to $(docv).")
-
 let cmd =
   let doc = "YCSB-style open-loop benchmark of the sharded KV store over Midway EC" in
   Cmd.v (Cmd.info "midway-kv" ~doc)
     Term.(
-      const run $ backend $ nprocs $ keys $ buckets $ requests $ workload $ dist $ theta
-      $ arrival_ns $ max_scan $ seed $ service_ns $ preload $ migrate_every $ broken
-      $ crash_spec $ ecsan $ obs $ trace_out $ metrics_out)
+      const run $ backend
+      $ Cli.nprocs ~doc:"Client processors." 4
+      $ keys $ buckets $ requests $ workload $ dist $ theta $ arrival_ns $ max_scan $ seed
+      $ service_ns $ preload $ migrate_every $ broken
+      $ Cli.crash
+          ~doc:
+            "Arm node-level faults: scripted ($(i,stop@2ms:p1)) or seeded ($(i,n=1,seed=7)); \
+             the store's buckets fail over by majority quorum and the oracle checks the \
+             survivors' view."
+      $ Cli.ecsan ~doc:"Run under the entry-consistency sanitizer."
+      $ Cli.obs
+          ~doc:
+            "Arm the observability layer: per-request spans on the simulated timeline.  Implied \
+             by $(b,--trace-out) / $(b,--metrics-out)."
+          ~trace_doc:"Write protocol + kv_request spans as Chrome trace-event JSON to $(docv)."
+          ~metrics_doc:
+            "Write the machine and store registries as JSON ($(i,{\"machine\": .., \"kv\": ..})) \
+             to $(docv).")
 
 let () = exit (Cmd.eval cmd)

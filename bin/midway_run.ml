@@ -40,7 +40,7 @@ let print_stats outcome =
     (Midway_util.Units.pp_time avg.Counters.collect_time_ns)
 
 let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive crash_spec
-    trace_n ecsan obs trace_out metrics_out =
+    trace_n ecsan { Midway_cli.Cli.obs; trace_out; metrics_out } =
   let app =
     match Midway_report.Suite.app_of_string app_name with
     | Ok a -> a
@@ -79,19 +79,11 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
   let nprocs = if backend = Midway.Config.Standalone then 1 else nprocs in
   let crash_plan =
     match crash_spec with
-    | None -> None
     | Some _ when backend = Midway.Config.Standalone ->
         Printf.eprintf "--crash needs a distributed backend (standalone has no peers to fail over to)\n";
         exit 2
-    | Some s -> (
-        match Midway_simnet.Crash.parse_spec ~nprocs s with
-        | Ok plan -> Some plan
-        | Error msg ->
-            Printf.eprintf "--crash: %s\n" msg;
-            exit 2)
+    | spec -> Midway_cli.Cli.crash_plan ~nprocs spec
   in
-  (* An export destination implies the observability layer. *)
-  let obs = obs || trace_out <> None || metrics_out <> None in
   let cfg =
     {
       (Midway.Config.make backend ~nprocs) with
@@ -136,11 +128,13 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
                 l))
   end;
   Printf.printf "host time           : %.2f s\n" host;
-  if trace_n > 0 then begin
-    let tr = Midway.Runtime.trace outcome.Midway_apps.Outcome.machine in
-    Printf.printf "\nlast %d of %d protocol events:\n%s" (Midway.Trace.length tr)
-      (Midway.Trace.total tr) (Midway.Trace.dump tr)
-  end;
+  (match Midway.Runtime.log outcome.Midway_apps.Outcome.machine with
+  | Some log when trace_n > 0 ->
+      let events = Midway_obs.Obs.tail log trace_n in
+      Printf.printf "\nlast %d of %d protocol events:\n" (List.length events)
+        (Midway_obs.Obs.total log);
+      List.iter (fun e -> print_endline (Midway_obs.Event.to_string e)) events
+  | _ -> ());
   (match Midway.Runtime.obs outcome.Midway_apps.Outcome.machine with
   | None -> ()
   | Some o ->
@@ -149,12 +143,8 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
       | Some file ->
           Midway_obs.Trace_export.write file
             (Midway_obs.Trace_export.to_json ~name:run_name (Midway_obs.Obs.spans o));
-          Printf.printf "\nwrote %d span(s)%s to %s (open in Perfetto / chrome://tracing)\n"
-            (Midway_obs.Obs.span_count o)
-            (match Midway_obs.Obs.dropped o with
-            | 0 -> ""
-            | d -> Printf.sprintf " (+%d dropped past --obs cap)" d)
-            file
+          Printf.printf "\nwrote %d span(s) to %s (open in Perfetto / chrome://tracing)\n"
+            (Midway_obs.Obs.span_count o) file
       | None -> ());
       let snap = Midway_obs.Metrics.snapshot (Midway_obs.Obs.metrics o) in
       (match metrics_out with
@@ -172,6 +162,7 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
   if not outcome.Midway_apps.Outcome.ok then exit 1
 
 open Cmdliner
+module Cli = Midway_cli.Cli
 
 let app_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"APP")
 
@@ -180,13 +171,6 @@ let backend =
     value & opt string "rt"
     & info [ "backend"; "b" ] ~docv:"BACKEND"
         ~doc:("Write-detection backend: " ^ String.concat ", " Midway.Config.backend_names ^ "."))
-
-let nprocs = Arg.(value & opt int 8 & info [ "nprocs"; "n" ] ~docv:"N")
-
-let scale =
-  Arg.(
-    value & opt float 0.25
-    & info [ "scale"; "s" ] ~docv:"S" ~doc:"Problem scale (1.0 = paper parameters).")
 
 let rt_mode =
   Arg.(
@@ -209,57 +193,34 @@ let adaptive =
            the configured backend (rt or vm) and are re-elected online at safe points from \
            observed transfer costs (see doc/ADAPTIVE.md).")
 
-let crash_spec =
-  Arg.(
-    value & opt (some string) None
-    & info [ "crash" ] ~docv:"SPEC"
-        ~doc:
-          "Arm node-level faults: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded \
-           ($(i,n=2,seed=7)).  Crashed processors' locks fail over to live peers by majority \
-           quorum; the run completes with the survivors and reports failovers and \
-           availability.")
-
-let trace_n =
-  Arg.(
-    value & opt int 0
-    & info [ "trace" ] ~docv:"N" ~doc:"Print the last N protocol events of the run.")
-
-let ecsan =
-  Arg.(
-    value & flag
-    & info [ "ecsan" ]
-        ~doc:
-          "Run under the entry-consistency sanitizer: report unsynchronized accesses, \
-           writes under shared holds, unbound shared data, misclassified private stores, \
-           stale-binding accesses and binding-table lint, and exit nonzero on any violation.")
-
-let obs =
-  Arg.(
-    value & flag
-    & info [ "obs" ]
-        ~doc:
-          "Arm the observability layer (protocol spans + metrics registry) and print the \
-           metrics summary after the run.  Implied by $(b,--trace-out) / $(b,--metrics-out).")
-
-let trace_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's protocol spans as Chrome trace-event JSON (one Perfetto track per \
-           processor, simulated timeline) to $(docv).")
-
-let metrics_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the run's metrics registry (counters + histograms) as JSON to $(docv).")
-
 let cmd =
   let doc = "run one DSM benchmark application" in
   Cmd.v (Cmd.info "midway-run" ~doc)
     Term.(
-      const run $ app_arg $ backend $ nprocs $ scale $ rt_mode $ untargetted $ adaptive
-      $ crash_spec $ trace_n $ ecsan $ obs $ trace_out $ metrics_out)
+      const run $ app_arg $ backend $ Cli.nprocs 8
+      $ Cli.scale ~doc:"Problem scale (1.0 = paper parameters)." 0.25
+      $ rt_mode $ untargetted $ adaptive
+      $ Cli.crash
+          ~doc:
+            "Arm node-level faults: scripted ($(i,stop@2ms:p1,recover@8ms:p1)) or seeded \
+             ($(i,n=2,seed=7)).  Crashed processors' locks fail over to live peers by majority \
+             quorum; the run completes with the survivors and reports failovers and \
+             availability."
+      $ Cli.trace ~doc:"Print the last N protocol events of the run." 0
+      $ Cli.ecsan
+          ~doc:
+            "Run under the entry-consistency sanitizer: report unsynchronized accesses, \
+             writes under shared holds, unbound shared data, misclassified private stores, \
+             stale-binding accesses and binding-table lint, and exit nonzero on any violation."
+      $ Cli.obs
+          ~doc:
+            "Arm the observability layer (the protocol event log, its spans and metrics) and \
+             print the metrics summary after the run.  Implied by $(b,--trace-out) / \
+             $(b,--metrics-out)."
+          ~trace_doc:
+            "Write the run's protocol spans as Chrome trace-event JSON (one Perfetto track per \
+             processor, simulated timeline) to $(docv)."
+          ~metrics_doc:
+            "Write the run's metrics registry (counters + histograms) as JSON to $(docv).")
 
 let () = exit (Cmd.eval cmd)

@@ -31,7 +31,7 @@ type t
 type report = Report.t
 
 val create : ?context:(unit -> string list) -> nprocs:int -> unit -> t
-(** [context] supplies protocol-trace lines attached to a diagnostic's
+(** [context] supplies protocol event-log lines attached to a diagnostic's
     first occurrence (default: none). *)
 
 (** {1 Synchronization events} *)

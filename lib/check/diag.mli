@@ -3,7 +3,7 @@
     A long run can repeat the same mistake millions of times; the table
     collapses occurrences onto a key of (class, processor, sync object)
     and keeps a count, the address hull, and the first occurrence's
-    operation and protocol-trace context. *)
+    operation and protocol event-log context. *)
 
 type cls =
   | Unsynchronized_access
@@ -40,7 +40,7 @@ type violation = {
   first_time : int;  (** virtual time of the first occurrence *)
   first_op : string;  (** operation of the first occurrence *)
   detail : string;
-  context : string list;  (** protocol-trace tail at the first occurrence *)
+  context : string list;  (** protocol event-log tail at the first occurrence *)
 }
 
 type table

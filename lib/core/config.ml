@@ -80,7 +80,6 @@ type t = {
   retrans_backoff_cap_ns : int;
   retrans_max_attempts : int;
   obs : bool;
-  obs_span_cap : int;
   adaptive : bool;
 }
 
@@ -115,7 +114,6 @@ let make ?(cost = Midway_stats.Cost_model.default) backend ~nprocs =
     retrans_max_attempts =
       Midway_simnet.Reliable.default_config.Midway_simnet.Reliable.max_attempts;
     obs = false;
-    obs_span_cap = 0;
     adaptive = false;
   }
 

@@ -84,7 +84,10 @@ type t = {
   (* VM options *)
   update_log_window : int;  (** incarnations of saved updates kept per lock *)
   trace_capacity : int;
-      (** protocol events retained for {!Trace}; 0 disables tracing *)
+      (** arm the protocol event log ({!Runtime.log}) keeping the most
+          recent [trace_capacity] events, for the text tail and failure
+          context; [0] (the default) arms none.  Negative values are
+          rejected by {!Runtime.create}. *)
   (* synchronization costs *)
   local_lock_ns : int;  (** acquire of a lock already owned by this processor *)
   release_ns : int;  (** local bookkeeping at release *)
@@ -129,17 +132,13 @@ type t = {
   retrans_max_attempts : int;  (** transmissions of one message before giving up *)
   (* observability *)
   obs : bool;
-      (** arm the structured observability layer ({!Midway_obs.Obs}):
-          protocol spans on the simulated clock plus a metrics registry,
-          readable through {!Runtime.obs} and exportable as a Chrome
-          trace ({!Midway_obs.Trace_export}).  [false] (the default)
-          records nothing, and recording never charges simulated time,
-          so results are bit-identical either way — the same contract as
-          [ecsan]. *)
-  obs_span_cap : int;
-      (** maximum spans retained when [obs] is armed; [0] = unbounded.
-          Past the cap spans are counted as dropped, not recorded;
-          metrics are unaffected. *)
+      (** arm the observability layer: the event log keeps every event
+          (overriding [trace_capacity]), readable through {!Runtime.obs},
+          from which the Perfetto spans and the metrics registry are
+          computed ({!Midway_obs.Obs}, {!Midway_obs.Trace_export}).
+          [false] (the default) records nothing, and recording never
+          charges simulated time, so results are bit-identical either
+          way — the same contract as [ecsan]. *)
   (* per-region hybrid detection *)
   adaptive : bool;
       (** arm the online per-region backend controller ({!Policy}): at

@@ -7,7 +7,7 @@ module Crash = Midway_simnet.Crash
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
-module Metrics = Midway_obs.Metrics
+module Event = Midway_obs.Event
 
 type ctx = {
   cid : int;
@@ -39,7 +39,6 @@ and t = {
   crash : crash_state option;
   mutable ctxs : ctx array;  (* filled right after construction *)
   detection : Detector.env;  (* what every processor's detectors share *)
-  trace : Trace.t;
   mutable locks : Sync.lock list;
   mutable barriers : Sync.barrier list;
   mutable next_sync_id : int;
@@ -48,18 +47,13 @@ and t = {
       (* the election table: by region index, the scheme a re-elected
          region runs; [None] means the machine default *)
   mutable switches : int;  (* backend switches committed so far *)
-  region_ns : (int, int) Hashtbl.t;
-      (* region index -> collect+apply ns attributed to transfers of
-         bindings rooted there (host-side accounting; -1 buckets
-         transfers with no bound data).  Mirrors every increment of the
-         per-processor [collect_time_ns] counters. *)
   policy : Policy.t option;  (* Some iff cfg.adaptive *)
   checker : Midway_check.Check.t option;
-  obsv : Obs.t option;
-      (* Some iff cfg.obs: the structured span log and metrics registry.
-         Every hook below is a single match on this field, and recording
-         never charges virtual time, so the default run takes the exact
-         pre-obs code path. *)
+  log : Obs.t option;
+      (* Some iff cfg.obs (every event) or cfg.trace_capacity > 0 (the
+         last N): the protocol event log.  Every recording site matches
+         on this field before it builds its event, and recording never
+         charges virtual time, so an unlogged run builds no event. *)
 }
 
 let create (cfg : Config.t) =
@@ -100,7 +94,12 @@ let create (cfg : Config.t) =
         | None -> ());
         Some ch
   in
-  let trace = Trace.create ~capacity:cfg.trace_capacity in
+  if cfg.trace_capacity < 0 then invalid_arg "Runtime.create: negative trace_capacity";
+  let log =
+    if cfg.obs then Some (Obs.create ())
+    else if cfg.trace_capacity > 0 then Some (Obs.create ~capacity:cfg.trace_capacity ())
+    else None
+  in
   let check =
     if not cfg.ecsan then None
     else if cfg.untargetted then
@@ -108,50 +107,38 @@ let create (cfg : Config.t) =
         "Runtime.create: ecsan assumes targetted entry consistency (any lock transfer makes \
          everything consistent under the untargetted model, so binding checks do not apply)"
     else
-      (* First-occurrence context: the tail of the protocol trace (empty
-         unless trace_capacity > 0). *)
+      (* First-occurrence context: the tail of the event log (empty
+         unless a log is armed). *)
       let context () =
-        let evs = Trace.events trace in
-        let n = List.length evs in
-        let rec drop k = function l when k <= 0 -> l | [] -> [] | _ :: tl -> drop (k - 1) tl in
-        List.map (Format.asprintf "%a" Trace.pp_event) (drop (n - 3) evs)
+        match log with None -> [] | Some log -> List.map Event.to_string (Obs.tail log 3)
       in
       Some (Midway_check.Check.create ~context ~nprocs:cfg.nprocs ())
   in
-  let obsv = if cfg.obs then Some (Obs.create ~cap:cfg.obs_span_cap ()) else None in
   let counters = Array.init cfg.nprocs (fun _ -> Counters.create ()) in
   let detection = Detector.env cfg space ~counters ~reliable:(reliable <> None) in
-  (match obsv with
+  (match log with
   | None -> ()
-  | Some o ->
-      (* Generic scheduler-block spans (reason = what the fiber waited
-         on) and, with faults armed, reliable-channel episodes.  Both
-         hooks read values the simulator computed anyway. *)
+  | Some log -> (
+      (* Scheduler blocks (reason = what the fiber waited on) and, with
+         faults or crashes armed, reliable-channel episodes.  Both hooks
+         read values the simulator computed anyway. *)
       Engine.set_block_observer engine
         (Some
-           (fun ~proc ~reason ~blocked_at ~woke_at ->
-             Obs.span o Obs.Sched_block ~proc
-               ~note:(Option.value reason ~default:"")
-               ~t0:blocked_at ~t1:woke_at ()));
-      (match reliable with
+           (fun ~proc ~reason ~blocked_at:t0 ~woke_at:t1 ->
+             let reason = Option.value reason ~default:"" in
+             Obs.record log (Event.Sched_block { proc; reason; t0; t1 })));
+      match reliable with
       | None -> ()
       | Some ch ->
           Reliable.set_observer ch
             (Some
                (fun (e : Reliable.episode) ->
-                 let m = Obs.metrics o in
-                 let chan = Printf.sprintf "p%d->p%d" e.Reliable.e_src e.Reliable.e_dst in
-                 Metrics.observe m ~name:"retransmits_per_send" ~label:chan
-                   ~buckets:Metrics.count_buckets e.Reliable.e_retransmits;
-                 Metrics.incr m ~name:"reliable_sends" ~label:chan 1;
-                 if e.Reliable.e_retransmits > 0 then
-                   Obs.span o Obs.Retransmit ~proc:e.Reliable.e_src
-                     ~bytes:e.Reliable.e_payload_bytes
-                     ~note:
-                       (Printf.sprintf "%s seq %d to p%d (%d retransmit(s))"
-                          (Net.kind_name e.Reliable.e_kind) e.Reliable.e_seq
-                          e.Reliable.e_dst e.Reliable.e_retransmits)
-                     ~t0:e.Reliable.e_sent_at ~t1:e.Reliable.e_acked_at ()))));
+                 Obs.record log
+                   (Event.Send_episode
+                      { src = e.Reliable.e_src; dst = e.Reliable.e_dst;
+                        msg = Net.kind_name e.Reliable.e_kind; seq = e.Reliable.e_seq;
+                        retransmits = e.Reliable.e_retransmits; bytes = e.Reliable.e_payload_bytes;
+                        t0 = e.Reliable.e_sent_at; t1 = e.Reliable.e_acked_at })))));
   let machine =
     {
       cfg;
@@ -172,17 +159,15 @@ let create (cfg : Config.t) =
           cfg.crash;
       ctxs = [||];
       detection;
-      trace;
       locks = [];
       barriers = [];
       next_sync_id = 0;
       ran = false;
       elected = Array.make 16 None;
       switches = 0;
-      region_ns = Hashtbl.create 16;
       policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
       checker = check;
-      obsv;
+      log;
     }
   in
   machine.ctxs <-
@@ -205,14 +190,11 @@ let net t = t.net
 
 let counters t i = t.ctxs.(i).counters
 
-let trace t = t.trace
+let log t = t.log
 
-let obs t = t.obsv
+let obs t = if t.cfg.obs then t.log else None
 
 let all_counters t = Array.map (fun c -> c.counters) t.ctxs
-
-(* Observability label conventions: "p3/lock2", "p0/barrier1". *)
-let sync_label kind p id = Printf.sprintf "p%d/%s%d" p kind id
 
 (* ------------------------------------------------------------------ *)
 (* Per-region scheme election (hybrid write detection)                 *)
@@ -267,20 +249,6 @@ let lock_scheme t ranges =
 let barrier_scheme t ranges =
   unanimous t ~conflict:Detector.barrier_fallback ~first:true t.cfg.backend ranges
 
-(* Host-side per-region time accounting: mirrors every increment of the
-   per-processor [collect_time_ns] counters, attributed to the region of
-   the binding's first non-empty range (-1 when there is none). *)
-let bump_region_ns t ranges ns =
-  if ns <> 0 then begin
-    let idx =
-      match List.find_opt (fun (r : Range.t) -> not (Range.is_empty r)) ranges with
-      | Some r -> region_index_of t r.Range.addr
-      | None -> -1
-    in
-    let cur = match Hashtbl.find_opt t.region_ns idx with Some v -> v | None -> 0 in
-    Hashtbl.replace t.region_ns idx (cur + ns)
-  end
-
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:t.cfg.default_line_size in
   let kind = if private_ then Region.Private else Region.Shared in
@@ -324,6 +292,13 @@ let id c = c.cid
 let nprocs c = c.machine.cfg.nprocs
 
 let now_ns c = Engine.clock c.proc
+
+let log_request c ~lock ~op ~since =
+  match c.machine.log with
+  | None -> ()
+  | Some log ->
+      let lock = lock.Sync.lid and t1 = now_ns c in
+      Obs.record log (Event.Request { proc = c.cid; lock; op; t0 = since; t1 })
 
 let work_ns c ns = Engine.charge c.proc ns
 
@@ -382,6 +357,14 @@ let crash_check c =
                     "crash watchdog: p%d still running at %d ns — survivors likely \
                      spinning on state a crashed processor can no longer advance"
                     c.cid (now_ns c))))
+
+let killed_procs t =
+  match t.crash with
+  | None -> []
+  | Some cr ->
+      let out = ref [] in
+      Array.iteri (fun p k -> if k then out := p :: !out) cr.cr_killed;
+      List.rev !out
 
 (* Lowest processor whose fiber is still scheduled to be alive at [at]:
    the deterministic choice for a replacement barrier manager or lock
@@ -548,9 +531,11 @@ let replicate_at_release (c : ctx) (l : Sync.lock) =
       l.Sync.backups <- backups;
       l.Sync.replica <- Some (l.Sync.incarnation, snapshot);
       c.counters.replications <- c.counters.replications + List.length backups;
-      match t.obsv with
+      match t.log with
       | None -> ()
-      | Some o -> Metrics.incr (Obs.metrics o) ~name:"replications" ~label:(Printf.sprintf "p%d" c.cid) 1
+      | Some log ->
+          let lock = l.Sync.lid and backups = List.length backups in
+          Obs.record log (Event.Replicated { t = at; lock; proc = c.cid; backups; bytes })
 
 (* Quorum ownership transfer away from a suspected-dead owner.  The
    initiator polls every reachable processor (Vote / Vote_reply round
@@ -577,11 +562,11 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
   done;
   let quorum = (n / 2) + 1 in
   if !votes < quorum then begin
-    (match t.obsv with
+    (match t.log with
     | None -> ()
-    | Some o ->
-        Metrics.incr (Obs.metrics o) ~name:"failover_no_quorum"
-          ~label:(Printf.sprintf "lock%d" l.Sync.lid) 1);
+    | Some log ->
+        let lock = l.Sync.lid and votes = !votes in
+        Obs.record log (Event.No_quorum { t = !t_votes; lock; proc = new_owner; suspect; votes }));
     None
   end
   else begin
@@ -625,25 +610,13 @@ let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
     l.Sync.free_at <- max l.Sync.free_at !t_done;
     l.Sync.failovers <- l.Sync.failovers + 1;
     nc.counters.failovers <- nc.counters.failovers + 1;
-    Trace.record t.trace
-      (Trace.Lock_failover
-         {
-           t = !t_done;
-           lock = l.Sync.lid;
-           from_ = suspect;
-           to_ = new_owner;
-           epoch = l.Sync.incarnation;
-           votes = !votes;
-         });
-    (match t.obsv with
+    (match t.log with
     | None -> ()
-    | Some o ->
-        Obs.span o Obs.Failover ~proc:new_owner ~sync:l.Sync.lid
-          ~note:(Printf.sprintf "p%d suspected, %d vote(s)" suspect !votes)
-          ~t0:at ~t1:(max at !t_done) ();
-        Metrics.incr (Obs.metrics o) ~name:"failovers"
-          ~label:(sync_label "lock" new_owner l.Sync.lid)
-          1);
+    | Some log ->
+        Obs.record log
+          (Event.Lock_failover
+             { t0 = at; t = !t_done; lock = l.Sync.lid; from_ = suspect; to_ = new_owner;
+               epoch = l.Sync.incarnation; votes = !votes }));
     Some !t_done
   end
 
@@ -706,19 +679,11 @@ let switch_region_backend t ~region_index ~to_ ~at =
         Array.iter
           (fun c -> List.iter (fun (_, d) -> Detector.forget_region d region) c.detectors)
           t.ctxs);
-    Trace.record t.trace
-      (Trace.Backend_switched
-         {
-           t = at;
-           region = region_index;
-           from_ = Config.backend_name from_;
-           to_ = Config.backend_name to_;
-         });
-    match t.obsv with
+    match t.log with
     | None -> ()
-    | Some o ->
-        Metrics.incr (Obs.metrics o) ~name:"backend_switches"
-          ~label:(Printf.sprintf "region%d" region_index) 1
+    | Some log ->
+        let from_ = Config.backend_name from_ and to_ = Config.backend_name to_ in
+        Obs.record log (Event.Backend_switched { t = at; region = region_index; from_; to_ })
   end
 
 let first_bound_region t ranges =
@@ -751,21 +716,19 @@ let maybe_adapt t ranges ~at =
           end)
         ranges
 
-(* One collection at [c], for a transfer of the [kind] object [sync]
+(* One collection at [c], for a transfer of the [sync] object [id]
    bound to [ranges] starting at [t0] on [c]'s clock, and its
-   accounting: the counters, the region's time, the adaptive policy's
-   observation ([rebound] marks a rebinding-forced full), and the obs
-   spans and metrics.  Returns the payload, the collection time, the
-   cursor for [Detector.advance] and the application bytes shipped. *)
-let collect (c : ctx) d ~kind ~sync ~ranges ~bound_bytes ~rebound ~t0 run =
+   accounting: the counters, the adaptive policy's observation
+   ([rebound] marks a rebinding-forced full), and the event.  Returns
+   the payload, the collection time, the cursor for [Detector.advance]
+   and the application bytes shipped. *)
+let collect (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 run =
   let t = c.machine in
-  (* Side-effect-free counter reads, taken only to attribute this
-     collection's page-diff output to the obs registry. *)
-  let pages0 = if t.obsv = None then 0 else c.counters.pages_diffed in
-  let dirty0 = if t.obsv = None then 0 else c.counters.dirty_bytes_found in
+  (* Counter reads that attribute this collection's page diffs to its
+     event. *)
+  let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
   let payload, ns, cursor = run () in
   c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
-  bump_region_ns t ranges ns;
   let app = Payload.app_bytes payload in
   (match t.policy with
   | None -> ()
@@ -777,37 +740,26 @@ let collect (c : ctx) d ~kind ~sync ~ranges ~bound_bytes ~rebound ~t0 run =
           Policy.note_collect p ~region:region.Region.index ~line_size:region.Region.line_size
             ~bound_bytes ~payload_bytes:app ~payload_pages:pages ~payload_runs:runs ~rebound));
   c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
-  (match t.obsv with
+  (match t.log with
   | None -> ()
-  | Some o ->
-      let lbl = sync_label kind c.cid sync in
-      let m = Obs.metrics o in
-      Obs.span o Obs.Collect ~proc:c.cid ~sync ~bytes:app ~t0 ~t1:(t0 + ns) ();
-      Obs.span o Obs.Diff ~proc:c.cid ~sync ~note:(Detector.label d) ~t0 ~t1:(t0 + ns) ();
-      Metrics.observe m ~name:"collect_ns" ~label:lbl ns;
-      Metrics.observe m ~name:"transfer_bytes" ~label:lbl ~buckets:Metrics.bytes_buckets app;
-      let pages = c.counters.pages_diffed - pages0 in
-      if pages > 0 then
-        Metrics.observe m ~name:"diff_bytes_per_page"
-          ~label:(Printf.sprintf "p%d" c.cid)
-          ~buckets:Metrics.bytes_buckets
-          ((c.counters.dirty_bytes_found - dirty0) / pages));
+  | Some log ->
+      let pages = c.counters.pages_diffed - pages0 and scan = Detector.label d in
+      let dirty_bytes = c.counters.dirty_bytes_found - dirty0 in
+      Obs.record log
+        (Event.Collect { proc = c.cid; sync; id; t0; ns; bytes = app; scan; pages; dirty_bytes }));
   (payload, ns, cursor, app)
 
 (* Apply a payload delivered to [c] at [deliver] (the receiver is
    blocked, so its memory is quiescent), with its accounting.  Returns
    the apply time. *)
-let apply (c : ctx) d ~kind ~sync ~ranges ~app ~deliver payload =
-  let t = c.machine in
-  let ns = Detector.apply d ~id:sync ~ranges payload in
+let apply (c : ctx) d ~sync ~id ~ranges ~app ~deliver payload =
+  let ns = Detector.apply d ~id ~ranges payload in
   c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
-  bump_region_ns t ranges ns;
   c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
-  (match t.obsv with
+  (match c.machine.log with
   | None -> ()
-  | Some o ->
-      Obs.span o Obs.Apply ~proc:c.cid ~sync ~bytes:app ~t0:deliver ~t1:(deliver + ns) ();
-      Metrics.observe (Obs.metrics o) ~name:"apply_ns" ~label:(sync_label kind c.cid sync) ns);
+  | Some log ->
+      Obs.record log (Event.Apply { proc = c.cid; sync; id; t0 = deliver; ns; bytes = app }));
   ns
 
 (* Serve one pending request: runs at the releaser side (conceptually on
@@ -837,13 +789,13 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   in
   let ranges = l.Sync.ranges in
   let payload, collect_ns, cursor, app =
-    collect rc rd ~kind:"lock" ~sync:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
+    collect rc rd ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
       ~rebound ~t0:service_time (fun () -> Detector.collect_lock rd l ~for_:q)
   in
   rc.counters.messages <- rc.counters.messages + 1;
   let finish deliver =
   let apply_ns =
-    apply qc (detector qc scheme) ~kind:"lock" ~sync:l.Sync.lid ~ranges ~app ~deliver payload
+    apply qc (detector qc scheme) ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~app ~deliver payload
   in
   Detector.advance rd l ~requester:q cursor;
   (match mode with
@@ -852,16 +804,13 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
       l.Sync.held_by <- Some q
   | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
   l.Sync.acquires <- l.Sync.acquires + 1;
-  Trace.record t.trace
-    (Trace.Lock_granted
-       {
-         t = deliver + apply_ns;
-         lock = l.Sync.lid;
-         from_ = releaser;
-         to_ = q;
-         shared = (mode = Sync.Shared);
-         payload_bytes = app;
-       });
+  (match t.log with
+  | None -> ()
+  | Some log ->
+      Obs.record log
+        (Event.Lock_granted
+           { t = deliver + apply_ns; lock = l.Sync.lid; from_ = releaser; to_ = q;
+             shared = (mode = Sync.Shared); payload_bytes = app }));
   waker ~at:(deliver + apply_ns)
   in
   match
@@ -938,15 +887,20 @@ let acquire_mode c l mode =
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
     l.Sync.acquires <- l.Sync.acquires + 1;
-    Trace.record t.trace (Trace.Lock_local { t = now_ns c; lock = l.Sync.lid; proc = c.cid })
+    match t.log with
+    | None -> ()
+    | Some log ->
+        Obs.record log (Event.Lock_local { t = now_ns c; lock = l.Sync.lid; proc = c.cid })
   end
   else begin
     c.counters.lock_acquires_remote <- c.counters.lock_acquires_remote + 1;
     c.counters.messages <- c.counters.messages + 1;
     let req_at = now_ns c in
-    Trace.record t.trace
-      (Trace.Lock_requested
-         { t = req_at; lock = l.Sync.lid; proc = c.cid; shared = (mode = Sync.Shared) });
+    (match t.log with
+    | None -> ()
+    | Some log ->
+        let lock = l.Sync.lid and shared = mode = Sync.Shared in
+        Obs.record log (Event.Lock_requested { t = req_at; lock; proc = c.cid; shared }));
     (* With crash faults armed the request can exhaust its retries
        against a dead owner: the suspicion surfaces as
        [Reliable.Suspected], this requester initiates a quorum failover
@@ -983,16 +937,13 @@ let acquire_mode c l mode =
       ~setup:(fun ~wake ->
         Sync.enqueue_request l ~proc:c.cid ~arrival ~mode ~waker:wake;
         service_queue t l);
-    (match t.obsv with
+    (* The wait runs from the request leaving this processor to the grant
+       (update applied) waking it. *)
+    (match t.log with
     | None -> ()
-    | Some o ->
-        (* The wait spans from the request leaving this processor to the
-           grant (update applied) waking it. *)
-        let t1 = now_ns c in
-        Obs.span o Obs.Acquire_wait ~proc:c.cid ~sync:l.Sync.lid ~t0:req_at ~t1 ();
-        Metrics.observe (Obs.metrics o) ~name:"acquire_latency_ns"
-          ~label:(sync_label "lock" c.cid l.Sync.lid)
-          (t1 - req_at));
+    | Some log ->
+        let lock = l.Sync.lid and t1 = now_ns c in
+        Obs.record log (Event.Acquire_wait { proc = c.cid; lock; t0 = req_at; t1 }));
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
     crash_check c
@@ -1013,7 +964,10 @@ let release c l =
   Engine.yield c.proc;
   crash_check c;
   Engine.charge c.proc t.cfg.release_ns;
-  Trace.record t.trace (Trace.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid });
+  (match t.log with
+  | None -> ()
+  | Some log ->
+      Obs.record log (Event.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid }));
   let ecsan_release () =
     match c.check with
     | Some ch -> Midway_check.Check.on_release ch ~id:l.Sync.lid ~proc:c.cid
@@ -1057,9 +1011,11 @@ let rebind c l ranges =
   (match c.check with
   | Some ch -> Midway_check.Check.on_rebind ch ~id:l.Sync.lid ~raw:(raw_pairs ranges)
   | None -> ());
-  Trace.record c.machine.trace
-    (Trace.Lock_rebound
-       { t = now_ns c; lock = l.Sync.lid; proc = c.cid; bound_bytes = Sync.lock_bound_bytes l })
+  match c.machine.log with
+  | None -> ()
+  | Some log ->
+      let lock = l.Sync.lid and bound_bytes = Sync.lock_bound_bytes l in
+      Obs.record log (Event.Lock_rebound { t = now_ns c; lock; proc = c.cid; bound_bytes })
 
 (* ------------------------------------------------------------------ *)
 (* Barrier protocol                                                    *)
@@ -1075,16 +1031,10 @@ let barrier_ready (t : t) (b : Sync.barrier) =
   let n = List.length b.Sync.arrived in
   match t.crash with
   | None -> n = b.Sync.participants
-  | Some cr ->
-      let dead_missing = ref 0 in
-      Array.iteri
-        (fun p killed ->
-          if
-            killed
-            && not (List.exists (fun a -> a.Sync.a_proc = p) b.Sync.arrived)
-          then incr dead_missing)
-        cr.cr_killed;
-      n > 0 && n >= b.Sync.participants - !dead_missing
+  | Some _ ->
+      let missing p = not (List.exists (fun a -> a.Sync.a_proc = p) b.Sync.arrived) in
+      let dead_missing = List.length (List.filter missing (killed_procs t)) in
+      n > 0 && n >= b.Sync.participants - dead_missing
 
 (* All participants have arrived: merge their modifications and send each
    processor what the others produced. *)
@@ -1146,14 +1096,17 @@ let barrier_release t (b : Sync.barrier) =
       in
       let d = detector pc scheme in
       let apply_ns =
-        apply pc d ~kind:"barrier" ~sync:b.Sync.bid ~ranges:b.Sync.branges ~app ~deliver payload
+        apply pc d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges:b.Sync.branges ~app ~deliver payload
       in
       Detector.advance_barrier d cursor;
       a.Sync.a_waker ~at:(deliver + apply_ns)
       end)
     arrivals;
-  Trace.record t.trace
-    (Trace.Barrier_completed { t = t_release; barrier = b.Sync.bid; episode = b.Sync.episode });
+  (match t.log with
+  | None -> ()
+  | Some log ->
+      let barrier = b.Sync.bid and episode = b.Sync.episode in
+      Obs.record log (Event.Barrier_completed { t = t_release; barrier; episode }));
   b.Sync.episode <- b.Sync.episode + 1;
   b.Sync.crossings <- b.Sync.crossings + 1;
   b.Sync.arrived <- [];
@@ -1186,7 +1139,7 @@ let barrier c b =
     let d = detector c (barrier_scheme t b.Sync.branges) in
     let ranges = b.Sync.branges in
     let payload, collect_ns, cursor, app =
-      collect c d ~kind:"barrier" ~sync:b.Sync.bid ~ranges ~bound_bytes:(Range.total_bytes ranges)
+      collect c d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges ~bound_bytes:(Range.total_bytes ranges)
         ~rebound:false ~t0:(now_ns c) (fun () -> Detector.collect_barrier d b)
     in
     Engine.charge c.proc collect_ns;
@@ -1212,9 +1165,11 @@ let barrier c b =
           send_arrival ()
     in
     let deliver = send_arrival () in
-    Trace.record t.trace
-      (Trace.Barrier_arrived
-         { t = now_ns c; barrier = b.Sync.bid; proc = c.cid; payload_bytes = app });
+    (match t.log with
+    | None -> ()
+    | Some log ->
+        let barrier = b.Sync.bid and proc = c.cid and payload_bytes = app in
+        Obs.record log (Event.Barrier_arrived { t = now_ns c; barrier; proc; payload_bytes }));
     let wait0 = now_ns c in
     Engine.block c.proc
       ~reason:(Printf.sprintf "barrier %d (episode %d)" b.Sync.bid b.Sync.episode)
@@ -1231,14 +1186,11 @@ let barrier c b =
               };
             ];
         if barrier_ready t b then barrier_release t b);
-    (match t.obsv with
+    (match t.log with
     | None -> ()
-    | Some o ->
-        let t1 = now_ns c in
-        Obs.span o Obs.Barrier_wait ~proc:c.cid ~sync:b.Sync.bid ~t0:wait0 ~t1 ();
-        Metrics.observe (Obs.metrics o) ~name:"barrier_wait_ns"
-          ~label:(sync_label "barrier" c.cid b.Sync.bid)
-          (t1 - wait0));
+    | Some log ->
+        let barrier = b.Sync.bid and t1 = now_ns c in
+        Obs.record log (Event.Barrier_wait { proc = c.cid; barrier; t0 = wait0; t1 }));
     crash_check c
   end;
   (* Either path: this processor completed a crossing. *)
@@ -1257,11 +1209,9 @@ let crash_fallout t ~proc:p ~reason:_ ~at =
   | None -> ()
   | Some cr ->
       cr.cr_killed.(p) <- true;
-      Trace.record t.trace (Trace.Proc_crashed { t = at; proc = p });
-      (match t.obsv with
+      (match t.log with
       | None -> ()
-      | Some o ->
-          Metrics.incr (Obs.metrics o) ~name:"crash_stops" ~label:(Printf.sprintf "p%d" p) 1);
+      | Some log -> Obs.record log (Event.Proc_crashed { t = at; proc = p }));
       List.iter
         (fun (l : Sync.lock) ->
           if List.mem p l.Sync.readers then begin
@@ -1302,6 +1252,11 @@ let crash_fallout t ~proc:p ~reason:_ ~at =
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [prefix] and "p0,p2" for a non-empty processor list, else "". *)
+let procs_note prefix = function
+  | [] -> ""
+  | ps -> prefix ^ String.concat "," (List.map (Printf.sprintf "p%d") ps)
+
 (* Enrich an engine deadlock with the synchronization state so the bug
    in the simulated program is visible at a glance. *)
 let deadlock_diagnostics t =
@@ -1312,20 +1267,9 @@ let deadlock_diagnostics t =
         else
           Some
             (Printf.sprintf "  lock %d: %s%s%s" l.Sync.lid
-               (match l.Sync.held_by with
-               | Some p -> Printf.sprintf "held by p%d" p
-               | None -> "free")
-               (match l.Sync.readers with
-               | [] -> ""
-               | rs ->
-                   ", readers "
-                   ^ String.concat "," (List.map (fun p -> "p" ^ string_of_int p) rs))
-               (match l.Sync.pending with
-               | [] -> ""
-               | ps ->
-                   ", waiting "
-                   ^ String.concat ","
-                       (List.map (fun (p, _, _, _) -> "p" ^ string_of_int p) ps))))
+               (match l.Sync.held_by with Some p -> Printf.sprintf "held by p%d" p | None -> "free")
+               (procs_note ", readers " l.Sync.readers)
+               (procs_note ", waiting " (List.map (fun (p, _, _, _) -> p) l.Sync.pending))))
       t.locks
   in
   let barrier_lines =
@@ -1335,25 +1279,13 @@ let deadlock_diagnostics t =
         | [] -> None
         | arrived ->
             Some
-              (Printf.sprintf "  barrier %d: %d/%d arrived (%s)" b.Sync.bid
-                 (List.length arrived) b.Sync.participants
-                 (String.concat ","
-                    (List.map (fun a -> "p" ^ string_of_int a.Sync.a_proc) arrived))))
+              (Printf.sprintf "  barrier %d: %d/%d arrived (%s)" b.Sync.bid (List.length arrived)
+                 b.Sync.participants
+                 (procs_note "" (List.map (fun a -> a.Sync.a_proc) arrived))))
       t.barriers
   in
   let crash_lines =
-    match t.crash with
-    | None -> []
-    | Some cr ->
-        let dead = ref [] in
-        Array.iteri (fun p k -> if k then dead := p :: !dead) cr.cr_killed;
-        if !dead = [] then []
-        else
-          [
-            Printf.sprintf "  crash-stopped: %s"
-              (String.concat ","
-                 (List.rev_map (fun p -> "p" ^ string_of_int p) !dead));
-          ]
+    match killed_procs t with [] -> [] | dead -> [ procs_note "  crash-stopped: " dead ]
   in
   String.concat "\n" (lock_lines @ barrier_lines @ crash_lines)
 
@@ -1386,21 +1318,15 @@ let run_each t bodies =
        (Engine.Deadlock (if detail = "" then msg else Printf.sprintf "%s\n%s" msg detail)));
   (* Epilogue: crash-recovery events that fell inside the run rejoined
      the protocol silently (liveness is a pure function of the plan);
-     surface them in the trace and metrics for observability. *)
-  match t.crash with
-  | None -> ()
-  | Some cr ->
+     surface them in the event log. *)
+  match (t.crash, t.log) with
+  | None, _ | _, None -> ()
+  | Some cr, Some log ->
       let horizon = Engine.elapsed t.engine in
       List.iter
         (fun (e : Crash.event) ->
-          if e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then begin
-            Trace.record t.trace (Trace.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc });
-            match t.obsv with
-            | None -> ()
-            | Some o ->
-                Metrics.incr (Obs.metrics o) ~name:"crash_recoveries"
-                  ~label:(Printf.sprintf "p%d" e.Crash.proc) 1
-          end)
+          if e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then
+            Obs.record log (Event.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc }))
         (Crash.events cr.cr_plan)
 
 let run t body = run_each t (Array.make t.cfg.nprocs body)
@@ -1503,14 +1429,6 @@ let schedule_choices t = Engine.choices t.engine
 
 (* --- crash-fault introspection (empty / full / zero when crash off) --- *)
 
-let killed_procs t =
-  match t.crash with
-  | None -> []
-  | Some cr ->
-      let out = ref [] in
-      Array.iteri (fun p k -> if k then out := p :: !out) cr.cr_killed;
-      List.rev !out
-
 let failover_count t =
   List.fold_left (fun acc (l : Sync.lock) -> acc + l.Sync.failovers) 0 t.locks
 
@@ -1530,9 +1448,6 @@ let region_assignments t =
   List.rev !out
 
 let backend_switches t = t.switches
-
-let region_collect_ns t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.region_ns [] |> List.sort compare
 
 let set_region_backend t ~addr b =
   let idx = region_index_of t addr in

@@ -38,22 +38,25 @@ val net : t -> Midway_simnet.Net.t
 val counters : t -> int -> Midway_stats.Counters.t
 (** Processor [i]'s operation counters. *)
 
-val trace : t -> Trace.t
-(** The protocol event trace (empty unless
-    {!Config.t.trace_capacity} > 0). *)
-
 val all_counters : t -> Midway_stats.Counters.t array
 
+val log : t -> Midway_obs.Obs.t option
+(** The protocol event log ({!Midway_obs.Event}): [Some] iff
+    {!Config.t.obs} (every event) or {!Config.t.trace_capacity} > 0 (the
+    most recent [trace_capacity] events).  The runtime records one event
+    per protocol fact — lock requests, grants, releases, rebinds,
+    barrier arrivals and completions, collections, applies, waits,
+    scheduler blocks, reliable-channel exchanges, crashes, recoveries,
+    replications, failovers and backend switches — and builds none
+    when the log is unarmed.  Its tail is the text that
+    [midway-run --trace N] prints and the context of ECSan findings. *)
+
 val obs : t -> Midway_obs.Obs.t option
-(** The structured observability layer — [Some] iff {!Config.t.obs}.
-    Holds the protocol span log (lock-acquire waits, collections,
-    diffs, applies, barrier waits, retransmit episodes, generic
-    scheduler blocks) on the simulated clock and the metrics registry
-    ([acquire_latency_ns], [collect_ns], [apply_ns], [transfer_bytes],
-    [diff_bytes_per_page], [barrier_wait_ns], [retransmits_per_send]),
-    labelled ["p3/lock2"] / ["p0/barrier1"] / ["p0->p2"].  Export with
-    {!Midway_obs.Trace_export} / {!Midway_obs.Metrics.to_json}; see
-    doc/OBSERVABILITY.md. *)
+(** The complete event log — [Some] iff {!Config.t.obs}, so the spans
+    ({!Midway_obs.Obs.spans}) and the metrics registry
+    ({!Midway_obs.Obs.metrics}) computed from it cover the whole run.
+    Export with {!Midway_obs.Trace_export} /
+    {!Midway_obs.Metrics.to_json}; see doc/OBSERVABILITY.md. *)
 
 val alloc : t -> ?line_size:int -> ?private_:bool -> int -> int
 (** Allocate shared (default) or private memory; returns the base
@@ -175,12 +178,6 @@ val region_assignments : t -> (int * Config.backend) list
 val backend_switches : t -> int
 (** Total committed region backend switches (manual + adaptive). *)
 
-val region_collect_ns : t -> (int * int) list
-(** Simulated nanoseconds spent in collect/apply per region, in index
-    order — the per-region accounting the adaptive controller's cost
-    estimates are judged against.  Transfers whose binding has no
-    non-empty range are accounted under region [-1]. *)
-
 (** {1 Processor operations} *)
 
 val id : ctx -> int
@@ -194,6 +191,11 @@ val work_ns : ctx -> int -> unit
 
 val work_cycles : ctx -> int -> unit
 (** Computation expressed in processor cycles (40 ns each by default). *)
+
+val log_request : ctx -> lock:Sync.lock -> op:string -> since:int -> unit
+(** Record an application request ([op], served under [lock]) that
+    arrived at [since] and completes now, when a log is armed — the KV
+    store's [kv_request] span. *)
 
 (** {2 Shared memory access}
 

@@ -22,14 +22,13 @@ type judged = {
   j_reason : string;  (* "" when the run is clean *)
   j_digest : string;
   j_choices : int list option;  (* None when the machine was lost *)
-  j_trace : string list;  (* tail of the protocol trace, oldest first *)
+  j_trace : string list;  (* tail of the protocol event log, oldest first *)
 }
 
 let trace_tail ?(n = 12) machine =
-  let events = Midway.Trace.events (R.trace machine) in
-  let len = List.length events in
-  let tail = if len > n then List.filteri (fun i _ -> i >= len - n) events else events in
-  List.map (fun e -> Format.asprintf "%a" Midway.Trace.pp_event e) tail
+  match R.log machine with
+  | None -> []
+  | Some log -> List.map Midway_obs.Event.to_string (Midway_obs.Obs.tail log n)
 
 (* Judge one execution: oracle, then structural invariants, then ECSan.
    All three verdicts are collected so the report shows every angle of

@@ -20,7 +20,7 @@ type judged = {
   j_reason : string;  (** "" when the run is clean; one line per check otherwise *)
   j_digest : string;
   j_choices : int list option;  (** [None] when the machine was lost *)
-  j_trace : string list;  (** tail of the protocol trace, oldest first *)
+  j_trace : string list;  (** tail of the protocol event log, oldest first *)
 }
 
 val execute : Workload.t -> Midway.Config.t -> judged
@@ -50,7 +50,7 @@ type spec = {
   crash_plan : Midway_simnet.Crash.plan option;
       (** explicit plan applied to every run; overrides the seeded
           dimension *)
-  trace_capacity : int;
+  trace_capacity : int;  (** events kept in each run's log, for the failure tail *)
   max_shrink_runs : int;  (** re-execution budget of one shrink *)
 }
 

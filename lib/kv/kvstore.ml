@@ -40,7 +40,6 @@ module Runtime = Midway.Runtime
 module Range = Midway.Range
 module Sync = Midway.Sync
 module Metrics = Midway_obs.Metrics
-module Obs = Midway_obs.Obs
 
 let slot_bytes = 16
 let journal_bytes = 32
@@ -158,21 +157,15 @@ let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched ~start =
     :: t.log
 
 (* Throughput/latency accounting: once per client-visible request, into
-   the store's own registry (host side), and — only when the machine's
-   observability layer is armed — a Request span on the simulated
-   timeline for the Perfetto export. *)
+   the store's own registry (host side), and a Request event in the
+   machine's log when one is armed. *)
 let account t c ~kind ~bucket ~sched =
-  let done_ns = Runtime.now_ns c in
   let label = Oracle.kind_name kind in
   t.requests <- t.requests + 1;
   Metrics.incr t.metrics ~name:"kv_requests" ~label 1;
   Metrics.observe t.metrics ~name:"kv_latency_ns" ~label ~buckets:Metrics.latency_buckets
-    (done_ns - sched);
-  match Runtime.obs t.rt with
-  | None -> ()
-  | Some ob ->
-      Obs.span ob Obs.Request ~proc:(Runtime.id c) ~sync:t.locks.(bucket).Sync.lid ~note:label
-        ~t0:sched ~t1:done_ns ()
+    (Runtime.now_ns c - sched);
+  Runtime.log_request c ~lock:t.locks.(bucket) ~op:label ~since:sched
 
 let get c t ?sched_ns key =
   check_key t key;

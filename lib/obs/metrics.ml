@@ -145,38 +145,6 @@ let snapshot t =
   in
   { s_counters = counters; s_hists = hists }
 
-(* after - before, per series.  A series absent from [before] counts
-   from zero; series absent from [after] are dropped (registries only
-   grow, so that can only happen across different registries).  The
-   delta's min/max are taken from [after] — extrema are not recoverable
-   from two endpoint snapshots. *)
-let delta ~before ~after =
-  let counters =
-    List.map
-      (fun ((k, v) : (string * string) * int) ->
-        let v0 = match List.assoc_opt k before.s_counters with Some x -> x | None -> 0 in
-        (k, v - v0))
-      after.s_counters
-  in
-  let hists =
-    List.map
-      (fun ((k, h) : (string * string) * hist_view) ->
-        match List.assoc_opt k before.s_hists with
-        | None -> (k, h)
-        | Some h0 ->
-            if h0.h_buckets <> h.h_buckets then
-              invalid_arg "Metrics.delta: bucket layouts differ between snapshots";
-            ( k,
-              {
-                h with
-                h_counts = Array.mapi (fun i c -> c - h0.h_counts.(i)) h.h_counts;
-                h_sum = h.h_sum - h0.h_sum;
-                h_count = h.h_count - h0.h_count;
-              } ))
-      after.s_hists
-  in
-  { s_counters = counters; s_hists = hists }
-
 let counter_value s ~name ~label =
   match List.assoc_opt (name, label) s.s_counters with Some v -> v | None -> 0
 

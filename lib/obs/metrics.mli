@@ -8,8 +8,7 @@
     metric shares comparable buckets.
 
     Reading the registry goes through immutable {!snapshot}s, which sort
-    their series for deterministic output; {!delta} subtracts two
-    snapshots to isolate a phase of a run. *)
+    their series for deterministic output. *)
 
 type t
 
@@ -57,12 +56,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-val delta : before:snapshot -> after:snapshot -> snapshot
-(** Per-series [after - before]; series missing from [before] count from
-    zero.  [h_min]/[h_max] are carried from [after] (extrema cannot be
-    reconstructed from endpoint snapshots).  Raises [Invalid_argument]
-    if a shared series changed bucket layout between the snapshots. *)
 
 val counter_value : snapshot -> name:string -> label:string -> int
 (** 0 when absent. *)

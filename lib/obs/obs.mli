@@ -1,10 +1,36 @@
-(** The span log: typed begin/end events on the simulated clock.
+(** The protocol event log, and the span and metric views computed
+    from it.
 
-    Distinct from the pretty-print {!Midway.Trace} ring: spans are
-    machine-consumable intervals (for Perfetto export and metric
-    reconciliation) in an unbounded-or-capped log.  Recording never
-    advances simulated time — observers only read timestamps the
-    runtime already computed. *)
+    The runtime records one {!Event.t} per protocol fact into a log.  A
+    log keeps either every event (the observability layer,
+    [Config.obs]) or the last [capacity] of them (the text tail of
+    [Config.trace_capacity]).  Spans and metrics are functions of a
+    complete log, so they agree with each other by construction.
+    Recording never advances simulated time: events carry timestamps
+    the runtime already computed, so an armed log cannot perturb the
+    run it records. *)
+
+type t
+
+val create : ?capacity:int -> unit -> t
+(** A log keeping every event, or with [capacity] only the most recent
+    [capacity].  Raises [Invalid_argument] unless [capacity > 0]. *)
+
+val record : t -> Event.t -> unit
+
+val events : t -> Event.t list
+(** Retained events, oldest first. *)
+
+val tail : t -> int -> Event.t list
+(** The last [n] retained events, oldest first. *)
+
+val length : t -> int
+(** Events currently held (at most the capacity). *)
+
+val total : t -> int
+(** Events ever recorded, including those a bounded log has dropped. *)
+
+(** {1 Spans} *)
 
 type kind =
   | Acquire_wait  (** lock requested until ownership granted *)
@@ -37,37 +63,24 @@ type span = {
   note : string;
 }
 
-type t
-
-val create : ?cap:int -> unit -> t
-(** [cap = 0] (default) keeps every span; [cap > 0] keeps the first
-    [cap] and counts the rest as {!dropped}. *)
-
-val metrics : t -> Metrics.t
-(** The metrics registry riding along with the span log. *)
-
-val span :
-  t ->
-  kind ->
-  proc:int ->
-  ?sync:int ->
-  ?bytes:int ->
-  ?note:string ->
-  t0:int ->
-  t1:int ->
-  unit ->
-  unit
-(** Record a closed span.  Raises [Invalid_argument] if [t1 < t0]. *)
-
-type handle
-
-val begin_span : t -> kind -> proc:int -> t0:int -> handle
-val end_span : t -> handle -> ?sync:int -> ?bytes:int -> ?note:string -> t1:int -> unit -> unit
-(** Close an open handle (raises [Invalid_argument] on an unknown or
-    already-closed one). *)
+val spans_of : Event.t -> span list
+(** The spans one event yields, in order: a collection yields a
+    [Collect] and a [Diff] span, a reliable exchange a [Retransmit] span
+    only if it retransmitted, a protocol step none. *)
 
 val spans : t -> span list
-(** In recording order. *)
+(** Every retained event's spans, in recording order. *)
 
 val span_count : t -> int
-val dropped : t -> int
+
+(** {1 Metrics} *)
+
+val metrics : t -> Metrics.t
+(** A fresh registry computed by one fold over the retained events:
+    histograms [collect_ns], [transfer_bytes], [diff_bytes_per_page],
+    [apply_ns], [acquire_latency_ns], [barrier_wait_ns],
+    [retransmits_per_send], and counters [reliable_sends],
+    [replications], [failovers], [failover_no_quorum],
+    [backend_switches], [crash_stops], [crash_recoveries].  Labels are
+    ["p3/lock2"] / ["p0/barrier1"] (processor, sync object), ["p0->p2"]
+    (channel), ["p3"], ["lock2"] and ["region4"]. *)

@@ -1,6 +1,6 @@
 (* A minimal JSON value type with a printer and a strict parser — just
-   enough for the benchmark artifacts (BENCH_wallclock.json) without an
-   external dependency.  Numbers keep int/float identity so simulated
+   enough for the observability exports (Perfetto traces, metrics) without
+   an external dependency.  Numbers keep int/float identity so simulated
    nanosecond counts round-trip exactly. *)
 
 type t =

@@ -630,76 +630,83 @@ let test_barrier_validation () =
   Alcotest.check_raises "manager" (Invalid_argument "Sync.make_barrier: manager out of range")
     (fun () -> ignore (Sync.make_barrier ~bid:0 ~nprocs:2 ~participants:2 ~manager:5 ~ranges:[]))
 
-(* --- Trace -------------------------------------------------------------------- *)
+(* --- Event log ----------------------------------------------------------------- *)
+
+module Obs = Midway_obs.Obs
+module Event = Midway_obs.Event
+
+let local i = Event.Lock_local { t = i; lock = 0; proc = 0 }
+
+let times log = List.map Event.time (Obs.events log)
 
 let test_trace_ring () =
-  let tr = Midway.Trace.create ~capacity:3 in
-  Alcotest.(check int) "empty" 0 (Midway.Trace.length tr);
+  let log = Obs.create ~capacity:3 () in
+  Alcotest.(check int) "empty" 0 (Obs.length log);
   for i = 1 to 5 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+    Obs.record log (local i)
   done;
-  Alcotest.(check int) "capped" 3 (Midway.Trace.length tr);
-  Alcotest.(check int) "counts drops" 5 (Midway.Trace.total tr);
-  Alcotest.(check (list int)) "oldest first, oldest dropped" [ 3; 4; 5 ]
-    (List.map Midway.Trace.event_time (Midway.Trace.events tr))
+  Alcotest.(check int) "capped" 3 (Obs.length log);
+  Alcotest.(check int) "counts drops" 5 (Obs.total log);
+  Alcotest.(check (list int)) "oldest first, oldest dropped" [ 3; 4; 5 ] (times log);
+  Alcotest.(check (list int)) "tail of two" [ 4; 5 ] (List.map Event.time (Obs.tail log 2))
 
 let test_trace_wraparound_boundaries () =
   (* Walk the ring through several full revolutions, checking total vs
      length and the oldest-first window at every step — off-by-ones at
      the wrap point would show up as a shifted or reordered window. *)
   let cap = 3 in
-  let tr = Midway.Trace.create ~capacity:cap in
+  let log = Obs.create ~capacity:cap () in
   for i = 0 to 9 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 });
+    Obs.record log (local i);
     let expect_len = min (i + 1) cap in
     Alcotest.(check int) (Printf.sprintf "length after %d records" (i + 1)) expect_len
-      (Midway.Trace.length tr);
-    Alcotest.(check int) (Printf.sprintf "total after %d records" (i + 1)) (i + 1)
-      (Midway.Trace.total tr);
+      (Obs.length log);
+    Alcotest.(check int) (Printf.sprintf "total after %d records" (i + 1)) (i + 1) (Obs.total log);
     let expect_times = List.init expect_len (fun k -> i + 1 - expect_len + k) in
     Alcotest.(check (list int)) (Printf.sprintf "window after %d records" (i + 1)) expect_times
-      (List.map Midway.Trace.event_time (Midway.Trace.events tr))
+      (times log)
   done;
-  Alcotest.(check (list int)) "three full revolutions end oldest-first" [ 7; 8; 9 ]
-    (List.map Midway.Trace.event_time (Midway.Trace.events tr))
+  Alcotest.(check (list int)) "three full revolutions end oldest-first" [ 7; 8; 9 ] (times log)
 
 let test_trace_capacity_one () =
-  let tr = Midway.Trace.create ~capacity:1 in
+  let log = Obs.create ~capacity:1 () in
   for i = 1 to 4 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+    Obs.record log (local i)
   done;
-  Alcotest.(check int) "length stays 1" 1 (Midway.Trace.length tr);
-  Alcotest.(check int) "total counts every record" 4 (Midway.Trace.total tr);
-  Alcotest.(check (list int)) "only the newest survives" [ 4 ]
-    (List.map Midway.Trace.event_time (Midway.Trace.events tr))
+  Alcotest.(check int) "length stays 1" 1 (Obs.length log);
+  Alcotest.(check int) "total counts every record" 4 (Obs.total log);
+  Alcotest.(check (list int)) "only the newest survives" [ 4 ] (times log)
 
 let test_trace_disabled () =
-  let tr = Midway.Trace.create ~capacity:0 in
-  for i = 1 to 3 do
-    Midway.Trace.record tr (Midway.Trace.Lock_local { t = i; lock = 0; proc = 0 })
+  (* a disabled log is no log: the runtime keeps [None] and builds no
+     event, so a zero capacity is a caller error *)
+  Alcotest.check_raises "zero capacity rejected"
+    (Invalid_argument "Obs.create: capacity must be positive") (fun () ->
+      ignore (Obs.create ~capacity:0 ()))
+
+let test_log_unbounded () =
+  (* without a capacity the log keeps every event, growing past its
+     initial array *)
+  let log = Obs.create () in
+  for i = 1 to 1_000 do
+    Obs.record log (local i)
   done;
-  Alcotest.(check int) "nothing retained" 0 (Midway.Trace.length tr);
-  (* total counts every event offered, even those a disabled ring drops:
-     `total - length` is the drop count callers report *)
-  Alcotest.(check int) "total still counts drops" 3 (Midway.Trace.total tr);
-  Alcotest.(check (list int)) "no events" []
-    (List.map Midway.Trace.event_time (Midway.Trace.events tr))
+  Alcotest.(check int) "every event kept" 1_000 (Obs.length log);
+  Alcotest.(check int) "total" 1_000 (Obs.total log);
+  Alcotest.(check (list int)) "oldest first" (List.init 1_000 (fun i -> i + 1)) (times log)
 
 let test_trace_render () =
-  let tr = Midway.Trace.create ~capacity:8 in
-  Midway.Trace.record tr
-    (Midway.Trace.Lock_granted
+  let log = Obs.create ~capacity:8 () in
+  Obs.record log
+    (Event.Lock_granted
        { t = 1_000; lock = 2; from_ = 0; to_ = 1; shared = false; payload_bytes = 64 });
-  Midway.Trace.record tr
-    (Midway.Trace.Barrier_completed { t = 2_000; barrier = 5; episode = 3 });
-  let s = Midway.Trace.dump tr in
-  let contains needle =
-    let n = String.length needle and h = String.length s in
-    let rec go i = i + n <= h && (String.sub s i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "grant rendered" true (contains "p0 -> p1");
-  Alcotest.(check bool) "barrier rendered" true (contains "episode 3")
+  Obs.record log (Event.Barrier_completed { t = 2_000; barrier = 5; episode = 3 });
+  match List.map Event.to_string (Obs.events log) with
+  | [ grant; barrier ] ->
+      Alcotest.(check string) "grant rendered" "1.00 us      lock 2: p0 -> p1, 64 B" grant;
+      Alcotest.(check string) "barrier rendered" "2.00 us      barrier 5: episode 3 complete"
+        barrier
+  | l -> Alcotest.fail (Printf.sprintf "expected 2 lines, got %d" (List.length l))
 
 (* --- Config ------------------------------------------------------------------ *)
 
@@ -802,6 +809,7 @@ let () =
           Alcotest.test_case "wraparound boundaries" `Quick test_trace_wraparound_boundaries;
           Alcotest.test_case "capacity one" `Quick test_trace_capacity_one;
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
+          Alcotest.test_case "unbounded keeps every event" `Quick test_log_unbounded;
           Alcotest.test_case "rendering" `Quick test_trace_render;
         ] );
       ("config", [ Alcotest.test_case "parsing and construction" `Quick test_config ]);

@@ -373,13 +373,6 @@ let run_mixed_program ?odd ~nprocs ~seed cfg =
   in
   (machine, image)
 
-let region_accounting_consistent machine =
-  let per_region = List.fold_left (fun acc (_, ns) -> acc + ns) 0 (R.region_collect_ns machine) in
-  let per_proc =
-    Array.fold_left (fun acc c -> acc + c.Counters.collect_time_ns) 0 (R.all_counters machine)
-  in
-  per_region = per_proc
-
 let mixed_digest_prop =
   QCheck.Test.make ~name:"striped rt/vm machine matches pure-backend memory" ~count:12
     QCheck.(pair (int_range 2 4) (int_range 0 999))
@@ -390,7 +383,6 @@ let mixed_digest_prop =
       let m_mix, img_mix = run_mixed_program ~odd:Config.Vm ~nprocs ~seed (cfg Config.Rt) in
       List.for_all (fun m -> R.check_invariants m = []) [ m_rt; m_vm; m_mix ]
       && R.region_assignments m_mix <> []  (* odd regions really run vm *)
-      && List.for_all region_accounting_consistent [ m_rt; m_vm; m_mix ]
       && img_rt = img_vm && img_rt = img_mix)
 
 (* --- the policy controller ---------------------------------------------- *)
@@ -580,9 +572,7 @@ let test_adaptive_beats_both_pures_on_hybrid () =
   Alcotest.(check bool) "the controller re-elected at least one region" true
     (R.backend_switches adaptive.Outcome.machine >= 1);
   Alcotest.(check bool) "adaptive beats pure rt" true (ns adaptive < ns pure_rt);
-  Alcotest.(check bool) "adaptive beats pure vm" true (ns adaptive < ns pure_vm);
-  Alcotest.(check bool) "per-region accounting sums to the counters" true
-    (region_accounting_consistent adaptive.Outcome.machine)
+  Alcotest.(check bool) "adaptive beats pure vm" true (ns adaptive < ns pure_vm)
 
 let test_adaptive_preserves_ecgen_digests () =
   (* whatever the controller elects, converged memory is the pure run's *)

@@ -1,10 +1,11 @@
-(* The observability layer: span log semantics, metrics registry
-   arithmetic, Chrome-trace export shape, and — on a whole machine —
-   the two contracts that make it trustworthy: the metrics reconcile
-   with the simulator's own counters, and arming it never perturbs a
-   run (same elapsed time, same counters, bit for bit). *)
+(* The observability layer: spans computed from the event log, metrics
+   registry arithmetic, Chrome-trace export shape, and — on a whole
+   machine — the two contracts that make it trustworthy: the metrics
+   reconcile with the simulator's own counters, and arming it never
+   perturbs a run (same elapsed time, same counters, bit for bit). *)
 
 module Obs = Midway_obs.Obs
+module Event = Midway_obs.Event
 module Metrics = Midway_obs.Metrics
 module Trace_export = Midway_obs.Trace_export
 module Json = Midway_util.Json
@@ -13,54 +14,36 @@ module Config = Midway.Config
 module Range = Midway.Range
 module Counters = Midway_stats.Counters
 
-(* --- span log ----------------------------------------------------------- *)
+(* --- spans from the event log --------------------------------------- *)
 
 let test_span_log_order () =
   let o = Obs.create () in
-  Obs.span o Obs.Collect ~proc:0 ~sync:3 ~bytes:128 ~t0:100 ~t1:250 ();
-  Obs.span o Obs.Acquire_wait ~proc:1 ~t0:50 ~t1:400 ();
-  Obs.span o Obs.Diff ~proc:0 ~sync:3 ~note:"page diff" ~t0:100 ~t1:250 ();
-  Alcotest.(check int) "count" 3 (Obs.span_count o);
-  Alcotest.(check int) "nothing dropped" 0 (Obs.dropped o);
+  Obs.record o
+    (Event.Collect
+       {
+         proc = 0;
+         sync = Event.Lock;
+         id = 3;
+         t0 = 100;
+         ns = 150;
+         bytes = 128;
+         scan = "page diff";
+         pages = 2;
+         dirty_bytes = 96;
+       });
+  Obs.record o (Event.Lock_released { t = 260; lock = 3; proc = 0 });
+  Obs.record o (Event.Acquire_wait { proc = 1; lock = 3; t0 = 50; t1 = 400 });
+  Alcotest.(check int) "three events" 3 (Obs.total o);
+  Alcotest.(check int) "a step yields no span" 3 (Obs.span_count o);
   let kinds = List.map (fun (s : Obs.span) -> Obs.kind_name s.Obs.kind) (Obs.spans o) in
-  Alcotest.(check (list string)) "recording order" [ "collect"; "lock_wait"; "diff" ] kinds;
-  (match Obs.spans o with
-  | first :: _ ->
-      Alcotest.(check int) "sync carried" 3 first.Obs.sync;
-      Alcotest.(check int) "bytes carried" 128 first.Obs.bytes
-  | [] -> Alcotest.fail "no spans");
-  Alcotest.check_raises "t1 < t0 rejected"
-    (Invalid_argument "Obs.span: t1 < t0") (fun () ->
-      Obs.span o Obs.Collect ~proc:0 ~t0:10 ~t1:5 ())
-
-let test_span_cap () =
-  let o = Obs.create ~cap:2 () in
-  for i = 1 to 5 do
-    Obs.span o Obs.Apply ~proc:0 ~t0:i ~t1:(i + 1) ()
-  done;
-  Alcotest.(check int) "first cap kept" 2 (Obs.span_count o);
-  Alcotest.(check int) "rest counted as dropped" 3 (Obs.dropped o);
-  Alcotest.(check (list int)) "the first two survive" [ 1; 2 ]
-    (List.map (fun (s : Obs.span) -> s.Obs.t0) (Obs.spans o))
-
-let test_span_handles () =
-  let o = Obs.create () in
-  (* open two, close out of order: each handle must close its own span *)
-  let outer = Obs.begin_span o Obs.Collect ~proc:2 ~t0:1_000 in
-  let inner = Obs.begin_span o Obs.Diff ~proc:2 ~t0:1_100 in
-  Obs.end_span o inner ~sync:7 ~t1:1_400 ();
-  Obs.end_span o outer ~sync:7 ~bytes:64 ~t1:1_900 ();
-  (match Obs.spans o with
-  | [ a; b ] ->
-      Alcotest.(check string) "inner closed first" "diff" (Obs.kind_name a.Obs.kind);
-      Alcotest.(check int) "inner interval" 1_400 a.Obs.t1;
-      Alcotest.(check string) "outer closed second" "collect" (Obs.kind_name b.Obs.kind);
-      Alcotest.(check bool) "outer encloses inner" true
-        (b.Obs.t0 <= a.Obs.t0 && a.Obs.t1 <= b.Obs.t1)
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length l)));
-  Alcotest.check_raises "double close rejected"
-    (Invalid_argument "Obs.end_span: unknown or already-closed handle") (fun () ->
-      Obs.end_span o inner ~t1:2_000 ())
+  Alcotest.(check (list string)) "recording order" [ "collect"; "diff"; "lock_wait" ] kinds;
+  match Obs.spans o with
+  | collect :: diff :: _ ->
+      Alcotest.(check int) "sync carried" 3 collect.Obs.sync;
+      Alcotest.(check int) "bytes carried" 128 collect.Obs.bytes;
+      Alcotest.(check int) "duration" 250 collect.Obs.t1;
+      Alcotest.(check string) "scan label on the diff" "page diff" diff.Obs.note
+  | _ -> Alcotest.fail "no spans"
 
 (* --- metrics: buckets --------------------------------------------------- *)
 
@@ -98,32 +81,7 @@ let test_bucket_layout_shared_and_validated () =
     (Invalid_argument "Metrics.observe: bucket bounds must be strictly increasing") (fun () ->
       Metrics.observe m ~name:"bad" ~buckets:[| 5; 5 |] 1)
 
-(* --- metrics: snapshot / delta ------------------------------------------ *)
-
-let test_snapshot_delta () =
-  let m = Metrics.create () in
-  Metrics.incr m ~name:"sends" ~label:"p0" 2;
-  Metrics.observe m ~name:"lat" ~label:"p0" ~buckets:[| 10; 100 |] 7;
-  let before = Metrics.snapshot m in
-  Metrics.incr m ~name:"sends" ~label:"p0" 3;
-  Metrics.incr m ~name:"sends" ~label:"p1" 1;  (* born after [before] *)
-  Metrics.observe m ~name:"lat" ~label:"p0" 50;
-  Metrics.observe m ~name:"lat" ~label:"p0" 500;
-  let after = Metrics.snapshot m in
-  (* snapshots are independent: [before] still shows the old values *)
-  Alcotest.(check int) "before immutable" 2 (Metrics.counter_value before ~name:"sends" ~label:"p0");
-  let d = Metrics.delta ~before ~after in
-  Alcotest.(check int) "counter delta" 3 (Metrics.counter_value d ~name:"sends" ~label:"p0");
-  Alcotest.(check int) "new series counts from zero" 1
-    (Metrics.counter_value d ~name:"sends" ~label:"p1");
-  (match Metrics.find_hist d ~name:"lat" ~label:"p0" with
-  | None -> Alcotest.fail "hist delta missing"
-  | Some h ->
-      Alcotest.(check int) "observations in the window" 2 h.Metrics.h_count;
-      Alcotest.(check int) "sum over the window" 550 h.Metrics.h_sum;
-      Alcotest.(check (array int)) "per-bucket delta" [| 0; 1; 1 |] h.Metrics.h_counts);
-  Alcotest.(check (pair int int)) "hist_totals over the delta" (550, 2)
-    (Metrics.hist_totals d ~name:"lat")
+(* --- metrics: export ------------------------------------------------- *)
 
 let test_metrics_json_roundtrip () =
   let m = Metrics.create () in
@@ -144,14 +102,18 @@ let test_metrics_json_roundtrip () =
 (* --- Chrome trace export ------------------------------------------------ *)
 
 let test_trace_export_parses_back () =
-  let o = Obs.create () in
-  (* deliberately recorded out of order, with a tie in start time on
-     proc 0 where the longer (enclosing) span must come first *)
-  Obs.span o Obs.Diff ~proc:0 ~sync:1 ~t0:200 ~t1:350 ();
-  Obs.span o Obs.Collect ~proc:0 ~sync:1 ~bytes:96 ~t0:200 ~t1:400 ();
-  Obs.span o Obs.Acquire_wait ~proc:1 ~sync:1 ~t0:100 ~t1:500 ();
-  Obs.span o Obs.Apply ~proc:0 ~sync:1 ~t0:50 ~t1:80 ();
-  let back = Json.of_string (Json.to_string (Trace_export.to_json ~name:"unit" (Obs.spans o))) in
+  let span kind ~proc ?(bytes = 0) t0 t1 = { Obs.kind; proc; sync = 1; bytes; t0; t1; note = "" } in
+  (* deliberately out of order, with a tie in start time on proc 0
+     where the longer (enclosing) span must come first *)
+  let spans =
+    [
+      span Obs.Diff ~proc:0 200 350;
+      span Obs.Collect ~proc:0 ~bytes:96 200 400;
+      span Obs.Acquire_wait ~proc:1 100 500;
+      span Obs.Apply ~proc:0 50 80;
+    ]
+  in
+  let back = Json.of_string (Json.to_string (Trace_export.to_json ~name:"unit" spans)) in
   let events = Option.get (Option.bind (Json.member "traceEvents" back) Json.to_list) in
   let xs =
     List.filter
@@ -191,13 +153,15 @@ let test_trace_export_parses_back () =
 (* --- on a whole machine ------------------------------------------------- *)
 
 (* a small lock+barrier workload exercising every span kind the runtime
-   emits (except retransmit, which needs an armed fault plan) *)
-let run_workload cfg =
+   emits (except retransmit, which needs an armed fault plan); [setup]
+   sees the machine and the counter's address before the run *)
+let run_workload ?(setup = fun _ _ -> ()) cfg =
   let machine = R.create cfg in
   let counter = R.alloc machine ~line_size:8 8 in
   let arr = R.alloc machine ~line_size:8 (cfg.Config.nprocs * 8) in
   let lock = R.new_lock machine [ Range.v counter 8 ] in
   let bar = R.new_barrier machine [ Range.v arr (cfg.Config.nprocs * 8) ] in
+  setup machine counter;
   R.run machine (fun c ->
       let me = R.id c in
       for round = 1 to 3 do
@@ -248,8 +212,10 @@ let test_machine_reconciliation () =
 
 let test_obs_never_perturbs () =
   let nprocs = 4 in
-  let run obs =
-    let machine = run_workload { (Config.make Config.Vm ~nprocs) with Config.obs = obs } in
+  let run (obs, trace_capacity) =
+    let machine =
+      run_workload { (Config.make Config.Vm ~nprocs) with Config.obs; trace_capacity }
+    in
     ( R.elapsed_ns machine,
       List.map
         (fun p ->
@@ -261,8 +227,52 @@ let test_obs_never_perturbs () =
             c.Counters.barrier_crossings ))
         (List.init nprocs Fun.id) )
   in
-  let off = run false and on = run true in
-  Alcotest.(check bool) "armed observability changes nothing" true (off = on)
+  let off = run (false, 0) in
+  Alcotest.(check bool) "armed observability changes nothing" true (off = run (true, 0));
+  Alcotest.(check bool) "a bounded log changes nothing" true (off = run (false, 16))
+
+(* The two events no smoke run reaches: a reliable-channel exchange that
+   retransmitted (message faults armed) and a manual backend switch.
+   Each must yield its span and its metric series. *)
+let test_episode_and_switch_events () =
+  let cfg =
+    Config.with_faults ~drop:0.2 ~seed:7
+      { (Config.make Config.Rt ~nprocs:4) with Config.obs = true }
+  in
+  let region = ref (-1) in
+  let machine =
+    run_workload cfg ~setup:(fun m addr ->
+        region := addr / cfg.Config.region_size;
+        R.set_region_backend m ~addr Config.Vm)
+  in
+  let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
+  let events = Obs.events o in
+  let episodes =
+    List.filter_map (function Event.Send_episode e -> Some e.retransmits | _ -> None) events
+  in
+  let retransmitted = List.filter (fun r -> r > 0) episodes in
+  Alcotest.(check bool) "some exchange retransmitted" true (retransmitted <> []);
+  Alcotest.(check int) "one retransmit span per retransmitting exchange"
+    (List.length retransmitted)
+    (List.length (List.filter (fun (s : Obs.span) -> s.Obs.kind = Obs.Retransmit) (Obs.spans o)));
+  let s = Metrics.snapshot (Obs.metrics o) in
+  Alcotest.(check (pair int int)) "retransmits_per_send covers every exchange"
+    (List.fold_left ( + ) 0 episodes, List.length episodes)
+    (Metrics.hist_totals s ~name:"retransmits_per_send");
+  Alcotest.(check int) "reliable_sends counts every exchange" (List.length episodes)
+    (List.fold_left
+       (fun acc ((name, _), v) -> if name = "reliable_sends" then acc + v else acc)
+       0 s.Metrics.s_counters);
+  let switches =
+    List.filter_map
+      (function Event.Backend_switched _ as e -> Some (Event.to_string e) | _ -> None)
+      events
+  in
+  Alcotest.(check (list string)) "one switch, rendered"
+    [ Printf.sprintf "0 ns         region %d: backend rt -> vm" !region ]
+    switches;
+  Alcotest.(check int) "backend_switches series" 1
+    (Metrics.counter_value s ~name:"backend_switches" ~label:(Printf.sprintf "region%d" !region))
 
 let () =
   Alcotest.run "obs"
@@ -270,15 +280,12 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "recording order" `Quick test_span_log_order;
-          Alcotest.test_case "cap counts drops" `Quick test_span_cap;
-          Alcotest.test_case "handles nest and close" `Quick test_span_handles;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "layout shared and validated" `Quick
             test_bucket_layout_shared_and_validated;
-          Alcotest.test_case "snapshot and delta" `Quick test_snapshot_delta;
           Alcotest.test_case "json round trip" `Quick test_metrics_json_roundtrip;
         ] );
       ( "export",
@@ -288,5 +295,7 @@ let () =
           Alcotest.test_case "metrics reconcile with counters" `Quick
             test_machine_reconciliation;
           Alcotest.test_case "arming obs never perturbs a run" `Quick test_obs_never_perturbs;
+          Alcotest.test_case "retransmit and backend-switch events" `Quick
+            test_episode_and_switch_events;
         ] );
     ]
