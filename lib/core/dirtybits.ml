@@ -30,7 +30,12 @@ let create ~mode ~group =
 
 let mode t = t.mode
 
-let table_for t (r : Region.t) =
+(* A region's table for this processor, created or grown so that it
+   holds [line]: it covers the lines in use, like the processor's copy of
+   the region (Region.extent), in whole groups so that no group straddles
+   the table's end.  A growth keeps the timestamps, first-level bits and
+   group maxima; the lines and groups it adds are clean. *)
+let table_reaching t (r : Region.t) line =
   let idx = r.index in
   if idx >= Array.length t.tables then begin
     let fresh = Array.make (max (idx + 1) (2 * Array.length t.tables)) None in
@@ -38,11 +43,14 @@ let table_for t (r : Region.t) =
     t.tables <- fresh
   end;
   match t.tables.(idx) with
-  | Some tbl -> tbl
-  | None ->
-      let lines = Region.lines r in
-      let two_level = t.mode = Config.Two_level in
-      let groups = if two_level then (lines + t.group - 1) / t.group else 0 in
+  | Some tbl when line < Array.length tbl.ts || Array.length tbl.ts = Region.lines r -> tbl
+  | old ->
+      let have = match old with Some tbl -> Array.length tbl.ts | None -> 0 in
+      let size = r.line_size in
+      let bytes = Region.extent r ~have:(have * size) ((line + 1) * size) in
+      let lines = (bytes + size - 1) / size in
+      let lines = min (Region.lines r) ((lines + t.group - 1) / t.group * t.group) in
+      let groups = if t.mode = Config.Two_level then (lines + t.group - 1) / t.group else 0 in
       let tbl =
         {
           ts = Array.make lines Timestamp.initial;
@@ -50,6 +58,12 @@ let table_for t (r : Region.t) =
           group_max = Array.make groups Timestamp.initial;
         }
       in
+      Option.iter
+        (fun o ->
+          Array.blit o.ts 0 tbl.ts 0 have;
+          Bytes.blit o.l1 0 tbl.l1 0 (Bytes.length o.l1);
+          Array.blit o.group_max 0 tbl.group_max 0 (Array.length o.group_max))
+        old;
       t.tables.(idx) <- Some tbl;
       tbl
 
@@ -72,17 +86,20 @@ let note_write t ~region ~addr ~len =
           t.queue <- entry :: q;
           t.queue_len <- t.queue_len + 1)
   | Config.Plain | Config.Two_level ->
-      let tbl = table_for t region in
       let first = line_index region addr in
       let last = line_index region (addr + max len 1 - 1) in
+      let tbl = table_reaching t region last in
       for line = first to last do
         tbl.ts.(line) <- Timestamp.locally_dirty;
         if t.mode = Config.Two_level then Bytes.set tbl.l1 (line / t.group) '\001'
       done
 
 let line_ts t ~region ~addr =
-  let tbl = table_for t region in
-  tbl.ts.(line_index region addr)
+  let line = line_index region addr in
+  let idx = region.Region.index in
+  match if idx < Array.length t.tables then t.tables.(idx) else None with
+  | Some tbl when line < Array.length tbl.ts -> tbl.ts.(line)
+  | _ -> Timestamp.initial
 
 let bump_group_max t tbl line ts =
   if t.mode = Config.Two_level then begin
@@ -91,8 +108,8 @@ let bump_group_max t tbl line ts =
   end
 
 let set_ts t ~region ~addr ~ts =
-  let tbl = table_for t region in
   let line = line_index region addr in
+  let tbl = table_reaching t region line in
   tbl.ts.(line) <- ts;
   bump_group_max t tbl line ts
 
@@ -100,8 +117,8 @@ let set_ts t ~region ~addr ~ts =
    [addr] — the apply side of a coalesced run (one table lookup for the
    whole run). *)
 let set_ts_run t ~region ~addr ~lines ~ts =
-  let tbl = table_for t region in
   let first = line_index region addr in
+  let tbl = table_reaching t region (first + lines - 1) in
   for line = first to first + lines - 1 do
     tbl.ts.(line) <- ts;
     bump_group_max t tbl line ts
@@ -139,9 +156,9 @@ let group_skippable tbl ~select g =
   | Transfer last_seen -> tbl.group_max.(g) <= last_seen
 
 let scan_range t counts ~region ~range ~stamp ~select ~emit =
-  let tbl = table_for t region in
   let first = line_index region range.Range.addr in
   let last = line_index region (Range.limit range - 1) in
+  let tbl = table_reaching t region last in
   match t.mode with
   | Config.Plain | Config.Update_queue ->
       for line = first to last do
@@ -152,7 +169,7 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
       while !line <= last do
         let g = !line / t.group in
         let g_first = g * t.group in
-        let g_last = min (g_first + t.group - 1) (Array.length tbl.ts - 1) in
+        let g_last = min (g_first + t.group - 1) (Region.lines region - 1) in
         if !line = g_first && g_last <= last then begin
           (* Group fully covered by the scan: the first level applies. *)
           counts.group_checks <- counts.group_checks + 1;
@@ -195,9 +212,9 @@ let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
     (fun (piece : Range.t) ->
       counts.queue_entries <- counts.queue_entries + 1;
       let region = region_of piece.Range.addr in
-      let tbl = table_for t region in
       let first = line_index region piece.Range.addr in
       let last = line_index region (Range.limit piece - 1) in
+      let tbl = table_reaching t region last in
       for line = first to last do
         if tbl.ts.(line) <> stamp then begin
           (* A queued entry means this processor wrote the line; stamp it

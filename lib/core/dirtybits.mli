@@ -20,6 +20,15 @@
       trapping cost.  (The timestamp table is still maintained as the
       update history.)
 
+    A region's table covers the lines in use, not the whole region, the
+    same way a processor's copy of the region does
+    ({!Midway_memory.Region.extent}): it is created at the first write,
+    stamp or scan over the region's allocated lines, rounded to whole
+    [Two_level] groups, and grows geometrically (keeping every
+    timestamp, first-level bit and group maximum) when one of those
+    reaches further.  A line the table does not cover holds
+    {!Timestamp.initial}.
+
     This module only mutates data structures and reports what it did; cost
     charging and counter accounting belong to {!Detector}. *)
 
@@ -37,7 +46,8 @@ val note_write : t -> region:Midway_memory.Region.t -> addr:int -> len:int -> un
     queue). *)
 
 val line_ts : t -> region:Midway_memory.Region.t -> addr:int -> Timestamp.t
-(** Current dirtybit value of the line containing [addr]. *)
+(** Current dirtybit value of the line containing [addr]; a read only,
+    so it never creates or grows a table. *)
 
 val set_ts : t -> region:Midway_memory.Region.t -> addr:int -> ts:Timestamp.t -> unit
 (** Install an incoming update's timestamp at this processor. *)
@@ -91,8 +101,9 @@ val queue_length : t -> int
 
 val reset_region : t -> Midway_memory.Region.t -> unit
 (** Forget all detection state for one region: timestamps back to
-    {!Timestamp.initial}, first-level bits and group maxima cleared,
-    queued writes inside the region dropped.  Used when a region's
+    {!Timestamp.initial}, first-level bits and group maxima cleared over
+    the table as far as it reaches (the table keeps its size), queued
+    writes inside the region dropped.  Used when a region's
     detection backend is switched; the accompanying per-lock epoch bump
     makes the next transfer ship the bound data in full, so nothing
     forgotten is lost. *)

@@ -36,11 +36,17 @@ let lines t = t.region_size / t.line_size
 
 let line_of_offset t off = off / t.line_size
 
+let granule = 4096
+
+let extent t ~have need =
+  let want = max need (if have = 0 then t.used else 2 * have) in
+  min t.region_size ((max want 1 + granule - 1) land lnot (granule - 1))
+
 let backing_for t ~proc =
   match t.backing.(proc) with
   | Some b -> b
   | None ->
-      let b = Bytes.make t.region_size '\000' in
+      let b = Bytes.make (extent t ~have:0 0) '\000' in
       t.backing.(proc) <- Some b;
       b
 

@@ -4,8 +4,10 @@ type addr = int
    arrays word by word, so nearly every access lands in the region (and
    backing buffer) of the previous one.  Caching the pair skips the
    region lookup and the per-proc backing resolution on repeat hits.
-   Safe because regions are never unmapped and a region's backing buffer
-   for a processor is created once and never replaced. *)
+   Regions are never unmapped, and a processor's copy is only replaced
+   by [reaching] below, which refreshes the processor's entry; a hit
+   also checks that the access ends inside the cached buffer, so one
+   past the end of a short copy misses and grows it. *)
 type cache_entry = { mutable c_idx : int; mutable c_backing : Bytes.t }
 
 type t = {
@@ -121,67 +123,96 @@ let validate_range t a len =
      else raise (Unmapped last));
   r
 
-(* Resolve the region, fill the cache and return the backing.  Only ever
-   called with a mapped address (region_of_addr raises otherwise), so the
-   cache never holds an unmapped index. *)
-let cache_miss t e ~proc a =
-  let r = region_of_addr t a in
+(* The processor's copy of [r], grown (zero-filled, contents kept) if it
+   ends before in-region offset [limit] and the region does not.  Every
+   growth happens here, because it replaces the buffer the processor's
+   cache entry may hold. *)
+let reaching t (r : Region.t) ~proc limit =
   let b = Region.backing_for r ~proc in
-  e.c_idx <- a / t.region_size;
+  let have = Bytes.length b in
+  if limit <= have || have = t.region_size then b
+  else begin
+    let grown = Bytes.extend b 0 (Region.extent r ~have limit - have) in
+    Bytes.fill grown have (Bytes.length grown - have) '\000';
+    r.Region.backing.(proc) <- Some grown;
+    let e = t.cache.(proc) in
+    if e.c_idx = r.Region.index then e.c_backing <- grown;
+    grown
+  end
+
+(* Resolve the region, fill the cache and return a backing that holds
+   the [w] bytes at [a].  Only ever called with a mapped address
+   (region_of_addr raises otherwise), so the cache never holds an
+   unmapped index. *)
+let cache_miss t e ~proc a w =
+  let r = region_of_addr t a in
+  let b = reaching t r ~proc ((a land t.mask) + w) in
+  e.c_idx <- r.Region.index;
   e.c_backing <- b;
   b
 
 (* The accessor hot path: no tuple allocation; the in-region offset is
    [a land t.mask] because region bases are region_size-aligned. *)
-let[@inline] backing t ~proc a =
-  let idx = a / t.region_size in
+let[@inline] backing t ~proc a w =
   let e = Array.unsafe_get t.cache proc in
-  if e.c_idx = idx then e.c_backing else cache_miss t e ~proc a
+  let b = e.c_backing in
+  if e.c_idx = a / t.region_size && (a land t.mask) + w <= Bytes.length b then b
+  else cache_miss t e ~proc a w
 
-let get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a) (a land t.mask))
+let get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a 1) (a land t.mask))
 
-let set_u8 t ~proc a v = Bytes.set (backing t ~proc a) (a land t.mask) (Char.chr (v land 0xff))
+let set_u8 t ~proc a v =
+  Bytes.set (backing t ~proc a 1) (a land t.mask) (Char.chr (v land 0xff))
 
-let get_i32 t ~proc a = Bytes.get_int32_le (backing t ~proc a) (a land t.mask)
+let get_i32 t ~proc a = Bytes.get_int32_le (backing t ~proc a 4) (a land t.mask)
 
-let set_i32 t ~proc a v = Bytes.set_int32_le (backing t ~proc a) (a land t.mask) v
+let set_i32 t ~proc a v = Bytes.set_int32_le (backing t ~proc a 4) (a land t.mask) v
 
-let get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a) (a land t.mask)
+let get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask)
 
-let set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a) (a land t.mask) v
+let set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) v
 
-let get_f64 t ~proc a = Int64.float_of_bits (get_i64 t ~proc a)
+(* The word is converted in the same expression that loads or stores it,
+   so the int64 stays unboxed. *)
+let get_f64 t ~proc a =
+  Int64.float_of_bits (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
-let set_f64 t ~proc a v = set_i64 t ~proc a (Int64.bits_of_float v)
+let set_f64 t ~proc a v =
+  Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) (Int64.bits_of_float v)
 
-let get_int t ~proc a = Int64.to_int (get_i64 t ~proc a)
+let get_int t ~proc a = Int64.to_int (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
-let set_int t ~proc a v = set_i64 t ~proc a (Int64.of_int v)
+let set_int t ~proc a v =
+  Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) (Int64.of_int v)
 
 let read_bytes t ~proc a ~len =
-  ignore (validate_range t a len);
-  Bytes.sub (backing t ~proc a) (a land t.mask) len
+  let r = validate_range t a len in
+  let off = a - Region.base r in
+  Bytes.sub (reaching t r ~proc (off + len)) off len
 
 let write_bytes t ~proc a buf =
-  ignore (validate_range t a (Bytes.length buf));
-  Bytes.blit buf 0 (backing t ~proc a) (a land t.mask) (Bytes.length buf)
+  let len = Bytes.length buf in
+  let r = validate_range t a len in
+  let off = a - Region.base r in
+  Bytes.blit buf 0 (reaching t r ~proc (off + len)) off len
 
 let copy_range t ~src_proc ~dst_proc a ~len =
   let r = validate_range t a len in
-  let src = Region.backing_for r ~proc:src_proc in
-  let dst = Region.backing_for r ~proc:dst_proc in
   let off = a - Region.base r in
+  let src = reaching t r ~proc:src_proc (off + len) in
+  let dst = reaching t r ~proc:dst_proc (off + len) in
   Bytes.blit src off dst off len
 
 let backing_slice t ~proc a ~len =
   let r = validate_range t a len in
-  (Region.backing_for r ~proc, a - Region.base r)
+  let off = a - Region.base r in
+  (reaching t r ~proc (off + len), off)
 
 let ranges_equal t ~proc_a ~proc_b a ~len =
   let r = validate_range t a len in
-  let ba = Region.backing_for r ~proc:proc_a in
-  let bb = Region.backing_for r ~proc:proc_b in
   let off = a - Region.base r in
+  let ba = reaching t r ~proc:proc_a (off + len) in
+  let bb = reaching t r ~proc:proc_b (off + len) in
   (* word-wise comparison with a byte-wise tail *)
   let words = len / 8 in
   let rec words_eq i =

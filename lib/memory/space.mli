@@ -7,6 +7,15 @@
     processor 0 is not visible to processor 1 until the DSM protocol
     ships it.
 
+    A processor's copy of a region covers only the bytes in use: it is
+    created at the first access over the region's allocated bytes and
+    grows (geometrically, zero-filled, keeping its contents) whenever an
+    access reaches past its end — a typed access, {!read_bytes},
+    {!write_bytes}, {!copy_range}, {!ranges_equal} or {!backing_slice}.
+    Every mapped address is readable (as zero until written) and
+    writable; the growth is invisible except through
+    {!backing_slice}.
+
     Addresses are plain [int] byte addresses.  Region 0 is never mapped,
     so address 0 is always invalid — a convenient null. *)
 
@@ -16,7 +25,9 @@ type addr = int
 
 val create : ?region_size:int -> nprocs:int -> unit -> t
 (** [region_size] must be a power of two (default 16 MiB — large enough
-    that every benchmark allocation fits in one region). *)
+    that every benchmark allocation fits in one region).  It fixes the
+    address layout only: what a processor's copy of a region costs
+    depends on the bytes in use, not on [region_size]. *)
 
 val nprocs : t -> int
 
@@ -79,11 +90,14 @@ val read_bytes : t -> proc:int -> addr -> len:int -> Bytes.t
 
 val backing_slice : t -> proc:int -> addr -> len:int -> Bytes.t * int
 (** [backing_slice t ~proc addr ~len] validates [addr .. addr+len-1] and
-    returns the processor's *live* backing buffer together with the
-    offset of [addr] within it — a zero-copy view for read-only
-    consumers (e.g. the VM diff engine).  The caller must not mutate the
-    buffer, and must not hold it across simulated writes it wants to be
-    isolated from. *)
+    returns the processor's *live* backing buffer (grown first if the
+    range reaches past its end) together with the offset of [addr]
+    within it — a zero-copy view for read-only consumers (e.g. the VM
+    diff engine).  The caller must not mutate the buffer, and must be
+    done with it before its next access to the space: any later access
+    by this processor to the same region may grow the copy, which
+    replaces the buffer, so an old view neither sees later writes nor
+    stays the processor's memory. *)
 
 val write_bytes : t -> proc:int -> addr -> Bytes.t -> unit
 (** Copy a buffer into the processor's memory. *)

@@ -3,10 +3,11 @@
 
    - the coalesced dirtybit scan checked against a per-line reference
      model across random writes, incoming stamps, epoch-style resets and
-     both scanning organizations;
+     both scanning organizations, in a small region and in one whose
+     table grows mid-sequence;
    - update-queue bookkeeping across scans and region resets;
    - the space accessor's last-hit cache under interleaved processors,
-     regions and boundary probes;
+     regions and boundary probes, and under copies that grow;
    - the VM zero-copy collect path failing loudly on a page that spans
      two regions (the migrated-bucket shape);
    - mixed-backend machines (alternating rt/vm regions) converging to the
@@ -40,14 +41,16 @@ let qtest = QCheck_alcotest.to_alcotest
    timestamp and locally-dirty flag and replays the documented scan
    semantics line by line.  The coalesced scan must agree on the emitted
    (line, ts, fresh) set, on the post-scan timestamps, and (in Plain
-   mode, which skips nothing) on the clean/dirty read counts. *)
+   mode, which skips nothing) on the clean/dirty read counts.  A second
+   input runs the same ops over a 1 MiB region, whose table starts at
+   one granule's lines and grows as writes, stamps and scans reach
+   further out. *)
 
 let nlines = 64
 
 type model = { mts : int array; mdirty : bool array }
 
-let model_create () =
-  { mts = Array.make nlines Timestamp.initial; mdirty = Array.make nlines false }
+let model_create n = { mts = Array.make n Timestamp.initial; mdirty = Array.make n false }
 
 let model_write m ~line_lo ~line_hi =
   for i = line_lo to line_hi do
@@ -59,8 +62,8 @@ let model_set_ts m ~line ~ts =
   m.mdirty.(line) <- false
 
 let model_reset m =
-  Array.fill m.mts 0 nlines Timestamp.initial;
-  Array.fill m.mdirty 0 nlines false
+  Array.fill m.mts 0 (Array.length m.mts) Timestamp.initial;
+  Array.fill m.mdirty 0 (Array.length m.mdirty) false
 
 let model_scan m ~lo ~n ~stamp ~select =
   let clean = ref 0 and dirty = ref 0 and emitted = ref [] in
@@ -97,26 +100,37 @@ let lines_of_scan db ~region ~base ~lo ~n ~stamp ~select =
   in
   (counts, List.rev !emitted)
 
-(* Ops are decoded from integer triples so qcheck can shrink them. *)
-let scan_matches_model mode =
+(* Ops are decoded from integer triples so qcheck can shrink them.  In
+   the 1 MiB region a line number [a] is spread to [a lsr (a mod 17)], so
+   ops land at every scale from the first lines to the last, and scans
+   cover at most 256 lines. *)
+let scan_matches_model ?(big = false) mode =
+  let lines = if big then (1 lsl 20) / 8 else nlines in
+  let spread a = if big then a lsr (a mod 17) else a in
+  let max_scan = if big then 256 else lines in
   let name =
-    Printf.sprintf "coalesced scan == per-line model (%s)" (Config.rt_mode_name mode)
+    Printf.sprintf "coalesced scan == per-line model%s (%s)"
+      (if big then " in a 1 MiB region" else "")
+      (Config.rt_mode_name mode)
   in
   QCheck.Test.make ~name ~count:200
     QCheck.(
-      list_of_size (Gen.int_range 1 40)
-        (triple (int_bound 20) (int_bound (nlines - 1)) (int_bound 1000)))
+      list_of_size
+        (Gen.int_range 1 (if big then 60 else 40))
+        (triple (int_bound 20) (int_bound (lines - 1)) (int_bound 1000)))
     (fun ops ->
       let region =
-        Region.create ~index:1 ~kind:Region.Shared ~line_size:8 ~region_size:4096 ~nprocs:1
+        Region.create ~index:1 ~kind:Region.Shared ~line_size:8
+          ~region_size:(if big then 1 lsl 20 else 4096)
+          ~nprocs:1
       in
       let base = Region.base region in
       let db = Dirtybits.create ~mode ~group:16 in
-      let m = model_create () in
+      let m = model_create lines in
       let stamp = ref (Timestamp.initial + 100) in
       let ok = ref true in
       let check_line_ts () =
-        for i = 0 to nlines - 1 do
+        for i = 0 to lines - 1 do
           let expect =
             if m.mdirty.(i) then Timestamp.locally_dirty else m.mts.(i)
           in
@@ -125,12 +139,13 @@ let scan_matches_model mode =
       in
       List.iter
         (fun (kind, a, b) ->
+          let a = spread a in
           match kind mod 4 with
           | 0 ->
               (* a store of 1..24 bytes at an arbitrary byte address *)
               let addr = base + (a * 8) + (b mod 8) in
               let len = 1 + (b mod 24) in
-              let len = min len ((nlines * 8) - (addr - base)) in
+              let len = min len ((lines * 8) - (addr - base)) in
               Dirtybits.note_write db ~region ~addr ~len;
               model_write m ~line_lo:((addr - base) / 8)
                 ~line_hi:((addr - base + len - 1) / 8)
@@ -142,7 +157,7 @@ let scan_matches_model mode =
           | 2 ->
               (* a collection over a sub-range *)
               let lo = a in
-              let n = 1 + (b mod (nlines - lo)) in
+              let n = 1 + (b mod min max_scan (lines - lo)) in
               let select =
                 if b mod 5 = 0 then Dirtybits.Fresh_only
                 else
@@ -255,6 +270,114 @@ let test_space_cache_coherence () =
   match Space.validate_range space (c + 4088) 16 with
   | _ -> Alcotest.fail "running off mapped memory must raise"
   | exception Space.Unmapped last -> Alcotest.(check int) "unmapped last" (c + 4103) last
+
+(* --- copies that grow under the cache ------------------------------------ *)
+
+(* A processor's copy of a region starts at the bytes in use and grows
+   when an access reaches past its end; a growth replaces the buffer the
+   processor's cache entry may hold.  Two 1 MiB regions hold one 64-byte
+   allocation each, so every copy starts at one granule.  Cached typed
+   accesses interleave with uncached range operations that can grow a
+   copy (write_bytes, copy_range between copies of different sizes,
+   ranges_equal, backing_slice), at offsets spread from the first bytes
+   to the last, on three processors.  The model holds every byte written
+   per (processor, region); every other byte must read as zero. *)
+
+let growth_region = 1 lsl 20
+
+let growth_procs = 3
+
+let growth_matches_model =
+  QCheck.Test.make ~name:"copies grow under the cache" ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 150)
+        (quad (int_bound 8) (int_bound (growth_procs - 1)) (int_bound (1 lsl 24)) (int_bound 1023)))
+    (fun ops ->
+      let space = Space.create ~region_size:growth_region ~nprocs:growth_procs () in
+      let bases =
+        [|
+          Space.alloc space ~kind:Region.Shared ~line_size:64 64;
+          Space.alloc space ~kind:Region.Private ~line_size:64 64;
+        |]
+      in
+      let model = Hashtbl.create 256 in
+      let byte proc r off = Option.value (Hashtbl.find_opt model (proc, r, off)) ~default:0 in
+      let model_bytes proc r off len = String.init len (fun i -> Char.chr (byte proc r (off + i))) in
+      let model_write proc r off s =
+        String.iteri (fun i c -> Hashtbl.replace model (proc, r, off + i) (Char.code c)) s
+      in
+      let model_int proc r off = Int64.to_int (String.get_int64_le (model_bytes proc r off 8) 0) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      (* [w] bytes at an offset spread over the region: its last [w]
+         bytes one time in five, else [x]'s low bits cut to a random
+         width; words are 8-byte aligned *)
+      let offset x w =
+        let off =
+          if x mod 5 = 0 then growth_region - w
+          else min ((x lsr 5) land ((1 lsl (x mod 21)) - 1)) (growth_region - w)
+        in
+        if w = 8 then off land lnot 7 else off
+      in
+      List.iter
+        (fun (kind, proc, x, y) ->
+          let r = y land 1 in
+          let other = (proc + 1 + ((y lsr 1) mod (growth_procs - 1))) mod growth_procs in
+          let len = 1 + ((y lsr 3) mod 64) in
+          match kind with
+          | 0 ->
+              let off = offset x 8 in
+              Space.set_int space ~proc (bases.(r) + off) y;
+              let b = Bytes.create 8 in
+              Bytes.set_int64_le b 0 (Int64.of_int y);
+              model_write proc r off (Bytes.to_string b)
+          | 1 ->
+              let off = offset x 8 in
+              expect (Space.get_int space ~proc (bases.(r) + off) = model_int proc r off)
+          | 2 ->
+              let off = offset x 1 in
+              Space.set_u8 space ~proc (bases.(r) + off) y;
+              Hashtbl.replace model (proc, r, off) (y land 0xff)
+          | 3 ->
+              let off = offset x 1 in
+              expect (Space.get_u8 space ~proc (bases.(r) + off) = byte proc r off)
+          | 4 ->
+              let off = offset x len in
+              let data = String.init len (fun i -> Char.chr ((y + (i * 7)) land 0xff)) in
+              Space.write_bytes space ~proc (bases.(r) + off) (Bytes.of_string data);
+              model_write proc r off data
+          | 5 ->
+              let off = offset x len in
+              expect
+                (Bytes.to_string (Space.read_bytes space ~proc (bases.(r) + off) ~len)
+                = model_bytes proc r off len)
+          | 6 ->
+              let off = offset x len in
+              Space.copy_range space ~src_proc:proc ~dst_proc:other (bases.(r) + off) ~len;
+              model_write other r off (model_bytes proc r off len)
+          | 7 ->
+              let off = offset x len in
+              expect
+                (Space.ranges_equal space ~proc_a:proc ~proc_b:other (bases.(r) + off) ~len
+                = (model_bytes proc r off len = model_bytes other r off len))
+          | _ ->
+              let off = offset x len in
+              let b, at = Space.backing_slice space ~proc (bases.(r) + off) ~len in
+              expect (Bytes.sub_string b at len = model_bytes proc r off len))
+        ops;
+      (* every written byte, read back through the cache, and each
+         region's last word on every processor *)
+      Hashtbl.iter
+        (fun (proc, r, off) v -> expect (Space.get_u8 space ~proc (bases.(r) + off) = v))
+        model;
+      for proc = 0 to growth_procs - 1 do
+        Array.iteri
+          (fun r base ->
+            let off = growth_region - 8 in
+            expect (Space.get_int space ~proc (base + off) = model_int proc r off))
+          bases
+      done;
+      !ok)
 
 (* --- VM zero-copy collect at a region boundary -------------------------- *)
 
@@ -596,10 +719,15 @@ let () =
         [
           qtest (scan_matches_model Config.Plain);
           qtest (scan_matches_model Config.Two_level);
+          qtest (scan_matches_model ~big:true Config.Plain);
+          qtest (scan_matches_model ~big:true Config.Two_level);
           Alcotest.test_case "update-queue bookkeeping" `Quick test_update_queue_bookkeeping;
         ] );
       ( "space cache",
-        [ Alcotest.test_case "last-hit cache coherence" `Quick test_space_cache_coherence ] );
+        [
+          Alcotest.test_case "last-hit cache coherence" `Quick test_space_cache_coherence;
+          qtest growth_matches_model;
+        ] );
       ( "vm region boundaries",
         [
           Alcotest.test_case "both bucket areas collect" `Quick

@@ -33,6 +33,27 @@ let test_region_lazy_backing () =
   Bytes.set b 0 'x';
   Alcotest.(check char) "same buffer returned" 'x' (Bytes.get (Region.backing_for r ~proc:0) 0)
 
+(* A copy covers the bytes in use, in whole granules, and grows
+   geometrically (keeping its contents, zero-filling the rest) when an
+   access reaches past its end; every mapped byte stays addressable. *)
+let test_sized_copies () =
+  let s = Space.create ~region_size:(1 lsl 20) ~nprocs:2 () in
+  let a = Space.alloc s ~kind:Region.Shared ~line_size:64 10_000 in
+  let r = Space.region_of_addr s a in
+  let length proc = Option.fold ~none:0 ~some:Bytes.length r.Region.backing.(proc) in
+  Space.set_int s ~proc:0 a 42;
+  Alcotest.(check int) "first touch covers used, in granules" (3 * Region.granule) (length 0);
+  Alcotest.(check int) "other processor not provisioned" 0 (length 1);
+  Space.set_int s ~proc:0 (a + 20_000) 7;
+  Alcotest.(check int) "grows at least twofold" (6 * Region.granule) (length 0);
+  Alcotest.(check int) "past the end reads zero" 0 (Space.get_int s ~proc:0 (a + 500_000));
+  Alcotest.(check int) "grows to reach the access" (123 * Region.granule) (length 0);
+  Alcotest.(check int) "contents kept" 42 (Space.get_int s ~proc:0 a);
+  Alcotest.(check int) "contents kept further out" 7 (Space.get_int s ~proc:0 (a + 20_000));
+  Space.set_u8 s ~proc:1 (a + (1 lsl 20) - 1) 9;
+  Alcotest.(check int) "capped at the region" (1 lsl 20) (length 1);
+  Alcotest.(check int) "last byte" 9 (Space.get_u8 s ~proc:1 (a + (1 lsl 20) - 1))
+
 (* --- Space allocator --------------------------------------------------- *)
 
 let test_alloc_basics () =
@@ -213,6 +234,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_region_create_validation;
           Alcotest.test_case "geometry" `Quick test_region_geometry;
           Alcotest.test_case "lazy backing" `Quick test_region_lazy_backing;
+          Alcotest.test_case "copies sized to the bytes in use" `Quick test_sized_copies;
         ] );
       ( "allocator",
         [
