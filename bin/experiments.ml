@@ -62,8 +62,8 @@ let run_fault_sweep spec crash scale nprocs apps =
   | exception Midway_simnet.Reliable.Exhausted msg ->
       Printf.eprintf
         "fault sweep aborted: %s\n\
-         (the loss rate defeated the retry budget; lower drop= or raise \
-         Config.retrans_max_attempts)\n"
+         (the loss rate defeated the retry budget of \
+         Reliable.default_config; lower drop=)\n"
         msg;
       exit 1
 

@@ -45,13 +45,7 @@ let rt_mode_name = function
   | Two_level -> "two-level"
   | Update_queue -> "update-queue"
 
-type crash = {
-  plan : Midway_simnet.Crash.plan;
-  replicas : int;
-  suspect_attempts : int;
-  broken_failover : bool;
-  watchdog_ns : int;
-}
+type crash = { plan : Midway_simnet.Crash.plan; broken_failover : bool }
 
 type t = {
   backend : backend;
@@ -76,9 +70,6 @@ type t = {
   ecsan : bool;
   faults : Midway_simnet.Net.fault_policy option;
   crash : crash option;
-  retrans_timeout_ns : int;
-  retrans_backoff_cap_ns : int;
-  retrans_max_attempts : int;
   obs : bool;
   adaptive : bool;
 }
@@ -108,11 +99,6 @@ let make ?(cost = Midway_stats.Cost_model.default) backend ~nprocs =
     ecsan = false;
     faults = None;
     crash = None;
-    retrans_timeout_ns = Midway_simnet.Reliable.default_config.Midway_simnet.Reliable.timeout_ns;
-    retrans_backoff_cap_ns =
-      Midway_simnet.Reliable.default_config.Midway_simnet.Reliable.backoff_cap_ns;
-    retrans_max_attempts =
-      Midway_simnet.Reliable.default_config.Midway_simnet.Reliable.max_attempts;
     obs = false;
     adaptive = false;
   }
@@ -125,19 +111,5 @@ let with_faults ?duplicate ?jitter_ns ?seed ~drop cfg =
   let seed = Option.value seed ~default:cfg.seed in
   { cfg with faults = Some (Midway_simnet.Net.uniform_faults ?duplicate ?jitter_ns ~seed ~drop ()) }
 
-let with_crash ?(replicas = 2) ?(suspect_attempts = 5) ?(broken = false)
-    ?(watchdog_ns = 300_000_000_000) plan cfg =
-  if replicas < 1 then invalid_arg "Config.with_crash: need at least one replica";
-  if suspect_attempts < 1 then invalid_arg "Config.with_crash: need at least one attempt";
-  if watchdog_ns <= 0 then invalid_arg "Config.with_crash: watchdog must be positive";
-  {
-    cfg with
-    crash = Some { plan; replicas; suspect_attempts; broken_failover = broken; watchdog_ns };
-  }
-
-let reliable_config (cfg : t) =
-  {
-    Midway_simnet.Reliable.timeout_ns = cfg.retrans_timeout_ns;
-    backoff_cap_ns = cfg.retrans_backoff_cap_ns;
-    max_attempts = cfg.retrans_max_attempts;
-  }
+let with_crash ?(broken = false) plan cfg =
+  { cfg with crash = Some { plan; broken_failover = broken } }

@@ -33,28 +33,10 @@ val rt_mode_name : rt_mode -> string
 
 type crash = {
   plan : Midway_simnet.Crash.plan;  (** the crash-stop / crash-recovery schedule *)
-  replicas : int;
-      (** k: backup processors each lock's bound data is replicated to
-          at release, so a crash mid-critical-section reverts the lock's
-          bindings to the last released state *)
-  suspect_attempts : int;
-      (** reliable-channel transmissions against a silent peer before
-          the failure detector raises suspicion and failover starts —
-          deliberately below [retrans_max_attempts] so a dead node is
-          diagnosed faster than a lossy wire *)
   broken_failover : bool;
       (** deliberately skip replication and the epoch bump — the
           seeded-bug demo the fuzzer must catch; never set it for real
           runs *)
-  watchdog_ns : int;
-      (** virtual-time bound on a crash-armed run: survivors still
-          executing past it are crash-stopped too ([Engine.Killed] with
-          a watchdog diagnosis).  Guards against application-level
-          livelock — a program that polls shared state only a crashed
-          processor could have advanced (e.g. a task queue whose worker
-          died mid-task) would otherwise spin in virtual time forever.
-          The DSM protocol itself never needs this: crashed owners fail
-          over by quorum. *)
 }
 (** Node-level fault configuration (see doc/FAULTS.md). *)
 
@@ -118,18 +100,18 @@ type t = {
           bit-identical to a build without the fault layer.  [Some
           policy] arms {!Midway_simnet.Net} fault injection and routes
           every protocol message through the
-          {!Midway_simnet.Reliable} ack/retransmission channel. *)
+          {!Midway_simnet.Reliable} ack/retransmission channel, which
+          runs {!Midway_simnet.Reliable.default_config}. *)
   crash : crash option;
       (** [None] (the default) models perfectly reliable processors —
-          no crash branch executes, so runs are bit-identical to a
+          the recovery state is inert (no scheduled stop, no
+          replication, no watchdog), so runs are bit-identical to a
           build without the crash layer, the same contract as [faults]
           / [ecsan] / [obs].  [Some c] arms the {!Midway_simnet.Crash}
           schedule, routes every message through the reliable channel
           (even with [faults = None]), and enables the quorum failover
-          / replication recovery protocol in {!Runtime}. *)
-  retrans_timeout_ns : int;  (** initial ack timeout of the reliable channel *)
-  retrans_backoff_cap_ns : int;  (** exponential backoff cap *)
-  retrans_max_attempts : int;  (** transmissions of one message before giving up *)
+          / replication recovery protocol (lib/core/recovery.ml, whose
+          constants doc/FAULTS.md lists). *)
   (* observability *)
   obs : bool;
       (** arm the observability layer: the event log keeps every event
@@ -155,8 +137,7 @@ val make : ?cost:Midway_stats.Cost_model.t -> backend -> nprocs:int -> t
 (** Defaults model the paper's testbed: 4 KB pages, 16 MiB regions, 64 B
     default lines, 150 us message latency, 57 ns/byte, 8-byte line
     descriptors, [Plain] RT trapping, an update-log window of 16
-    incarnations, no faults, and the {!Midway_simnet.Reliable} default
-    retransmission parameters. *)
+    incarnations, no faults and no crashes. *)
 
 val with_schedule_seed : int -> t -> t
 (** Arm the seeded tie-break policy: the engine picks uniformly among
@@ -176,19 +157,7 @@ val with_faults : ?duplicate:float -> ?jitter_ns:int -> ?seed:int -> drop:float 
     seed defaults to the run seed, so a configuration is reproducible
     end to end. *)
 
-val with_crash :
-  ?replicas:int ->
-  ?suspect_attempts:int ->
-  ?broken:bool ->
-  ?watchdog_ns:int ->
-  Midway_simnet.Crash.plan ->
-  t ->
-  t
-(** Arm node-level faults with the given crash plan.  Defaults:
-    [replicas = 2], [suspect_attempts = 5], [broken = false],
-    [watchdog_ns = 300 s] of virtual time (far beyond any legitimate
-    run, close enough that a livelocked poll loop is cut off in
-    milliseconds of host time). *)
-
-val reliable_config : t -> Midway_simnet.Reliable.config
-(** The retransmission parameters as the reliable channel wants them. *)
+val with_crash : ?broken:bool -> Midway_simnet.Crash.plan -> t -> t
+(** Arm node-level faults with the given crash plan ([broken] defaults
+    to [false]).  {!Runtime.create} rejects a plan naming a processor
+    the machine lacks. *)

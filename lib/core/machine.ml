@@ -1,0 +1,292 @@
+(* The machine record and what the protocol ([Runtime], which includes
+   this module) and crash recovery ([Recovery]) share: construction, the
+   scheme election, detector lookup, message routing and the event
+   stream. *)
+
+module Engine = Midway_sched.Engine
+module Space = Midway_memory.Space
+module Region = Midway_memory.Region
+module Net = Midway_simnet.Net
+module Reliable = Midway_simnet.Reliable
+module Crash = Midway_simnet.Crash
+module Counters = Midway_stats.Counters
+module Obs = Midway_obs.Obs
+module Event = Midway_obs.Event
+module Check = Midway_check.Check
+
+type ctx = {
+  cid : int;
+  machine : t;
+  proc : Engine.proc;
+  counters : Counters.t;
+  mutable detectors : (Config.backend * Detector.t) list;
+      (* one per scheme this processor has used: the machine default,
+         built at [create], then the others in order of first use *)
+  check : Check.t option;  (* ECSan's per-access hook, when cfg.ecsan *)
+}
+
+(* Crash-recovery state, built by [Recovery.state]: inert when crashes
+   are unarmed (empty plan, no stop, no replication, no watchdog). *)
+and recovery = {
+  plan : Crash.plan;
+  stop_at : int array;  (* each fiber's first scheduled stop; [max_int] = never *)
+  channel : Reliable.config;  (* the reliable channel's parameters *)
+  replicas : int;  (* backups per exclusive release; 0 = no replication *)
+  broken : bool;  (* demo bug: skip replication and the epoch rules *)
+  watchdog_ns : int;  (* virtual-time bound: survivors past it die too *)
+  killed : bool array;  (* fibers actually crash-stopped so far *)
+}
+
+and t = {
+  cfg : Config.t;
+  engine : Engine.t;
+  space : Space.t;
+  net : Net.t;
+  reliable : Reliable.t option;
+      (* Some iff cfg.faults or cfg.crash is armed: every protocol message
+         then goes through the ack/retransmission channel *)
+  recovery : recovery;
+  mutable ctxs : ctx array;  (* filled right after construction *)
+  detection : Detector.env;  (* what every processor's detectors share *)
+  mutable locks : Sync.lock list;
+  mutable barriers : Sync.barrier list;
+  mutable next_sync_id : int;
+  mutable ran : bool;
+  mutable elected : Config.backend option array;
+      (* the election table: by region index, the scheme a re-elected
+         region runs; [None] means the machine default *)
+  mutable switches : int;  (* backend switches committed so far *)
+  policy : Policy.t option;  (* Some iff cfg.adaptive *)
+  checker : Check.t option;
+  log : Obs.t option;
+      (* Some iff cfg.obs (every event) or cfg.trace_capacity > 0 (the
+         last N): the protocol event log *)
+  emit : (Event.t -> unit) option;
+      (* Some iff the log or ECSan is armed: the protocol's event stream.
+         Every recording site matches on it before it builds its event,
+         and recording never charges virtual time. *)
+}
+
+(* ECSan's synchronization side, read off the event stream.  Only sync
+   creation and the one-participant barrier, which record no event, call
+   the checker directly. *)
+let ecsan_subscriber ch : Event.t -> unit = function
+  | Lock_local { lock; proc; shared; _ } | Lock_granted { lock; to_ = proc; shared; _ } ->
+      Check.on_acquire ch ~id:lock ~proc ~exclusive:(not shared)
+  | Lock_released { lock; proc; _ } -> Check.on_release ch ~id:lock ~proc
+  | Lock_rebound { lock; ranges; _ } -> Check.on_rebind ch ~id:lock ~raw:ranges
+  | Barrier_wait { proc; barrier; _ } -> Check.on_barrier_cross ch ~id:barrier ~proc
+  | Barrier_completed { barrier; _ } -> Check.on_barrier_complete ch ~id:barrier
+  | _ -> ()
+
+let create (cfg : Config.t) ~recovery =
+  Detector.validate cfg;
+  if cfg.adaptive && cfg.untargetted then
+    invalid_arg
+      "Runtime.create: per-region backends need targetted bindings (untargetted consistency \
+       is machine-wide by construction)";
+  if cfg.adaptive && not (Policy.manages cfg.backend) then
+    invalid_arg "Runtime.create: adaptive elects between rt and vm; start from one of them";
+  let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
+  let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
+  let net =
+    Net.create ~latency_ns:cfg.net_latency_ns ~ns_per_byte:cfg.net_ns_per_byte
+      ~header_bytes:cfg.net_header_bytes ~nprocs:cfg.nprocs ()
+  in
+  (* The reliable channel is armed by message faults *or* by node-level
+     crash faults: suspicion detection rides on ack-timeout exhaustion, so
+     a crashed fabric needs the channel even on an otherwise-clean net. *)
+  let reliable =
+    match (cfg.faults, cfg.crash) with
+    | None, None -> None
+    | faults, crash ->
+        Option.iter (Net.set_fault_policy net) faults;
+        let ch = Reliable.create ~config:recovery.channel net in
+        if crash <> None then begin
+          let down ~proc ~at = Crash.is_down recovery.plan ~proc ~at in
+          Net.set_crash_predicate net (Some down);
+          Reliable.set_suspector ch (Some (fun ~peer ~at -> down ~proc:peer ~at))
+        end;
+        Some ch
+  in
+  if cfg.trace_capacity < 0 then invalid_arg "Runtime.create: negative trace_capacity";
+  let log =
+    if cfg.obs then Some (Obs.create ())
+    else if cfg.trace_capacity > 0 then Some (Obs.create ~capacity:cfg.trace_capacity ())
+    else None
+  in
+  let check =
+    if not cfg.ecsan then None
+    else if cfg.untargetted then
+      invalid_arg
+        "Runtime.create: ecsan assumes targetted entry consistency (any lock transfer makes \
+         everything consistent under the untargetted model, so binding checks do not apply)"
+    else
+      (* First-occurrence context: the tail of the event log (empty
+         unless a log is armed). *)
+      let context () =
+        match log with None -> [] | Some log -> List.map Event.to_string (Obs.tail log 3)
+      in
+      Some (Check.create ~context ~nprocs:cfg.nprocs ())
+  in
+  let emit =
+    match (log, check) with
+    | None, None -> None
+    | Some log, None -> Some (Obs.record log)
+    | None, Some ch -> Some (ecsan_subscriber ch)
+    | Some log, Some ch ->
+        let ecsan = ecsan_subscriber ch in
+        Some (fun e -> Obs.record log e; ecsan e)
+  in
+  let counters = Array.init cfg.nprocs (fun _ -> Counters.create ()) in
+  let detection = Detector.env cfg space ~counters ~reliable:(reliable <> None) in
+  (match (log, emit) with
+  | Some _, Some emit -> (
+      (* Scheduler blocks (reason = what the fiber waited on) and, with
+         faults or crashes armed, reliable-channel episodes.  ECSan reads
+         neither, so only an armed log installs these hooks.  Both read
+         values the simulator computed anyway. *)
+      Engine.set_block_observer engine
+        (Some
+           (fun ~proc ~reason ~blocked_at:t0 ~woke_at:t1 ->
+             let reason = Option.value reason ~default:"" in
+             emit (Event.Sched_block { proc; reason; t0; t1 })));
+      match reliable with
+      | None -> ()
+      | Some ch ->
+          Reliable.set_observer ch
+            (Some
+               (fun (e : Reliable.episode) ->
+                 emit
+                   (Event.Send_episode
+                      { src = e.Reliable.e_src; dst = e.Reliable.e_dst;
+                        msg = Net.kind_name e.Reliable.e_kind; seq = e.Reliable.e_seq;
+                        retransmits = e.Reliable.e_retransmits; bytes = e.Reliable.e_payload_bytes;
+                        t0 = e.Reliable.e_sent_at; t1 = e.Reliable.e_acked_at }))))
+  | _ -> ());
+  let machine =
+    {
+      cfg;
+      engine;
+      space;
+      net;
+      reliable;
+      recovery;
+      ctxs = [||];
+      detection;
+      locks = [];
+      barriers = [];
+      next_sync_id = 0;
+      ran = false;
+      elected = Array.make 16 None;
+      switches = 0;
+      policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
+      checker = check;
+      log;
+      emit;
+    }
+  in
+  machine.ctxs <-
+    Array.init cfg.nprocs (fun cid ->
+        {
+          cid;
+          machine;
+          proc = Engine.proc engine cid;
+          counters = counters.(cid);
+          detectors = [ (cfg.backend, Detector.create detection ~proc:cid cfg.backend) ];
+          check;
+        });
+  machine
+
+let config t = t.cfg
+
+let space t = t.space
+
+let net t = t.net
+
+let counters t i = t.ctxs.(i).counters
+
+let log t = t.log
+
+let obs t = if t.cfg.obs then t.log else None
+
+let all_counters t = Array.map (fun c -> c.counters) t.ctxs
+
+let now_ns c = Engine.clock c.proc
+
+(* ------------------------------------------------------------------ *)
+(* Per-region scheme election (hybrid write detection)                 *)
+(*                                                                     *)
+(* Each region carries its own detection scheme in the election table; *)
+(* a region never re-elected runs the machine default.  Each processor *)
+(* keeps one detector per scheme it uses, so a fixed-backend machine   *)
+(* is the one-detector case.                                           *)
+(* ------------------------------------------------------------------ *)
+
+let region_index_of t addr = addr / t.cfg.region_size
+
+let ensure_region_slot t idx =
+  let cap = Array.length t.elected in
+  if idx >= cap then begin
+    let fresh = Array.make (max (idx + 1) (cap * 2)) None in
+    Array.blit t.elected 0 fresh 0 cap;
+    t.elected <- fresh
+  end
+
+let scheme_of_region t idx =
+  if idx < 0 || idx >= Array.length t.elected then t.cfg.backend
+  else match Array.unsafe_get t.elected idx with Some b -> b | None -> t.cfg.backend
+
+(* [c]'s detector for [scheme], built on first use.  One detector per
+   scheme serves every region elected to it: detectors are address-keyed
+   internally, and a switch wipes the region's slice of each (see
+   [switch_region_backend]). *)
+let rec find_detector (c : ctx) scheme = function
+  | (s, d) :: rest -> if s == scheme then d else find_detector c scheme rest
+  | [] ->
+      let d = Detector.create c.machine.detection ~proc:c.cid scheme in
+      c.detectors <- c.detectors @ [ (scheme, d) ];
+      d
+
+let detector (c : ctx) scheme = find_detector c scheme c.detectors
+
+(* The scheme a binding runs under: the unanimous election over the
+   regions its non-empty ranges live in, or [conflict] when they differ
+   (see [Detector.lock_fallback] and [Detector.barrier_fallback]). *)
+let rec unanimous t ~conflict ~first scheme = function
+  | [] -> scheme
+  | (r : Range.t) :: rest ->
+      if Range.is_empty r then unanimous t ~conflict ~first scheme rest
+      else
+        let rs = scheme_of_region t (region_index_of t r.Range.addr) in
+        if first || rs == scheme then unanimous t ~conflict ~first:false rs rest else conflict
+
+let lock_scheme t ranges =
+  unanimous t ~conflict:Detector.lock_fallback ~first:true t.cfg.backend ranges
+
+let barrier_scheme t ranges =
+  unanimous t ~conflict:Detector.barrier_fallback ~first:true t.cfg.backend ranges
+
+(* ------------------------------------------------------------------ *)
+(* Message routing                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Route one protocol message.  With faults off this is the bare fabric —
+   the exact pre-fault code path, so such runs stay bit-identical to the
+   seed.  With faults armed the message goes through the reliable
+   channel, and the channel's per-message activity is attributed to the
+   sender's counters (retransmissions, observed drops, backoff) and the
+   destination's (suppressed duplicates).  Either way the result is the
+   virtual time the payload lands at [dst]. *)
+let send_msg ?(overhead_bytes = 0) (t : t) ~kind ~src ~dst ~payload_bytes ~at =
+  match t.reliable with
+  | None ->
+      Net.delivery (Net.send ~overhead_bytes t.net ~kind ~src ~dst ~payload_bytes ~at)
+  | Some ch ->
+      let d = Reliable.send ~overhead_bytes ch ~kind ~src ~dst ~payload_bytes ~at in
+      let sc = t.ctxs.(src).counters and dc = t.ctxs.(dst).counters in
+      sc.retransmits <- sc.retransmits + d.Reliable.retransmits;
+      sc.drops_observed <- sc.drops_observed + d.Reliable.drops_seen;
+      sc.backoff_time_ns <- sc.backoff_time_ns + d.Reliable.backoff_ns;
+      dc.duplicates_suppressed <- dc.duplicates_suppressed + d.Reliable.dups_suppressed;
+      d.Reliable.delivered_at

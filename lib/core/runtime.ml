@@ -1,253 +1,13 @@
-module Engine = Midway_sched.Engine
-module Space = Midway_memory.Space
-module Region = Midway_memory.Region
-module Net = Midway_simnet.Net
-module Reliable = Midway_simnet.Reliable
-module Crash = Midway_simnet.Crash
-module Counters = Midway_stats.Counters
-module Cost_model = Midway_stats.Cost_model
-module Obs = Midway_obs.Obs
-module Event = Midway_obs.Event
+(* The entry-consistency protocol (paper, section 3) over the machine
+   record: typed access and write trapping, lock and barrier transfers,
+   region re-election and running.  Crash recovery is [Recovery]'s; the
+   optional layers read the protocol's event stream ([Machine.emit]). *)
 
-type ctx = {
-  cid : int;
-  machine : t;
-  proc : Engine.proc;
-  counters : Counters.t;
-  mutable detectors : (Config.backend * Detector.t) list;
-      (* one per scheme this processor has used: the machine default,
-         built at [create], then the others in order of first use *)
-  check : Midway_check.Check.t option;  (* ECSan, when cfg.ecsan *)
-}
+include Machine
 
-and crash_state = {
-  cr_plan : Crash.plan;
-  cr_replicas : int;
-  cr_broken : bool;  (* demo bug: skip replication and the epoch rules *)
-  cr_watchdog_ns : int;  (* virtual-time bound: survivors past it die too *)
-  cr_killed : bool array;  (* fibers actually crash-stopped so far *)
-}
+exception Crash_unavailable = Recovery.Crash_unavailable
 
-and t = {
-  cfg : Config.t;
-  engine : Engine.t;
-  space : Space.t;
-  net : Net.t;
-  reliable : Reliable.t option;
-      (* Some iff cfg.faults or cfg.crash is armed: every protocol message
-         then goes through the ack/retransmission channel *)
-  crash : crash_state option;
-  mutable ctxs : ctx array;  (* filled right after construction *)
-  detection : Detector.env;  (* what every processor's detectors share *)
-  mutable locks : Sync.lock list;
-  mutable barriers : Sync.barrier list;
-  mutable next_sync_id : int;
-  mutable ran : bool;
-  mutable elected : Config.backend option array;
-      (* the election table: by region index, the scheme a re-elected
-         region runs; [None] means the machine default *)
-  mutable switches : int;  (* backend switches committed so far *)
-  policy : Policy.t option;  (* Some iff cfg.adaptive *)
-  checker : Midway_check.Check.t option;
-  log : Obs.t option;
-      (* Some iff cfg.obs (every event) or cfg.trace_capacity > 0 (the
-         last N): the protocol event log.  Every recording site matches
-         on this field before it builds its event, and recording never
-         charges virtual time, so an unlogged run builds no event. *)
-}
-
-let create (cfg : Config.t) =
-  Detector.validate cfg;
-  if cfg.adaptive && cfg.untargetted then
-    invalid_arg
-      "Runtime.create: per-region backends need targetted bindings (untargetted consistency \
-       is machine-wide by construction)";
-  if cfg.adaptive && not (Policy.manages cfg.backend) then
-    invalid_arg "Runtime.create: adaptive elects between rt and vm; start from one of them";
-  let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
-  let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
-  let net =
-    Net.create ~latency_ns:cfg.net_latency_ns ~ns_per_byte:cfg.net_ns_per_byte
-      ~header_bytes:cfg.net_header_bytes ~nprocs:cfg.nprocs ()
-  in
-  (* The reliable channel is armed by message faults *or* by node-level
-     crash faults: suspicion detection rides on ack-timeout exhaustion, so
-     a crashed fabric needs the channel even on an otherwise-clean net. *)
-  let reliable =
-    match (cfg.faults, cfg.crash) with
-    | None, None -> None
-    | faults, crash ->
-        (match faults with Some policy -> Net.set_fault_policy net policy | None -> ());
-        let rc = Config.reliable_config cfg in
-        let rc =
-          match crash with
-          | Some cr ->
-              { rc with Reliable.max_attempts = min rc.Reliable.max_attempts cr.Config.suspect_attempts }
-          | None -> rc
-        in
-        let ch = Reliable.create ~config:rc net in
-        (match crash with
-        | Some cr ->
-            let down ~proc ~at = Crash.is_down cr.Config.plan ~proc ~at in
-            Net.set_crash_predicate net (Some (fun ~proc ~at -> down ~proc ~at));
-            Reliable.set_suspector ch (Some (fun ~peer ~at -> down ~proc:peer ~at))
-        | None -> ());
-        Some ch
-  in
-  if cfg.trace_capacity < 0 then invalid_arg "Runtime.create: negative trace_capacity";
-  let log =
-    if cfg.obs then Some (Obs.create ())
-    else if cfg.trace_capacity > 0 then Some (Obs.create ~capacity:cfg.trace_capacity ())
-    else None
-  in
-  let check =
-    if not cfg.ecsan then None
-    else if cfg.untargetted then
-      invalid_arg
-        "Runtime.create: ecsan assumes targetted entry consistency (any lock transfer makes \
-         everything consistent under the untargetted model, so binding checks do not apply)"
-    else
-      (* First-occurrence context: the tail of the event log (empty
-         unless a log is armed). *)
-      let context () =
-        match log with None -> [] | Some log -> List.map Event.to_string (Obs.tail log 3)
-      in
-      Some (Midway_check.Check.create ~context ~nprocs:cfg.nprocs ())
-  in
-  let counters = Array.init cfg.nprocs (fun _ -> Counters.create ()) in
-  let detection = Detector.env cfg space ~counters ~reliable:(reliable <> None) in
-  (match log with
-  | None -> ()
-  | Some log -> (
-      (* Scheduler blocks (reason = what the fiber waited on) and, with
-         faults or crashes armed, reliable-channel episodes.  Both hooks
-         read values the simulator computed anyway. *)
-      Engine.set_block_observer engine
-        (Some
-           (fun ~proc ~reason ~blocked_at:t0 ~woke_at:t1 ->
-             let reason = Option.value reason ~default:"" in
-             Obs.record log (Event.Sched_block { proc; reason; t0; t1 })));
-      match reliable with
-      | None -> ()
-      | Some ch ->
-          Reliable.set_observer ch
-            (Some
-               (fun (e : Reliable.episode) ->
-                 Obs.record log
-                   (Event.Send_episode
-                      { src = e.Reliable.e_src; dst = e.Reliable.e_dst;
-                        msg = Net.kind_name e.Reliable.e_kind; seq = e.Reliable.e_seq;
-                        retransmits = e.Reliable.e_retransmits; bytes = e.Reliable.e_payload_bytes;
-                        t0 = e.Reliable.e_sent_at; t1 = e.Reliable.e_acked_at })))));
-  let machine =
-    {
-      cfg;
-      engine;
-      space;
-      net;
-      reliable;
-      crash =
-        Option.map
-          (fun (cc : Config.crash) ->
-            {
-              cr_plan = cc.Config.plan;
-              cr_replicas = cc.Config.replicas;
-              cr_broken = cc.Config.broken_failover;
-              cr_watchdog_ns = cc.Config.watchdog_ns;
-              cr_killed = Array.make cfg.nprocs false;
-            })
-          cfg.crash;
-      ctxs = [||];
-      detection;
-      locks = [];
-      barriers = [];
-      next_sync_id = 0;
-      ran = false;
-      elected = Array.make 16 None;
-      switches = 0;
-      policy = (if cfg.adaptive then Some (Policy.create ~cost:cfg.cost ()) else None);
-      checker = check;
-      log;
-    }
-  in
-  machine.ctxs <-
-    Array.init cfg.nprocs (fun cid ->
-        {
-          cid;
-          machine;
-          proc = Engine.proc engine cid;
-          counters = counters.(cid);
-          detectors = [ (cfg.backend, Detector.create detection ~proc:cid cfg.backend) ];
-          check;
-        });
-  machine
-
-let config t = t.cfg
-
-let space t = t.space
-
-let net t = t.net
-
-let counters t i = t.ctxs.(i).counters
-
-let log t = t.log
-
-let obs t = if t.cfg.obs then t.log else None
-
-let all_counters t = Array.map (fun c -> c.counters) t.ctxs
-
-(* ------------------------------------------------------------------ *)
-(* Per-region scheme election (hybrid write detection)                 *)
-(*                                                                     *)
-(* Each region carries its own detection scheme in the election table; *)
-(* a region never re-elected runs the machine default.  Each processor *)
-(* keeps one detector per scheme it uses, so a fixed-backend machine   *)
-(* is the one-detector case.                                           *)
-(* ------------------------------------------------------------------ *)
-
-let region_index_of t addr = addr / t.cfg.region_size
-
-let ensure_region_slot t idx =
-  let cap = Array.length t.elected in
-  if idx >= cap then begin
-    let fresh = Array.make (max (idx + 1) (cap * 2)) None in
-    Array.blit t.elected 0 fresh 0 cap;
-    t.elected <- fresh
-  end
-
-let scheme_of_region t idx =
-  if idx < 0 || idx >= Array.length t.elected then t.cfg.backend
-  else match Array.unsafe_get t.elected idx with Some b -> b | None -> t.cfg.backend
-
-(* [c]'s detector for [scheme], built on first use.  One detector per
-   scheme serves every region elected to it: detectors are address-keyed
-   internally, and a switch wipes the region's slice of each (see
-   [switch_region_backend]). *)
-let rec find_detector (c : ctx) scheme = function
-  | (s, d) :: rest -> if s == scheme then d else find_detector c scheme rest
-  | [] ->
-      let d = Detector.create c.machine.detection ~proc:c.cid scheme in
-      c.detectors <- c.detectors @ [ (scheme, d) ];
-      d
-
-let detector (c : ctx) scheme = find_detector c scheme c.detectors
-
-(* The scheme a binding runs under: the unanimous election over the
-   regions its non-empty ranges live in, or [conflict] when they differ
-   (see [Detector.lock_fallback] and [Detector.barrier_fallback]). *)
-let rec unanimous t ~conflict ~first scheme = function
-  | [] -> scheme
-  | (r : Range.t) :: rest ->
-      if Range.is_empty r then unanimous t ~conflict ~first scheme rest
-      else
-        let rs = scheme_of_region t (region_index_of t r.Range.addr) in
-        if first || rs == scheme then unanimous t ~conflict ~first:false rs rest else conflict
-
-let lock_scheme t ranges =
-  unanimous t ~conflict:Detector.lock_fallback ~first:true t.cfg.backend ranges
-
-let barrier_scheme t ranges =
-  unanimous t ~conflict:Detector.barrier_fallback ~first:true t.cfg.backend ranges
+let create cfg = Machine.create cfg ~recovery:(Recovery.state cfg)
 
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:t.cfg.default_line_size in
@@ -258,16 +18,19 @@ let alloc t ?line_size ?(private_ = false) bytes =
    lint can flag degenerate entries the protocol silently drops. *)
 let raw_pairs ranges = List.map (fun (r : Range.t) -> (r.Range.addr, r.Range.len)) ranges
 
+(* A new lock or barrier's binding, a fact no event carries, goes to
+   ECSan's binding index directly. *)
+let register t ~id ~kind ranges =
+  match t.checker with
+  | Some ch -> Check.on_new_sync ch ~id ~kind ~raw:(raw_pairs ranges)
+  | None -> ()
+
 let new_lock t ?(owner = 0) ranges =
   let lid = t.next_sync_id in
   t.next_sync_id <- lid + 1;
   let l = Sync.make_lock ~lid ~nprocs:t.cfg.nprocs ~owner ~ranges in
   t.locks <- l :: t.locks;
-  (match t.checker with
-  | Some ch ->
-      Midway_check.Check.on_new_sync ch ~id:lid ~kind:Midway_check.Binding_index.Lock
-        ~raw:(raw_pairs ranges)
-  | None -> ());
+  register t ~id:lid ~kind:Midway_check.Binding_index.Lock ranges;
   l
 
 let new_barrier t ?participants ?(manager = 0) ranges =
@@ -276,11 +39,7 @@ let new_barrier t ?participants ?(manager = 0) ranges =
   t.next_sync_id <- bid + 1;
   let b = Sync.make_barrier ~bid ~nprocs:t.cfg.nprocs ~participants ~manager ~ranges in
   t.barriers <- b :: t.barriers;
-  (match t.checker with
-  | Some ch ->
-      Midway_check.Check.on_new_sync ch ~id:bid ~kind:Midway_check.Binding_index.Barrier
-        ~raw:(raw_pairs ranges)
-  | None -> ());
+  register t ~id:bid ~kind:Midway_check.Binding_index.Barrier ranges;
   b
 
 (* ------------------------------------------------------------------ *)
@@ -291,91 +50,16 @@ let id c = c.cid
 
 let nprocs c = c.machine.cfg.nprocs
 
-let now_ns c = Engine.clock c.proc
-
 let log_request c ~lock ~op ~since =
-  match c.machine.log with
+  match c.machine.emit with
   | None -> ()
-  | Some log ->
+  | Some emit ->
       let lock = lock.Sync.lid and t1 = now_ns c in
-      Obs.record log (Event.Request { proc = c.cid; lock; op; t0 = since; t1 })
+      emit (Event.Request { proc = c.cid; lock; op; t0 = since; t1 })
 
 let work_ns c ns = Engine.charge c.proc ns
 
 let work_cycles c cycles = Engine.charge c.proc (cycles * c.machine.cfg.cost.cycle_ns)
-
-(* ------------------------------------------------------------------ *)
-(* Crash faults (armed by [Config.crash]; every helper below is inert   *)
-(* when the field is unset, so default runs take the pre-crash path)    *)
-(* ------------------------------------------------------------------ *)
-
-exception Crash_unavailable of string
-(* A live requester could not assemble a majority quorum for a lock
-   failover: the run cannot make progress without risking a split brain. *)
-
-(* A fiber's death is permanent from its first scheduled Stop event:
-   recovery (crash-recovery faults) revives only the *protocol node* —
-   network reachability, quorum voting, replica hosting — with amnesia.
-   [Crash.is_down] (which honours Recover events) therefore governs the
-   fabric and the vote count, while [fiber_dead_at] governs execution. *)
-let fiber_dead_at (t : t) p ~at =
-  match t.crash with
-  | None -> false
-  | Some cr -> (
-      match Crash.first_stop cr.cr_plan ~proc:p with Some ts -> ts <= at | None -> false)
-
-let proto_down (t : t) p ~at =
-  match t.crash with
-  | None -> false
-  | Some cr -> Crash.is_down cr.cr_plan ~proc:p ~at
-
-(* Crashes take effect at synchronization points: every protocol
-   operation calls this right after its scheduling yield, and again when
-   a blocked fiber resumes (a grant can reach a processor that died while
-   parked).  The typed [Engine.Killed] unwinds the fiber; the engine's
-   kill observer (wired in [run_each]) then runs the protocol fallout. *)
-let crash_check c =
-  match c.machine.crash with
-  | None -> ()
-  | Some cr -> (
-      match Crash.first_stop cr.cr_plan ~proc:c.cid with
-      | Some ts when ts <= now_ns c ->
-          raise
-            (Engine.Killed (Printf.sprintf "crash-stop of p%d (scheduled at %d ns)" c.cid ts))
-      | _ ->
-          (* Application-level livelock guard: the recovery protocol
-             keeps the DSM itself making progress, but a program can
-             poll shared state only a crashed processor would have
-             advanced (a task queue whose worker died mid-task never
-             drains).  Such survivors burn virtual time forever; past
-             the watchdog they are declared lost and crash-stopped so
-             the run terminates and reports honestly. *)
-          if now_ns c > cr.cr_watchdog_ns then
-            raise
-              (Engine.Killed
-                 (Printf.sprintf
-                    "crash watchdog: p%d still running at %d ns — survivors likely \
-                     spinning on state a crashed processor can no longer advance"
-                    c.cid (now_ns c))))
-
-let killed_procs t =
-  match t.crash with
-  | None -> []
-  | Some cr ->
-      let out = ref [] in
-      Array.iteri (fun p k -> if k then out := p :: !out) cr.cr_killed;
-      List.rev !out
-
-(* Lowest processor whose fiber is still scheduled to be alive at [at]:
-   the deterministic choice for a replacement barrier manager or lock
-   owner when no waiter is in line. *)
-let lowest_live_fiber (t : t) ~at =
-  let rec go p =
-    if p >= t.cfg.nprocs then None
-    else if fiber_dead_at t p ~at then go (p + 1)
-    else Some p
-  in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Write trapping                                                      *)
@@ -407,218 +91,66 @@ let ecsan_access c addr len ~op ~access =
         | Some r -> r.Region.kind = Region.Shared
         | None -> false
       in
-      Midway_check.Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access
+      Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access
         ~shared_region
 
 let read_f64 c addr =
   let v = Space.get_f64 c.machine.space ~proc:c.cid addr in
-  ecsan_access c addr 8 ~op:"read_f64" ~access:Midway_check.Check.Read;
+  ecsan_access c addr 8 ~op:"read_f64" ~access:Check.Read;
   v
 
 let read_int c addr =
   let v = Space.get_int c.machine.space ~proc:c.cid addr in
-  ecsan_access c addr 8 ~op:"read_int" ~access:Midway_check.Check.Read;
+  ecsan_access c addr 8 ~op:"read_int" ~access:Check.Read;
   v
 
 let read_i32 c addr =
   let v = Space.get_i32 c.machine.space ~proc:c.cid addr in
-  ecsan_access c addr 4 ~op:"read_i32" ~access:Midway_check.Check.Read;
+  ecsan_access c addr 4 ~op:"read_i32" ~access:Check.Read;
   v
 
 let read_u8 c addr =
   let v = Space.get_u8 c.machine.space ~proc:c.cid addr in
-  ecsan_access c addr 1 ~op:"read_u8" ~access:Midway_check.Check.Read;
+  ecsan_access c addr 1 ~op:"read_u8" ~access:Check.Read;
   v
 
 let read_bytes c addr ~len =
   let v = Space.read_bytes c.machine.space ~proc:c.cid addr ~len in
-  ecsan_access c addr len ~op:"read_bytes" ~access:Midway_check.Check.Read;
+  ecsan_access c addr len ~op:"read_bytes" ~access:Check.Read;
   v
 
 let write_f64 c addr v =
   trap c addr 8;
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 8 ~op:"write_f64" ~access:Midway_check.Check.Write
+  ecsan_access c addr 8 ~op:"write_f64" ~access:Check.Write
 
 let write_int c addr v =
   trap c addr 8;
   Space.set_int c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 8 ~op:"write_int" ~access:Midway_check.Check.Write
+  ecsan_access c addr 8 ~op:"write_int" ~access:Check.Write
 
 let write_i32 c addr v =
   trap c addr 4;
   Space.set_i32 c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 4 ~op:"write_i32" ~access:Midway_check.Check.Write
+  ecsan_access c addr 4 ~op:"write_i32" ~access:Check.Write
 
 let write_u8 c addr v =
   trap c addr 1;
   Space.set_u8 c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 1 ~op:"write_u8" ~access:Midway_check.Check.Write
+  ecsan_access c addr 1 ~op:"write_u8" ~access:Check.Write
 
 let write_bytes c addr buf =
   trap c addr (Bytes.length buf);
   Space.write_bytes c.machine.space ~proc:c.cid addr buf;
-  ecsan_access c addr (Bytes.length buf) ~op:"write_bytes" ~access:Midway_check.Check.Write
+  ecsan_access c addr (Bytes.length buf) ~op:"write_bytes" ~access:Check.Write
 
 let write_f64_private c addr v =
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 8 ~op:"write_f64_private" ~access:Midway_check.Check.Private_write
+  ecsan_access c addr 8 ~op:"write_f64_private" ~access:Check.Private_write
 
 let write_int_private c addr v =
   Space.set_int c.machine.space ~proc:c.cid addr v;
-  ecsan_access c addr 8 ~op:"write_int_private" ~access:Midway_check.Check.Private_write
-
-(* ------------------------------------------------------------------ *)
-(* Lock protocol                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let wire_overhead (cfg : Config.t) payload =
-  Payload.descriptors payload * cfg.line_descriptor_bytes
-
-(* Route one protocol message.  With faults off this is the bare fabric —
-   the exact pre-fault code path, so such runs stay bit-identical to the
-   seed.  With faults armed the message goes through the reliable
-   channel, and the channel's per-message activity is attributed to the
-   sender's counters (retransmissions, observed drops, backoff) and the
-   destination's (suppressed duplicates).  Either way the result is the
-   virtual time the payload lands at [dst]. *)
-let send_msg ?(overhead_bytes = 0) (t : t) ~kind ~src ~dst ~payload_bytes ~at =
-  match t.reliable with
-  | None ->
-      Net.delivery (Net.send ~overhead_bytes t.net ~kind ~src ~dst ~payload_bytes ~at)
-  | Some ch ->
-      let d = Reliable.send ~overhead_bytes ch ~kind ~src ~dst ~payload_bytes ~at in
-      let sc = t.ctxs.(src).counters and dc = t.ctxs.(dst).counters in
-      sc.retransmits <- sc.retransmits + d.Reliable.retransmits;
-      sc.drops_observed <- sc.drops_observed + d.Reliable.drops_seen;
-      sc.backoff_time_ns <- sc.backoff_time_ns + d.Reliable.backoff_ns;
-      dc.duplicates_suppressed <- dc.duplicates_suppressed + d.Reliable.dups_suppressed;
-      d.Reliable.delivered_at
-
-(* ------------------------------------------------------------------ *)
-(* Crash recovery: replication at release, quorum failover              *)
-(* ------------------------------------------------------------------ *)
-
-(* Ship a snapshot of the lock's bound data to [cr_replicas] backups when
-   an exclusive holder releases.  The snapshot itself lives with the lock
-   record (the simulator's stand-in for the backups' replica stores); the
-   Replicate messages account for the wire traffic.  Replication is
-   fire-and-forget — the releaser's clock does not wait for the acks. *)
-let replicate_at_release (c : ctx) (l : Sync.lock) =
-  let t = c.machine in
-  match t.crash with
-  | None -> ()
-  | Some cr when cr.cr_broken -> ()  (* demo bug: no replicas, stale failover *)
-  | Some cr ->
-      let at = now_ns c in
-      let snapshot = Payload.read_pieces t.space ~proc:c.cid l.Sync.ranges in
-      let bytes = Payload.pieces_bytes snapshot in
-      let backups = ref [] in
-      let n = t.cfg.nprocs in
-      let candidate = ref ((c.cid + 1) mod n) in
-      while List.length !backups < cr.cr_replicas && !candidate <> c.cid do
-        if not (proto_down t !candidate ~at) then backups := !candidate :: !backups;
-        candidate := (!candidate + 1) mod n
-      done;
-      let backups = List.rev !backups in
-      List.iter
-        (fun b ->
-          c.counters.messages <- c.counters.messages + 1;
-          match send_msg t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes ~at with
-          | (_ : int) -> ()
-          | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
-        backups;
-      l.Sync.backups <- backups;
-      l.Sync.replica <- Some (l.Sync.incarnation, snapshot);
-      c.counters.replications <- c.counters.replications + List.length backups;
-      match t.log with
-      | None -> ()
-      | Some log ->
-          let lock = l.Sync.lid and backups = List.length backups in
-          Obs.record log (Event.Replicated { t = at; lock; proc = c.cid; backups; bytes })
-
-(* Quorum ownership transfer away from a suspected-dead owner.  The
-   initiator polls every reachable processor (Vote / Vote_reply round
-   trips); with a majority of the full membership — counting itself — it
-   installs the replicated bound data, applies the epoch rules (cursor
-   reset plus incarnation bump, so every stale grant and binding is
-   discarded and refetched), and takes ownership.  Returns the virtual
-   time the transfer completed, or [None] when no quorum was reachable. *)
-let crash_failover (t : t) (l : Sync.lock) ~new_owner ~suspect ~at =
-  let cr = match t.crash with Some cr -> cr | None -> invalid_arg "crash_failover: crash off" in
-  let n = t.cfg.nprocs in
-  let nc = t.ctxs.(new_owner) in
-  let votes = ref 1 (* the initiator's own ballot *) and t_votes = ref at in
-  for v = 0 to n - 1 do
-    if v <> new_owner && v <> suspect && not (proto_down t v ~at) then begin
-      nc.counters.messages <- nc.counters.messages + 1;
-      match
-        let a = send_msg t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~at in
-        send_msg t ~kind:Net.Vote_reply ~src:v ~dst:new_owner ~payload_bytes:8 ~at:a
-      with
-      | reply -> incr votes; t_votes := max !t_votes reply
-      | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ()
-    end
-  done;
-  let quorum = (n / 2) + 1 in
-  if !votes < quorum then begin
-    (match t.log with
-    | None -> ()
-    | Some log ->
-        let lock = l.Sync.lid and votes = !votes in
-        Obs.record log (Event.No_quorum { t = !t_votes; lock; proc = new_owner; suspect; votes }));
-    None
-  end
-  else begin
-    let t_done = ref !t_votes in
-    if not cr.cr_broken then begin
-      (* Epoch rules first: every processor's cursor resets, so the next
-         transfer from the new owner ships current bindings in full. *)
-      Sync.rebind_lock l ~nprocs:n ~ranges:l.Sync.ranges;
-      match l.Sync.replica with
-      | Some (_epoch, snapshot) ->
-          (* Fetch from a live backup (free when the new owner is one). *)
-          let host =
-            if List.mem new_owner l.Sync.backups then None
-            else List.find_opt (fun b -> not (proto_down t b ~at:!t_votes)) l.Sync.backups
-          in
-          let bytes = Payload.pieces_bytes snapshot in
-          (match host with
-          | Some h -> (
-              t.ctxs.(h).counters.messages <- t.ctxs.(h).counters.messages + 1;
-              t.ctxs.(h).counters.data_sent_bytes <- t.ctxs.(h).counters.data_sent_bytes + bytes;
-              match
-                send_msg t ~kind:Net.Replicate ~src:h ~dst:new_owner ~payload_bytes:bytes
-                  ~at:!t_votes
-              with
-              | deliver -> t_done := deliver
-              | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
-          | None -> ());
-          nc.counters.data_received_bytes <- nc.counters.data_received_bytes + bytes;
-          (* Installed like a freshly received full transfer. *)
-          t_done :=
-            !t_done + Detector.install_full (detector nc (lock_scheme t l.Sync.ranges)) l snapshot
-      | None ->
-          (* The owner died without ever releasing: nothing was committed,
-             so the new owner's own copy — untouched since the bind — is
-             the correct state to serve from. *)
-          ()
-    end;
-    l.Sync.owner <- new_owner;
-    l.Sync.held_by <- None;
-    l.Sync.readers <- List.filter (fun r -> not (fiber_dead_at t r ~at:!t_done)) l.Sync.readers;
-    l.Sync.free_at <- max l.Sync.free_at !t_done;
-    l.Sync.failovers <- l.Sync.failovers + 1;
-    nc.counters.failovers <- nc.counters.failovers + 1;
-    (match t.log with
-    | None -> ()
-    | Some log ->
-        Obs.record log
-          (Event.Lock_failover
-             { t0 = at; t = !t_done; lock = l.Sync.lid; from_ = suspect; to_ = new_owner;
-               epoch = l.Sync.incarnation; votes = !votes }));
-    Some !t_done
-  end
+  ecsan_access c addr 8 ~op:"write_int_private" ~access:Check.Private_write
 
 (* ------------------------------------------------------------------ *)
 (* Switching a region's backend                                        *)
@@ -679,11 +211,11 @@ let switch_region_backend t ~region_index ~to_ ~at =
         Array.iter
           (fun c -> List.iter (fun (_, d) -> Detector.forget_region d region) c.detectors)
           t.ctxs);
-    match t.log with
+    match t.emit with
     | None -> ()
-    | Some log ->
+    | Some emit ->
         let from_ = Config.backend_name from_ and to_ = Config.backend_name to_ in
-        Obs.record log (Event.Backend_switched { t = at; region = region_index; from_; to_ })
+        emit (Event.Backend_switched { t = at; region = region_index; from_; to_ })
   end
 
 let first_bound_region t ranges =
@@ -716,6 +248,13 @@ let maybe_adapt t ranges ~at =
           end)
         ranges
 
+(* ------------------------------------------------------------------ *)
+(* Transfers                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let wire_overhead (cfg : Config.t) payload =
+  Payload.descriptors payload * cfg.line_descriptor_bytes
+
 (* One collection at [c], for a transfer of the [sync] object [id]
    bound to [ranges] starting at [t0] on [c]'s clock, and its
    accounting: the counters, the adaptive policy's observation
@@ -740,12 +279,12 @@ let collect (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 run =
           Policy.note_collect p ~region:region.Region.index ~line_size:region.Region.line_size
             ~bound_bytes ~payload_bytes:app ~payload_pages:pages ~payload_runs:runs ~rebound));
   c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
-  (match t.log with
+  (match t.emit with
   | None -> ()
-  | Some log ->
+  | Some emit ->
       let pages = c.counters.pages_diffed - pages0 and scan = Detector.label d in
       let dirty_bytes = c.counters.dirty_bytes_found - dirty0 in
-      Obs.record log
+      emit
         (Event.Collect { proc = c.cid; sync; id; t0; ns; bytes = app; scan; pages; dirty_bytes }));
   (payload, ns, cursor, app)
 
@@ -756,11 +295,15 @@ let apply (c : ctx) d ~sync ~id ~ranges ~app ~deliver payload =
   let ns = Detector.apply d ~id ~ranges payload in
   c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
   c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
-  (match c.machine.log with
+  (match c.machine.emit with
   | None -> ()
-  | Some log ->
-      Obs.record log (Event.Apply { proc = c.cid; sync; id; t0 = deliver; ns; bytes = app }));
+  | Some emit ->
+      emit (Event.Apply { proc = c.cid; sync; id; t0 = deliver; ns; bytes = app }));
   ns
+
+(* ------------------------------------------------------------------ *)
+(* Lock protocol                                                       *)
+(* ------------------------------------------------------------------ *)
 
 (* Serve one pending request: runs at the releaser side (conceptually on
    its runtime thread), computes the update payload, applies it at the
@@ -804,10 +347,10 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
       l.Sync.held_by <- Some q
   | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
   l.Sync.acquires <- l.Sync.acquires + 1;
-  (match t.log with
+  (match t.emit with
   | None -> ()
-  | Some log ->
-      Obs.record log
+  | Some emit ->
+      emit
         (Event.Lock_granted
            { t = deliver + apply_ns; lock = l.Sync.lid; from_ = releaser; to_ = q;
              shared = (mode = Sync.Shared); payload_bytes = app }));
@@ -821,7 +364,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   | exception Reliable.Suspected s ->
       (* The grant raced a crash at one end of the link. *)
       let give_up = service_time + collect_ns + s.Reliable.s_elapsed_ns in
-      if fiber_dead_at t q ~at:give_up then
+      if Recovery.fiber_dead_at t q ~at:give_up then
         (* Dead requester: wake it grant-less so it terminates through
            its post-block crash check. *)
         waker ~at:give_up
@@ -832,7 +375,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
            reachable the request is parked un-granted; the run then
            surfaces as a deadlock whose diagnostics name the crashed
            processor (only a scripted majority-down plan can get here). *)
-        match crash_failover t l ~new_owner:q ~suspect:releaser ~at:give_up with
+        match Recovery.failover t l ~new_owner:q ~suspect:releaser ~at:give_up with
         | Some _ ->
             l.Sync.pending <- (q, arrival, mode, waker) :: l.Sync.pending;
             service_queue t l
@@ -850,7 +393,7 @@ and service_queue t (l : Sync.lock) =
     match l.Sync.pending with
     | [] -> ()
     | (q, arrival, _mode, waker) :: rest
-      when fiber_dead_at t q ~at:(max arrival l.Sync.free_at) ->
+      when Recovery.fiber_dead_at t q ~at:(max arrival l.Sync.free_at) ->
         l.Sync.pending <- rest;
         waker ~at:(max arrival l.Sync.free_at);
         service_queue t l
@@ -868,7 +411,7 @@ and service_queue t (l : Sync.lock) =
 let acquire_mode c l mode =
   let t = c.machine in
   Engine.yield c.proc;
-  crash_check c;
+  Recovery.crash_check c;
   (match l.Sync.held_by with
   | Some holder when holder = c.cid ->
       failwith (Printf.sprintf "Runtime.acquire: lock %d is not reentrant" l.Sync.lid)
@@ -887,20 +430,21 @@ let acquire_mode c l mode =
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
     l.Sync.acquires <- l.Sync.acquires + 1;
-    match t.log with
+    match t.emit with
     | None -> ()
-    | Some log ->
-        Obs.record log (Event.Lock_local { t = now_ns c; lock = l.Sync.lid; proc = c.cid })
+    | Some emit ->
+        let lock = l.Sync.lid and shared = mode = Sync.Shared in
+        emit (Event.Lock_local { t = now_ns c; lock; proc = c.cid; shared })
   end
   else begin
     c.counters.lock_acquires_remote <- c.counters.lock_acquires_remote + 1;
     c.counters.messages <- c.counters.messages + 1;
     let req_at = now_ns c in
-    (match t.log with
+    (match t.emit with
     | None -> ()
-    | Some log ->
+    | Some emit ->
         let lock = l.Sync.lid and shared = mode = Sync.Shared in
-        Obs.record log (Event.Lock_requested { t = req_at; lock; proc = c.cid; shared }));
+        emit (Event.Lock_requested { t = req_at; lock; proc = c.cid; shared }));
     (* With crash faults armed the request can exhaust its retries
        against a dead owner: the suspicion surfaces as
        [Reliable.Suspected], this requester initiates a quorum failover
@@ -912,21 +456,7 @@ let acquire_mode c l mode =
       match send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~at with
       | arrival -> arrival
       | exception Reliable.Suspected s ->
-          Engine.charge c.proc s.Reliable.s_elapsed_ns;
-          (* The suspicion may be about *this* processor: it crashed
-             mid-episode and the retransmissions stopped.  Charging the
-             episode advanced the clock past the stop time, so the
-             check kills the fiber here instead of failing over. *)
-          crash_check c;
-          (match crash_failover t l ~new_owner:c.cid ~suspect:dst ~at:(now_ns c) with
-          | Some t_done ->
-              if t_done > now_ns c then Engine.charge c.proc (t_done - now_ns c)
-          | None ->
-              raise
-                (Crash_unavailable
-                   (Printf.sprintf
-                      "lock %d: p%d suspects owner p%d but no majority quorum is reachable"
-                      l.Sync.lid c.cid dst)));
+          Recovery.take_over c l ~suspect:dst ~elapsed_ns:s.Reliable.s_elapsed_ns;
           request_owner ()
     in
     let arrival = request_owner () in
@@ -939,21 +469,15 @@ let acquire_mode c l mode =
         service_queue t l);
     (* The wait runs from the request leaving this processor to the grant
        (update applied) waking it. *)
-    (match t.log with
+    (match t.emit with
     | None -> ()
-    | Some log ->
+    | Some emit ->
         let lock = l.Sync.lid and t1 = now_ns c in
-        Obs.record log (Event.Acquire_wait { proc = c.cid; lock; t0 = req_at; t1 }));
+        emit (Event.Acquire_wait { proc = c.cid; lock; t0 = req_at; t1 }));
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
-    crash_check c
-  end;
-  (* Either path: the lock is held by this processor once we get here. *)
-  match c.check with
-  | Some ch ->
-      Midway_check.Check.on_acquire ch ~id:l.Sync.lid ~proc:c.cid
-        ~exclusive:(mode = Sync.Exclusive)
-  | None -> ()
+    Recovery.crash_check c
+  end
 
 let acquire c l = acquire_mode c l Sync.Exclusive
 
@@ -962,79 +486,56 @@ let acquire_read c l = acquire_mode c l Sync.Shared
 let release c l =
   let t = c.machine in
   Engine.yield c.proc;
-  crash_check c;
+  Recovery.crash_check c;
   Engine.charge c.proc t.cfg.release_ns;
-  (match t.log with
+  let exclusive = match l.Sync.held_by with Some holder -> holder = c.cid | None -> false in
+  if not (exclusive || List.mem c.cid l.Sync.readers) then
+    failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid);
+  (match t.emit with
   | None -> ()
-  | Some log ->
-      Obs.record log (Event.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid }));
-  let ecsan_release () =
-    match c.check with
-    | Some ch -> Midway_check.Check.on_release ch ~id:l.Sync.lid ~proc:c.cid
-    | None -> ()
-  in
-  match l.Sync.held_by with
-  | Some holder when holder = c.cid ->
-      ecsan_release ();
-      (* The release commits this critical section: with crash faults
-         armed, snapshot the bound data to the backup processors before
-         anyone else can acquire.  A holder that crashes mid-section thus
-         reverts to exactly this committed state at failover. *)
-      replicate_at_release c l;
-      l.Sync.held_by <- None;
-      l.Sync.free_at <- now_ns c;
-      (* A release with no outstanding holders is the adaptive safe
-         point: pending requesters are served *after* any switch, which
-         the epoch bump turns into full transfers. *)
-      maybe_adapt t l.Sync.ranges ~at:(now_ns c);
+  | Some emit ->
+      emit (Event.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid }));
+  if exclusive then begin
+    (* The release commits this critical section: with crash faults
+       armed, snapshot the bound data to the backup processors before
+       anyone else can acquire.  A holder that crashes mid-section thus
+       reverts to exactly this committed state at failover. *)
+    Recovery.replicate c l;
+    l.Sync.held_by <- None;
+    l.Sync.free_at <- now_ns c;
+    (* A release with no outstanding holders is the adaptive safe
+       point: pending requesters are served *after* any switch, which
+       the epoch bump turns into full transfers. *)
+    maybe_adapt t l.Sync.ranges ~at:(now_ns c);
+    service_queue t l
+  end
+  else begin
+    l.Sync.readers <- List.filter (fun p -> p <> c.cid) l.Sync.readers;
+    if l.Sync.readers = [] then begin
+      l.Sync.free_at <- max l.Sync.free_at (now_ns c);
       service_queue t l
-  | _ ->
-      if List.mem c.cid l.Sync.readers then begin
-        ecsan_release ();
-        l.Sync.readers <- List.filter (fun p -> p <> c.cid) l.Sync.readers;
-        if l.Sync.readers = [] then begin
-          l.Sync.free_at <- max l.Sync.free_at (now_ns c);
-          service_queue t l
-        end
-      end
-      else
-        failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid)
+    end
+  end
 
 let rebind c l ranges =
   Engine.yield c.proc;
-  crash_check c;
+  Recovery.crash_check c;
   (match l.Sync.held_by with
   | Some holder when holder = c.cid -> ()
   | _ -> failwith (Printf.sprintf "Runtime.rebind: lock %d not held by p%d" l.Sync.lid c.cid));
   Engine.charge c.proc c.machine.cfg.release_ns;
   Sync.rebind_lock l ~nprocs:c.machine.cfg.nprocs ~ranges;
-  (match c.check with
-  | Some ch -> Midway_check.Check.on_rebind ch ~id:l.Sync.lid ~raw:(raw_pairs ranges)
-  | None -> ());
-  match c.machine.log with
+  match c.machine.emit with
   | None -> ()
-  | Some log ->
+  | Some emit ->
       let lock = l.Sync.lid and bound_bytes = Sync.lock_bound_bytes l in
-      Obs.record log (Event.Lock_rebound { t = now_ns c; lock; proc = c.cid; bound_bytes })
+      emit
+        (Event.Lock_rebound
+           { t = now_ns c; lock; proc = c.cid; bound_bytes; ranges = raw_pairs ranges })
 
 (* ------------------------------------------------------------------ *)
 (* Barrier protocol                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* With crash faults armed a barrier completes once every participant
-   whose fiber can still arrive has arrived: crash-stopped processors
-   that never reached the barrier are not waited for (their fibers are
-   gone), while a crashed processor that *did* arrive keeps its
-   contribution.  Without crash faults this is the exact all-arrived
-   condition. *)
-let barrier_ready (t : t) (b : Sync.barrier) =
-  let n = List.length b.Sync.arrived in
-  match t.crash with
-  | None -> n = b.Sync.participants
-  | Some _ ->
-      let missing p = not (List.exists (fun a -> a.Sync.a_proc = p) b.Sync.arrived) in
-      let dead_missing = List.length (List.filter missing (killed_procs t)) in
-      n > 0 && n >= b.Sync.participants - dead_missing
 
 (* All participants have arrived: merge their modifications and send each
    processor what the others produced. *)
@@ -1069,7 +570,7 @@ let barrier_release t (b : Sync.barrier) =
   List.iter
     (fun a ->
       let p = a.Sync.a_proc in
-      if fiber_dead_at t p ~at:t_release then
+      if Recovery.fiber_dead_at t p ~at:t_release then
         (* The arrival's contribution was already merged, but the fiber
            is gone: wake it without a release grant so it terminates
            through its post-block crash check. *)
@@ -1102,35 +603,35 @@ let barrier_release t (b : Sync.barrier) =
       a.Sync.a_waker ~at:(deliver + apply_ns)
       end)
     arrivals;
-  (match t.log with
+  (match t.emit with
   | None -> ()
-  | Some log ->
+  | Some emit ->
       let barrier = b.Sync.bid and episode = b.Sync.episode in
-      Obs.record log (Event.Barrier_completed { t = t_release; barrier; episode }));
+      emit (Event.Barrier_completed { t = t_release; barrier; episode }));
   b.Sync.episode <- b.Sync.episode + 1;
   b.Sync.crossings <- b.Sync.crossings + 1;
   b.Sync.arrived <- [];
   (* Barrier-bound regions adapt here: the episode is over, every
      mailbox is drained, and the next episode's collections run under
      whatever the switch installs. *)
-  maybe_adapt t b.Sync.branges ~at:t_release;
-  match t.checker with
-  | Some ch -> Midway_check.Check.on_barrier_complete ch ~id:b.Sync.bid
-  | None -> ()
+  maybe_adapt t b.Sync.branges ~at:t_release
 
 let barrier c b =
   let t = c.machine in
   Engine.yield c.proc;
-  crash_check c;
+  Recovery.crash_check c;
   c.counters.barrier_crossings <- c.counters.barrier_crossings + 1;
   if b.Sync.participants = 1 then begin
     (* Degenerate (uniprocessor) barrier: no consumers, so no collection
        takes place — the paper's uniprocessor VM run "never diffs or write
-       protects a page, since the data is never transferred". *)
+       protects a page, since the data is never transferred".  It records
+       no event, so ECSan hears of the crossing directly. *)
     b.Sync.episode <- b.Sync.episode + 1;
     b.Sync.crossings <- b.Sync.crossings + 1;
     match t.checker with
-    | Some ch -> Midway_check.Check.on_barrier_complete ch ~id:b.Sync.bid
+    | Some ch ->
+        Check.on_barrier_complete ch ~id:b.Sync.bid;
+        Check.on_barrier_cross ch ~id:b.Sync.bid ~proc:c.cid
     | None -> ()
   end
   else begin
@@ -1158,18 +659,16 @@ let barrier c b =
       | exception Reliable.Suspected s ->
           Engine.charge c.proc s.Reliable.s_elapsed_ns;
           (* A dead *sender* dies here rather than retrying forever. *)
-          crash_check c;
-          (match lowest_live_fiber t ~at:(now_ns c) with
-          | Some m -> b.Sync.manager <- m
-          | None -> ());
+          Recovery.crash_check c;
+          Recovery.reassign_manager t b ~at:(now_ns c);
           send_arrival ()
     in
     let deliver = send_arrival () in
-    (match t.log with
+    (match t.emit with
     | None -> ()
-    | Some log ->
+    | Some emit ->
         let barrier = b.Sync.bid and proc = c.cid and payload_bytes = app in
-        Obs.record log (Event.Barrier_arrived { t = now_ns c; barrier; proc; payload_bytes }));
+        emit (Event.Barrier_arrived { t = now_ns c; barrier; proc; payload_bytes }));
     let wait0 = now_ns c in
     Engine.block c.proc
       ~reason:(Printf.sprintf "barrier %d (episode %d)" b.Sync.bid b.Sync.episode)
@@ -1185,68 +684,14 @@ let barrier c b =
                 a_stamp = cursor;
               };
             ];
-        if barrier_ready t b then barrier_release t b);
-    (match t.log with
+        if Recovery.barrier_ready t b then barrier_release t b);
+    (match t.emit with
     | None -> ()
-    | Some log ->
+    | Some emit ->
         let barrier = b.Sync.bid and t1 = now_ns c in
-        Obs.record log (Event.Barrier_wait { proc = c.cid; barrier; t0 = wait0; t1 }));
-    crash_check c
-  end;
-  (* Either path: this processor completed a crossing. *)
-  match c.check with
-  | Some ch -> Midway_check.Check.on_barrier_cross ch ~id:b.Sync.bid ~proc:c.cid
-  | None -> ()
-
-(* Protocol fallout of a fiber crash-stopping, run from the engine's kill
-   observer (scheduler context: no engine effects, but wakes are fine).
-   Held and managed state moves to live processors so waiters unblock
-   with a grant instead of deadlocking: held locks fail over by quorum,
-   barrier managership is reassigned, and barriers whose only missing
-   participants are dead complete. *)
-let crash_fallout t ~proc:p ~reason:_ ~at =
-  match t.crash with
-  | None -> ()
-  | Some cr ->
-      cr.cr_killed.(p) <- true;
-      (match t.log with
-      | None -> ()
-      | Some log -> Obs.record log (Event.Proc_crashed { t = at; proc = p }));
-      List.iter
-        (fun (l : Sync.lock) ->
-          if List.mem p l.Sync.readers then begin
-            l.Sync.readers <- List.filter (fun r -> r <> p) l.Sync.readers;
-            if l.Sync.readers = [] then l.Sync.free_at <- max l.Sync.free_at at
-          end;
-          let needs_failover =
-            match l.Sync.held_by with
-            | Some h -> h = p
-            | None -> l.Sync.owner = p && l.Sync.pending <> []
-          in
-          (if needs_failover then
-             (* Prefer the head live waiter (it becomes the owner the
-                queue is then served from); otherwise the lowest live
-                processor inherits the protocol state. *)
-             let new_owner =
-               match
-                 List.find_opt (fun (q, _, _, _) -> not (fiber_dead_at t q ~at)) l.Sync.pending
-               with
-               | Some (q, _, _, _) -> Some q
-               | None -> lowest_live_fiber t ~at
-             in
-             match new_owner with
-             | Some q when q <> p -> ignore (crash_failover t l ~new_owner:q ~suspect:p ~at)
-             | Some _ | None -> ());
-          service_queue t l)
-        t.locks;
-      List.iter
-        (fun (b : Sync.barrier) ->
-          if b.Sync.manager = p then
-            (match lowest_live_fiber t ~at with
-            | Some m -> b.Sync.manager <- m
-            | None -> ());
-          if b.Sync.arrived <> [] && barrier_ready t b then barrier_release t b)
-        t.barriers
+        emit (Event.Barrier_wait { proc = c.cid; barrier; t0 = wait0; t1 }));
+    Recovery.crash_check c
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -1285,7 +730,7 @@ let deadlock_diagnostics t =
       t.barriers
   in
   let crash_lines =
-    match killed_procs t with [] -> [] | dead -> [ procs_note "  crash-stopped: " dead ]
+    match Recovery.killed_procs t with [] -> [] | dead -> [ procs_note "  crash-stopped: " dead ]
   in
   String.concat "\n" (lock_lines @ barrier_lines @ crash_lines)
 
@@ -1299,35 +744,22 @@ let run_each t bodies =
      a worker splits and rebinds, so this runs exactly once, here.) *)
   (match t.checker with
   | Some ch ->
-      Midway_check.Check.lint ch
+      Check.lint ch
         ~region_kind:(fun addr ->
           match Space.find_region t.space addr with
           | Some r -> if r.Region.kind = Region.Shared then `Shared else `Private
           | None -> `Unmapped)
   | None -> ());
-  (match t.crash with
-  | Some _ ->
-      Engine.set_kill_observer t.engine
-        (Some (fun ~proc ~reason ~at -> crash_fallout t ~proc ~reason ~at))
-  | None -> ());
+  Engine.set_kill_observer t.engine
+    (Some
+       (fun ~proc ~reason:_ ~at -> Recovery.fallout t ~service_queue ~barrier_release ~proc ~at));
   Array.iteri (fun i body -> Engine.spawn t.engine i (fun _proc -> body t.ctxs.(i))) bodies;
   (try Engine.run t.engine
    with Engine.Deadlock msg ->
      let detail = deadlock_diagnostics t in
      raise
        (Engine.Deadlock (if detail = "" then msg else Printf.sprintf "%s\n%s" msg detail)));
-  (* Epilogue: crash-recovery events that fell inside the run rejoined
-     the protocol silently (liveness is a pure function of the plan);
-     surface them in the event log. *)
-  match (t.crash, t.log) with
-  | None, _ | _, None -> ()
-  | Some cr, Some log ->
-      let horizon = Engine.elapsed t.engine in
-      List.iter
-        (fun (e : Crash.event) ->
-          if e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then
-            Obs.record log (Event.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc }))
-        (Crash.events cr.cr_plan)
+  Recovery.epilogue t
 
 let run t body = run_each t (Array.make t.cfg.nprocs body)
 
@@ -1367,13 +799,12 @@ let check_invariants t =
      crash-stopped processor legitimately leaves its lost in-section
      writes locally dirty: they were never collected and the failover
      reverted everyone else to the replica. *)
-  let killed p = match t.crash with Some cr -> cr.cr_killed.(p) | None -> false in
   Array.iter
     (fun (c : ctx) ->
       List.iter
         (fun (scheme, d) ->
           let unowned =
-            if t.cfg.untargetted || killed c.cid then []
+            if t.cfg.untargetted || t.recovery.killed.(c.cid) then []
             else
               List.filter
                 (fun (l : Sync.lock) ->
@@ -1406,7 +837,7 @@ let check_invariants t =
   | Some ch ->
       let expect what id ranges =
         let mine = raw_pairs (Range.normalize ranges) in
-        let index = Midway_check.Check.current_ranges ch ~id in
+        let index = Check.current_ranges ch ~id in
         if mine <> index then
           report "%s %d: sanitizer binding index out of sync (%d vs %d range(s))" what id
             (List.length index) (List.length mine)
@@ -1419,7 +850,7 @@ let check_invariants t =
 let check_report t =
   match t.checker with
   | None -> Midway_check.Report.disabled
-  | Some ch -> Midway_check.Check.report ch
+  | Some ch -> Check.report ch
 
 let elapsed_ns t = Engine.elapsed t.engine
 
@@ -1428,6 +859,8 @@ let proc_clock_ns t i = Engine.clock_of t.engine i
 let schedule_choices t = Engine.choices t.engine
 
 (* --- crash-fault introspection (empty / full / zero when crash off) --- *)
+
+let killed_procs = Recovery.killed_procs
 
 let failover_count t =
   List.fold_left (fun acc (l : Sync.lock) -> acc + l.Sync.failovers) 0 t.locks

@@ -27,7 +27,8 @@ type ctx
 
 val create : Config.t -> t
 (** Raises [Invalid_argument] for a [Standalone] configuration with more
-    than one processor. *)
+    than one processor, and for a crash plan ({!Config.t.crash}) that
+    names a processor the machine lacks. *)
 
 val config : t -> Config.t
 
@@ -48,7 +49,9 @@ val log : t -> Midway_obs.Obs.t option
     barrier arrivals and completions, collections, applies, waits,
     scheduler blocks, reliable-channel exchanges, crashes, recoveries,
     replications, failovers and backend switches — and builds none
-    when the log is unarmed.  Its tail is the text that
+    when neither the log nor ECSan, the stream's other subscriber, is
+    armed.  A failed operation (a release of a lock the caller does not
+    hold) records nothing.  Its tail is the text that
     [midway-run --trace N] prints and the context of ECSan findings. *)
 
 val obs : t -> Midway_obs.Obs.t option

@@ -499,11 +499,7 @@ let crashy_with ~name ~buggy ~broken ~iters =
           invalid_arg (name ^ " needs at least 3 processors (majority quorum with one down)");
         let cfg =
           match cfg.Config.crash with
-          | Some cr when cr.Config.broken_failover = broken -> cfg
-          | Some cr ->
-              Config.with_crash ~replicas:cr.Config.replicas
-                ~suspect_attempts:cr.Config.suspect_attempts ~broken
-                ~watchdog_ns:cr.Config.watchdog_ns cr.Config.plan cfg
+          | Some cr -> Config.with_crash ~broken cr.Config.plan cfg
           | None ->
               let plan =
                 Crash.scripted

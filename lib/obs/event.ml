@@ -1,11 +1,12 @@
 (** Protocol events: one typed record per fact the runtime observes.
 
     The runtime builds one event at the one site where its fact happens,
-    and only when an {!Obs} log is armed.  Every view of a run is
-    computed from these records: the text tail ([midway-run --trace N],
-    the ECSan and fuzzer failure context) from {!to_string}, the
-    Perfetto spans and the metrics registry from {!Obs.spans} and
-    {!Obs.metrics}.  All times are simulated nanoseconds.
+    and only when a subscriber is armed: an {!Obs} log, or ECSan's
+    synchronization side.  Every view of a run is computed from these
+    records: the text tail ([midway-run --trace N], the ECSan and fuzzer
+    failure context) from {!to_string}, the Perfetto spans and the
+    metrics registry from {!Obs.spans} and {!Obs.metrics}.  All times
+    are simulated nanoseconds.
 
     Protocol steps are instants.  Interval events carry their start and
     end (or duration) and are recorded when they end. *)
@@ -23,10 +24,11 @@ type t =
       shared : bool;
       payload_bytes : int;
     }
-  | Lock_local of { t : int; lock : int; proc : int }
+  | Lock_local of { t : int; lock : int; proc : int; shared : bool }
       (** acquisition satisfied locally, no messages *)
-  | Lock_released of { t : int; lock : int; proc : int }
-  | Lock_rebound of { t : int; lock : int; proc : int; bound_bytes : int }
+  | Lock_released of { t : int; lock : int; proc : int }  (** only by a release that succeeds *)
+  | Lock_rebound of { t : int; lock : int; proc : int; bound_bytes : int; ranges : (int * int) list }
+      (** [ranges]: the caller's [(addr, len)] list, before normalization *)
   | Barrier_arrived of { t : int; barrier : int; proc : int; payload_bytes : int }
   | Barrier_completed of { t : int; barrier : int; episode : int }
   | Proc_crashed of { t : int; proc : int }

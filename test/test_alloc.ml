@@ -95,6 +95,24 @@ let read_f64 c _ ~shared ~priv:_ =
     ignore (Sys.opaque_identity (R.read_f64 c (shared + ((i land 4095) lsl 3))))
   done
 
+(* A local acquire+release pair on the machine's one lock, every optional
+   layer off: what the unarmed synchronization path costs per pair. *)
+let sync_pair_words () =
+  let m = R.create (Config.make Config.Rt ~nprocs:1) in
+  let cell = R.alloc m 8 in
+  let lock = R.new_lock m [ Range.v cell 8 ] in
+  let result = ref nan in
+  R.run m (fun c ->
+      R.acquire c lock;
+      R.release c lock;
+      let before = allocated_words () in
+      for _ = 1 to ops do
+        R.acquire c lock;
+        R.release c lock
+      done;
+      result := (allocated_words () -. before) /. float_of_int ops);
+  !result
+
 let gate name ~below body =
   Alcotest.test_case name `Quick (fun () ->
       let w = words_per_op body in
@@ -114,5 +132,9 @@ let () =
           gate "private write_f64" ~below:0.01 write_f64_private;
           (* the two words are the float result's box *)
           gate "read_f64" ~below:2.01 read_f64;
+          Alcotest.test_case "local acquire+release" `Quick (fun () ->
+              let w = sync_pair_words () in
+              if not (w < 57.) then
+                Alcotest.failf "local acquire+release: %.4f words/pair (gate: < 57)" w);
         ] );
     ]

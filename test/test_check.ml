@@ -1,6 +1,6 @@
 (* ECSan: the entry-consistency sanitizer.
 
-   Four layers of tests:
+   Five layers of tests:
    - the five paper applications (plus water's lock-per-molecule sync
      style, which the scaled suite does not exercise) must be
      sanitizer-clean at smoke scale;
@@ -8,6 +8,7 @@
      MIDWAY_ECSAN=1, and examples/races.exe must find its own bugs;
    - five seeded-race programs (mirroring examples/races.ml) must each
      report exactly the intended diagnostic class, processor and range;
+   - ECSan's report must not depend on whether an event log is armed;
    - unit tests for the checker's own algebra (intervals, binding index,
      deduplication). *)
 
@@ -215,6 +216,42 @@ let seeded_cases =
     seeded_case "stale binding access" Diag.Stale_binding_access seed_stale;
   ]
 
+(* --- ECSan reads no log ---------------------------------------------------- *)
+
+(* ECSan's synchronization side reads the protocol's event stream, which
+   the log shares: arming a log must change none of its findings.  Each
+   program runs with ECSan alone, with a bounded log and with the full
+   observability log; the reports must agree in everything but the
+   context lines a log adds to a first occurrence. *)
+let log_independent name =
+  Alcotest.test_case (name ^ ": one report, log or not") `Quick (fun () ->
+      let w =
+        match Midway_explore.Explore.workload_of_name name with
+        | Ok w -> w
+        | Error e -> Alcotest.fail e
+      in
+      let report log =
+        let cfg = log (ecsan_cfg Config.Rt ~nprocs:4) in
+        match (w.Midway_explore.Workload.run cfg).Midway_explore.Workload.machine with
+        | None -> Alcotest.failf "%s lost its machine" name
+        | Some m ->
+            let rep = R.check_report m in
+            let strip (v : Diag.violation) = { v with Diag.context = [] } in
+            { rep with Report.violations = List.map strip rep.Report.violations }
+      in
+      let alone = report Fun.id in
+      if name <> "water" && alone.Report.violations = [] then
+        Alcotest.failf "%s: ECSan found nothing" name;
+      List.iter
+        (fun (what, log) ->
+          if report log <> alone then Alcotest.failf "%s: the report changes %s" name what)
+        [
+          ("with a bounded log", fun cfg -> { cfg with Config.trace_capacity = 64 });
+          ("with the full log", fun cfg -> { cfg with Config.obs = true });
+        ])
+
+let log_cases = List.map log_independent [ "racy"; "ecgen-buggy:1"; "water" ]
+
 (* --- static lint --------------------------------------------------------- *)
 
 let lint_findings machine =
@@ -353,6 +390,7 @@ let () =
       ("apps-clean", app_cases);
       ("examples-clean", example_cases);
       ("seeded-races", seeded_cases);
+      ("log-independent", log_cases);
       ("lint", lint_cases);
       ("unit", unit_cases);
     ]

@@ -635,7 +635,7 @@ let test_barrier_validation () =
 module Obs = Midway_obs.Obs
 module Event = Midway_obs.Event
 
-let local i = Event.Lock_local { t = i; lock = 0; proc = 0 }
+let local i = Event.Lock_local { t = i; lock = 0; proc = 0; shared = false }
 
 let times log = List.map Event.time (Obs.events log)
 

@@ -300,6 +300,20 @@ let test_release_requires_holding () =
   R.run machine (fun c -> try R.release c lock with Failure _ -> raised := true);
   Alcotest.(check bool) "release without holding rejected" true !raised
 
+(* A release that fails records no release: the log (and ECSan, which
+   reads the same events) never hears of a release that did not happen. *)
+let test_failed_release_logs_nothing () =
+  let cfg = { (Config.make Config.Rt ~nprocs:1) with Config.trace_capacity = 16 } in
+  let machine = R.create cfg in
+  let a = R.alloc machine 8 in
+  let lock = R.new_lock machine [ Range.v a 8 ] in
+  let raised = ref false in
+  R.run machine (fun c -> try R.release c lock with Failure _ -> raised := true);
+  Alcotest.(check bool) "release without holding rejected" true !raised;
+  let events = Midway_obs.Obs.events (Option.get (R.log machine)) in
+  Alcotest.(check bool) "no release recorded" false
+    (List.exists (function Midway_obs.Event.Lock_released _ -> true | _ -> false) events)
+
 let test_standalone_multiproc_rejected () =
   Alcotest.check_raises "standalone is uniprocessor"
     (Invalid_argument "Runtime.create: the standalone backend is uniprocessor only") (fun () ->
@@ -812,6 +826,34 @@ let test_tracing_disabled_by_default () =
   Alcotest.(check bool) "no log armed" true (R.log machine = None);
   Alcotest.(check bool) "no obs view" true (R.obs machine = None)
 
+(* --- crash recovery ------------------------------------------------------------ *)
+
+module Crash = Midway_simnet.Crash
+
+let test_crash_plan_out_of_range () =
+  let plan = Crash.scripted [ { Crash.at_ns = 1_000; proc = 7; action = Crash.Stop } ] in
+  Alcotest.check_raises "p7 on a 4-processor machine"
+    (Invalid_argument "Runtime.create: the crash plan names p7 but the machine has 4 processors")
+    (fun () -> ignore (R.create (Config.with_crash plan (Config.make Config.Rt ~nprocs:4))))
+
+(* Unarmed, the recovery state has no watchdog: a run that works past the
+   armed watchdog's 300 s of virtual time still completes whole. *)
+let test_unarmed_no_watchdog () =
+  let machine = R.create (Config.make Config.Rt ~nprocs:2) in
+  let a = R.alloc machine ~line_size:8 8 in
+  let lock = R.new_lock machine [ Range.v a 8 ] in
+  let seen = Array.make 2 (-1) in
+  R.run machine (fun c ->
+      R.work_ns c 400_000_000_000;
+      R.acquire c lock;
+      seen.(R.id c) <- R.read_int c a;
+      R.write_int c a (seen.(R.id c) + 1);
+      R.release c lock);
+  Alcotest.(check (list int)) "nobody killed" [] (R.killed_procs machine);
+  Alcotest.(check bool) "ran past 300 s" true (R.elapsed_ns machine > 300_000_000_000);
+  Alcotest.(check (list int)) "both critical sections ran" [ 0; 1 ]
+    (List.sort compare (Array.to_list seen))
+
 (* --- barrier-phase random coherence ------------------------------------------ *)
 
 let barrier_coherence_random backend =
@@ -987,6 +1029,8 @@ let () =
           Alcotest.test_case "local acquire free" `Quick test_local_acquire_free;
           Alcotest.test_case "reacquire rejected" `Quick test_reacquire_rejected;
           Alcotest.test_case "release requires holding" `Quick test_release_requires_holding;
+          Alcotest.test_case "failed release logs nothing" `Quick
+            test_failed_release_logs_nothing;
         ] );
       ( "barriers",
         [
@@ -1071,6 +1115,11 @@ let () =
         [
           Alcotest.test_case "records protocol events" `Quick test_runtime_tracing;
           Alcotest.test_case "disabled by default" `Quick test_tracing_disabled_by_default;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "out-of-range plan rejected" `Quick test_crash_plan_out_of_range;
+          Alcotest.test_case "unarmed: no watchdog" `Quick test_unarmed_no_watchdog;
         ] );
       ( "vm-fine",
         [
