@@ -26,4 +26,12 @@ expect_usage_error --scale ./midway_run.exe sor --scale=-1
 expect_usage_error --scale ./midway_fuzz.exe --scale=-1 --apps counter
 expect_usage_error --scale ./experiments.exe --scale=-1 --only table1
 expect_usage_error --requests ./midway_kv.exe --requests 10 --nprocs 4
+expect_usage_error --faults ./experiments.exe --faults drop=1.5
+expect_usage_error --faults ./experiments.exe --faults dup=-0.5
+expect_usage_error --faults ./experiments.exe --faults jitter=-5000
+expect_usage_error --faults ./midway_fuzz.exe --faults 1.5 --apps counter
+expect_usage_error --only ./experiments.exe --only nope
+expect_usage_error --scale ./fingerprint.exe --scale abc
+expect_usage_error --scale ./fingerprint.exe --scale 0
+expect_usage_error --nprocs ./fingerprint.exe --nprocs 0
 exit $status

@@ -19,6 +19,9 @@ let positive = bounded Arg.int ~ok:(fun n -> n >= 1) ~expect:"expected an intege
 let non_negative = bounded Arg.int ~ok:(fun n -> n >= 0) ~expect:"expected an integer >= 0"
 let positive_float = bounded Arg.float ~ok:(fun x -> x > 0.) ~expect:"expected a number > 0"
 
+let probability =
+  bounded Arg.float ~ok:(fun p -> p >= 0. && p <= 1.) ~expect:"expected a probability in [0, 1]"
+
 let nprocs ?(names = [ "nprocs"; "n" ]) ?doc default =
   Arg.(value & opt positive default & info names ~docv:"N" ?doc)
 

@@ -56,22 +56,7 @@ let print_outcome label (o : Midway_apps.Outcome.t) =
            (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (counter_fields c))))
     (Midway.Runtime.all_counters machine)
 
-let () =
-  let scale = ref 0.1 and nprocs = ref 8 in
-  let rec parse = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        parse rest
-    | "--nprocs" :: v :: rest ->
-        nprocs := int_of_string v;
-        parse rest
-    | a :: _ ->
-        Printf.eprintf "unknown argument %S\n" a;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let scale = !scale and nprocs = !nprocs in
+let run scale nprocs =
   Printf.printf "fingerprint scale=%.3f nprocs=%d\n" scale nprocs;
   let rt_mode_cfgs =
     List.map
@@ -107,3 +92,17 @@ let () =
     (Midway_report.Suite.run_app Midway_report.Suite.Quicksort
        (Config.make Config.Blast ~nprocs)
        ~scale)
+
+open Cmdliner
+module Cli = Midway_cli.Cli
+
+let cmd =
+  Cmd.v
+    (Cmd.info "midway-fingerprint"
+       ~doc:"print the simulated time and every counter of every scheme's runs")
+    Term.(
+      const run
+      $ Cli.scale ~names:[ "scale" ] ~doc:"Application problem scale." 0.1
+      $ Cli.nprocs ~names:[ "nprocs" ] ~doc:"Simulated processors." 8)
+
+let () = exit (Cmd.eval cmd)

@@ -252,7 +252,7 @@ let scale = Cli.scale ~doc:"Application problem scale (applications only)." 0.05
 let faults =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some Cli.probability) None
     & info [ "faults" ] ~docv:"RATE"
         ~doc:
           "Compose fault schedules with thread schedules: drop each message copy with \

@@ -2,11 +2,8 @@ module Texttab = Midway_util.Texttab
 
 let render ~app ~scale ~procs =
   let time backend nprocs =
-    let cfg = Midway.Config.make backend ~nprocs in
-    let o = Suite.run_app app cfg ~scale in
-    if not o.Midway_apps.Outcome.ok then
-      failwith (Printf.sprintf "speedup: %s failed verification" (Suite.app_name app));
-    Midway_apps.Outcome.elapsed_s o
+    Midway_apps.Outcome.elapsed_s
+      (Suite.check (Suite.run_app app (Midway.Config.make backend ~nprocs) ~scale))
   in
   let standalone = time Midway.Config.Standalone 1 in
   let t =

@@ -7,4 +7,4 @@
 val render : app:Suite.app -> scale:float -> procs:int list -> string
 (** Run the application under RT-DSM and VM-DSM at each processor count
     (plus the uniprocessor standalone baseline) and render a table of
-    times and speedups. *)
+    times and speedups.  Every run passes {!Suite.check}. *)

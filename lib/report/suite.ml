@@ -53,17 +53,17 @@ type t = {
 let check outcome =
   if not outcome.Midway_apps.Outcome.ok then
     failwith
-      (Printf.sprintf "suite: %s failed oracle verification" outcome.Midway_apps.Outcome.app);
+      (Printf.sprintf "%s failed oracle verification" outcome.Midway_apps.Outcome.app);
   (match Midway.Runtime.check_invariants outcome.Midway_apps.Outcome.machine with
   | [] -> ()
   | violations ->
       failwith
-        (Printf.sprintf "suite: %s violated protocol invariants: %s"
+        (Printf.sprintf "%s violated protocol invariants: %s"
            outcome.Midway_apps.Outcome.app (String.concat "; " violations)));
   let rep = Midway.Runtime.check_report outcome.Midway_apps.Outcome.machine in
   if Midway_check.Report.has_violations rep then
     failwith
-      (Printf.sprintf "suite: ECSan found violations in %s:\n%s"
+      (Printf.sprintf "ECSan found violations in %s:\n%s"
          outcome.Midway_apps.Outcome.app
          (Midway_check.Report.render rep));
   outcome

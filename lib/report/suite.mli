@@ -25,6 +25,12 @@ type entry = {
   standalone : Midway_apps.Outcome.t;
 }
 
+val check : Midway_apps.Outcome.t -> Midway_apps.Outcome.t
+(** The verdict every reported run must pass: its oracle, the protocol
+    invariants ({!Midway.Runtime.check_invariants}) and, when the run
+    armed it, the entry-consistency sanitizer.  Returns the outcome;
+    raises [Failure] naming the run and what it failed. *)
+
 type t = {
   nprocs : int;
   scale : float;
@@ -41,11 +47,10 @@ val run :
   scale:float ->
   unit ->
   t
-(** Execute the suite.  Raises [Failure] if any application fails its
-    oracle verification — a benchmark number from an incoherent run would
-    be meaningless.  With [ecsan] (default false) every run also executes
-    under the entry-consistency sanitizer and any violation is likewise a
-    [Failure].  With [obs] (default false) every run carries the
+(** Execute the suite, every run through {!check} — a benchmark number
+    from an incoherent run would be meaningless.  With [ecsan] (default
+    false) every run also executes under the entry-consistency
+    sanitizer.  With [obs] (default false) every run carries the
     observability layer, readable afterwards through
     {!Midway.Runtime.obs} on each entry's machine. *)
 

@@ -213,13 +213,26 @@ let test_speedup_render () =
   Alcotest.(check bool) "mentions app" true (contains out "sor");
   Alcotest.(check bool) "has speedup column" true (contains out "speedup")
 
+let test_ablations_render () =
+  let out = Midway_report.Ablations.render ~scale:0.05 ~nprocs:4 in
+  let titles =
+    List.filter (fun l -> contains l "Ablation:") (String.split_on_char '\n' out)
+  in
+  Alcotest.(check int) "six tables" 6 (List.length titles);
+  Alcotest.(check bool) "every backend" true
+    (List.for_all
+       (fun b -> contains out ("| " ^ b ^ " "))
+       [ "rt"; "vm"; "vm-fine"; "twin"; "blast" ])
+
 let test_suite_rejects_failures () =
-  (* the suite refuses to report unverified runs; simulate by checking the
-     exception type is a Failure (we cannot easily force a failure without
-     breaking an app, so assert the check function exists via a passing
-     run). *)
+  (* every reported run passes Suite.check, which refuses an unverified
+     one by name *)
   let s = Lazy.force suite in
-  Alcotest.(check bool) "verified suite" true (List.for_all (fun e -> e.Suite.rt.Midway_apps.Outcome.ok) s.Suite.entries)
+  let o = (List.hd s.Suite.entries).Suite.rt in
+  Alcotest.(check bool) "verified run passes" true (Suite.check o == o);
+  Alcotest.check_raises "oracle failure"
+    (Failure (o.Midway_apps.Outcome.app ^ " failed oracle verification"))
+    (fun () -> ignore (Suite.check { o with Midway_apps.Outcome.ok = false }))
 
 let () =
   Alcotest.run "report"
@@ -246,6 +259,7 @@ let () =
           Alcotest.test_case "break-even math" `Quick test_break_even_math;
           Alcotest.test_case "sweep render" `Quick test_sweep_render;
           Alcotest.test_case "speedup render" `Quick test_speedup_render;
+          Alcotest.test_case "ablations render" `Quick test_ablations_render;
           Alcotest.test_case "csv export" `Quick test_csv;
           Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
           Alcotest.test_case "markdown export" `Quick test_markdown;
