@@ -1,8 +1,10 @@
 #!/bin/sh
 # Bad numeric flags must be usage errors: each invocation below has to
 # exit nonzero, but not with 125 (cmdliner's code for an uncaught
-# exception), and has to name the offending flag on stderr.  Run from
-# the directory holding the built tools:  sh check_bad_flags.sh
+# exception), and has to name the offending flag on stderr.  A size an
+# app cannot run at is refused only by an invocation that runs the app
+# at it: the invocations at the end must succeed.  Run from the
+# directory holding the built tools:  sh check_bad_flags.sh
 status=0
 expect_usage_error() {
   flag=$1
@@ -34,4 +36,18 @@ expect_usage_error --only ./experiments.exe --only nope
 expect_usage_error --scale ./fingerprint.exe --scale abc
 expect_usage_error --scale ./fingerprint.exe --scale 0
 expect_usage_error --nprocs ./fingerprint.exe --nprocs 0
+expect_usage_error --nprocs ./midway_run.exe sor --nprocs 64 --scale 0.05
+expect_usage_error --scale ./midway_run.exe sor --nprocs 64 --scale 0.05
+expect_usage_error --nprocs ./experiments.exe --nprocs 64 --scale 0.05 --apps sor --only table2
+expect_usage_error --scale ./experiments.exe --nprocs 64 --scale 0.05 --apps sor --only table2
+expect_success() {
+  "$@" >/dev/null 2>&1
+  code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "exit $code, expected success: $*" >&2
+    status=1
+  fi
+}
+expect_success ./experiments.exe --only table1 --nprocs 64 --scale 0.05
+expect_success ./experiments.exe --only speedup --apps sor --nprocs 64 --scale 0.05
 exit $status

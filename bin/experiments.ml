@@ -246,15 +246,32 @@ let hybrid { scale; nprocs; _ } =
      ]
     @ List.map row workloads)
 
+(* A section's renderer, and the (apps, processor count, scale) sizes it
+   runs apps at, which [run] checks with [Suite.fits] before any machine
+   runs. *)
+type section = { runs : ctx -> (Suite.app list * int * float) list; render : ctx -> string }
+
+(* The speedup section's processor counts and scale. *)
+let speedup_procs = [ 1; 2; 4; 8 ]
+
+let speedup_scale scale = Float.min scale 0.5
+
 (* In print order.  [paper] is the default selection; the others are
    extensions. *)
 let sections =
-  let suite render c = render (Lazy.force c.suite) in
+  let suite render =
+    {
+      runs = (fun c -> [ (c.apps, c.nprocs, c.scale) ]);
+      render = (fun c -> render (Lazy.force c.suite));
+    }
+  in
   let sweep title lines =
     suite (fun s -> Midway_report.Sweep.render ~title s (lines s))
   in
+  let every_app render = { runs = (fun c -> [ (Suite.apps, c.nprocs, c.scale) ]); render } in
+  let no_app render = { runs = (fun _ -> []); render } in
   [
-    ("table1", fun _ -> Midway_report.Table1.render Midway_stats.Cost_model.default);
+    ("table1", no_app (fun _ -> Midway_report.Table1.render Midway_stats.Cost_model.default));
     ("fig2", suite Midway_report.Fig2.render);
     ("table2", suite Midway_report.Table2.render);
     ("table3", suite Midway_report.Table3.render);
@@ -267,17 +284,22 @@ let sections =
         Midway_report.Sweep.total_lines );
     ("table5", suite Midway_report.Table5.render);
     ( "speedup",
-      fun c ->
-        "Scaling sweep (extension; not a paper figure)\n"
-        ^ String.concat "\n"
-            (List.map
-               (fun app ->
-                 Midway_report.Speedup.render ~app ~scale:(min c.scale 0.5)
-                   ~procs:[ 1; 2; 4; 8 ])
-               c.apps) );
-    ("ablations", fun c -> Midway_report.Ablations.render ~scale:c.scale ~nprocs:c.nprocs);
-    ("kv", kv);
-    ("hybrid", hybrid);
+      {
+        runs = (fun c -> List.map (fun n -> (c.apps, n, speedup_scale c.scale)) speedup_procs);
+        render =
+          (fun c ->
+            "Scaling sweep (extension; not a paper figure)\n"
+            ^ String.concat "\n"
+                (List.map
+                   (fun app ->
+                     Midway_report.Speedup.render ~app ~scale:(speedup_scale c.scale)
+                       ~procs:speedup_procs)
+                   c.apps));
+      } );
+    ( "ablations",
+      every_app (fun c -> Midway_report.Ablations.render ~scale:c.scale ~nprocs:c.nprocs) );
+    ("kv", no_app kv);
+    ("hybrid", every_app hybrid);
   ]
 
 let paper = [ "table1"; "fig2"; "table2"; "table3"; "fig3"; "table4"; "fig4"; "table5" ]
@@ -287,6 +309,22 @@ let write_file path contents =
   output_string oc contents;
   close_out oc;
   Printf.eprintf "wrote %s\n" path
+
+(* Refuse, before any machine runs, a size at which an app this
+   invocation runs cannot be partitioned: [runs] lists the apps with the
+   processor count and scale they run at. *)
+let check_sizes runs =
+  List.iter
+    (fun (apps, nprocs, scale) ->
+      List.iter
+        (fun app ->
+          match Suite.fits app ~nprocs ~scale with
+          | Ok () -> ()
+          | Error msg ->
+              Printf.eprintf "%s: lower --nprocs or raise --scale\n" msg;
+              exit 2)
+        apps)
+    runs
 
 let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
     { Midway_cli.Cli.obs; trace_out; metrics_out } =
@@ -304,8 +342,10 @@ let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
                 exit 2)
           names
   in
+  let suite_size = [ (apps, nprocs, scale) ] in
   match (faults, crash) with
   | Some spec, _ ->
+      check_sizes suite_size;
       if ecsan then
         Printf.eprintf "note: --ecsan does not apply to the fault sweep; ignoring it\n%!";
       run_fault_sweep spec crash scale nprocs apps
@@ -313,6 +353,7 @@ let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
       (* --crash alone routes to the sweep too: the paper tables assume
          a full-membership run, so node faults only make sense against
          the sweep's per-run verification and availability reporting *)
+      check_sizes suite_size;
       run_fault_sweep "" crash scale nprocs apps
   | None, None -> (
       let only = if only = [] then paper else only in
@@ -326,6 +367,12 @@ let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
              (Unix.gettimeofday () -. t0);
            suite)
       in
+      let c = { suite; apps; scale; nprocs } in
+      (* an export or table file runs the suite whatever the sections *)
+      let exports = List.exists Option.is_some [ csv_file; md_file; trace_out; metrics_out ] in
+      check_sizes
+        ((if exports then suite_size else [])
+        @ List.concat_map (fun (name, s) -> if List.mem name only then s.runs c else []) sections);
       try
         if List.exists (fun s -> List.mem s paper) only then
           Printf.printf
@@ -333,9 +380,8 @@ let run only scale nprocs apps csv_file md_file faults crash_spec ecsan
              Reproduction of: Software Write Detection for a Distributed Shared Memory (OSDI \
              '94)\n\n"
             scale nprocs;
-        let c = { suite; apps; scale; nprocs } in
         List.iter
-          (fun (name, render) -> if List.mem name only then print_endline (render c))
+          (fun (name, s) -> if List.mem name only then print_endline (s.render c))
           sections;
         if trace_out <> None || metrics_out <> None then
           export_obs (Lazy.force suite) trace_out metrics_out;

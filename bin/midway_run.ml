@@ -77,6 +77,11 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
     exit 2
   end;
   let nprocs = if backend = Midway.Config.Standalone then 1 else nprocs in
+  (match Midway_report.Suite.fits app ~nprocs ~scale with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s: lower --nprocs or raise --scale\n" msg;
+      exit 2);
   let crash_plan =
     match crash_spec with
     | Some _ when backend = Midway.Config.Standalone ->

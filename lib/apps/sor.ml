@@ -18,45 +18,47 @@ let initial n i j =
   else if j = 0 || j = n - 1 then 50.0
   else float_of_int (((i * 7919) + (j * 104729)) mod 1000) /. 10.0
 
-(* One red-black Gauss-Seidel update; [parity] selects the phase. *)
-let update get i j parity =
-  if (i + j) land 1 = parity then
-    Some (0.25 *. (get (i - 1) j +. get (i + 1) j +. get i (j - 1) +. get i (j + 1)))
-  else None
+(* Red-black Gauss-Seidel: phase [parity] updates the points with
+   [(i + j) land 1 = parity] to 0.25 *. (up +. down +. left +. right).
+   Both loops below spell the stencil out in that one expression, so
+   they round identically, and neither builds a closure or an option
+   per point. *)
 
 (* Sequential oracle with the same arithmetic and phase order. *)
 let oracle { n; iterations } =
   let m = Array.init n (fun i -> Array.init n (fun j -> initial n i j)) in
   for _ = 1 to iterations do
-    List.iter
-      (fun parity ->
-        for i = 1 to n - 2 do
-          for j = 1 to n - 2 do
-            match update (fun i j -> m.(i).(j)) i j parity with
-            | Some v -> m.(i).(j) <- v
-            | None -> ()
-          done
-        done)
-      [ 0; 1 ]
+    for parity = 0 to 1 do
+      for i = 1 to n - 2 do
+        let up = m.(i - 1) and row = m.(i) and down = m.(i + 1) in
+        for j = 1 to n - 2 do
+          if (i + j) land 1 = parity then
+            row.(j) <- 0.25 *. (up.(j) +. down.(j) +. row.(j - 1) +. row.(j + 1))
+        done
+      done
+    done
   done;
   m
 
+let fits { n; _ } ~nprocs = n / nprocs >= 3
+
 let run cfg ({ n; iterations } as params) =
-  let machine = R.create cfg in
   let nprocs = cfg.Midway.Config.nprocs in
-  if n / nprocs < 3 then invalid_arg "Sor.run: bands too narrow for this processor count";
+  if not (fits params ~nprocs) then
+    invalid_arg "Sor.run: bands too narrow for this processor count";
+  let machine = R.create cfg in
   let row_bytes = n * 8 in
   (* Per-row allocation: partition-edge rows shared, interior private. *)
-  let shared_row r =
-    if nprocs = 1 then false
-    else begin
-      let p = Common.owner_of ~n ~nprocs r in
-      let lo, hi = Common.band ~n ~nprocs p in
-      (r = lo && p > 0) || (r = hi - 1 && p < nprocs - 1)
-    end
+  let shared_row =
+    Array.init n (fun r ->
+        nprocs > 1
+        &&
+        let p = Common.owner_of ~n ~nprocs r in
+        let lo, hi = Common.band ~n ~nprocs p in
+        (r = lo && p > 0) || (r = hi - 1 && p < nprocs - 1))
   in
   let row_addr =
-    Array.init n (fun r -> R.alloc machine ~line_size:64 ~private_:(not (shared_row r)) row_bytes)
+    Array.init n (fun r -> R.alloc machine ~line_size:64 ~private_:(not shared_row.(r)) row_bytes)
   in
   let addr i j = row_addr.(i) + (j * 8) in
   (* One two-party barrier per neighbouring pair, binding the two edge
@@ -72,8 +74,9 @@ let run cfg ({ n; iterations } as params) =
   R.run machine (fun c ->
       let me = R.id c in
       let lo, hi = Common.band ~n ~nprocs me in
+      let get i j = R.read_f64 c (addr i j) in
       let write i j v =
-        if shared_row i then R.write_f64 c (addr i j) v else R.write_f64_private c (addr i j) v
+        if shared_row.(i) then R.write_f64 c (addr i j) v else R.write_f64_private c (addr i j) v
       in
       (* Initialize my band through the classified stores, then exchange
          edge rows once so iteration 1 reads the true initial values. *)
@@ -89,23 +92,21 @@ let run cfg ({ n; iterations } as params) =
         if me < nprocs - 1 then R.barrier c pair_bar.(me)
       in
       exchange ();
+      let first = max lo 1 and last = min (hi - 1) (n - 2) in
       for _ = 1 to iterations do
-        List.iter
-          (fun parity ->
-            let first = max lo 1 and last = min (hi - 1) (n - 2) in
-            for i = first to last do
-              let updates = ref 0 in
-              for j = 1 to n - 2 do
-                match update (fun i j -> R.read_f64 c (addr i j)) i j parity with
-                | Some v ->
-                    incr updates;
-                    write i j v
-                | None -> ()
-              done;
-              R.work_cycles c (!updates * flops_per_update * Common.cycles_flop)
+        for parity = 0 to 1 do
+          for i = first to last do
+            let updates = ref 0 in
+            for j = 1 to n - 2 do
+              if (i + j) land 1 = parity then begin
+                incr updates;
+                write i j (0.25 *. (get (i - 1) j +. get (i + 1) j +. get i (j - 1) +. get i (j + 1)))
+              end
             done;
-            exchange ())
-          [ 0; 1 ]
+            R.work_cycles c (!updates * flops_per_update * Common.cycles_flop)
+          done;
+          exchange ()
+        done
       done;
       R.barrier c done_bar);
   (* Verify every element of every band against the oracle, bitwise. *)

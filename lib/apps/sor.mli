@@ -25,3 +25,8 @@ val default : params
 val scaled : float -> params
 
 val run : Midway.Config.t -> params -> Outcome.t
+
+val fits : params -> nprocs:int -> bool
+(** Whether [n] rows give every one of [nprocs] processors a band of at
+    least three rows, which {!run} needs (it raises [Invalid_argument]
+    otherwise). *)

@@ -18,12 +18,12 @@ let is_empty r = r.len = 0
 let normalize ranges =
   let sorted =
     List.filter (fun r -> not (is_empty r)) ranges
-    |> List.sort (fun a b -> compare a.addr b.addr)
+    |> List.sort (fun a b -> Int.compare a.addr b.addr)
   in
   let rec merge = function
     | a :: b :: rest ->
         if b.addr <= limit a then
-          merge ({ a with len = max (limit a) (limit b) - a.addr } :: rest)
+          merge ({ a with len = Int.max (limit a) (limit b) - a.addr } :: rest)
         else a :: merge (b :: rest)
     | rest -> rest
   in
@@ -31,10 +31,10 @@ let normalize ranges =
 
 let total_bytes ranges = List.fold_left (fun acc r -> acc + r.len) 0 ranges
 
-let overlaps a b = max a.addr b.addr < min (limit a) (limit b)
+let overlaps a b = Int.max a.addr b.addr < Int.min (limit a) (limit b)
 
 let intersect a b =
-  let lo = max a.addr b.addr and hi = min (limit a) (limit b) in
+  let lo = Int.max a.addr b.addr and hi = Int.min (limit a) (limit b) in
   if lo < hi then Some { addr = lo; len = hi - lo } else None
 
 let clip r ~within = List.filter_map (intersect r) within
@@ -52,7 +52,7 @@ let subtract r ~minus =
             if m.addr > cursor then { addr = cursor; len = m.addr - cursor } :: acc
             else acc
           in
-          go (max cursor (limit m)) acc rest
+          go (Int.max cursor (limit m)) acc rest
         end
   in
   if is_empty r then [] else List.rev (go r.addr [] minus)

@@ -90,10 +90,11 @@ let read_bound d ranges = Payload.read_pieces d.env.space ~proc:d.proc ranges
 (* Trapping                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Regions are aligned to their size, which is a multiple of the line
+   size, so lines can be counted from the absolute address. *)
 let lines_touched (region : Region.t) addr len =
-  let first = (addr - Region.base region) / region.line_size in
-  let last = (addr + max len 1 - 1 - Region.base region) / region.line_size in
-  last - first + 1
+  let shift = region.Region.line_shift in
+  ((addr + Int.max len 1 - 1) lsr shift) - (addr lsr shift) + 1
 
 let trap_template d db (region : Region.t) addr len =
   let cfg = d.env.cfg in
@@ -120,21 +121,8 @@ let trap_fault d vm (region : Region.t) addr len =
   match region.Region.kind with
   | Region.Private -> 0
   | Region.Shared ->
-      (* One protection check (and possibly one fault) per page touched;
-         stores of <= 8 bytes touch one page because allocations are
-         8-byte aligned. *)
-      let cost = d.env.cfg.cost in
-      let psize = cost.page_size in
-      let first = addr / psize and last = (addr + max len 1 - 1) / psize in
-      let ns = ref 0 in
-      for page = first to last do
-        let page_addr = max addr (page * psize) in
-        ns :=
-          !ns
-          + Vm_state.on_write vm ~space:d.env.space ~proc:d.proc ~counters:d.counters ~cost
-              ~addr:page_addr
-      done;
-      !ns
+      Vm_state.on_store vm ~space:d.env.space ~proc:d.proc ~counters:d.counters
+        ~cost:d.env.cfg.cost ~addr ~len
 
 let trap d ~region ~addr ~len =
   match d.history with

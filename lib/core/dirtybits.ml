@@ -67,27 +67,29 @@ let table_reaching t (r : Region.t) line =
       t.tables.(idx) <- Some tbl;
       tbl
 
-let line_index (r : Region.t) addr = (addr - Region.base r) / r.line_size
+(* Regions are aligned to their size, so an address's offset in its
+   region is its low bits. *)
+let line_index (r : Region.t) addr = (addr land (r.region_size - 1)) lsr r.line_shift
 
 let note_write t ~region ~addr ~len =
   match t.mode with
   | Config.Update_queue ->
       (* Coalesce with the most recent entry when the new write extends or
          repeats it — the sequential-write heuristic from section 3.5. *)
-      let entry = Range.v addr (max len 1) in
+      let entry = Range.v addr (Int.max len 1) in
       (match t.queue with
       | prev :: rest
         when entry.Range.addr <= Range.limit prev && prev.Range.addr <= Range.limit entry
         ->
-          let lo = min prev.Range.addr entry.Range.addr in
-          let hi = max (Range.limit prev) (Range.limit entry) in
+          let lo = Int.min prev.Range.addr entry.Range.addr in
+          let hi = Int.max (Range.limit prev) (Range.limit entry) in
           t.queue <- Range.v lo (hi - lo) :: rest
       | q ->
           t.queue <- entry :: q;
           t.queue_len <- t.queue_len + 1)
   | Config.Plain | Config.Two_level ->
       let first = line_index region addr in
-      let last = line_index region (addr + max len 1 - 1) in
+      let last = line_index region (addr + Int.max len 1 - 1) in
       let tbl = table_reaching t region last in
       for line = first to last do
         tbl.ts.(line) <- Timestamp.locally_dirty;
@@ -169,7 +171,7 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
       while !line <= last do
         let g = !line / t.group in
         let g_first = g * t.group in
-        let g_last = min (g_first + t.group - 1) (Region.lines region - 1) in
+        let g_last = Int.min (g_first + t.group - 1) (Region.lines region - 1) in
         if !line = g_first && g_last <= last then begin
           (* Group fully covered by the scan: the first level applies. *)
           counts.group_checks <- counts.group_checks + 1;

@@ -223,7 +223,7 @@ let now_ns c = Engine.clock c.proc
 (* is the one-detector case.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let region_index_of t addr = addr / t.cfg.region_size
+let region_index_of t addr = Space.index_of t.space addr
 
 let ensure_region_slot t idx =
   let cap = Array.length t.elected in

@@ -94,7 +94,7 @@ let ecsan_access c addr len ~op ~access =
       Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access
         ~shared_region
 
-let read_f64 c addr =
+let[@inline] read_f64 c addr =
   let v = Space.get_f64 c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 8 ~op:"read_f64" ~access:Check.Read;
   v

@@ -73,8 +73,8 @@ let apply_pieces t ~space ~proc ~counters ~cost ~id ~ranges pieces =
       (* patch the twin so the update is not re-collected as local *)
       List.iter
         (fun (base, buf) ->
-          let lo = max p.Payload.addr base in
-          let hi = min (p.Payload.addr + len) (base + Bytes.length buf) in
+          let lo = Int.max p.Payload.addr base in
+          let hi = Int.min (p.Payload.addr + len) (base + Bytes.length buf) in
           if lo < hi then begin
             Bytes.blit p.Payload.data (lo - p.Payload.addr) buf (lo - base) (hi - lo);
             counters.Counters.twin_update_bytes <-

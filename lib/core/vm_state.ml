@@ -4,111 +4,180 @@ module Diff = Midway_vmem.Diff
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 
-type pending_page = {
-  shadow : Bytes.t;  (* page-sized snapshot of the diffed words *)
-  mutable dirty : Range.t list;  (* absolute addresses, normalized *)
-}
+(* A page's saved diff: the saved bytes' values in a page-sized shadow,
+   and which bytes are saved in a bitmap with one bit per byte of the
+   page (map byte [i lsr 3], bit [i land 7] for page offset [i]).  A page
+   is in the table exactly while some bit is set. *)
+type pending_page = { shadow : Bytes.t; saved : Bytes.t }
 
 type t = {
   pt : Page_table.t;
+  shift : int;  (* [Page_table.page_shift pt] *)
   pending : (int, pending_page) Hashtbl.t;  (* page number -> saved diff *)
 }
 
-let create ~page_size = { pt = Page_table.create ~page_size; pending = Hashtbl.create 64 }
+let create ~page_size =
+  let pt = Page_table.create ~page_size in
+  { pt; shift = Page_table.page_shift pt; pending = Hashtbl.create 64 }
 
 let page_table t = t.pt
 
 let page_size t = Page_table.page_size t.pt
+
+(* --- bitmaps ------------------------------------------------------------ *)
+
+(* The bits of map byte [b] that cover page offsets in [lo, hi). *)
+let byte_mask b lo hi =
+  let first = Int.max lo (b lsl 3) and last = Int.min hi ((b + 1) lsl 3) in
+  (0xff lsr (8 - (last - first))) lsl (first land 7)
+
+let set_bits map lo hi =
+  if lo < hi then
+    for b = lo lsr 3 to (hi - 1) lsr 3 do
+      let v = Char.code (Bytes.unsafe_get map b) in
+      Bytes.unsafe_set map b (Char.unsafe_chr (v lor byte_mask b lo hi))
+    done
+
+(* Clear the bits of [lo, hi); whether any of them was set. *)
+let clear_bits map lo hi =
+  let cleared = ref false in
+  if lo < hi then
+    for b = lo lsr 3 to (hi - 1) lsr 3 do
+      let v = Char.code (Bytes.unsafe_get map b) and m = byte_mask b lo hi in
+      if v land m <> 0 then begin
+        cleared := true;
+        Bytes.unsafe_set map b (Char.unsafe_chr (v land lnot m))
+      end
+    done;
+  !cleared
+
+(* Maps are a whole number of 64-bit words long. *)
+let is_empty map =
+  let rec go i = i >= Bytes.length map || (Bytes.get_int64_le map i = 0L && go (i + 8)) in
+  go 0
+
+let bit map i = Char.code (Bytes.unsafe_get map (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* [f lo hi] for each maximal run of set bits inside [lo, hi), in order. *)
+let iter_runs map lo hi f =
+  let i = ref lo in
+  while !i < hi do
+    if bit map !i then begin
+      let start = !i in
+      while !i < hi && bit map !i do
+        incr i
+      done;
+      f start !i
+    end
+    else if !i land 7 = 0 && Bytes.unsafe_get map (!i lsr 3) = '\000' then i := !i + 8
+    else incr i
+  done
+
+(* --- trapping ----------------------------------------------------------- *)
 
 let on_write t ~space ~proc ~counters ~cost ~addr =
   let page = Page_table.page_of_addr t.pt addr in
   match page.Page_table.prot with
   | Page_table.Read_write -> 0
   | Page_table.Read_only ->
+      (* The copy read out of memory becomes the twin itself. *)
       let psize = page_size t in
-      let page_base = addr / psize * psize in
-      let contents = Space.read_bytes space ~proc page_base ~len:psize in
-      (match Page_table.fault_on_write t.pt ~addr ~contents with
-      | None -> assert false (* the page was read-only *)
-      | Some _page ->
-          counters.Counters.write_faults <- counters.Counters.write_faults + 1;
-          cost.Cost_model.page_fault_ns)
+      let twin = Space.read_bytes space ~proc (addr land lnot (psize - 1)) ~len:psize in
+      Page_table.fault t.pt page ~twin;
+      counters.Counters.write_faults <- counters.Counters.write_faults + 1;
+      cost.Cost_model.page_fault_ns
 
-let pending_for t number =
-  match Hashtbl.find_opt t.pending number with
-  | Some p -> p
-  | None ->
-      let p = { shadow = Bytes.create (page_size t); dirty = [] } in
-      Hashtbl.replace t.pending number p;
-      p
+let on_store t ~space ~proc ~counters ~cost ~addr ~len =
+  let last = (addr + Int.max len 1 - 1) lsr t.shift in
+  let ns = ref (on_write t ~space ~proc ~counters ~cost ~addr) in
+  for page = (addr lsr t.shift) + 1 to last do
+    ns := !ns + on_write t ~space ~proc ~counters ~cost ~addr:(page lsl t.shift)
+  done;
+  !ns
 
-(* Stash the parts of a diffed page that are *not* bound to the object
-   being transferred, so a later transfer can ship them.  [current] is a
-   live view of the page starting at [cur_off]. *)
-let save_outside t ~page_number ~page_base ~current ~cur_off outside =
-  match outside with
-  | [] -> ()
-  | _ ->
-      let p = pending_for t page_number in
-      List.iter
-        (fun (r : Range.t) ->
-          Bytes.blit current
-            (cur_off + (r.Range.addr - page_base))
-            p.shadow (r.Range.addr - page_base) r.Range.len)
-        outside;
-      p.dirty <- Range.normalize (outside @ p.dirty)
+(* --- collection --------------------------------------------------------- *)
 
-(* Consume saved diffs that fall inside the bound ranges. *)
-let take_pending t ~ranges ~page_numbers =
-  let pieces = ref [] in
+(* [f number] for each page overlapping [ranges] (normalized), ascending,
+   once each. *)
+let iter_pages t ranges f =
+  let next = ref 0 in
   List.iter
-    (fun number ->
+    (fun (r : Range.t) ->
+      if not (Range.is_empty r) then begin
+        let last = (Range.limit r - 1) lsr t.shift in
+        for number = Int.max !next (r.Range.addr lsr t.shift) to last do
+          f number
+        done;
+        next := last + 1
+      end)
+    ranges
+
+(* [inside lo hi] for each maximal part of [lo, hi) in [ranges]
+   (normalized) and [outside lo hi] for each part out of them, in
+   address order. *)
+let split ranges lo hi ~inside ~outside =
+  let rec go cur = function
+    | (r : Range.t) :: rest when Range.limit r <= cur -> go cur rest
+    | (r : Range.t) :: rest when r.Range.addr < hi ->
+        if cur < r.Range.addr then outside cur r.Range.addr;
+        let stop = Int.min hi (Range.limit r) in
+        inside (Int.max cur r.Range.addr) stop;
+        if stop < hi then go stop rest
+    | _ -> outside cur hi
+  in
+  if lo < hi then go lo ranges
+
+(* Stash modified bytes [lo, hi) of page [number], which are *not* bound
+   to the object being transferred, so a later transfer can ship them.
+   [current] is a live view of the page starting at [cur_off]. *)
+let save t number ~current ~cur_off ~page_base lo hi =
+  let p =
+    match Hashtbl.find_opt t.pending number with
+    | Some p -> p
+    | None ->
+        let psize = page_size t in
+        let p =
+          { shadow = Bytes.create psize; saved = Bytes.make ((psize + 63) / 64 * 8) '\000' }
+        in
+        Hashtbl.replace t.pending number p;
+        p
+  in
+  Bytes.blit current (cur_off + (lo - page_base)) p.shadow (lo - page_base) (hi - lo);
+  set_bits p.saved (lo - page_base) (hi - page_base)
+
+(* Clear the saved bits of [lo, hi) (absolute) on page [number]; the page
+   leaves the table when none remains. *)
+let drop t number p lo hi =
+  let page_base = number lsl t.shift in
+  if clear_bits p.saved (lo - page_base) (hi - page_base) && is_empty p.saved then
+    Hashtbl.remove t.pending number
+
+(* Consume saved diffs that fall inside the bound ranges: each page's
+   maximal saved runs inside them, newest page and address first. *)
+let take_pending t ~ranges =
+  let pieces = ref [] in
+  iter_pages t ranges (fun number ->
       match Hashtbl.find_opt t.pending number with
       | None -> ()
       | Some p ->
-          let page_base = number * page_size t in
-          let inside = List.concat_map (fun d -> Range.clip d ~within:ranges) p.dirty in
-          if inside <> [] then begin
-            List.iter
-              (fun (r : Range.t) ->
-                pieces :=
-                  {
-                    Payload.addr = r.Range.addr;
-                    data = Bytes.sub p.shadow (r.Range.addr - page_base) r.Range.len;
-                  }
-                  :: !pieces)
-              (Range.normalize inside);
-            let remaining =
-              List.concat_map (fun d -> Range.subtract d ~minus:ranges) p.dirty
-              |> Range.normalize
-            in
-            if remaining = [] then Hashtbl.remove t.pending number
-            else p.dirty <- remaining
-          end)
-    page_numbers;
+          let page_base = number lsl t.shift in
+          let take lo hi =
+            iter_runs p.saved (lo - page_base) (hi - page_base) (fun a b ->
+                let data = Bytes.sub p.shadow a (b - a) in
+                pieces := { Payload.addr = page_base + a; data } :: !pieces);
+            drop t number p lo hi
+          in
+          split ranges page_base (page_base + page_size t) ~inside:take ~outside:(fun _ _ -> ()));
   !pieces
 
 let collect t ~space ~proc ~counters ~cost ~ranges =
   let psize = page_size t in
-  (* Distinct page numbers overlapping the bound ranges, ascending. *)
-  let page_numbers =
-    List.concat_map
-      (fun (r : Range.t) ->
-        if Range.is_empty r then []
-        else begin
-          let first = r.Range.addr / psize and last = (Range.limit r - 1) / psize in
-          List.init (last - first + 1) (fun i -> first + i)
-        end)
-      ranges
-    |> List.sort_uniq compare
-  in
   let pieces = ref [] in
   let total_cost = ref 0 in
-  List.iter
-    (fun number ->
-      let page = Page_table.page_of_addr t.pt (number * psize) in
+  iter_pages t ranges (fun number ->
+      let page_base = number lsl t.shift in
+      let page = Page_table.page_of_addr t.pt page_base in
       if page.Page_table.dirty then begin
-        let page_base = number * psize in
         (* Zero-copy view of the processor's live page; only read below. *)
         let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
         let twin =
@@ -122,31 +191,22 @@ let collect t ~space ~proc ~counters ~cost ~ranges =
         counters.Counters.pages_diffed <- counters.Counters.pages_diffed + 1;
         total_cost :=
           !total_cost + Cost_model.diff_cost_ns cost ~words:(psize / 4) ~transitions;
-        let modified =
-          List.map (fun (r : Diff.run) -> Range.v (page_base + r.Diff.off) r.Diff.len) runs
-        in
-        let inside = List.concat_map (fun m -> Range.clip m ~within:ranges) modified in
-        let outside =
-          List.concat_map (fun m -> Range.subtract m ~minus:ranges) modified
-        in
+        let ship lo hi =
+          let data = Bytes.sub current (cur_off + (lo - page_base)) (hi - lo) in
+          pieces := { Payload.addr = lo; data } :: !pieces
+        and stash = save t number ~current ~cur_off ~page_base in
         List.iter
-          (fun (r : Range.t) ->
-            pieces :=
-              {
-                Payload.addr = r.Range.addr;
-                data = Bytes.sub current (cur_off + (r.Range.addr - page_base)) r.Range.len;
-              }
-              :: !pieces)
-          (Range.normalize inside);
-        save_outside t ~page_number:number ~page_base ~current ~cur_off outside;
+          (fun (r : Diff.run) ->
+            let lo = page_base + r.Diff.off in
+            split ranges lo (lo + r.Diff.len) ~inside:ship ~outside:stash)
+          runs;
         (* All modified data is accounted for: the page is clean again. *)
         Page_table.clean t.pt page;
         counters.Counters.pages_write_protected <-
           counters.Counters.pages_write_protected + 1;
         total_cost := !total_cost + cost.Cost_model.page_protect_ro_ns
-      end)
-    page_numbers;
-  let saved = take_pending t ~ranges ~page_numbers in
+      end);
+  let saved = take_pending t ~ranges in
   (* Saved diffs can overlap words that were modified again and re-diffed
      since they were stashed; the fresh diff reflects current memory, so
      stale pieces must apply first and fresh pieces last. *)
@@ -162,15 +222,14 @@ let apply_pieces t ~space ~proc ~counters ~cost pieces =
       total_cost := !total_cost + Cost_model.copy_cost_ns cost ~bytes:len ~warm:true;
       (* Patch twins of dirty pages so the update is not re-collected as a
          local modification. *)
-      if len > 0 then begin
-        let first = p.Payload.addr / psize and last = (p.Payload.addr + len - 1) / psize in
-        for number = first to last do
-          let page = Page_table.page_of_addr t.pt (number * psize) in
+      if len > 0 then
+        for number = p.Payload.addr lsr t.shift to (p.Payload.addr + len - 1) lsr t.shift do
+          let page_base = number lsl t.shift in
+          let lo = Int.max p.Payload.addr page_base in
+          let hi = Int.min (p.Payload.addr + len) (page_base + psize) in
+          let page = Page_table.page_of_addr t.pt page_base in
           (match page.Page_table.twin with
           | Some twin when page.Page_table.dirty ->
-              let page_base = number * psize in
-              let lo = max p.Payload.addr page_base in
-              let hi = min (p.Payload.addr + len) (page_base + psize) in
               Bytes.blit p.Payload.data (lo - p.Payload.addr) twin (lo - page_base)
                 (hi - lo);
               counters.Counters.twin_update_bytes <-
@@ -181,79 +240,49 @@ let apply_pieces t ~space ~proc ~counters ~cost pieces =
           (* An incoming piece is the protocol's current data for its
              range: any saved diff overlapping it is superseded and must
              be dropped, or a later collection would resurrect the stale
-             shadow over newer data. *)
-          match Hashtbl.find_opt t.pending number with
-          | None -> ()
-          | Some pp ->
-              let applied = Range.v p.Payload.addr len in
-              let remaining =
-                List.concat_map (fun d -> Range.subtract d ~minus:[ applied ]) pp.dirty
-                |> Range.normalize
-              in
-              if remaining = [] then Hashtbl.remove t.pending number
-              else pp.dirty <- remaining
-        done
-      end)
+             shadow over newer data.  (Two lookups, because [find_opt]'s
+             [Some] would allocate on every page holding a saved diff.) *)
+          if Hashtbl.mem t.pending number then
+            drop t number (Hashtbl.find t.pending number) lo hi
+        done)
     pieces;
   !total_cost
 
 let absorb t ~space ~proc ~ranges =
   let psize = page_size t in
-  List.iter
-    (fun (r : Range.t) ->
-      if not (Range.is_empty r) then begin
-        let first = r.Range.addr / psize and last = (Range.limit r - 1) / psize in
-        for number = first to last do
-          let page = Page_table.page_of_addr t.pt (number * psize) in
-          match page.Page_table.twin with
-          | Some twin when page.Page_table.dirty ->
-              let page_base = number * psize in
-              let lo = max r.Range.addr page_base in
-              let hi = min (Range.limit r) (page_base + psize) in
-              if lo < hi then begin
-                let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
-                Bytes.blit current (cur_off + (lo - page_base)) twin (lo - page_base) (hi - lo)
-              end
-          | _ -> ()
-        done
-      end)
-    ranges
+  iter_pages t ranges (fun number ->
+      let page_base = number lsl t.shift in
+      let page = Page_table.page_of_addr t.pt page_base in
+      match page.Page_table.twin with
+      | Some twin when page.Page_table.dirty ->
+          let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
+          let copy lo hi =
+            Bytes.blit current (cur_off + (lo - page_base)) twin (lo - page_base) (hi - lo)
+          in
+          split ranges page_base (page_base + psize) ~inside:copy ~outside:(fun _ _ -> ())
+      | _ -> ())
 
 let discard_pending t ~ranges =
-  let psize = page_size t in
   let affected = ref [] in
   Hashtbl.iter
     (fun number p ->
-      let page_base = number * psize in
-      if List.exists (fun (r : Range.t) -> Range.overlaps r (Range.v page_base psize)) ranges
-      then begin
-        let remaining =
-          List.concat_map (fun d -> Range.subtract d ~minus:ranges) p.dirty |> Range.normalize
-        in
-        affected := (number, remaining) :: !affected
-      end)
+      let page_base = number lsl t.shift in
+      let page = Range.v page_base (page_size t) in
+      List.iter
+        (fun (r : Range.t) ->
+          match Range.intersect r page with
+          | Some piece -> affected := (number, p, piece) :: !affected
+          | None -> ())
+        ranges)
     t.pending;
   List.iter
-    (fun (number, remaining) ->
-      if remaining = [] then Hashtbl.remove t.pending number
-      else
-        match Hashtbl.find_opt t.pending number with
-        | Some p -> p.dirty <- remaining
-        | None -> ())
+    (fun (number, p, (piece : Range.t)) -> drop t number p piece.Range.addr (Range.limit piece))
     !affected
 
 let pending_pages t = Hashtbl.length t.pending
 
 let forget t ~ranges =
-  let psize = page_size t in
-  List.iter
-    (fun (r : Range.t) ->
-      if not (Range.is_empty r) then begin
-        let first = r.Range.addr / psize and last = (Range.limit r - 1) / psize in
-        for number = first to last do
-          let page = Page_table.page_of_addr t.pt (number * psize) in
-          if page.Page_table.dirty then Page_table.clean t.pt page
-        done
-      end)
-    ranges;
+  iter_pages t ranges (fun number ->
+      let page = Page_table.page_of_addr t.pt (number lsl t.shift) in
+      if page.Page_table.dirty then Page_table.clean t.pt page);
   discard_pending t ~ranges

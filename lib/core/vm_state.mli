@@ -11,8 +11,14 @@
     (data on the same page bound to other synchronization objects — false
     sharing at page granularity) are saved so a later transfer of the
     other object can ship them without re-diffing, exactly as the paper's
-    "the diff created for each page is saved and may be reused".  Saved
-    diffs are kept as a per-page shadow buffer plus the modified ranges. *)
+    "the diff created for each page is saved and may be reused".  A
+    page's saved diff is a page-sized shadow of the saved bytes plus a
+    bitmap with one bit per byte of the page: saving sets bits, an
+    applied piece clears them, and a transfer takes the maximal runs of
+    set bits inside its bound ranges.
+
+    Every [ranges] argument below must be normalized ({!Range.normalize}),
+    as every binding's ranges are. *)
 
 type t
 
@@ -33,6 +39,19 @@ val on_write :
     memory, count it, and return the fault service time to charge);
     returns 0 when the page was already writable. *)
 
+val on_store :
+  t ->
+  space:Midway_memory.Space.t ->
+  proc:int ->
+  counters:Midway_stats.Counters.t ->
+  cost:Midway_stats.Cost_model.t ->
+  addr:int ->
+  len:int ->
+  int
+(** Trap a store of [len] bytes at [addr]: {!on_write} on every page it
+    touches (a store of at most 8 aligned bytes touches one), returning
+    the summed fault service time. *)
+
 val collect :
   t ->
   space:Midway_memory.Space.t ->
@@ -44,7 +63,9 @@ val collect :
 (** Collect the processor's modifications to the bound ranges: diff dirty
     pages (cleaning and re-protecting them), consume applicable saved
     diffs, and return the modified pieces inside [ranges] together with
-    the collection cost in nanoseconds.  [ranges] must be normalized. *)
+    the collection cost in nanoseconds.  The pieces are the saved ones
+    first, by descending address, then the fresh ones, by ascending
+    address. *)
 
 val apply_pieces :
   t ->

@@ -4,16 +4,17 @@ type t = {
   index : int;
   kind : kind;
   line_size : int;
+  line_shift : int;
   region_size : int;
   nprocs : int;
   mutable used : int;
   backing : Bytes.t option array;
 }
 
-let is_power_of_two n = n > 0 && n land (n - 1) = 0
+module Pow2 = Midway_util.Pow2
 
 let create ~index ~kind ~line_size ~region_size ~nprocs =
-  if not (is_power_of_two line_size) then
+  if not (Pow2.is_power_of_two line_size) then
     invalid_arg "Region.create: line_size must be a positive power of two";
   if line_size > region_size then
     invalid_arg "Region.create: line_size exceeds region_size";
@@ -22,6 +23,7 @@ let create ~index ~kind ~line_size ~region_size ~nprocs =
     index;
     kind;
     line_size;
+    line_shift = Pow2.log2 line_size;
     region_size;
     nprocs;
     used = 0;
@@ -34,7 +36,7 @@ let limit t = base t + t.region_size
 
 let lines t = t.region_size / t.line_size
 
-let line_of_offset t off = off / t.line_size
+let line_of_offset t off = off lsr t.line_shift
 
 let granule = 4096
 

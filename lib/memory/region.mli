@@ -28,6 +28,7 @@ type t = {
   index : int;  (** region number; base address = index * region size *)
   kind : kind;
   line_size : int;  (** software cache-line size in bytes (power of two) *)
+  line_shift : int;  (** log2 [line_size]: an in-region offset's line is [off lsr line_shift] *)
   region_size : int;  (** bytes covered by the region *)
   nprocs : int;
   mutable used : int;  (** bump-allocation high-water mark *)

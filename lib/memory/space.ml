@@ -1,3 +1,5 @@
+module Pow2 = Midway_util.Pow2
+
 type addr = int
 
 (* Last-hit accessor cache, one per processor: the apps' inner loops walk
@@ -13,6 +15,7 @@ type cache_entry = { mutable c_idx : int; mutable c_backing : Bytes.t }
 type t = {
   nprocs : int;
   region_size : int;
+  shift : int;  (* log2 region_size: an address's region is [addr lsr shift] *)
   mask : int;  (* region_size - 1: offset within a region is [addr land mask] *)
   mutable regions : Region.t array;  (* indexed by region number; None slots are Region 0 / holes *)
   mutable region_list : Region.t list;  (* creation order, reversed *)
@@ -26,22 +29,21 @@ exception Unmapped of addr
 
 exception Crosses_region of { addr : addr; len : int; last : addr }
 
-let is_power_of_two n = n > 0 && n land (n - 1) = 0
-
 let create ?(region_size = 16 * 1024 * 1024) ~nprocs () =
-  if not (is_power_of_two region_size) then
+  if not (Pow2.is_power_of_two region_size) then
     invalid_arg "Space.create: region_size must be a power of two";
   if nprocs <= 0 then invalid_arg "Space.create: nprocs must be positive";
   {
     nprocs;
     region_size;
+    shift = Pow2.log2 region_size;
     mask = region_size - 1;
     regions = Array.make 8 (Region.create ~index:0 ~kind:Private ~line_size:8 ~region_size:8 ~nprocs:1);
     region_list = [];
     next_index = 1;  (* region 0 stays unmapped so address 0 is null *)
     cursors = Hashtbl.create 8;
-    (* min_int sentinel: a negative address truncates toward zero, so -1
-       or 0 as the empty marker could falsely hit *)
+    (* min_int sentinel: [index_of] is never min_int, not even for a
+       negative address *)
     cache = Array.init nprocs (fun _ -> { c_idx = min_int; c_backing = Bytes.empty });
   }
 
@@ -56,12 +58,16 @@ let mapped t idx =
   && idx < Array.length t.regions
   && (Array.unsafe_get t.regions idx).Region.index = idx
 
+(* The number of the region an address falls in, mapped or not: region
+   bases are [region_size]-aligned. *)
+let[@inline] index_of t a = a lsr t.shift
+
 let region_of_addr t a =
-  let idx = a / t.region_size in
+  let idx = index_of t a in
   if mapped t idx then Array.unsafe_get t.regions idx else raise (Unmapped a)
 
 let find_region t a =
-  let idx = a / t.region_size in
+  let idx = index_of t a in
   if a >= 0 && mapped t idx then Some t.regions.(idx) else None
 
 let regions t = List.rev t.region_list
@@ -90,10 +96,10 @@ let align_up v a = (v + a - 1) land lnot (a - 1)
 let alloc t ~kind ?(line_size = 64) ?align bytes =
   if bytes <= 0 then invalid_arg "Space.alloc: size must be positive";
   if bytes > t.region_size then invalid_arg "Space.alloc: size exceeds region size";
-  if not (is_power_of_two line_size) then
+  if not (Pow2.is_power_of_two line_size) then
     invalid_arg "Space.alloc: line_size must be a power of two";
   let align = match align with Some a -> a | None -> max 8 line_size in
-  if not (is_power_of_two align) then invalid_arg "Space.alloc: align must be a power of two";
+  if not (Pow2.is_power_of_two align) then invalid_arg "Space.alloc: align must be a power of two";
   let key = (kind, line_size) in
   let region =
     match Hashtbl.find_opt t.cursors key with
@@ -119,7 +125,7 @@ let validate_range t a len =
         operate on partial data.  Regions have distinct per-proc backing
         buffers, so no single slice can ever serve a crossing range. *)
      let last = a + len - 1 in
-     if mapped t (last / t.region_size) then raise (Crosses_region { addr = a; len; last })
+     if mapped t (index_of t last) then raise (Crosses_region { addr = a; len; last })
      else raise (Unmapped last));
   r
 
@@ -156,7 +162,7 @@ let cache_miss t e ~proc a w =
 let[@inline] backing t ~proc a w =
   let e = Array.unsafe_get t.cache proc in
   let b = e.c_backing in
-  if e.c_idx = a / t.region_size && (a land t.mask) + w <= Bytes.length b then b
+  if e.c_idx = index_of t a && (a land t.mask) + w <= Bytes.length b then b
   else cache_miss t e ~proc a w
 
 let get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a 1) (a land t.mask))
@@ -173,8 +179,10 @@ let get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask)
 let set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) v
 
 (* The word is converted in the same expression that loads or stores it,
-   so the int64 stays unboxed. *)
-let get_f64 t ~proc a =
+   so the int64 stays unboxed.  [get_f64] and [Runtime.read_f64] are
+   inlined where the compiler sees across modules (not under dune's
+   default -opaque), and then the float result stays unboxed too. *)
+let[@inline] get_f64 t ~proc a =
   Int64.float_of_bits (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
 let set_f64 t ~proc a v =

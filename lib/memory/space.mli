@@ -53,6 +53,10 @@ val alloc : t -> kind:Region.kind -> ?line_size:int -> ?align:int -> int -> addr
     address.  Raises [Invalid_argument] if [bytes] exceeds the region
     size or is non-positive. *)
 
+val index_of : t -> addr -> int
+(** The number of the region [addr] falls in, mapped or not: regions are
+    aligned to the region size, so this is a shift. *)
+
 val region_of_addr : t -> addr -> Region.t
 (** Region containing [addr]; raises {!Unmapped}. *)
 

@@ -17,24 +17,31 @@ let app_of_string = function
   | "cholesky" -> Ok Cholesky
   | s -> Error (Printf.sprintf "unknown application %S" s)
 
+(* An app's parameters at [scale]: the paper's own at full scale. *)
+let params ~default ~scaled scale = if scale >= 0.999 then default else scaled scale
+
+let sor_params = params ~default:Midway_apps.Sor.default ~scaled:Midway_apps.Sor.scaled
+
 let run_app app cfg ~scale =
-  let full = scale >= 0.999 in
+  let open Midway_apps in
   match app with
-  | Water ->
-      Midway_apps.Water.run cfg
-        (if full then Midway_apps.Water.default else Midway_apps.Water.scaled scale)
+  | Water -> Water.run cfg (params ~default:Water.default ~scaled:Water.scaled scale)
   | Quicksort ->
-      Midway_apps.Quicksort.run cfg
-        (if full then Midway_apps.Quicksort.default else Midway_apps.Quicksort.scaled scale)
-  | Matmul ->
-      Midway_apps.Matmul.run cfg
-        (if full then Midway_apps.Matmul.default else Midway_apps.Matmul.scaled scale)
+      Quicksort.run cfg (params ~default:Quicksort.default ~scaled:Quicksort.scaled scale)
+  | Matmul -> Matmul.run cfg (params ~default:Matmul.default ~scaled:Matmul.scaled scale)
+  | Sor -> Sor.run cfg (sor_params scale)
+  | Cholesky -> Cholesky.run cfg (params ~default:Cholesky.default ~scaled:Cholesky.scaled scale)
+
+let fits app ~nprocs ~scale =
+  match app with
   | Sor ->
-      Midway_apps.Sor.run cfg
-        (if full then Midway_apps.Sor.default else Midway_apps.Sor.scaled scale)
-  | Cholesky ->
-      Midway_apps.Cholesky.run cfg
-        (if full then Midway_apps.Cholesky.default else Midway_apps.Cholesky.scaled scale)
+      let p = sor_params scale in
+      if Midway_apps.Sor.fits p ~nprocs then Ok ()
+      else
+        Error
+          (Printf.sprintf "sor at scale %g has %d rows, fewer than 3 per processor on %d processors"
+             scale p.Midway_apps.Sor.n nprocs)
+  | Water | Quicksort | Matmul | Cholesky -> Ok ()
 
 type entry = {
   app : app;

@@ -18,6 +18,11 @@ val app_of_string : string -> (app, string) result
 val run_app : app -> Midway.Config.t -> scale:float -> Midway_apps.Outcome.t
 (** Run one application with its parameters scaled. *)
 
+val fits : app -> nprocs:int -> scale:float -> (unit, string) result
+(** Whether {!run_app} can partition the app's data at this size over
+    [nprocs] processors (sor needs at least three rows per processor);
+    the error says why not.  Tools check it before any machine runs. *)
+
 type entry = {
   app : app;
   rt : Midway_apps.Outcome.t;

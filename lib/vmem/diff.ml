@@ -30,13 +30,23 @@ let scan_runs ~old_ ~old_off ~new_ ~new_off ~len ~run_base =
     end
   in
   while !i < len do
-    let wlen = min word_size (len - !i) in
-    let modified = words_differ old_ (old_off + !i) new_ (new_off + !i) wlen in
-    if modified <> !prev_modified && !i > 0 then incr transitions;
-    if modified && !run_start < 0 then run_start := !i;
-    if not modified then finish_at !i;
-    prev_modified := modified;
-    i := !i + wlen
+    if
+      !run_start < 0
+      && !i + 8 <= len
+      && Bytes.get_int64_le old_ (old_off + !i) = Bytes.get_int64_le new_ (new_off + !i)
+    then
+      (* Outside a run the previous word is unmodified, so two more
+         unmodified words change nothing but the position. *)
+      i := !i + 8
+    else begin
+      let wlen = Int.min word_size (len - !i) in
+      let modified = words_differ old_ (old_off + !i) new_ (new_off + !i) wlen in
+      if modified <> !prev_modified && !i > 0 then incr transitions;
+      if modified && !run_start < 0 then run_start := !i;
+      if not modified then finish_at !i;
+      prev_modified := modified;
+      i := !i + wlen
+    end
   done;
   finish_at len;
   (List.rev !runs, !transitions)

@@ -26,6 +26,10 @@ val create : page_size:int -> t
 
 val page_size : t -> int
 
+val page_shift : t -> int
+(** log2 of the page size: an address's page number is
+    [addr lsr page_shift t]. *)
+
 val page_of_addr : t -> int -> page
 (** State of the page containing the address, created on demand. *)
 
@@ -44,6 +48,12 @@ val fault_on_write : t -> addr:int -> contents:Bytes.t -> page option
     [contents] (must be page-sized), mark the page dirty and writable,
     and return [Some page] so the caller can charge the fault cost.
     Returns [None] when the page was already writable. *)
+
+val fault : t -> page -> twin:Bytes.t -> unit
+(** Fault a write-protected [page] in with [twin] as its twin: mark it
+    dirty and writable.  The table keeps [twin] itself, so the caller
+    hands over a fresh page-sized copy of the page's contents and never
+    writes it again. *)
 
 val clean : t -> page -> unit
 (** After collection: drop the twin, mark clean, write-protect (the

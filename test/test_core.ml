@@ -559,6 +559,297 @@ let test_vm_apply_patches_twin () =
   | [ p ] -> Alcotest.(check int) "local write's address" addr p.Payload.addr
   | _ -> Alcotest.fail "expected exactly the locally modified word"
 
+(* The list-based saved-diff store Vm_state replaced, kept as the model
+   its bitmap store must match: each page's saved bytes as a normalized
+   Range.t list, rebuilt by clip/subtract/normalize at every save, take
+   and apply. *)
+module Vm_model = struct
+  module Page_table = Midway_vmem.Page_table
+  module Diff = Midway_vmem.Diff
+
+  type pending_page = { shadow : Bytes.t; mutable dirty : Range.t list }
+
+  type t = { pt : Page_table.t; pending : (int, pending_page) Hashtbl.t }
+
+  let create ~page_size = { pt = Page_table.create ~page_size; pending = Hashtbl.create 64 }
+
+  let page_size t = Page_table.page_size t.pt
+
+  let on_write t ~space ~proc ~counters ~cost ~addr =
+    let page = Page_table.page_of_addr t.pt addr in
+    match page.Page_table.prot with
+    | Page_table.Read_write -> 0
+    | Page_table.Read_only ->
+        let psize = page_size t in
+        let contents = Space.read_bytes space ~proc (addr / psize * psize) ~len:psize in
+        ignore (Page_table.fault_on_write t.pt ~addr ~contents);
+        counters.Counters.write_faults <- counters.Counters.write_faults + 1;
+        cost.Cost_model.page_fault_ns
+
+  let pending_for t number =
+    match Hashtbl.find_opt t.pending number with
+    | Some p -> p
+    | None ->
+        let p = { shadow = Bytes.create (page_size t); dirty = [] } in
+        Hashtbl.replace t.pending number p;
+        p
+
+  let save_outside t ~page_number ~page_base ~current ~cur_off = function
+    | [] -> ()
+    | outside ->
+        let p = pending_for t page_number in
+        List.iter
+          (fun (r : Range.t) ->
+            Bytes.blit current (cur_off + (r.Range.addr - page_base)) p.shadow
+              (r.Range.addr - page_base) r.Range.len)
+          outside;
+        p.dirty <- Range.normalize (outside @ p.dirty)
+
+  let take_pending t ~ranges ~page_numbers =
+    let pieces = ref [] in
+    List.iter
+      (fun number ->
+        match Hashtbl.find_opt t.pending number with
+        | None -> ()
+        | Some p ->
+            let page_base = number * page_size t in
+            let inside = List.concat_map (fun d -> Range.clip d ~within:ranges) p.dirty in
+            if inside <> [] then begin
+              List.iter
+                (fun (r : Range.t) ->
+                  pieces :=
+                    { Payload.addr = r.Range.addr;
+                      data = Bytes.sub p.shadow (r.Range.addr - page_base) r.Range.len }
+                    :: !pieces)
+                (Range.normalize inside);
+              let remaining =
+                List.concat_map (fun d -> Range.subtract d ~minus:ranges) p.dirty
+                |> Range.normalize
+              in
+              if remaining = [] then Hashtbl.remove t.pending number else p.dirty <- remaining
+            end)
+      page_numbers;
+    !pieces
+
+  let collect t ~space ~proc ~counters ~cost ~ranges =
+    let psize = page_size t in
+    let page_numbers =
+      List.concat_map
+        (fun (r : Range.t) ->
+          if Range.is_empty r then []
+          else
+            let first = r.Range.addr / psize and last = (Range.limit r - 1) / psize in
+            List.init (last - first + 1) (fun i -> first + i))
+        ranges
+      |> List.sort_uniq compare
+    in
+    let pieces = ref [] and total_cost = ref 0 in
+    List.iter
+      (fun number ->
+        let page = Page_table.page_of_addr t.pt (number * psize) in
+        if page.Page_table.dirty then begin
+          let page_base = number * psize in
+          let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
+          let twin = Option.get page.Page_table.twin in
+          let runs, transitions =
+            Diff.diff_between ~old_:twin ~old_off:0 ~new_:current ~new_off:cur_off ~len:psize
+          in
+          counters.Counters.pages_diffed <- counters.Counters.pages_diffed + 1;
+          total_cost := !total_cost + Cost_model.diff_cost_ns cost ~words:(psize / 4) ~transitions;
+          let modified =
+            List.map (fun (r : Diff.run) -> Range.v (page_base + r.Diff.off) r.Diff.len) runs
+          in
+          let inside = List.concat_map (fun m -> Range.clip m ~within:ranges) modified in
+          let outside = List.concat_map (fun m -> Range.subtract m ~minus:ranges) modified in
+          List.iter
+            (fun (r : Range.t) ->
+              pieces :=
+                { Payload.addr = r.Range.addr;
+                  data = Bytes.sub current (cur_off + (r.Range.addr - page_base)) r.Range.len }
+                :: !pieces)
+            (Range.normalize inside);
+          save_outside t ~page_number:number ~page_base ~current ~cur_off outside;
+          Page_table.clean t.pt page;
+          counters.Counters.pages_write_protected <- counters.Counters.pages_write_protected + 1;
+          total_cost := !total_cost + cost.Cost_model.page_protect_ro_ns
+        end)
+      page_numbers;
+    let saved = take_pending t ~ranges ~page_numbers in
+    (saved @ List.rev !pieces, !total_cost)
+
+  let apply_pieces t ~space ~proc ~counters ~cost pieces =
+    let psize = page_size t in
+    let total_cost = ref 0 in
+    List.iter
+      (fun (p : Payload.vm_piece) ->
+        let len = Bytes.length p.Payload.data in
+        Space.write_bytes space ~proc p.Payload.addr p.Payload.data;
+        total_cost := !total_cost + Cost_model.copy_cost_ns cost ~bytes:len ~warm:true;
+        if len > 0 then
+          for number = p.Payload.addr / psize to (p.Payload.addr + len - 1) / psize do
+            let page = Page_table.page_of_addr t.pt (number * psize) in
+            (match page.Page_table.twin with
+            | Some twin when page.Page_table.dirty ->
+                let page_base = number * psize in
+                let lo = max p.Payload.addr page_base in
+                let hi = min (p.Payload.addr + len) (page_base + psize) in
+                Bytes.blit p.Payload.data (lo - p.Payload.addr) twin (lo - page_base) (hi - lo);
+                counters.Counters.twin_update_bytes <- counters.Counters.twin_update_bytes + (hi - lo);
+                total_cost := !total_cost + Cost_model.copy_cost_ns cost ~bytes:(hi - lo) ~warm:true
+            | _ -> ());
+            match Hashtbl.find_opt t.pending number with
+            | None -> ()
+            | Some pp ->
+                let applied = Range.v p.Payload.addr len in
+                let remaining =
+                  List.concat_map (fun d -> Range.subtract d ~minus:[ applied ]) pp.dirty
+                  |> Range.normalize
+                in
+                if remaining = [] then Hashtbl.remove t.pending number else pp.dirty <- remaining
+          done)
+      pieces;
+    !total_cost
+
+  let discard_pending t ~ranges =
+    let psize = page_size t in
+    let affected = ref [] in
+    Hashtbl.iter
+      (fun number p ->
+        if List.exists (fun (r : Range.t) -> Range.overlaps r (Range.v (number * psize) psize)) ranges
+        then
+          affected :=
+            (number, List.concat_map (fun d -> Range.subtract d ~minus:ranges) p.dirty
+                     |> Range.normalize)
+            :: !affected)
+      t.pending;
+    List.iter
+      (fun (number, remaining) ->
+        if remaining = [] then Hashtbl.remove t.pending number
+        else (Hashtbl.find t.pending number).dirty <- remaining)
+      !affected
+
+  let pending_pages t = Hashtbl.length t.pending
+
+  let forget t ~ranges =
+    let psize = page_size t in
+    List.iter
+      (fun (r : Range.t) ->
+        if not (Range.is_empty r) then
+          for number = r.Range.addr / psize to (Range.limit r - 1) / psize do
+            let page = Page_table.page_of_addr t.pt (number * psize) in
+            if page.Page_table.dirty then Page_table.clean t.pt page
+          done)
+      ranges;
+    discard_pending t ~ranges
+end
+
+(* Random programs for one processor over four 256-byte pages: stores,
+   collections under 2-4 locks whose ranges share pages and whose bounds
+   need not be word-aligned, applied pieces, discards and forgets. *)
+type vm_op =
+  | Store of int * int * int  (* offset, length, byte *)
+  | Collect of int  (* lock *)
+  | Apply of int * int * int  (* offset, length, byte *)
+  | Discard of int
+  | Forget of int
+
+let vm_area = 1024
+
+let vm_ops_gen =
+  let open QCheck.Gen in
+  let lock_ranges =
+    list_size (int_range 1 3)
+      (map2 (fun a l -> (a, l)) (int_bound (vm_area - 1)) (int_range 1 300))
+  in
+  let op nlocks =
+    frequency
+      [
+        (6, map3 (fun o l b -> Store (o, l, b)) (int_bound (vm_area - 1)) (int_range 1 24) (int_range 1 255));
+        (4, map (fun k -> Collect k) (int_bound (nlocks - 1)));
+        (2, map3 (fun o l b -> Apply (o, l, b)) (int_bound (vm_area - 1)) (int_range 1 24) (int_range 0 255));
+        (1, map (fun k -> Discard k) (int_bound (nlocks - 1)));
+        (1, map (fun k -> Forget k) (int_bound (nlocks - 1)));
+      ]
+  in
+  int_range 2 4 >>= fun nlocks ->
+  pair (list_repeat nlocks lock_ranges) (list_size (int_range 1 60) (op nlocks))
+
+let vm_op_to_string = function
+  | Store (o, l, b) -> Printf.sprintf "store %d+%d=%d" o l b
+  | Collect k -> Printf.sprintf "collect %d" k
+  | Apply (o, l, b) -> Printf.sprintf "apply %d+%d=%d" o l b
+  | Discard k -> Printf.sprintf "discard %d" k
+  | Forget k -> Printf.sprintf "forget %d" k
+
+let vm_matches_list_model =
+  QCheck.Test.make ~name:"bitmap saved diffs equal the list-based model" ~count:300
+    (QCheck.make
+       ~print:(fun (locks, ops) ->
+         String.concat " | "
+           (List.map
+              (fun rs -> String.concat "," (List.map (fun (a, l) -> Printf.sprintf "[%d,+%d)" a l) rs))
+              locks)
+         ^ " :: " ^ String.concat "; " (List.map vm_op_to_string ops))
+       vm_ops_gen)
+    (fun (locks, ops) ->
+      let page_size = 256 and cost = Cost_model.default in
+      let side () =
+        let space = Space.create ~region_size:65536 ~nprocs:1 () in
+        (space, Space.alloc space ~kind:Region.Shared ~line_size:8 vm_area, Counters.create ())
+      in
+      let space, base, counters = side () and mspace, mbase, mcounters = side () in
+      let vm = Vm_state.create ~page_size and model = Vm_model.create ~page_size in
+      let ranges_of base k =
+        Range.normalize
+          (List.map
+             (fun (a, l) -> Range.v (base + a) (Int.min l (vm_area - a)))
+             (List.nth locks k))
+      in
+      let bytes l b = Bytes.make l (Char.chr b) in
+      let clamp o l = Int.min l (vm_area - o) in
+      let piece_eq (a : Payload.vm_piece) (b : Payload.vm_piece) =
+        a.Payload.addr - base = b.Payload.addr - mbase && Bytes.equal a.Payload.data b.Payload.data
+      in
+      let step op =
+        (match op with
+        | Store (o, l, b) ->
+            let l = clamp o l in
+            ignore (Vm_state.on_store vm ~space ~proc:0 ~counters ~cost ~addr:(base + o) ~len:l);
+            let a = mbase + o in
+            for page = a / page_size to (a + l - 1) / page_size do
+              ignore
+                (Vm_model.on_write model ~space:mspace ~proc:0 ~counters:mcounters ~cost
+                   ~addr:(Int.max a (page * page_size)))
+            done;
+            Space.write_bytes space ~proc:0 (base + o) (bytes l b);
+            Space.write_bytes mspace ~proc:0 a (bytes l b);
+            true
+        | Collect k ->
+            let got, ns = Vm_state.collect vm ~space ~proc:0 ~counters ~cost ~ranges:(ranges_of base k) in
+            let want, mns =
+              Vm_model.collect model ~space:mspace ~proc:0 ~counters:mcounters ~cost
+                ~ranges:(ranges_of mbase k)
+            in
+            ns = mns && List.length got = List.length want && List.for_all2 piece_eq got want
+        | Apply (o, l, b) ->
+            let l = clamp o l in
+            Vm_state.apply_pieces vm ~space ~proc:0 ~counters ~cost
+              [ { Payload.addr = base + o; data = bytes l b } ]
+            = Vm_model.apply_pieces model ~space:mspace ~proc:0 ~counters:mcounters ~cost
+                [ { Payload.addr = mbase + o; data = bytes l b } ]
+        | Discard k ->
+            Vm_state.discard_pending vm ~ranges:(ranges_of base k);
+            Vm_model.discard_pending model ~ranges:(ranges_of mbase k);
+            true
+        | Forget k ->
+            Vm_state.forget vm ~ranges:(ranges_of base k);
+            Vm_model.forget model ~ranges:(ranges_of mbase k);
+            true)
+        && Vm_state.pending_pages vm = Vm_model.pending_pages model
+        && counters = mcounters
+      in
+      List.for_all step ops)
+
 (* --- Payload -------------------------------------------------------------- *)
 
 let test_payload_sizes () =
@@ -789,6 +1080,7 @@ let () =
           Alcotest.test_case "stale pending superseded" `Quick test_vm_stale_pending_superseded;
           Alcotest.test_case "discard pending" `Quick test_vm_discard_pending;
           Alcotest.test_case "apply patches twin" `Quick test_vm_apply_patches_twin;
+          qtest vm_matches_list_model;
         ] );
       ( "payload",
         [

@@ -1,10 +1,11 @@
 (* Unit and property tests for Midway_util: PRNG, min-heap, text tables,
-   plots and unit formatting. *)
+   plots, unit formatting and powers of two. *)
 
 module Prng = Midway_util.Prng
 module Minheap = Midway_util.Minheap
 module Texttab = Midway_util.Texttab
 module Units = Midway_util.Units
+module Pow2 = Midway_util.Pow2
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -217,6 +218,20 @@ let test_bars_smoke () =
   Alcotest.(check bool) "mentions group" true (contains s "water");
   Alcotest.(check bool) "mentions bar" true (contains s "rt")
 
+(* --- Pow2 -------------------------------------------------------------- *)
+
+let test_pow2 () =
+  for k = 0 to 40 do
+    Alcotest.(check bool) "power" true (Pow2.is_power_of_two (1 lsl k));
+    Alcotest.(check int) "log2" k (Pow2.log2 (1 lsl k))
+  done;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "not a power" false (Pow2.is_power_of_two n);
+      Alcotest.check_raises "log2 rejects" (Invalid_argument "Pow2.log2: not a power of two")
+        (fun () -> ignore (Pow2.log2 n)))
+    [ 0; -8; 3; 12; 4097 ]
+
 let () =
   Alcotest.run "util"
     [
@@ -247,6 +262,7 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
         ] );
       ("units", [ Alcotest.test_case "formatting" `Quick test_units ]);
+      ("pow2", [ Alcotest.test_case "log2" `Quick test_pow2 ]);
       ( "asciiplot",
         [
           Alcotest.test_case "plot" `Quick test_plot_smoke;

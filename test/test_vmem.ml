@@ -132,6 +132,40 @@ let diff_matches_bytewise_reference =
           (snd expected)
       else true)
 
+(* Long windows with sparse edits, so the scan skips equal 64-bit words
+   between runs: any window offset and length (a multiple of 8 or not),
+   and for diff_between independent offsets in the two buffers.  Both
+   must equal the byte-wise reference on the same windows. *)
+let sparse_window_gen =
+  QCheck.(
+    pair
+      (triple (int_bound 15) (int_bound 15) (int_range 0 600))
+      (list_of_size (QCheck.Gen.int_bound 6) (pair (int_bound 599) (int_range 1 255))))
+
+let diff_skip_matches_reference =
+  QCheck.Test.make ~name:"64-bit skip equals byte-wise reference (unaligned windows)" ~count:500
+    sparse_window_gen (fun ((old_off, new_off, len), edits) ->
+      let old_ = Bytes.init (old_off + len) (fun i -> Char.chr ((i - old_off) land 0xff)) in
+      let new_ = Bytes.make (new_off + len) '\000' in
+      Bytes.blit old_ old_off new_ new_off len;
+      List.iter
+        (fun (pos, v) ->
+          if pos < len then
+            Bytes.set new_ (new_off + pos)
+              (Char.chr (Char.code (Bytes.get new_ (new_off + pos)) lxor v)))
+        edits;
+      let expected =
+        ref_diff ~old_:(Bytes.sub old_ old_off len) ~new_:(Bytes.sub new_ new_off len) ~off:0 ~len
+      in
+      let same_buffer =
+        let window = Bytes.sub old_ 0 (old_off + len) in
+        Bytes.blit new_ new_off window old_off len;
+        let shifted (r : Diff.run) = { r with Diff.off = r.Diff.off - old_off } in
+        let runs, transitions = Diff.diff ~old_ ~new_:window ~off:old_off ~len in
+        (List.map shifted runs, transitions)
+      in
+      Diff.diff_between ~old_ ~old_off ~new_ ~new_off ~len = expected && same_buffer = expected)
+
 (* diff_between over live windows must equal diff over copied-out windows
    (modulo the 0-based run offsets), whatever the relative alignment. *)
 let diff_between_matches_diff =
@@ -250,6 +284,7 @@ let () =
           qtest diff_runs_sorted_disjoint;
           qtest diff_matches_bytewise_reference;
           qtest diff_between_matches_diff;
+          qtest diff_skip_matches_reference;
         ] );
       ( "page_table",
         [
