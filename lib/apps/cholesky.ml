@@ -60,20 +60,19 @@ let symbolic_analyse k =
   done;
   { n; pattern = sets; nmod = Array.map List.length updaters }
 
+(* The offset of row [i] in the ascending [pattern], at or after
+   [from].  cmod from column j into column t touches j's rows from t on,
+   which are a subset of t's rows (that is how the fill-in was built):
+   both lists ascend, so one forward walk over t's pattern finds every
+   offset. *)
+let rec offset_of pattern i from =
+  if pattern.(from) = i then from else offset_of pattern i (from + 1)
+
 (* --- sequential oracle ------------------------------------------------ *)
 
 let oracle_factor k sym =
   let n = sym.n in
-  let vals = Array.map (fun p -> Array.make (Array.length p) 0.0) sym.pattern in
-  let pos = Array.map (fun _ -> Hashtbl.create 8) sym.pattern in
-  Array.iteri
-    (fun j p ->
-      Array.iteri
-        (fun idx i ->
-          Hashtbl.replace pos.(j) i idx;
-          vals.(j).(idx) <- laplacian_entry k i j)
-        p)
-    sym.pattern;
+  let vals = Array.mapi (fun j p -> Array.map (fun i -> laplacian_entry k i j) p) sym.pattern in
   for j = 0 to n - 1 do
     (* cdiv *)
     let d = sqrt vals.(j).(0) in
@@ -85,10 +84,10 @@ let oracle_factor k sym =
     for kidx = 1 to Array.length sym.pattern.(j) - 1 do
       let target = sym.pattern.(j).(kidx) in
       let ljk = vals.(j).(kidx) in
+      let off = ref 0 in
       for idx = kidx to Array.length sym.pattern.(j) - 1 do
-        let i = sym.pattern.(j).(idx) in
-        let off = Hashtbl.find pos.(target) i in
-        vals.(target).(off) <- vals.(target).(off) -. (vals.(j).(idx) *. ljk)
+        off := offset_of sym.pattern.(target) sym.pattern.(j).(idx) !off;
+        vals.(target).(!off) <- vals.(target).(!off) -. (vals.(j).(idx) *. ljk)
       done
     done
   done;
@@ -106,10 +105,6 @@ let run cfg { grid = k } =
   let machine = R.create cfg in
   let sym = symbolic_analyse k in
   let n = sym.n in
-  let pos = Array.map (fun _ -> Hashtbl.create 8) sym.pattern in
-  Array.iteri
-    (fun j p -> Array.iteri (fun idx i -> Hashtbl.replace pos.(j) i idx) p)
-    sym.pattern;
   (* Column storage: one remaining-updates counter word followed by the
      column values, fine-grained (8-byte) cache lines. *)
   let col_base =
@@ -194,11 +189,11 @@ let run cfg { grid = k } =
               let target = sym.pattern.(j).(kidx) in
               let ljk = col.(kidx) in
               R.acquire c col_lock.(target);
+              let off = ref 0 in
               for idx = kidx to len - 1 do
-                let i = sym.pattern.(j).(idx) in
-                let off = Hashtbl.find pos.(target) i in
-                R.write_f64 c (value_addr target off)
-                  (R.read_f64 c (value_addr target off) -. (col.(idx) *. ljk))
+                off := offset_of sym.pattern.(target) sym.pattern.(j).(idx) !off;
+                let a = value_addr target !off in
+                R.write_f64 c a (R.read_f64 c a -. (col.(idx) *. ljk))
               done;
               cycles ((len - kidx) * 2 * Common.cycles_flop);
               let remaining = R.read_int c (counter_addr target) - 1 in

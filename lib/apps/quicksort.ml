@@ -112,19 +112,16 @@ let run cfg { n; threshold; slots } =
       let bubblesort lo hi =
         (* The paper's leaf sort: bubble sort with its compare-and-swap
            inner loop, run on a private copy (private memory is not
-           instrumented), with a single write-back of the sorted data. *)
+           instrumented), with a single write-back of the sorted data.
+           The simulated processor runs the bubble sort, whose cost does
+           not depend on the data: the pass over [last + 1] elements
+           costs [last * 6] cycles, [3 * len * (len - 1)] in all.  The
+           host sorts the copy to the same result with a merge sort,
+           faster than [Array.sort]'s heap sort and allocating less. *)
         let len = hi - lo in
         let buf = Array.init len (fun i -> R.read_int c (elem (lo + i))) in
-        for last = len - 1 downto 1 do
-          for i = 0 to last - 1 do
-            if buf.(i) > buf.(i + 1) then begin
-              let t = buf.(i) in
-              buf.(i) <- buf.(i + 1);
-              buf.(i + 1) <- t
-            end
-          done;
-          cycles (last * 6)
-        done;
+        Array.stable_sort Int.compare buf;
+        cycles (3 * len * (len - 1));
         Array.iteri (fun i v -> R.write_int c (elem (lo + i)) v) buf
       in
       let partition lo hi =

@@ -42,6 +42,10 @@ let oracle { n; iterations } =
 
 let fits { n; _ } ~nprocs = n / nprocs >= 3
 
+(* A store to a grid row: edge rows are shared, interior rows private. *)
+let[@inline] store c ~shared a v =
+  if shared then R.write_f64 c a v else R.write_f64_private c a v
+
 let run cfg ({ n; iterations } as params) =
   let nprocs = cfg.Midway.Config.nprocs in
   if not (fits params ~nprocs) then
@@ -74,15 +78,12 @@ let run cfg ({ n; iterations } as params) =
   R.run machine (fun c ->
       let me = R.id c in
       let lo, hi = Common.band ~n ~nprocs me in
-      let get i j = R.read_f64 c (addr i j) in
-      let write i j v =
-        if shared_row.(i) then R.write_f64 c (addr i j) v else R.write_f64_private c (addr i j) v
-      in
       (* Initialize my band through the classified stores, then exchange
          edge rows once so iteration 1 reads the true initial values. *)
       for i = lo to hi - 1 do
+        let row = row_addr.(i) and shared = shared_row.(i) in
         for j = 0 to n - 1 do
-          write i j (initial n i j)
+          store c ~shared (row + (j * 8)) (initial n i j)
         done;
         R.work_cycles c (n * 2)
       done;
@@ -96,11 +97,22 @@ let run cfg ({ n; iterations } as params) =
       for _ = 1 to iterations do
         for parity = 0 to 1 do
           for i = first to last do
+            (* Accesses go straight to the Runtime on the rows' base
+               addresses: a float passed through a local closure would
+               be boxed on every point. *)
+            let up = row_addr.(i - 1) and row = row_addr.(i) and down = row_addr.(i + 1) in
+            let shared = shared_row.(i) in
             let updates = ref 0 in
             for j = 1 to n - 2 do
               if (i + j) land 1 = parity then begin
                 incr updates;
-                write i j (0.25 *. (get (i - 1) j +. get (i + 1) j +. get i (j - 1) +. get i (j + 1)))
+                let o = j * 8 in
+                store c ~shared (row + o)
+                  (0.25
+                  *. (R.read_f64 c (up + o)
+                     +. R.read_f64 c (down + o)
+                     +. R.read_f64 c (row + o - 8)
+                     +. R.read_f64 c (row + o + 8)))
               end
             done;
             R.work_cycles c (!updates * flops_per_update * Common.cycles_flop)

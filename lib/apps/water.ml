@@ -34,12 +34,14 @@ let initial_field m k =
   else 0.0
 
 (* The simplified pair interaction: a soft inverse-square attraction
-   between molecular centres (atom 0). *)
-let pair_force xi yi zi xj yj zj =
-  let dx = xi -. xj and dy = yi -. yj and dz = zi -. zj in
+   between molecular centres (atom 0).  For centres [d = (dx, dy, dz)]
+   apart it is [coef] times [d], with potential [coef].  Both force
+   loops below spell the force out around this coefficient in the same
+   order of operations, so they round identically; a tuple or a
+   closure would box the floats on every pair. *)
+let[@inline] pair_coef dx dy dz =
   let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-  let coef = 1.0 /. (r2 +. 0.5) in
-  (dx *. coef, dy *. coef, dz *. coef, coef)
+  1.0 /. (r2 +. 0.5)
 
 (* Sequential oracle sharing the exact arithmetic and iteration order. *)
 let oracle { molecules = n; steps; sync = _ } =
@@ -59,15 +61,16 @@ let oracle { molecules = n; steps; sync = _ } =
     (* force + correct, owner-computes order *)
     let forces = Array.make_matrix n 3 0.0 in
     for i = 0 to n - 1 do
+      let ri = m.(i) and fi = forces.(i) in
       for j = 0 to n - 1 do
         if j <> i then begin
-          let fx, fy, fz, pot =
-            pair_force m.(i).(0) m.(i).(1) m.(i).(2) m.(j).(0) m.(j).(1) m.(j).(2)
-          in
-          forces.(i).(0) <- forces.(i).(0) +. fx;
-          forces.(i).(1) <- forces.(i).(1) +. fy;
-          forces.(i).(2) <- forces.(i).(2) +. fz;
-          if j > i then energy := !energy +. pot
+          let rj = m.(j) in
+          let dx = ri.(0) -. rj.(0) and dy = ri.(1) -. rj.(1) and dz = ri.(2) -. rj.(2) in
+          let coef = pair_coef dx dy dz in
+          fi.(0) <- fi.(0) +. (dx *. coef);
+          fi.(1) <- fi.(1) +. (dy *. coef);
+          fi.(2) <- fi.(2) +. (dz *. coef);
+          if j > i then energy := !energy +. coef
         end
       done
     done;
@@ -157,19 +160,18 @@ let run cfg ({ molecules = n; steps; sync } as params) =
           let xi = R.read_f64 c (field m 0)
           and yi = R.read_f64 c (field m 1)
           and zi = R.read_f64 c (field m 2) in
+          let base = (m - lo) * 3 in
           for j = 0 to n - 1 do
             if j <> m then begin
-              let fx, fy, fz, pot =
-                pair_force xi yi zi
-                  (R.read_f64 c (field j 0))
-                  (R.read_f64 c (field j 1))
-                  (R.read_f64 c (field j 2))
-              in
-              let base = (m - lo) * 3 in
-              forces.(base) <- forces.(base) +. fx;
-              forces.(base + 1) <- forces.(base + 1) +. fy;
-              forces.(base + 2) <- forces.(base + 2) +. fz;
-              if j > m then my_pot := !my_pot +. pot
+              let xj = R.read_f64 c (field j 0)
+              and yj = R.read_f64 c (field j 1)
+              and zj = R.read_f64 c (field j 2) in
+              let dx = xi -. xj and dy = yi -. yj and dz = zi -. zj in
+              let coef = pair_coef dx dy dz in
+              forces.(base) <- forces.(base) +. (dx *. coef);
+              forces.(base + 1) <- forces.(base + 1) +. (dy *. coef);
+              forces.(base + 2) <- forces.(base + 2) +. (dz *. coef);
+              if j > m then my_pot := !my_pot +. coef
             end
           done;
           (* ~4,400 cycles per pair evaluation calibrates the

@@ -94,6 +94,8 @@ let ecsan_access c addr len ~op ~access =
       Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access
         ~shared_region
 
+(* The float accessors are inlined into their callers, so a float read
+   or stored in an application's loop is never boxed. *)
 let[@inline] read_f64 c addr =
   let v = Space.get_f64 c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 8 ~op:"read_f64" ~access:Check.Read;
@@ -119,7 +121,7 @@ let read_bytes c addr ~len =
   ecsan_access c addr len ~op:"read_bytes" ~access:Check.Read;
   v
 
-let write_f64 c addr v =
+let[@inline] write_f64 c addr v =
   trap c addr 8;
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_f64" ~access:Check.Write
@@ -144,7 +146,7 @@ let write_bytes c addr buf =
   Space.write_bytes c.machine.space ~proc:c.cid addr buf;
   ecsan_access c addr (Bytes.length buf) ~op:"write_bytes" ~access:Check.Write
 
-let write_f64_private c addr v =
+let[@inline] write_f64_private c addr v =
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_f64_private" ~access:Check.Private_write
 
@@ -461,9 +463,9 @@ let acquire_mode c l mode =
     in
     let arrival = request_owner () in
     Engine.block c.proc
-      ~reason:
-        (Printf.sprintf "acquire of lock %d (%s mode)" l.Sync.lid
-           (match mode with Sync.Exclusive -> "exclusive" | Sync.Shared -> "shared"))
+      ~reason:(fun () ->
+        Printf.sprintf "acquire of lock %d (%s mode)" l.Sync.lid
+          (match mode with Sync.Exclusive -> "exclusive" | Sync.Shared -> "shared"))
       ~setup:(fun ~wake ->
         Sync.enqueue_request l ~proc:c.cid ~arrival ~mode ~waker:wake;
         service_queue t l);
@@ -670,8 +672,10 @@ let barrier c b =
         let barrier = b.Sync.bid and proc = c.cid and payload_bytes = app in
         emit (Event.Barrier_arrived { t = now_ns c; barrier; proc; payload_bytes }));
     let wait0 = now_ns c in
+    (* the episode as this processor arrives: its release moves it on *)
+    let bid = b.Sync.bid and episode = b.Sync.episode in
     Engine.block c.proc
-      ~reason:(Printf.sprintf "barrier %d (episode %d)" b.Sync.bid b.Sync.episode)
+      ~reason:(fun () -> Printf.sprintf "barrier %d (episode %d)" bid episode)
       ~setup:(fun ~wake ->
         b.Sync.arrived <-
           b.Sync.arrived

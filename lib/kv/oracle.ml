@@ -83,13 +83,13 @@ let describe o =
 
 (* One bucket's replay.  [writes] come in ascending committed sequence
    (1, 2, ...); reads are grouped by the sequence prefix they observed.
-   The model is the per-key (present, value) map restricted to this
-   bucket's keys. *)
-let check_bucket ~bucket ~keys_of_bucket ~killed ~journal ~violations obs_list =
+   The bucket's keys are [lo, hi), and the model is the per-key
+   (present, value) map restricted to them. *)
+let check_bucket ~bucket ~lo ~hi ~killed ~journal ~violations obs_list =
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let in_bucket k = List.mem k keys_of_bucket in
+  let in_bucket k = k >= lo && k < hi in
   let writes, reads = List.partition (fun o -> is_write o.o_kind) obs_list in
-  let writes = List.stable_sort (fun a b -> compare a.o_seq b.o_seq) writes in
+  let writes = List.stable_sort (fun a b -> Int.compare a.o_seq b.o_seq) writes in
   (* sequence integrity: strictly increasing from 1, gaps only where a
      killed processor's journal supplies the missing write *)
   let recovered = ref [] in
@@ -207,9 +207,9 @@ let check ~keys ~buckets ~killed ~journal ~final obs_list =
         by_bucket.(o.o_bucket) <- o :: by_bucket.(o.o_bucket))
     obs_list;
   for b = 0 to buckets - 1 do
-    let keys_of_bucket = List.init per_bucket (fun i -> (b * per_bucket) + i) in
+    let lo = b * per_bucket in
     let model, max_seq, _recovered =
-      check_bucket ~bucket:b ~keys_of_bucket ~killed ~journal ~violations
+      check_bucket ~bucket:b ~lo ~hi:(lo + per_bucket) ~killed ~journal ~violations
         (List.rev by_bucket.(b))
     in
     match final with

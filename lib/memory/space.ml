@@ -179,13 +179,13 @@ let get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask)
 let set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) v
 
 (* The word is converted in the same expression that loads or stores it,
-   so the int64 stays unboxed.  [get_f64] and [Runtime.read_f64] are
-   inlined where the compiler sees across modules (not under dune's
-   default -opaque), and then the float result stays unboxed too. *)
+   so the int64 stays unboxed.  [get_f64] and [set_f64] are inlined, and
+   so are Runtime's float accessors, so the float a caller's loop reads
+   or stores stays unboxed too. *)
 let[@inline] get_f64 t ~proc a =
   Int64.float_of_bits (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
-let set_f64 t ~proc a v =
+let[@inline] set_f64 t ~proc a v =
   Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) (Int64.bits_of_float v)
 
 let get_int t ~proc a = Int64.to_int (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))

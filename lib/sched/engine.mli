@@ -125,7 +125,7 @@ val yield : proc -> unit
     first.  Every protocol action (lock acquire/release, barrier) must
     yield before inspecting shared protocol state. *)
 
-val block : ?reason:string -> proc -> setup:(wake:(at:int -> unit) -> unit) -> unit
+val block : ?reason:(unit -> string) -> proc -> setup:(wake:(at:int -> unit) -> unit) -> unit
 (** [block p ~setup] suspends the fiber. [setup] runs immediately (still
     on the fiber's stack, before suspension completes) and must arrange
     for [wake ~at] to be called exactly once later, from some other
@@ -135,7 +135,9 @@ val block : ?reason:string -> proc -> setup:(wake:(at:int -> unit) -> unit) -> u
     [reason] describes what the fiber is waiting on (e.g. ["acquire lock
     3"]); it is cleared on wake and included in the {!Deadlock} message
     for every still-blocked processor, so fault-induced hangs are
-    diagnosable at a glance. *)
+    diagnosable at a glance.  It is a thunk, called only by that message
+    and by the block observer, so a block nobody reports on builds no
+    string; it must return the same text whenever it is called. *)
 
 val run : t -> unit
 (** Execute all spawned fibers to completion.  Raises {!Deadlock} if the
