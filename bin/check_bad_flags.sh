@@ -40,6 +40,18 @@ expect_usage_error --nprocs ./midway_run.exe sor --nprocs 64 --scale 0.05
 expect_usage_error --scale ./midway_run.exe sor --nprocs 64 --scale 0.05
 expect_usage_error --nprocs ./experiments.exe --nprocs 64 --scale 0.05 --apps sor --only table2
 expect_usage_error --scale ./experiments.exe --nprocs 64 --scale 0.05 --apps sor --only table2
+# A configuration Runtime.validate refuses, or an app that binds data to
+# barriers under a backend whose barriers carry none, is a usage error
+# too, refused before any machine runs; the pattern names the problem.
+run_small() { ./midway_run.exe "$@" --scale 0.05 --nprocs 4; }
+expect_usage_error untargetted run_small sor --backend vm --untargetted
+expect_usage_error untargetted run_small sor --backend standalone --untargetted
+expect_usage_error blast run_small water --backend blast
+expect_usage_error untargetted run_small sor --untargetted
+expect_usage_error ecsan run_small sor --ecsan --untargetted
+expect_usage_error adaptive run_small sor --backend twin --adaptive
+expect_usage_error untargetted run_small sor --adaptive --untargetted
+expect_usage_error crash run_small sor --backend standalone --crash stop@1ms:p0
 expect_success() {
   "$@" >/dev/null 2>&1
   code=$?

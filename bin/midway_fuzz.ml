@@ -59,17 +59,18 @@ let parse_names of_name csv =
              exit 2)
 
 let print_failure (c : Explore.counterexample) =
+  let cfg = c.Explore.c_config in
   Printf.printf "FAIL %s/%s schedule-seed=%d%s\n" c.Explore.c_workload
-    (Config.backend_name c.Explore.c_backend)
+    (Config.backend_name cfg.Config.backend)
     c.Explore.c_schedule_seed
-    (match c.Explore.c_fault_seed with
-    | Some s -> Printf.sprintf " fault-seed=%d" s
+    (match cfg.Config.faults with
+    | Some f -> Printf.sprintf " fault-seed=%d" f.Midway_simnet.Net.fault_seed
     | None -> "");
   Printf.printf "  %s\n" c.Explore.c_reason;
   (match c.Explore.c_choices with
   | Some l -> Printf.printf "  recorded choices : %d\n" (List.length l)
   | None -> Printf.printf "  recorded choices : unavailable (machine lost)\n");
-  (match c.Explore.c_shrunk with
+  (match Explore.shrunk c with
   | Some l ->
       Printf.printf "  shrunk to        : [%s] (%d re-runs)\n"
         (String.concat "," (List.map string_of_int l))
@@ -97,15 +98,15 @@ let run_replay scale trace_out metrics_out path =
   | Error msg ->
       Printf.eprintf "replay failed: %s\n" msg;
       2
-  | Ok r ->
+  | Ok j ->
       (match trace_out with
       | Some f -> Printf.printf "replay trace written to %s (open in Perfetto)\n" f
       | None -> ());
       (match metrics_out with
       | Some f -> Printf.printf "replay metrics written to %s\n" f
       | None -> ());
-      if r.Explore.rr_failed then begin
-        Printf.printf "failure reproduced:\n  %s\n" r.Explore.rr_reason;
+      if j.Explore.j_failed then begin
+        Printf.printf "failure reproduced:\n  %s\n" j.Explore.j_reason;
         0
       end
       else begin
@@ -198,7 +199,7 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
            the grid and shrunk to a verified-failing counterexample *)
         let caught (w : Workload.t) =
           List.exists
-            (fun c -> c.Explore.c_workload = w.Workload.name && c.Explore.c_shrunk <> None)
+            (fun c -> c.Explore.c_workload = w.Workload.name && Explore.shrunk c <> None)
             failures
         in
         let missed = List.filter (fun w -> not (caught w)) workloads in

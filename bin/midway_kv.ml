@@ -84,6 +84,7 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
     | None -> cfg
     | Some plan -> Config.with_crash plan cfg
   in
+  (match R.validate cfg with Ok () -> () | Error msg -> die "%s" msg);
   let kv_cfg =
     {
       Kv_workload.ycsb =

@@ -64,31 +64,13 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
         Printf.eprintf "unknown rt mode %S (expected plain|two-level|update-queue)\n" s;
         exit 2
   in
-  if ecsan && untargetted then begin
-    Printf.eprintf "--ecsan does not support the untargetted model (no per-lock bindings to check)\n";
-    exit 2
-  end;
-  if adaptive && not (backend = Midway.Config.Rt || backend = Midway.Config.Vm) then begin
-    Printf.eprintf "--adaptive needs --backend rt or vm (the per-region electable backends)\n";
-    exit 2
-  end;
-  if adaptive && untargetted then begin
-    Printf.eprintf "--adaptive needs per-lock bindings (not the untargetted model)\n";
-    exit 2
-  end;
   let nprocs = if backend = Midway.Config.Standalone then 1 else nprocs in
   (match Midway_report.Suite.fits app ~nprocs ~scale with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "%s: lower --nprocs or raise --scale\n" msg;
       exit 2);
-  let crash_plan =
-    match crash_spec with
-    | Some _ when backend = Midway.Config.Standalone ->
-        Printf.eprintf "--crash needs a distributed backend (standalone has no peers to fail over to)\n";
-        exit 2
-    | spec -> Midway_cli.Cli.crash_plan ~nprocs spec
-  in
+  let crash_plan = Midway_cli.Cli.crash_plan ~nprocs crash_spec in
   let cfg =
     {
       (Midway.Config.make backend ~nprocs) with
@@ -103,6 +85,18 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
   let cfg =
     match crash_plan with None -> cfg | Some plan -> Midway.Config.with_crash plan cfg
   in
+  (match Midway.Runtime.validate cfg with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2);
+  if Midway_report.Suite.barrier_bound app && (backend = Midway.Config.Blast || untargetted)
+  then begin
+    Printf.eprintf "%s binds data to barriers, which %s cannot carry\n" app_name
+      (if untargetted then "the untargetted model (--untargetted)"
+       else "the blast backend (--backend blast)");
+    exit 2
+  end;
   let t0 = Unix.gettimeofday () in
   let outcome = Midway_report.Suite.run_app app cfg ~scale in
   let host = Unix.gettimeofday () -. t0 in
@@ -159,12 +153,20 @@ let run app_name backend_name nprocs scale rt_mode_name untargetted adaptive cra
       | None -> ());
       if trace_out = None && metrics_out = None then
         Printf.printf "\n%s" (Midway_obs.Metrics.render_markdown snap));
-  if ecsan then begin
-    let rep = Midway.Runtime.check_report outcome.Midway_apps.Outcome.machine in
-    Printf.printf "\n%s" (Midway_check.Report.render rep);
-    if Midway_check.Report.has_violations rep then exit 1
+  let invariants = Midway.Runtime.check_invariants outcome.Midway_apps.Outcome.machine in
+  if invariants <> [] then begin
+    Printf.printf "\ninvariant violations:\n";
+    List.iter (Printf.printf "  %s\n") invariants
   end;
-  if not outcome.Midway_apps.Outcome.ok then exit 1
+  let ecsan_bad =
+    if ecsan then begin
+      let rep = Midway.Runtime.check_report outcome.Midway_apps.Outcome.machine in
+      Printf.printf "\n%s" (Midway_check.Report.render rep);
+      Midway_check.Report.has_violations rep
+    end
+    else false
+  in
+  if ecsan_bad || invariants <> [] || not outcome.Midway_apps.Outcome.ok then exit 1
 
 open Cmdliner
 module Cli = Midway_cli.Cli

@@ -51,20 +51,11 @@ type t = {
   backend : backend;
   nprocs : int;
   cost : Midway_stats.Cost_model.t;
-  net_latency_ns : int;
-  net_ns_per_byte : int;
-  net_header_bytes : int;
-  line_descriptor_bytes : int;
   region_size : int;
-  default_line_size : int;
   untargetted : bool;
   rt_mode : rt_mode;
-  two_level_group : int;
   update_log_window : int;
   trace_capacity : int;
-  local_lock_ns : int;
-  release_ns : int;
-  apply_line_ns : int;
   seed : int;
   sched_policy : Midway_sched.Engine.policy;
   ecsan : bool;
@@ -80,20 +71,11 @@ let make ?(cost = Midway_stats.Cost_model.default) backend ~nprocs =
     backend;
     nprocs;
     cost;
-    net_latency_ns = 150_000;
-    net_ns_per_byte = 57;
-    net_header_bytes = 64;
-    line_descriptor_bytes = 8;
     region_size = 16 * 1024 * 1024;
-    default_line_size = 64;
     untargetted = false;
     rt_mode = Plain;
-    two_level_group = 64;
     update_log_window = 16;
     trace_capacity = 0;
-    local_lock_ns = 2_000;
-    release_ns = 1_000;
-    apply_line_ns = 100;
     seed = 0x5EED;
     sched_policy = Midway_sched.Engine.Fifo;
     ecsan = false;

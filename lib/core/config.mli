@@ -1,8 +1,16 @@
 (** Run configuration: which write-detection backend, which machine model.
 
     A single Midway build can be configured as an RT-DSM or a VM-DSM
-    (paper, section 3); this record selects the backend and fixes every
-    machine parameter so experiments are reproducible. *)
+    (paper, section 3); this record selects the backend and holds every
+    machine parameter some caller varies, so a run is reproduced by its
+    [t].  The parameters no caller varies are constants where they are
+    used: the network's latency, bandwidth and header
+    ({!Midway_simnet.Net.create}), the wire descriptor
+    ({!Payload.descriptor_bytes}), the default line size
+    ({!Runtime.alloc}), the two-level group and the synchronization
+    costs the paper does not measure
+    ({!Midway_stats.Cost_model.local_lock_ns} and its neighbours).
+    {!Runtime.validate} decides which configurations may run. *)
 
 type backend =
   | Rt  (** compiler/runtime write detection: per-line dirtybit timestamps *)
@@ -44,14 +52,8 @@ type t = {
   backend : backend;
   nprocs : int;
   cost : Midway_stats.Cost_model.t;
-  (* network *)
-  net_latency_ns : int;
-  net_ns_per_byte : int;
-  net_header_bytes : int;
-  line_descriptor_bytes : int;  (** per-line/per-run wire overhead in update messages *)
-  (* memory layout *)
+      (** the paper's Table 1; sweeps re-price it *)
   region_size : int;
-  default_line_size : int;
   (* consistency model *)
   untargetted : bool;
       (** section 3.5 "other memory models": when true, every lock
@@ -62,18 +64,13 @@ type t = {
           for.  RT backend only; barriers may carry no bound data. *)
   (* RT options *)
   rt_mode : rt_mode;
-  two_level_group : int;  (** lines covered by one first-level bit *)
   (* VM options *)
   update_log_window : int;  (** incarnations of saved updates kept per lock *)
   trace_capacity : int;
       (** arm the protocol event log ({!Runtime.log}) keeping the most
           recent [trace_capacity] events, for the text tail and failure
           context; [0] (the default) arms none.  Negative values are
-          rejected by {!Runtime.create}. *)
-  (* synchronization costs *)
-  local_lock_ns : int;  (** acquire of a lock already owned by this processor *)
-  release_ns : int;  (** local bookkeeping at release *)
-  apply_line_ns : int;  (** fixed per-line cost of applying an incoming update *)
+          rejected by {!Runtime.validate}. *)
   seed : int;
   (* scheduling *)
   sched_policy : Midway_sched.Engine.policy;
@@ -134,9 +131,8 @@ type t = {
 }
 
 val make : ?cost:Midway_stats.Cost_model.t -> backend -> nprocs:int -> t
-(** Defaults model the paper's testbed: 4 KB pages, 16 MiB regions, 64 B
-    default lines, 150 us message latency, 57 ns/byte, 8-byte line
-    descriptors, [Plain] RT trapping, an update-log window of 16
+(** Defaults model the paper's testbed: the Table 1 costs (4 KB pages),
+    16 MiB regions, [Plain] RT trapping, an update-log window of 16
     incarnations, no faults and no crashes. *)
 
 val with_schedule_seed : int -> t -> t
@@ -159,5 +155,5 @@ val with_faults : ?duplicate:float -> ?jitter_ns:int -> ?seed:int -> drop:float 
 
 val with_crash : ?broken:bool -> Midway_simnet.Crash.plan -> t -> t
 (** Arm node-level faults with the given crash plan ([broken] defaults
-    to [false]).  {!Runtime.create} rejects a plan naming a processor
-    the machine lacks. *)
+    to [false]).  {!Runtime.validate} rejects a plan naming a processor
+    the machine lacks, or armed on the standalone backend. *)

@@ -35,12 +35,6 @@ let lock_fallback = Config.Blast
 
 let barrier_fallback = Config.Twin
 
-let validate (cfg : Config.t) =
-  if cfg.backend = Config.Standalone && cfg.nprocs > 1 then
-    invalid_arg "Runtime.create: the standalone backend is uniprocessor only";
-  if cfg.untargetted && cfg.backend <> Config.Rt then
-    invalid_arg "Runtime.create: the untargetted model is implemented for the RT backend only"
-
 (* The trapping half and the history half of each scheme.  A timestamp
    history keeps its stamps in a dirtybit table whether or not the
    templates fill it: vm-fine traps with page faults and folds each diff
@@ -55,6 +49,9 @@ type t = { env : env; proc : int; counters : Counters.t; history : history }
 
 type cursor = int
 
+(* Lines covered by one first-level bit of a two-level table. *)
+let two_level_group = 64
+
 let create env ~proc backend =
   let cfg = env.cfg in
   let history =
@@ -62,14 +59,14 @@ let create env ~proc backend =
     | Config.Rt ->
         Stamps
           {
-            db = Dirtybits.create ~mode:cfg.rt_mode ~group:cfg.two_level_group;
+            db = Dirtybits.create ~mode:cfg.rt_mode ~group:two_level_group;
             faults = None;
             gather = Gather.create ();
           }
     | Config.Vm_fine ->
         Stamps
           {
-            db = Dirtybits.create ~mode:Config.Plain ~group:cfg.two_level_group;
+            db = Dirtybits.create ~mode:Config.Plain ~group:two_level_group;
             faults = Some (Vm_state.create ~page_size:cfg.cost.page_size);
             gather = Gather.create ();
           }
@@ -315,7 +312,7 @@ let apply_lines d db (lines : Payload.rt_line list) =
          division, so charging the run as one block would drift from the
          per-line total. *)
       let per_line_ns =
-        cost.dirtybit_update_ns + cfg.apply_line_ns
+        cost.dirtybit_update_ns + Cost_model.apply_line_ns
         + Cost_model.copy_cost_ns cost ~bytes:line_len ~warm:true
       in
       if not guard_stale then begin
@@ -383,7 +380,7 @@ let apply_lines_paged d db vm (lines : Payload.rt_line list) =
       Dirtybits.set_ts_run db ~region ~addr:ln.Payload.addr ~lines:ln.Payload.descs
         ~ts:ln.Payload.ts;
       d.counters.dirtybits_updated <- d.counters.dirtybits_updated + ln.Payload.descs;
-      acc + (ln.Payload.descs * (cfg.cost.dirtybit_update_ns + cfg.apply_line_ns)))
+      acc + (ln.Payload.descs * (cfg.cost.dirtybit_update_ns + Cost_model.apply_line_ns)))
     copy_ns lines
 
 (* A crash replica is authoritative regardless of local stamps (it
@@ -400,7 +397,7 @@ let stamps_install d s (l : Sync.lock) pieces =
   Payload.write_pieces env.space ~proc:d.proc pieces;
   let lines = stamp_ranges d s l.Sync.ranges ~stamp in
   l.Sync.rt_last_seen.(d.proc) <- stamp;
-  (lines * (cfg.cost.dirtybit_update_ns + cfg.apply_line_ns))
+  (lines * (cfg.cost.dirtybit_update_ns + Cost_model.apply_line_ns))
   + Cost_model.copy_cost_ns cfg.cost ~bytes:(Payload.pieces_bytes pieces) ~warm:false
 
 let stamps_advance d (l : Sync.lock) ~requester:q stamp =
@@ -511,14 +508,10 @@ let log_collect_lock d log (l : Sync.lock) ~for_ =
            the bound data, all of the bound data is sent instead. *)
         let covered = List.length taken = this_inc - seen in
         let updates =
-          List.rev_map
-            (fun (inc, e) -> { Payload.incarnation = inc; producer = -1; pieces = pieces_of e })
-            taken
+          List.rev_map (fun (_, e) -> pieces_of e) taken
           (* rev_map of newest-first gives oldest-first, the application order *)
         in
-        let bytes =
-          List.fold_left (fun acc u -> acc + Payload.pieces_bytes u.Payload.pieces) 0 updates
-        in
+        let bytes = List.fold_left (fun acc u -> acc + Payload.pieces_bytes u) 0 updates in
         if (not covered) || bytes > bound then Payload.Vm_full (read_bound d l.Sync.ranges)
         else Payload.Vm_updates updates
       end
@@ -543,10 +536,7 @@ let log_apply_pieces d log ~id ~ranges pieces =
 let log_apply d log ~id ~ranges payload =
   match payload with
   | Payload.Vm_updates updates ->
-      List.fold_left
-        (fun acc (u : Payload.vm_update) ->
-          acc + log_apply_pieces d log ~id ~ranges u.Payload.pieces)
-        0 updates
+      List.fold_left (fun acc u -> acc + log_apply_pieces d log ~id ~ranges u) 0 updates
   | Payload.Vm_full pieces -> log_apply_pieces d log ~id ~ranges pieces
   | Payload.Empty -> 0
   | Payload.Rt_lines _ | Payload.Blast_data _ -> invalid_arg "Detector.apply: wrong payload kind"

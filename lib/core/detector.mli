@@ -39,11 +39,6 @@ val env :
     channel, whose retries can replay an update: timestamp-history
     applies then skip lines already installed. *)
 
-val validate : Config.t -> unit
-(** Reject the machine-wide schemes' impossible configurations (a
-    multiprocessor standalone machine, an untargetted model off rt) with
-    the [Invalid_argument] messages of {!Runtime.create}. *)
-
 val electable : Config.backend -> bool
 (** Whether a region may elect the scheme on its own: [Rt], [Vm], [Twin]
     and [Blast].  [Vm_fine] and [Standalone] are machine-wide. *)

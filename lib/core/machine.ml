@@ -10,6 +10,7 @@ module Net = Midway_simnet.Net
 module Reliable = Midway_simnet.Reliable
 module Crash = Midway_simnet.Crash
 module Counters = Midway_stats.Counters
+module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
 module Event = Midway_obs.Event
 module Check = Midway_check.Check
@@ -79,20 +80,47 @@ let ecsan_subscriber ch : Event.t -> unit = function
   | Barrier_completed { barrier; _ } -> Check.on_barrier_complete ch ~id:barrier
   | _ -> ()
 
+(* Every rule a configuration must meet to run, in one place: [create]
+   refuses what fails, and the tools check before they build a machine.
+   The first rule that fails wins. *)
+let validate (cfg : Config.t) =
+  let missing_proc =
+    match cfg.crash with
+    | None -> None
+    | Some c ->
+        List.find_opt (fun (e : Crash.event) -> e.Crash.proc >= cfg.nprocs) (Crash.events c.plan)
+  in
+  if cfg.backend = Config.Standalone && cfg.nprocs > 1 then
+    Error "the standalone backend is uniprocessor only"
+  else if cfg.untargetted && cfg.backend <> Config.Rt then
+    Error "the untargetted model is implemented for the RT backend only"
+  else if cfg.adaptive && cfg.untargetted then
+    Error
+      "per-region backends need targetted bindings (untargetted consistency is machine-wide by \
+       construction)"
+  else if cfg.adaptive && not (Policy.manages cfg.backend) then
+    Error "adaptive elects between rt and vm; start from one of them"
+  else if cfg.ecsan && cfg.untargetted then
+    Error
+      "ecsan assumes targetted entry consistency (any lock transfer makes everything \
+       consistent under the untargetted model, so binding checks do not apply)"
+  else if cfg.trace_capacity < 0 then Error "negative trace_capacity"
+  else
+    match missing_proc with
+    | Some e ->
+        Error
+          (Printf.sprintf "the crash plan names p%d but the machine has %d processors"
+             e.Crash.proc cfg.nprocs)
+    | None ->
+        if cfg.crash <> None && cfg.backend = Config.Standalone then
+          Error "a crash plan needs a distributed backend (standalone has no peers to fail over to)"
+        else Ok ()
+
 let create (cfg : Config.t) ~recovery =
-  Detector.validate cfg;
-  if cfg.adaptive && cfg.untargetted then
-    invalid_arg
-      "Runtime.create: per-region backends need targetted bindings (untargetted consistency \
-       is machine-wide by construction)";
-  if cfg.adaptive && not (Policy.manages cfg.backend) then
-    invalid_arg "Runtime.create: adaptive elects between rt and vm; start from one of them";
+  (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Runtime.create: " ^ msg));
   let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
   let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
-  let net =
-    Net.create ~latency_ns:cfg.net_latency_ns ~ns_per_byte:cfg.net_ns_per_byte
-      ~header_bytes:cfg.net_header_bytes ~nprocs:cfg.nprocs ()
-  in
+  let net = Net.create ~nprocs:cfg.nprocs () in
   (* The reliable channel is armed by message faults *or* by node-level
      crash faults: suspicion detection rides on ack-timeout exhaustion, so
      a crashed fabric needs the channel even on an otherwise-clean net. *)
@@ -109,7 +137,6 @@ let create (cfg : Config.t) ~recovery =
         end;
         Some ch
   in
-  if cfg.trace_capacity < 0 then invalid_arg "Runtime.create: negative trace_capacity";
   let log =
     if cfg.obs then Some (Obs.create ())
     else if cfg.trace_capacity > 0 then Some (Obs.create ~capacity:cfg.trace_capacity ())
@@ -117,10 +144,6 @@ let create (cfg : Config.t) ~recovery =
   in
   let check =
     if not cfg.ecsan then None
-    else if cfg.untargetted then
-      invalid_arg
-        "Runtime.create: ecsan assumes targetted entry consistency (any lock transfer makes \
-         everything consistent under the untargetted model, so binding checks do not apply)"
     else
       (* First-occurrence context: the tail of the event log (empty
          unless a log is armed). *)

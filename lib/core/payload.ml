@@ -4,11 +4,9 @@ type rt_line = { addr : int; len : int; ts : Timestamp.t; data : Bytes.t; descs 
 
 type vm_piece = { addr : int; data : Bytes.t }
 
-type vm_update = { incarnation : int; producer : int; pieces : vm_piece list }
-
 type t =
   | Rt_lines of rt_line list
-  | Vm_updates of vm_update list
+  | Vm_updates of vm_piece list list
   | Vm_full of vm_piece list
   | Blast_data of vm_piece list
   | Empty
@@ -18,16 +16,17 @@ let pieces_bytes pieces =
 
 let app_bytes = function
   | Rt_lines lines -> List.fold_left (fun acc l -> acc + l.len) 0 lines
-  | Vm_updates updates ->
-      List.fold_left (fun acc u -> acc + pieces_bytes u.pieces) 0 updates
+  | Vm_updates updates -> List.fold_left (fun acc u -> acc + pieces_bytes u) 0 updates
   | Vm_full pieces | Blast_data pieces -> pieces_bytes pieces
   | Empty -> 0
 
 let descriptors = function
   | Rt_lines lines -> List.fold_left (fun acc l -> acc + l.descs) 0 lines
-  | Vm_updates updates -> List.fold_left (fun acc u -> acc + List.length u.pieces) 0 updates
+  | Vm_updates updates -> List.fold_left (fun acc u -> acc + List.length u) 0 updates
   | Vm_full pieces | Blast_data pieces -> List.length pieces
   | Empty -> 0
+
+let descriptor_bytes = 8
 
 let read_pieces space ~proc ranges =
   List.filter_map
@@ -54,6 +53,6 @@ let page_runs payload ~page_size =
   (match payload with
   | Rt_lines lines -> List.iter (fun (ln : rt_line) -> note ln.addr ln.len) lines
   | Vm_full pieces | Blast_data pieces -> List.iter note_piece pieces
-  | Vm_updates updates -> List.iter (fun u -> List.iter note_piece u.pieces) updates
+  | Vm_updates updates -> List.iter (List.iter note_piece) updates
   | Empty -> ());
   (!pages, !runs)

@@ -14,11 +14,11 @@ type rt_line = { addr : int; len : int; ts : Timestamp.t; data : Bytes.t; descs 
 
 type vm_piece = { addr : int; data : Bytes.t }
 
-type vm_update = { incarnation : int; producer : int; pieces : vm_piece list }
-
 type t =
   | Rt_lines of rt_line list
-  | Vm_updates of vm_update list  (** oldest first; applied in incarnation order *)
+  | Vm_updates of vm_piece list list
+      (** one piece list per missed incarnation, oldest first: the
+          application order *)
   | Vm_full of vm_piece list  (** one piece per bound range *)
   | Blast_data of vm_piece list
   | Empty
@@ -29,6 +29,10 @@ val app_bytes : t -> int
 
 val descriptors : t -> int
 (** Number of line/run descriptors, for wire-overhead accounting. *)
+
+val descriptor_bytes : int
+(** 8: the wire overhead of one descriptor in an update message.  It
+    adds transfer time but no payload bytes. *)
 
 val pieces_bytes : vm_piece list -> int
 

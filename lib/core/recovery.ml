@@ -32,13 +32,6 @@ let state (cfg : Config.t) =
       { plan = Crash.empty; stop_at = Array.make n max_int; channel = Reliable.default_config;
         replicas = 0; broken = false; watchdog_ns = max_int; killed }
   | Some { Config.plan; broken_failover = broken } ->
-      List.iter
-        (fun (e : Crash.event) ->
-          if e.Crash.proc >= n then
-            invalid_arg
-              (Printf.sprintf "Runtime.create: the crash plan names p%d but the machine has %d \
-                               processors" e.Crash.proc n))
-        (Crash.events plan);
       let stop_at p = Option.value (Crash.first_stop plan ~proc:p) ~default:max_int in
       { plan; stop_at = Array.init n stop_at;
         channel = { Reliable.default_config with Reliable.max_attempts = suspect_attempts };
@@ -180,7 +173,7 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
     if not t.recovery.broken then begin
       (* Epoch rules first: every processor's cursor resets, so the next
          transfer from the new owner ships current bindings in full. *)
-      Sync.rebind_lock l ~nprocs:n ~ranges:l.Sync.ranges;
+      Sync.rebind_lock l ~ranges:l.Sync.ranges;
       match l.Sync.replica with
       | Some (_epoch, snapshot) ->
           (* Fetch from a live backup (free when the new owner is one). *)

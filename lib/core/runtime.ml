@@ -10,7 +10,7 @@ exception Crash_unavailable = Recovery.Crash_unavailable
 let create cfg = Machine.create cfg ~recovery:(Recovery.state cfg)
 
 let alloc t ?line_size ?(private_ = false) bytes =
-  let line_size = Option.value line_size ~default:t.cfg.default_line_size in
+  let line_size = Option.value line_size ~default:64 in
   let kind = if private_ then Region.Private else Region.Shared in
   Space.alloc t.space ~kind ~line_size bytes
 
@@ -203,7 +203,7 @@ let switch_region_backend t ~region_index ~to_ ~at =
     List.iter
       (fun (l : Sync.lock) ->
         if binding_intersects l.Sync.ranges span then begin
-          Sync.rebind_lock l ~nprocs:t.cfg.nprocs ~ranges:l.Sync.ranges;
+          Sync.rebind_lock l ~ranges:l.Sync.ranges;
           l.Sync.switch_inc <- l.Sync.incarnation
         end)
       t.locks;
@@ -254,8 +254,7 @@ let maybe_adapt t ranges ~at =
 (* Transfers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let wire_overhead (cfg : Config.t) payload =
-  Payload.descriptors payload * cfg.line_descriptor_bytes
+let wire_overhead payload = Payload.descriptors payload * Payload.descriptor_bytes
 
 (* One collection at [c], for a transfer of the [sync] object [id]
    bound to [ranges] starting at [t0] on [c]'s clock, and its
@@ -359,7 +358,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
   waker ~at:(deliver + apply_ns)
   in
   match
-    send_msg ~overhead_bytes:(wire_overhead t.cfg payload) t ~kind:Net.Lock_reply
+    send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Lock_reply
       ~src:releaser ~dst:q ~payload_bytes:app ~at:(service_time + collect_ns)
   with
   | deliver -> finish deliver
@@ -427,7 +426,7 @@ let acquire_mode c l mode =
   if grantable_locally then begin
     (* Local re-acquisition: no messages, no collection. *)
     c.counters.lock_acquires_local <- c.counters.lock_acquires_local + 1;
-    Engine.charge c.proc t.cfg.local_lock_ns;
+    Engine.charge c.proc Cost_model.local_lock_ns;
     (match mode with
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
@@ -489,7 +488,7 @@ let release c l =
   let t = c.machine in
   Engine.yield c.proc;
   Recovery.crash_check c;
-  Engine.charge c.proc t.cfg.release_ns;
+  Engine.charge c.proc Cost_model.release_ns;
   let exclusive = match l.Sync.held_by with Some holder -> holder = c.cid | None -> false in
   if not (exclusive || List.mem c.cid l.Sync.readers) then
     failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid);
@@ -525,8 +524,8 @@ let rebind c l ranges =
   (match l.Sync.held_by with
   | Some holder when holder = c.cid -> ()
   | _ -> failwith (Printf.sprintf "Runtime.rebind: lock %d not held by p%d" l.Sync.lid c.cid));
-  Engine.charge c.proc c.machine.cfg.release_ns;
-  Sync.rebind_lock l ~nprocs:c.machine.cfg.nprocs ~ranges;
+  Engine.charge c.proc Cost_model.release_ns;
+  Sync.rebind_lock l ~ranges;
   match c.machine.emit with
   | None -> ()
   | Some emit ->
@@ -564,7 +563,7 @@ let barrier_release t (b : Sync.barrier) =
   let merge_lines =
     List.fold_left (fun acc a -> acc + Payload.descriptors a.Sync.a_payload) 0 arrivals
   in
-  let t_release = t_all + (merge_lines * t.cfg.apply_line_ns) in
+  let t_release = t_all + (merge_lines * Cost_model.apply_line_ns) in
   (* Barriers elect like locks; every arrival collected under [scheme]
      (a switch waits for the barrier's mailboxes to drain). *)
   let scheme = barrier_scheme t b.Sync.branges in
@@ -586,7 +585,7 @@ let barrier_release t (b : Sync.barrier) =
           t.ctxs.(b.Sync.manager).counters.messages + 1;
       let deliver =
         match
-          send_msg ~overhead_bytes:(wire_overhead t.cfg payload) t ~kind:Net.Barrier_release
+          send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_release
             ~src:b.Sync.manager ~dst:p ~payload_bytes:app ~at:t_release
         with
         | d -> d
@@ -654,7 +653,7 @@ let barrier c b =
     let rec send_arrival () =
       let dst = b.Sync.manager in
       match
-        send_msg ~overhead_bytes:(wire_overhead t.cfg payload) t ~kind:Net.Barrier_arrive
+        send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_arrive
           ~src:c.cid ~dst ~payload_bytes:app ~at:(now_ns c)
       with
       | deliver -> deliver

@@ -25,10 +25,17 @@ type ctx
 
 (** {1 Machine construction} *)
 
+val validate : Config.t -> (unit, string) result
+(** Whether the configuration may run, with the first rule it breaks:
+    the standalone backend is uniprocessor; the untargetted model needs
+    rt; adaptive detection needs rt or vm and targetted bindings; ECSan
+    needs targetted bindings; [trace_capacity] is not negative; a crash
+    plan names only the machine's processors and needs a distributed
+    backend. *)
+
 val create : Config.t -> t
-(** Raises [Invalid_argument] for a [Standalone] configuration with more
-    than one processor, and for a crash plan ({!Config.t.crash}) that
-    names a processor the machine lacks. *)
+(** Raises [Invalid_argument ("Runtime.create: " ^ msg)] when
+    {!validate} returns [Error msg]. *)
 
 val config : t -> Config.t
 
@@ -64,7 +71,7 @@ val obs : t -> Midway_obs.Obs.t option
 val alloc : t -> ?line_size:int -> ?private_:bool -> int -> int
 (** Allocate shared (default) or private memory; returns the base
     address.  [line_size] sets the software cache-line size of the
-    containing region (default from the configuration). *)
+    containing region (default 64 bytes). *)
 
 val new_lock : t -> ?owner:int -> Range.t list -> Sync.lock
 (** A lock binding the given data ranges, initially owned (not held) by

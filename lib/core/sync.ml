@@ -91,7 +91,7 @@ let enqueue_request l ~proc ~arrival ~mode ~waker =
   in
   l.pending <- insert l.pending
 
-let rebind_lock l ~nprocs:_ ~ranges =
+let rebind_lock l ~ranges =
   l.ranges <- Range.normalize ranges;
   (* RT: every processor must refetch the newly bound data. *)
   Array.fill l.rt_last_seen 0 (Array.length l.rt_last_seen) Timestamp.never_seen;

@@ -92,7 +92,7 @@ val enqueue_request : lock -> proc:int -> arrival:int -> mode:mode -> waker:wake
 (** Insert into [pending] keeping arrival-time order (ties by processor id
     for determinism). *)
 
-val rebind_lock : lock -> nprocs:int -> ranges:Range.t list -> unit
+val rebind_lock : lock -> ranges:Range.t list -> unit
 (** Change the data bound to the lock (quicksort's task pattern).  Under
     RT the per-processor cursors reset so the next transfer ships all
     bound lines; under VM the incarnation is bumped and a {!Full_marker}

@@ -13,6 +13,7 @@
 module Config = Midway.Config
 module R = Midway.Runtime
 module Crash = Midway_simnet.Crash
+module Engine = Midway_sched.Engine
 
 (* ------------------------------------------------------------------ *)
 (* Executing one run and judging it                                    *)
@@ -140,47 +141,45 @@ let crash_plan_for spec sseed =
 let adaptive_for spec backend =
   spec.adaptive && (backend = Config.Rt || backend = Config.Vm)
 
-let base_config spec backend =
-  let cfg = Config.make backend ~nprocs:spec.nprocs in
-  {
-    cfg with
-    Config.ecsan = spec.ecsan;
-    adaptive = adaptive_for spec backend;
-    trace_capacity = spec.trace_capacity;
-  }
-
-(* [crash] overrides the spec-derived plan — the crash-event shrinker
-   re-executes with candidate plans through this hook. *)
-let armed_config ?crash spec backend sseed policy =
-  let cfg = { (base_config spec backend) with Config.sched_policy = policy } in
+(* Every explorer run's configuration comes from here: the sweep,
+   [confirm_static] and the counterexample parser call it, and both
+   shrinkers vary one dimension of the failing run's, so a replay runs
+   the configuration that failed.  [faults] is the drop rate and the
+   fault seed. *)
+let run_config backend ~nprocs ~ecsan ~adaptive ~trace_capacity ~faults ~crash policy =
   let cfg =
-    match spec.fault_drop with
-    | None -> cfg
-    | Some drop -> Config.with_faults ~drop ~seed:(effective_fault_seed spec sseed) cfg
+    {
+      (Config.make backend ~nprocs) with
+      Config.ecsan;
+      adaptive;
+      trace_capacity;
+      sched_policy = policy;
+    }
   in
-  match (crash, crash_plan_for spec sseed) with
-  | Some plan, _ | None, Some plan -> Config.with_crash plan cfg
-  | None, None -> cfg
+  let cfg =
+    match faults with None -> cfg | Some (drop, seed) -> Config.with_faults ~drop ~seed cfg
+  in
+  match crash with None -> cfg | Some plan -> Config.with_crash plan cfg
 
 (* ------------------------------------------------------------------ *)
 (* Counterexamples and shrinking                                       *)
 
 type counterexample = {
   c_workload : string;
-  c_backend : Config.backend;
-  c_nprocs : int;
-  c_ecsan : bool;
-  c_adaptive : bool;
-  c_fault_drop : float option;
-  c_fault_seed : int option;
-  c_crash : string option;  (* rendered (possibly shrunk) crash plan *)
+  c_config : Config.t;
+      (* the failing run's, with the (possibly shrunk) crash plan; its
+         schedule policy replays the shrunk choices when they reproduced *)
   c_schedule_seed : int;
-  c_reason : string;
   c_choices : int list option;  (* as recorded by the failing run *)
-  c_shrunk : int list option;  (* minimal verified-failing replay list *)
+  c_reason : string;
   c_shrink_runs : int;
   c_trace : string list;
 }
+
+let shrunk c =
+  match c.c_config.Config.sched_policy with
+  | Engine.Replay l -> Some l
+  | Engine.Fifo | Engine.Seeded _ -> None
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
@@ -288,7 +287,14 @@ let run_spec ?(progress = null_progress) spec =
             while (not !found) && !i < spec.schedules do
               let sseed = spec.schedule_seed + !i in
               incr i;
-              let cfg = armed_config spec backend sseed (Midway_sched.Engine.Seeded sseed) in
+              let faults =
+                Option.map (fun drop -> (drop, effective_fault_seed spec sseed)) spec.fault_drop
+              in
+              let cfg =
+                run_config backend ~nprocs:spec.nprocs ~ecsan:spec.ecsan
+                  ~adaptive:(adaptive_for spec backend) ~trace_capacity:spec.trace_capacity ~faults
+                  ~crash:(crash_plan_for spec sseed) (Engine.Seeded sseed)
+              in
               incr total;
               let j = execute w cfg in
               if j.j_failed then begin
@@ -300,57 +306,34 @@ let run_spec ?(progress = null_progress) spec =
                    changes all downstream timing, so it re-runs the
                    seeded schedule and invalidates recorded choices,
                    which are refreshed before the choice-list shrink *)
-                let j, plan, crash_runs =
-                  match crash_plan_for spec sseed with
-                  | None -> (j, None, 0)
-                  | Some p when Crash.events p = [] -> (j, Some p, 0)
-                  | Some p ->
-                      let fails q =
-                        let cfg =
-                          armed_config ~crash:q spec backend sseed
-                            (Midway_sched.Engine.Seeded sseed)
-                        in
-                        (execute w cfg).j_failed
-                      in
+                let j, cfg, crash_runs =
+                  match cfg.Config.crash with
+                  | None -> (j, cfg, 0)
+                  | Some { Config.plan = p; _ } when Crash.events p = [] -> (j, cfg, 0)
+                  | Some { Config.plan = p; _ } ->
+                      let fails q = (execute w (Config.with_crash q cfg)).j_failed in
                       let q, r = shrink_crash ~budget:(spec.max_shrink_runs / 2) ~fails p in
-                      if Crash.events q = Crash.events p then (j, Some p, r)
+                      if Crash.events q = Crash.events p then (j, cfg, r)
                       else
-                        let cfg =
-                          armed_config ~crash:q spec backend sseed
-                            (Midway_sched.Engine.Seeded sseed)
-                        in
-                        (execute w cfg, Some q, r + 1)
+                        let cfg = Config.with_crash q cfg in
+                        (execute w cfg, cfg, r + 1)
                 in
                 let shrunk, runs =
                   match j.j_choices with
                   | None | Some [] -> (j.j_choices, 0)
                   | Some choices ->
-                      let fails l =
-                        let cfg =
-                          armed_config ?crash:plan spec backend sseed
-                            (Midway_sched.Engine.Replay l)
-                        in
-                        (execute w cfg).j_failed
-                      in
-                      let s, r = shrink ~budget:spec.max_shrink_runs ~fails choices in
-                      (s, r)
+                      let fails l = (execute w (Config.with_replay l cfg)).j_failed in
+                      shrink ~budget:spec.max_shrink_runs ~fails choices
                 in
                 total := !total + crash_runs + runs;
                 failures :=
                   {
                     c_workload = w.Workload.name;
-                    c_backend = backend;
-                    c_nprocs = spec.nprocs;
-                    c_ecsan = spec.ecsan;
-                    c_adaptive = adaptive_for spec backend;
-                    c_fault_drop = spec.fault_drop;
-                    c_fault_seed =
-                      Option.map (fun _ -> effective_fault_seed spec sseed) spec.fault_drop;
-                    c_crash = Option.map Crash.render plan;
+                    c_config =
+                      (match shrunk with Some l -> Config.with_replay l cfg | None -> cfg);
                     c_schedule_seed = sseed;
-                    c_reason = j.j_reason;
                     c_choices = j.j_choices;
-                    c_shrunk = shrunk;
+                    c_reason = j.j_reason;
                     c_shrink_runs = crash_runs + runs;
                     c_trace = j.j_trace;
                   }
@@ -371,109 +354,120 @@ let run_spec ?(progress = null_progress) spec =
 
 let render_choices l = String.concat "," (List.map string_of_int l)
 
+let header = "# midway-fuzz counterexample"
+
 let render_counterexample c =
+  let cfg = c.c_config in
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "# midway-fuzz counterexample";
+  line "%s" header;
   line "workload=%s" c.c_workload;
-  line "backend=%s" (Config.backend_name c.c_backend);
-  line "nprocs=%d" c.c_nprocs;
-  line "ecsan=%b" c.c_ecsan;
-  if c.c_adaptive then line "adaptive=true";
-  (match (c.c_fault_drop, c.c_fault_seed) with
-  | Some drop, Some fseed ->
-      line "fault-drop=%g" drop;
-      line "fault-seed=%d" fseed
-  | _ -> ());
-  (match c.c_crash with Some s -> line "crash=%s" s | None -> ());
+  line "backend=%s" (Config.backend_name cfg.Config.backend);
+  line "nprocs=%d" cfg.Config.nprocs;
+  line "ecsan=%b" cfg.Config.ecsan;
+  if cfg.Config.adaptive then line "adaptive=true";
+  (match cfg.Config.faults with
+  | Some f ->
+      line "fault-drop=%g" f.Midway_simnet.Net.link.Midway_simnet.Net.drop;
+      line "fault-seed=%d" f.Midway_simnet.Net.fault_seed
+  | None -> ());
+  (match cfg.Config.crash with
+  | Some cr -> line "crash=%s" (Crash.render cr.Config.plan)
+  | None -> ());
   line "schedule-seed=%d" c.c_schedule_seed;
-  (match c.c_shrunk with
-  | Some l -> line "choices=%s" (render_choices l)
-  | None -> (
-      match c.c_choices with
-      | Some l -> line "choices=%s" (render_choices l)
-      | None -> line "# choices unavailable (machine lost); replay by schedule seed"));
+  (match (shrunk c, c.c_choices) with
+  | Some l, _ | None, Some l -> line "choices=%s" (render_choices l)
+  | None, None -> line "# choices unavailable (machine lost); replay by schedule seed");
   List.iter (fun r -> line "# reason: %s" r) (String.split_on_char '\n' c.c_reason);
   List.iter (fun t -> line "# trace: %s" t) c.c_trace;
   Buffer.contents b
 
-type replay_spec = {
-  rp_workload : string;
-  rp_backend : Config.backend;
-  rp_nprocs : int;
-  rp_ecsan : bool;
-  rp_adaptive : bool;
-  rp_fault_drop : float option;
-  rp_fault_seed : int option;
-  rp_crash : string option;  (* raw --crash spec; parsed against rp_nprocs *)
-  rp_schedule_seed : int option;
-  rp_choices : int list option;
-}
+let keys =
+  [ "workload"; "backend"; "nprocs"; "ecsan"; "adaptive"; "fault-drop"; "fault-seed"; "crash";
+    "schedule-seed"; "choices" ]
 
 let parse_counterexample text =
-  let spec =
-    ref
-      {
-        rp_workload = "";
-        rp_backend = Config.Rt;
-        rp_nprocs = 4;
-        rp_ecsan = true;
-        rp_adaptive = false;
-        rp_fault_drop = None;
-        rp_fault_seed = None;
-        rp_crash = None;
-        rp_schedule_seed = None;
-        rp_choices = None;
-      }
+  let ( let* ) = Result.bind in
+  (* The key=value lines of the first counterexample (a dump may
+     concatenate several), the last occurrence of a key first. *)
+  let rec fields acc headers = function
+    | [] -> Ok acc
+    | raw :: rest -> (
+        let line = String.trim raw in
+        if line = header then if headers > 0 then Ok acc else fields acc 1 rest
+        else if line = "" || line.[0] = '#' then fields acc headers rest
+        else
+          match String.index_opt line '=' with
+          | None -> Error (Printf.sprintf "malformed line %S (expected key=value)" line)
+          | Some i ->
+              let key = String.sub line 0 i in
+              let v = String.sub line (i + 1) (String.length line - i - 1) in
+              if List.mem key keys then fields ((key, v) :: acc) headers rest
+              else Error (Printf.sprintf "unknown key %S" key))
   in
-  let err = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-  (* a dump may concatenate several counterexamples; replay the first *)
-  let headers = ref 0 in
-  let stop = ref false in
-  String.split_on_char '\n' text
-  |> List.iter (fun raw ->
-         let line = String.trim raw in
-         if line = "# midway-fuzz counterexample" then begin
-           incr headers;
-           if !headers > 1 then stop := true
-         end;
-         if !stop || line = "" || line.[0] = '#' then ()
-         else
-           match String.index_opt line '=' with
-           | None -> fail "malformed line %S (expected key=value)" line
-           | Some i -> (
-               let key = String.sub line 0 i in
-               let v = String.sub line (i + 1) (String.length line - i - 1) in
-               match key with
-               | "workload" -> spec := { !spec with rp_workload = v }
-               | "backend" -> (
-                   match Config.backend_of_string v with
-                   | Ok b -> spec := { !spec with rp_backend = b }
-                   | Error e -> fail "%s" e)
-               | "nprocs" -> spec := { !spec with rp_nprocs = int_of_string v }
-               | "ecsan" -> spec := { !spec with rp_ecsan = bool_of_string v }
-               | "adaptive" -> spec := { !spec with rp_adaptive = bool_of_string v }
-               | "fault-drop" -> spec := { !spec with rp_fault_drop = Some (float_of_string v) }
-               | "fault-seed" -> spec := { !spec with rp_fault_seed = Some (int_of_string v) }
-               | "crash" -> spec := { !spec with rp_crash = Some v }
-               | "schedule-seed" ->
-                   spec := { !spec with rp_schedule_seed = Some (int_of_string v) }
-               | "choices" ->
-                   let l =
-                     if String.trim v = "" then []
-                     else String.split_on_char ',' v |> List.map (fun s -> int_of_string (String.trim s))
-                   in
-                   spec := { !spec with rp_choices = Some l }
-               | _ -> fail "unknown key %S" key))
-  |> ignore;
-  match !err with
-  | Some e -> Error e
-  | None ->
-      if !spec.rp_workload = "" then Error "counterexample names no workload"
-      else if !spec.rp_schedule_seed = None && !spec.rp_choices = None then
-        Error "counterexample has neither schedule-seed nor choices"
-      else Ok !spec
+  let* kvs = fields [] 0 (String.split_on_char '\n' text) in
+  let value key conv ~default =
+    match List.assoc_opt key kvs with
+    | None -> Ok default
+    | Some v -> (
+        match conv v with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "bad value %S for %s" v key))
+  in
+  let some conv v = Option.map Option.some (conv v) in
+  let* workload =
+    match List.assoc_opt "workload" kvs with
+    | Some w when w <> "" -> Ok w
+    | _ -> Error "counterexample names no workload"
+  in
+  let* backend =
+    match List.assoc_opt "backend" kvs with
+    | None -> Ok Config.Rt
+    | Some v -> Config.backend_of_string v
+  in
+  let* nprocs = value "nprocs" int_of_string_opt ~default:4 in
+  let* ecsan = value "ecsan" bool_of_string_opt ~default:true in
+  let* adaptive = value "adaptive" bool_of_string_opt ~default:false in
+  let* drop = value "fault-drop" (some float_of_string_opt) ~default:None in
+  let* fault_seed = value "fault-seed" (some int_of_string_opt) ~default:None in
+  let* schedule_seed = value "schedule-seed" (some int_of_string_opt) ~default:None in
+  let* choices =
+    value "choices"
+      (fun v ->
+        if String.trim v = "" then Some (Some [])
+        else
+          let l =
+            List.map (fun s -> int_of_string_opt (String.trim s)) (String.split_on_char ',' v)
+          in
+          if List.for_all (function Some c -> c >= 0 | None -> false) l then
+            Some (Some (List.filter_map Fun.id l))
+          else None)
+      ~default:None
+  in
+  let* faults =
+    match (drop, fault_seed) with
+    | None, None -> Ok None
+    | Some drop, Some seed -> Ok (Some (drop, seed))
+    | _ -> Error "fault-drop and fault-seed go together"
+  in
+  let* crash =
+    match List.assoc_opt "crash" kvs with
+    | None -> Ok None
+    (* a crash-armed counterexample whose event list shrank to empty:
+       the layer stays armed (reliable routing, failure detection) with
+       no scheduled crash *)
+    | Some "" -> Ok (Some (Crash.scripted []))
+    | Some spec -> Result.map Option.some (Crash.parse_spec ~nprocs spec)
+  in
+  let* policy =
+    match (choices, schedule_seed) with
+    | Some l, _ -> Ok (Engine.Replay l)
+    | None, Some s -> Ok (Engine.Seeded s)
+    | None, None -> Error "counterexample has neither schedule-seed nor choices"
+  in
+  match run_config backend ~nprocs ~ecsan ~adaptive ~trace_capacity:64 ~faults ~crash policy with
+  | cfg -> Ok (workload, cfg)
+  | exception Invalid_argument msg -> Error msg
 
 (* The workload registry: how a counterexample (or a --apps flag) names
    its subject. *)
@@ -551,90 +545,39 @@ let buggy_workloads () =
     (match workload_of_name "kv-broken-migration" with Ok w -> w | Error e -> failwith e);
   ]
 
-type replay_result = {
-  rr_failed : bool;
-  rr_reason : string;
-  rr_digest : string;
-  rr_choices : int list;  (* the replayed run's own recording *)
-}
-
-let replay ?scale ?trace_out ?metrics_out rp =
-  match workload_of_name ?scale rp.rp_workload with
-  | Error e -> Error e
-  | Ok w ->
-      if not (w.Workload.supports rp.rp_backend) then
-        Error
-          (Printf.sprintf "workload %s does not support backend %s" rp.rp_workload
-             (Config.backend_name rp.rp_backend))
-      else begin
-        let policy =
-          match (rp.rp_choices, rp.rp_schedule_seed) with
-          | Some l, _ -> Midway_sched.Engine.Replay l
-          | None, Some s -> Midway_sched.Engine.Seeded s
-          | None, None -> Midway_sched.Engine.Fifo
-        in
-        let cfg = Config.make rp.rp_backend ~nprocs:rp.rp_nprocs in
-        let cfg =
-          {
-            cfg with
-            Config.ecsan = rp.rp_ecsan;
-            adaptive = rp.rp_adaptive;
-            trace_capacity = 64;
-          }
-        in
-        let cfg = { cfg with Config.sched_policy = policy } in
-        (* Dumping a trace of the replayed (typically shrunk) schedule
-           arms the observability layer; obs never perturbs the run, so
-           the counterexample still reproduces. *)
-        let cfg =
-          if trace_out <> None || metrics_out <> None then { cfg with Config.obs = true }
-          else cfg
-        in
-        let cfg =
-          match (rp.rp_fault_drop, rp.rp_fault_seed) with
-          | Some drop, Some seed -> Config.with_faults ~drop ~seed cfg
-          | Some drop, None -> Config.with_faults ~drop cfg
-          | None, _ -> cfg
-        in
-        let crash_plan =
-          match rp.rp_crash with
-          | None -> Ok None
-          (* crash-armed counterexample whose event list shrank to
-             empty: the layer stays armed (reliable routing, failure
-             detection) with no scheduled crash *)
-          | Some "" -> Ok (Some (Crash.scripted []))
-          | Some s -> Result.map Option.some (Crash.parse_spec ~nprocs:rp.rp_nprocs s)
-        in
-        match crash_plan with
-        | Error e -> Error e
-        | Ok plan ->
-        let cfg = match plan with None -> cfg | Some p -> Config.with_crash p cfg in
-        let j, machine = execute_machine w cfg in
-        (match Option.bind machine R.obs with
-        | Some o ->
-            let name =
-              Printf.sprintf "%s/%s replay" rp.rp_workload (Config.backend_name rp.rp_backend)
-            in
-            (match trace_out with
-            | Some file ->
-                Midway_obs.Trace_export.write file
-                  (Midway_obs.Trace_export.to_json ~name (Midway_obs.Obs.spans o))
-            | None -> ());
-            (match metrics_out with
-            | Some file ->
-                Midway_obs.Trace_export.write file
-                  (Midway_obs.Metrics.to_json
-                     (Midway_obs.Metrics.snapshot (Midway_obs.Obs.metrics o)))
-            | None -> ())
-        | None -> ());
-        Ok
-          {
-            rr_failed = j.j_failed;
-            rr_reason = j.j_reason;
-            rr_digest = j.j_digest;
-            rr_choices = Option.value j.j_choices ~default:[];
-          }
-      end
+let replay ?scale ?trace_out ?metrics_out (name, (cfg : Config.t)) =
+  let ( let* ) = Result.bind in
+  let* w = workload_of_name ?scale name in
+  let* () =
+    if w.Workload.supports cfg.Config.backend then Ok ()
+    else
+      Error
+        (Printf.sprintf "workload %s does not support backend %s" name
+           (Config.backend_name cfg.Config.backend))
+  in
+  let* () = R.validate cfg in
+  (* Dumping a trace of the replayed (typically shrunk) schedule arms
+     the observability layer; obs never perturbs the run, so the
+     counterexample still reproduces. *)
+  let cfg =
+    if trace_out <> None || metrics_out <> None then { cfg with Config.obs = true } else cfg
+  in
+  let j, machine = execute_machine w cfg in
+  (match Option.bind machine R.obs with
+  | Some o ->
+      let name = Printf.sprintf "%s/%s replay" name (Config.backend_name cfg.Config.backend) in
+      (match trace_out with
+      | Some file ->
+          Midway_obs.Trace_export.write file
+            (Midway_obs.Trace_export.to_json ~name (Midway_obs.Obs.spans o))
+      | None -> ());
+      (match metrics_out with
+      | Some file ->
+          Midway_obs.Trace_export.write file
+            (Midway_obs.Metrics.to_json (Midway_obs.Metrics.snapshot (Midway_obs.Obs.metrics o)))
+      | None -> ())
+  | None -> ());
+  Ok j
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis x dynamic confirmation                              *)
@@ -693,14 +636,9 @@ let confirm_static ?(backends = [ Config.Rt; Config.Vm ]) ?(schedules = 6)
                if w.Workload.supports backend then
                  for i = 0 to schedules - 1 do
                    let sseed = schedule_seed + i in
-                   let cfg = Config.make backend ~nprocs in
                    let cfg =
-                     {
-                       cfg with
-                       Config.ecsan = true;
-                       trace_capacity = 64;
-                       sched_policy = Midway_sched.Engine.Seeded sseed;
-                     }
+                     run_config backend ~nprocs ~ecsan:true ~adaptive:false ~trace_capacity:64
+                       ~faults:None ~crash:None (Engine.Seeded sseed)
                    in
                    incr runs;
                    let j, machine = execute_machine w cfg in

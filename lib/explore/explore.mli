@@ -77,23 +77,22 @@ val workload_of_name : ?scale:float -> string -> (Workload.t, string) result
 
 type counterexample = {
   c_workload : string;
-  c_backend : Midway.Config.backend;
-  c_nprocs : int;
-  c_ecsan : bool;
-  c_adaptive : bool;  (** the failing run had adaptive detection armed *)
-  c_fault_drop : float option;
-  c_fault_seed : int option;  (** the effective per-run fault seed *)
-  c_crash : string option;
-      (** {!Midway_simnet.Crash.render} of the (possibly shrunk) crash
-          plan the failure reproduces under; [None] when the crash
-          dimension was off *)
+  c_config : Midway.Config.t;
+      (** the configuration the failing run used, with the (possibly
+          shrunk) crash plan the failure reproduces under.  Its
+          [sched_policy] is [Replay l] with [l] the minimal
+          verified-failing choice list when the shrink reproduced the
+          failure, and the failing run's [Seeded] schedule otherwise. *)
   c_schedule_seed : int;
-  c_reason : string;
   c_choices : int list option;  (** as recorded by the failing run *)
-  c_shrunk : int list option;  (** minimal verified-failing replay list *)
+  c_reason : string;
   c_shrink_runs : int;
   c_trace : string list;
 }
+
+val shrunk : counterexample -> int list option
+(** The minimal verified-failing choice list [c_config] replays, if the
+    shrink found one. *)
 
 type report = {
   total_runs : int;
@@ -135,38 +134,22 @@ val shrink_crash :
 
 val render_counterexample : counterexample -> string
 (** A small key=value text (comments carry the reason and trace tail)
-    that {!parse_counterexample} reads back. *)
+    that {!parse_counterexample} reads back.  The run fields are read
+    off [c_config]; [choices] is the shrunk list when the policy
+    replays one, else the recorded list. *)
 
-type replay_spec = {
-  rp_workload : string;
-  rp_backend : Midway.Config.backend;
-  rp_nprocs : int;
-  rp_ecsan : bool;
-  rp_adaptive : bool;
-  rp_fault_drop : float option;
-  rp_fault_seed : int option;
-  rp_crash : string option;
-      (** raw crash spec ({!Midway_simnet.Crash.parse_spec} syntax),
-          parsed against [rp_nprocs] at replay time *)
-  rp_schedule_seed : int option;
-  rp_choices : int list option;
-}
-
-val parse_counterexample : string -> (replay_spec, string) result
-
-type replay_result = {
-  rr_failed : bool;
-  rr_reason : string;
-  rr_digest : string;
-  rr_choices : int list;  (** the replayed run's own recording *)
-}
+val parse_counterexample : string -> (string * Midway.Config.t, string) result
+(** The workload name and the configuration of the first counterexample
+    in the text, built the way the sweep builds its runs: the choice
+    list replays when present, else the schedule seed re-runs. *)
 
 val replay :
-  ?scale:float -> ?trace_out:string -> ?metrics_out:string -> replay_spec ->
-  (replay_result, string) result
-(** Re-execute a counterexample: replay the choice list if present,
-    else re-run the seeded schedule.  [Ok] with [rr_failed = true]
-    means the failure reproduced.  [trace_out] / [metrics_out] arm the
+  ?scale:float -> ?trace_out:string -> ?metrics_out:string -> string * Midway.Config.t ->
+  (judged, string) result
+(** Re-execute a parsed counterexample.  [Error] when the workload is
+    unknown, does not support the backend, or the configuration fails
+    {!Midway.Runtime.validate}; [Ok] with [j_failed = true] means the
+    failure reproduced.  [trace_out] / [metrics_out] arm the
     observability layer (which never perturbs the run) and write the
     replayed schedule's Chrome trace / metrics JSON — the span timeline
     of a shrunk counterexample is usually the fastest way to see the

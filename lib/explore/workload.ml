@@ -597,13 +597,10 @@ let app ~scale suite_app =
     (* applications are real programs, not IR grids *)
     ir = None;
     supports =
-      (fun b ->
-        match b with
-        | Config.Standalone -> false
-        (* Blast has no write detection: lock-bound data only, so only
-           the lock-based application runs under it (cf. bin/fingerprint). *)
-        | Config.Blast -> suite_app = Midway_report.Suite.Quicksort
-        | _ -> true);
+      (function
+      | Config.Standalone -> false
+      | Config.Blast -> not (Midway_report.Suite.barrier_bound suite_app)
+      | _ -> true);
     run =
       (fun cfg ->
         match Midway_report.Suite.run_app suite_app cfg ~scale with

@@ -43,6 +43,10 @@ let fits app ~nprocs ~scale =
              scale p.Midway_apps.Sor.n nprocs)
   | Water | Quicksort | Matmul | Cholesky -> Ok ()
 
+(* water and sor bind data to barriers, which blast and the untargetted
+   model cannot carry. *)
+let barrier_bound = function Water | Sor -> true | Quicksort | Matmul | Cholesky -> false
+
 type entry = {
   app : app;
   rt : Midway_apps.Outcome.t;

@@ -23,6 +23,11 @@ val fits : app -> nprocs:int -> scale:float -> (unit, string) result
     [nprocs] processors (sor needs at least three rows per processor);
     the error says why not.  Tools check it before any machine runs. *)
 
+val barrier_bound : app -> bool
+(** Whether the app binds data to barriers (water, sor).  Such an app
+    cannot run under the blast backend or the untargetted model, whose
+    barriers carry no data; tools refuse the pair before it runs. *)
+
 type entry = {
   app : app;
   rt : Midway_apps.Outcome.t;

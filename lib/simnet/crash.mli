@@ -2,7 +2,7 @@
 
     A {!plan} is a deterministic script of processor failures on the
     simulated clock.  It composes with the message-level hazards of
-    {!Net} (drop / duplicate / jitter and scripted windows): a down
+    {!Net} (drop / duplicate / jitter): a down
     processor neither sends nor receives, which the network models as
     deterministic drops, while the recovery protocol in [Midway.Runtime]
     handles ownership failover and rejoin.

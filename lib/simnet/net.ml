@@ -38,54 +38,26 @@ let nkinds = 10
 
 type fault_link = { drop : float; duplicate : float; jitter_ns : int }
 
-let fault_free_link = { drop = 0.0; duplicate = 0.0; jitter_ns = 0 }
-
-type fault_window = {
-  w_from_ns : int;
-  w_until_ns : int;
-  w_kind : kind option;
-  w_src : int option;
-  w_dst : int option;
-}
-
-type fault_policy = {
-  link : fault_link;
-  overrides : ((int * int) * fault_link) list;
-  windows : fault_window list;
-  fault_seed : int;
-}
+type fault_policy = { link : fault_link; fault_seed : int }
 
 (* A [fault_link] with a probability outside [0, 1] would silently
    misbehave: the PRNG draw is compared raw, so drop = 1.5 behaves like
    certain loss and drop = -0.1 like none, with no hint the policy is
-   nonsense.  Validate every link at policy-construction time and name
+   nonsense.  Validate the link at policy-construction time and name
    the offending field. *)
-let check_link ~where (l : fault_link) =
+let validate_fault_policy policy =
+  let l = policy.link in
   let bad field v =
-    invalid_arg
-      (Printf.sprintf "Net.fault_policy: %s.%s = %g outside [0, 1]" where field v)
+    invalid_arg (Printf.sprintf "Net.fault_policy: link.%s = %g outside [0, 1]" field v)
   in
   if l.drop < 0.0 || l.drop > 1.0 then bad "drop" l.drop;
   if l.duplicate < 0.0 || l.duplicate > 1.0 then bad "duplicate" l.duplicate;
   if l.jitter_ns < 0 then
-    invalid_arg
-      (Printf.sprintf "Net.fault_policy: %s.jitter_ns = %d is negative" where l.jitter_ns)
-
-let validate_fault_policy policy =
-  check_link ~where:"link" policy.link;
-  List.iter
-    (fun ((src, dst), l) -> check_link ~where:(Printf.sprintf "overrides[(%d,%d)]" src dst) l)
-    policy.overrides;
+    invalid_arg (Printf.sprintf "Net.fault_policy: link.jitter_ns = %d is negative" l.jitter_ns);
   policy
 
 let uniform_faults ?(duplicate = 0.0) ?(jitter_ns = 0) ?(seed = 42) ~drop () =
-  validate_fault_policy
-    {
-      link = { drop; duplicate; jitter_ns };
-      overrides = [];
-      windows = [];
-      fault_seed = seed;
-    }
+  validate_fault_policy { link = { drop; duplicate; jitter_ns }; fault_seed = seed }
 
 type fault_state = {
   policy : fault_policy;
@@ -106,7 +78,7 @@ type t = {
   mutable fault : fault_state option;
   (* Node-level faults: when set, a message from or to a down processor
      is destroyed deterministically (no PRNG draw), composing with the
-     probabilistic hazards below exactly like a scripted window. *)
+     probabilistic hazards below. *)
   mutable down : (proc:int -> at:int -> bool) option;
   mutable crash_drops : int;
 }
@@ -155,47 +127,29 @@ let delivery = function
   | Duplicated (at, _) -> at
   | Dropped -> invalid_arg "Net.delivery: message was dropped"
 
-let window_matches ~kind ~src ~dst ~at w =
-  at >= w.w_from_ns && at < w.w_until_ns
-  && (match w.w_kind with None -> true | Some k -> k = kind)
-  && (match w.w_src with None -> true | Some s -> s = src)
-  && (match w.w_dst with None -> true | Some d -> d = dst)
-
-let link_hazards policy ~src ~dst =
-  match List.assoc_opt (src, dst) policy.overrides with
-  | Some l -> l
-  | None -> policy.link
-
-(* Decide one copy's fate.  Scripted windows are deterministic outages;
-   otherwise a drop draw, then a duplication draw, then a jitter draw per
-   arriving copy, always in that order so a fixed seed reproduces the
-   exact injection sequence. *)
-let inject f ~kind ~src ~dst ~at ~base ~echo_ns =
-  if List.exists (window_matches ~kind ~src ~dst ~at) f.policy.windows then begin
+(* Decide one copy's fate: a drop draw, then a duplication draw, then a
+   jitter draw per arriving copy, always in that order so a fixed seed
+   reproduces the exact injection sequence. *)
+let inject f ~base ~echo_ns =
+  let link = f.policy.link in
+  let draw () = Midway_util.Prng.float f.prng 1.0 in
+  let jitter () =
+    if link.jitter_ns > 0 then Midway_util.Prng.int f.prng (link.jitter_ns + 1) else 0
+  in
+  if link.drop > 0.0 && draw () < link.drop then begin
     f.drops <- f.drops + 1;
     Dropped
   end
   else begin
-    let link = link_hazards f.policy ~src ~dst in
-    let draw () = Midway_util.Prng.float f.prng 1.0 in
-    let jitter () =
-      if link.jitter_ns > 0 then Midway_util.Prng.int f.prng (link.jitter_ns + 1) else 0
-    in
-    if link.drop > 0.0 && draw () < link.drop then begin
-      f.drops <- f.drops + 1;
-      Dropped
+    let dup = link.duplicate > 0.0 && draw () < link.duplicate in
+    let first = base + jitter () in
+    if dup then begin
+      f.dups <- f.dups + 1;
+      (* the echo trails the original by one switch latency (plus jitter) *)
+      let second = first + echo_ns + jitter () in
+      Duplicated (first, second)
     end
-    else begin
-      let dup = link.duplicate > 0.0 && draw () < link.duplicate in
-      let first = base + jitter () in
-      if dup then begin
-        f.dups <- f.dups + 1;
-        (* the echo trails the original by one switch latency (plus jitter) *)
-        let second = first + echo_ns + jitter () in
-        Duplicated (first, second)
-      end
-      else Delivered first
-    end
+    else Delivered first
   end
 
 let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
@@ -220,7 +174,7 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
       let outcome =
         match t.fault with
         | None -> Delivered base
-        | Some f -> inject f ~kind ~src ~dst ~at ~base ~echo_ns:t.latency_ns
+        | Some f -> inject f ~base ~echo_ns:t.latency_ns
       in
       (* a copy arriving at a down destination is destroyed in the NIC;
          each surviving copy is judged at its own arrival time, so an

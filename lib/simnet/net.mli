@@ -12,9 +12,8 @@
     not to the payload accounting.
 
     The fabric is perfectly reliable by default.  A {!fault_policy} makes
-    it lossy: per-link drop and duplication probabilities, latency
-    jitter, and scripted fault windows ("drop every [Lock_reply] between
-    2 ms and 5 ms"), all driven by a seeded {!Midway_util.Prng} so every
+    it lossy: drop and duplication probabilities and latency jitter, the
+    same on every link, driven by a seeded {!Midway_util.Prng} so every
     faulty run is exactly reproducible.  Faulty delivery is reported
     through the {!outcome} of {!send}; the retransmission machinery that
     survives it lives one layer up, in {!Reliable}. *)
@@ -41,37 +40,20 @@ type fault_link = {
   jitter_ns : int;  (** uniform extra latency in [0, jitter_ns] per copy *)
 }
 
-val fault_free_link : fault_link
-(** All-zero hazards: behaves exactly like the reliable fabric. *)
-
-type fault_window = {
-  w_from_ns : int;  (** window start (inclusive, virtual time of send) *)
-  w_until_ns : int;  (** window end (exclusive) *)
-  w_kind : kind option;  (** [None] matches every message kind *)
-  w_src : int option;  (** [None] matches every sender *)
-  w_dst : int option;  (** [None] matches every destination *)
-}
-(** A scripted outage: every matching message sent inside the window is
-    dropped, deterministically (no coin flip). *)
-
 type fault_policy = {
-  link : fault_link;  (** default hazards, applied to every link *)
-  overrides : ((int * int) * fault_link) list;
-      (** per-link (src, dst) hazard overrides, first match wins *)
-  windows : fault_window list;
+  link : fault_link;  (** the hazards, applied to every link *)
   fault_seed : int;  (** seed of the injection PRNG *)
 }
 
 val uniform_faults :
   ?duplicate:float -> ?jitter_ns:int -> ?seed:int -> drop:float -> unit -> fault_policy
-(** A policy with the same hazards on every link and no scripted
-    windows.  Defaults: no duplication, no jitter, seed 42. *)
+(** A policy with these hazards.  Defaults: no duplication, no jitter,
+    seed 42. *)
 
 val validate_fault_policy : fault_policy -> fault_policy
-(** Check every probability field of the policy ([link] and each entry
-    of [overrides]): [drop] and [duplicate] must lie in [0, 1] and
-    [jitter_ns] must be non-negative, else [Invalid_argument] naming the
-    offending field is raised.  Returns the policy unchanged.  Both
+(** Check the policy's link: [drop] and [duplicate] must lie in [0, 1]
+    and [jitter_ns] must be non-negative, else [Invalid_argument] naming
+    the offending field is raised.  Returns the policy unchanged.  Both
     {!uniform_faults} and {!set_fault_policy} validate, so a hand-built
     policy cannot silently misbehave through the raw PRNG compare. *)
 
@@ -92,9 +74,8 @@ val set_crash_predicate : t -> (proc:int -> at:int -> bool) option -> unit
 (** Arm (or disarm with [None]) node-level faults: when the predicate
     says a processor is down, any message it would send is never put on
     the wire, and any copy arriving at it is destroyed in the NIC — a
-    deterministic drop, composing with the probabilistic hazards like a
-    scripted window.  Typically [Crash.is_down] partially applied to a
-    {!Crash.plan}. *)
+    deterministic drop, composing with the probabilistic hazards.
+    Typically [Crash.is_down] partially applied to a {!Crash.plan}. *)
 
 val crash_drops_injected : t -> int
 (** Copies destroyed because an endpoint was down (0 without a crash

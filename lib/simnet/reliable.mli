@@ -36,8 +36,8 @@ val default_config : config
 type t
 
 exception Exhausted of string
-(** Raised when a message burns its whole retry budget — under an
-    all-drop fault window this is the expected diagnosis.  The message
+(** Raised when a message burns its whole retry budget — under
+    certain loss this is the expected diagnosis.  The message
     is structured, one [key=value] per episode field:
     ["Reliable.send: exhausted {kind=lock-request; src=p0; dst=p1;
     seq=4; attempts=20; elapsed_ns=…}"], where [elapsed_ns] is the

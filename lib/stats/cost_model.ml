@@ -33,6 +33,13 @@ let default =
     page_size = 4096;
   }
 
+(* The simulator's own assumptions, not Table 1 measurements. *)
+let local_lock_ns = 2_000
+
+let release_ns = 1_000
+
+let apply_line_ns = 100
+
 let with_page_fault_us t us = { t with page_fault_ns = int_of_float (us *. 1_000.0) }
 
 let fast_exception_page_fault_us = 122.0

@@ -33,6 +33,22 @@ type t = {
 val default : t
 (** The paper's measured values (Table 1) on DECstation 5000/200 + Mach 3.0. *)
 
+(** {1 Synchronization costs the paper does not measure}
+
+    The simulator's own assumptions, the same for every run and outside
+    {!t} because no sweep varies them. *)
+
+val local_lock_ns : int
+(** 2 us: acquiring a lock this processor already owns (no messages). *)
+
+val release_ns : int
+(** 1 us: local bookkeeping at a release or a rebind. *)
+
+val apply_line_ns : int
+(** 100 ns: the fixed cost of applying one incoming line or run, on top
+    of installing its timestamp; also the per-descriptor cost of a
+    barrier's merge. *)
+
 val with_page_fault_us : t -> float -> t
 (** [with_page_fault_us t us] replaces the fault service time; used for the
     fast-exception sweep in Figures 3 and 4 (122 us .. 1,200 us). *)

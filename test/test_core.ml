@@ -860,8 +860,7 @@ let test_payload_sizes () =
   let run = { Payload.addr = 0; len = 256; ts = 5; data = Bytes.make 256 ' '; descs = 4 } in
   Alcotest.(check int) "run descriptors" 5 (Payload.descriptors (Payload.Rt_lines [ line; run ]));
   let piece = { Payload.addr = 0; data = Bytes.make 10 ' ' } in
-  let update = { Payload.incarnation = 1; producer = 0; pieces = [ piece; piece ] } in
-  Alcotest.(check int) "vm bytes" 20 (Payload.app_bytes (Payload.Vm_updates [ update ]));
+  Alcotest.(check int) "vm bytes" 20 (Payload.app_bytes (Payload.Vm_updates [ [ piece; piece ] ]));
   Alcotest.(check int) "empty" 0 (Payload.app_bytes Payload.Empty)
 
 let test_payload_read_write_pieces () =
@@ -907,7 +906,7 @@ let test_rebind_resets_history () =
   l.Sync.incarnation <- 5;
   l.Sync.vm_log <- [ (4, Sync.Pieces []) ];
   Hashtbl.replace l.Sync.rt_history 0 42;
-  Sync.rebind_lock l ~nprocs:2 ~ranges:[ Range.v 100 16 ];
+  Sync.rebind_lock l ~ranges:[ Range.v 100 16 ];
   Alcotest.(check int) "cursor reset" Timestamp.never_seen l.Sync.rt_last_seen.(1);
   Alcotest.(check int) "per-line history cleared" 0 (Hashtbl.length l.Sync.rt_history);
   Alcotest.(check int) "incarnation bumped" 6 l.Sync.incarnation;

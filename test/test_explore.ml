@@ -125,27 +125,13 @@ let test_fuzzer_finds_and_shrinks_order_bug () =
   match report.Explore.failures with
   | [ c ] -> (
       Alcotest.(check string) "right workload" "order-sensitive" c.Explore.c_workload;
-      match c.Explore.c_shrunk with
+      match Explore.shrunk c with
       | None -> Alcotest.fail "failure must shrink"
-      | Some l ->
+      | Some l -> (
           (* the bug needs exactly one tie to go the other way *)
           Alcotest.(check bool) "shrunk to very few choices" true (List.length l <= 2);
-          let rp =
-            {
-              Explore.rp_workload = "order-sensitive";
-              rp_backend = Config.Rt;
-              rp_nprocs = spec.Explore.nprocs;
-              rp_ecsan = true;
-              rp_adaptive = false;
-              rp_fault_drop = None;
-              rp_fault_seed = None;
-              rp_crash = None;
-              rp_schedule_seed = Some c.Explore.c_schedule_seed;
-              rp_choices = Some l;
-            }
-          in
-          (match Explore.replay rp with
-          | Ok r -> Alcotest.(check bool) "shrunk counterexample reproduces" true r.Explore.rr_failed
+          match Explore.replay ("order-sensitive", c.Explore.c_config) with
+          | Ok j -> Alcotest.(check bool) "shrunk counterexample reproduces" true j.Explore.j_failed
           | Error e -> Alcotest.fail e))
   | l -> Alcotest.fail (Printf.sprintf "expected exactly one failure, got %d" (List.length l))
 
@@ -162,7 +148,7 @@ let test_fuzzer_shrinks_racy_to_empty () =
   match report.Explore.failures with
   | [ c ] ->
       Alcotest.(check (option (list int))) "fails everywhere -> empty counterexample"
-        (Some []) c.Explore.c_shrunk;
+        (Some []) (Explore.shrunk c);
       Alcotest.(check bool) "ECSan contributed to the diagnosis" true
         (let s = c.Explore.c_reason in
          let n = String.length s in
@@ -243,20 +229,24 @@ let test_fuzzer_finds_broken_failover () =
   | [] -> Alcotest.fail "the broken failover escaped the grid"
   | c :: _ -> (
       Alcotest.(check string) "right workload" "crashy-broken" c.Explore.c_workload;
-      (match c.Explore.c_crash with
+      let plan_of (cfg : Config.t) =
+        Option.map (fun cr -> Midway_simnet.Crash.render cr.Config.plan) cfg.Config.crash
+      in
+      (match plan_of c.Explore.c_config with
       | None -> Alcotest.fail "counterexample must carry its crash plan"
-      | Some s -> Alcotest.(check bool) "the plan shrank to stops only" true
+      | Some s ->
+          Alcotest.(check bool) "the plan shrank to stops only" true
             (String.length s > 0 && not (String.contains s ' ')));
       match Explore.parse_counterexample (Explore.render_counterexample c) with
       | Error e -> Alcotest.fail e
-      | Ok rp -> (
-          Alcotest.(check bool) "crash plan survives the file round trip" true
-            (rp.Explore.rp_crash = c.Explore.c_crash);
-          match Explore.replay rp with
+      | Ok (name, cfg) -> (
+          Alcotest.(check (option string)) "crash plan survives the file round trip"
+            (plan_of c.Explore.c_config) (plan_of cfg);
+          match Explore.replay (name, cfg) with
           | Error e -> Alcotest.fail e
-          | Ok r ->
+          | Ok j ->
               Alcotest.(check bool) "the shrunk crash counterexample reproduces" true
-                r.Explore.rr_failed))
+                j.Explore.j_failed))
 
 (* The clean crash workload must survive the same grid: failover under
    seeded crash schedules is not allowed to corrupt the bound data. *)
@@ -281,42 +271,141 @@ let test_fuzzer_crash_clean_sweep () =
 
 (* Counterexample file round trip. *)
 let test_counterexample_roundtrip () =
+  let module Crash = Midway_simnet.Crash in
+  let plan =
+    Crash.scripted
+      [ { Crash.at_ns = 2000; proc = 1; action = Crash.Stop };
+        { Crash.at_ns = 8000; proc = 1; action = Crash.Recover } ]
+  in
+  let cfg =
+    { (Config.make Config.Vm ~nprocs:5) with Config.ecsan = false; adaptive = true }
+    |> Config.with_faults ~drop:0.02 ~seed:1234
+    |> Config.with_crash plan |> Config.with_replay [ 2 ]
+  in
   let c =
     {
       Explore.c_workload = "mix";
-      c_backend = Config.Vm;
-      c_nprocs = 5;
-      c_ecsan = false;
-      c_adaptive = true;
-      c_fault_drop = Some 0.02;
-      c_fault_seed = Some 1234;
-      c_crash = Some "stop@2000:p1,recover@8000:p1";
+      c_config = cfg;
       c_schedule_seed = 17;
-      c_reason = "oracle: something\nbroke";
       c_choices = Some [ 0; 2; 1 ];
-      c_shrunk = Some [ 2 ];
+      c_reason = "oracle: something\nbroke";
       c_shrink_runs = 5;
       c_trace = [ "lock 0: local acquire by p1" ];
     }
   in
-  match Explore.parse_counterexample (Explore.render_counterexample c) with
+  (match Explore.parse_counterexample (Explore.render_counterexample c) with
   | Error e -> Alcotest.fail e
-  | Ok rp ->
-      Alcotest.(check string) "workload" "mix" rp.Explore.rp_workload;
-      Alcotest.(check int) "nprocs" 5 rp.Explore.rp_nprocs;
-      Alcotest.(check bool) "ecsan" false rp.Explore.rp_ecsan;
-      Alcotest.(check bool) "the adaptive flag travels" true rp.Explore.rp_adaptive;
-      Alcotest.(check (option (list int))) "the shrunk choices travel" (Some [ 2 ])
-        rp.Explore.rp_choices;
-      Alcotest.(check (option int)) "schedule seed" (Some 17) rp.Explore.rp_schedule_seed;
-      Alcotest.(check (option int)) "fault seed" (Some 1234) rp.Explore.rp_fault_seed;
+  | Ok (name, p) ->
+      Alcotest.(check string) "workload" "mix" name;
+      Alcotest.(check string) "backend" "vm" (Config.backend_name p.Config.backend);
+      Alcotest.(check int) "nprocs" 5 p.Config.nprocs;
+      Alcotest.(check bool) "ecsan" false p.Config.ecsan;
+      Alcotest.(check bool) "the adaptive flag travels" true p.Config.adaptive;
+      Alcotest.(check bool) "the shrunk choices travel" true
+        (p.Config.sched_policy = Engine.Replay [ 2 ]);
+      Alcotest.(check (option int)) "fault seed" (Some 1234)
+        (Option.map (fun f -> f.Midway_simnet.Net.fault_seed) p.Config.faults);
       Alcotest.(check (option string)) "the crash plan travels"
-        (Some "stop@2000:p1,recover@8000:p1") rp.Explore.rp_crash
+        (Some "stop@2000:p1,recover@8000:p1")
+        (Option.map (fun cr -> Crash.render cr.Config.plan) p.Config.crash));
+  (* without choices the schedule seed re-runs *)
+  match Explore.parse_counterexample "workload=counter\nschedule-seed=9\n" with
+  | Ok (_, p) ->
+      Alcotest.(check bool) "seeded schedule" true (p.Config.sched_policy = Engine.Seeded 9)
+  | Error e -> Alcotest.fail e
+
+(* Render, parse and render again gives the same text: the Config a
+   counterexample carries is all its file says about the run.  The
+   counterexamples span every backend, with and without faults, crash
+   plans (the empty one included), adaptive detection, recorded and
+   shrunk choices. *)
+let counterexample_text_roundtrips =
+  let module Crash = Midway_simnet.Crash in
+  let gen =
+    let open QCheck.Gen in
+    let* backend =
+      oneofl [ Config.Rt; Config.Vm; Config.Blast; Config.Twin; Config.Vm_fine; Config.Standalone ]
+    in
+    let* nprocs = if backend = Config.Standalone then return 1 else int_range 1 8 in
+    let* ecsan = bool in
+    let* adaptive = if backend = Config.Rt || backend = Config.Vm then bool else return false in
+    let* faults = opt (pair (float_bound_inclusive 1.0) (int_bound 100_000)) in
+    let* crash =
+      if backend = Config.Standalone then return None
+      else
+        opt
+          (oneof
+             [
+               return (Crash.scripted []);
+               map
+                 (fun seed -> Crash.seeded ~seed ~nprocs ~events:2 ~horizon_ns:2_000_000)
+                 (int_bound 10_000);
+             ])
+    in
+    let* sseed = int_bound 1000 in
+    let choices = list_size (int_bound 6) (int_bound 4) in
+    let* recorded = opt choices in
+    let* shrunk = opt choices in
+    let word = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
+    let* workload = oneofl [ "mix"; "counter"; "kv:7"; "ecgen-buggy:3"; "sor" ] in
+    let* reason = list_size (int_range 1 3) word in
+    let+ trace = list_size (int_bound 3) word in
+    let cfg = { (Config.make backend ~nprocs) with Config.ecsan; adaptive } in
+    let cfg =
+      match faults with
+      | None -> cfg
+      | Some (drop, seed) -> Config.with_faults ~drop ~seed cfg
+    in
+    let cfg = match crash with None -> cfg | Some p -> Config.with_crash p cfg in
+    let cfg =
+      match shrunk with
+      | Some l -> Config.with_replay l cfg
+      | None -> Config.with_schedule_seed sseed cfg
+    in
+    {
+      Explore.c_workload = workload;
+      c_config = cfg;
+      c_schedule_seed = sseed;
+      c_choices = recorded;
+      c_reason = String.concat "\n" reason;
+      c_shrink_runs = 0;
+      c_trace = trace;
+    }
+  in
+  QCheck.Test.make ~name:"counterexample text survives render, parse, render" ~count:300
+    (QCheck.make ~print:Explore.render_counterexample gen)
+    (fun c ->
+      let text = Explore.render_counterexample c in
+      match Explore.parse_counterexample text with
+      | Error e -> QCheck.Test.fail_reportf "%s" e
+      | Ok (name, cfg) ->
+          let again =
+            Explore.render_counterexample { c with Explore.c_workload = name; c_config = cfg }
+          in
+          if again <> text then QCheck.Test.fail_reportf "re-rendered as:\n%s" again;
+          true)
 
 let test_parse_rejects_junk () =
   (match Explore.parse_counterexample "workload=counter\nnot a kv line" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed line must be rejected");
+  (match Explore.parse_counterexample "workload=counter\nschedule-seed=x" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a non-numeric seed must be rejected");
+  (match Explore.parse_counterexample "workload=counter\nschedule-seed=1\nfault-drop=0.1" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a fault rate without its seed must be rejected");
+  (* a configuration that may not run is refused before it runs *)
+  (match
+     Result.bind
+       (Explore.parse_counterexample
+          "workload=counter\nbackend=twin\nadaptive=true\nschedule-seed=1")
+       Explore.replay
+   with
+  | Error e ->
+      Alcotest.(check string) "the validator's message"
+        "adaptive elects between rt and vm; start from one of them" e
+  | Ok _ -> Alcotest.fail "an illegal configuration must not replay");
   match Explore.parse_counterexample "# only comments\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a counterexample without a workload must be rejected"
@@ -325,9 +414,15 @@ let test_workload_registry () =
   (match Explore.workload_of_name "ecgen:42" with
   | Ok w -> Alcotest.(check string) "ecgen name" "ecgen:42" w.Workload.name
   | Error e -> Alcotest.fail e);
-  (match Explore.workload_of_name "quicksort" with
-  | Ok w -> Alcotest.(check bool) "quicksort runs under blast" true (w.Workload.supports Config.Blast)
-  | Error e -> Alcotest.fail e);
+  (* blast carries no barrier data: the apps that bind data to barriers
+     cannot run under it, the others can *)
+  List.iter
+    (fun (app, blast) ->
+      match Explore.workload_of_name app with
+      | Ok w ->
+          Alcotest.(check bool) (app ^ " under blast") blast (w.Workload.supports Config.Blast)
+      | Error e -> Alcotest.fail e)
+    [ ("quicksort", true); ("matrix", true); ("cholesky", true); ("water", false); ("sor", false) ];
   match Explore.workload_of_name "no-such-workload" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown names must be rejected"
@@ -391,6 +486,7 @@ let () =
       ( "counterexample files",
         [
           Alcotest.test_case "round trip" `Quick test_counterexample_roundtrip;
+          qtest counterexample_text_roundtrips;
           Alcotest.test_case "rejects junk" `Quick test_parse_rejects_junk;
           Alcotest.test_case "workload registry" `Quick test_workload_registry;
         ] );

@@ -836,6 +836,53 @@ let test_crash_plan_out_of_range () =
     (Invalid_argument "Runtime.create: the crash plan names p7 but the machine has 4 processors")
     (fun () -> ignore (R.create (Config.with_crash plan (Config.make Config.Rt ~nprocs:4))))
 
+(* --- the validator -------------------------------------------------------------- *)
+
+(* Each of Runtime.validate's rules rejects one configuration with its
+   message, and Runtime.create raises the same text; the default
+   configuration of every backend passes. *)
+let test_validate_table () =
+  let make ?(nprocs = 2) b = Config.make b ~nprocs in
+  let stop p = Crash.scripted [ { Crash.at_ns = 1_000; proc = p; action = Crash.Stop } ] in
+  let rt = make Config.Rt in
+  List.iter
+    (fun (rule, cfg, msg) ->
+      Alcotest.(check (result unit string)) rule (Error msg) (R.validate cfg);
+      Alcotest.check_raises (rule ^ ": create") (Invalid_argument ("Runtime.create: " ^ msg))
+        (fun () -> ignore (R.create cfg)))
+    [
+      ( "standalone is uniprocessor",
+        make Config.Standalone,
+        "the standalone backend is uniprocessor only" );
+      ( "untargetted needs rt",
+        { (make Config.Vm) with Config.untargetted = true },
+        "the untargetted model is implemented for the RT backend only" );
+      ( "adaptive needs targetted bindings",
+        { rt with Config.adaptive = true; untargetted = true },
+        "per-region backends need targetted bindings (untargetted consistency is machine-wide \
+         by construction)" );
+      ( "adaptive needs rt or vm",
+        { (make Config.Twin) with Config.adaptive = true },
+        "adaptive elects between rt and vm; start from one of them" );
+      ( "ecsan needs targetted bindings",
+        { rt with Config.ecsan = true; untargetted = true },
+        "ecsan assumes targetted entry consistency (any lock transfer makes everything \
+         consistent under the untargetted model, so binding checks do not apply)" );
+      ("trace capacity", { rt with Config.trace_capacity = -1 }, "negative trace_capacity");
+      ( "crash plan names the machine's processors",
+        Config.with_crash (stop 7) (make ~nprocs:4 Config.Rt),
+        "the crash plan names p7 but the machine has 4 processors" );
+      ( "crash plan needs a distributed backend",
+        Config.with_crash (stop 0) (make ~nprocs:1 Config.Standalone),
+        "a crash plan needs a distributed backend (standalone has no peers to fail over to)" );
+    ];
+  List.iter
+    (fun b ->
+      let cfg = make ~nprocs:(if b = Config.Standalone then 1 else 4) b in
+      Alcotest.(check (result unit string)) (Config.backend_name b) (Ok ()) (R.validate cfg);
+      ignore (R.create cfg))
+    [ Config.Rt; Config.Vm; Config.Blast; Config.Twin; Config.Vm_fine; Config.Standalone ]
+
 (* Unarmed, the recovery state has no watchdog: a run that works past the
    armed watchdog's 300 s of virtual time still completes whole. *)
 let test_unarmed_no_watchdog () =
@@ -1121,6 +1168,7 @@ let () =
           Alcotest.test_case "out-of-range plan rejected" `Quick test_crash_plan_out_of_range;
           Alcotest.test_case "unarmed: no watchdog" `Quick test_unarmed_no_watchdog;
         ] );
+      ("validate", [ Alcotest.test_case "one rule, one message" `Quick test_validate_table ]);
       ( "vm-fine",
         [
           Alcotest.test_case "counter under vm-fine" `Quick (counter_test Config.Vm_fine);

@@ -131,28 +131,6 @@ let test_certain_duplication () =
   (* a duplicated payload is received once *)
   Alcotest.(check int) "received once" 100 (Net.bytes_received net ~proc:1)
 
-let test_fault_window () =
-  let net = Net.create ~nprocs:2 () in
-  let window =
-    { Net.w_from_ns = 2_000; w_until_ns = 5_000; w_kind = Some Net.Lock_reply;
-      w_src = None; w_dst = None }
-  in
-  Net.set_fault_policy net
-    { Net.link = Net.fault_free_link; overrides = []; windows = [ window ]; fault_seed = 1 };
-  let send kind at = Net.send net ~kind ~src:0 ~dst:1 ~payload_bytes:0 ~at in
-  (match send Net.Lock_reply 1_999 with
-  | Net.Delivered _ -> ()
-  | _ -> Alcotest.fail "before the window must deliver");
-  (match send Net.Lock_reply 2_000 with
-  | Net.Dropped -> ()
-  | _ -> Alcotest.fail "inside the window must drop");
-  (match send Net.Lock_request 3_000 with
-  | Net.Delivered _ -> ()
-  | _ -> Alcotest.fail "other kinds are not matched");
-  (match send Net.Lock_reply 5_000 with
-  | Net.Delivered _ -> ()
-  | _ -> Alcotest.fail "window end is exclusive")
-
 (* An out-of-range probability would be compared raw against the PRNG
    draw and silently act like 0 or 1; construction must refuse it and
    name the offending field. *)
@@ -166,29 +144,13 @@ let test_fault_policy_validation () =
   Alcotest.check_raises "negative jitter"
     (Invalid_argument "Net.fault_policy: link.jitter_ns = -5 is negative")
     (fun () -> ignore (Net.uniform_faults ~jitter_ns:(-5) ~drop:0.0 ()));
-  Alcotest.check_raises "per-link override named by its endpoints"
-    (Invalid_argument "Net.fault_policy: overrides[(0,1)].drop = 2 outside [0, 1]")
-    (fun () ->
-      ignore
-        (Net.validate_fault_policy
-           {
-             Net.link = Net.fault_free_link;
-             overrides = [ ((0, 1), { Net.drop = 2.0; duplicate = 0.0; jitter_ns = 0 }) ];
-             windows = [];
-             fault_seed = 1;
-           }));
   (* arming a hand-built policy validates too *)
   let net = Net.create ~nprocs:2 () in
   Alcotest.check_raises "set_fault_policy validates"
     (Invalid_argument "Net.fault_policy: link.drop = -1 outside [0, 1]")
     (fun () ->
       Net.set_fault_policy net
-        {
-          Net.link = { Net.drop = -1.0; duplicate = 0.0; jitter_ns = 0 };
-          overrides = [];
-          windows = [];
-          fault_seed = 1;
-        });
+        { Net.link = { Net.drop = -1.0; duplicate = 0.0; jitter_ns = 0 }; fault_seed = 1 });
   (* a valid policy passes through unchanged *)
   let p = Net.uniform_faults ~duplicate:1.0 ~drop:0.0 () in
   Alcotest.(check bool) "valid policy survives validation" true
@@ -251,23 +213,19 @@ let test_reliable_suppresses_duplicates () =
     (Net.bytes_received net ~proc:1)
 
 let test_reliable_backoff_doubles () =
-  (* Drop everything inside a long window: each retry waits twice the
-     previous timeout, capped, so total backoff for n retries is the
-     geometric sum. *)
+  (* Every processor is down for the first 3.5 ms, so nothing sent
+     before then reaches the wire: each retry waits twice the previous
+     timeout, capped, so total backoff for n retries is the geometric
+     sum. *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_fault_policy net
-    { Net.link = Net.fault_free_link; overrides = [];
-      windows =
-        [ { Net.w_from_ns = 0; w_until_ns = 3_500_000; w_kind = None; w_src = None;
-            w_dst = None } ];
-      fault_seed = 1 };
+  Net.set_crash_predicate net (Some (fun ~proc:_ ~at -> at < 3_500_000));
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000_000; backoff_cap_ns = 16_000_000; max_attempts = 20 }
       net
   in
   let d = Reliable.send ch ~kind:Net.Lock_request ~src:0 ~dst:1 ~payload_bytes:0 ~at:0 in
-  (* copies at 0, 1ms, 3ms die in the window; the copy at 3ms+2ms*2=7ms
+  (* copies at 0, 1ms, 3ms die in the outage; the copy at 3ms+2ms*2=7ms
      escapes: backoff = 1 + 2 + 4 ms *)
   Alcotest.(check int) "three retransmissions" 3 d.Reliable.retransmits;
   Alcotest.(check int) "geometric backoff" 7_000_000 d.Reliable.backoff_ns
@@ -325,17 +283,9 @@ let test_reliable_suspects_dead_sender () =
   let net = Net.create ~nprocs:2 () in
   let plan = Crash.scripted [ { Crash.at_ns = 2_000; proc = 0; action = Crash.Stop } ] in
   Net.set_crash_predicate net (Some (fun ~proc ~at -> Crash.is_down plan ~proc ~at));
-  (* the first two copies (at 100 and 1100) die in a scripted window;
-     the third is never put on the wire — the sender is down by then *)
-  Net.set_fault_policy net
-    {
-      Net.link = Net.fault_free_link;
-      overrides = [];
-      windows =
-        [ { Net.w_from_ns = 0; w_until_ns = 2_000; w_kind = Some Net.Lock_request;
-            w_src = None; w_dst = None } ];
-      fault_seed = 1;
-    };
+  (* the first two copies (at 100 and 1100) die to certain loss; the
+     third is never put on the wire — the sender is down by then *)
+  Net.set_fault_policy net (Net.uniform_faults ~drop:1.0 ());
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 4_000; max_attempts = 3 } net
@@ -354,24 +304,11 @@ let test_reliable_suspects_dead_sender () =
 let test_reliable_ack_lost_on_final_attempt () =
   (* The nastiest give-up: every data copy arrives but every ack dies,
      so the sender burns its whole budget for a transfer that in fact
-     succeeded.  The channel must still raise Exhausted and clean up. *)
+     succeeded.  The channel must still raise Exhausted and clean up.
+     p0's NIC goes down after it sent both data copies (at 0 and 1 us),
+     so each ack dies on arrival (~300 us). *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_fault_policy net
-    {
-      Net.link = Net.fault_free_link;
-      overrides = [];
-      windows =
-        [
-          {
-            Net.w_from_ns = 0;
-            w_until_ns = max_int;
-            w_kind = Some Net.Ack;  (* only acknowledgements die *)
-            w_src = None;
-            w_dst = None;
-          };
-        ];
-      fault_seed = 3;
-    };
+  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at >= 100_000));
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 4_000; max_attempts = 2 }
@@ -383,31 +320,18 @@ let test_reliable_ack_lost_on_final_attempt () =
   Alcotest.(check int) "both data copies were put on the wire" 2
     (Net.messages_of_kind net Net.Lock_request);
   Alcotest.(check int) "an ack answered each data copy" 2 (Net.messages_of_kind net Net.Ack);
-  Alcotest.(check int) "both acks were destroyed by the window" 2 (Net.drops_injected net);
+  Alcotest.(check int) "both acks were destroyed on arrival" 2 (Net.crash_drops_injected net);
   Alcotest.(check int) "nothing left in flight after giving up" 0 (Reliable.unacked ch)
 
 let test_reliable_dup_suppression_across_retransmit () =
-  (* An ack lost in a bounded window: the payload arrives on the first
+  (* An ack lost in a bounded outage: the payload arrives on the first
      try, the retransmitted copy is suppressed by sequence number, and
      the second ack completes the exchange.  With latency 100 ns and no
      byte costs every timestamp is exact. *)
   let net = Net.create ~latency_ns:100 ~ns_per_byte:0 ~header_bytes:0 ~nprocs:2 () in
-  Net.set_fault_policy net
-    {
-      Net.link = Net.fault_free_link;
-      overrides = [];
-      windows =
-        [
-          {
-            Net.w_from_ns = 0;
-            w_until_ns = 200;  (* kills the first ack (sent at 100), not the second *)
-            w_kind = Some Net.Ack;
-            w_src = None;
-            w_dst = None;
-          };
-        ];
-      fault_seed = 3;
-    };
+  (* p0 is down from 200 to 1000 ns: the first ack (arriving at 200)
+     dies, the second (arriving at 1200) does not *)
+  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at >= 200 && at < 1_000));
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 16_000; max_attempts = 5 }
@@ -431,24 +355,9 @@ let test_reliable_dup_suppression_across_retransmit () =
 let test_reliable_backoff_cap_clamps () =
   (* Timeouts double 1000 -> 2000 and would reach 4000, but the cap
      clamps them at 2000: copies go out at 0, 1000, 3000, 5000 (all
-     inside the drop window) and 7000 (delivered). *)
+     while the sender is down until 6000) and 7000 (delivered). *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_fault_policy net
-    {
-      Net.link = Net.fault_free_link;
-      overrides = [];
-      windows =
-        [
-          {
-            Net.w_from_ns = 0;
-            w_until_ns = 6_000;
-            w_kind = Some Net.Lock_request;
-            w_src = None;
-            w_dst = None;
-          };
-        ];
-      fault_seed = 3;
-    };
+  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at < 6_000));
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 2_000; max_attempts = 10 }
@@ -615,7 +524,6 @@ let () =
           Alcotest.test_case "seed changes schedule" `Quick test_fault_seed_changes_schedule;
           Alcotest.test_case "certain drop" `Quick test_certain_drop;
           Alcotest.test_case "certain duplication" `Quick test_certain_duplication;
-          Alcotest.test_case "scripted window" `Quick test_fault_window;
           Alcotest.test_case "policy validation names the field" `Quick
             test_fault_policy_validation;
           Alcotest.test_case "delivery of Dropped raises" `Quick test_delivery_of_dropped_raises;
