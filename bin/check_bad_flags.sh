@@ -62,4 +62,7 @@ expect_success() {
 }
 expect_success ./experiments.exe --only table1 --nprocs 64 --scale 0.05
 expect_success ./experiments.exe --only speedup --apps sor --nprocs 64 --scale 0.05
+# quicksort's private task-slot pools run dry at 64 processors; the
+# processor then keeps the right half and sorts it itself
+expect_success ./midway_run.exe quicksort --nprocs 64 --scale 0.25
 exit $status

@@ -81,10 +81,12 @@ let run cfg { n; threshold; slots } =
       (* --- private slot pool: processor p owns [p*span, p*span+span) --- *)
       let next_slot = ref ((me * span) + if me = 0 then 1 else 0) in
       let fresh_slot () =
-        if !next_slot >= (me + 1) * span then failwith "quicksort: out of task slots";
-        let s = !next_slot in
-        incr next_slot;
-        s
+        if !next_slot >= (me + 1) * span then None
+        else begin
+          let s = !next_slot in
+          incr next_slot;
+          Some s
+        end
       in
       (* completions are folded into the next queue-lock critical section *)
       let finished = ref 0 in
@@ -160,32 +162,50 @@ let run cfg { n; threshold; slots } =
       in
       (* Process a task we hold (slot lock acquired): keep splitting,
          handing right halves to fresh slots, until the left half is small
-         enough to bubble sort. *)
+         enough to bubble sort.  A right half split off when the private
+         pool is empty stays here: once the left half is sorted, this
+         slot is rebound to it and it is processed the same way. *)
       let process_task s =
         let lo = ref (R.read_int c (descr_addr s)) in
         let hi = ref (R.read_int c (descr_addr s + 8)) in
-        while !hi - !lo > threshold do
-          let m = partition !lo !hi in
-          (* Hand the right half to a slot from the private pool. *)
-          let s2 = fresh_slot () in
-          R.acquire c slot_lock.(s2);
-          R.write_int c (descr_addr s2) m;
-          R.write_int c (descr_addr s2 + 8) !hi;
-          R.rebind c slot_lock.(s2)
-            [ Range.v (descr_addr s2) 16; Range.v (elem m) ((!hi - m) * 8) ];
-          R.release c slot_lock.(s2);
-          R.acquire c queue_lock;
-          q_set q_outstanding (q_get q_outstanding + 1);
-          push_ready s2;
-          R.release c queue_lock;
-          (* Keep the left half on this slot. *)
-          R.write_int c (descr_addr s) !lo;
-          R.write_int c (descr_addr s + 8) m;
-          R.rebind c slot_lock.(s) [ Range.v (descr_addr s) 16; Range.v (elem !lo) ((m - !lo) * 8) ];
-          hi := m
+        let kept = ref [] in
+        let working = ref true in
+        while !working do
+          while !hi - !lo > threshold do
+            let m = partition !lo !hi in
+            (match fresh_slot () with
+            | Some s2 ->
+                (* Hand the right half to a slot from the private pool. *)
+                R.acquire c slot_lock.(s2);
+                R.write_int c (descr_addr s2) m;
+                R.write_int c (descr_addr s2 + 8) !hi;
+                R.rebind c slot_lock.(s2)
+                  [ Range.v (descr_addr s2) 16; Range.v (elem m) ((!hi - m) * 8) ];
+                R.release c slot_lock.(s2);
+                R.acquire c queue_lock;
+                q_set q_outstanding (q_get q_outstanding + 1);
+                push_ready s2;
+                R.release c queue_lock;
+                (* Keep the left half on this slot. *)
+                R.write_int c (descr_addr s) !lo;
+                R.write_int c (descr_addr s + 8) m;
+                R.rebind c slot_lock.(s)
+                  [ Range.v (descr_addr s) 16; Range.v (elem !lo) ((m - !lo) * 8) ]
+            | None -> kept := (m, !hi) :: !kept);
+            hi := m
+          done;
+          bubblesort !lo !hi;
+          segments := (!lo, !hi, me) :: !segments;
+          match !kept with
+          | (m, h) :: rest ->
+              kept := rest;
+              lo := m;
+              hi := h;
+              R.write_int c (descr_addr s) m;
+              R.write_int c (descr_addr s + 8) h;
+              R.rebind c slot_lock.(s) [ Range.v (descr_addr s) 16; Range.v (elem m) ((h - m) * 8) ]
+          | [] -> working := false
         done;
-        bubblesort !lo !hi;
-        segments := (!lo, !hi, me) :: !segments;
         incr tasks_done;
         incr finished;
         (* Misclassified private progress write, as real programs show. *)

@@ -15,19 +15,27 @@ let limit r = r.addr + r.len
 
 let is_empty r = r.len = 0
 
+(* Sorted by address, no empty range, no two ranges touching. *)
+let rec is_normalized = function
+  | a :: (b :: _ as rest) -> (not (is_empty a)) && b.addr > limit a && is_normalized rest
+  | [ a ] -> not (is_empty a)
+  | [] -> true
+
 let normalize ranges =
-  let sorted =
-    List.filter (fun r -> not (is_empty r)) ranges
-    |> List.sort (fun a b -> Int.compare a.addr b.addr)
-  in
-  let rec merge = function
-    | a :: b :: rest ->
-        if b.addr <= limit a then
-          merge ({ a with len = Int.max (limit a) (limit b) - a.addr } :: rest)
-        else a :: merge (b :: rest)
-    | rest -> rest
-  in
-  merge sorted
+  if is_normalized ranges then ranges
+  else
+    let sorted =
+      List.filter (fun r -> not (is_empty r)) ranges
+      |> List.sort (fun a b -> Int.compare a.addr b.addr)
+    in
+    let rec merge = function
+      | a :: b :: rest ->
+          if b.addr <= limit a then
+            merge ({ a with len = Int.max (limit a) (limit b) - a.addr } :: rest)
+          else a :: merge (b :: rest)
+      | rest -> rest
+    in
+    merge sorted
 
 let total_bytes ranges = List.fold_left (fun acc r -> acc + r.len) 0 ranges
 

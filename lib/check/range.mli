@@ -22,7 +22,9 @@ val limit : t -> int
 val is_empty : t -> bool
 
 val normalize : t list -> t list
-(** Sort by address and merge overlapping or adjacent ranges. *)
+(** Sort by address, drop empty ranges and merge overlapping or adjacent
+    ones.  A list that is already normalized comes back as it is,
+    without a copy. *)
 
 val total_bytes : t list -> int
 (** Sum of lengths (after normalization overlaps are not double counted;

@@ -39,7 +39,15 @@ let barrier_fallback = Config.Twin
    history keeps its stamps in a dirtybit table whether or not the
    templates fill it: vm-fine traps with page faults and folds each diff
    into the table before scanning it. *)
-type stamps = { db : Dirtybits.t; faults : Vm_state.t option; gather : Gather.t }
+type stamps = {
+  db : Dirtybits.t;
+  faults : Vm_state.t option;
+  gather : Gather.t;
+  (* the scan → gather path's callbacks, built once *)
+  region_of : int -> Region.t;
+  push_run : addr:int -> len:int -> ts:Timestamp.t -> fresh:bool -> lines:int -> unit;
+  read_run : addr:int -> len:int -> Bytes.t;  (* a run's bytes out of this processor's memory *)
+}
 
 type log = Pages of Vm_state.t | Twins of Twin_state.t
 
@@ -52,24 +60,27 @@ type cursor = int
 (* Lines covered by one first-level bit of a two-level table. *)
 let two_level_group = 64
 
+let stamps env ~proc ~mode ~faults =
+  let gather = Gather.create () in
+  {
+    db = Dirtybits.create ~mode ~group:two_level_group;
+    faults;
+    gather;
+    region_of = Space.region_of_addr env.space;
+    push_run =
+      (fun ~addr ~len ~ts ~fresh:_ ~lines -> Gather.push_run gather ~addr ~len ~ts ~descs:lines);
+    read_run = (fun ~addr ~len -> Space.read_bytes env.space ~proc addr ~len);
+  }
+
 let create env ~proc backend =
   let cfg = env.cfg in
   let history =
     match backend with
-    | Config.Rt ->
-        Stamps
-          {
-            db = Dirtybits.create ~mode:cfg.rt_mode ~group:two_level_group;
-            faults = None;
-            gather = Gather.create ();
-          }
+    | Config.Rt -> Stamps (stamps env ~proc ~mode:cfg.rt_mode ~faults:None)
     | Config.Vm_fine ->
         Stamps
-          {
-            db = Dirtybits.create ~mode:Config.Plain ~group:two_level_group;
-            faults = Some (Vm_state.create ~page_size:cfg.cost.page_size);
-            gather = Gather.create ();
-          }
+          (stamps env ~proc ~mode:Config.Plain
+             ~faults:(Some (Vm_state.create ~page_size:cfg.cost.page_size)))
     | Config.Vm -> Log (Pages (Vm_state.create ~page_size:cfg.cost.page_size))
     | Config.Twin -> Log (Twins (Twin_state.create ()))
     | Config.Blast | Config.Standalone -> Blast
@@ -77,9 +88,6 @@ let create env ~proc backend =
   { env; proc; counters = env.counters.(proc); history }
 
 let region_of d addr = Space.region_of_addr d.env.space addr
-
-(* Snapshot a run's bytes out of this processor's memory: one blit. *)
-let read_run d ~addr ~len = Space.read_bytes d.env.space ~proc:d.proc addr ~len
 
 let read_bound d ranges = Payload.read_pieces d.env.space ~proc:d.proc ranges
 
@@ -149,15 +157,15 @@ let gathered d s ~ranges =
   let c = d.counters in
   c.bound_bytes_scanned <- c.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
   c.dirty_bytes_found <- c.dirty_bytes_found + Gather.total_bytes s.gather;
-  Gather.to_rt_lines s.gather ~read:(read_run d)
+  Gather.to_rt_lines s.gather ~read:s.read_run
 
 (* Scan the bound lines, stamping this processor's fresh modifications,
    and gather the selected runs into lines: the scan → gather path. *)
 let scan_gather d s ~ranges ~stamp ~select =
-  let g = s.gather in
-  Gather.clear g;
-  let emit ~addr ~len ~ts ~fresh:_ ~lines = Gather.push_run g ~addr ~len ~ts ~descs:lines in
-  let counts = Dirtybits.scan s.db ~region_of:(region_of d) ~ranges ~stamp ~select ~emit in
+  Gather.clear s.gather;
+  let counts =
+    Dirtybits.scan s.db ~region_of:s.region_of ~ranges ~stamp ~select ~emit:s.push_run
+  in
   let c = d.counters in
   c.clean_dirtybits_read <- c.clean_dirtybits_read + counts.clean_reads;
   c.dirty_dirtybits_read <- c.dirty_dirtybits_read + counts.dirty_reads;
@@ -202,7 +210,7 @@ let shared_ranges d =
    from the lock's sparse history table: record the fresh lines, then add
    the history lines the requester missed.  Under the untargetted model
    the history spans the whole space, so it lives on the machine. *)
-let queue_history d (l : Sync.lock) ~ranges ~last_seen ~stamp lines =
+let queue_history d s (l : Sync.lock) ~ranges ~last_seen ~stamp lines =
   let history = if d.env.cfg.untargetted then d.env.global_history else l.Sync.rt_history in
   (* The history is per line; expand each coalesced run back into its
      constituent lines. *)
@@ -221,7 +229,7 @@ let queue_history d (l : Sync.lock) ~ranges ~last_seen ~stamp lines =
       if ts > last_seen && ts <> stamp then begin
         let len = (region_of d addr).Region.line_size in
         if Range.clip (Range.v addr len) ~within:ranges <> [] then
-          extra := { Payload.addr; len; ts; data = read_run d ~addr ~len; descs = 1 } :: !extra
+          extra := { Payload.addr; len; ts; data = s.read_run ~addr ~len; descs = 1 } :: !extra
       end)
     history;
   d.counters.clean_dirtybits_read <- d.counters.clean_dirtybits_read + !extra_count;
@@ -240,7 +248,7 @@ let stamps_collect_lock d s (l : Sync.lock) ~for_ =
   match Dirtybits.mode s.db with
   | Config.Plain | Config.Two_level -> (lines_payload lines, diff_ns + scan_ns, stamp)
   | Config.Update_queue ->
-      let lines, history_ns = queue_history d l ~ranges ~last_seen ~stamp lines in
+      let lines, history_ns = queue_history d s l ~ranges ~last_seen ~stamp lines in
       (lines_payload lines, diff_ns + scan_ns + history_ns, stamp)
 
 (* vm-fine barrier arrival: the fresh modifications are exactly the
@@ -435,21 +443,32 @@ let stamps_invariants d s ~unowned =
 (* Incarnation log (vm, twin)                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The log is the lock's last [update_log_window] incarnations.  Its
+   entries are consecutive, newest first, so the window is the entries
+   from [l.incarnation - window] on; older ones are kept until the list
+   doubles, and trimmed then, so that recording an entry does not copy
+   the window. *)
+let in_window (cfg : Config.t) (l : Sync.lock) inc =
+  inc >= l.Sync.incarnation - cfg.update_log_window
+
 let trim_log (cfg : Config.t) log =
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
     | e :: rest -> e :: take (n - 1) rest
   in
-  take cfg.update_log_window log
+  if List.compare_length_with log (2 * cfg.update_log_window) <= 0 then log
+  else take cfg.update_log_window log
 
 (* A rebinding in (seen, current) forces a *diff-free* full transfer:
    the paper's VM-DSM ships all bound data "without performing a diff"
    when the binding changed (section 4, quicksort).  This is decidable
    from the log alone, before any diffing. *)
-let rebound_since (l : Sync.lock) ~seen ~current =
-  seen < current
-  && List.exists (fun (inc, e) -> inc > seen && e = Sync.Full_marker) l.Sync.vm_log
+let rebound_since cfg (l : Sync.lock) ~seen =
+  seen < l.Sync.incarnation
+  && List.exists
+       (fun (inc, e) -> inc > seen && e = Sync.Full_marker && in_window cfg l inc)
+       l.Sync.vm_log
 
 (* Diff the bound data against the dirty pages' twins or the object's
    twin. *)
@@ -471,7 +490,7 @@ let log_collect_lock d log (l : Sync.lock) ~for_ =
   let this_inc = l.Sync.incarnation in
   let seen = l.Sync.vm_inc_seen.(for_) in
   d.counters.bound_bytes_scanned <- d.counters.bound_bytes_scanned + bound;
-  if rebound_since l ~seen ~current:this_inc then begin
+  if rebound_since cfg l ~seen then begin
     (* Diff-free full transfer after a rebinding: ship the releaser's
        current bound data as is. *)
     (match log with
@@ -501,7 +520,9 @@ let log_collect_lock d log (l : Sync.lock) ~for_ =
       if seen >= this_inc then Payload.Empty
       else begin
         let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen) l.Sync.vm_log in
+        let taken =
+          List.filter (fun (inc, _) -> inc > seen && in_window cfg l inc) l.Sync.vm_log
+        in
         (* The log window may no longer reach back to the requester's
            cursor ("Midway's implementation of VM-DSM does not save all
            the updates"): then, or when the concatenated updates exceed
@@ -610,7 +631,7 @@ let advance_barrier d cursor =
 
 let ships_full d (l : Sync.lock) ~for_ =
   match d.history with
-  | Log _ -> rebound_since l ~seen:l.Sync.vm_inc_seen.(for_) ~current:l.Sync.incarnation
+  | Log _ -> rebound_since d.env.cfg l ~seen:l.Sync.vm_inc_seen.(for_)
   | Stamps _ | Blast -> l.Sync.rt_last_seen.(for_) = Timestamp.never_seen
 
 let install_full d (l : Sync.lock) pieces =

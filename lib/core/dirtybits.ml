@@ -6,12 +6,25 @@ type region_table = {
   group_max : int array;  (* two-level: max stamp installed in the group *)
 }
 
+(* Pending run state for coalescing per-line visits into one emit per
+   contiguous run of lines sharing a timestamp and freshness. *)
+type run_acc = {
+  mutable r_addr : int;
+  mutable r_len : int;
+  mutable r_ts : Timestamp.t;
+  mutable r_fresh : bool;
+  mutable r_lines : int;
+  mutable r_region : int;  (* region index; a run never spans regions *)
+  mutable r_active : bool;
+}
+
 type t = {
   mode : Config.rt_mode;
   group : int;
   mutable tables : region_table option array;  (* by region index *)
   mutable queue : Range.t list;  (* update-queue mode, newest first *)
   mutable queue_len : int;
+  run : run_acc;  (* the pending run of the scan in progress *)
 }
 
 type scan_counts = {
@@ -26,7 +39,23 @@ type selection = Transfer of Timestamp.t | Fresh_only
 
 let create ~mode ~group =
   if group <= 0 then invalid_arg "Dirtybits.create: group must be positive";
-  { mode; group; tables = Array.make 16 None; queue = []; queue_len = 0 }
+  {
+    mode;
+    group;
+    tables = Array.make 16 None;
+    queue = [];
+    queue_len = 0;
+    run =
+      {
+        r_addr = 0;
+        r_len = 0;
+        r_ts = 0;
+        r_fresh = false;
+        r_lines = 0;
+        r_region = -1;
+        r_active = false;
+      };
+  }
 
 let mode t = t.mode
 
@@ -129,6 +158,39 @@ let set_ts_run t ~region ~addr ~lines ~ts =
 let fresh_counts () =
   { clean_reads = 0; dirty_reads = 0; groups_skipped = 0; group_checks = 0; queue_entries = 0 }
 
+(* Close the pending run, if any, by emitting it. *)
+let flush t emit =
+  let r = t.run in
+  if r.r_active then begin
+    r.r_active <- false;
+    emit ~addr:r.r_addr ~len:r.r_len ~ts:r.r_ts ~fresh:r.r_fresh ~lines:r.r_lines
+  end
+
+(* Per-line selection feeds the coalescer; discontiguity, a change of
+   timestamp/freshness, or a region boundary closes the pending run.  A
+   line visited twice (overlapping unmerged ranges) restarts a run
+   because its address does not extend the pending one, so nothing is
+   ever silently dropped. *)
+let emit_line t emit (region : Region.t) ~addr ~len ~ts ~fresh =
+  let r = t.run in
+  if
+    r.r_active && r.r_addr + r.r_len = addr && r.r_ts = ts && r.r_fresh = fresh
+    && r.r_region = region.Region.index
+  then begin
+    r.r_len <- r.r_len + len;
+    r.r_lines <- r.r_lines + 1
+  end
+  else begin
+    flush t emit;
+    r.r_active <- true;
+    r.r_addr <- addr;
+    r.r_len <- len;
+    r.r_ts <- ts;
+    r.r_fresh <- fresh;
+    r.r_lines <- 1;
+    r.r_region <- region.Region.index
+  end
+
 (* Scan one line: stamp if locally dirty, emit per the selection. *)
 let visit_line t tbl counts ~region ~stamp ~select ~emit line =
   let addr = Region.base region + (line * region.Region.line_size) in
@@ -139,13 +201,15 @@ let visit_line t tbl counts ~region ~stamp ~select ~emit line =
     tbl.ts.(line) <- stamp;
     bump_group_max t tbl line stamp;
     match select with
-    | Transfer last_seen -> if stamp > last_seen then emit ~addr ~len ~ts:stamp ~fresh:true
-    | Fresh_only -> emit ~addr ~len ~ts:stamp ~fresh:true
+    | Transfer last_seen ->
+        if stamp > last_seen then emit_line t emit region ~addr ~len ~ts:stamp ~fresh:true
+    | Fresh_only -> emit_line t emit region ~addr ~len ~ts:stamp ~fresh:true
   end
   else begin
     counts.clean_reads <- counts.clean_reads + 1;
     match select with
-    | Transfer last_seen -> if v > last_seen then emit ~addr ~len ~ts:v ~fresh:false
+    | Transfer last_seen ->
+        if v > last_seen then emit_line t emit region ~addr ~len ~ts:v ~fresh:false
     | Fresh_only -> ()
   end
 
@@ -223,7 +287,7 @@ let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
              and emit (a transfer cursor is always below a fresh stamp). *)
           counts.dirty_reads <- counts.dirty_reads + 1;
           tbl.ts.(line) <- stamp;
-          emit region
+          emit_line t emit region
             ~addr:(Region.base region + (line * region.Region.line_size))
             ~len:region.Region.line_size ~ts:stamp ~fresh:true
         end
@@ -231,73 +295,22 @@ let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
     !consumed;
   counts
 
-(* Pending run state for coalescing per-line visits into one emit per
-   contiguous run of lines sharing a timestamp and freshness. *)
-type run_acc = {
-  mutable r_addr : int;
-  mutable r_len : int;
-  mutable r_ts : Timestamp.t;
-  mutable r_fresh : bool;
-  mutable r_lines : int;
-  mutable r_region : int;  (* region index; a run never spans regions *)
-  mutable r_active : bool;
-}
+let rec scan_ranges t counts ~region_of ~stamp ~select ~emit = function
+  | [] -> ()
+  | (range : Range.t) :: rest ->
+      if not (Range.is_empty range) then
+        scan_range t counts ~region:(region_of range.Range.addr) ~range ~stamp ~select ~emit;
+      scan_ranges t counts ~region_of ~stamp ~select ~emit rest
 
 let scan t ~region_of ~ranges ~stamp ~select ~emit =
   let counts = fresh_counts () in
   let ranges = Range.normalize ranges in
-  let r =
-    {
-      r_addr = 0;
-      r_len = 0;
-      r_ts = 0;
-      r_fresh = false;
-      r_lines = 0;
-      r_region = -1;
-      r_active = false;
-    }
-  in
-  let flush () =
-    if r.r_active then begin
-      r.r_active <- false;
-      emit ~addr:r.r_addr ~len:r.r_len ~ts:r.r_ts ~fresh:r.r_fresh ~lines:r.r_lines
-    end
-  in
-  (* Per-line selection feeds the coalescer; discontiguity, a change of
-     timestamp/freshness, or a region boundary closes the pending run.  A
-     line visited twice (overlapping unmerged ranges) restarts a run
-     because its address does not extend the pending one, so nothing is
-     ever silently dropped. *)
-  let emit_line (region : Region.t) ~addr ~len ~ts ~fresh =
-    if
-      r.r_active && r.r_addr + r.r_len = addr && r.r_ts = ts && r.r_fresh = fresh
-      && r.r_region = region.Region.index
-    then begin
-      r.r_len <- r.r_len + len;
-      r.r_lines <- r.r_lines + 1
-    end
-    else begin
-      flush ();
-      r.r_active <- true;
-      r.r_addr <- addr;
-      r.r_len <- len;
-      r.r_ts <- ts;
-      r.r_fresh <- fresh;
-      r.r_lines <- 1;
-      r.r_region <- region.Region.index
-    end
-  in
+  t.run.r_active <- false;
   (match t.mode with
-  | Config.Update_queue ->
-      ignore (scan_queue t counts ~region_of ~ranges ~stamp ~emit:emit_line)
+  | Config.Update_queue -> ignore (scan_queue t counts ~region_of ~ranges ~stamp ~emit)
   | Config.Plain | Config.Two_level ->
-      List.iter
-        (fun range ->
-          if not (Range.is_empty range) then
-            let region = region_of range.Range.addr in
-            scan_range t counts ~region ~range ~stamp ~select ~emit:(emit_line region))
-        ranges);
-  flush ();
+      scan_ranges t counts ~region_of ~stamp ~select ~emit ranges);
+  flush t emit;
   counts
 
 let queue_length t = t.queue_len

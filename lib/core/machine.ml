@@ -301,10 +301,9 @@ let barrier_scheme t ranges =
    sender's counters (retransmissions, observed drops, backoff) and the
    destination's (suppressed duplicates).  Either way the result is the
    virtual time the payload lands at [dst]. *)
-let send_msg ?(overhead_bytes = 0) (t : t) ~kind ~src ~dst ~payload_bytes ~at =
+let send_msg (t : t) ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
   match t.reliable with
-  | None ->
-      Net.delivery (Net.send ~overhead_bytes t.net ~kind ~src ~dst ~payload_bytes ~at)
+  | None -> Net.arrival t.net ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at
   | Some ch ->
       let d = Reliable.send ~overhead_bytes ch ~kind ~src ~dst ~payload_bytes ~at in
       let sc = t.ctxs.(src).counters and dc = t.ctxs.(dst).counters in

@@ -123,7 +123,10 @@ let replicate c (l : Sync.lock) =
     List.iter
       (fun b ->
         c.counters.messages <- c.counters.messages + 1;
-        match send_msg t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes ~at with
+        match
+          send_msg t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes ~overhead_bytes:0
+            ~at
+        with
         | (_ : int) -> ()
         | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
       backups;
@@ -152,8 +155,11 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
     if v <> new_owner && v <> suspect && not (proto_down t v ~at) then begin
       nc.counters.messages <- nc.counters.messages + 1;
       match
-        let a = send_msg t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~at in
-        send_msg t ~kind:Net.Vote_reply ~src:v ~dst:new_owner ~payload_bytes:8 ~at:a
+        let a =
+          send_msg t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~overhead_bytes:0 ~at
+        in
+        send_msg t ~kind:Net.Vote_reply ~src:v ~dst:new_owner ~payload_bytes:8 ~overhead_bytes:0
+          ~at:a
       with
       | reply -> incr votes; t_votes := max !t_votes reply
       | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ()
@@ -188,7 +194,7 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
               t.ctxs.(h).counters.data_sent_bytes <- t.ctxs.(h).counters.data_sent_bytes + bytes;
               match
                 send_msg t ~kind:Net.Replicate ~src:h ~dst:new_owner ~payload_bytes:bytes
-                  ~at:!t_votes
+                  ~overhead_bytes:0 ~at:!t_votes
               with
               | deliver -> t_done := deliver
               | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())

@@ -256,18 +256,16 @@ let maybe_adapt t ranges ~at =
 
 let wire_overhead payload = Payload.descriptors payload * Payload.descriptor_bytes
 
-(* One collection at [c], for a transfer of the [sync] object [id]
-   bound to [ranges] starting at [t0] on [c]'s clock, and its
-   accounting: the counters, the adaptive policy's observation
-   ([rebound] marks a rebinding-forced full), and the event.  Returns
-   the payload, the collection time, the cursor for [Detector.advance]
-   and the application bytes shipped. *)
-let collect (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 run =
+(* The accounting of one collection at [c], which took [ns] and built
+   [payload], for a transfer of the [sync] object [id] bound to [ranges]
+   starting at [t0] on [c]'s clock: the counters, the adaptive policy's
+   observation ([rebound] marks a rebinding-forced full), and the event,
+   which attributes to the collection the page diffs and dirty bytes
+   counted since [c]'s counters read [pages0] and [dirty0].  Returns the
+   application bytes shipped. *)
+let collected (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 ~pages0 ~dirty0 payload
+    ns =
   let t = c.machine in
-  (* Counter reads that attribute this collection's page diffs to its
-     event. *)
-  let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
-  let payload, ns, cursor = run () in
   c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
   let app = Payload.app_bytes payload in
   (match t.policy with
@@ -287,7 +285,7 @@ let collect (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 run =
       let dirty_bytes = c.counters.dirty_bytes_found - dirty0 in
       emit
         (Event.Collect { proc = c.cid; sync; id; t0; ns; bytes = app; scan; pages; dirty_bytes }));
-  (payload, ns, cursor, app)
+  app
 
 (* Apply a payload delivered to [c] at [deliver] (the receiver is
    blocked, so its memory is quiescent), with its accounting.  Returns
@@ -332,36 +330,37 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
     && Detector.ships_full rd l ~for_:q
   in
   let ranges = l.Sync.ranges in
-  let payload, collect_ns, cursor, app =
-    collect rc rd ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
-      ~rebound ~t0:service_time (fun () -> Detector.collect_lock rd l ~for_:q)
+  let pages0 = rc.counters.pages_diffed and dirty0 = rc.counters.dirty_bytes_found in
+  let payload, collect_ns, cursor = Detector.collect_lock rd l ~for_:q in
+  let app =
+    collected rc rd ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
+      ~rebound ~t0:service_time ~pages0 ~dirty0 payload collect_ns
   in
   rc.counters.messages <- rc.counters.messages + 1;
-  let finish deliver =
-  let apply_ns =
-    apply qc (detector qc scheme) ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~app ~deliver payload
-  in
-  Detector.advance rd l ~requester:q cursor;
-  (match mode with
-  | Sync.Exclusive ->
-      l.Sync.owner <- q;
-      l.Sync.held_by <- Some q
-  | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
-  l.Sync.acquires <- l.Sync.acquires + 1;
-  (match t.emit with
-  | None -> ()
-  | Some emit ->
-      emit
-        (Event.Lock_granted
-           { t = deliver + apply_ns; lock = l.Sync.lid; from_ = releaser; to_ = q;
-             shared = (mode = Sync.Shared); payload_bytes = app }));
-  waker ~at:(deliver + apply_ns)
-  in
   match
     send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Lock_reply
       ~src:releaser ~dst:q ~payload_bytes:app ~at:(service_time + collect_ns)
   with
-  | deliver -> finish deliver
+  | deliver ->
+      let apply_ns =
+        apply qc (detector qc scheme) ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~app ~deliver
+          payload
+      in
+      Detector.advance rd l ~requester:q cursor;
+      (match mode with
+      | Sync.Exclusive ->
+          l.Sync.owner <- q;
+          l.Sync.held_by <- Some q
+      | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
+      l.Sync.acquires <- l.Sync.acquires + 1;
+      (match t.emit with
+      | None -> ()
+      | Some emit ->
+          emit
+            (Event.Lock_granted
+               { t = deliver + apply_ns; lock = l.Sync.lid; from_ = releaser; to_ = q;
+                 shared = (mode = Sync.Shared); payload_bytes = app }));
+      waker ~at:(deliver + apply_ns)
   | exception Reliable.Suspected s ->
       (* The grant raced a crash at one end of the link. *)
       let give_up = service_time + collect_ns + s.Reliable.s_elapsed_ns in
@@ -454,7 +453,9 @@ let acquire_mode c l mode =
     let rec request_owner () =
       let at = now_ns c in
       let dst = l.Sync.owner in
-      match send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~at with
+      match
+        send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~overhead_bytes:0 ~at
+      with
       | arrival -> arrival
       | exception Reliable.Suspected s ->
           Recovery.take_over c l ~suspect:dst ~elapsed_ns:s.Reliable.s_elapsed_ns;
@@ -640,9 +641,13 @@ let barrier c b =
       failwith "Runtime.barrier: the untargetted model supports lock-based data sharing only";
     let d = detector c (barrier_scheme t b.Sync.branges) in
     let ranges = b.Sync.branges in
-    let payload, collect_ns, cursor, app =
-      collect c d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges ~bound_bytes:(Range.total_bytes ranges)
-        ~rebound:false ~t0:(now_ns c) (fun () -> Detector.collect_barrier d b)
+    let t0 = now_ns c in
+    let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
+    let payload, collect_ns, cursor = Detector.collect_barrier d b in
+    let app =
+      collected c d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges
+        ~bound_bytes:(Range.total_bytes ranges) ~rebound:false ~t0 ~pages0 ~dirty0 payload
+        collect_ns
     in
     Engine.charge c.proc collect_ns;
     if c.cid <> b.Sync.manager then c.counters.messages <- c.counters.messages + 1;

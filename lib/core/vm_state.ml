@@ -14,11 +14,18 @@ type t = {
   pt : Page_table.t;
   shift : int;  (* [Page_table.page_shift pt] *)
   pending : (int, pending_page) Hashtbl.t;  (* page number -> saved diff *)
+  mutable spare_twins : Bytes.t list;
+      (* buffers of cleaned pages' twins, for the next faults; at most
+         [max_spare_twins] *)
 }
+
+(* Enough for the pages a processor dirties between two transfers of a
+   lock; a barrier cleaning more lets the rest go. *)
+let max_spare_twins = 16
 
 let create ~page_size =
   let pt = Page_table.create ~page_size in
-  { pt; shift = Page_table.page_shift pt; pending = Hashtbl.create 64 }
+  { pt; shift = Page_table.page_shift pt; pending = Hashtbl.create 64; spare_twins = [] }
 
 let page_table t = t.pt
 
@@ -80,9 +87,19 @@ let on_write t ~space ~proc ~counters ~cost ~addr =
   match page.Page_table.prot with
   | Page_table.Read_write -> 0
   | Page_table.Read_only ->
-      (* The copy read out of memory becomes the twin itself. *)
+      (* The twin is a copy of the page, in the buffer of a twin dropped
+         earlier when there is one. *)
       let psize = page_size t in
-      let twin = Space.read_bytes space ~proc (addr land lnot (psize - 1)) ~len:psize in
+      let base = addr land lnot (psize - 1) in
+      let current, cur_off = Space.backing_slice space ~proc base ~len:psize in
+      let twin =
+        match t.spare_twins with
+        | tw :: rest ->
+            t.spare_twins <- rest;
+            tw
+        | [] -> Bytes.create psize
+      in
+      Bytes.blit current cur_off twin 0 psize;
       Page_table.fault t.pt page ~twin;
       counters.Counters.write_faults <- counters.Counters.write_faults + 1;
       cost.Cost_model.page_fault_ns
@@ -94,6 +111,15 @@ let on_store t ~space ~proc ~counters ~cost ~addr ~len =
     ns := !ns + on_write t ~space ~proc ~counters ~cost ~addr:(page lsl t.shift)
   done;
   !ns
+
+(* Clean a dirty page, keeping its twin's buffer for a later fault: no
+   one reads a twin once its page is clean. *)
+let clean t (page : Page_table.page) =
+  (match page.Page_table.twin with
+  | Some tw when List.compare_length_with t.spare_twins max_spare_twins < 0 ->
+      t.spare_twins <- tw :: t.spare_twins
+  | Some _ | None -> ());
+  Page_table.clean t.pt page
 
 (* --- collection --------------------------------------------------------- *)
 
@@ -201,7 +227,7 @@ let collect t ~space ~proc ~counters ~cost ~ranges =
             split ranges lo (lo + r.Diff.len) ~inside:ship ~outside:stash)
           runs;
         (* All modified data is accounted for: the page is clean again. *)
-        Page_table.clean t.pt page;
+        clean t page;
         counters.Counters.pages_write_protected <-
           counters.Counters.pages_write_protected + 1;
         total_cost := !total_cost + cost.Cost_model.page_protect_ro_ns
@@ -263,26 +289,17 @@ let absorb t ~space ~proc ~ranges =
       | _ -> ())
 
 let discard_pending t ~ranges =
-  let affected = ref [] in
-  Hashtbl.iter
-    (fun number p ->
-      let page_base = number lsl t.shift in
-      let page = Range.v page_base (page_size t) in
-      List.iter
-        (fun (r : Range.t) ->
-          match Range.intersect r page with
-          | Some piece -> affected := (number, p, piece) :: !affected
-          | None -> ())
-        ranges)
-    t.pending;
-  List.iter
-    (fun (number, p, (piece : Range.t)) -> drop t number p piece.Range.addr (Range.limit piece))
-    !affected
+  iter_pages t ranges (fun number ->
+      if Hashtbl.mem t.pending number then begin
+        let p = Hashtbl.find t.pending number and page_base = number lsl t.shift in
+        split ranges page_base (page_base + page_size t) ~inside:(drop t number p)
+          ~outside:(fun _ _ -> ())
+      end)
 
 let pending_pages t = Hashtbl.length t.pending
 
 let forget t ~ranges =
   iter_pages t ranges (fun number ->
       let page = Page_table.page_of_addr t.pt (number lsl t.shift) in
-      if page.Page_table.dirty then Page_table.clean t.pt page);
+      if page.Page_table.dirty then clean t page);
   discard_pending t ~ranges

@@ -95,7 +95,8 @@ val absorb :
     rides on already shipped the data. *)
 
 val discard_pending : t -> ranges:Range.t list -> unit
-(** Drop saved diffs that fall inside [ranges].  Used by a diff-free full
+(** Drop saved diffs that fall inside [ranges] (normalized), visiting
+    only the pages under them.  Used by a diff-free full
     transfer: the full data supersedes any stashed modifications, and
     leaving them behind would later regress the receiver to stale
     values. *)

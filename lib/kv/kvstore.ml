@@ -55,6 +55,8 @@ type t = {
   area : (int * int) array;  (* per-bucket (area0, area1) base addresses *)
   locks : Sync.lock array;
   metrics : Metrics.t;  (* host-side registry: always on, never perturbs the run *)
+  requests_of : Metrics.counter option array;  (* by kind code, from its first request *)
+  latency_of : Metrics.histogram option array;
   mutable log : Oracle.obs list;  (* newest first *)
   mutable requests : int;
 }
@@ -91,6 +93,8 @@ let create ?(service_ns = 0) rt ~keys ~buckets =
     area;
     locks;
     metrics = Metrics.create ();
+    requests_of = Array.make 6 None;
+    latency_of = Array.make 6 None;
     log = [];
     requests = 0;
   }
@@ -158,13 +162,32 @@ let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched ~start =
 
 (* Throughput/latency accounting: once per client-visible request, into
    the store's own registry (host side), and a Request event in the
-   machine's log when one is armed. *)
+   machine's log when one is armed.  A kind's two series are resolved on
+   its first request, so the registry holds only kinds that ran. *)
 let account t c ~kind ~bucket ~sched =
-  let label = Oracle.kind_name kind in
+  let code = kind_code kind and label = Oracle.kind_name kind in
   t.requests <- t.requests + 1;
-  Metrics.incr t.metrics ~name:"kv_requests" ~label 1;
-  Metrics.observe t.metrics ~name:"kv_latency_ns" ~label ~buckets:Metrics.latency_buckets
-    (Runtime.now_ns c - sched);
+  let requests =
+    match t.requests_of.(code) with
+    | Some r -> r
+    | None ->
+        let r = Metrics.counter t.metrics ~name:"kv_requests" ~label () in
+        t.requests_of.(code) <- Some r;
+        r
+  in
+  Metrics.add requests 1;
+  let latency =
+    match t.latency_of.(code) with
+    | Some h -> h
+    | None ->
+        let h =
+          Metrics.histogram t.metrics ~name:"kv_latency_ns" ~label
+            ~buckets:Metrics.latency_buckets ()
+        in
+        t.latency_of.(code) <- Some h;
+        h
+  in
+  Metrics.record latency (Runtime.now_ns c - sched);
   Runtime.log_request c ~lock:t.locks.(bucket) ~op:label ~since:sched
 
 let get c t ?sched_ns key =

@@ -20,7 +20,11 @@
       next protocol action in global time order executes first;
     - {!block} suspends the fiber and hands the protocol a [wake] function
       which resumes the fiber at a given virtual time (e.g. when a lock
-      reply is delivered). *)
+      reply is delivered).
+
+    A suspended fiber's continuation waits in its processor's record;
+    the run queue holds processor ids, each at most once, ordered by
+    (virtual time, insertion order). *)
 
 type t
 
@@ -30,9 +34,8 @@ type proc
 type policy =
   | Fifo
       (** Historical default: ties in virtual time resolve in insertion
-          (FIFO) order.  Takes the exact pre-policy scheduling code path,
-          so default runs are bit-identical to builds without the
-          explorer. *)
+          (FIFO) order: a bare pop of the run queue, no tie-break
+          consulted. *)
   | Seeded of int
       (** Pick uniformly among fibers tied at the minimum clock, driven
           by a private {!Midway_util.Prng} stream.  Every choice made is
@@ -123,19 +126,30 @@ val spawn : t -> int -> (proc -> unit) -> unit
 val yield : proc -> unit
 (** Scheduling point: let any runnable fiber with an earlier clock run
     first.  Every protocol action (lock acquire/release, barrier) must
-    yield before inspecting shared protocol state. *)
+    yield before inspecting shared protocol state.
+
+    A fiber due at a time no later than the caller's clock runs first
+    (a tie goes to the fiber queued earlier under [Fifo], or to the
+    policy's choice).  When every queued fiber is due strictly later,
+    [yield] returns at once without switching: the switch would find
+    the caller alone at the minimum and resume it, and no policy
+    consults or records a choice for a lone candidate, so the schedule
+    and {!choices} are the same either way. *)
 
 val block : ?reason:(unit -> string) -> proc -> setup:(wake:(at:int -> unit) -> unit) -> unit
-(** [block p ~setup] suspends the fiber. [setup] runs immediately (still
-    on the fiber's stack, before suspension completes) and must arrange
-    for [wake ~at] to be called exactly once later, from some other
-    fiber; the blocked fiber then resumes with its clock advanced to at
-    least [at].  Waking twice raises [Invalid_argument] at the waker.
+(** [block p ~setup] suspends the fiber. [setup] runs first, on the
+    fiber's own stack before it parks, and must arrange for [wake ~at]
+    to be called exactly once, then or later, from some fiber or from
+    [setup] itself; the blocked fiber then resumes with its clock
+    advanced to at least [at].  [wake] is the processor's one waker,
+    the same function at every block: calling it when the processor is
+    not blocked, a second wake included, raises [Invalid_argument] at
+    the waker.
 
     [reason] describes what the fiber is waiting on (e.g. ["acquire lock
-    3"]); it is cleared on wake and included in the {!Deadlock} message
-    for every still-blocked processor, so fault-induced hangs are
-    diagnosable at a glance.  It is a thunk, called only by that message
+    3"]); it is cleared when the fiber resumes and included in the
+    {!Deadlock} message for every still-blocked processor, so
+    fault-induced hangs are diagnosable at a glance.  It is a thunk, called only by that message
     and by the block observer, so a block nobody reports on builds no
     string; it must return the same text whenever it is called. *)
 

@@ -152,62 +152,75 @@ let inject f ~base ~echo_ns =
     else Delivered first
   end
 
-let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
+let is_down t proc at = match t.down with None -> false | Some f -> f ~proc ~at
+
+let check_send t ~src ~dst ~payload_bytes ~overhead_bytes =
   if src < 0 || src >= t.nprocs || dst < 0 || dst >= t.nprocs then
     invalid_arg "Net.send: processor out of range";
-  if payload_bytes < 0 || overhead_bytes < 0 then invalid_arg "Net.send: negative payload";
+  if payload_bytes < 0 || overhead_bytes < 0 then invalid_arg "Net.send: negative payload"
+
+(* A copy goes on the wire: count it; returns its undisturbed arrival. *)
+let put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at =
+  t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
+  t.payload_sent.(src) <- t.payload_sent.(src) + payload_bytes;
+  t.by_kind.(kind_index kind) <- t.by_kind.(kind_index kind) + 1;
+  at + transfer_ns t ~payload_bytes:(payload_bytes + overhead_bytes)
+
+let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
+  check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
   if src = dst then Delivered at
-  else begin
-    let down proc when_ =
-      match t.down with None -> false | Some f -> f ~proc ~at:when_
-    in
-    if down src at then begin
-      (* a halted processor puts nothing on the wire *)
-      t.crash_drops <- t.crash_drops + 1;
-      Dropped
-    end
-    else begin
-      t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
-      t.payload_sent.(src) <- t.payload_sent.(src) + payload_bytes;
-      t.by_kind.(kind_index kind) <- t.by_kind.(kind_index kind) + 1;
-      let base = at + transfer_ns t ~payload_bytes:(payload_bytes + overhead_bytes) in
-      let outcome =
-        match t.fault with
-        | None -> Delivered base
-        | Some f -> inject f ~base ~echo_ns:t.latency_ns
-      in
-      (* a copy arriving at a down destination is destroyed in the NIC;
-         each surviving copy is judged at its own arrival time, so an
-         echo can outlive a recovery the original missed *)
-      let outcome =
-        match outcome with
-        | Dropped -> Dropped
-        | Delivered a ->
-            if down dst a then begin
-              t.crash_drops <- t.crash_drops + 1;
-              Dropped
-            end
-            else Delivered a
-        | Duplicated (a, b) -> (
-            match (down dst a, down dst b) with
-            | false, false -> Duplicated (a, b)
-            | false, true ->
-                t.crash_drops <- t.crash_drops + 1;
-                Delivered a
-            | true, false ->
-                t.crash_drops <- t.crash_drops + 1;
-                Delivered b
-            | true, true ->
-                t.crash_drops <- t.crash_drops + 2;
-                Dropped)
-      in
-      (match outcome with
-      | Dropped -> ()
-      | Delivered _ | Duplicated _ ->
-          t.payload_received.(dst) <- t.payload_received.(dst) + payload_bytes);
-      outcome
-    end
+  else if is_down t src at then begin
+    (* a halted processor puts nothing on the wire *)
+    t.crash_drops <- t.crash_drops + 1;
+    Dropped
   end
+  else begin
+    let base = put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at in
+    let outcome =
+      match t.fault with
+      | None -> Delivered base
+      | Some f -> inject f ~base ~echo_ns:t.latency_ns
+    in
+    (* a copy arriving at a down destination is destroyed in the NIC;
+       each surviving copy is judged at its own arrival time, so an
+       echo can outlive a recovery the original missed *)
+    let outcome =
+      match outcome with
+      | Dropped -> Dropped
+      | Delivered a ->
+          if is_down t dst a then begin
+            t.crash_drops <- t.crash_drops + 1;
+            Dropped
+          end
+          else outcome
+      | Duplicated (a, b) -> (
+          match (is_down t dst a, is_down t dst b) with
+          | false, false -> outcome
+          | false, true ->
+              t.crash_drops <- t.crash_drops + 1;
+              Delivered a
+          | true, false ->
+              t.crash_drops <- t.crash_drops + 1;
+              Delivered b
+          | true, true ->
+              t.crash_drops <- t.crash_drops + 2;
+              Dropped)
+    in
+    (match outcome with
+    | Dropped -> ()
+    | Delivered _ | Duplicated _ ->
+        t.payload_received.(dst) <- t.payload_received.(dst) + payload_bytes);
+    outcome
+  end
+
+let arrival t ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
+  match (t.fault, t.down) with
+  | None, None when src <> dst ->
+      check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
+      let a = put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at in
+      t.payload_received.(dst) <- t.payload_received.(dst) + payload_bytes;
+      a
+  | _ -> delivery (send ~overhead_bytes t ~kind ~src ~dst ~payload_bytes ~at)
 
 let messages_sent t ~proc = t.msgs_sent.(proc)
 

@@ -119,6 +119,13 @@ val send :
     received once (the second copy is a protocol-level artifact the
     {!Reliable} layer suppresses). *)
 
+val arrival :
+  t -> kind:kind -> src:int -> dst:int -> payload_bytes:int -> overhead_bytes:int -> at:int ->
+  int
+(** [delivery (send ...)] without building the outcome: the first
+    arrival time, with the same accounting.  Raises [Invalid_argument]
+    when the message is dropped. *)
+
 val messages_sent : t -> proc:int -> int
 
 val bytes_sent : t -> proc:int -> int

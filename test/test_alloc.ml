@@ -7,6 +7,9 @@
      Runtime API, on rt and on vm, allocate nothing, a float read
      included; a remote acquire+release pair builds no text for its
      block;
+   - scheduling: a fiber switch parks the continuation and nothing
+     else, a yield nobody is due to run before costs nothing, and
+     cholesky's lock traffic stays within its words per acquire;
    - saved diffs: applying an update to a page costs the same whatever
      saved diffs the page holds elsewhere;
    - sor and water: a red-black sweep and the pair evaluations keep
@@ -26,6 +29,7 @@ module Vm_state = Midway.Vm_state
 module Payload = Midway.Payload
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
+module Engine = Midway_sched.Engine
 
 (* Words allocated so far: every minor-heap word (Gc.counters' minor
    count lags the minor heap's fill) plus the blocks too large for the
@@ -164,6 +168,81 @@ let remote_pair_words () =
   if r2 - r1 < 390 then Alcotest.failf "ping-pong: only %d more remote acquires" (r2 - r1);
   (w2 -. w1) /. float_of_int (r2 - r1)
 
+(* --- scheduling ------------------------------------------------------------ *)
+
+(* A ring of 4 fibers passing a token: each round every fiber blocks
+   until woken (but the first), charges, yields and wakes the next.
+   Returns the scheduling points (blocks and yields) and the words the
+   run allocated. *)
+let ring rounds =
+  let n = 4 in
+  let e = Engine.create ~nprocs:n () in
+  let wakers = Array.make n None in
+  let points = ref 0 in
+  for i = 0 to n - 1 do
+    Engine.spawn e i (fun p ->
+        for r = 1 to rounds do
+          if not (i = 0 && r = 1) then begin
+            incr points;
+            Engine.block p ~setup:(fun ~wake -> wakers.(i) <- Some wake)
+          end;
+          Engine.charge p 10;
+          incr points;
+          Engine.yield p;
+          let next = (i + 1) mod n in
+          if not (r = rounds && next = 0) then
+            match wakers.(next) with
+            | Some wake ->
+                wakers.(next) <- None;
+                wake ~at:(Engine.clock p + 1)
+            | None -> Alcotest.fail "ring: token lost"
+        done)
+  done;
+  let before = allocated_words () in
+  Engine.run e;
+  (!points, allocated_words () -. before)
+
+(* Words per scheduling point: the difference between rings of 2,000
+   and 1,000 rounds, which cancels the fibers' start-up. *)
+let ring_point_words () =
+  let p1, w1 = ring 1_000 in
+  let p2, w2 = ring 2_000 in
+  (w2 -. w1) /. float_of_int (p2 - p1)
+
+(* A lone processor's yield: nobody else can be due, so it returns
+   without switching. *)
+let lone_yield_words () =
+  let e = Engine.create ~nprocs:1 () in
+  let result = ref nan in
+  Engine.spawn e 0 (fun p ->
+      Engine.yield p;
+      let before = allocated_words () in
+      for _ = 1 to ops do
+        Engine.charge p 1;
+        Engine.yield p
+      done;
+      result := (allocated_words () -. before) /. float_of_int ops);
+  Engine.run e;
+  !result
+
+(* Words per acquire of cholesky on rt, 8 processors on a 16 x 16 grid,
+   its whole run (symbolic analysis and oracle included) over every
+   acquire, local or remote. *)
+let cholesky_acquire_words () =
+  let before = allocated_words () in
+  let o =
+    Midway_apps.Cholesky.run (Config.make Config.Rt ~nprocs:8) { Midway_apps.Cholesky.grid = 16 }
+  in
+  let words = allocated_words () -. before in
+  if not o.Midway_apps.Outcome.ok then Alcotest.fail "cholesky failed its oracle";
+  let acquires =
+    Array.fold_left
+      (fun n k -> n + k.Counters.lock_acquires_local + k.Counters.lock_acquires_remote)
+      0
+      (R.all_counters o.Midway_apps.Outcome.machine)
+  in
+  words /. float_of_int acquires
+
 (* Words per [Vm_state.apply_pieces] of one 8-byte piece into a clean
    page that holds [saved] saved runs elsewhere (every other doubleword
    from offset 512, stashed by a collection of a lock bound to the
@@ -234,16 +313,36 @@ let () =
           gate "vm write_f64" ~backend:Config.Vm ~below:0.01 write_f64;
           gate "private write_f64" ~below:0.01 write_f64_private;
           gate "read_f64" ~below:0.01 read_f64;
+          (* 2 words: the yields return without switching *)
           Alcotest.test_case "local acquire+release" `Quick (fun () ->
               let w = sync_pair_words () in
-              if not (w < 57.) then
-                Alcotest.failf "local acquire+release: %.4f words/pair (gate: < 57)" w);
-          (* 306 words; formatting the block's reason as text on
+              if not (w < 4.) then
+                Alcotest.failf "local acquire+release: %.4f words/pair (gate: < 4)" w);
+          (* 89 words; formatting the block's reason as text on
              every block would add 56 *)
           Alcotest.test_case "remote acquire+release" `Quick (fun () ->
               let w = remote_pair_words () in
-              if not (w < 330.) then
-                Alcotest.failf "remote acquire+release: %.4f words/pair (gate: < 330)" w);
+              if not (w < 100.) then
+                Alcotest.failf "remote acquire+release: %.4f words/pair (gate: < 100)" w);
+        ] );
+      ( "scheduling",
+        [
+          (* 5.5 words, the ring's own [Some wake] and setup closure
+             included; a closure or queue entry per switch would add
+             at least 2 *)
+          Alcotest.test_case "ring scheduling point" `Quick (fun () ->
+              let w = ring_point_words () in
+              if not (w < 8.) then
+                Alcotest.failf "ring: %.4f words/scheduling point (gate: < 8)" w);
+          Alcotest.test_case "lone yield" `Quick (fun () ->
+              let w = lone_yield_words () in
+              if not (w < 0.01) then
+                Alcotest.failf "lone yield: %.4f words/yield (gate: < 0.01)" w);
+          (* 148 words *)
+          Alcotest.test_case "cholesky acquire" `Quick (fun () ->
+              let w = cholesky_acquire_words () in
+              if not (w < 160.) then
+                Alcotest.failf "cholesky rt: %.4f words/acquire (gate: < 160)" w);
         ] );
       ( "saved diffs",
         [

@@ -240,6 +240,167 @@ let random_wake_graph =
       in
       nondecreasing 0)
 
+(* --- The run queue against a model -------------------------------------------- *)
+
+type op = Charge of int | Yield | Block | Wake of int * int  (* whom, delay *)
+
+type event =
+  | Ran of int * int  (* a fiber's first slice, or its return from yield/block: id, clock *)
+  | Yielding of int * int
+  | Blocking of int * int
+  | Woke of int * int  (* whom, at *)
+  | Finished of int
+
+(* Run random scripts: fibers charge, yield, block, and wake whichever
+   blocked fiber their script names (a wake at a time up to 10 ns in the
+   waker's past included).  Returns the events in the order they
+   happened. *)
+let run_scripts scripts =
+  let n = Array.length scripts in
+  let e = Engine.create ~nprocs:n () in
+  let events = ref [] in
+  let note ev = events := ev :: !events in
+  let wakers = Array.make n None in
+  Array.iteri
+    (fun id script ->
+      Engine.spawn e id (fun p ->
+          note (Ran (id, Engine.clock p));
+          List.iter
+            (function
+              | Charge ns -> Engine.charge p ns
+              | Yield ->
+                  note (Yielding (id, Engine.clock p));
+                  Engine.yield p;
+                  note (Ran (id, Engine.clock p))
+              | Block ->
+                  note (Blocking (id, Engine.clock p));
+                  Engine.block p ~setup:(fun ~wake -> wakers.(id) <- Some wake);
+                  note (Ran (id, Engine.clock p))
+              | Wake (j, delay) -> (
+                  match wakers.(j mod n) with
+                  | Some wake ->
+                      wakers.(j mod n) <- None;
+                      let at = max 0 (Engine.clock p + delay) in
+                      note (Woke (j mod n, at));
+                      wake ~at
+                  | None -> ()))
+            script;
+          note (Finished id)))
+    scripts;
+  (try Engine.run e with Engine.Deadlock _ -> ());
+  List.rev !events
+
+(* Replay the events against a sorted list of (key, sequence, id): every
+   suspension or finish must resume the model's minimum, a woken fiber
+   at the later of its clock and its wake time, and a yield must switch
+   exactly when some queued key is no greater than the caller's clock. *)
+let model_agrees events ~nprocs =
+  let queue = ref (List.init nprocs (fun id -> (0, id, id))) in
+  let seq = ref nprocs in
+  let clocks = Array.make nprocs 0 in
+  let push key id =
+    queue := List.sort compare ((key, !seq, id) :: !queue);
+    incr seq
+  in
+  let next = ref None in  (* the resume the model expects next: id, clock *)
+  let pop () =
+    match !queue with
+    | (key, _, id) :: rest ->
+        queue := rest;
+        next := Some (id, max key clocks.(id))
+    | [] -> next := None
+  in
+  pop ();
+  let ok = ref true in
+  List.iter
+    (fun ev ->
+      match ev with
+      | Ran (id, clock) ->
+          if !next <> Some (id, clock) then ok := false;
+          next := None
+      | Yielding (id, clock) ->
+          clocks.(id) <- clock;
+          if List.exists (fun (key, _, _) -> key <= clock) !queue then begin
+            push clock id;
+            pop ()
+          end
+          else next := Some (id, clock)
+      | Blocking (id, clock) ->
+          clocks.(id) <- clock;
+          pop ()
+      | Woke (id, at) -> push at id
+      | Finished _ -> pop ())
+    events;
+  !ok && !queue = [] && !next = None
+
+let script_gen =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun ns -> Charge ns) (int_bound 40));
+        (3, return Yield);
+        (2, return Block);
+        (3, map2 (fun j d -> Wake (j, d)) (int_bound 5) (int_range (-10) 30));
+      ]
+  in
+  array_size (int_range 1 5) (list_size (int_bound 12) op)
+
+let show_op = function
+  | Charge ns -> Printf.sprintf "charge %d" ns
+  | Yield -> "yield"
+  | Block -> "block"
+  | Wake (j, d) -> Printf.sprintf "wake %d %+d" j d
+
+let run_queue_model =
+  QCheck.Test.make ~name:"charges, yields and wakes resume in (clock, FIFO) order" ~count:500
+    (QCheck.make script_gen
+       ~print:
+         (QCheck.Print.array (fun script -> String.concat "; " (List.map show_op script))))
+    (fun scripts -> model_agrees (run_scripts scripts) ~nprocs:(Array.length scripts))
+
+(* p1 blocks, p2 charges past p0 and yields behind it, then p0 yields
+   with nobody due: the calls must neither switch (a switch allocates
+   the continuation it parks; these allocate nothing) nor consult the
+   policy.  Returns whether they did not, and the choices made. *)
+let yield_with_nobody_due policy =
+  let e = Engine.create ~policy ~nprocs:3 () in
+  let others_ran = ref 0 in
+  let waker = ref None in
+  let quiet = ref true in
+  Engine.spawn e 0 (fun p ->
+      Engine.charge p 10;
+      Engine.yield p;
+      let choices = Engine.choices e and ran = !others_ran in
+      let before = Gc.minor_words () in
+      for _ = 1 to 50 do
+        Engine.charge p 1;
+        Engine.yield p
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > 0. || Engine.choices e <> choices || !others_ran <> ran then quiet := false;
+      (Option.get !waker) ~at:2_000);
+  Engine.spawn e 1 (fun p ->
+      Engine.block p ~setup:(fun ~wake -> waker := Some wake);
+      incr others_ran);
+  Engine.spawn e 2 (fun p ->
+      incr others_ran;
+      Engine.charge p 1_000;
+      Engine.yield p;
+      incr others_ran);
+  Engine.run e;
+  (!quiet, Engine.choices e)
+
+let test_yield_nobody_due () =
+  List.iter
+    (fun seed ->
+      let quiet, choices = yield_with_nobody_due (Engine.Seeded seed) in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: no switch, no choice" seed) true quiet;
+      let quiet, rechoices = yield_with_nobody_due (Engine.Replay choices) in
+      Alcotest.(check bool) (Printf.sprintf "replay of seed %d: no switch" seed) true quiet;
+      Alcotest.(check (list int)) "replay records the same choices" choices rechoices)
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 (* --- Tie-break policies ------------------------------------------------------- *)
 
 let contains ~sub s =
@@ -353,6 +514,7 @@ let () =
           Alcotest.test_case "ping pong" `Quick test_ping_pong;
           qtest engine_deterministic;
           qtest random_wake_graph;
+          qtest run_queue_model;
           Alcotest.test_case "proc accessor bounds" `Quick test_proc_accessor_bounds;
         ] );
       ( "tie-break policy",
@@ -368,5 +530,6 @@ let () =
           Alcotest.test_case "deadlock reports seed" `Quick test_policy_deadlock_reports_seed;
           Alcotest.test_case "fifo deadlock message unchanged" `Quick
             test_policy_fifo_deadlock_message_unchanged;
+          Alcotest.test_case "yield with nobody due" `Quick test_yield_nobody_due;
         ] );
     ]

@@ -1,8 +1,7 @@
-(* Unit and property tests for Midway_util: PRNG, min-heap, text tables,
+(* Unit and property tests for Midway_util: PRNG, text tables,
    plots, unit formatting and powers of two. *)
 
 module Prng = Midway_util.Prng
-module Minheap = Midway_util.Minheap
 module Texttab = Midway_util.Texttab
 module Units = Midway_util.Units
 module Pow2 = Midway_util.Pow2
@@ -78,72 +77,6 @@ let prng_shuffle_permutation =
       let g = Prng.create ~seed in
       Prng.shuffle g a;
       List.sort compare (Array.to_list a) = List.sort compare xs)
-
-(* --- Minheap ---------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Minheap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Minheap.is_empty h);
-  Minheap.push h ~key:5 "five";
-  Minheap.push h ~key:1 "one";
-  Minheap.push h ~key:3 "three";
-  Alcotest.(check int) "length" 3 (Minheap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Minheap.peek_key h);
-  Alcotest.(check (option (pair int string))) "pop min" (Some (1, "one")) (Minheap.pop h);
-  Alcotest.(check (option (pair int string))) "pop next" (Some (3, "three")) (Minheap.pop h);
-  Alcotest.(check (option (pair int string))) "pop last" (Some (5, "five")) (Minheap.pop h);
-  Alcotest.(check (option (pair int string))) "empty pop" None (Minheap.pop h)
-
-let test_heap_fifo_ties () =
-  let h = Minheap.create () in
-  List.iter (fun v -> Minheap.push h ~key:7 v) [ "a"; "b"; "c"; "d" ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Minheap.pop h))) in
-  Alcotest.(check (list string)) "insertion order on equal keys" [ "a"; "b"; "c"; "d" ] order
-
-let test_heap_clear () =
-  let h = Minheap.create () in
-  Minheap.push h ~key:1 1;
-  Minheap.clear h;
-  Alcotest.(check bool) "cleared" true (Minheap.is_empty h)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"Minheap pops keys in nondecreasing order" ~count:300
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
-      let h = Minheap.create () in
-      List.iteri (fun i k -> Minheap.push h ~key:k i) keys;
-      let rec drain acc =
-        match Minheap.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare keys)
-
-let heap_interleaved_model =
-  QCheck.Test.make ~name:"Minheap matches a sorted-list model under interleaving" ~count:200
-    QCheck.(list (option (int_bound 100)))
-    (fun ops ->
-      let h = Minheap.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Some k ->
-              Minheap.push h ~key:k !seq;
-              model := (k, !seq) :: !model;
-              incr seq
-          | None -> (
-              let expected =
-                match List.sort compare !model with [] -> None | x :: _ -> Some x
-              in
-              match (Minheap.pop h, expected) with
-              | None, None -> ()
-              | Some (k, v), Some ((mk, mv) as m) ->
-                  if k <> mk || v <> mv then ok := false;
-                  model := List.filter (fun e -> e <> m) !model
-              | _ -> ok := false))
-        ops;
-      !ok)
 
 (* --- Texttab ---------------------------------------------------------- *)
 
@@ -246,14 +179,6 @@ let () =
           qtest prng_int_in_inclusive;
           qtest prng_float_in_range;
           qtest prng_shuffle_permutation;
-        ] );
-      ( "minheap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          qtest heap_sorts;
-          qtest heap_interleaved_model;
         ] );
       ( "texttab",
         [
