@@ -65,7 +65,7 @@ let symbolic_analyse k =
    which are a subset of t's rows (that is how the fill-in was built):
    both lists ascend, so one forward walk over t's pattern finds every
    offset. *)
-let rec offset_of pattern i from =
+let rec offset_of (pattern : int array) (i : int) from =
   if pattern.(from) = i then from else offset_of pattern i (from + 1)
 
 (* --- sequential oracle ------------------------------------------------ *)

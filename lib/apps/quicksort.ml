@@ -26,6 +26,43 @@ let q_count = 1
 
 let q_outstanding = 2
 
+(* Sort [a.(lo .. hi-1)] ascending, with [tmp] at least [hi] long: a
+   merge sort specialized to ints, so it makes no closure call per
+   comparison and no write barrier per store. *)
+let rec sort_ints (a : int array) (tmp : int array) lo hi =
+  if hi - lo <= 8 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) and j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_ints a tmp lo mid;
+    sort_ints a tmp mid hi;
+    if a.(mid - 1) > a.(mid) then begin
+      for i = lo to mid - 1 do
+        tmp.(i) <- a.(i)
+      done;
+      (* The merged prefix never overtakes the unmerged right half. *)
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid do
+        if !j < hi && a.(!j) < tmp.(!i) then begin
+          a.(!k) <- a.(!j);
+          incr j
+        end
+        else begin
+          a.(!k) <- tmp.(!i);
+          incr i
+        end;
+        incr k
+      done
+    end
+  end
+
 let run cfg { n; threshold; slots } =
   let machine = R.create cfg in
   let nprocs = cfg.Midway.Config.nprocs in
@@ -111,6 +148,7 @@ let run cfg { n; threshold; slots } =
       R.barrier c start_bar;
       let tasks_done = ref 0 in
       (* --- sorting primitives over the shared array --- *)
+      let leaf = ref [||] and spare = ref [||] in
       let bubblesort lo hi =
         (* The paper's leaf sort: bubble sort with its compare-and-swap
            inner loop, run on a private copy (private memory is not
@@ -118,13 +156,23 @@ let run cfg { n; threshold; slots } =
            The simulated processor runs the bubble sort, whose cost does
            not depend on the data: the pass over [last + 1] elements
            costs [last * 6] cycles, [3 * len * (len - 1)] in all.  The
-           host sorts the copy to the same result with a merge sort,
-           faster than [Array.sort]'s heap sort and allocating less. *)
+           host sorts the copy to the same result with [sort_ints], in
+           two buffers this processor keeps for its leaves. *)
         let len = hi - lo in
-        let buf = Array.init len (fun i -> R.read_int c (elem (lo + i))) in
-        Array.stable_sort Int.compare buf;
+        if Array.length !leaf < len then begin
+          let size = Int.max len (2 * Array.length !leaf) in
+          leaf := Array.make size 0;
+          spare := Array.make size 0
+        end;
+        let buf = !leaf in
+        for i = 0 to len - 1 do
+          buf.(i) <- R.read_int c (elem (lo + i))
+        done;
+        sort_ints buf !spare 0 len;
         cycles (3 * len * (len - 1));
-        Array.iteri (fun i v -> R.write_int c (elem (lo + i)) v) buf
+        for i = 0 to len - 1 do
+          R.write_int c (elem (lo + i)) buf.(i)
+        done
       in
       let partition lo hi =
         (* Hoare partition with a median-of-three pivot; returns m with
@@ -133,7 +181,7 @@ let run cfg { n; threshold; slots } =
         let a = R.read_int c (elem lo)
         and b = R.read_int c (elem mid)
         and d = R.read_int c (elem (hi - 1)) in
-        let pivot = max (min a b) (min (max a b) d) in
+        let pivot = Int.max (Int.min a b) (Int.min (Int.max a b) d) in
         let i = ref (lo - 1) and j = ref hi in
         let m = ref 0 in
         let continue = ref true in
@@ -238,7 +286,7 @@ let run cfg { n; threshold; slots } =
             if outstanding = 0 then running := false
             else begin
               R.work_ns c !backoff;
-              backoff := min (2 * !backoff) 64_000_000
+              backoff := Int.min (2 * !backoff) 64_000_000
             end
       done;
       R.barrier c done_bar);
@@ -263,7 +311,7 @@ let run cfg { n; threshold; slots } =
         let v = Common.read_int_direct machine ~proc:p (elem i) in
         sum := !sum + v;
         if v < !prev then fail (Printf.sprintf "unsorted at %d" i);
-        prev := max !prev v
+        prev := Int.max !prev v
       done;
       if !last_max > Common.read_int_direct machine ~proc:p (elem lo) then
         fail (Printf.sprintf "segment boundary disorder at %d" lo);

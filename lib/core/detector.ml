@@ -97,11 +97,11 @@ let read_bound d ranges = Payload.read_pieces d.env.space ~proc:d.proc ranges
 
 (* Regions are aligned to their size, which is a multiple of the line
    size, so lines can be counted from the absolute address. *)
-let lines_touched (region : Region.t) addr len =
+let[@inline] lines_touched (region : Region.t) addr len =
   let shift = region.Region.line_shift in
   ((addr + Int.max len 1 - 1) lsr shift) - (addr lsr shift) + 1
 
-let trap_template d db (region : Region.t) addr len =
+let[@inline] trap_template d db (region : Region.t) addr len =
   let cfg = d.env.cfg in
   let cost = cfg.cost in
   match region.Region.kind with
@@ -122,7 +122,7 @@ let trap_template d db (region : Region.t) addr len =
       in
       n * per_line
 
-let trap_fault d vm (region : Region.t) addr len =
+let[@inline] trap_fault d vm (region : Region.t) addr len =
   match region.Region.kind with
   | Region.Private -> 0
   | Region.Shared ->
@@ -413,10 +413,10 @@ let stamps_advance d (l : Sync.lock) ~requester:q stamp =
   l.Sync.rt_last_seen.(q) <- stamp;
   l.Sync.rt_last_seen.(d.proc) <- stamp;
   if env.cfg.untargetted then begin
-    env.global_seen.(q) <- max env.global_seen.(q) stamp;
-    env.global_seen.(d.proc) <- max env.global_seen.(d.proc) stamp
+    env.global_seen.(q) <- Int.max env.global_seen.(q) stamp;
+    env.global_seen.(d.proc) <- Int.max env.global_seen.(d.proc) stamp
   end;
-  env.lamport.(q) <- max env.lamport.(q) (Timestamp.time stamp ~nprocs:env.cfg.nprocs)
+  env.lamport.(q) <- Int.max env.lamport.(q) (Timestamp.time stamp ~nprocs:env.cfg.nprocs)
 
 (* Only the owner may have unstamped (locally dirty) lines in a lock's
    bound ranges: a sentinel elsewhere means a processor wrote the data
@@ -626,7 +626,7 @@ let advance_barrier d cursor =
   | Stamps _ when cursor > Timestamp.initial ->
       let env = d.env in
       env.lamport.(d.proc) <-
-        max env.lamport.(d.proc) (Timestamp.time cursor ~nprocs:env.cfg.nprocs)
+        Int.max env.lamport.(d.proc) (Timestamp.time cursor ~nprocs:env.cfg.nprocs)
   | Stamps _ | Log _ | Blast -> ()
 
 let ships_full d (l : Sync.lock) ~for_ =

@@ -64,7 +64,7 @@ let mode t = t.mode
    the region (Region.extent), in whole groups so that no group straddles
    the table's end.  A growth keeps the timestamps, first-level bits and
    group maxima; the lines and groups it adds are clean. *)
-let table_reaching t (r : Region.t) line =
+let grow_table t (r : Region.t) line =
   let idx = r.index in
   if idx >= Array.length t.tables then begin
     let fresh = Array.make (max (idx + 1) (2 * Array.length t.tables)) None in
@@ -95,6 +95,16 @@ let table_reaching t (r : Region.t) line =
         old;
       t.tables.(idx) <- Some tbl;
       tbl
+
+(* The hit path, inlined into the store template: the table exists and
+   holds [line].  Everything else is [grow_table]'s. *)
+let[@inline] table_reaching t (r : Region.t) line =
+  let idx = r.index in
+  if idx < Array.length t.tables then
+    match Array.unsafe_get t.tables idx with
+    | Some tbl -> if line < Array.length tbl.ts then tbl else grow_table t r line
+    | None -> grow_table t r line
+  else grow_table t r line
 
 (* Regions are aligned to their size, so an address's offset in its
    region is its low bits. *)

@@ -24,6 +24,11 @@ type ctx = {
       (* one per scheme this processor has used: the machine default,
          built at [create], then the others in order of first use *)
   check : Check.t option;  (* ECSan's per-access hook, when cfg.ecsan *)
+  request : Sync.request;  (* this processor's lock request, reused *)
+  acquire_reason : (unit -> string) option;
+  acquire_setup : wake:(at:int -> unit) -> unit;
+      (* a remote acquire's block: its reason and its setup (queue
+         [request] and drain the queue), built once *)
 }
 
 (* Crash-recovery state, built by [Recovery.state]: inert when crashes
@@ -116,7 +121,8 @@ let validate (cfg : Config.t) =
           Error "a crash plan needs a distributed backend (standalone has no peers to fail over to)"
         else Ok ()
 
-let create (cfg : Config.t) ~recovery =
+(* [service_queue] drains a lock's request queue (the protocol's). *)
+let create (cfg : Config.t) ~recovery ~service_queue =
   (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Runtime.create: " ^ msg));
   let engine = Engine.create ~policy:cfg.sched_policy ~nprocs:cfg.nprocs () in
   let space = Space.create ~region_size:cfg.region_size ~nprocs:cfg.nprocs () in
@@ -211,6 +217,7 @@ let create (cfg : Config.t) ~recovery =
   in
   machine.ctxs <-
     Array.init cfg.nprocs (fun cid ->
+        let request = Sync.request ~proc:cid in
         {
           cid;
           machine;
@@ -218,6 +225,19 @@ let create (cfg : Config.t) ~recovery =
           counters = counters.(cid);
           detectors = [ (cfg.backend, Detector.create detection ~proc:cid cfg.backend) ];
           check;
+          request;
+          acquire_reason =
+            Some
+              (fun () ->
+                Printf.sprintf "acquire of lock %d (%s mode)" request.Sync.r_lock.Sync.lid
+                  (match request.Sync.r_mode with
+                  | Sync.Exclusive -> "exclusive"
+                  | Sync.Shared -> "shared"));
+          acquire_setup =
+            (fun ~wake ->
+              request.Sync.r_waker <- wake;
+              Sync.enqueue_request request;
+              service_queue machine request.Sync.r_lock);
         });
   machine
 
@@ -256,7 +276,7 @@ let ensure_region_slot t idx =
     t.elected <- fresh
   end
 
-let scheme_of_region t idx =
+let[@inline] scheme_of_region t idx =
   if idx < 0 || idx >= Array.length t.elected then t.cfg.backend
   else match Array.unsafe_get t.elected idx with Some b -> b | None -> t.cfg.backend
 
@@ -271,7 +291,12 @@ let rec find_detector (c : ctx) scheme = function
       c.detectors <- c.detectors @ [ (scheme, d) ];
       d
 
-let detector (c : ctx) scheme = find_detector c scheme c.detectors
+(* Inlined for the trapped-store path, which nearly always asks for the
+   head: the machine default. *)
+let[@inline] detector (c : ctx) scheme =
+  match c.detectors with
+  | (s, d) :: _ -> if s == scheme then d else find_detector c scheme c.detectors
+  | [] -> find_detector c scheme []
 
 (* The scheme a binding runs under: the unanimous election over the
    regions its non-empty ranges live in, or [conflict] when they differ

@@ -254,9 +254,9 @@ let fallout t ~service_queue ~barrier_release ~proc:p ~at =
   (match t.emit with None -> () | Some emit -> emit (Event.Proc_crashed { t = at; proc = p }));
   List.iter
     (fun (l : Sync.lock) ->
-      if List.mem p l.Sync.readers then begin
+      if Sync.is_reader l p then begin
         l.Sync.readers <- List.filter (fun r -> r <> p) l.Sync.readers;
-        if l.Sync.readers = [] then l.Sync.free_at <- max l.Sync.free_at at
+        if l.Sync.readers = [] then l.Sync.free_at <- Int.max l.Sync.free_at at
       end;
       let needs_failover =
         match l.Sync.held_by with Some h -> h = p | None -> l.Sync.owner = p && l.Sync.pending <> []
@@ -266,8 +266,12 @@ let fallout t ~service_queue ~barrier_release ~proc:p ~at =
             is then served from); otherwise the lowest live processor
             inherits the protocol state. *)
          let new_owner =
-           match List.find_opt (fun (q, _, _, _) -> not (fiber_dead_at t q ~at)) l.Sync.pending with
-           | Some (q, _, _, _) -> Some q
+           match
+             List.find_opt
+               (fun (r : Sync.request) -> not (fiber_dead_at t r.Sync.r_proc ~at))
+               l.Sync.pending
+           with
+           | Some r -> Some r.Sync.r_proc
            | None -> lowest_live_fiber t ~at
          in
          match new_owner with

@@ -7,8 +7,6 @@ include Machine
 
 exception Crash_unavailable = Recovery.Crash_unavailable
 
-let create cfg = Machine.create cfg ~recovery:(Recovery.state cfg)
-
 let alloc t ?line_size ?(private_ = false) bytes =
   let line_size = Option.value line_size ~default:64 in
   let kind = if private_ then Region.Private else Region.Shared in
@@ -80,38 +78,39 @@ let trap c addr len =
 (* Typed access                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* ECSan hook: a no-op match with the sanitizer off, so unsanitized runs
-   take the exact pre-sanitizer code path. *)
-let ecsan_access c addr len ~op ~access =
-  match c.check with
-  | None -> ()
-  | Some ch ->
-      let shared_region =
-        match Space.find_region c.machine.space addr with
-        | Some r -> r.Region.kind = Region.Shared
-        | None -> false
-      in
-      Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access
-        ~shared_region
+(* ECSan's per-access hook.  [ecsan_access] is an inlined test of
+   [c.check]: with the sanitizer off an access pays one load and branch
+   and makes no call; only an armed checker calls [ecsan_hook]. *)
+let ecsan_hook c ch addr len ~op ~access =
+  let shared_region =
+    match Space.find_region c.machine.space addr with
+    | Some r -> r.Region.kind = Region.Shared
+    | None -> false
+  in
+  Check.on_access ch ~proc:c.cid ~time:(now_ns c) ~addr ~len ~op ~access ~shared_region
 
-(* The float accessors are inlined into their callers, so a float read
-   or stored in an application's loop is never boxed. *)
+let[@inline] ecsan_access c addr len ~op ~access =
+  match c.check with None -> () | Some ch -> ecsan_hook c ch addr len ~op ~access
+
+(* The typed accessors are inlined into their callers, like Space's, so
+   an int32 or float read or stored in an application's loop is never
+   boxed and a load makes no call. *)
 let[@inline] read_f64 c addr =
   let v = Space.get_f64 c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 8 ~op:"read_f64" ~access:Check.Read;
   v
 
-let read_int c addr =
+let[@inline] read_int c addr =
   let v = Space.get_int c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 8 ~op:"read_int" ~access:Check.Read;
   v
 
-let read_i32 c addr =
+let[@inline] read_i32 c addr =
   let v = Space.get_i32 c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 4 ~op:"read_i32" ~access:Check.Read;
   v
 
-let read_u8 c addr =
+let[@inline] read_u8 c addr =
   let v = Space.get_u8 c.machine.space ~proc:c.cid addr in
   ecsan_access c addr 1 ~op:"read_u8" ~access:Check.Read;
   v
@@ -126,17 +125,17 @@ let[@inline] write_f64 c addr v =
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_f64" ~access:Check.Write
 
-let write_int c addr v =
+let[@inline] write_int c addr v =
   trap c addr 8;
   Space.set_int c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_int" ~access:Check.Write
 
-let write_i32 c addr v =
+let[@inline] write_i32 c addr v =
   trap c addr 4;
   Space.set_i32 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 4 ~op:"write_i32" ~access:Check.Write
 
-let write_u8 c addr v =
+let[@inline] write_u8 c addr v =
   trap c addr 1;
   Space.set_u8 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 1 ~op:"write_u8" ~access:Check.Write
@@ -150,7 +149,7 @@ let[@inline] write_f64_private c addr v =
   Space.set_f64 c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_f64_private" ~access:Check.Private_write
 
-let write_int_private c addr v =
+let[@inline] write_int_private c addr v =
   Space.set_int c.machine.space ~proc:c.cid addr v;
   ecsan_access c addr 8 ~op:"write_int_private" ~access:Check.Private_write
 
@@ -309,10 +308,11 @@ let apply (c : ctx) d ~sync ~id ~ranges ~app ~deliver payload =
    requester and schedules the requester's resumption.  A shared-mode
    grant leaves ownership with the last writer and just registers the
    reader. *)
-let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
+let rec serve t (l : Sync.lock) (r : Sync.request) =
+  let q = r.Sync.r_proc and mode = r.Sync.r_mode and waker = r.Sync.r_waker in
   let releaser = l.Sync.owner in
   let rc = t.ctxs.(releaser) and qc = t.ctxs.(q) in
-  let service_time = max arrival l.Sync.free_at in
+  let service_time = Int.max r.Sync.r_arrival l.Sync.free_at in
   (* The lock's elected scheme decides both sides of the transfer. *)
   let scheme = lock_scheme t l.Sync.ranges in
   let rd = detector rc scheme in
@@ -377,7 +377,7 @@ let rec serve t (l : Sync.lock) ~requester:q ~arrival ~mode ~waker =
            processor (only a scripted majority-down plan can get here). *)
         match Recovery.failover t l ~new_owner:q ~suspect:releaser ~at:give_up with
         | Some _ ->
-            l.Sync.pending <- (q, arrival, mode, waker) :: l.Sync.pending;
+            l.Sync.pending <- r :: l.Sync.pending;
             service_queue t l
         | None -> ()
       end
@@ -392,21 +392,43 @@ and service_queue t (l : Sync.lock) =
   if l.Sync.held_by = None then begin
     match l.Sync.pending with
     | [] -> ()
-    | (q, arrival, _mode, waker) :: rest
-      when Recovery.fiber_dead_at t q ~at:(max arrival l.Sync.free_at) ->
+    | r :: rest
+      when Recovery.fiber_dead_at t r.Sync.r_proc
+             ~at:(Int.max r.Sync.r_arrival l.Sync.free_at) ->
         l.Sync.pending <- rest;
-        waker ~at:(max arrival l.Sync.free_at);
+        r.Sync.r_waker ~at:(Int.max r.Sync.r_arrival l.Sync.free_at);
         service_queue t l
-    | (q, arrival, Sync.Shared, waker) :: rest ->
-        l.Sync.pending <- rest;
-        serve t l ~requester:q ~arrival ~mode:Sync.Shared ~waker;
-        service_queue t l
-    | (q, arrival, Sync.Exclusive, waker) :: rest ->
-        if l.Sync.readers = [] then begin
-          l.Sync.pending <- rest;
-          serve t l ~requester:q ~arrival ~mode:Sync.Exclusive ~waker
-        end
+    | r :: rest -> (
+        match r.Sync.r_mode with
+        | Sync.Shared ->
+            l.Sync.pending <- rest;
+            serve t l r;
+            service_queue t l
+        | Sync.Exclusive ->
+            if l.Sync.readers = [] then begin
+              l.Sync.pending <- rest;
+              serve t l r
+            end)
   end
+
+let create cfg = Machine.create cfg ~recovery:(Recovery.state cfg) ~service_queue
+
+(* Send [c]'s request for [l] to the lock's owner; the time it arrives.
+   With crash faults armed the request can exhaust its retries against a
+   dead owner: the suspicion surfaces as [Reliable.Suspected], this
+   requester initiates a quorum failover (becoming the new owner), and
+   the request is re-issued — now a self-send that lands in the queue it
+   will itself serve. *)
+let rec request_owner t c l =
+  let dst = l.Sync.owner in
+  match
+    send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~overhead_bytes:0
+      ~at:(now_ns c)
+  with
+  | arrival -> arrival
+  | exception Reliable.Suspected s ->
+      Recovery.take_over c l ~suspect:dst ~elapsed_ns:s.Reliable.s_elapsed_ns;
+      request_owner t c l
 
 let acquire_mode c l mode =
   let t = c.machine in
@@ -416,7 +438,7 @@ let acquire_mode c l mode =
   | Some holder when holder = c.cid ->
       failwith (Printf.sprintf "Runtime.acquire: lock %d is not reentrant" l.Sync.lid)
   | _ -> ());
-  if List.mem c.cid l.Sync.readers then
+  if Sync.is_reader l c.cid then
     failwith (Printf.sprintf "Runtime.acquire: lock %d already held in shared mode" l.Sync.lid);
   let grantable_locally =
     l.Sync.held_by = None && l.Sync.owner = c.cid && l.Sync.pending = []
@@ -445,30 +467,11 @@ let acquire_mode c l mode =
     | Some emit ->
         let lock = l.Sync.lid and shared = mode = Sync.Shared in
         emit (Event.Lock_requested { t = req_at; lock; proc = c.cid; shared }));
-    (* With crash faults armed the request can exhaust its retries
-       against a dead owner: the suspicion surfaces as
-       [Reliable.Suspected], this requester initiates a quorum failover
-       (becoming the new owner), and the request is re-issued — now a
-       self-send that lands in the queue it will itself serve. *)
-    let rec request_owner () =
-      let at = now_ns c in
-      let dst = l.Sync.owner in
-      match
-        send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~overhead_bytes:0 ~at
-      with
-      | arrival -> arrival
-      | exception Reliable.Suspected s ->
-          Recovery.take_over c l ~suspect:dst ~elapsed_ns:s.Reliable.s_elapsed_ns;
-          request_owner ()
-    in
-    let arrival = request_owner () in
-    Engine.block c.proc
-      ~reason:(fun () ->
-        Printf.sprintf "acquire of lock %d (%s mode)" l.Sync.lid
-          (match mode with Sync.Exclusive -> "exclusive" | Sync.Shared -> "shared"))
-      ~setup:(fun ~wake ->
-        Sync.enqueue_request l ~proc:c.cid ~arrival ~mode ~waker:wake;
-        service_queue t l);
+    let r = c.request in
+    r.Sync.r_lock <- l;
+    r.Sync.r_mode <- mode;
+    r.Sync.r_arrival <- request_owner t c l;
+    Engine.block c.proc ?reason:c.acquire_reason ~setup:c.acquire_setup;
     (* The wait runs from the request leaving this processor to the grant
        (update applied) waking it. *)
     (match t.emit with
@@ -491,7 +494,7 @@ let release c l =
   Recovery.crash_check c;
   Engine.charge c.proc Cost_model.release_ns;
   let exclusive = match l.Sync.held_by with Some holder -> holder = c.cid | None -> false in
-  if not (exclusive || List.mem c.cid l.Sync.readers) then
+  if not (exclusive || Sync.is_reader l c.cid) then
     failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid);
   (match t.emit with
   | None -> ()
@@ -514,7 +517,7 @@ let release c l =
   else begin
     l.Sync.readers <- List.filter (fun p -> p <> c.cid) l.Sync.readers;
     if l.Sync.readers = [] then begin
-      l.Sync.free_at <- max l.Sync.free_at (now_ns c);
+      l.Sync.free_at <- Int.max l.Sync.free_at (now_ns c);
       service_queue t l
     end
   end
@@ -542,8 +545,8 @@ let rebind c l ranges =
 (* All participants have arrived: merge their modifications and send each
    processor what the others produced. *)
 let barrier_release t (b : Sync.barrier) =
-  let arrivals = List.sort (fun a b -> compare a.Sync.a_proc b.Sync.a_proc) b.Sync.arrived in
-  let t_all = List.fold_left (fun acc a -> max acc a.Sync.a_deliver) 0 arrivals in
+  let arrivals = List.sort (fun a b -> Int.compare a.Sync.a_proc b.Sync.a_proc) b.Sync.arrived in
+  let t_all = List.fold_left (fun acc a -> Int.max acc a.Sync.a_deliver) 0 arrivals in
   let payload_for p =
     (* Everything the other participants produced, in processor order. *)
     let parts = List.filter (fun a -> a.Sync.a_proc <> p) arrivals in
@@ -568,7 +571,7 @@ let barrier_release t (b : Sync.barrier) =
   (* Barriers elect like locks; every arrival collected under [scheme]
      (a switch waits for the barrier's mailboxes to drain). *)
   let scheme = barrier_scheme t b.Sync.branges in
-  let cursor = List.fold_left (fun acc a -> max acc a.Sync.a_stamp) 0 arrivals in
+  let cursor = List.fold_left (fun acc a -> Int.max acc a.Sync.a_stamp) 0 arrivals in
   List.iter
     (fun a ->
       let p = a.Sync.a_proc in
@@ -722,7 +725,8 @@ let deadlock_diagnostics t =
             (Printf.sprintf "  lock %d: %s%s%s" l.Sync.lid
                (match l.Sync.held_by with Some p -> Printf.sprintf "held by p%d" p | None -> "free")
                (procs_note ", readers " l.Sync.readers)
-               (procs_note ", waiting " (List.map (fun (p, _, _, _) -> p) l.Sync.pending))))
+               (procs_note ", waiting "
+                  (List.map (fun (r : Sync.request) -> r.Sync.r_proc) l.Sync.pending))))
       t.locks
   in
   let barrier_lines =

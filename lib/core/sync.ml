@@ -10,7 +10,7 @@ type lock = {
   mutable owner : int;
   mutable held_by : int option;
   mutable free_at : int;
-  mutable pending : (int * int * mode * waker) list;
+  mutable pending : request list;
   mutable readers : int list;
   mutable acquires : int;
   rt_last_seen : Timestamp.t array;
@@ -23,6 +23,14 @@ type lock = {
   mutable backups : int list;
   mutable replica : (int * Payload.vm_piece list) option;
   mutable failovers : int;
+}
+
+and request = {
+  r_proc : int;
+  mutable r_lock : lock;
+  mutable r_arrival : int;
+  mutable r_mode : mode;
+  mutable r_waker : waker;
 }
 
 type arrival = {
@@ -82,14 +90,30 @@ let make_barrier ~bid ~nprocs ~participants ~manager ~ranges =
 
 let lock_bound_bytes l = Range.total_bytes l.ranges
 
-let enqueue_request l ~proc ~arrival ~mode ~waker =
-  let rec insert = function
-    | [] -> [ (proc, arrival, mode, waker) ]
-    | ((p, a, _, _) as hd) :: rest ->
-        if arrival < a || (arrival = a && proc < p) then (proc, arrival, mode, waker) :: hd :: rest
-        else hd :: insert rest
-  in
-  l.pending <- insert l.pending
+let rec mem_proc (p : int) = function [] -> false | q :: rest -> q = p || mem_proc p rest
+
+let is_reader l p = mem_proc p l.readers
+
+(* The lock a request is aimed at before its first acquire. *)
+let no_lock = make_lock ~lid:(-1) ~nprocs:1 ~owner:0 ~ranges:[]
+
+let request ~proc =
+  {
+    r_proc = proc;
+    r_lock = no_lock;
+    r_arrival = 0;
+    r_mode = Exclusive;
+    r_waker = (fun ~at:_ -> ());
+  }
+
+let rec insert r = function
+  | [] -> [ r ]
+  | hd :: rest as queue ->
+      if r.r_arrival < hd.r_arrival || (r.r_arrival = hd.r_arrival && r.r_proc < hd.r_proc) then
+        r :: queue
+      else hd :: insert r rest
+
+let enqueue_request r = r.r_lock.pending <- insert r r.r_lock.pending
 
 let rebind_lock l ~ranges =
   l.ranges <- Range.normalize ranges;

@@ -32,7 +32,7 @@ type lock = {
   mutable owner : int;  (** processor holding the protocol state (last holder) *)
   mutable held_by : int option;
   mutable free_at : int;  (** virtual time the lock last became free *)
-  mutable pending : (int * int * mode * waker) list;  (** requester, arrival time, mode, waker — sorted by arrival *)
+  mutable pending : request list;  (** sorted by arrival, ties by processor *)
   mutable readers : int list;  (** processors currently holding the lock in shared mode *)
   mutable acquires : int;
   (* RT-DSM *)
@@ -59,6 +59,17 @@ type lock = {
           the epoch is the lock's incarnation at replication time, so a
           failover can tell a current replica from a stale one *)
   mutable failovers : int;  (** quorum ownership transfers performed *)
+}
+
+(** A processor's request for a lock.  Each processor has one, built
+    with {!request} and reused by every remote acquire: it blocks until
+    its request is served, so it never has two queued. *)
+and request = {
+  r_proc : int;  (** the requester *)
+  mutable r_lock : lock;
+  mutable r_arrival : int;  (** when the request reaches the owner *)
+  mutable r_mode : mode;
+  mutable r_waker : waker;  (** resumes the requester *)
 }
 
 type arrival = {
@@ -88,9 +99,15 @@ val make_barrier :
 
 val lock_bound_bytes : lock -> int
 
-val enqueue_request : lock -> proc:int -> arrival:int -> mode:mode -> waker:waker -> unit
-(** Insert into [pending] keeping arrival-time order (ties by processor id
-    for determinism). *)
+val is_reader : lock -> int -> bool
+(** Whether the processor holds the lock in shared mode. *)
+
+val request : proc:int -> request
+(** A processor's request record, not yet aimed at a lock. *)
+
+val enqueue_request : request -> unit
+(** Insert into its lock's [pending] keeping arrival-time order (ties by
+    processor id for determinism). *)
 
 val rebind_lock : lock -> ranges:Range.t list -> unit
 (** Change the data bound to the lock (quicksort's task pattern).  Under

@@ -1,6 +1,7 @@
 module Space = Midway_memory.Space
 module Page_table = Midway_vmem.Page_table
 module Diff = Midway_vmem.Diff
+module Page_index = Midway_vmem.Page_index
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 
@@ -10,10 +11,13 @@ module Cost_model = Midway_stats.Cost_model
    is in the table exactly while some bit is set. *)
 type pending_page = { shadow : Bytes.t; saved : Bytes.t }
 
+(* The saved-diff table's "no saved diff on this page". *)
+let no_saved = { shadow = Bytes.empty; saved = Bytes.empty }
+
 type t = {
   pt : Page_table.t;
   shift : int;  (* [Page_table.page_shift pt] *)
-  pending : (int, pending_page) Hashtbl.t;  (* page number -> saved diff *)
+  pending : pending_page Page_index.t;  (* page number -> saved diff *)
   mutable spare_twins : Bytes.t list;
       (* buffers of cleaned pages' twins, for the next faults; at most
          [max_spare_twins] *)
@@ -25,7 +29,12 @@ let max_spare_twins = 16
 
 let create ~page_size =
   let pt = Page_table.create ~page_size in
-  { pt; shift = Page_table.page_shift pt; pending = Hashtbl.create 64; spare_twins = [] }
+  {
+    pt;
+    shift = Page_table.page_shift pt;
+    pending = Page_index.create ~absent:no_saved;
+    spare_twins = [];
+  }
 
 let page_table t = t.pt
 
@@ -82,27 +91,30 @@ let iter_runs map lo hi f =
 
 (* --- trapping ----------------------------------------------------------- *)
 
-let on_write t ~space ~proc ~counters ~cost ~addr =
+(* A write fault on [page]: the twin is a copy of the page, in the
+   buffer of a twin dropped earlier when there is one. *)
+let fault_in t ~space ~proc ~counters ~cost ~addr page =
+  let psize = page_size t in
+  let base = addr land lnot (psize - 1) in
+  let current, cur_off = Space.backing_slice space ~proc base ~len:psize in
+  let twin =
+    match t.spare_twins with
+    | tw :: rest ->
+        t.spare_twins <- rest;
+        tw
+    | [] -> Bytes.create psize
+  in
+  Bytes.blit current cur_off twin 0 psize;
+  Page_table.fault t.pt page ~twin;
+  counters.Counters.write_faults <- counters.Counters.write_faults + 1;
+  cost.Cost_model.page_fault_ns
+
+(* Inlined: a store to a writable page costs one page lookup. *)
+let[@inline] on_write t ~space ~proc ~counters ~cost ~addr =
   let page = Page_table.page_of_addr t.pt addr in
   match page.Page_table.prot with
   | Page_table.Read_write -> 0
-  | Page_table.Read_only ->
-      (* The twin is a copy of the page, in the buffer of a twin dropped
-         earlier when there is one. *)
-      let psize = page_size t in
-      let base = addr land lnot (psize - 1) in
-      let current, cur_off = Space.backing_slice space ~proc base ~len:psize in
-      let twin =
-        match t.spare_twins with
-        | tw :: rest ->
-            t.spare_twins <- rest;
-            tw
-        | [] -> Bytes.create psize
-      in
-      Bytes.blit current cur_off twin 0 psize;
-      Page_table.fault t.pt page ~twin;
-      counters.Counters.write_faults <- counters.Counters.write_faults + 1;
-      cost.Cost_model.page_fault_ns
+  | Page_table.Read_only -> fault_in t ~space ~proc ~counters ~cost ~addr page
 
 let on_store t ~space ~proc ~counters ~cost ~addr ~len =
   let last = (addr + Int.max len 1 - 1) lsr t.shift in
@@ -158,15 +170,16 @@ let split ranges lo hi ~inside ~outside =
    [current] is a live view of the page starting at [cur_off]. *)
 let save t number ~current ~cur_off ~page_base lo hi =
   let p =
-    match Hashtbl.find_opt t.pending number with
-    | Some p -> p
-    | None ->
-        let psize = page_size t in
-        let p =
-          { shadow = Bytes.create psize; saved = Bytes.make ((psize + 63) / 64 * 8) '\000' }
-        in
-        Hashtbl.replace t.pending number p;
-        p
+    let p = Page_index.get t.pending number in
+    if p != no_saved then p
+    else begin
+      let psize = page_size t in
+      let p =
+        { shadow = Bytes.create psize; saved = Bytes.make ((psize + 63) / 64 * 8) '\000' }
+      in
+      Page_index.set t.pending number p;
+      p
+    end
   in
   Bytes.blit current (cur_off + (lo - page_base)) p.shadow (lo - page_base) (hi - lo);
   set_bits p.saved (lo - page_base) (hi - page_base)
@@ -176,24 +189,24 @@ let save t number ~current ~cur_off ~page_base lo hi =
 let drop t number p lo hi =
   let page_base = number lsl t.shift in
   if clear_bits p.saved (lo - page_base) (hi - page_base) && is_empty p.saved then
-    Hashtbl.remove t.pending number
+    Page_index.set t.pending number no_saved
 
 (* Consume saved diffs that fall inside the bound ranges: each page's
    maximal saved runs inside them, newest page and address first. *)
 let take_pending t ~ranges =
   let pieces = ref [] in
   iter_pages t ranges (fun number ->
-      match Hashtbl.find_opt t.pending number with
-      | None -> ()
-      | Some p ->
-          let page_base = number lsl t.shift in
-          let take lo hi =
-            iter_runs p.saved (lo - page_base) (hi - page_base) (fun a b ->
-                let data = Bytes.sub p.shadow a (b - a) in
-                pieces := { Payload.addr = page_base + a; data } :: !pieces);
-            drop t number p lo hi
-          in
-          split ranges page_base (page_base + page_size t) ~inside:take ~outside:(fun _ _ -> ()));
+      let p = Page_index.get t.pending number in
+      if p != no_saved then begin
+        let page_base = number lsl t.shift in
+        let take lo hi =
+          iter_runs p.saved (lo - page_base) (hi - page_base) (fun a b ->
+              let data = Bytes.sub p.shadow a (b - a) in
+              pieces := { Payload.addr = page_base + a; data } :: !pieces);
+          drop t number p lo hi
+        in
+        split ranges page_base (page_base + page_size t) ~inside:take ~outside:(fun _ _ -> ())
+      end);
   !pieces
 
 let collect t ~space ~proc ~counters ~cost ~ranges =
@@ -202,7 +215,7 @@ let collect t ~space ~proc ~counters ~cost ~ranges =
   let total_cost = ref 0 in
   iter_pages t ranges (fun number ->
       let page_base = number lsl t.shift in
-      let page = Page_table.page_of_addr t.pt page_base in
+      let page = Page_table.peek t.pt page_base in
       if page.Page_table.dirty then begin
         (* Zero-copy view of the processor's live page; only read below. *)
         let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
@@ -253,7 +266,7 @@ let apply_pieces t ~space ~proc ~counters ~cost pieces =
           let page_base = number lsl t.shift in
           let lo = Int.max p.Payload.addr page_base in
           let hi = Int.min (p.Payload.addr + len) (page_base + psize) in
-          let page = Page_table.page_of_addr t.pt page_base in
+          let page = Page_table.peek t.pt page_base in
           (match page.Page_table.twin with
           | Some twin when page.Page_table.dirty ->
               Bytes.blit p.Payload.data (lo - p.Payload.addr) twin (lo - page_base)
@@ -266,10 +279,9 @@ let apply_pieces t ~space ~proc ~counters ~cost pieces =
           (* An incoming piece is the protocol's current data for its
              range: any saved diff overlapping it is superseded and must
              be dropped, or a later collection would resurrect the stale
-             shadow over newer data.  (Two lookups, because [find_opt]'s
-             [Some] would allocate on every page holding a saved diff.) *)
-          if Hashtbl.mem t.pending number then
-            drop t number (Hashtbl.find t.pending number) lo hi
+             shadow over newer data. *)
+          let saved = Page_index.get t.pending number in
+          if saved != no_saved then drop t number saved lo hi
         done)
     pieces;
   !total_cost
@@ -278,7 +290,7 @@ let absorb t ~space ~proc ~ranges =
   let psize = page_size t in
   iter_pages t ranges (fun number ->
       let page_base = number lsl t.shift in
-      let page = Page_table.page_of_addr t.pt page_base in
+      let page = Page_table.peek t.pt page_base in
       match page.Page_table.twin with
       | Some twin when page.Page_table.dirty ->
           let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
@@ -290,16 +302,17 @@ let absorb t ~space ~proc ~ranges =
 
 let discard_pending t ~ranges =
   iter_pages t ranges (fun number ->
-      if Hashtbl.mem t.pending number then begin
-        let p = Hashtbl.find t.pending number and page_base = number lsl t.shift in
+      let p = Page_index.get t.pending number in
+      if p != no_saved then begin
+        let page_base = number lsl t.shift in
         split ranges page_base (page_base + page_size t) ~inside:(drop t number p)
           ~outside:(fun _ _ -> ())
       end)
 
-let pending_pages t = Hashtbl.length t.pending
+let pending_pages t = Page_index.count t.pending
 
 let forget t ~ranges =
   iter_pages t ranges (fun number ->
-      let page = Page_table.page_of_addr t.pt (number lsl t.shift) in
+      let page = Page_table.peek t.pt (number lsl t.shift) in
       if page.Page_table.dirty then clean t page);
   discard_pending t ~ranges

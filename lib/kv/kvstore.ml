@@ -273,14 +273,14 @@ let load c t pairs =
 let scan c t ?sched_ns ~lo ~n () =
   if n <= 0 then invalid_arg "Kvstore.scan: n must be > 0";
   check_key t lo;
-  let hi = min t.keys (lo + n) in
+  let hi = Int.min t.keys (lo + n) in
   let sched = match sched_ns with Some s -> s | None -> Runtime.now_ns c in
   let start = Runtime.now_ns c in
   let out = ref [] in
   let b0 = bucket_of t lo and b1 = bucket_of t (hi - 1) in
   for b = b0 to b1 do
-    let klo = max lo (b * t.per_bucket) in
-    let khi = min hi ((b + 1) * t.per_bucket) in
+    let klo = Int.max lo (b * t.per_bucket) in
+    let khi = Int.min hi ((b + 1) * t.per_bucket) in
     let lk = t.locks.(b) in
     Runtime.acquire_read c lk;
     let seq = Runtime.read_int c (opcount_addr t b) in

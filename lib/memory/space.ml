@@ -53,7 +53,7 @@ let region_size t = t.region_size
 
 (* The sentinel placed in empty slots is the bogus region 0; [mapped]
    distinguishes it. *)
-let mapped t idx =
+let[@inline] mapped t idx =
   idx > 0 && idx < t.next_index
   && idx < Array.length t.regions
   && (Array.unsafe_get t.regions idx).Region.index = idx
@@ -62,7 +62,8 @@ let mapped t idx =
    bases are [region_size]-aligned. *)
 let[@inline] index_of t a = a lsr t.shift
 
-let region_of_addr t a =
+(* Inlined: the trapped-store path looks the region up on every store. *)
+let[@inline] region_of_addr t a =
   let idx = index_of t a in
   if mapped t idx then Array.unsafe_get t.regions idx else raise (Unmapped a)
 
@@ -165,32 +166,34 @@ let[@inline] backing t ~proc a w =
   if e.c_idx = index_of t a && (a land t.mask) + w <= Bytes.length b then b
   else cache_miss t e ~proc a w
 
-let get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a 1) (a land t.mask))
+(* Every typed accessor is inlined, and so are Runtime's: the word is
+   converted in the same expression that loads or stores it, so an int32,
+   int64 or float a caller's loop reads or stores stays unboxed.  Each
+   load and store is bounds-checked against the copy [backing] returns;
+   a region-crossing access still raises. *)
+let[@inline] get_u8 t ~proc a = Char.code (Bytes.get (backing t ~proc a 1) (a land t.mask))
 
-let set_u8 t ~proc a v =
-  Bytes.set (backing t ~proc a 1) (a land t.mask) (Char.chr (v land 0xff))
+let[@inline] set_u8 t ~proc a v =
+  Bytes.set (backing t ~proc a 1) (a land t.mask) (Char.unsafe_chr (v land 0xff))
 
-let get_i32 t ~proc a = Bytes.get_int32_le (backing t ~proc a 4) (a land t.mask)
+let[@inline] get_i32 t ~proc a = Bytes.get_int32_le (backing t ~proc a 4) (a land t.mask)
 
-let set_i32 t ~proc a v = Bytes.set_int32_le (backing t ~proc a 4) (a land t.mask) v
+let[@inline] set_i32 t ~proc a v = Bytes.set_int32_le (backing t ~proc a 4) (a land t.mask) v
 
-let get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask)
+let[@inline] get_i64 t ~proc a = Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask)
 
-let set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) v
+let[@inline] set_i64 t ~proc a v = Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) v
 
-(* The word is converted in the same expression that loads or stores it,
-   so the int64 stays unboxed.  [get_f64] and [set_f64] are inlined, and
-   so are Runtime's float accessors, so the float a caller's loop reads
-   or stores stays unboxed too. *)
 let[@inline] get_f64 t ~proc a =
   Int64.float_of_bits (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
 let[@inline] set_f64 t ~proc a v =
   Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) (Int64.bits_of_float v)
 
-let get_int t ~proc a = Int64.to_int (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
+let[@inline] get_int t ~proc a =
+  Int64.to_int (Bytes.get_int64_le (backing t ~proc a 8) (a land t.mask))
 
-let set_int t ~proc a v =
+let[@inline] set_int t ~proc a v =
   Bytes.set_int64_le (backing t ~proc a 8) (a land t.mask) (Int64.of_int v)
 
 let read_bytes t ~proc a ~len =

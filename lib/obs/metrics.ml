@@ -85,7 +85,7 @@ let layout_for t ~name ~buckets =
       Hashtbl.replace t.bucket_spec name b;
       b
 
-let rec bucket_from buckets v i =
+let rec bucket_from (buckets : int array) (v : int) i =
   if i >= Array.length buckets || v <= buckets.(i) then i else bucket_from buckets v (i + 1)
 
 let bucket_index buckets v = bucket_from buckets v 0

@@ -2,53 +2,58 @@ type run = { off : int; len : int }
 
 let word_size = 4
 
-(* Does the word at [opos]/[npos] differ?  Full words compare with one
-   32-bit load per buffer; a range tail shorter than a word falls back to
-   bytes.  Exactly equivalent to a byte-by-byte comparison. *)
-let words_differ old_ opos new_ npos len =
-  if len = word_size then Bytes.get_int32_le old_ opos <> Bytes.get_int32_le new_ npos
-  else
-    let rec go i =
-      i < len
-      && (Bytes.unsafe_get old_ (opos + i) <> Bytes.unsafe_get new_ (npos + i) || go (i + 1))
-    in
-    go 0
+(* Unchecked native-endian loads: the callers of [scan_runs] check both
+   windows, and whether two words are equal does not depend on byte
+   order. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let rec bytes_differ old_ opos new_ npos len i =
+  i < len
+  && (Bytes.unsafe_get old_ (opos + i) <> Bytes.unsafe_get new_ (npos + i)
+     || bytes_differ old_ opos new_ npos len (i + 1))
+
+(* Does the word at [opos]/[npos] differ?  A full word is one 32-bit
+   load per buffer; a range tail shorter than a word compares bytes.
+   Exactly equivalent to a byte-by-byte comparison. *)
+let[@inline] words_differ old_ opos new_ npos len =
+  if len = word_size then not (Int32.equal (get32u old_ opos) (get32u new_ npos))
+  else bytes_differ old_ opos new_ npos len 0
 
 (* Core scan: compare [len] bytes starting at [old_off] in [old_] and
    [new_off] in [new_]; run offsets are reported relative to [run_base]
-   plus the position within the scanned window. *)
+   plus the position within the scanned window.  A word is modified
+   exactly when a run is open ([start >= 0]), and every change between
+   modified and unmodified words after the first is a transition. *)
 let scan_runs ~old_ ~old_off ~new_ ~new_off ~len ~run_base =
-  let runs = ref [] in
-  let transitions = ref 0 in
-  let run_start = ref (-1) in
-  let prev_modified = ref false in
-  let i = ref 0 in
-  let finish_at p =
-    if !run_start >= 0 then begin
-      runs := { off = run_base + !run_start; len = p - !run_start } :: !runs;
-      run_start := -1
-    end
-  in
+  let runs = ref [] and transitions = ref 0 in
+  let start = ref (-1) and i = ref 0 in
   while !i < len do
-    if
-      !run_start < 0
-      && !i + 8 <= len
-      && Bytes.get_int64_le old_ (old_off + !i) = Bytes.get_int64_le new_ (new_off + !i)
-    then
-      (* Outside a run the previous word is unmodified, so two more
-         unmodified words change nothing but the position. *)
-      i := !i + 8
-    else begin
+    if !start < 0 then
+      (* Outside a run the previous word is unmodified, so equal 64-bit
+         words change nothing but the position. *)
+      while
+        !i + 8 <= len && Int64.equal (get64u old_ (old_off + !i)) (get64u new_ (new_off + !i))
+      do
+        i := !i + 8
+      done;
+    if !i < len then begin
       let wlen = Int.min word_size (len - !i) in
       let modified = words_differ old_ (old_off + !i) new_ (new_off + !i) wlen in
-      if modified <> !prev_modified && !i > 0 then incr transitions;
-      if modified && !run_start < 0 then run_start := !i;
-      if not modified then finish_at !i;
-      prev_modified := modified;
+      if modified && !start < 0 then begin
+        if !i > 0 then incr transitions;
+        start := !i
+      end
+      else if (not modified) && !start >= 0 then begin
+        incr transitions;
+        runs := { off = run_base + !start; len = !i - !start } :: !runs;
+        start := -1
+      end;
       i := !i + wlen
     end
   done;
-  finish_at len;
+  if !start >= 0 then runs := { off = run_base + !start; len = len - !start } :: !runs;
   (List.rev !runs, !transitions)
 
 let diff ~old_ ~new_ ~off ~len =

@@ -10,29 +10,34 @@ type page = {
 type t = {
   page_size : int;
   shift : int;  (* log2 page_size: an address's page is [addr lsr shift] *)
-  pages : (int, page) Hashtbl.t;
+  pages : page Page_index.t;
 }
+
+(* The index's "no page here"; never handed out, so never mutated. *)
+let absent = { number = -1; prot = Read_only; dirty = false; twin = None }
 
 let create ~page_size =
   if not (Midway_util.Pow2.is_power_of_two page_size) then
     invalid_arg "Page_table.create: page_size must be a positive power of two";
-  { page_size; shift = Midway_util.Pow2.log2 page_size; pages = Hashtbl.create 256 }
+  { page_size; shift = Midway_util.Pow2.log2 page_size; pages = Page_index.create ~absent }
 
 let page_size t = t.page_size
 
 let page_shift t = t.shift
 
-(* [Hashtbl.find] rather than [find_opt], whose [Some] would allocate
-   on every store the vm backend traps. *)
-let find t number =
-  match Hashtbl.find t.pages number with
-  | p -> p
-  | exception Not_found ->
-      let p = { number; prot = Read_only; dirty = false; twin = None } in
-      Hashtbl.replace t.pages number p;
-      p
+let add t number =
+  let p = { number; prot = Read_only; dirty = false; twin = None } in
+  Page_index.set t.pages number p;
+  p
 
-let page_of_addr t addr = find t (addr lsr t.shift)
+(* Inlined: the vm backend looks a page up on every store it traps. *)
+let[@inline] find t number =
+  let p = Page_index.get t.pages number in
+  if p != absent then p else add t number
+
+let[@inline] page_of_addr t addr = find t (addr lsr t.shift)
+
+let peek t addr = Page_index.get t.pages (addr lsr t.shift)
 
 let page_base t p = p.number * t.page_size
 
@@ -45,8 +50,9 @@ let pages_in_range t ~addr ~len =
   end
 
 let dirty_pages t =
-  Hashtbl.fold (fun _ p acc -> if p.dirty then p :: acc else acc) t.pages []
-  |> List.sort (fun a b -> compare a.number b.number)
+  let acc = ref [] in
+  Page_index.iter (fun p -> if p.dirty then acc := p :: !acc) t.pages;
+  List.rev !acc
 
 let fault _t p ~twin =
   p.twin <- Some twin;

@@ -8,7 +8,9 @@
     write-protected.
 
     Page state is created lazily: an untouched page is read-only and
-    clean, exactly as after Midway's initial mapping. *)
+    clean, exactly as after Midway's initial mapping.  Pages are indexed
+    by number in arrays grown to the pages touched ({!Page_index}), one
+    record per page for the table's lifetime. *)
 
 type prot = Read_only | Read_write
 
@@ -32,6 +34,13 @@ val page_shift : t -> int
 
 val page_of_addr : t -> int -> page
 (** State of the page containing the address, created on demand. *)
+
+val peek : t -> int -> page
+(** State of the page containing the address if {!page_of_addr} ever
+    created it; otherwise a clean, read-only stand-in without a twin,
+    shared by every table, which the caller must not change.  Creates
+    nothing, so looking up pages a store never touched (a binding's
+    range past every region, say) grows no index. *)
 
 val page_base : t -> page -> int
 

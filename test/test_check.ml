@@ -216,6 +216,68 @@ let seeded_cases =
     seeded_case "stale binding access" Diag.Stale_binding_access seed_stale;
   ]
 
+(* --- every typed accessor reaches the hook -------------------------------- *)
+
+(* The accessors are inlined into their callers, each with its own copy
+   of ECSan's hook.  For each one, p0 writes a word under its lock and
+   p1 then uses the accessor once on that word without the lock: exactly
+   one finding, naming the accessor, or none if its hook dropped out.  A
+   private store is recorded without its op and flagged only once
+   another processor reads the word, so for the two private accessors p0
+   reads it back under the lock and the finding names p1. *)
+let accessors =
+  [
+    ("read_f64", fun c a -> ignore (R.read_f64 c a));
+    ("read_int", fun c a -> ignore (R.read_int c a));
+    ("read_i32", fun c a -> ignore (R.read_i32 c a));
+    ("read_u8", fun c a -> ignore (R.read_u8 c a));
+    ("read_bytes", fun c a -> ignore (R.read_bytes c a ~len:8));
+    ("write_f64", fun c a -> R.write_f64 c a 1.5);
+    ("write_int", fun c a -> R.write_int c a 2);
+    ("write_i32", fun c a -> R.write_i32 c a 3l);
+    ("write_u8", fun c a -> R.write_u8 c a 4);
+    ("write_bytes", fun c a -> R.write_bytes c a (Bytes.make 8 'x'));
+    ("write_f64_private", fun c a -> R.write_f64_private c a 5.5);
+    ("write_int_private", fun c a -> R.write_int_private c a 6);
+  ]
+
+let accessor_case (op, use) =
+  let private_ = String.ends_with ~suffix:"_private" op in
+  Alcotest.test_case op `Quick (fun () ->
+      let machine = R.create race_cfg in
+      let data = R.alloc machine 8 in
+      let lock = R.new_lock machine [ Range.v data 8 ] in
+      let written = R.new_barrier machine [] and used = R.new_barrier machine [] in
+      R.run machine (fun c ->
+          if R.id c = 0 then begin
+            R.acquire c lock;
+            R.write_int c data 1;
+            R.release c lock
+          end;
+          R.barrier c written;
+          if R.id c = 1 then use c data;
+          R.barrier c used;
+          if R.id c = 0 && private_ then begin
+            R.acquire c lock;
+            ignore (R.read_int c data);
+            R.release c lock
+          end);
+      let rep = R.check_report machine in
+      match rep.Report.violations with
+      | [ v ] ->
+          let cls, first_op =
+            if private_ then (Diag.Misclassified_private_store, "read_int")
+            else (Diag.Unsynchronized_access, op)
+          in
+          Alcotest.(check string) "class" (Diag.class_name cls) (Diag.class_name v.Diag.cls);
+          Alcotest.(check int) "processor at fault" 1 v.Diag.proc;
+          Alcotest.(check string) "op" first_op v.Diag.first_op
+      | vs ->
+          Alcotest.failf "%s: wanted exactly one finding, got %d:\n%s" op (List.length vs)
+            (Report.render rep))
+
+let accessor_cases = List.map accessor_case accessors
+
 (* --- ECSan reads no log ---------------------------------------------------- *)
 
 (* ECSan's synchronization side reads the protocol's event stream, which
@@ -390,6 +452,7 @@ let () =
       ("apps-clean", app_cases);
       ("examples-clean", example_cases);
       ("seeded-races", seeded_cases);
+      ("accessors", accessor_cases);
       ("log-independent", log_cases);
       ("lint", lint_cases);
       ("unit", unit_cases);

@@ -875,25 +875,32 @@ let test_payload_read_write_pieces () =
 
 (* --- Sync ------------------------------------------------------------------ *)
 
+(* Queue processor [proc]'s request for [l], arriving at [arrival]. *)
+let enqueue l ~proc ~arrival ~mode =
+  let r = Sync.request ~proc in
+  r.Sync.r_lock <- l;
+  r.Sync.r_arrival <- arrival;
+  r.Sync.r_mode <- mode;
+  Sync.enqueue_request r
+
+let queued l = List.map (fun (r : Sync.request) -> (r.Sync.r_proc, r.Sync.r_arrival)) l.Sync.pending
+
 let test_lock_queue_order () =
   let l = Sync.make_lock ~lid:0 ~nprocs:4 ~owner:0 ~ranges:[ Range.v 0 8 ] in
-  Sync.enqueue_request l ~proc:2 ~arrival:50 ~mode:Sync.Exclusive ~waker:(fun ~at:_ -> ());
-  Sync.enqueue_request l ~proc:1 ~arrival:30 ~mode:Sync.Shared ~waker:(fun ~at:_ -> ());
-  Sync.enqueue_request l ~proc:3 ~arrival:50 ~mode:Sync.Exclusive ~waker:(fun ~at:_ -> ());
+  enqueue l ~proc:2 ~arrival:50 ~mode:Sync.Exclusive;
+  enqueue l ~proc:1 ~arrival:30 ~mode:Sync.Shared;
+  enqueue l ~proc:3 ~arrival:50 ~mode:Sync.Exclusive;
   Alcotest.(check (list (pair int int))) "arrival order, processor tie-break"
     [ (1, 30); (2, 50); (3, 50) ]
-    (List.map (fun (p, a, _, _) -> (p, a)) l.Sync.pending)
+    (queued l)
 
 let test_lock_queue_tiebreak_determinism () =
   (* Equal arrival times are broken by processor id, so the grant order
      does not depend on the order the requests were enqueued in. *)
   let build order =
     let l = Sync.make_lock ~lid:0 ~nprocs:4 ~owner:0 ~ranges:[ Range.v 0 8 ] in
-    List.iter
-      (fun proc ->
-        Sync.enqueue_request l ~proc ~arrival:50 ~mode:Sync.Exclusive ~waker:(fun ~at:_ -> ()))
-      order;
-    List.map (fun (p, a, _, _) -> (p, a)) l.Sync.pending
+    List.iter (fun proc -> enqueue l ~proc ~arrival:50 ~mode:Sync.Exclusive) order;
+    queued l
   in
   let expected = [ (1, 50); (2, 50); (3, 50) ] in
   Alcotest.(check (list (pair int int))) "ascending insertion" expected (build [ 1; 2; 3 ]);

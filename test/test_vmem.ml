@@ -268,6 +268,100 @@ let test_dirty_pages_sorted () =
   Alcotest.(check (list int)) "ascending dirty pages" [ 2; 5; 9 ]
     (List.map (fun p -> p.Page_table.number) (Page_table.dirty_pages pt))
 
+(* The page table against a [Hashtbl] model: a random page size and a
+   sequence of operations on page numbers that are 0, small, sparse (a
+   few chunks of the index apart) or large.  Every lookup of a page must
+   return the one record the model saw first for it, with its number and
+   base; [peek] must return it too, or a clean read-only page for a page
+   never looked up; [pages_in_range] must list the range's pages in
+   ascending order and [dirty_pages] exactly the faulted pages,
+   ascending. *)
+type pt_op = Touch of int | Peek of int | Range of int * int | Fault of int | Clean of int
+
+let pt_op_gen =
+  let open QCheck.Gen in
+  let number =
+    oneof
+      [
+        return 0;
+        int_bound 16;
+        map (fun k -> k * 4096) (int_bound 40);
+        int_bound 5_000;
+        int_range 1_000_000 (1 lsl 24);
+      ]
+  in
+  frequency
+    [
+      (4, map (fun n -> Touch n) number);
+      (2, map (fun n -> Peek n) number);
+      (2, map2 (fun n k -> Range (n, k)) number (int_bound 5));
+      (3, map (fun n -> Fault n) number);
+      (1, map (fun n -> Clean n) number);
+    ]
+
+let pt_op_print = function
+  | Touch n -> Printf.sprintf "touch %d" n
+  | Peek n -> Printf.sprintf "peek %d" n
+  | Range (n, k) -> Printf.sprintf "range %d+%d" n k
+  | Fault n -> Printf.sprintf "fault %d" n
+  | Clean n -> Printf.sprintf "clean %d" n
+
+let page_table_matches_model =
+  QCheck.Test.make ~name:"page table equals a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun (shift, ops) ->
+         Printf.sprintf "page size %d: %s" (1 lsl shift)
+           (String.concat "; " (List.map pt_op_print ops)))
+       QCheck.Gen.(pair (int_bound 16) (list_size (int_bound 60) pt_op_gen)))
+    (fun (shift, ops) ->
+      let page_size = 1 lsl shift in
+      let pt = Page_table.create ~page_size in
+      let model : (int, Page_table.page) Hashtbl.t = Hashtbl.create 16 in
+      let check n (p : Page_table.page) =
+        (match Hashtbl.find_opt model n with
+        | Some q -> if p != q then QCheck.Test.fail_reportf "page %d: a second record" n
+        | None -> Hashtbl.replace model n p);
+        if p.Page_table.number <> n || Page_table.page_base pt p <> n * page_size then
+          QCheck.Test.fail_reportf "page %d: number %d, base %d" n p.Page_table.number
+            (Page_table.page_base pt p)
+      in
+      let page n = Page_table.page_of_addr pt ((n * page_size) + (n land (page_size - 1))) in
+      List.iter
+        (function
+          | Touch n -> check n (page n)
+          | Peek n -> (
+              let p = Page_table.peek pt (n * page_size) in
+              match Hashtbl.find_opt model n with
+              | Some q -> if p != q then QCheck.Test.fail_reportf "peek %d: not its record" n
+              | None ->
+                  if p.Page_table.dirty || p.Page_table.prot <> Page_table.Read_only
+                     || p.Page_table.twin <> None
+                  then QCheck.Test.fail_reportf "peek %d: an untouched page is not clean" n)
+          | Range (n, k) ->
+              let pages = Page_table.pages_in_range pt ~addr:(n * page_size) ~len:(k * page_size) in
+              if List.map (fun p -> p.Page_table.number) pages <> List.init k (fun i -> n + i) then
+                QCheck.Test.fail_reportf "range %d+%d: not its pages in order" n k;
+              List.iteri (fun i p -> check (n + i) p) pages
+          | Fault n ->
+              let p = page n in
+              check n p;
+              if p.Page_table.prot = Page_table.Read_only then
+                Page_table.fault pt p ~twin:(Bytes.create page_size)
+          | Clean n ->
+              let p = page n in
+              check n p;
+              Page_table.clean pt p)
+        ops;
+      let dirty =
+        Hashtbl.fold
+          (fun n (p : Page_table.page) acc -> if p.Page_table.dirty then n :: acc else acc)
+          model []
+        |> List.sort Int.compare
+      in
+      let listed = Page_table.dirty_pages pt in
+      List.iter (fun (p : Page_table.page) -> check p.Page_table.number p) listed;
+      List.map (fun (p : Page_table.page) -> p.Page_table.number) listed = dirty)
+
 let () =
   Alcotest.run "vmem"
     [
@@ -294,5 +388,6 @@ let () =
           Alcotest.test_case "clean" `Quick test_clean;
           Alcotest.test_case "pages in range" `Quick test_pages_in_range;
           Alcotest.test_case "dirty pages sorted" `Quick test_dirty_pages_sorted;
+          qtest page_table_matches_model;
         ] );
     ]
