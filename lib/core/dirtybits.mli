@@ -36,7 +36,8 @@ type t
 
 val create : mode:Config.rt_mode -> group:int -> t
 (** [group] is the number of lines covered by a first-level bit in
-    [Two_level] mode. *)
+    [Two_level] mode; it must be a power of two, so that finding a
+    line's group is a shift.  Raises [Invalid_argument] otherwise. *)
 
 val mode : t -> Config.rt_mode
 

@@ -17,6 +17,7 @@ module Check = Midway_check.Check
 
 type ctx = {
   cid : int;
+  cursor : Space.cursor;  (* this processor's access cursor into the space *)
   machine : t;
   proc : Engine.proc;
   counters : Counters.t;
@@ -220,6 +221,7 @@ let create (cfg : Config.t) ~recovery ~service_queue =
         let request = Sync.request ~proc:cid in
         {
           cid;
+          cursor = Space.cursor space ~proc:cid;
           machine;
           proc = Engine.proc engine cid;
           counters = counters.(cid);

@@ -215,7 +215,11 @@ val log_request : ctx -> lock:Sync.lock -> op:string -> since:int -> unit
     dirtybit via the region's template (charging the instrumented-store
     cost), VM checks page protection and may take a simulated write
     fault.  Writes to private regions through this interface model
-    compiler misclassification and charge the null-template penalty. *)
+    compiler misclassification and charge the null-template penalty.
+    An access that crosses a region's end raises
+    [Midway_memory.Space.Crosses_region], and one that leaves mapped
+    memory [Midway_memory.Space.Unmapped], as [Space]'s typed accesses
+    do. *)
 
 val read_f64 : ctx -> int -> float
 val write_f64 : ctx -> int -> float -> unit

@@ -74,7 +74,39 @@ val validate_range : t -> addr -> int -> Region.t
 (** {1 Typed access to a processor's copy}
 
     These operate on the given processor's physical copy and perform no
-    write detection; the DSM front end (Runtime) layers trapping on top. *)
+    write detection; the DSM front end (Runtime) layers trapping on top.
+    Words are little-endian.  An access whose bytes leave mapped memory
+    raises {!Unmapped} (naming its first byte when that is unmapped, its
+    last byte otherwise), and one that starts and ends in mapped memory
+    but crosses a region's end raises {!Crosses_region}, as
+    {!validate_range} does.
+
+    A processor's accesses go through its {!cursor}, which keeps the
+    region and copy of the last access.  An access to that region that
+    ends inside the copy is a hit: a few loads and one compare prove its
+    bounds, and the load or store itself is unchecked.  Anything else
+    validates the range, grows the copy if needed and refills the
+    cursor. *)
+
+type cursor
+(** A processor's access cursor. *)
+
+val cursor : t -> proc:int -> cursor
+(** The processor's cursor; there is one per processor, for the space's
+    lifetime. *)
+
+val load_u8 : cursor -> addr -> int
+val store_u8 : cursor -> addr -> int -> unit
+val load_i32 : cursor -> addr -> int32
+val store_i32 : cursor -> addr -> int32 -> unit
+val load_f64 : cursor -> addr -> float
+val store_f64 : cursor -> addr -> float -> unit
+val load_int : cursor -> addr -> int
+(** 63-bit int stored as int64. *)
+
+val store_int : cursor -> addr -> int -> unit
+
+(** The same accesses through [cursor t ~proc]. *)
 
 val get_u8 : t -> proc:int -> addr -> int
 val set_u8 : t -> proc:int -> addr -> int -> unit
@@ -85,8 +117,6 @@ val set_i64 : t -> proc:int -> addr -> int64 -> unit
 val get_f64 : t -> proc:int -> addr -> float
 val set_f64 : t -> proc:int -> addr -> float -> unit
 val get_int : t -> proc:int -> addr -> int
-(** 63-bit int stored as int64. *)
-
 val set_int : t -> proc:int -> addr -> int -> unit
 
 val read_bytes : t -> proc:int -> addr -> len:int -> Bytes.t

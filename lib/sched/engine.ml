@@ -223,7 +223,7 @@ let proc_id p = p.id
 
 let clock p = p.clock
 
-let charge p ns =
+let[@inline] charge p ns =
   if ns < 0 then invalid_arg "Engine.charge: negative charge";
   p.clock <- p.clock + ns
 

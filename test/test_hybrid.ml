@@ -221,6 +221,37 @@ let test_update_queue_bookkeeping () =
 
 (* --- the space accessor cache ------------------------------------------- *)
 
+(* Every typed accessor of Space, with the bytes it touches. *)
+let space_accessors =
+  [
+    ("get_u8", 1, fun s a -> ignore (Space.get_u8 s ~proc:0 a));
+    ("set_u8", 1, fun s a -> Space.set_u8 s ~proc:0 a 1);
+    ("get_i32", 4, fun s a -> ignore (Space.get_i32 s ~proc:0 a));
+    ("set_i32", 4, fun s a -> Space.set_i32 s ~proc:0 a 1l);
+    ("get_i64", 8, fun s a -> ignore (Space.get_i64 s ~proc:0 a));
+    ("set_i64", 8, fun s a -> Space.set_i64 s ~proc:0 a 1L);
+    ("get_f64", 8, fun s a -> ignore (Space.get_f64 s ~proc:0 a));
+    ("set_f64", 8, fun s a -> Space.set_f64 s ~proc:0 a 1.0);
+    ("get_int", 8, fun s a -> ignore (Space.get_int s ~proc:0 a));
+    ("set_int", 8, fun s a -> Space.set_int s ~proc:0 a 1);
+  ]
+
+(* [access a], [w] bytes that start in one region and end in the next,
+   must raise [Crosses_region] naming them. *)
+let crosses name ~w a access =
+  match access a with
+  | () -> Alcotest.failf "%s across a region's end must raise" name
+  | exception Space.Crosses_region { addr; len; last } ->
+      Alcotest.(check (list int)) (name ^ ": addr, len, last") [ a; w; a + w - 1 ] [ addr; len; last ]
+
+(* [access a], [w] bytes that leave mapped memory, must raise [Unmapped]
+   naming the last of them. *)
+let runs_off name ~w a access =
+  match access a with
+  | () -> Alcotest.failf "%s off mapped memory must raise" name
+  | exception Space.Unmapped at ->
+      Alcotest.(check int) (name ^ ": unmapped byte") (a + w - 1) at
+
 let test_space_cache_coherence () =
   let space = Space.create ~region_size:4096 ~nprocs:2 () in
   (* three full regions: each 4096-byte allocation fills one *)
@@ -258,6 +289,13 @@ let test_space_cache_coherence () =
   (* boundary probes with a hot cache: in-region limits work, crossers
      and runs off the map fail loudly *)
   ignore (Space.get_int space ~proc:0 (a + 4096 - 8));
+  List.iter
+    (fun (name, w, access) ->
+      (* the cursor holds a's copy, which ends where the region does *)
+      ignore (Space.get_u8 space ~proc:0 (a + 4095));
+      if w > 1 then crosses name ~w (a + 4096 - (w / 2)) (access space);
+      runs_off name ~w (c + 4096 - (w / 2)) (access space))
+    space_accessors;
   (match Space.read_bytes space ~proc:0 (a + 4088) ~len:16 with
   | _ -> Alcotest.fail "read across the a/b boundary must raise"
   | exception Space.Crosses_region { addr; len; last } ->
@@ -270,6 +308,42 @@ let test_space_cache_coherence () =
   match Space.validate_range space (c + 4088) 16 with
   | _ -> Alcotest.fail "running off mapped memory must raise"
   | exception Space.Unmapped last -> Alcotest.(check int) "unmapped last" (c + 4103) last
+
+(* The same probes through every typed accessor of Runtime, on an rt
+   machine whose regions are a page long: two shared regions, then two
+   private ones, the last region of the map. *)
+let test_runtime_boundaries () =
+  let m = R.create { (Config.make Config.Rt ~nprocs:1) with Config.region_size = 4096 } in
+  let s1 = R.alloc m 4096 in
+  let s2 = R.alloc m 4096 in
+  let p1 = R.alloc m ~private_:true 4096 in
+  let p2 = R.alloc m ~private_:true 4096 in
+  Alcotest.(check (list int)) "four adjacent regions" [ s1 + 4096; p1 - 4096; p2 - 4096 ] [ s2; s2; p1 ];
+  let shared =
+    [
+      ("read_u8", 1, fun c a -> ignore (R.read_u8 c a));
+      ("write_u8", 1, fun c a -> R.write_u8 c a 1);
+      ("read_i32", 4, fun c a -> ignore (R.read_i32 c a));
+      ("write_i32", 4, fun c a -> R.write_i32 c a 1l);
+      ("read_f64", 8, fun c a -> ignore (R.read_f64 c a));
+      ("write_f64", 8, fun c a -> R.write_f64 c a 1.0);
+      ("read_int", 8, fun c a -> ignore (R.read_int c a));
+      ("write_int", 8, fun c a -> R.write_int c a 1);
+    ]
+  and private_ =
+    [
+      ("write_f64_private", 8, fun c a -> R.write_f64_private c a 1.0);
+      ("write_int_private", 8, fun c a -> R.write_int_private c a 1);
+    ]
+  in
+  R.run m (fun c ->
+      let probe first last (name, w, access) =
+        ignore (R.read_u8 c (first + 4095));
+        if w > 1 then crosses name ~w (first + 4096 - (w / 2)) (access c);
+        runs_off name ~w (last + 4096 - (w / 2)) (access c)
+      in
+      List.iter (probe s1 p2) shared;
+      List.iter (probe p1 p2) private_)
 
 (* --- copies that grow under the cache ------------------------------------ *)
 
@@ -726,6 +800,7 @@ let () =
       ( "space cache",
         [
           Alcotest.test_case "last-hit cache coherence" `Quick test_space_cache_coherence;
+          Alcotest.test_case "runtime accessors at region ends" `Quick test_runtime_boundaries;
           qtest growth_matches_model;
         ] );
       ( "vm region boundaries",

@@ -226,6 +226,112 @@ let region_lookup_consistent =
       let r' = Space.region_of_addr s (a + size - 1) in
       r.Region.index = r'.Region.index)
 
+(* --- typed access against a byte model ------------------------------------ *)
+
+(* Every typed accessor, at aligned and unaligned offsets, on two
+   processors and two regions whose copies start at one granule and grow
+   under the cursors as accesses reach further, interleaved with range
+   writes (which grow copies too) and range reads.  The model is a
+   zero-filled byte image per (processor, region); every load must equal
+   it, floats bit for bit. *)
+
+let model_region = 1 lsl 16
+
+(* Floats a conversion could change: NaNs with payloads, quiet and
+   signalling, of either sign; both zeros; the extreme subnormals; both
+   infinities. *)
+let special_float_bits =
+  [
+    0x7ff8_0000_0000_0000L;
+    0x7ff8_dead_beef_0001L;
+    0x7ff0_0000_0000_0001L;
+    0xfff4_0000_0000_1234L;
+    0L;
+    0x8000_0000_0000_0000L;
+    1L;
+    0x000f_ffff_ffff_ffffL;
+    0x8000_0000_0000_0001L;
+    0x7ff0_0000_0000_0000L;
+    0xfff0_0000_0000_0000L;
+  ]
+
+(* The accessor (0-9: get and set of u8, i32, i64, f64 and int; 10 a
+   range write, 11 a range read) and the bytes it covers. *)
+let width = function 0 | 1 -> 1 | 2 | 3 -> 4 | 10 | 11 -> 24 | _ -> 8
+
+let access_op =
+  QCheck.Gen.(
+    map
+      (fun ((kind, proc, region), (off, aligned, bits)) ->
+        let w = width kind in
+        let off = Int.min off (model_region - w) in
+        let off = if aligned then off land lnot (Int.min w 8 - 1) else off in
+        (kind, proc, region, off, bits))
+      (pair
+         (triple (int_bound 11) (int_bound 1) (int_bound 1))
+         (triple
+            (frequency [ (3, int_bound 255); (1, int_bound (model_region - 1)) ])
+            bool
+            (frequency [ (1, oneofl special_float_bits); (3, ui64) ]))))
+
+let print_op (kind, proc, region, off, bits) =
+  Printf.sprintf "(op %d, p%d, region %d, offset %d, %Lx)" kind proc region off bits
+
+let typed_access_matches_model =
+  QCheck.Test.make ~name:"typed access == byte model" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list print_op)
+       QCheck.Gen.(list_size (int_range 1 200) access_op))
+    (fun ops ->
+      let s = Space.create ~region_size:model_region ~nprocs:2 () in
+      let bases =
+        [| Space.alloc s ~kind:Region.Shared 64; Space.alloc s ~kind:Region.Private 64 |]
+      in
+      let model = Array.init 2 (fun _ -> Array.init 2 (fun _ -> Bytes.make model_region '\000')) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (kind, proc, region, off, bits) ->
+          let m = model.(proc).(region) and a = bases.(region) + off in
+          match kind with
+          | 0 -> expect (Space.get_u8 s ~proc a = Bytes.get_uint8 m off)
+          | 1 ->
+              Space.set_u8 s ~proc a (Int64.to_int bits);
+              Bytes.set_uint8 m off (Int64.to_int bits land 0xff)
+          | 2 -> expect (Int32.equal (Space.get_i32 s ~proc a) (Bytes.get_int32_le m off))
+          | 3 ->
+              Space.set_i32 s ~proc a (Int64.to_int32 bits);
+              Bytes.set_int32_le m off (Int64.to_int32 bits)
+          | 4 -> expect (Int64.equal (Space.get_i64 s ~proc a) (Bytes.get_int64_le m off))
+          | 5 ->
+              Space.set_i64 s ~proc a bits;
+              Bytes.set_int64_le m off bits
+          | 6 ->
+              let got = Int64.bits_of_float (Space.get_f64 s ~proc a) in
+              expect (Int64.equal got (Bytes.get_int64_le m off))
+          | 7 ->
+              Space.set_f64 s ~proc a (Int64.float_of_bits bits);
+              Bytes.set_int64_le m off bits
+          | 8 -> expect (Space.get_int s ~proc a = Int64.to_int (Bytes.get_int64_le m off))
+          | 9 ->
+              Space.set_int s ~proc a (Int64.to_int bits);
+              Bytes.set_int64_le m off (Int64.of_int (Int64.to_int bits))
+          | 10 ->
+              let data = Bytes.init 24 (fun i -> Char.chr ((Int64.to_int bits lsr i) land 0xff)) in
+              Space.write_bytes s ~proc a data;
+              Bytes.blit data 0 m off 24
+          | _ -> expect (Bytes.equal (Space.read_bytes s ~proc a ~len:24) (Bytes.sub m off 24)))
+        ops;
+      (* every byte of every copy, grown or not *)
+      Array.iteri
+        (fun proc per_region ->
+          Array.iteri
+            (fun region m ->
+              expect (Bytes.equal (Space.read_bytes s ~proc bases.(region) ~len:model_region) m))
+            per_region)
+        model;
+      !ok)
+
 let () =
   Alcotest.run "memory"
     [
@@ -250,6 +356,7 @@ let () =
           qtest roundtrip_f64;
           qtest roundtrip_int;
           qtest roundtrip_i32;
+          qtest typed_access_matches_model;
           Alcotest.test_case "u8 masking" `Quick test_u8;
           Alcotest.test_case "per-processor isolation" `Quick test_per_proc_isolation;
           Alcotest.test_case "bytes and copy_range" `Quick test_bytes_and_copy_range;
