@@ -261,6 +261,17 @@ let test_two_level_skips () =
   in
   Alcotest.(check int) "both groups skipped now" 2 counts2.Dirtybits.groups_skipped
 
+(* A line's group is found by a shift, so a group that is not a power of
+   two would put lines in the wrong groups: it is refused. *)
+let test_group_power_of_two () =
+  let refused group =
+    Alcotest.check_raises (Printf.sprintf "group %d" group)
+      (Invalid_argument "Dirtybits.create: group must be a power of two") (fun () ->
+        ignore (Dirtybits.create ~mode:Config.Two_level ~group))
+  in
+  List.iter refused [ 48; 3; 0; -4 ];
+  List.iter (fun group -> ignore (Dirtybits.create ~mode:Config.Two_level ~group)) [ 1; 4; 16; 64 ]
+
 let two_level_equals_plain =
   (* The two-level organization must emit exactly what plain mode emits
      for any write pattern and any cursor. *)
@@ -1070,6 +1081,7 @@ let () =
           Alcotest.test_case "fresh-only selection" `Quick test_dirtybits_fresh_only;
           Alcotest.test_case "area writes dirty every line" `Quick test_dirtybits_area_write;
           Alcotest.test_case "two-level skipping" `Quick test_two_level_skips;
+          Alcotest.test_case "group must be a power of two" `Quick test_group_power_of_two;
           Alcotest.test_case "update-queue mode" `Quick test_update_queue_mode;
           Alcotest.test_case "update-queue coalescing" `Quick
             test_update_queue_coalescing_boundaries;
