@@ -1,7 +1,6 @@
 type access = Read | Write | Private_write
 
 type t = {
-  nprocs : int;
   index : Binding_index.t;
   held : Lockset.t;
   shadow : Shadow.t;
@@ -15,7 +14,6 @@ type report = Report.t
 
 let create ?(context = fun () -> []) ~nprocs () =
   {
-    nprocs;
     index = Binding_index.create ~nprocs;
     held = Lockset.create ~nprocs;
     shadow = Shadow.create ();

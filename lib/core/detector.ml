@@ -3,6 +3,32 @@ module Region = Midway_memory.Region
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 module Page_table = Midway_vmem.Page_table
+module Grow = Midway_util.Grow
+
+type entry =
+  | Pieces of Payload.vm_piece list  (* modifications collected for one incarnation *)
+  | Full_marker
+      (* the whole bound data was shipped at this incarnation (after a
+         rebinding, or because concatenated diffs exceeded the data):
+         requesters that missed it must receive full data too *)
+
+(* What both history schemes remember of one lock's transfers.  Every
+   detector of the machine shares it: in Midway it travels with the
+   lock's ownership. *)
+type lock_history = {
+  rt_last_seen : Timestamp.t array;  (* timestamp history: per-processor cursor *)
+  rt_history : (int, Timestamp.t) Hashtbl.t;
+      (* update-queue mode only: line address -> newest stamp, the sparse
+         update history that replaces full scans *)
+  mutable incarnation : int;
+  vm_inc_seen : int array;  (* incarnation log: per-processor last incarnation observed *)
+  mutable vm_log : (int * entry) list;  (* newest first, trimmed to a window *)
+  mutable switch_inc : int;
+      (* the incarnation as of the last per-region backend switch (0 if
+         never switched).  Epoch bumps up to it were forced by a switch;
+         only [incarnation > switch_inc] means the application rebound
+         the lock *)
+}
 
 type env = {
   cfg : Config.t;
@@ -14,6 +40,8 @@ type env = {
   global_history : (int, Timestamp.t) Hashtbl.t;
       (* untargetted update-queue mode: global line -> stamp history *)
   guard_stale : bool;
+  mutable histories : lock_history array;
+      (* by lock id, [no_history] until the lock's first use *)
 }
 
 let env (cfg : Config.t) space ~counters ~reliable =
@@ -25,7 +53,51 @@ let env (cfg : Config.t) space ~counters ~reliable =
     global_seen = Array.make cfg.nprocs Timestamp.never_seen;
     global_history = Hashtbl.create 64;
     guard_stale = reliable;
+    histories = [||];
   }
+
+let fresh_history nprocs ~lines =
+  {
+    rt_last_seen = Array.make nprocs Timestamp.never_seen;
+    rt_history = lines;
+    incarnation = 0;
+    vm_inc_seen = Array.make nprocs (-1);
+    vm_log = [];
+    switch_inc = 0;
+  }
+
+let no_history = fresh_history 0 ~lines:(Hashtbl.create 16)
+
+let new_history env lid =
+  env.histories <- Grow.array env.histories lid ~fill:no_history;
+  (* Only update-queue mode fills a line table: the other modes share
+     [no_history]'s, which stays empty. *)
+  let lines =
+    if env.cfg.rt_mode = Config.Update_queue then Hashtbl.create 16 else no_history.rt_history
+  in
+  let h = fresh_history env.cfg.nprocs ~lines in
+  env.histories.(lid) <- h;
+  h
+
+(* A lock's history, created at its first use.  Lock ids are dense, so
+   a transfer finds it by index; only the creation is out of line. *)
+let[@inline] lock_history env (l : Sync.lock) =
+  let lid = l.Sync.lid and hs = env.histories in
+  let h = if lid < Array.length hs then hs.(lid) else no_history in
+  if h != no_history then h else new_history env lid
+
+let rebind env ?(switch = false) (l : Sync.lock) ~ranges =
+  l.Sync.ranges <- Range.normalize ranges;
+  let h = lock_history env l in
+  (* RT: every processor must refetch the newly bound data. *)
+  Array.fill h.rt_last_seen 0 (Array.length h.rt_last_seen) Timestamp.never_seen;
+  Hashtbl.reset h.rt_history;
+  (* VM: bump the incarnation and force a diff-free full transfer. *)
+  h.incarnation <- h.incarnation + 1;
+  h.vm_log <- [ (h.incarnation - 1, Full_marker) ];
+  if switch then h.switch_inc <- h.incarnation
+
+let incarnation env l = (lock_history env l).incarnation
 
 let electable = function
   | Config.Rt | Config.Vm | Config.Twin | Config.Blast -> true
@@ -211,8 +283,8 @@ let shared_ranges d =
    from the lock's sparse history table: record the fresh lines, then add
    the history lines the requester missed.  Under the untargetted model
    the history spans the whole space, so it lives on the machine. *)
-let queue_history d s (l : Sync.lock) ~ranges ~last_seen ~stamp lines =
-  let history = if d.env.cfg.untargetted then d.env.global_history else l.Sync.rt_history in
+let queue_history d s h ~ranges ~last_seen ~stamp lines =
+  let history = if d.env.cfg.untargetted then d.env.global_history else h.rt_history in
   (* The history is per line; expand each coalesced run back into its
      constituent lines. *)
   List.iter
@@ -241,15 +313,16 @@ let lines_payload lines = if lines = [] then Payload.Empty else Payload.Rt_lines
 let stamps_collect_lock d s (l : Sync.lock) ~for_ =
   let env = d.env in
   let untargetted = env.cfg.untargetted in
+  let h = lock_history env l in
   let ranges = if untargetted then shared_ranges d else l.Sync.ranges in
-  let last_seen = if untargetted then env.global_seen.(for_) else l.Sync.rt_last_seen.(for_) in
+  let last_seen = if untargetted then env.global_seen.(for_) else h.rt_last_seen.(for_) in
   let stamp = next_stamp d in
   let diff_ns = match s.faults with None -> 0 | Some vm -> stamp_diff d s vm ~ranges ~stamp in
   let lines, scan_ns = scan_gather d s ~ranges ~stamp ~select:(Dirtybits.Transfer last_seen) in
   match Dirtybits.mode s.db with
   | Config.Plain | Config.Two_level -> (lines_payload lines, diff_ns + scan_ns, stamp)
   | Config.Update_queue ->
-      let lines, history_ns = queue_history d s l ~ranges ~last_seen ~stamp lines in
+      let lines, history_ns = queue_history d s h ~ranges ~last_seen ~stamp lines in
       (lines_payload lines, diff_ns + scan_ns + history_ns, stamp)
 
 (* vm-fine barrier arrival: the fresh modifications are exactly the
@@ -405,14 +478,14 @@ let stamps_install d s (l : Sync.lock) pieces =
   let stamp = Timestamp.make ~time ~proc:d.proc ~nprocs:cfg.nprocs in
   Payload.write_pieces env.space ~proc:d.proc pieces;
   let lines = stamp_ranges d s l.Sync.ranges ~stamp in
-  l.Sync.rt_last_seen.(d.proc) <- stamp;
+  (lock_history env l).rt_last_seen.(d.proc) <- stamp;
   (lines * (cfg.cost.dirtybit_update_ns + Cost_model.apply_line_ns))
   + Cost_model.copy_cost_ns cfg.cost ~bytes:(Payload.pieces_bytes pieces) ~warm:false
 
-let stamps_advance d (l : Sync.lock) ~requester:q stamp =
+let stamps_advance d h ~requester:q stamp =
   let env = d.env in
-  l.Sync.rt_last_seen.(q) <- stamp;
-  l.Sync.rt_last_seen.(d.proc) <- stamp;
+  h.rt_last_seen.(q) <- stamp;
+  h.rt_last_seen.(d.proc) <- stamp;
   if env.cfg.untargetted then begin
     env.global_seen.(q) <- Int.max env.global_seen.(q) stamp;
     env.global_seen.(d.proc) <- Int.max env.global_seen.(d.proc) stamp
@@ -446,11 +519,10 @@ let stamps_invariants d s ~unowned =
 
 (* The log is the lock's last [update_log_window] incarnations.  Its
    entries are consecutive, newest first, so the window is the entries
-   from [l.incarnation - window] on; older ones are kept until the list
+   from [h.incarnation - window] on; older ones are kept until the list
    doubles, and trimmed then, so that recording an entry does not copy
    the window. *)
-let in_window (cfg : Config.t) (l : Sync.lock) inc =
-  inc >= l.Sync.incarnation - cfg.update_log_window
+let in_window (cfg : Config.t) h inc = inc >= h.incarnation - cfg.update_log_window
 
 let trim_log (cfg : Config.t) log =
   let rec take n = function
@@ -465,11 +537,9 @@ let trim_log (cfg : Config.t) log =
    the paper's VM-DSM ships all bound data "without performing a diff"
    when the binding changed (section 4, quicksort).  This is decidable
    from the log alone, before any diffing. *)
-let rebound_since cfg (l : Sync.lock) ~seen =
-  seen < l.Sync.incarnation
-  && List.exists
-       (fun (inc, e) -> inc > seen && e = Sync.Full_marker && in_window cfg l inc)
-       l.Sync.vm_log
+let rebound_since cfg h ~seen =
+  seen < h.incarnation
+  && List.exists (fun (inc, e) -> inc > seen && e = Full_marker && in_window cfg h inc) h.vm_log
 
 (* Diff the bound data against the dirty pages' twins or the object's
    twin. *)
@@ -480,18 +550,19 @@ let log_diff d log ~id ~ranges =
   | Twins tw -> Twin_state.collect tw ~space ~proc:d.proc ~counters:d.counters ~cost ~id ~ranges
 
 (* Log this incarnation's collection and start the next one. *)
-let record (cfg : Config.t) (l : Sync.lock) entry =
-  l.Sync.vm_log <- trim_log cfg ((l.Sync.incarnation, entry) :: l.Sync.vm_log);
-  l.Sync.incarnation <- l.Sync.incarnation + 1
+let record (cfg : Config.t) h entry =
+  h.vm_log <- trim_log cfg ((h.incarnation, entry) :: h.vm_log);
+  h.incarnation <- h.incarnation + 1
 
 let log_collect_lock d log (l : Sync.lock) ~for_ =
   let cfg = d.env.cfg in
   let space = d.env.space in
+  let h = lock_history d.env l in
   let bound = Sync.lock_bound_bytes l in
-  let this_inc = l.Sync.incarnation in
-  let seen = l.Sync.vm_inc_seen.(for_) in
+  let this_inc = h.incarnation in
+  let seen = h.vm_inc_seen.(for_) in
   d.counters.bound_bytes_scanned <- d.counters.bound_bytes_scanned + bound;
-  if rebound_since cfg l ~seen then begin
+  if rebound_since cfg h ~seen then begin
     (* Diff-free full transfer after a rebinding: ship the releaser's
        current bound data as is. *)
     (match log with
@@ -509,21 +580,19 @@ let log_collect_lock d log (l : Sync.lock) ~for_ =
         (* Re-snapshot the twin so the next comparison starts from the
            shipped state. *)
         Twin_state.refresh tw ~space ~proc:d.proc ~id:l.Sync.lid ~ranges:l.Sync.ranges);
-    record cfg l Sync.Full_marker;
+    record cfg h Full_marker;
     d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + bound;
     (Payload.Vm_full (read_bound d l.Sync.ranges), 0, this_inc)
   end
   else begin
     let pieces, diff_ns = log_diff d log ~id:l.Sync.lid ~ranges:l.Sync.ranges in
-    record cfg l (Sync.Pieces pieces);
+    record cfg h (Pieces pieces);
     d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
     let payload =
       if seen >= this_inc then Payload.Empty
       else begin
-        let pieces_of = function Sync.Pieces p -> p | Sync.Full_marker -> [] in
-        let taken =
-          List.filter (fun (inc, _) -> inc > seen && in_window cfg l inc) l.Sync.vm_log
-        in
+        let pieces_of = function Pieces p -> p | Full_marker -> [] in
+        let taken = List.filter (fun (inc, _) -> inc > seen && in_window cfg h inc) h.vm_log in
         (* The log window may no longer reach back to the requester's
            cursor ("Midway's implementation of VM-DSM does not save all
            the updates"): then, or when the concatenated updates exceed
@@ -615,11 +684,12 @@ let apply d ~id ~ranges payload =
   | _ -> invalid_arg "Detector.apply: payload/scheme mismatch"
 
 let advance d l ~requester cursor =
+  let h = lock_history d.env l in
   match d.history with
-  | Stamps _ -> stamps_advance d l ~requester cursor
+  | Stamps _ -> stamps_advance d h ~requester cursor
   | Log _ ->
-      l.Sync.vm_inc_seen.(requester) <- cursor;
-      l.Sync.vm_inc_seen.(d.proc) <- cursor
+      h.vm_inc_seen.(requester) <- cursor;
+      h.vm_inc_seen.(d.proc) <- cursor
   | Blast -> ()
 
 let advance_barrier d cursor =
@@ -630,17 +700,21 @@ let advance_barrier d cursor =
         Int.max env.lamport.(d.proc) (Timestamp.time cursor ~nprocs:env.cfg.nprocs)
   | Stamps _ | Log _ | Blast -> ()
 
-let ships_full d (l : Sync.lock) ~for_ =
+let ships_full d l ~for_ =
+  let h = lock_history d.env l in
+  h.incarnation > h.switch_inc
+  &&
   match d.history with
-  | Log _ -> rebound_since d.env.cfg l ~seen:l.Sync.vm_inc_seen.(for_)
-  | Stamps _ | Blast -> l.Sync.rt_last_seen.(for_) = Timestamp.never_seen
+  | Log _ -> rebound_since d.env.cfg h ~seen:h.vm_inc_seen.(for_)
+  | Stamps _ | Blast -> h.rt_last_seen.(for_) = Timestamp.never_seen
 
 let install_full d (l : Sync.lock) pieces =
   match d.history with
   | Stamps s -> stamps_install d s l pieces
   | Log log ->
       let ns = log_apply d log ~id:l.Sync.lid ~ranges:l.Sync.ranges (Payload.Vm_full pieces) in
-      l.Sync.vm_inc_seen.(d.proc) <- l.Sync.incarnation;
+      let h = lock_history d.env l in
+      h.vm_inc_seen.(d.proc) <- h.incarnation;
       ns
   | Blast -> blast_apply d pieces
 

@@ -25,7 +25,9 @@
 
 type env
 (** What every detector of one machine shares: the configuration, the
-    address space, each processor's counters and Lamport clock, the
+    address space, each processor's counters and Lamport clock, each
+    lock's write history (its per-processor cursors, the update-queue
+    line history and the incarnation log, by lock id), and the
     untargetted model's per-processor consistency cursors and its
     machine-wide update history. *)
 
@@ -38,6 +40,19 @@ val env :
 (** [reliable] is whether protocol messages go through the reliable
     channel, whose retries can replay an update: timestamp-history
     applies then skip lines already installed. *)
+
+val rebind : env -> ?switch:bool -> Sync.lock -> ranges:Range.t list -> unit
+(** Change the data bound to the lock (quicksort's task pattern; a
+    backend switch or a failover rebinds it to its own ranges).  Under RT
+    the per-processor cursors reset so the next transfer ships all bound
+    lines; under VM the incarnation is bumped and a full marker recorded
+    so the next transfer ships all bound data without diffing — both as
+    described in section 4.  A [switch] rebinding is not the
+    application's to {!ships_full}. *)
+
+val incarnation : env -> Sync.lock -> int
+(** The lock's incarnation number: bumped by every incarnation-log
+    collection and every rebinding, so a crash failover's epoch. *)
 
 val electable : Config.backend -> bool
 (** Whether a region may elect the scheme on its own: [Rt], [Vm], [Twin]
@@ -94,11 +109,14 @@ val advance_barrier : t -> cursor -> unit
 
 val ships_full : t -> Sync.lock -> for_:int -> bool
 (** Whether the next collection for [for_] ships the bound data in full
-    because of a rebinding, read off the cursors before the collection
-    consumes them: the adaptive policy's rebinding input.  An
-    incarnation log answers from its full markers; a timestamp history
-    (and blast, which keeps none) from a never-seen cursor, which a
-    first transfer has too. *)
+    because the application rebound the lock, read off the cursors
+    before the collection consumes them: the adaptive policy's
+    rebinding input.  The lock's incarnation must have moved past its
+    last backend switch's bump, so that neither the policy's own
+    switches nor a first transfer read as rebinding-heavy behaviour and
+    bias it toward VM.  An incarnation log then answers from its full
+    markers; a timestamp history (and blast, which keeps none) from a
+    never-seen cursor. *)
 
 val install_full : t -> Sync.lock -> Payload.vm_piece list -> int
 (** Install a crash replica of the lock's bound data as if it were a

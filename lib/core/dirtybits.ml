@@ -1,5 +1,6 @@
 module Region = Midway_memory.Region
 module Pow2 = Midway_util.Pow2
+module Grow = Midway_util.Grow
 
 type region_table = {
   ts : int array;  (* per line: Timestamp.t *)
@@ -70,11 +71,7 @@ let mode t = t.mode
    group maxima; the lines and groups it adds are clean. *)
 let grow_table t (r : Region.t) line =
   let idx = r.index in
-  if idx >= Array.length t.tables then begin
-    let fresh = Array.make (max (idx + 1) (2 * Array.length t.tables)) None in
-    Array.blit t.tables 0 fresh 0 (Array.length t.tables);
-    t.tables <- fresh
-  end;
+  t.tables <- Grow.array t.tables idx ~fill:None;
   match t.tables.(idx) with
   | Some tbl when line < Array.length tbl.ts || Array.length tbl.ts = Region.lines r -> tbl
   | old ->

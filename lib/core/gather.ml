@@ -32,8 +32,7 @@ let seal t = t.open_ <- false
 let length t = t.n
 
 let grow t =
-  let cap = Array.length t.addrs in
-  let fresh a = let f = Array.make (2 * cap) 0 in Array.blit a 0 f 0 cap; f in
+  let fresh a = Midway_util.Grow.array a t.n ~fill:0 in
   t.addrs <- fresh t.addrs;
   t.lens <- fresh t.lens;
   t.tss <- fresh t.tss;

@@ -14,6 +14,7 @@ module Cost_model = Midway_stats.Cost_model
 module Obs = Midway_obs.Obs
 module Event = Midway_obs.Event
 module Check = Midway_check.Check
+module Grow = Midway_util.Grow
 
 type ctx = {
   cid : int;
@@ -42,6 +43,15 @@ and recovery = {
   broken : bool;  (* demo bug: skip replication and the epoch rules *)
   watchdog_ns : int;  (* virtual-time bound: survivors past it die too *)
   killed : bool array;  (* fibers actually crash-stopped so far *)
+  mutable replicated : replica option array;
+      (* by lock id, the replica of its last exclusive release; grown at
+         the first replication, so empty when nothing replicates *)
+}
+
+(* The simulator's stand-in for the backups' replica stores. *)
+and replica = {
+  backups : int list;  (* processors holding the snapshot, freshest first *)
+  snapshot : Payload.vm_piece list;  (* the bound data as released *)
 }
 
 and t = {
@@ -269,14 +279,6 @@ let now_ns c = Engine.clock c.proc
 (* ------------------------------------------------------------------ *)
 
 let region_index_of t addr = Space.index_of t.space addr
-
-let ensure_region_slot t idx =
-  let cap = Array.length t.elected in
-  if idx >= cap then begin
-    let fresh = Array.make (max (idx + 1) (cap * 2)) None in
-    Array.blit t.elected 0 fresh 0 cap;
-    t.elected <- fresh
-  end
 
 let[@inline] scheme_of_region t idx =
   if idx < 0 || idx >= Array.length t.elected then t.cfg.backend

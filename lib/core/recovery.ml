@@ -30,12 +30,13 @@ let state (cfg : Config.t) =
   match cfg.crash with
   | None ->
       { plan = Crash.empty; stop_at = Array.make n max_int; channel = Reliable.default_config;
-        replicas = 0; broken = false; watchdog_ns = max_int; killed }
+        replicas = 0; broken = false; watchdog_ns = max_int; killed; replicated = [||] }
   | Some { Config.plan; broken_failover = broken } ->
       let stop_at p = Option.value (Crash.first_stop plan ~proc:p) ~default:max_int in
       { plan; stop_at = Array.init n stop_at;
         channel = { Reliable.default_config with Reliable.max_attempts = suspect_attempts };
-        replicas = (if broken then 0 else replicas); broken; watchdog_ns; killed }
+        replicas = (if broken then 0 else replicas); broken; watchdog_ns; killed;
+        replicated = [||] }
 
 (* A fiber's death is permanent from its first scheduled Stop event:
    recovery (crash-recovery faults) revives only the *protocol node* —
@@ -101,10 +102,10 @@ let barrier_ready t (b : Sync.barrier) =
   n > 0 && n >= b.Sync.participants - !dead_missing
 
 (* Ship a snapshot of the lock's bound data to [replicas] backups when
-   an exclusive holder releases.  The snapshot itself lives with the lock
-   record (the simulator's stand-in for the backups' replica stores); the
-   Replicate messages account for the wire traffic.  Replication is
-   fire-and-forget — the releaser's clock does not wait for the acks. *)
+   an exclusive holder releases.  The snapshot itself goes into the
+   recovery state's table; the Replicate messages account for the wire
+   traffic.  Replication is fire-and-forget — the releaser's clock does
+   not wait for the acks. *)
 let replicate c (l : Sync.lock) =
   let t = c.machine in
   let k = t.recovery.replicas in
@@ -130,8 +131,9 @@ let replicate c (l : Sync.lock) =
         | (_ : int) -> ()
         | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
       backups;
-    l.Sync.backups <- backups;
-    l.Sync.replica <- Some (l.Sync.incarnation, snapshot);
+    let r = t.recovery and lid = l.Sync.lid in
+    r.replicated <- Grow.array r.replicated lid ~fill:None;
+    r.replicated.(lid) <- Some { backups; snapshot };
     c.counters.replications <- c.counters.replications + List.length backups;
     match t.emit with
     | None -> ()
@@ -179,13 +181,14 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
     if not t.recovery.broken then begin
       (* Epoch rules first: every processor's cursor resets, so the next
          transfer from the new owner ships current bindings in full. *)
-      Sync.rebind_lock l ~ranges:l.Sync.ranges;
-      match l.Sync.replica with
-      | Some (_epoch, snapshot) ->
+      Detector.rebind t.detection l ~ranges:l.Sync.ranges;
+      let replicated = t.recovery.replicated and lid = l.Sync.lid in
+      match if lid < Array.length replicated then replicated.(lid) else None with
+      | Some { backups; snapshot } ->
           (* Fetch from a live backup (free when the new owner is one). *)
           let host =
-            if List.mem new_owner l.Sync.backups then None
-            else List.find_opt (fun b -> not (proto_down t b ~at:!t_votes)) l.Sync.backups
+            if List.mem new_owner backups then None
+            else List.find_opt (fun b -> not (proto_down t b ~at:!t_votes)) backups
           in
           let bytes = Payload.pieces_bytes snapshot in
           (match host with
@@ -213,7 +216,6 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
     l.Sync.held_by <- None;
     l.Sync.readers <- List.filter (fun r -> not (fiber_dead_at t r ~at:!t_done)) l.Sync.readers;
     l.Sync.free_at <- max l.Sync.free_at !t_done;
-    l.Sync.failovers <- l.Sync.failovers + 1;
     nc.counters.failovers <- nc.counters.failovers + 1;
     (match t.emit with
     | None -> ()
@@ -221,7 +223,7 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
         emit
           (Event.Lock_failover
              { t0 = at; t = !t_done; lock = l.Sync.lid; from_ = suspect; to_ = new_owner;
-               epoch = l.Sync.incarnation; votes = !votes }));
+               epoch = Detector.incarnation t.detection l; votes = !votes }));
     Some !t_done
   end
 

@@ -198,7 +198,7 @@ let switch_region_backend t ~region_index ~to_ ~at =
     invalid_arg "Runtime.switch_region_backend: the machine backend is not per-region electable";
   if t.cfg.untargetted then
     invalid_arg "Runtime.switch_region_backend: untargetted bindings are machine-wide";
-  ensure_region_slot t region_index;
+  t.elected <- Grow.array t.elected region_index ~fill:None;
   let from_ = scheme_of_region t region_index in
   if from_ <> to_ then begin
     t.elected.(region_index) <- Some to_;
@@ -206,10 +206,8 @@ let switch_region_backend t ~region_index ~to_ ~at =
     let span = region_span t region_index in
     List.iter
       (fun (l : Sync.lock) ->
-        if binding_intersects l.Sync.ranges span then begin
-          Sync.rebind_lock l ~ranges:l.Sync.ranges;
-          l.Sync.switch_inc <- l.Sync.incarnation
-        end)
+        if binding_intersects l.Sync.ranges span then
+          Detector.rebind t.detection ~switch:true l ~ranges:l.Sync.ranges)
       t.locks;
     (match Space.find_region t.space span.Range.addr with
     | None -> ()  (* nothing allocated there yet: no state to wipe *)
@@ -322,18 +320,8 @@ let rec serve t (l : Sync.lock) (r : Sync.request) =
   let scheme = lock_scheme t l.Sync.ranges in
   let rd = detector rc scheme in
   (* Whether this transfer will be a rebinding-forced full, read off the
-     cursors before the collection consumes them (policy input only).
-     Only *application* rebinds count as rebinding-heavy behaviour: epoch
-     bumps at or below the lock's [switch_inc] watermark were forced by a
-     backend switch (and a first-ever transfer is merely cold), so
-     without the watermark gate the policy's own switches — and program
-     start — would read as diff-free-full traffic and bias it toward
-     VM. *)
-  let rebound =
-    t.policy <> None
-    && l.Sync.incarnation > l.Sync.switch_inc
-    && Detector.ships_full rd l ~for_:q
-  in
+     cursors before the collection consumes them (policy input only). *)
+  let rebound = t.policy <> None && Detector.ships_full rd l ~for_:q in
   let ranges = l.Sync.ranges in
   let pages0 = rc.counters.pages_diffed and dirty0 = rc.counters.dirty_bytes_found in
   let payload, collect_ns, cursor = Detector.collect_lock rd l ~for_:q in
@@ -357,7 +345,6 @@ let rec serve t (l : Sync.lock) (r : Sync.request) =
           l.Sync.owner <- q;
           l.Sync.held_by <- Some q
       | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
-      l.Sync.acquires <- l.Sync.acquires + 1;
       (match t.emit with
       | None -> ()
       | Some emit ->
@@ -456,7 +443,6 @@ let acquire_mode c l mode =
     (match mode with
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
-    l.Sync.acquires <- l.Sync.acquires + 1;
     match t.emit with
     | None -> ()
     | Some emit ->
@@ -534,7 +520,7 @@ let rebind c l ranges =
   | Some holder when holder = c.cid -> ()
   | _ -> failwith (Printf.sprintf "Runtime.rebind: lock %d not held by p%d" l.Sync.lid c.cid));
   Engine.charge c.proc Cost_model.release_ns;
-  Sync.rebind_lock l ~ranges;
+  Detector.rebind c.machine.detection l ~ranges;
   match c.machine.emit with
   | None -> ()
   | Some emit ->
@@ -619,7 +605,6 @@ let barrier_release t (b : Sync.barrier) =
       let barrier = b.Sync.bid and episode = b.Sync.episode in
       emit (Event.Barrier_completed { t = t_release; barrier; episode }));
   b.Sync.episode <- b.Sync.episode + 1;
-  b.Sync.crossings <- b.Sync.crossings + 1;
   b.Sync.arrived <- [];
   (* Barrier-bound regions adapt here: the episode is over, every
      mailbox is drained, and the next episode's collections run under
@@ -637,7 +622,6 @@ let barrier c b =
        protects a page, since the data is never transferred".  It records
        no event, so ECSan hears of the crossing directly. *)
     b.Sync.episode <- b.Sync.episode + 1;
-    b.Sync.crossings <- b.Sync.crossings + 1;
     match t.checker with
     | Some ch ->
         Check.on_barrier_complete ch ~id:b.Sync.bid;
@@ -880,7 +864,7 @@ let schedule_choices t = Engine.choices t.engine
 let killed_procs = Recovery.killed_procs
 
 let failover_count t =
-  List.fold_left (fun acc (l : Sync.lock) -> acc + l.Sync.failovers) 0 t.locks
+  Array.fold_left (fun acc c -> acc + c.counters.Counters.failovers) 0 t.ctxs
 
 let availability t =
   let n = t.cfg.nprocs in

@@ -165,7 +165,7 @@ val availability : t -> float
     {!Detector.barrier_fallback} when they differ.  A switch is only
     legal at a safe point — no intersecting lock held or read-held, no
     intersecting barrier mid-episode — and epoch-bumps every
-    intersecting binding ({!Sync.rebind_lock}), so the next transfer
+    intersecting binding ({!Detector.rebind}), so the next transfer
     after a switch is a diff-free full and no stale detection state can
     leak across the boundary. *)
 
@@ -262,7 +262,7 @@ val release : ctx -> Sync.lock -> unit
 
 val rebind : ctx -> Sync.lock -> Range.t list -> unit
 (** Change the lock's data binding (must hold the lock).  See
-    {!Sync.rebind_lock} for the backend-specific consequences. *)
+    {!Detector.rebind} for the backend-specific consequences. *)
 
 val barrier : ctx -> Sync.barrier -> unit
 (** Cross the barrier: ship this processor's modifications of the bound

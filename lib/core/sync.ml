@@ -2,8 +2,6 @@ type waker = at:int -> unit
 
 type mode = Exclusive | Shared
 
-type vm_log_entry = Pieces of Payload.vm_piece list | Full_marker
-
 type lock = {
   lid : int;
   mutable ranges : Range.t list;
@@ -12,17 +10,6 @@ type lock = {
   mutable free_at : int;
   mutable pending : request list;
   mutable readers : int list;
-  mutable acquires : int;
-  rt_last_seen : Timestamp.t array;
-  rt_history : (int, Timestamp.t) Hashtbl.t;
-  mutable incarnation : int;
-  vm_inc_seen : int array;
-  mutable vm_log : (int * vm_log_entry) list;
-  mutable switch_inc : int;
-  (* crash-recovery state (armed by Config.crash; inert otherwise) *)
-  mutable backups : int list;
-  mutable replica : (int * Payload.vm_piece list) option;
-  mutable failovers : int;
 }
 
 and request = {
@@ -48,7 +35,6 @@ type barrier = {
   mutable manager : int;
   mutable episode : int;
   mutable arrived : arrival list;
-  mutable crossings : int;
 }
 
 let make_lock ~lid ~nprocs ~owner ~ranges =
@@ -61,16 +47,6 @@ let make_lock ~lid ~nprocs ~owner ~ranges =
     free_at = 0;
     pending = [];
     readers = [];
-    acquires = 0;
-    rt_last_seen = Array.make nprocs Timestamp.never_seen;
-    rt_history = Hashtbl.create 16;
-    incarnation = 0;
-    vm_inc_seen = Array.make nprocs (-1);
-    vm_log = [];
-    switch_inc = 0;
-    backups = [];
-    replica = None;
-    failovers = 0;
   }
 
 let make_barrier ~bid ~nprocs ~participants ~manager ~ranges =
@@ -85,7 +61,6 @@ let make_barrier ~bid ~nprocs ~participants ~manager ~ranges =
     manager;
     episode = 0;
     arrived = [];
-    crossings = 0;
   }
 
 let lock_bound_bytes l = Range.total_bytes l.ranges
@@ -114,12 +89,3 @@ let rec insert r = function
       else hd :: insert r rest
 
 let enqueue_request r = r.r_lock.pending <- insert r r.r_lock.pending
-
-let rebind_lock l ~ranges =
-  l.ranges <- Range.normalize ranges;
-  (* RT: every processor must refetch the newly bound data. *)
-  Array.fill l.rt_last_seen 0 (Array.length l.rt_last_seen) Timestamp.never_seen;
-  Hashtbl.reset l.rt_history;
-  (* VM: bump the incarnation and force a diff-free full transfer. *)
-  l.incarnation <- l.incarnation + 1;
-  l.vm_log <- [ (l.incarnation - 1, Full_marker) ]

@@ -3,13 +3,13 @@
     Under entry consistency, every lock and barrier carries an explicit
     binding to the shared data it guards; crossing the synchronization
     point makes exactly that data consistent at the requester (paper,
-    section 3).  These records hold the protocol state that travels
-    conceptually with the object: ownership, the pending request queue,
-    per-processor consistency cursors (RT timestamps, VM incarnations),
-    and the VM update log.
+    section 3).  These records hold only the protocol state: the
+    binding, ownership, the holders and the pending request queue.
 
-    The state machines live in {!Runtime} (the protocol) and {!Detector}
-    (the cursors and the log); this module owns the plain data. *)
+    The state machine lives in {!Runtime}.  What a scheme remembers of a
+    lock's transfers (RT timestamp cursors, the VM incarnation log) is
+    {!Detector}'s, and so is a rebinding ({!Detector.rebind}); a lock's
+    crash replica is [Recovery]'s. *)
 
 type waker = at:int -> unit
 (** Resume a blocked processor fiber at a virtual time. *)
@@ -17,14 +17,6 @@ type waker = at:int -> unit
 type mode =
   | Exclusive  (** for writing: sole holder, ownership transfers *)
   | Shared  (** for reading: concurrent holders, each receives updates; ownership stays with the last writer *)
-
-type vm_log_entry =
-  | Pieces of Payload.vm_piece list
-      (** modifications collected for one incarnation *)
-  | Full_marker
-      (** the whole bound data was shipped at this incarnation (after a
-          rebinding, or because concatenated diffs exceeded the data);
-          requesters that missed it must receive full data too *)
 
 type lock = {
   lid : int;
@@ -34,31 +26,6 @@ type lock = {
   mutable free_at : int;  (** virtual time the lock last became free *)
   mutable pending : request list;  (** sorted by arrival, ties by processor *)
   mutable readers : int list;  (** processors currently holding the lock in shared mode *)
-  mutable acquires : int;
-  (* RT-DSM *)
-  rt_last_seen : Timestamp.t array;  (** per-processor consistency cursor *)
-  rt_history : (int, Timestamp.t) Hashtbl.t;
-      (** update-queue trapping mode only: line address -> newest stamp, the
-          sparse update history that replaces full scans *)
-  (* VM-DSM *)
-  mutable incarnation : int;
-  vm_inc_seen : int array;  (** per-processor last incarnation observed *)
-  mutable vm_log : (int * vm_log_entry) list;  (** newest first, trimmed to a window *)
-  mutable switch_inc : int;
-      (** the incarnation as of the last per-region backend switch (0 if
-          never switched).  Epoch bumps up to this watermark were forced
-          by the switch itself; only [incarnation > switch_inc] means the
-          application actually rebound the lock — the adaptive policy's
-          rebinding signal, so its own switches do not read as
-          rebinding-heavy workload behaviour *)
-  (* crash recovery (armed by [Config.crash]; inert otherwise) *)
-  mutable backups : int list;
-      (** processors holding a replica of the bound data, freshest first *)
-  mutable replica : (int * Payload.vm_piece list) option;
-      (** (epoch, snapshot) shipped to the backups at the last release;
-          the epoch is the lock's incarnation at replication time, so a
-          failover can tell a current replica from a stale one *)
-  mutable failovers : int;  (** quorum ownership transfers performed *)
 }
 
 (** A processor's request for a lock.  Each processor has one, built
@@ -89,7 +56,6 @@ type barrier = {
           lowest live processor when the manager crash-stops *)
   mutable episode : int;
   mutable arrived : arrival list;  (** current episode, arrival order *)
-  mutable crossings : int;
 }
 
 val make_lock : lid:int -> nprocs:int -> owner:int -> ranges:Range.t list -> lock
@@ -108,10 +74,3 @@ val request : proc:int -> request
 val enqueue_request : request -> unit
 (** Insert into its lock's [pending] keeping arrival-time order (ties by
     processor id for determinism). *)
-
-val rebind_lock : lock -> ranges:Range.t list -> unit
-(** Change the data bound to the lock (quicksort's task pattern).  Under
-    RT the per-processor cursors reset so the next transfer ships all
-    bound lines; under VM the incarnation is bumped and a {!Full_marker}
-    recorded so the next transfer ships all bound data without diffing —
-    both as described in section 4. *)

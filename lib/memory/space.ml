@@ -1,4 +1,5 @@
 module Pow2 = Midway_util.Pow2
+module Grow = Midway_util.Grow
 
 type addr = int
 
@@ -103,18 +104,10 @@ let find_region t a =
 
 let regions t = List.rev t.region_list
 
-let grow_region_table t idx =
-  let cap = Array.length t.regions in
-  if idx >= cap then begin
-    let fresh = Array.make (max (idx + 1) (cap * 2)) t.regions.(0) in
-    Array.blit t.regions 0 fresh 0 cap;
-    t.regions <- fresh
-  end
-
 let new_region t ~kind ~line_size =
   let idx = t.next_index in
   t.next_index <- idx + 1;
-  grow_region_table t idx;
+  t.regions <- Grow.array t.regions idx ~fill:t.regions.(0);
   let r =
     Region.create ~index:idx ~kind ~line_size ~region_size:t.region_size ~nprocs:t.nprocs
   in

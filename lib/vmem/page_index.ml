@@ -1,3 +1,5 @@
+module Grow = Midway_util.Grow
+
 let chunk_bits = 12
 
 let chunk_mask = (1 lsl chunk_bits) - 1
@@ -18,20 +20,14 @@ let[@inline] get t number =
     if lo < Array.length chunk then Array.unsafe_get chunk lo else t.absent
   else t.absent
 
-(* At least double [a], to hold index [i], within [cap] entries. *)
-let grown a i ~cap ~fill =
-  let fresh = Array.make (Int.min cap (Int.max (i + 1) (2 * Array.length a))) fill in
-  Array.blit a 0 fresh 0 (Array.length a);
-  fresh
-
 let set t number v =
   if number < 0 then invalid_arg "Page_index.set: negative page number";
   let hi = number lsr chunk_bits and lo = number land chunk_mask in
-  if hi >= Array.length t.dir then t.dir <- grown t.dir hi ~cap:max_int ~fill:[||];
+  t.dir <- Grow.array t.dir hi ~fill:[||];
   let chunk = t.dir.(hi) in
   if lo < Array.length chunk then chunk.(lo) <- v
   else if v != t.absent then begin
-    let chunk = grown chunk (Int.max lo 7) ~cap:(chunk_mask + 1) ~fill:t.absent in
+    let chunk = Grow.array chunk (Int.max lo 7) ~cap:(chunk_mask + 1) ~fill:t.absent in
     chunk.(lo) <- v;
     t.dir.(hi) <- chunk
   end

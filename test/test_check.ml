@@ -18,7 +18,6 @@ module Range = Midway.Range
 module Binding_index = Midway_check.Binding_index
 module Diag = Midway_check.Diag
 module Report = Midway_check.Report
-module Check = Midway_check.Check
 module Suite = Midway_report.Suite
 module Outcome = Midway_apps.Outcome
 

@@ -8,6 +8,7 @@ module Dirtybits = Midway.Dirtybits
 module Vm_state = Midway.Vm_state
 module Payload = Midway.Payload
 module Sync = Midway.Sync
+module Detector = Midway.Detector
 module Config = Midway.Config
 module Region = Midway_memory.Region
 module Space = Midway_memory.Space
@@ -918,19 +919,44 @@ let test_lock_queue_tiebreak_determinism () =
   Alcotest.(check (list (pair int int))) "descending insertion" expected (build [ 3; 2; 1 ]);
   Alcotest.(check (list (pair int int))) "shuffled insertion" expected (build [ 2; 3; 1 ])
 
+(* Two processors' detector state over one 64-byte shared area of 8-byte
+   lines, with p0's detectors of both history schemes. *)
+let detector_env ?(rt_mode = Config.Plain) () =
+  let space = Space.create ~region_size:65536 ~nprocs:2 () in
+  let a = Space.alloc space ~kind:Region.Shared ~line_size:8 64 in
+  let cfg = { (Config.make Config.Rt ~nprocs:2) with Config.rt_mode } in
+  let counters = Array.init 2 (fun _ -> Counters.create ()) in
+  let env = Detector.env cfg space ~counters ~reliable:false in
+  (space, a, env, Detector.create env ~proc:0 Config.Rt, Detector.create env ~proc:0 Config.Vm)
+
 let test_rebind_resets_history () =
-  let l = Sync.make_lock ~lid:0 ~nprocs:2 ~owner:0 ~ranges:[ Range.v 0 8 ] in
-  l.Sync.rt_last_seen.(1) <- 77;
-  l.Sync.incarnation <- 5;
-  l.Sync.vm_log <- [ (4, Sync.Pieces []) ];
-  Hashtbl.replace l.Sync.rt_history 0 42;
-  Sync.rebind_lock l ~ranges:[ Range.v 100 16 ];
-  Alcotest.(check int) "cursor reset" Timestamp.never_seen l.Sync.rt_last_seen.(1);
-  Alcotest.(check int) "per-line history cleared" 0 (Hashtbl.length l.Sync.rt_history);
-  Alcotest.(check int) "incarnation bumped" 6 l.Sync.incarnation;
-  Alcotest.(check bool) "full marker recorded" true
-    (match l.Sync.vm_log with [ (5, Sync.Full_marker) ] -> true | _ -> false);
+  let space, a, env, rt, vm = detector_env ~rt_mode:Config.Update_queue () in
+  let l = Sync.make_lock ~lid:0 ~nprocs:2 ~owner:0 ~ranges:[ Range.v a 8 ] in
+  (* p0 ships its write to p1: p1's cursor moves past it, and the update
+     queue's per-line history records the line. *)
+  Space.set_int space ~proc:0 a 7;
+  ignore (Detector.trap rt ~region:(Space.region_of_addr space a) ~addr:a ~len:8);
+  let _, _, stamp = Detector.collect_lock rt l ~for_:1 in
+  Detector.advance rt l ~requester:1 stamp;
+  Detector.rebind env l ~ranges:[ Range.v a 16 ];
+  Alcotest.(check bool) "cursor reset" true (Detector.ships_full rt l ~for_:1);
+  let payload, _, _ = Detector.collect_lock rt l ~for_:1 in
+  Alcotest.(check bool) "per-line history cleared" true (payload = Payload.Empty);
+  Alcotest.(check int) "incarnation bumped" 1 (Detector.incarnation env l);
+  Alcotest.(check bool) "full marker recorded" true (Detector.ships_full vm l ~for_:1);
   Alcotest.(check int) "new binding" 16 (Sync.lock_bound_bytes l)
+
+(* The adaptive policy's rebinding input counts the application's
+   rebindings only, under both history schemes. *)
+let test_switch_watermark () =
+  let _, a, env, rt, vm = detector_env () in
+  let l = Sync.make_lock ~lid:0 ~nprocs:2 ~owner:0 ~ranges:[ Range.v a 8 ] in
+  let rebound () = (Detector.ships_full rt l ~for_:1, Detector.ships_full vm l ~for_:1) in
+  Alcotest.(check (pair bool bool)) "a first transfer" (false, false) (rebound ());
+  Detector.rebind env ~switch:true l ~ranges:l.Sync.ranges;
+  Alcotest.(check (pair bool bool)) "a switch's rebinding" (false, false) (rebound ());
+  Detector.rebind env l ~ranges:l.Sync.ranges;
+  Alcotest.(check (pair bool bool)) "a later application rebinding" (true, true) (rebound ())
 
 let test_barrier_validation () =
   Alcotest.check_raises "participants" (Invalid_argument "Sync.make_barrier: participants out of range")
@@ -1111,6 +1137,7 @@ let () =
           Alcotest.test_case "queue tie-break determinism" `Quick
             test_lock_queue_tiebreak_determinism;
           Alcotest.test_case "rebind resets history" `Quick test_rebind_resets_history;
+          Alcotest.test_case "switch watermark" `Quick test_switch_watermark;
           Alcotest.test_case "barrier validation" `Quick test_barrier_validation;
         ] );
       ( "trace",
