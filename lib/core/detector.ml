@@ -5,13 +5,6 @@ module Cost_model = Midway_stats.Cost_model
 module Page_table = Midway_vmem.Page_table
 module Grow = Midway_util.Grow
 
-type entry =
-  | Pieces of Payload.vm_piece list  (* modifications collected for one incarnation *)
-  | Full_marker
-      (* the whole bound data was shipped at this incarnation (after a
-         rebinding, or because concatenated diffs exceeded the data):
-         requesters that missed it must receive full data too *)
-
 (* What both history schemes remember of one lock's transfers.  Every
    detector of the machine shares it: in Midway it travels with the
    lock's ownership. *)
@@ -20,9 +13,8 @@ type lock_history = {
   rt_history : (int, Timestamp.t) Hashtbl.t;
       (* update-queue mode only: line address -> newest stamp, the sparse
          update history that replaces full scans *)
-  mutable incarnation : int;
+  log : Update_log.t;  (* the incarnation log, and the lock's incarnation *)
   vm_inc_seen : int array;  (* incarnation log: per-processor last incarnation observed *)
-  mutable vm_log : (int * entry) list;  (* newest first, trimmed to a window *)
   mutable switch_inc : int;
       (* the incarnation as of the last per-region backend switch (0 if
          never switched).  Epoch bumps up to it were forced by a switch;
@@ -56,17 +48,16 @@ let env (cfg : Config.t) space ~counters ~reliable =
     histories = [||];
   }
 
-let fresh_history nprocs ~lines =
+let fresh_history nprocs ~lines ~window =
   {
     rt_last_seen = Array.make nprocs Timestamp.never_seen;
     rt_history = lines;
-    incarnation = 0;
+    log = Update_log.create ~window;
     vm_inc_seen = Array.make nprocs (-1);
-    vm_log = [];
     switch_inc = 0;
   }
 
-let no_history = fresh_history 0 ~lines:(Hashtbl.create 16)
+let no_history = fresh_history 0 ~lines:(Hashtbl.create 16) ~window:1
 
 let new_history env lid =
   env.histories <- Grow.array env.histories lid ~fill:no_history;
@@ -75,7 +66,7 @@ let new_history env lid =
   let lines =
     if env.cfg.rt_mode = Config.Update_queue then Hashtbl.create 16 else no_history.rt_history
   in
-  let h = fresh_history env.cfg.nprocs ~lines in
+  let h = fresh_history env.cfg.nprocs ~lines ~window:env.cfg.update_log_window in
   env.histories.(lid) <- h;
   h
 
@@ -93,11 +84,10 @@ let rebind env ?(switch = false) (l : Sync.lock) ~ranges =
   Array.fill h.rt_last_seen 0 (Array.length h.rt_last_seen) Timestamp.never_seen;
   Hashtbl.reset h.rt_history;
   (* VM: bump the incarnation and force a diff-free full transfer. *)
-  h.incarnation <- h.incarnation + 1;
-  h.vm_log <- [ (h.incarnation - 1, Full_marker) ];
-  if switch then h.switch_inc <- h.incarnation
+  Update_log.rebind h.log;
+  if switch then h.switch_inc <- Update_log.incarnation h.log
 
-let incarnation env l = (lock_history env l).incarnation
+let incarnation env l = Update_log.incarnation (lock_history env l).log
 
 let electable = function
   | Config.Rt | Config.Vm | Config.Twin | Config.Blast -> true
@@ -118,7 +108,9 @@ type stamps = {
   (* the scan → gather path's callbacks, built once *)
   region_of : int -> Region.t;
   push_run : addr:int -> len:int -> ts:Timestamp.t -> fresh:bool -> lines:int -> unit;
-  read_run : addr:int -> len:int -> Bytes.t;  (* a run's bytes out of this processor's memory *)
+  lock_payload : Payload.t;
+      (* a lock transfer's payload, built once: the gathered runs, whose
+         bytes the requester copies out of this processor's memory *)
 }
 
 type log = Pages of Vm_state.t | Twins of Twin_state.t
@@ -141,7 +133,7 @@ let stamps env ~proc ~mode ~faults =
     region_of = Space.region_of_addr env.space;
     push_run =
       (fun ~addr ~len ~ts ~fresh:_ ~lines -> Gather.push_run gather ~addr ~len ~ts ~descs:lines);
-    read_run = (fun ~addr ~len -> Space.read_bytes env.space ~proc addr ~len);
+    lock_payload = Payload.Rt_runs [ { Payload.runs = gather; source = Payload.Copy proc } ];
   }
 
 let create env ~proc backend =
@@ -225,15 +217,15 @@ let scan_cost (cfg : Config.t) (counts : Dirtybits.scan_counts) =
   + (counts.queue_entries * cost.dirtybit_read_dirty_ns)
 
 (* Close a gather over the bound [ranges]: account the bound and dirty
-   bytes and materialize the runs. *)
+   bytes. *)
 let gathered d s ~ranges =
   let c = d.counters in
   c.bound_bytes_scanned <- c.bound_bytes_scanned + Range.total_bytes (Range.normalize ranges);
-  c.dirty_bytes_found <- c.dirty_bytes_found + Gather.total_bytes s.gather;
-  Gather.to_rt_lines s.gather ~read:s.read_run
+  c.dirty_bytes_found <- c.dirty_bytes_found + Gather.total_bytes s.gather
 
 (* Scan the bound lines, stamping this processor's fresh modifications,
-   and gather the selected runs into lines: the scan → gather path. *)
+   and gather the selected runs: the scan → gather path.  Returns the
+   scan time. *)
 let scan_gather d s ~ranges ~stamp ~select =
   Gather.clear s.gather;
   let counts =
@@ -242,21 +234,30 @@ let scan_gather d s ~ranges ~stamp ~select =
   let c = d.counters in
   c.clean_dirtybits_read <- c.clean_dirtybits_read + counts.clean_reads;
   c.dirty_dirtybits_read <- c.dirty_dirtybits_read + counts.dirty_reads;
-  (gathered d s ~ranges, scan_cost d.env.cfg counts)
+  gathered d s ~ranges;
+  scan_cost d.env.cfg counts
 
-(* Install [stamp] on every line of [ranges]; returns the lines stamped. *)
+(* Install [stamp] on every line of [ranges], a region's stretch at a
+   time; returns the lines stamped. *)
 let stamp_ranges d s ranges ~stamp =
-  let lines = ref 0 in
-  List.iter
-    (fun (range : Range.t) ->
-      if not (Range.is_empty range) then
-        let region = region_of d range.Range.addr in
-        Range.iter_lines range ~line_size:region.Region.line_size ~f:(fun ~addr ~len:_ ->
-            incr lines;
-            Dirtybits.set_ts s.db ~region ~addr ~ts:stamp))
-    ranges;
-  d.counters.dirtybits_updated <- d.counters.dirtybits_updated + !lines;
-  !lines
+  let rec stamp_range lines addr limit =
+    if addr >= limit then lines
+    else begin
+      let region = region_of d addr in
+      let stop = Int.min limit (Region.base region + region.Region.region_size) in
+      let shift = region.Region.line_shift in
+      let n = ((stop - 1) lsr shift) - (addr lsr shift) + 1 in
+      Dirtybits.set_ts_run s.db ~region ~addr ~lines:n ~ts:stamp;
+      stamp_range (lines + n) stop limit
+    end
+  in
+  let lines =
+    List.fold_left
+      (fun lines (range : Range.t) -> stamp_range lines range.Range.addr (Range.limit range))
+      0 ranges
+  in
+  d.counters.dirtybits_updated <- d.counters.dirtybits_updated + lines;
+  lines
 
 let piece_range (p : Payload.vm_piece) = Range.v p.Payload.addr (Bytes.length p.Payload.data)
 
@@ -280,21 +281,22 @@ let shared_ranges d =
          | Region.Shared | Region.Private -> None)
 
 (* Update-queue trapping keeps no full scan, so third-party history comes
-   from the lock's sparse history table: record the fresh lines, then add
-   the history lines the requester missed.  Under the untargetted model
-   the history spans the whole space, so it lives on the machine. *)
-let queue_history d s h ~ranges ~last_seen ~stamp lines =
+   from the lock's sparse history table: record the fresh runs' lines,
+   then gather the history lines the requester missed after them.
+   Under the untargetted model the history spans the whole space, so it
+   lives on the machine.  Returns the history read time. *)
+let queue_history d s h ~ranges ~last_seen ~stamp =
   let history = if d.env.cfg.untargetted then d.env.global_history else h.rt_history in
+  let g = s.gather in
   (* The history is per line; expand each coalesced run back into its
      constituent lines. *)
-  List.iter
-    (fun (ln : Payload.rt_line) ->
-      let line_len = ln.len / ln.descs in
-      for i = 0 to ln.descs - 1 do
-        Hashtbl.replace history (ln.addr + (i * line_len)) ln.ts
-      done)
-    lines;
-  let extra = ref [] in
+  for i = 0 to Gather.length g - 1 do
+    let addr = Gather.addr g i and descs = Gather.descs g i and ts = Gather.ts g i in
+    let line_len = Gather.len g i / descs in
+    for k = 0 to descs - 1 do
+      Hashtbl.replace history (addr + (k * line_len)) ts
+    done
+  done;
   let extra_count = ref 0 in
   Hashtbl.iter
     (fun addr ts ->
@@ -302,13 +304,16 @@ let queue_history d s h ~ranges ~last_seen ~stamp lines =
       if ts > last_seen && ts <> stamp then begin
         let len = (region_of d addr).Region.line_size in
         if Range.clip (Range.v addr len) ~within:ranges <> [] then
-          extra := { Payload.addr; len; ts; data = s.read_run ~addr ~len; descs = 1 } :: !extra
+          Gather.push_run g ~addr ~len ~ts ~descs:1
       end)
     history;
   d.counters.clean_dirtybits_read <- d.counters.clean_dirtybits_read + !extra_count;
-  (lines @ List.rev !extra, !extra_count * d.env.cfg.cost.dirtybit_read_clean_ns)
+  !extra_count * d.env.cfg.cost.dirtybit_read_clean_ns
 
-let lines_payload lines = if lines = [] then Payload.Empty else Payload.Rt_lines lines
+(* A lock transfer's payload: the gathered runs, read from this
+   processor's memory by the apply that follows in the same host
+   step. *)
+let lock_payload s = if Gather.length s.gather = 0 then Payload.Empty else s.lock_payload
 
 let stamps_collect_lock d s (l : Sync.lock) ~for_ =
   let env = d.env in
@@ -318,12 +323,12 @@ let stamps_collect_lock d s (l : Sync.lock) ~for_ =
   let last_seen = if untargetted then env.global_seen.(for_) else h.rt_last_seen.(for_) in
   let stamp = next_stamp d in
   let diff_ns = match s.faults with None -> 0 | Some vm -> stamp_diff d s vm ~ranges ~stamp in
-  let lines, scan_ns = scan_gather d s ~ranges ~stamp ~select:(Dirtybits.Transfer last_seen) in
+  let scan_ns = scan_gather d s ~ranges ~stamp ~select:(Dirtybits.Transfer last_seen) in
   match Dirtybits.mode s.db with
-  | Config.Plain | Config.Two_level -> (lines_payload lines, diff_ns + scan_ns, stamp)
+  | Config.Plain | Config.Two_level -> (lock_payload s, diff_ns + scan_ns, stamp)
   | Config.Update_queue ->
-      let lines, history_ns = queue_history d s h ~ranges ~last_seen ~stamp lines in
-      (lines_payload lines, diff_ns + scan_ns + history_ns, stamp)
+      let history_ns = queue_history d s h ~ranges ~last_seen ~stamp in
+      (lock_payload s, diff_ns + scan_ns + history_ns, stamp)
 
 (* vm-fine barrier arrival: the fresh modifications are exactly the
    diffed pieces, so no scan is needed — stamp them and ship their
@@ -356,17 +361,25 @@ let stamp_pieces d s vm ~ranges ~stamp =
             Gather.push_line g ~addr ~len ~ts:stamp
           end))
     pieces;
-  (gathered d s ~ranges, diff_ns + !extra_ns)
+  gathered d s ~ranges;
+  diff_ns + !extra_ns
 
+(* A barrier arrival owns its runs and their bytes: it waits in the
+   mailbox while this processor, blocked, may still serve lock requests,
+   each of which refills the gather. *)
 let stamps_collect_barrier d s (b : Sync.barrier) =
   let ranges = b.Sync.branges in
   let stamp = next_stamp d in
-  let lines, ns =
+  let ns =
     match s.faults with
     | None -> scan_gather d s ~ranges ~stamp ~select:Dirtybits.Fresh_only
     | Some vm -> stamp_pieces d s vm ~ranges ~stamp
   in
-  (lines_payload lines, ns, stamp)
+  let payload =
+    if Gather.length s.gather = 0 then Payload.Empty
+    else Payload.Rt_runs [ Payload.snapshot d.env.space ~proc:d.proc s.gather ]
+  in
+  (payload, ns, stamp)
 
 let note_history d addr ts =
   let h = d.env.global_history in
@@ -374,96 +387,98 @@ let note_history d addr ts =
   | Some old when old >= ts -> ()
   | _ -> Hashtbl.replace h addr ts
 
-(* rt: install the lines and their stamps. *)
-let apply_lines d db (lines : Payload.rt_line list) =
-  let cfg = d.env.cfg in
-  let cost = cfg.cost in
-  let space = d.env.space in
-  (* With the reliable channel armed, protocol retries can replay a
-     logical update: a line whose installed stamp already reaches the
-     incoming one is stale and skipped.  The test never runs on a
-     fault-free fabric, keeping those runs bit-identical to the seed. *)
-  let guard_stale = d.env.guard_stale in
-  let track_history = cfg.untargetted && cfg.rt_mode = Config.Update_queue in
-  let apply_ns = ref 0 in
-  List.iter
-    (fun (ln : Payload.rt_line) ->
-      let region = region_of d ln.addr in
-      let line_len = ln.len / ln.descs in
-      (* Costs are charged per line: copy_cost_ns floors an integer
-         division, so charging the run as one block would drift from the
-         per-line total. *)
-      let per_line_ns =
-        cost.dirtybit_update_ns + Cost_model.apply_line_ns
-        + Cost_model.copy_cost_ns cost ~bytes:line_len ~warm:true
-      in
-      if not guard_stale then begin
-        (* Fast path: install the whole run with one blit and one
-           timestamp sweep. *)
-        Space.write_bytes space ~proc:d.proc ln.addr ln.data;
-        Dirtybits.set_ts_run db ~region ~addr:ln.addr ~lines:ln.descs ~ts:ln.ts;
-        if track_history then
-          for i = 0 to ln.descs - 1 do
-            note_history d (ln.addr + (i * line_len)) ln.ts
+(* rt: install each part's runs and their stamps. *)
+let rec apply_runs d db apply_ns = function
+  | [] -> apply_ns
+  | (part : Payload.rt_runs) :: rest ->
+      let cfg = d.env.cfg in
+      let cost = cfg.cost in
+      let space = d.env.space and proc = d.proc in
+      (* With the reliable channel armed, protocol retries can replay a
+         logical update: a line whose installed stamp already reaches the
+         incoming one is stale and skipped.  The test never runs on a
+         fault-free fabric, keeping those runs bit-identical to the seed. *)
+      let guard_stale = d.env.guard_stale in
+      let track_history = cfg.untargetted && cfg.rt_mode = Config.Update_queue in
+      let g = part.Payload.runs in
+      let apply_ns = ref apply_ns and off = ref 0 in
+      for i = 0 to Gather.length g - 1 do
+        let addr = Gather.addr g i and len = Gather.len g i in
+        let ts = Gather.ts g i and descs = Gather.descs g i in
+        let region = region_of d addr in
+        let line_len = len / descs in
+        (* Costs are charged per line: copy_cost_ns floors an integer
+           division, so charging the run as one block would drift from the
+           per-line total. *)
+        let per_line_ns =
+          cost.dirtybit_update_ns + Cost_model.apply_line_ns
+          + Cost_model.copy_cost_ns cost ~bytes:line_len ~warm:true
+        in
+        if not guard_stale then begin
+          (* Fast path: install the whole run with one copy and one
+             timestamp fill. *)
+          Payload.install space ~proc part ~addr ~off:!off ~len;
+          Dirtybits.set_ts_run db ~region ~addr ~lines:descs ~ts;
+          if track_history then
+            for k = 0 to descs - 1 do
+              note_history d (addr + (k * line_len)) ts
+            done;
+          d.counters.dirtybits_updated <- d.counters.dirtybits_updated + descs;
+          apply_ns := !apply_ns + (descs * per_line_ns)
+        end
+        else
+          (* Replays may have installed some of the run's lines already,
+             so staleness is decided line by line. *)
+          for k = 0 to descs - 1 do
+            let line = addr + (k * line_len) in
+            let stale =
+              let cur = Dirtybits.line_ts db ~region ~addr:line in
+              Timestamp.is_stamp cur && cur >= ts
+            in
+            if stale then
+              d.counters.duplicates_suppressed <- d.counters.duplicates_suppressed + 1
+            else begin
+              Payload.install space ~proc part ~addr:line ~off:(!off + (k * line_len))
+                ~len:line_len;
+              Dirtybits.set_ts db ~region ~addr:line ~ts;
+              if track_history then note_history d line ts;
+              d.counters.dirtybits_updated <- d.counters.dirtybits_updated + 1;
+              apply_ns := !apply_ns + per_line_ns
+            end
           done;
-        d.counters.dirtybits_updated <- d.counters.dirtybits_updated + ln.descs;
-        apply_ns := !apply_ns + (ln.descs * per_line_ns)
-      end
-      else
-        (* Replays may have installed some of the run's lines already, so
-           staleness is decided line by line. *)
-        for i = 0 to ln.descs - 1 do
-          let addr = ln.addr + (i * line_len) in
-          let stale =
-            let cur = Dirtybits.line_ts db ~region ~addr in
-            Timestamp.is_stamp cur && cur >= ln.ts
-          in
-          if stale then
-            d.counters.duplicates_suppressed <- d.counters.duplicates_suppressed + 1
-          else begin
-            Space.write_bytes space ~proc:d.proc addr (Bytes.sub ln.data (i * line_len) line_len);
-            Dirtybits.set_ts db ~region ~addr ~ts:ln.ts;
-            if track_history then note_history d addr ln.ts;
-            d.counters.dirtybits_updated <- d.counters.dirtybits_updated + 1;
-            apply_ns := !apply_ns + per_line_ns
-          end
-        done)
-    lines;
-  !apply_ns
+        off := !off + len
+      done;
+      apply_runs d db !apply_ns rest
 
 (* vm-fine: the data lands in memory and in any twin of a dirty page,
-   then the stamps install as at an rt requester.  Runs are split back
-   into per-line pieces: the copy cost model floors an integer division
-   per piece, so applying a run as one block would drift from the
-   per-line total. *)
-let apply_lines_paged d db vm (lines : Payload.rt_line list) =
-  let cfg = d.env.cfg in
-  let pieces =
-    List.concat_map
-      (fun (ln : Payload.rt_line) ->
-        if ln.Payload.descs = 1 then [ { Payload.addr = ln.addr; data = ln.data } ]
-        else begin
-          let line_len = ln.len / ln.descs in
-          List.init ln.descs (fun i ->
-              {
-                Payload.addr = ln.addr + (i * line_len);
-                data = Bytes.sub ln.data (i * line_len) line_len;
-              })
-        end)
-      lines
-  in
-  let copy_ns =
-    Vm_state.apply_pieces vm ~space:d.env.space ~proc:d.proc ~counters:d.counters ~cost:cfg.cost
-      pieces
-  in
-  List.fold_left
-    (fun acc (ln : Payload.rt_line) ->
-      let region = region_of d ln.Payload.addr in
-      Dirtybits.set_ts_run db ~region ~addr:ln.Payload.addr ~lines:ln.Payload.descs
-        ~ts:ln.Payload.ts;
-      d.counters.dirtybits_updated <- d.counters.dirtybits_updated + ln.Payload.descs;
-      acc + (ln.Payload.descs * (cfg.cost.dirtybit_update_ns + Cost_model.apply_line_ns)))
-    copy_ns lines
+   then the stamps install as at an rt requester.  Runs apply line by
+   line, as pieces: the copy cost model floors an integer division per
+   piece, so applying a run as one block would drift from the per-line
+   total. *)
+let rec apply_runs_paged d db vm apply_ns = function
+  | [] -> apply_ns
+  | (part : Payload.rt_runs) :: rest ->
+      let cfg = d.env.cfg in
+      let space = d.env.space and proc = d.proc and counters = d.counters in
+      let g = part.Payload.runs in
+      let apply_ns = ref apply_ns and off = ref 0 in
+      for i = 0 to Gather.length g - 1 do
+        let addr = Gather.addr g i and len = Gather.len g i and descs = Gather.descs g i in
+        let line_len = len / descs in
+        for k = 0 to descs - 1 do
+          let line = addr + (k * line_len) in
+          Payload.install space ~proc part ~addr:line ~off:(!off + (k * line_len)) ~len:line_len;
+          apply_ns :=
+            !apply_ns
+            + Vm_state.applied vm ~space ~proc ~counters ~cost:cfg.cost ~addr:line ~len:line_len
+        done;
+        Dirtybits.set_ts_run db ~region:(region_of d addr) ~addr ~lines:descs ~ts:(Gather.ts g i);
+        counters.dirtybits_updated <- counters.dirtybits_updated + descs;
+        apply_ns :=
+          !apply_ns + (descs * (cfg.cost.dirtybit_update_ns + Cost_model.apply_line_ns));
+        off := !off + len
+      done;
+      apply_runs_paged d db vm !apply_ns rest
 
 (* A crash replica is authoritative regardless of local stamps (it
    bypasses the staleness guard on purpose): its lines are stamped newer
@@ -517,30 +532,6 @@ let stamps_invariants d s ~unowned =
 (* Incarnation log (vm, twin)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The log is the lock's last [update_log_window] incarnations.  Its
-   entries are consecutive, newest first, so the window is the entries
-   from [h.incarnation - window] on; older ones are kept until the list
-   doubles, and trimmed then, so that recording an entry does not copy
-   the window. *)
-let in_window (cfg : Config.t) h inc = inc >= h.incarnation - cfg.update_log_window
-
-let trim_log (cfg : Config.t) log =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  if List.compare_length_with log (2 * cfg.update_log_window) <= 0 then log
-  else take cfg.update_log_window log
-
-(* A rebinding in (seen, current) forces a *diff-free* full transfer:
-   the paper's VM-DSM ships all bound data "without performing a diff"
-   when the binding changed (section 4, quicksort).  This is decidable
-   from the log alone, before any diffing. *)
-let rebound_since cfg h ~seen =
-  seen < h.incarnation
-  && List.exists (fun (inc, e) -> inc > seen && e = Full_marker && in_window cfg h inc) h.vm_log
-
 (* Diff the bound data against the dirty pages' twins or the object's
    twin. *)
 let log_diff d log ~id ~ranges =
@@ -549,20 +540,19 @@ let log_diff d log ~id ~ranges =
   | Pages vm -> Vm_state.collect vm ~space ~proc:d.proc ~counters:d.counters ~cost ~ranges
   | Twins tw -> Twin_state.collect tw ~space ~proc:d.proc ~counters:d.counters ~cost ~id ~ranges
 
-(* Log this incarnation's collection and start the next one. *)
-let record (cfg : Config.t) h entry =
-  h.vm_log <- trim_log cfg ((h.incarnation, entry) :: h.vm_log);
-  h.incarnation <- h.incarnation + 1
-
+(* A rebinding in (seen, current) forces a *diff-free* full transfer:
+   the paper's VM-DSM ships all bound data "without performing a diff"
+   when the binding changed (section 4, quicksort).  This is decidable
+   from the log alone, before any diffing. *)
 let log_collect_lock d log (l : Sync.lock) ~for_ =
-  let cfg = d.env.cfg in
   let space = d.env.space in
   let h = lock_history d.env l in
+  let ul = h.log in
   let bound = Sync.lock_bound_bytes l in
-  let this_inc = h.incarnation in
+  let this_inc = Update_log.incarnation ul in
   let seen = h.vm_inc_seen.(for_) in
   d.counters.bound_bytes_scanned <- d.counters.bound_bytes_scanned + bound;
-  if rebound_since cfg h ~seen then begin
+  if Update_log.rebound_since ul ~seen then begin
     (* Diff-free full transfer after a rebinding: ship the releaser's
        current bound data as is. *)
     (match log with
@@ -580,32 +570,25 @@ let log_collect_lock d log (l : Sync.lock) ~for_ =
         (* Re-snapshot the twin so the next comparison starts from the
            shipped state. *)
         Twin_state.refresh tw ~space ~proc:d.proc ~id:l.Sync.lid ~ranges:l.Sync.ranges);
-    record cfg h Full_marker;
+    Update_log.record_full ul;
     d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + bound;
     (Payload.Vm_full (read_bound d l.Sync.ranges), 0, this_inc)
   end
   else begin
     let pieces, diff_ns = log_diff d log ~id:l.Sync.lid ~ranges:l.Sync.ranges in
-    record cfg h (Pieces pieces);
-    d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + Payload.pieces_bytes pieces;
+    let bytes = Payload.pieces_bytes pieces in
+    Update_log.record ul pieces ~bytes;
+    d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + bytes;
     let payload =
       if seen >= this_inc then Payload.Empty
-      else begin
-        let pieces_of = function Pieces p -> p | Full_marker -> [] in
-        let taken = List.filter (fun (inc, _) -> inc > seen && in_window cfg h inc) h.vm_log in
+      else if
         (* The log window may no longer reach back to the requester's
            cursor ("Midway's implementation of VM-DSM does not save all
            the updates"): then, or when the concatenated updates exceed
            the bound data, all of the bound data is sent instead. *)
-        let covered = List.length taken = this_inc - seen in
-        let updates =
-          List.rev_map (fun (_, e) -> pieces_of e) taken
-          (* rev_map of newest-first gives oldest-first, the application order *)
-        in
-        let bytes = List.fold_left (fun acc u -> acc + Payload.pieces_bytes u) 0 updates in
-        if (not covered) || bytes > bound then Payload.Vm_full (read_bound d l.Sync.ranges)
-        else Payload.Vm_updates updates
-      end
+        (not (Update_log.covers ul ~seen)) || Update_log.update_bytes ul ~seen > bound
+      then Payload.Vm_full (read_bound d l.Sync.ranges)
+      else Payload.Vm_updates (Update_log.updates ul ~seen)
     in
     (payload, diff_ns, this_inc)
   end
@@ -630,7 +613,7 @@ let log_apply d log ~id ~ranges payload =
       List.fold_left (fun acc u -> acc + log_apply_pieces d log ~id ~ranges u) 0 updates
   | Payload.Vm_full pieces -> log_apply_pieces d log ~id ~ranges pieces
   | Payload.Empty -> 0
-  | Payload.Rt_lines _ | Payload.Blast_data _ -> invalid_arg "Detector.apply: wrong payload kind"
+  | Payload.Rt_runs _ | Payload.Blast_data _ -> invalid_arg "Detector.apply: wrong payload kind"
 
 (* Every dirty page must have a twin. *)
 let pages_invariants d vm =
@@ -677,8 +660,8 @@ let collect_barrier d (b : Sync.barrier) =
 let apply d ~id ~ranges payload =
   match (d.history, payload) with
   | _, Payload.Empty -> 0
-  | Stamps { db; faults = None; _ }, Payload.Rt_lines lines -> apply_lines d db lines
-  | Stamps { db; faults = Some vm; _ }, Payload.Rt_lines lines -> apply_lines_paged d db vm lines
+  | Stamps { db; faults = None; _ }, Payload.Rt_runs parts -> apply_runs d db 0 parts
+  | Stamps { db; faults = Some vm; _ }, Payload.Rt_runs parts -> apply_runs_paged d db vm 0 parts
   | Log log, _ -> log_apply d log ~id ~ranges payload
   | Blast, Payload.Blast_data pieces -> blast_apply d pieces
   | _ -> invalid_arg "Detector.apply: payload/scheme mismatch"
@@ -702,10 +685,10 @@ let advance_barrier d cursor =
 
 let ships_full d l ~for_ =
   let h = lock_history d.env l in
-  h.incarnation > h.switch_inc
+  Update_log.incarnation h.log > h.switch_inc
   &&
   match d.history with
-  | Log _ -> rebound_since d.env.cfg h ~seen:h.vm_inc_seen.(for_)
+  | Log _ -> Update_log.rebound_since h.log ~seen:h.vm_inc_seen.(for_)
   | Stamps _ | Blast -> h.rt_last_seen.(for_) = Timestamp.never_seen
 
 let install_full d (l : Sync.lock) pieces =
@@ -714,7 +697,7 @@ let install_full d (l : Sync.lock) pieces =
   | Log log ->
       let ns = log_apply d log ~id:l.Sync.lid ~ranges:l.Sync.ranges (Payload.Vm_full pieces) in
       let h = lock_history d.env l in
-      h.vm_inc_seen.(d.proc) <- h.incarnation;
+      h.vm_inc_seen.(d.proc) <- Update_log.incarnation h.log;
       ns
   | Blast -> blast_apply d pieces
 

@@ -159,15 +159,19 @@ let set_ts t ~region ~addr ~ts =
   bump_group_max t tbl line ts
 
 (* Install one timestamp across [lines] consecutive lines starting at
-   [addr] — the apply side of a coalesced run (one table lookup for the
-   whole run). *)
+   [addr] — the apply side of a coalesced run: one table lookup and one
+   fill for the whole run, and each group's maximum updated once. *)
 let set_ts_run t ~region ~addr ~lines ~ts =
-  let first = line_index region addr in
-  let tbl = table_reaching t region (first + lines - 1) in
-  for line = first to first + lines - 1 do
-    tbl.ts.(line) <- ts;
-    bump_group_max t tbl line ts
-  done
+  if lines > 0 then begin
+    let first = line_index region addr in
+    let last = first + lines - 1 in
+    let tbl = table_reaching t region last in
+    Array.fill tbl.ts first lines ts;
+    if t.mode = Config.Two_level then
+      for g = first lsr t.group_shift to last lsr t.group_shift do
+        if ts > tbl.group_max.(g) then tbl.group_max.(g) <- ts
+      done
+  end
 
 let fresh_counts () =
   { clean_reads = 0; dirty_reads = 0; groups_skipped = 0; group_checks = 0; queue_entries = 0 }
@@ -180,19 +184,21 @@ let flush t emit =
     emit ~addr:r.r_addr ~len:r.r_len ~ts:r.r_ts ~fresh:r.r_fresh ~lines:r.r_lines
   end
 
-(* Per-line selection feeds the coalescer; discontiguity, a change of
-   timestamp/freshness, or a region boundary closes the pending run.  A
-   line visited twice (overlapping unmerged ranges) restarts a run
-   because its address does not extend the pending one, so nothing is
-   ever silently dropped. *)
-let emit_line t emit (region : Region.t) ~addr ~len ~ts ~fresh =
+(* Add [lines] lines from [addr] sharing a timestamp and freshness to
+   the pending run: they extend it when they continue it in the same
+   region, else they close it and start the next.  A line visited twice
+   (overlapping unmerged ranges) restarts a run because its address
+   does not extend the pending one, so nothing is ever silently
+   dropped. *)
+let extend_run t emit (region : Region.t) ~addr ~lines ~ts ~fresh =
   let r = t.run in
+  let len = lines * region.Region.line_size in
   if
     r.r_active && r.r_addr + r.r_len = addr && r.r_ts = ts && r.r_fresh = fresh
     && r.r_region = region.Region.index
   then begin
     r.r_len <- r.r_len + len;
-    r.r_lines <- r.r_lines + 1
+    r.r_lines <- r.r_lines + lines
   end
   else begin
     flush t emit;
@@ -201,31 +207,45 @@ let emit_line t emit (region : Region.t) ~addr ~len ~ts ~fresh =
     r.r_len <- len;
     r.r_ts <- ts;
     r.r_fresh <- fresh;
-    r.r_lines <- 1;
+    r.r_lines <- lines;
     r.r_region <- region.Region.index
   end
 
-(* Scan one line: stamp if locally dirty, emit per the selection. *)
-let visit_line t tbl counts ~region ~stamp ~select ~emit line =
-  let addr = Region.base region + (line * region.Region.line_size) in
-  let len = region.Region.line_size in
-  let v = tbl.ts.(line) in
-  if v = Timestamp.locally_dirty then begin
-    counts.dirty_reads <- counts.dirty_reads + 1;
-    tbl.ts.(line) <- stamp;
-    bump_group_max t tbl line stamp;
-    match select with
-    | Transfer last_seen ->
-        if stamp > last_seen then emit_line t emit region ~addr ~len ~ts:stamp ~fresh:true
-    | Fresh_only -> emit_line t emit region ~addr ~len ~ts:stamp ~fresh:true
-  end
-  else begin
-    counts.clean_reads <- counts.clean_reads + 1;
-    match select with
-    | Transfer last_seen ->
-        if v > last_seen then emit_line t emit region ~addr ~len ~ts:v ~fresh:false
-    | Fresh_only -> ()
-  end
+(* Scan lines [lo, hi] of [tbl] (in [Two_level] mode, lines of one
+   group) a maximal stretch of equal timestamps at a time: the stretch
+   is found by one compare per line, a locally dirty stretch is stamped
+   with one fill (and its group's maximum bumped once), and a selected
+   stretch joins the pending run in one step. *)
+let scan_lines t tbl counts ~(region : Region.t) ~stamp ~select ~emit lo hi =
+  let ts = tbl.ts in
+  let i = ref lo in
+  while !i <= hi do
+    let start = !i in
+    let v = Array.unsafe_get ts start in
+    let j = ref (start + 1) in
+    while !j <= hi && Array.unsafe_get ts !j = v do
+      incr j
+    done;
+    let n = !j - start in
+    let addr = Region.base region + (start * region.Region.line_size) in
+    if v = Timestamp.locally_dirty then begin
+      counts.dirty_reads <- counts.dirty_reads + n;
+      Array.fill ts start n stamp;
+      bump_group_max t tbl start stamp;
+      match select with
+      | Transfer last_seen ->
+          if stamp > last_seen then extend_run t emit region ~addr ~lines:n ~ts:stamp ~fresh:true
+      | Fresh_only -> extend_run t emit region ~addr ~lines:n ~ts:stamp ~fresh:true
+    end
+    else begin
+      counts.clean_reads <- counts.clean_reads + n;
+      match select with
+      | Transfer last_seen ->
+          if v > last_seen then extend_run t emit region ~addr ~lines:n ~ts:v ~fresh:false
+      | Fresh_only -> ()
+    end;
+    i := !j
+  done
 
 (* Two-level first-level check: may the whole group be skipped? *)
 let group_skippable tbl ~select g =
@@ -241,33 +261,24 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
   let tbl = table_reaching t region last in
   match t.mode with
   | Config.Plain | Config.Update_queue ->
-      for line = first to last do
-        visit_line t tbl counts ~region ~stamp ~select ~emit line
-      done
+      scan_lines t tbl counts ~region ~stamp ~select ~emit first last
   | Config.Two_level ->
-      let line = ref first in
-      while !line <= last do
-        let g = !line lsr t.group_shift in
+      for g = first lsr t.group_shift to last lsr t.group_shift do
         let g_first = g lsl t.group_shift in
         let g_last = Int.min (g_first + t.group - 1) (Region.lines region - 1) in
-        if !line = g_first && g_last <= last then begin
+        let lo = Int.max first g_first and hi = Int.min last g_last in
+        if lo = g_first && hi = g_last then begin
           (* Group fully covered by the scan: the first level applies. *)
           counts.group_checks <- counts.group_checks + 1;
           if group_skippable tbl ~select g then
             counts.groups_skipped <- counts.groups_skipped + 1
           else begin
-            for l = g_first to g_last do
-              visit_line t tbl counts ~region ~stamp ~select ~emit l
-            done;
+            scan_lines t tbl counts ~region ~stamp ~select ~emit lo hi;
             (* Every sentinel in the group has been stamped. *)
             Bytes.set tbl.l1 g '\000'
-          end;
-          line := g_last + 1
+          end
         end
-        else begin
-          visit_line t tbl counts ~region ~stamp ~select ~emit !line;
-          incr line
-        end
+        else scan_lines t tbl counts ~region ~stamp ~select ~emit lo hi
       done
 
 let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
@@ -295,15 +306,25 @@ let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
       let first = line_index region piece.Range.addr in
       let last = line_index region (Range.limit piece - 1) in
       let tbl = table_reaching t region last in
-      for line = first to last do
-        if tbl.ts.(line) <> stamp then begin
-          (* A queued entry means this processor wrote the line; stamp it
-             and emit (a transfer cursor is always below a fresh stamp). *)
-          counts.dirty_reads <- counts.dirty_reads + 1;
-          tbl.ts.(line) <- stamp;
-          emit_line t emit region
-            ~addr:(Region.base region + (line * region.Region.line_size))
-            ~len:region.Region.line_size ~ts:stamp ~fresh:true
+      let ts = tbl.ts in
+      let i = ref first in
+      while !i <= last do
+        if Array.unsafe_get ts !i = stamp then incr i
+        else begin
+          (* A queued entry means this processor wrote the stretch's
+             lines; stamp them and emit (a transfer cursor is always
+             below a fresh stamp).  Lines an earlier entry of this scan
+             stamped are not read again. *)
+          let start = !i in
+          while !i <= last && Array.unsafe_get ts !i <> stamp do
+            incr i
+          done;
+          let n = !i - start in
+          counts.dirty_reads <- counts.dirty_reads + n;
+          Array.fill ts start n stamp;
+          extend_run t emit region
+            ~addr:(Region.base region + (start * region.Region.line_size))
+            ~lines:n ~ts:stamp ~fresh:true
         end
       done)
     !consumed;

@@ -56,8 +56,9 @@ val set_ts : t -> region:Midway_memory.Region.t -> addr:int -> ts:Timestamp.t ->
 val set_ts_run :
   t -> region:Midway_memory.Region.t -> addr:int -> lines:int -> ts:Timestamp.t -> unit
 (** Install one timestamp across [lines] consecutive lines starting at
-    [addr] — the apply side of a coalesced run.  The run must lie within
-    one region. *)
+    [addr] — the apply side of a coalesced run, and a stamp install: one
+    fill, and in [Two_level] mode each group's maximum updated once.
+    The run must lie within one region. *)
 
 type scan_counts = {
   mutable clean_reads : int;  (** lines read and found stamped *)
@@ -89,9 +90,11 @@ val scan :
     per contiguous *run* of selected lines sharing a timestamp and
     freshness ([fresh] marks lines stamped by this scan; [lines] is the
     number of lines coalesced into the run, [len] their total bytes).
-    Selection and stamping are still per line — only the emission is
-    batched, so the covered addresses, timestamps and counts are exactly
-    those of a per-line emission.  [region_of] maps an address to its
+    The scan works a maximal stretch of equal timestamps at a time: one
+    compare per line finds it, one fill stamps it when it is locally
+    dirty, and it joins the pending run in one step.  The covered
+    addresses, timestamps and counts are exactly those of a per-line
+    visit and emission.  [region_of] maps an address to its
     region (runs never span regions).  In [Update_queue] mode only queued
     entries are visited: the caller is responsible for lines it received
     from third parties (see {!Detector}'s per-lock update-queue

@@ -1,11 +1,10 @@
 (* A reusable run accumulator for write collection.
 
    The dirtybit scan emits one call per contiguous run of lines; the
-   collectors push those runs here and materialize the payload once at
-   the end — one data read (a single blit) per run instead of one
-   [Bytes.sub] + list cons per line.  The arrays persist across
-   collections on a context, so steady-state collection allocates only
-   the final payload list. *)
+   collectors push those runs here, and a lock transfer's payload names
+   them as they are (see Payload).  The arrays persist across
+   collections on a context, so steady-state collection allocates
+   nothing. *)
 
 type t = {
   mutable addrs : int array;
@@ -24,12 +23,17 @@ let clear t =
   t.n <- 0;
   t.open_ <- false
 
-(* Close the current run: the next push_line starts a new one even if
-   contiguous.  Callers seal at region boundaries so a run never mixes
-   line sizes. *)
 let seal t = t.open_ <- false
 
 let length t = t.n
+
+let[@inline] addr t i = Array.unsafe_get t.addrs i
+
+let[@inline] len t i = Array.unsafe_get t.lens i
+
+let[@inline] ts t i = Array.unsafe_get t.tss i
+
+let[@inline] descs t i = Array.unsafe_get t.descs i
 
 let grow t =
   let fresh a = Midway_util.Grow.array a t.n ~fill:0 in
@@ -48,9 +52,6 @@ let push_run t ~addr ~len ~ts ~descs =
   t.n <- i + 1;
   t.open_ <- false
 
-(* Push one line, extending the previous run when it is contiguous and
-   carries the same timestamp (for collectors that visit lines
-   individually, e.g. from page-diff pieces). *)
 let push_line t ~addr ~len ~ts =
   let i = t.n - 1 in
   if
@@ -66,23 +67,18 @@ let push_line t ~addr ~len ~ts =
     t.open_ <- true
   end
 
-let total_bytes t =
-  let sum = ref 0 in
-  for i = 0 to t.n - 1 do
-    sum := !sum + Array.unsafe_get t.lens i
+let sum a n =
+  let s = ref 0 in
+  for i = 0 to n - 1 do
+    s := !s + Array.unsafe_get a i
   done;
-  !sum
+  !s
 
-(* Materialize the accumulated runs, in push order.  [read] snapshots the
-   run's data (memory is quiescent during a collection, so reading at the
-   end observes the same bytes as reading at each emit). *)
-let to_rt_lines t ~read =
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      let addr = t.addrs.(i) and len = t.lens.(i) in
-      build (i - 1)
-        ({ Payload.addr; len; ts = t.tss.(i); data = read ~addr ~len; descs = t.descs.(i) }
-        :: acc)
-  in
-  build (t.n - 1) []
+let total_bytes t = sum t.lens t.n
+
+let descriptors t = sum t.descs t.n
+
+let copy t =
+  let n = t.n in
+  { addrs = Array.sub t.addrs 0 n; lens = Array.sub t.lens 0 n; tss = Array.sub t.tss 0 n;
+    descs = Array.sub t.descs 0 n; n; open_ = false }

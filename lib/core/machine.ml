@@ -121,6 +121,12 @@ let validate (cfg : Config.t) =
       "ecsan assumes targetted entry consistency (any lock transfer makes everything \
        consistent under the untargetted model, so binding checks do not apply)"
   else if cfg.trace_capacity < 0 then Error "negative trace_capacity"
+  else if cfg.update_log_window < 1 then
+    Error
+      (Printf.sprintf
+         "update_log_window must be at least 1, got %d (the VM incarnation log keeps that many \
+          incarnations of updates per lock)"
+         cfg.update_log_window)
   else
     match missing_proc with
     | Some e ->

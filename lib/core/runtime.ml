@@ -541,9 +541,9 @@ let barrier_release t (b : Sync.barrier) =
   let payload_for p =
     (* Everything the other participants produced, in processor order. *)
     let parts = List.filter (fun a -> a.Sync.a_proc <> p) arrivals in
-    let rt_lines =
+    let rt_parts =
       List.concat_map
-        (fun a -> match a.Sync.a_payload with Payload.Rt_lines ls -> ls | _ -> [])
+        (fun a -> match a.Sync.a_payload with Payload.Rt_runs ps -> ps | _ -> [])
         parts
     in
     let vm_pieces =
@@ -551,7 +551,7 @@ let barrier_release t (b : Sync.barrier) =
         (fun a -> match a.Sync.a_payload with Payload.Vm_full ps -> ps | _ -> [])
         parts
     in
-    if rt_lines <> [] then Payload.Rt_lines rt_lines
+    if rt_parts <> [] then Payload.Rt_runs rt_parts
     else if vm_pieces <> [] then Payload.Vm_full vm_pieces
     else Payload.Empty
   in

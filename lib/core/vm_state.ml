@@ -19,14 +19,16 @@ type t = {
   pt : Page_table.t;
   shift : int;  (* [Page_table.page_shift pt] *)
   pending : pending_page Page_index.t;  (* page number -> saved diff *)
-  mutable spare_twins : Bytes.t list;
-      (* buffers of cleaned pages' twins, for the next faults; at most
-         [max_spare_twins] *)
+  spare : Bytes.t array;
+      (* the page-buffer pool: [spare.(0 .. nspare-1)] are buffers of
+         cleaned pages' twins and emptied saved diffs' shadows, for the
+         next fault or saved diff *)
+  mutable nspare : int;
 }
 
 (* Enough for the pages a processor dirties between two transfers of a
    lock; a barrier cleaning more lets the rest go. *)
-let max_spare_twins = 16
+let max_spare = 16
 
 let create ~page_size =
   let pt = Page_table.create ~page_size in
@@ -34,12 +36,34 @@ let create ~page_size =
     pt;
     shift = Page_table.page_shift pt;
     pending = Page_index.create ~absent:no_saved;
-    spare_twins = [];
+    spare = Array.make max_spare Bytes.empty;
+    nspare = 0;
   }
 
 let page_table t = t.pt
 
 let page_size t = Page_table.page_size t.pt
+
+(* A page-sized buffer, from the pool when it holds one. *)
+let take_buffer t =
+  if t.nspare = 0 then Bytes.create (page_size t)
+  else begin
+    t.nspare <- t.nspare - 1;
+    let buf = t.spare.(t.nspare) in
+    t.spare.(t.nspare) <- Bytes.empty;
+    buf
+  end
+
+(* Keep a buffer no one reads any more, unless the pool is full. *)
+let give_buffer t buf =
+  if t.nspare < max_spare then begin
+    t.spare.(t.nspare) <- buf;
+    t.nspare <- t.nspare + 1
+  end
+
+(* A page's offset in the live copy [Space.backing_slice] returns:
+   regions are aligned to their size. *)
+let[@inline] live_offset space addr = addr land (Space.region_size space - 1)
 
 (* --- bitmaps ------------------------------------------------------------ *)
 
@@ -113,20 +137,14 @@ let next_bit map i hi flip =
 
 (* --- trapping ----------------------------------------------------------- *)
 
-(* A write fault on [page]: the twin is a copy of the page, in the
-   buffer of a twin dropped earlier when there is one. *)
+(* A write fault on [page]: the twin is a copy of the page, in a pooled
+   buffer when there is one. *)
 let fault_in t ~space ~proc ~counters ~cost ~addr page =
   let psize = page_size t in
   let base = addr land lnot (psize - 1) in
-  let current, cur_off = Space.backing_slice space ~proc base ~len:psize in
-  let twin =
-    match t.spare_twins with
-    | tw :: rest ->
-        t.spare_twins <- rest;
-        tw
-    | [] -> Bytes.create psize
-  in
-  Bytes.blit current cur_off twin 0 psize;
+  let current = Space.backing_slice space ~proc base ~len:psize in
+  let twin = take_buffer t in
+  Bytes.blit current (live_offset space base) twin 0 psize;
   Page_table.fault t.pt page ~twin;
   counters.Counters.write_faults <- counters.Counters.write_faults + 1;
   cost.Cost_model.page_fault_ns
@@ -146,13 +164,10 @@ let on_store t ~space ~proc ~counters ~cost ~addr ~len =
   done;
   !ns
 
-(* Clean a dirty page, keeping its twin's buffer for a later fault: no
-   one reads a twin once its page is clean. *)
+(* Clean a dirty page, pooling its twin's buffer: no one reads a twin
+   once its page is clean. *)
 let clean t (page : Page_table.page) =
-  (match page.Page_table.twin with
-  | Some tw when List.compare_length_with t.spare_twins max_spare_twins < 0 ->
-      t.spare_twins <- tw :: t.spare_twins
-  | Some _ | None -> ());
+  (match page.Page_table.twin with Some tw -> give_buffer t tw | None -> ());
   Page_table.clean t.pt page
 
 (* --- collection --------------------------------------------------------- *)
@@ -188,16 +203,15 @@ let rec iter_inside ranges lo hi f =
 
 (* Stash modified bytes [lo, hi) of page [number], which are *not* bound
    to the object being transferred, so a later transfer can ship them.
-   [current] is a live view of the page starting at [cur_off]. *)
+   [current] is a live view of the page starting at [cur_off].  A new
+   saved diff's shadow is a pooled page buffer. *)
 let save t number ~current ~cur_off ~page_base lo hi =
   let p =
     let p = Page_index.get t.pending number in
     if p != no_saved then p
     else begin
       let psize = page_size t in
-      let p =
-        { shadow = Bytes.create psize; saved = Bytes.make ((psize + 63) / 64 * 8) '\000' }
-      in
+      let p = { shadow = take_buffer t; saved = Bytes.make ((psize + 63) / 64 * 8) '\000' } in
       Page_index.set t.pending number p;
       p
     end
@@ -206,11 +220,14 @@ let save t number ~current ~cur_off ~page_base lo hi =
   set_bits p.saved (lo - page_base) (hi - page_base)
 
 (* Clear the saved bits of [lo, hi) (absolute) on page [number]; the page
-   leaves the table when none remains. *)
+   leaves the table when none remains, and its shadow goes to the
+   pool. *)
 let drop t number p lo hi =
   let page_base = number lsl t.shift in
-  if clear_bits p.saved (lo - page_base) (hi - page_base) && is_empty p.saved then
-    Page_index.set t.pending number no_saved
+  if clear_bits p.saved (lo - page_base) (hi - page_base) && is_empty p.saved then begin
+    Page_index.set t.pending number no_saved;
+    give_buffer t p.shadow
+  end
 
 (* The maximal saved runs of the page at [page_base] from page offset [i]
    (the start of one, or [until]) to [until], each a piece consed onto
@@ -247,60 +264,92 @@ let take_page t ranges number taken =
     let page_base = number lsl t.shift in
     take_inside t number p ranges page_base (page_base + page_size t) taken
 
-(* Ship the parts of modified bytes [lo, hi) of page [number] inside
-   [ranges] (onto [shipped], newest first) and stash the parts outside
-   them. *)
-let rec ship_or_save t number ~current ~cur_off ~page_base ~shipped ranges lo hi =
+(* One collection's state, built once per call: what every page needs,
+   the pieces shipped so far (newest first) and the page being diffed,
+   which the diff's runs arrive at through [ship_run]. *)
+type collecting = {
+  vm : t;
+  space : Space.t;
+  proc : int;
+  counters : Counters.t;
+  cost : Cost_model.t;
+  ranges : Range.t list;
+  mutable shipped : Payload.vm_piece list;
+  mutable number : int;  (* the page being diffed *)
+  mutable current : Bytes.t;  (* its live view *)
+  mutable cur_off : int;  (* where the page starts in [current] *)
+}
+
+(* Ship the parts of modified bytes [lo, hi) of the page being diffed
+   inside [ranges] and stash the parts outside them. *)
+let rec ship_or_save c ranges lo hi =
+  let t = c.vm and number = c.number and current = c.current and cur_off = c.cur_off in
+  let page_base = number lsl t.shift in
   match ranges with
-  | (r : Range.t) :: rest when Range.limit r <= lo ->
-      ship_or_save t number ~current ~cur_off ~page_base ~shipped rest lo hi
+  | (r : Range.t) :: rest when Range.limit r <= lo -> ship_or_save c rest lo hi
   | (r : Range.t) :: rest when r.Range.addr < hi ->
       if lo < r.Range.addr then save t number ~current ~cur_off ~page_base lo r.Range.addr;
       let start = Int.max lo r.Range.addr and stop = Int.min hi (Range.limit r) in
       let data = Bytes.sub current (cur_off + (start - page_base)) (stop - start) in
-      shipped := { Payload.addr = start; data } :: !shipped;
-      if stop < hi then ship_or_save t number ~current ~cur_off ~page_base ~shipped rest stop hi
+      c.shipped <- { Payload.addr = start; data } :: c.shipped;
+      if stop < hi then ship_or_save c rest stop hi
   | _ -> save t number ~current ~cur_off ~page_base lo hi
 
-let rec ship_runs t number ~current ~cur_off ~page_base ~shipped ranges = function
-  | [] -> ()
-  | (r : Diff.run) :: rest ->
-      let lo = page_base + r.Diff.off in
-      ship_or_save t number ~current ~cur_off ~page_base ~shipped ranges lo (lo + r.Diff.len);
-      ship_runs t number ~current ~cur_off ~page_base ~shipped ranges rest
+(* The diff's run callback: the run of [len] modified bytes at page
+   offset [off]. *)
+let ship_run c off len =
+  let lo = (c.number lsl c.vm.shift) + off in
+  ship_or_save c c.ranges lo (lo + len)
 
-(* Diff page [number] if it is dirty, ship and stash its modified runs
-   and clean it; [ns] plus the cost. *)
-let collect_page t (space, proc, counters, cost, ranges, shipped) number ns =
+(* Diff page [number] if it is dirty, shipping and stashing each
+   modified run as the diff finds it, and clean it; [ns] plus the
+   cost. *)
+let collect_page t c number ns =
   let page_base = number lsl t.shift in
   let page = Page_table.peek t.pt page_base in
   if not page.Page_table.dirty then ns
   else begin
     let psize = page_size t in
     (* Zero-copy view of the processor's live page; only read below. *)
-    let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
+    c.current <- Space.backing_slice c.space ~proc:c.proc page_base ~len:psize;
+    c.cur_off <- live_offset c.space page_base;
+    c.number <- number;
     let twin =
       match page.Page_table.twin with
       | Some tw -> tw
       | None -> assert false (* dirty implies twinned *)
     in
-    let runs, transitions =
-      Diff.diff_between ~old_:twin ~old_off:0 ~new_:current ~new_off:cur_off ~len:psize
+    let transitions =
+      Diff.scan_between ~old_:twin ~old_off:0 ~new_:c.current ~new_off:c.cur_off ~len:psize
+        ship_run c
     in
+    let counters = c.counters in
     counters.Counters.pages_diffed <- counters.Counters.pages_diffed + 1;
-    ship_runs t number ~current ~cur_off ~page_base ~shipped ranges runs;
     (* All modified data is accounted for: the page is clean again. *)
     clean t page;
     counters.Counters.pages_write_protected <- counters.Counters.pages_write_protected + 1;
     ns
-    + Cost_model.diff_cost_ns cost ~words:(psize / 4) ~transitions
-    + cost.Cost_model.page_protect_ro_ns
+    + Cost_model.diff_cost_ns c.cost ~words:(psize / 4) ~transitions
+    + c.cost.Cost_model.page_protect_ro_ns
   end
 
 let collect t ~space ~proc ~counters ~cost ~ranges =
-  let shipped = ref [] in
-  let ns = fold_pages t ranges collect_page (space, proc, counters, cost, ranges, shipped) 0 in
-  let fresh = List.rev !shipped in
+  let c =
+    {
+      vm = t;
+      space;
+      proc;
+      counters;
+      cost;
+      ranges;
+      shipped = [];
+      number = 0;
+      current = Bytes.empty;
+      cur_off = 0;
+    }
+  in
+  let ns = fold_pages t ranges collect_page c 0 in
+  let fresh = List.rev c.shipped in
   (* Saved diffs can overlap words that were modified again and re-diffed
      since they were stashed; the fresh diff reflects current memory, so
      stale pieces must apply first and fresh pieces last.  Consing the
@@ -308,40 +357,46 @@ let collect t ~space ~proc ~counters ~cost ~ranges =
      them first, newest page and address first. *)
   (fold_pages t ranges take_page ranges fresh, ns)
 
-let apply_pieces t ~space ~proc ~counters ~cost pieces =
+(* The apply cost of [len] bytes at [addr], which arrived from [src] at
+   [src_off]: their copy, and the twins of dirty pages patched from
+   them so the update is not re-collected as a local modification.  An
+   incoming piece is the protocol's current data for its range: any
+   saved diff overlapping it is superseded and dropped, or a later
+   collection would resurrect the stale shadow over newer data. *)
+let patch t ~counters ~cost ~addr ~len ~src ~src_off =
   let psize = page_size t in
-  let total_cost = ref 0 in
-  List.iter
-    (fun (p : Payload.vm_piece) ->
-      let len = Bytes.length p.Payload.data in
-      Space.write_bytes space ~proc p.Payload.addr p.Payload.data;
-      total_cost := !total_cost + Cost_model.copy_cost_ns cost ~bytes:len ~warm:true;
-      (* Patch twins of dirty pages so the update is not re-collected as a
-         local modification. *)
-      if len > 0 then
-        for number = p.Payload.addr lsr t.shift to (p.Payload.addr + len - 1) lsr t.shift do
-          let page_base = number lsl t.shift in
-          let lo = Int.max p.Payload.addr page_base in
-          let hi = Int.min (p.Payload.addr + len) (page_base + psize) in
-          let page = Page_table.peek t.pt page_base in
-          (match page.Page_table.twin with
-          | Some twin when page.Page_table.dirty ->
-              Bytes.blit p.Payload.data (lo - p.Payload.addr) twin (lo - page_base)
-                (hi - lo);
-              counters.Counters.twin_update_bytes <-
-                counters.Counters.twin_update_bytes + (hi - lo);
-              total_cost :=
-                !total_cost + Cost_model.copy_cost_ns cost ~bytes:(hi - lo) ~warm:true
-          | _ -> ());
-          (* An incoming piece is the protocol's current data for its
-             range: any saved diff overlapping it is superseded and must
-             be dropped, or a later collection would resurrect the stale
-             shadow over newer data. *)
-          let saved = Page_index.get t.pending number in
-          if saved != no_saved then drop t number saved lo hi
-        done)
-    pieces;
-  !total_cost
+  let ns = ref (Cost_model.copy_cost_ns cost ~bytes:len ~warm:true) in
+  if len > 0 then
+    for number = addr lsr t.shift to (addr + len - 1) lsr t.shift do
+      let page_base = number lsl t.shift in
+      let lo = Int.max addr page_base and hi = Int.min (addr + len) (page_base + psize) in
+      let page = Page_table.peek t.pt page_base in
+      (match page.Page_table.twin with
+      | Some twin when page.Page_table.dirty ->
+          Bytes.blit src (src_off + (lo - addr)) twin (lo - page_base) (hi - lo);
+          counters.Counters.twin_update_bytes <- counters.Counters.twin_update_bytes + (hi - lo);
+          ns := !ns + Cost_model.copy_cost_ns cost ~bytes:(hi - lo) ~warm:true
+      | _ -> ());
+      let saved = Page_index.get t.pending number in
+      if saved != no_saved then drop t number saved lo hi
+    done;
+  !ns
+
+let applied t ~space ~proc ~counters ~cost ~addr ~len =
+  let src = Space.backing_slice space ~proc addr ~len in
+  patch t ~counters ~cost ~addr ~len ~src ~src_off:(live_offset space addr)
+
+let rec apply_pieces_from t ~space ~proc ~counters ~cost ns = function
+  | [] -> ns
+  | (p : Payload.vm_piece) :: rest ->
+      let addr = p.Payload.addr and src = p.Payload.data in
+      let len = Bytes.length src in
+      Space.write_bytes space ~proc addr src;
+      let ns = ns + patch t ~counters ~cost ~addr ~len ~src ~src_off:0 in
+      apply_pieces_from t ~space ~proc ~counters ~cost ns rest
+
+let apply_pieces t ~space ~proc ~counters ~cost pieces =
+  apply_pieces_from t ~space ~proc ~counters ~cost 0 pieces
 
 let absorb_page t (space, proc, ranges) number () =
   let page_base = number lsl t.shift in
@@ -349,7 +404,8 @@ let absorb_page t (space, proc, ranges) number () =
   match page.Page_table.twin with
   | Some twin when page.Page_table.dirty ->
       let psize = page_size t in
-      let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
+      let current = Space.backing_slice space ~proc page_base ~len:psize in
+      let cur_off = live_offset space page_base in
       let copy lo hi =
         Bytes.blit current (cur_off + (lo - page_base)) twin (lo - page_base) (hi - lo)
       in

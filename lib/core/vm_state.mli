@@ -15,7 +15,9 @@
     page's saved diff is a page-sized shadow of the saved bytes plus a
     bitmap with one bit per byte of the page: saving sets bits, an
     applied piece clears them, and a transfer takes the maximal runs of
-    set bits inside its bound ranges.
+    set bits inside its bound ranges.  Twins and shadows are page
+    buffers from one pool per processor, of at most 16: a cleaned page
+    gives its twin back and an emptied saved diff its shadow.
 
     Every [ranges] argument below must be normalized ({!Range.normalize}),
     as every binding's ranges are. *)
@@ -82,6 +84,20 @@ val apply_pieces :
     the protocol's current state for those words, so shipping the stashed
     shadow later would regress them.  Returns the apply cost in
     nanoseconds. *)
+
+val applied :
+  t ->
+  space:Midway_memory.Space.t ->
+  proc:int ->
+  counters:Midway_stats.Counters.t ->
+  cost:Midway_stats.Cost_model.t ->
+  addr:int ->
+  len:int ->
+  int
+(** An incoming update's [len] bytes at [addr], already written into the
+    processor's memory, as {!apply_pieces} applies one piece: patch the
+    twins of dirty pages from memory and drop the saved diffs it
+    overlaps.  Returns the piece's apply cost in nanoseconds. *)
 
 val absorb :
   t -> space:Midway_memory.Space.t -> proc:int -> ranges:Range.t list -> unit

@@ -282,11 +282,12 @@ let read_bytes t ~proc a ~len =
   let off = a - Region.base r in
   Bytes.sub (reaching t r ~proc (off + len)) off len
 
-let write_bytes t ~proc a buf =
-  let len = Bytes.length buf in
+let write_sub t ~proc a buf ~off:src_off ~len =
   let r = validate_range t a len in
   let off = a - Region.base r in
-  Bytes.blit buf 0 (reaching t r ~proc (off + len)) off len
+  Bytes.blit buf src_off (reaching t r ~proc (off + len)) off len
+
+let write_bytes t ~proc a buf = write_sub t ~proc a buf ~off:0 ~len:(Bytes.length buf)
 
 let copy_range t ~src_proc ~dst_proc a ~len =
   let r = validate_range t a len in
@@ -297,8 +298,7 @@ let copy_range t ~src_proc ~dst_proc a ~len =
 
 let backing_slice t ~proc a ~len =
   let r = validate_range t a len in
-  let off = a - Region.base r in
-  (reaching t r ~proc (off + len), off)
+  reaching t r ~proc (a - Region.base r + len)
 
 let ranges_equal t ~proc_a ~proc_b a ~len =
   let r = validate_range t a len in

@@ -11,7 +11,8 @@
     created at the first access over the region's allocated bytes and
     grows (geometrically, zero-filled, keeping its contents) whenever an
     access reaches past its end — a typed access, {!read_bytes},
-    {!write_bytes}, {!copy_range}, {!ranges_equal} or {!backing_slice}.
+    {!write_bytes}, {!write_sub}, {!copy_range}, {!ranges_equal} or
+    {!backing_slice}.
     Every mapped address is readable (as zero until written) and
     writable; the growth is invisible except through
     {!backing_slice}.
@@ -122,12 +123,13 @@ val set_int : t -> proc:int -> addr -> int -> unit
 val read_bytes : t -> proc:int -> addr -> len:int -> Bytes.t
 (** Copy [len] bytes out of the processor's memory. *)
 
-val backing_slice : t -> proc:int -> addr -> len:int -> Bytes.t * int
+val backing_slice : t -> proc:int -> addr -> len:int -> Bytes.t
 (** [backing_slice t ~proc addr ~len] validates [addr .. addr+len-1] and
     returns the processor's *live* backing buffer (grown first if the
-    range reaches past its end) together with the offset of [addr]
-    within it — a zero-copy view for read-only consumers (e.g. the VM
-    diff engine).  The caller must not mutate the buffer, and must be
+    range reaches past its end) — a zero-copy view for read-only
+    consumers (e.g. the VM diff engine).  Regions are aligned to their
+    size, so [addr] sits at offset [addr land (region_size t - 1)] in
+    it.  The caller must not mutate the buffer, and must be
     done with it before its next access to the space: any later access
     by this processor to the same region may grow the copy, which
     replaces the buffer, so an old view neither sees later writes nor
@@ -135,6 +137,10 @@ val backing_slice : t -> proc:int -> addr -> len:int -> Bytes.t * int
 
 val write_bytes : t -> proc:int -> addr -> Bytes.t -> unit
 (** Copy a buffer into the processor's memory. *)
+
+val write_sub : t -> proc:int -> addr -> Bytes.t -> off:int -> len:int -> unit
+(** [write_sub t ~proc addr buf ~off ~len] copies [len] bytes of [buf]
+    from [off] into the processor's memory at [addr]. *)
 
 val copy_range : t -> src_proc:int -> dst_proc:int -> addr -> len:int -> unit
 (** Copy the range between two processors' physical copies (used by the

@@ -21,13 +21,14 @@ let[@inline] words_differ old_ opos new_ npos len =
   if len = word_size then not (Int32.equal (get32u old_ opos) (get32u new_ npos))
   else bytes_differ old_ opos new_ npos len 0
 
-(* Core scan: compare [len] bytes starting at [old_off] in [old_] and
-   [new_off] in [new_]; run offsets are reported relative to [run_base]
-   plus the position within the scanned window.  A word is modified
-   exactly when a run is open ([start >= 0]), and every change between
-   modified and unmodified words after the first is a transition. *)
-let scan_runs ~old_ ~old_off ~new_ ~new_off ~len ~run_base =
-  let runs = ref [] and transitions = ref 0 in
+(* The one scanner: compare [len] bytes starting at [old_off] in [old_]
+   and [new_off] in [new_], call [run ctx off len] for each maximal run
+   of modified words as it closes, [off] relative to the window, and
+   return the transitions.  A word is modified exactly when a run is
+   open ([start >= 0]), and every change between modified and
+   unmodified words after the first is a transition. *)
+let scan_runs ~old_ ~old_off ~new_ ~new_off ~len run ctx =
+  let transitions = ref 0 in
   let start = ref (-1) and i = ref 0 in
   while !i < len do
     if !start < 0 then
@@ -47,27 +48,43 @@ let scan_runs ~old_ ~old_off ~new_ ~new_off ~len ~run_base =
       end
       else if (not modified) && !start >= 0 then begin
         incr transitions;
-        runs := { off = run_base + !start; len = !i - !start } :: !runs;
+        run ctx !start (!i - !start);
         start := -1
       end;
       i := !i + wlen
     end
   done;
-  if !start >= 0 then runs := { off = run_base + !start; len = len - !start } :: !runs;
-  (List.rev !runs, !transitions)
+  if !start >= 0 then run ctx !start (len - !start);
+  !transitions
 
-let diff ~old_ ~new_ ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length old_ || off + len > Bytes.length new_
-  then invalid_arg "Diff.diff: range out of bounds";
-  scan_runs ~old_ ~old_off:off ~new_ ~new_off:off ~len ~run_base:off
-
-let diff_between ~old_ ~old_off ~new_ ~new_off ~len =
+let check_window name ~old_ ~old_off ~new_ ~new_off ~len =
   if
     old_off < 0 || new_off < 0 || len < 0
     || old_off + len > Bytes.length old_
     || new_off + len > Bytes.length new_
-  then invalid_arg "Diff.diff_between: range out of bounds";
-  scan_runs ~old_ ~old_off ~new_ ~new_off ~len ~run_base:0
+  then invalid_arg (name ^ ": range out of bounds")
+
+let scan_between ~old_ ~old_off ~new_ ~new_off ~len run ctx =
+  check_window "Diff.scan_between" ~old_ ~old_off ~new_ ~new_off ~len;
+  scan_runs ~old_ ~old_off ~new_ ~new_off ~len run ctx
+
+(* The list-building callers: each run is consed as it closes, at
+   [base] plus its window offset. *)
+let cons_run (runs, base) off len = runs := { off = base + off; len } :: !runs
+
+let run_list ~old_ ~old_off ~new_ ~new_off ~len ~base =
+  let runs = ref [] in
+  let transitions = scan_runs ~old_ ~old_off ~new_ ~new_off ~len cons_run (runs, base) in
+  (List.rev !runs, transitions)
+
+let diff ~old_ ~new_ ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length old_ || off + len > Bytes.length new_
+  then invalid_arg "Diff.diff: range out of bounds";
+  run_list ~old_ ~old_off:off ~new_ ~new_off:off ~len ~base:off
+
+let diff_between ~old_ ~old_off ~new_ ~new_off ~len =
+  check_window "Diff.diff_between" ~old_ ~old_off ~new_ ~new_off ~len;
+  run_list ~old_ ~old_off ~new_ ~new_off ~len ~base:0
 
 let runs_bytes runs = List.fold_left (fun acc r -> acc + r.len) 0 runs
 

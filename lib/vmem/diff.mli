@@ -14,6 +14,26 @@ type run = { off : int; len : int }
 val word_size : int
 (** 4 bytes, as on the MIPS R3000. *)
 
+val scan_between :
+  old_:Bytes.t ->
+  old_off:int ->
+  new_:Bytes.t ->
+  new_off:int ->
+  len:int ->
+  ('a -> int -> int -> unit) ->
+  'a ->
+  int
+(** [scan_between ~old_ ~old_off ~new_ ~new_off ~len run ctx] compares
+    the windows [old_off, old_off+len) of [old_] and [new_off,
+    new_off+len) of [new_] and calls [run ctx off len] for each run of
+    modified bytes as the scan finds it, in increasing order, [off]
+    relative to the start of the window; it returns the number of
+    transitions.  Building nothing itself, it lets a caller ship or
+    save each run without a run list: give it a [run] that captures
+    nothing, with its state in [ctx].  {!diff} and {!diff_between} are
+    this scan with a list-building [run].  Raises [Invalid_argument]
+    when a window leaves its buffer. *)
+
 val diff : old_:Bytes.t -> new_:Bytes.t -> off:int -> len:int -> run list * int
 (** [diff ~old_ ~new_ ~off ~len] scans the byte range [off, off+len) of
     both buffers and returns the modified runs (offsets relative to the

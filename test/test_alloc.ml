@@ -17,6 +17,11 @@
    - saved diffs: applying an update to a page costs the same whatever
      saved diffs the page holds elsewhere, and collecting one dirty word
      builds no closure and no copy of the piece list;
+   - transfers: an rt lock transfer copies its runs from the releaser's
+     copy into the requester's, so a 512-line run costs no more words
+     than one line; a vm transfer costs the same words whatever the
+     length of the lock's incarnation log; a saved diff that empties
+     and is saved again takes a pooled page buffer for its shadow;
    - sor and water: a red-black sweep and the pair evaluations keep
      their floats unboxed.
 
@@ -32,6 +37,8 @@ module Space = Midway_memory.Space
 module Region = Midway_memory.Region
 module Vm_state = Midway.Vm_state
 module Payload = Midway.Payload
+module Detector = Midway.Detector
+module Sync = Midway.Sync
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 module Engine = Midway_sched.Engine
@@ -396,6 +403,108 @@ let vm_collect_words () =
   done;
   !words /. float_of_int rounds
 
+(* Words per remote acquire on an rt lock bound to [lines] 64-byte
+   lines, every one of which the acquirer writes: each transfer ships
+   them as one run, copied from the releaser's copy into the
+   requester's.  Measured as [remote_pair_words] is. *)
+let rt_run_transfer_words ~lines =
+  let run turns =
+    let m = R.create (Config.make Config.Rt ~nprocs:2) in
+    let area = R.alloc m ~line_size:64 (lines * 64) in
+    let lock = R.new_lock m [ Range.v area (lines * 64) ] in
+    let before = allocated_words () in
+    R.run m (fun c ->
+        for _ = 1 to turns do
+          R.acquire c lock;
+          for l = 0 to lines - 1 do
+            R.write_int c (area + (l * 64)) (R.read_int c (area + (l * 64)) + 1)
+          done;
+          R.release c lock;
+          R.work_ns c 100_000
+        done);
+    let words = allocated_words () -. before in
+    let remote =
+      Array.fold_left (fun n k -> n + k.Counters.lock_acquires_remote) 0 (R.all_counters m)
+    in
+    (words, remote)
+  in
+  let w1, r1 = run 100 in
+  let w2, r2 = run 200 in
+  if r2 - r1 < 190 then Alcotest.failf "run transfers: only %d more remote acquires" (r2 - r1);
+  (w2 -. w1) /. float_of_int (r2 - r1)
+
+(* Words of vm lock transfers between two processors' detectors over one
+   8-byte cell, collect to advance: the releaser writes the cell and
+   collects for the other processor, which missed one incarnation (the
+   releaser's), and which applies it.  Returns the words of the second
+   transfer, made when the lock's log holds one entry, and the mean of
+   a window's worth made when the log is full and its ring wraps. *)
+let vm_transfer_words () =
+  let space = Space.create ~nprocs:2 () in
+  let cell = Space.alloc space ~kind:Region.Shared ~line_size:8 8 in
+  let cfg = Config.make Config.Vm ~nprocs:2 in
+  let window = cfg.Config.update_log_window in
+  let counters = Array.init 2 (fun _ -> Counters.create ()) in
+  let env = Detector.env cfg space ~counters ~reliable:false in
+  let ds = Array.init 2 (fun proc -> Detector.create env ~proc Config.Vm) in
+  let lock = Sync.make_lock ~lid:0 ~nprocs:2 ~owner:0 ~ranges:[ Range.v cell 8 ] in
+  let region = Space.region_of_addr space cell in
+  let transfer k =
+    let from = k land 1 in
+    let q = 1 - from in
+    ignore (Detector.trap ds.(from) ~region ~addr:cell ~len:8);
+    Space.set_int space ~proc:from cell (k + 1);
+    let words =
+      words_of (fun () ->
+          match Detector.collect_lock ds.(from) lock ~for_:q with
+          | (Payload.Vm_updates [ [ _ ] ] as payload), _, cursor ->
+              ignore (Detector.apply ds.(q) ~id:0 ~ranges:lock.Sync.ranges payload);
+              Detector.advance ds.(from) lock ~requester:q cursor
+          | _ -> Alcotest.fail "one missed incarnation of one piece")
+    in
+    if Space.get_int space ~proc:q cell <> k + 1 then Alcotest.fail "vm transfer lost the write";
+    words
+  in
+  ignore (transfer 0);
+  let one_entry = transfer 1 in
+  for k = 2 to (2 * window) - 1 do
+    ignore (transfer k)
+  done;
+  let full = ref 0.0 in
+  for k = 2 * window to (3 * window) - 1 do
+    full := !full +. transfer k
+  done;
+  (one_entry, !full /. float_of_int window)
+
+(* Words of a collection that saves a diff on a page whose previous
+   saved diff emptied: a lock bound to the page's first word ships it
+   and saves a word at offset 512, which a second lock's collection then
+   takes, emptying the saved diff.  The mean over rounds after the
+   first. *)
+let resaved_diff_words () =
+  let space = Space.create ~nprocs:1 () in
+  let page = Space.alloc space ~kind:Region.Shared ~line_size:8 4096 in
+  let vm = Vm_state.create ~page_size:4096 in
+  let counters = Counters.create () and cost = Cost_model.default in
+  let first = [ Range.v page 8 ] and other = [ Range.v (page + 512) 8 ] in
+  let rounds = 1_000 and words = ref 0.0 in
+  for i = 0 to rounds do
+    ignore (Vm_state.on_write vm ~space ~proc:0 ~counters ~cost ~addr:page);
+    Space.set_int space ~proc:0 page (i + 1);
+    Space.set_int space ~proc:0 (page + 512) (i + 1);
+    let w =
+      words_of (fun () ->
+          ignore (Vm_state.collect vm ~space ~proc:0 ~counters ~cost ~ranges:first))
+    in
+    if Vm_state.pending_pages vm <> 1 then Alcotest.fail "the other word is saved";
+    (match Vm_state.collect vm ~space ~proc:0 ~counters ~cost ~ranges:other with
+    | [ _ ], _ -> ()
+    | _ -> Alcotest.fail "the saved word ships");
+    if Vm_state.pending_pages vm <> 0 then Alcotest.fail "the saved diff emptied";
+    if i > 0 then words := !words +. w
+  done;
+  !words /. float_of_int rounds
+
 (* Words per point update of one red-black sweep of sor on two
    processors, its sequential oracle's sweep included: the difference
    between runs of 5 and 4 iterations over a 64 x 64 grid. *)
@@ -464,13 +573,14 @@ let () =
               let w = sync_pair_words () in
               if not (w < 4.) then
                 Alcotest.failf "local acquire+release: %.4f words/pair (gate: < 4)" w);
-          (* 56 words; a block reason, setup or request closure, or a
-             queue tuple, built per acquire would add at least 4, and
-             formatting the reason as text on every block 56 *)
+          (* 21 words; a block reason, setup or request closure, or a
+             queue tuple, built per acquire would add at least 4,
+             formatting the reason as text on every block 56, and a
+             copy of the shipped line 3 *)
           Alcotest.test_case "remote acquire+release" `Quick (fun () ->
               let w = remote_pair_words () in
-              if not (w < 60.) then
-                Alcotest.failf "remote acquire+release: %.4f words/pair (gate: < 60)" w);
+              if not (w < 25.) then
+                Alcotest.failf "remote acquire+release: %.4f words/pair (gate: < 25)" w);
         ] );
       ( "scheduling",
         [
@@ -485,11 +595,11 @@ let () =
               let w = lone_yield_words () in
               if not (w < 0.01) then
                 Alcotest.failf "lone yield: %.4f words/yield (gate: < 0.01)" w);
-          (* 118 words *)
+          (* 69 words *)
           Alcotest.test_case "cholesky acquire" `Quick (fun () ->
               let w = cholesky_acquire_words () in
-              if not (w < 130.) then
-                Alcotest.failf "cholesky rt: %.4f words/acquire (gate: < 130)" w);
+              if not (w < 80.) then
+                Alcotest.failf "cholesky rt: %.4f words/acquire (gate: < 80)" w);
         ] );
       ( "saved diffs",
         [
@@ -498,16 +608,33 @@ let () =
               if not (many <= none) then
                 Alcotest.failf "apply beside 64 saved runs: %.4f words/op, %.4f beside none" many
                   none);
-          (* 41 words: the piece, its cons and its reversal, the
-             diff's run list and pair, the zero-copy view's pair, the
-             spare twin's cons, the page walk's context with the ref
-             the shipped pieces gather in, and the result;
-             a closure per page or per call, or a copy of the piece
-             list, would add at least 3 (104 with all of them) *)
+          (* 25 words: the piece, its cons and its reversal, the
+             collection's context and the result; a closure per page or
+             per call, a copy of the piece list, the diff's run list or
+             a pair per page view would add at least 3 (104 with all of
+             them) *)
           Alcotest.test_case "one-word vm collect" `Quick (fun () ->
               let w = vm_collect_words () in
-              if not (w < 50.) then
-                Alcotest.failf "one-word vm collect: %.4f words (gate: < 50)" w);
+              if not (w < 30.) then
+                Alcotest.failf "one-word vm collect: %.4f words (gate: < 30)" w);
+        ] );
+      ( "transfers",
+        [
+          Alcotest.test_case "rt run copied copy to copy" `Quick (fun () ->
+              let one = rt_run_transfer_words ~lines:1
+              and many = rt_run_transfer_words ~lines:512 in
+              if not (many <= one) then
+                Alcotest.failf "rt transfer of a 512-line run: %.4f words, of one line %.4f" many
+                  one);
+          Alcotest.test_case "vm log window" `Quick (fun () ->
+              let one_entry, full = vm_transfer_words () in
+              if not (full <= one_entry) then
+                Alcotest.failf "vm transfer: %.4f words with a full log, %.4f with one entry" full
+                  one_entry);
+          Alcotest.test_case "saved diff shadow pooled" `Quick (fun () ->
+              let w = resaved_diff_words () in
+              if not (w < 512.) then
+                Alcotest.failf "re-saved diff: %.4f words (gate: < 512, a page buffer)" w);
         ] );
       ( "sor",
         [

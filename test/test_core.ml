@@ -7,6 +7,8 @@ module Timestamp = Midway.Timestamp
 module Dirtybits = Midway.Dirtybits
 module Vm_state = Midway.Vm_state
 module Payload = Midway.Payload
+module Gather = Midway.Gather
+module Update_log = Midway.Update_log
 module Sync = Midway.Sync
 module Detector = Midway.Detector
 module Config = Midway.Config
@@ -661,7 +663,8 @@ module Vm_model = struct
         let page = Page_table.page_of_addr t.pt (number * psize) in
         if page.Page_table.dirty then begin
           let page_base = number * psize in
-          let current, cur_off = Space.backing_slice space ~proc page_base ~len:psize in
+          let current = Space.backing_slice space ~proc page_base ~len:psize in
+          let cur_off = page_base land (Space.region_size space - 1) in
           let twin = Option.get page.Page_table.twin in
           let runs, transitions =
             Diff.diff_between ~old_:twin ~old_off:0 ~new_:current ~new_off:cur_off ~len:psize
@@ -862,18 +865,180 @@ let vm_matches_list_model =
       in
       List.for_all step ops)
 
+(* --- Update_log --------------------------------------------------------- *)
+
+(* The list-based incarnation log the ring replaced, kept as the model
+   it must match: entries newest first, trimmed to the window once the
+   list doubles it; a rebinding replaces the log with its full marker;
+   a requester's updates are the window's entries newer than its
+   cursor, covered when none is missing. *)
+module Log_model = struct
+  type entry = Pieces of Payload.vm_piece list | Full_marker
+
+  type t = { window : int; mutable incarnation : int; mutable log : (int * entry) list }
+
+  let create ~window = { window; incarnation = 0; log = [] }
+
+  let in_window t inc = inc >= t.incarnation - t.window
+
+  let trim_log t log =
+    let rec take n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | e :: rest -> e :: take (n - 1) rest
+    in
+    if List.compare_length_with log (2 * t.window) <= 0 then log else take t.window log
+
+  let record t entry =
+    t.log <- trim_log t ((t.incarnation, entry) :: t.log);
+    t.incarnation <- t.incarnation + 1
+
+  let rebind t =
+    t.incarnation <- t.incarnation + 1;
+    t.log <- [ (t.incarnation - 1, Full_marker) ]
+
+  let is_full = function Full_marker -> true | Pieces _ -> false
+
+  let rebound_since t ~seen =
+    seen < t.incarnation
+    && List.exists (fun (inc, e) -> inc > seen && is_full e && in_window t inc) t.log
+
+  let taken t ~seen = List.filter (fun (inc, _) -> inc > seen && in_window t inc) t.log
+
+  let covered t ~seen = List.length (taken t ~seen) = t.incarnation - 1 - seen
+
+  let updates t ~seen =
+    List.rev_map (fun (_, e) -> match e with Pieces p -> p | Full_marker -> []) (taken t ~seen)
+
+  let update_bytes t ~seen =
+    List.fold_left (fun acc u -> acc + Payload.pieces_bytes u) 0 (updates t ~seen)
+end
+
+type log_event =
+  | Logged of int  (* a collection's piece bytes (0: no pieces) *)
+  | Full  (* a rebinding-forced full transfer *)
+  | Rebind of bool  (* a rebinding; [true]: a backend switch's *)
+  | Cursor of int  (* a requester's cursor, spread over [-1, incarnation] *)
+
+let log_event_to_string = function
+  | Logged n -> Printf.sprintf "logged %d" n
+  | Full -> "full"
+  | Rebind switch -> if switch then "rebind ~switch" else "rebind"
+  | Cursor k -> Printf.sprintf "cursor %d" k
+
+let log_events_gen =
+  let open QCheck.Gen in
+  pair (oneofl [ 1; 2; 4; 16 ])
+    (list_size (int_range 1 80)
+       (frequency
+          [
+            (6, map (fun n -> Logged n) (int_bound 40));
+            (1, return Full);
+            (2, map (fun b -> Rebind b) bool);
+            (6, map (fun k -> Cursor k) (int_bound 1000));
+          ]))
+
+(* At every step the ring gives the model's rebound decision (and the
+   adaptive policy's rebinding input, which also reads the switch
+   watermark), and at every cursor its coverage; where covered, the
+   same updates, oldest first, and the same byte total. *)
+let ring_matches_list_model =
+  QCheck.Test.make ~name:"incarnation ring equals the list-based log" ~count:500
+    (QCheck.make
+       ~print:(fun (window, events) ->
+         Printf.sprintf "window %d :: %s" window
+           (String.concat "; " (List.map log_event_to_string events)))
+       log_events_gen)
+    (fun (window, events) ->
+      let ring = Update_log.create ~window and model = Log_model.create ~window in
+      let switch_inc = ref 0 and step = ref 0 in
+      let addrs = List.map (List.map (fun (p : Payload.vm_piece) -> p.Payload.addr)) in
+      let agree ~seen =
+        let ships_full rebound = Update_log.incarnation ring > !switch_inc && rebound in
+        Update_log.incarnation ring = model.Log_model.incarnation
+        && Update_log.rebound_since ring ~seen = Log_model.rebound_since model ~seen
+        && ships_full (Update_log.rebound_since ring ~seen)
+           = ships_full (Log_model.rebound_since model ~seen)
+        && (seen >= model.Log_model.incarnation
+           ||
+           let covered = Log_model.covered model ~seen in
+           Update_log.covers ring ~seen = covered
+           && ((not covered)
+              || addrs (Update_log.updates ring ~seen) = addrs (Log_model.updates model ~seen)
+                 && Update_log.update_bytes ring ~seen = Log_model.update_bytes model ~seen))
+      in
+      List.for_all
+        (fun event ->
+          incr step;
+          match event with
+          | Logged n ->
+              let pieces = if n = 0 then [] else [ { Payload.addr = !step; data = Bytes.make n 'x' } ] in
+              Update_log.record ring pieces ~bytes:n;
+              Log_model.record model (Log_model.Pieces pieces);
+              agree ~seen:(-1)
+          | Full ->
+              Update_log.record_full ring;
+              Log_model.record model Log_model.Full_marker;
+              agree ~seen:(-1)
+          | Rebind switch ->
+              Update_log.rebind ring;
+              Log_model.rebind model;
+              if switch then switch_inc := Update_log.incarnation ring;
+              agree ~seen:(-1)
+          | Cursor k -> agree ~seen:((k mod (model.Log_model.incarnation + 2)) - 1))
+        events)
+
 (* --- Payload -------------------------------------------------------------- *)
 
 let test_payload_sizes () =
-  let line = { Payload.addr = 0; len = 64; ts = 5; data = Bytes.make 64 ' '; descs = 1 } in
-  Alcotest.(check int) "rt bytes" 128 (Payload.app_bytes (Payload.Rt_lines [ line; line ]));
-  Alcotest.(check int) "rt descriptors" 2 (Payload.descriptors (Payload.Rt_lines [ line; line ]));
+  let runs_of list =
+    let g = Gather.create () in
+    List.iter (fun (addr, len, descs) -> Gather.push_run g ~addr ~len ~ts:5 ~descs) list;
+    Payload.Rt_runs [ { Payload.runs = g; source = Payload.Copy 0 } ]
+  in
+  let two_lines = runs_of [ (0, 64, 1); (64, 64, 1) ] in
+  Alcotest.(check int) "rt bytes" 128 (Payload.app_bytes two_lines);
+  Alcotest.(check int) "rt descriptors" 2 (Payload.descriptors two_lines);
   (* a coalesced run still stands for its per-line descriptors on the wire *)
-  let run = { Payload.addr = 0; len = 256; ts = 5; data = Bytes.make 256 ' '; descs = 4 } in
-  Alcotest.(check int) "run descriptors" 5 (Payload.descriptors (Payload.Rt_lines [ line; run ]));
+  Alcotest.(check int) "run descriptors" 5
+    (Payload.descriptors (runs_of [ (0, 64, 1); (64, 256, 4) ]));
   let piece = { Payload.addr = 0; data = Bytes.make 10 ' ' } in
   Alcotest.(check int) "vm bytes" 20 (Payload.app_bytes (Payload.Vm_updates [ [ piece; piece ] ]));
   Alcotest.(check int) "empty" 0 (Payload.app_bytes Payload.Empty)
+
+(* A barrier arrival's snapshot owns its runs and bytes: clearing and
+   refilling the gather, or writing the memory it read, changes nothing
+   it installs; the releaser's copy is read at install time. *)
+let test_payload_snapshot () =
+  let space = Space.create ~nprocs:3 () in
+  let a = Space.alloc space ~kind:Region.Shared ~line_size:8 64 in
+  Space.set_int space ~proc:0 a 7;
+  Space.set_int space ~proc:0 (a + 32) 9;
+  let g = Gather.create () in
+  Gather.push_run g ~addr:a ~len:8 ~ts:5 ~descs:1;
+  Gather.push_run g ~addr:(a + 32) ~len:16 ~ts:5 ~descs:2;
+  let snap = Payload.snapshot space ~proc:0 g in
+  let live = { Payload.runs = g; source = Payload.Copy 0 } in
+  Gather.clear g;
+  Gather.push_run g ~addr:(a + 8) ~len:8 ~ts:6 ~descs:1;
+  Space.set_int space ~proc:0 a 70;
+  let install part proc =
+    let runs = part.Payload.runs and off = ref 0 in
+    for i = 0 to Gather.length runs - 1 do
+      let addr = Gather.addr runs i and len = Gather.len runs i in
+      Payload.install space ~proc part ~addr ~off:!off ~len;
+      off := !off + len
+    done
+  in
+  install snap 1;
+  Alcotest.(check (list int)) "snapshot runs" [ a; a + 32 ]
+    (List.init (Gather.length snap.Payload.runs) (Gather.addr snap.Payload.runs));
+  Alcotest.(check int) "snapshot value" 7 (Space.get_int space ~proc:1 a);
+  Alcotest.(check int) "snapshot second run" 9 (Space.get_int space ~proc:1 (a + 32));
+  Space.set_int space ~proc:0 (a + 8) 3;
+  install live 2;
+  Alcotest.(check int) "copy reads the releaser now" 3 (Space.get_int space ~proc:2 (a + 8));
+  Alcotest.(check int) "copy installs only its runs" 0 (Space.get_int space ~proc:2 a)
 
 let test_payload_read_write_pieces () =
   let space = Space.create ~nprocs:2 () in
@@ -1079,6 +1244,27 @@ let test_config () =
   Alcotest.check_raises "nprocs positive" (Invalid_argument "Config.make: nprocs must be positive")
     (fun () -> ignore (Config.make Config.Rt ~nprocs:0))
 
+(* The incarnation log is a ring indexed by [incarnation mod window]: a
+   window below 1 is refused before a machine is built, with the value
+   named, rather than failing in the middle of a transfer. *)
+let test_log_window_at_least_one () =
+  let with_window w = { (Config.make Config.Vm ~nprocs:2) with Config.update_log_window = w } in
+  List.iter
+    (fun w ->
+      let msg =
+        Printf.sprintf
+          "update_log_window must be at least 1, got %d (the VM incarnation log keeps that many \
+           incarnations of updates per lock)"
+          w
+      in
+      Alcotest.(check (result unit string)) (Printf.sprintf "window %d" w) (Error msg)
+        (Midway.Runtime.validate (with_window w));
+      Alcotest.check_raises (Printf.sprintf "window %d: create" w)
+        (Invalid_argument ("Runtime.create: " ^ msg)) (fun () ->
+          ignore (Midway.Runtime.create (with_window w))))
+    [ 0; -1 ];
+  Alcotest.(check (result unit string)) "window 1" (Ok ()) (Midway.Runtime.validate (with_window 1))
+
 let () =
   Alcotest.run "core"
     [
@@ -1126,10 +1312,12 @@ let () =
           Alcotest.test_case "apply patches twin" `Quick test_vm_apply_patches_twin;
           qtest vm_matches_list_model;
         ] );
+      ("update_log", [ qtest ring_matches_list_model ]);
       ( "payload",
         [
           Alcotest.test_case "sizes" `Quick test_payload_sizes;
           Alcotest.test_case "read/write pieces" `Quick test_payload_read_write_pieces;
+          Alcotest.test_case "snapshot owns its bytes" `Quick test_payload_snapshot;
         ] );
       ( "sync",
         [
@@ -1149,5 +1337,9 @@ let () =
           Alcotest.test_case "unbounded keeps every event" `Quick test_log_unbounded;
           Alcotest.test_case "rendering" `Quick test_trace_render;
         ] );
-      ("config", [ Alcotest.test_case "parsing and construction" `Quick test_config ]);
+      ( "config",
+        [
+          Alcotest.test_case "parsing and construction" `Quick test_config;
+          Alcotest.test_case "update log window at least 1" `Quick test_log_window_at_least_one;
+        ] );
     ]

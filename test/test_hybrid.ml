@@ -38,8 +38,8 @@ let qtest = QCheck_alcotest.to_alcotest
 (* --- coalesced scan vs a per-line reference model ----------------------- *)
 
 (* 64 lines of 8 bytes inside one region; the model tracks each line's
-   timestamp and locally-dirty flag and replays the documented scan
-   semantics line by line.  The coalesced scan must agree on the emitted
+   timestamp and locally-dirty flag and replays the documented scan and
+   stamp semantics line by line.  The coalesced scan must agree on the emitted
    (line, ts, fresh) set, on the post-scan timestamps, and (in Plain
    mode, which skips nothing) on the clean/dirty read counts.  A second
    input runs the same ops over a 1 MiB region, whose table starts at
@@ -140,7 +140,7 @@ let scan_matches_model ?(big = false) mode =
       List.iter
         (fun (kind, a, b) ->
           let a = spread a in
-          match kind mod 4 with
+          match kind mod 5 with
           | 0 ->
               (* a store of 1..24 bytes at an arbitrary byte address *)
               let addr = base + (a * 8) + (b mod 8) in
@@ -179,8 +179,16 @@ let scan_matches_model ?(big = false) mode =
                   counts.Dirtybits.clean_reads <> clean
                   || counts.Dirtybits.dirty_reads <> dirty
                 then ok := false
+          | 4 ->
+              (* an applied run's stamp over a stretch of lines *)
+              let ts = Timestamp.initial + 1 + (b mod 500) in
+              let n = 1 + (b mod min 40 (lines - a)) in
+              Dirtybits.set_ts_run db ~region ~addr:(base + (a * 8)) ~lines:n ~ts;
+              for line = a to a + n - 1 do
+                model_set_ts m ~line ~ts
+              done
           | _ ->
-              (* the backend-switch path: forget everything *)
+              (* 3, the backend-switch path: forget everything *)
               Dirtybits.reset_region db region;
               model_reset m)
         ops;
@@ -436,7 +444,8 @@ let growth_matches_model =
                 = (model_bytes proc r off len = model_bytes other r off len))
           | _ ->
               let off = offset x len in
-              let b, at = Space.backing_slice space ~proc (bases.(r) + off) ~len in
+              let b = Space.backing_slice space ~proc (bases.(r) + off) ~len in
+              let at = (bases.(r) + off) land (growth_region - 1) in
               expect (Bytes.sub_string b at len = model_bytes proc r off len))
         ops;
       (* every written byte, read back through the cache, and each

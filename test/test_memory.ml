@@ -199,7 +199,8 @@ let test_backing_slice_is_live () =
   let s = Space.create ~nprocs:2 () in
   let a = Space.alloc s ~kind:Region.Shared 32 in
   Space.write_bytes s ~proc:0 a (Bytes.of_string "abcdefgh");
-  let b, off = Space.backing_slice s ~proc:0 a ~len:8 in
+  let b = Space.backing_slice s ~proc:0 a ~len:8 in
+  let off = a land (Space.region_size s - 1) in
   Alcotest.(check string) "view of the live copy" "abcdefgh" (Bytes.sub_string b off 8);
   Space.set_u8 s ~proc:0 a (Char.code 'Z');
   Alcotest.(check char) "sees later writes (no copy)" 'Z' (Bytes.get b off);

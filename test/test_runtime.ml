@@ -836,6 +836,42 @@ let test_crash_plan_out_of_range () =
     (Invalid_argument "Runtime.create: the crash plan names p7 but the machine has 4 processors")
     (fun () -> ignore (R.create (Config.with_crash plan (Config.make Config.Rt ~nprocs:4))))
 
+(* --- a releaser blocked at a barrier --------------------------------------------- *)
+
+(* A lock transfer reads the runs it ships out of the releaser's copy,
+   which nothing touches between the collection and the apply.  A
+   barrier arrival has no such guarantee: it waits in the manager's
+   mailbox while its processor is blocked, and a blocked processor
+   still serves requests for the locks it owns, each of which refills
+   its run accumulator.  p0 writes X under L and Y, bound to B, and
+   arrives at B still owning L; before the others arrive, p1 takes L,
+   served from blocked p0's detector, and reads X; then B completes and
+   every participant reads p0's Y. *)
+let blocked_releaser_test backend rt_mode () =
+  let machine = R.create { (Config.make backend ~nprocs:3) with Config.rt_mode } in
+  let x = R.alloc machine ~line_size:8 8 in
+  let y = R.alloc machine ~line_size:8 8 in
+  let lock = R.new_lock machine ~owner:0 [ Range.v x 8 ] in
+  let bar = R.new_barrier machine [ Range.v y 8 ] in
+  let seen_x = ref (-1) and seen_y = Array.make 3 (-1) in
+  R.run machine (fun c ->
+      (match R.id c with
+      | 0 ->
+          R.acquire c lock;
+          R.write_int c x 42;
+          R.release c lock;
+          R.write_int c y 7
+      | 1 ->
+          R.work_ns c 1_000_000;
+          R.acquire c lock;
+          seen_x := R.read_int c x;
+          R.release c lock
+      | _ -> R.work_ns c 5_000_000);
+      R.barrier c bar;
+      seen_y.(R.id c) <- R.read_int c y);
+  Alcotest.(check int) "p1 reads X through L from blocked p0" 42 !seen_x;
+  Alcotest.(check (array int)) "every participant reads p0's Y" [| 7; 7; 7 |] seen_y
+
 (* --- the validator -------------------------------------------------------------- *)
 
 (* Each of Runtime.validate's rules rejects one configuration with its
@@ -869,6 +905,10 @@ let test_validate_table () =
         "ecsan assumes targetted entry consistency (any lock transfer makes everything \
          consistent under the untargetted model, so binding checks do not apply)" );
       ("trace capacity", { rt with Config.trace_capacity = -1 }, "negative trace_capacity");
+      ( "update log window",
+        { (make Config.Vm) with Config.update_log_window = 0 },
+        "update_log_window must be at least 1, got 0 (the VM incarnation log keeps that many \
+         incarnations of updates per lock)" );
       ( "crash plan names the machine's processors",
         Config.with_crash (stop 7) (make ~nprocs:4 Config.Rt),
         "the crash plan names p7 but the machine has 4 processors" );
@@ -1169,6 +1209,17 @@ let () =
           Alcotest.test_case "unarmed: no watchdog" `Quick test_unarmed_no_watchdog;
         ] );
       ("validate", [ Alcotest.test_case "one rule, one message" `Quick test_validate_table ]);
+      ( "blocked releaser",
+        [
+          Alcotest.test_case "served at a barrier (rt plain)" `Quick
+            (blocked_releaser_test Config.Rt Config.Plain);
+          Alcotest.test_case "served at a barrier (rt two-level)" `Quick
+            (blocked_releaser_test Config.Rt Config.Two_level);
+          Alcotest.test_case "served at a barrier (rt update-queue)" `Quick
+            (blocked_releaser_test Config.Rt Config.Update_queue);
+          Alcotest.test_case "served at a barrier (vm)" `Quick
+            (blocked_releaser_test Config.Vm Config.Plain);
+        ] );
       ( "vm-fine",
         [
           Alcotest.test_case "counter under vm-fine" `Quick (counter_test Config.Vm_fine);
