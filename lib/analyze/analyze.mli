@@ -55,10 +55,6 @@ val class_slug : cls -> string
     {!Midway_check.Diag.class_name} so static and dynamic verdicts
     compare by string. *)
 
-val hygiene_slug : hygiene -> string
-
-val is_warning : cls -> bool
-
 val predicts : report -> cls:Midway_check.Diag.cls -> sync:int -> bool
 (** Does the static may-race set cover a dynamic diagnosis of this
     class?  Sync objects are compared only when both sides name one
@@ -67,7 +63,5 @@ val predicts : report -> cls:Midway_check.Diag.cls -> sync:int -> bool
 val cycles : report -> finding list
 
 val may_races : report -> finding list
-
-val render_finding : finding -> string
 
 val render : report -> string

@@ -40,12 +40,6 @@ val validate : program -> string list
     tolerates unbalanced acquire/release — that is a program property it
     reasons about, not a structural error. *)
 
-val mode_name : mode -> string
-
-val pp_op : op -> string
-
-val pp_range : Range.t -> string
-
 val pp_ranges : Range.t list -> string
 
 val pp : program -> string

@@ -65,7 +65,9 @@ type t = {
   (* RT options *)
   rt_mode : rt_mode;
   (* VM options *)
-  update_log_window : int;  (** incarnations of saved updates kept per lock *)
+  update_log_window : int;
+      (** incarnations of saved updates kept per lock, at least 1
+          ({!Runtime.validate}) *)
   trace_capacity : int;
       (** arm the protocol event log ({!Runtime.log}) keeping the most
           recent [trace_capacity] events, for the text tail and failure

@@ -80,13 +80,12 @@ and t = {
          last N): the protocol event log *)
   emit : (Event.t -> unit) option;
       (* Some iff the log or ECSan is armed: the protocol's event stream.
-         Every recording site matches on it before it builds its event,
-         and recording never charges virtual time. *)
+         Only [Account]'s fact functions emit, each building its event
+         only when armed; recording never charges virtual time. *)
 }
 
 (* ECSan's synchronization side, read off the event stream.  Only sync
-   creation and the one-participant barrier, which record no event, call
-   the checker directly. *)
+   creation, which records no event, calls the checker directly. *)
 let ecsan_subscriber ch : Event.t -> unit = function
   | Lock_local { lock; proc; shared; _ } | Lock_granted { lock; to_ = proc; shared; _ } ->
       Check.on_acquire ch ~id:lock ~proc ~exclusive:(not shared)

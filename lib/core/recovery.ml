@@ -1,8 +1,8 @@
 (* Crash recovery over the machine record (doc/FAULTS.md): liveness,
-   replication at release, quorum failover, the kill fallout and the
-   recovery epilogue.  The protocol calls it without asking whether
-   crashes are armed: unarmed, the state is inert, and each call is a
-   few array reads that allocate nothing. *)
+   replication at release, quorum failover and the kill fallout.  The
+   protocol calls it without asking whether crashes are armed: unarmed,
+   the state is inert, and each call is a few array reads that allocate
+   nothing. *)
 
 open Machine
 
@@ -123,7 +123,6 @@ let replicate c (l : Sync.lock) =
     let backups = List.rev !backups in
     List.iter
       (fun b ->
-        c.counters.messages <- c.counters.messages + 1;
         match
           send_msg t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes ~overhead_bytes:0
             ~at
@@ -134,12 +133,7 @@ let replicate c (l : Sync.lock) =
     let r = t.recovery and lid = l.Sync.lid in
     r.replicated <- Grow.array r.replicated lid ~fill:None;
     r.replicated.(lid) <- Some { backups; snapshot };
-    c.counters.replications <- c.counters.replications + List.length backups;
-    match t.emit with
-    | None -> ()
-    | Some emit ->
-        let lock = l.Sync.lid and backups = List.length backups in
-        emit (Event.Replicated { t = at; lock; proc = c.cid; backups; bytes })
+    Account.replicated c l ~backups:(List.length backups) ~bytes ~at
   end
 
 (* Quorum ownership transfer away from a suspected-dead owner.  The
@@ -151,11 +145,10 @@ let replicate c (l : Sync.lock) =
    time the transfer completed, or [None] when no quorum was reachable. *)
 let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
   let n = t.cfg.nprocs in
-  let nc = t.ctxs.(new_owner) in
-  let votes = ref 1 (* the initiator's own ballot *) and t_votes = ref at in
+  let votes = ref 1 (* the initiator's own ballot *) and t_votes = ref at and ballots = ref 0 in
   for v = 0 to n - 1 do
     if v <> new_owner && v <> suspect && not (proto_down t v ~at) then begin
-      nc.counters.messages <- nc.counters.messages + 1;
+      incr ballots;
       match
         let a =
           send_msg t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~overhead_bytes:0 ~at
@@ -169,15 +162,11 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
   done;
   let quorum = (n / 2) + 1 in
   if !votes < quorum then begin
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        let lock = l.Sync.lid and votes = !votes in
-        emit (Event.No_quorum { t = !t_votes; lock; proc = new_owner; suspect; votes }));
+    Account.no_quorum t l ~proc:new_owner ~suspect ~ballots:!ballots ~votes:!votes ~at:!t_votes;
     None
   end
   else begin
-    let t_done = ref !t_votes in
+    let t_done = ref !t_votes and replica = ref (-1) and replica_bytes = ref 0 in
     if not t.recovery.broken then begin
       (* Epoch rules first: every processor's cursor resets, so the next
          transfer from the new owner ships current bindings in full. *)
@@ -190,22 +179,20 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
             if List.mem new_owner backups then None
             else List.find_opt (fun b -> not (proto_down t b ~at:!t_votes)) backups
           in
-          let bytes = Payload.pieces_bytes snapshot in
+          replica_bytes := Payload.pieces_bytes snapshot;
           (match host with
           | Some h -> (
-              t.ctxs.(h).counters.messages <- t.ctxs.(h).counters.messages + 1;
-              t.ctxs.(h).counters.data_sent_bytes <- t.ctxs.(h).counters.data_sent_bytes + bytes;
+              replica := h;
               match
-                send_msg t ~kind:Net.Replicate ~src:h ~dst:new_owner ~payload_bytes:bytes
+                send_msg t ~kind:Net.Replicate ~src:h ~dst:new_owner ~payload_bytes:!replica_bytes
                   ~overhead_bytes:0 ~at:!t_votes
               with
               | deliver -> t_done := deliver
               | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
           | None -> ());
-          nc.counters.data_received_bytes <- nc.counters.data_received_bytes + bytes;
           (* Installed like a freshly received full transfer. *)
-          t_done :=
-            !t_done + Detector.install_full (detector nc (lock_scheme t l.Sync.ranges)) l snapshot
+          let d = detector t.ctxs.(new_owner) (lock_scheme t l.Sync.ranges) in
+          t_done := !t_done + Detector.install_full d l snapshot
       | None ->
           (* The owner died without ever releasing: nothing was committed,
              so the new owner's own copy — untouched since the bind — is
@@ -216,14 +203,8 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
     l.Sync.held_by <- None;
     l.Sync.readers <- List.filter (fun r -> not (fiber_dead_at t r ~at:!t_done)) l.Sync.readers;
     l.Sync.free_at <- max l.Sync.free_at !t_done;
-    nc.counters.failovers <- nc.counters.failovers + 1;
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        emit
-          (Event.Lock_failover
-             { t0 = at; t = !t_done; lock = l.Sync.lid; from_ = suspect; to_ = new_owner;
-               epoch = Detector.incarnation t.detection l; votes = !votes }));
+    Account.failover t l ~suspect ~ballots:!ballots ~votes:!votes ~replica:!replica
+      ~replica_bytes:!replica_bytes ~t0:at ~at:!t_done;
     Some !t_done
   end
 
@@ -234,10 +215,10 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
    lock over by quorum and becomes its owner; the caller re-issues the
    request, now a self-send into the queue it will itself serve. *)
 let take_over c (l : Sync.lock) ~suspect ~elapsed_ns =
-  Engine.charge c.proc elapsed_ns;
+  Account.suspicion c elapsed_ns;
   crash_check c;
   match failover c.machine l ~new_owner:c.cid ~suspect ~at:(now_ns c) with
-  | Some t_done -> if t_done > now_ns c then Engine.charge c.proc (t_done - now_ns c)
+  | Some t_done -> Account.failover_wait c ~at:t_done
   | None ->
       raise
         (Crash_unavailable
@@ -253,7 +234,7 @@ let take_over c (l : Sync.lock) ~suspect ~elapsed_ns =
    steps that serve what the fallout frees. *)
 let fallout t ~service_queue ~barrier_release ~proc:p ~at =
   t.recovery.killed.(p) <- true;
-  (match t.emit with None -> () | Some emit -> emit (Event.Proc_crashed { t = at; proc = p }));
+  Account.crashed t ~proc:p ~at;
   List.iter
     (fun (l : Sync.lock) ->
       if Sync.is_reader l p then begin
@@ -286,17 +267,3 @@ let fallout t ~service_queue ~barrier_release ~proc:p ~at =
       if b.Sync.manager = p then reassign_manager t b ~at;
       if b.Sync.arrived <> [] && barrier_ready t b then barrier_release t b)
     t.barriers
-
-(* Crash-recovery events that fell inside the run rejoined the protocol
-   silently (liveness is a pure function of the plan): report them once
-   the run is over. *)
-let epilogue t =
-  match t.emit with
-  | None -> ()
-  | Some emit ->
-      let horizon = Engine.elapsed t.engine in
-      List.iter
-        (fun (e : Crash.event) ->
-          if e.Crash.action = Crash.Recover && e.Crash.at_ns <= horizon then
-            emit (Event.Proc_recovered { t = e.Crash.at_ns; proc = e.Crash.proc }))
-        (Crash.events t.recovery.plan)

@@ -1,7 +1,7 @@
 (* The entry-consistency protocol (paper, section 3) over the machine
    record: typed access and write trapping, lock and barrier transfers,
-   region re-election and running.  Crash recovery is [Recovery]'s; the
-   optional layers read the protocol's event stream ([Machine.emit]). *)
+   region re-election and running.  Crash recovery is [Recovery]'s, and
+   each fact's accounting and event is [Account]'s. *)
 
 include Machine
 
@@ -12,15 +12,11 @@ let alloc t ?line_size ?(private_ = false) bytes =
   let kind = if private_ then Region.Private else Region.Shared in
   Space.alloc t.space ~kind ~line_size bytes
 
-(* ECSan sees the caller's raw range lists (pre-normalization), so its
-   lint can flag degenerate entries the protocol silently drops. *)
-let raw_pairs ranges = List.map (fun (r : Range.t) -> (r.Range.addr, r.Range.len)) ranges
-
 (* A new lock or barrier's binding, a fact no event carries, goes to
    ECSan's binding index directly. *)
 let register t ~id ~kind ranges =
   match t.checker with
-  | Some ch -> Check.on_new_sync ch ~id ~kind ~raw:(raw_pairs ranges)
+  | Some ch -> Check.on_new_sync ch ~id ~kind ~raw:(Account.raw_pairs ranges)
   | None -> ()
 
 let new_lock t ?(owner = 0) ranges =
@@ -48,12 +44,7 @@ let id c = c.cid
 
 let nprocs c = c.machine.cfg.nprocs
 
-let log_request c ~lock ~op ~since =
-  match c.machine.emit with
-  | None -> ()
-  | Some emit ->
-      let lock = lock.Sync.lid and t1 = now_ns c in
-      emit (Event.Request { proc = c.cid; lock; op; t0 = since; t1 })
+let log_request = Account.kv_request
 
 let work_ns c ns = Engine.charge c.proc ns
 
@@ -202,7 +193,6 @@ let switch_region_backend t ~region_index ~to_ ~at =
   let from_ = scheme_of_region t region_index in
   if from_ <> to_ then begin
     t.elected.(region_index) <- Some to_;
-    t.switches <- t.switches + 1;
     let span = region_span t region_index in
     List.iter
       (fun (l : Sync.lock) ->
@@ -215,17 +205,8 @@ let switch_region_backend t ~region_index ~to_ ~at =
         Array.iter
           (fun c -> List.iter (fun (_, d) -> Detector.forget_region d region) c.detectors)
           t.ctxs);
-    match t.emit with
-    | None -> ()
-    | Some emit ->
-        let from_ = Config.backend_name from_ and to_ = Config.backend_name to_ in
-        emit (Event.Backend_switched { t = at; region = region_index; from_; to_ })
+    Account.backend_switched t ~region:region_index ~from_ ~to_ ~at
   end
-
-let first_bound_region t ranges =
-  match List.find_opt (fun (r : Range.t) -> not (Range.is_empty r)) ranges with
-  | Some r -> Space.find_region t.space r.Range.addr
-  | None -> None
 
 (* Adaptive decision point: ask the policy about each region the just-
    quiesced binding touches, and commit recommended switches that are
@@ -258,50 +239,6 @@ let maybe_adapt t ranges ~at =
 
 let wire_overhead payload = Payload.descriptors payload * Payload.descriptor_bytes
 
-(* The accounting of one collection at [c], which took [ns] and built
-   [payload], for a transfer of the [sync] object [id] bound to [ranges]
-   starting at [t0] on [c]'s clock: the counters, the adaptive policy's
-   observation ([rebound] marks a rebinding-forced full), and the event,
-   which attributes to the collection the page diffs and dirty bytes
-   counted since [c]'s counters read [pages0] and [dirty0].  Returns the
-   application bytes shipped. *)
-let collected (c : ctx) d ~sync ~id ~ranges ~bound_bytes ~rebound ~t0 ~pages0 ~dirty0 payload
-    ns =
-  let t = c.machine in
-  c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
-  let app = Payload.app_bytes payload in
-  (match t.policy with
-  | None -> ()
-  | Some p -> (
-      match first_bound_region t ranges with
-      | None -> ()
-      | Some region ->
-          let pages, runs = Payload.page_runs payload ~page_size:t.cfg.cost.page_size in
-          Policy.note_collect p ~region:region.Region.index ~line_size:region.Region.line_size
-            ~bound_bytes ~payload_bytes:app ~payload_pages:pages ~payload_runs:runs ~rebound));
-  c.counters.data_sent_bytes <- c.counters.data_sent_bytes + app;
-  (match t.emit with
-  | None -> ()
-  | Some emit ->
-      let pages = c.counters.pages_diffed - pages0 and scan = Detector.label d in
-      let dirty_bytes = c.counters.dirty_bytes_found - dirty0 in
-      emit
-        (Event.Collect { proc = c.cid; sync; id; t0; ns; bytes = app; scan; pages; dirty_bytes }));
-  app
-
-(* Apply a payload delivered to [c] at [deliver] (the receiver is
-   blocked, so its memory is quiescent), with its accounting.  Returns
-   the apply time. *)
-let apply (c : ctx) d ~sync ~id ~ranges ~app ~deliver payload =
-  let ns = Detector.apply d ~id ~ranges payload in
-  c.counters.collect_time_ns <- c.counters.collect_time_ns + ns;
-  c.counters.data_received_bytes <- c.counters.data_received_bytes + app;
-  (match c.machine.emit with
-  | None -> ()
-  | Some emit ->
-      emit (Event.Apply { proc = c.cid; sync; id; t0 = deliver; ns; bytes = app }));
-  ns
-
 (* ------------------------------------------------------------------ *)
 (* Lock protocol                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -319,25 +256,16 @@ let rec serve t (l : Sync.lock) (r : Sync.request) =
   (* The lock's elected scheme decides both sides of the transfer. *)
   let scheme = lock_scheme t l.Sync.ranges in
   let rd = detector rc scheme in
-  (* Whether this transfer will be a rebinding-forced full, read off the
-     cursors before the collection consumes them (policy input only). *)
-  let rebound = t.policy <> None && Detector.ships_full rd l ~for_:q in
-  let ranges = l.Sync.ranges in
-  let pages0 = rc.counters.pages_diffed and dirty0 = rc.counters.dirty_bytes_found in
-  let payload, collect_ns, cursor = Detector.collect_lock rd l ~for_:q in
-  let app =
-    collected rc rd ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~bound_bytes:(Sync.lock_bound_bytes l)
-      ~rebound ~t0:service_time ~pages0 ~dirty0 payload collect_ns
-  in
-  rc.counters.messages <- rc.counters.messages + 1;
+  let payload, collect_ns, cursor = Account.collect_lock rc rd l ~for_:q ~at:service_time in
+  let app = Payload.app_bytes payload in
   match
     send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Lock_reply
       ~src:releaser ~dst:q ~payload_bytes:app ~at:(service_time + collect_ns)
   with
   | deliver ->
       let apply_ns =
-        apply qc (detector qc scheme) ~sync:Event.Lock ~id:l.Sync.lid ~ranges ~app ~deliver
-          payload
+        Account.apply qc (detector qc scheme) ~sync:Event.Lock ~id:l.Sync.lid
+          ~ranges:l.Sync.ranges ~app ~deliver payload
       in
       Detector.advance rd l ~requester:q cursor;
       (match mode with
@@ -345,13 +273,7 @@ let rec serve t (l : Sync.lock) (r : Sync.request) =
           l.Sync.owner <- q;
           l.Sync.held_by <- Some q
       | Sync.Shared -> l.Sync.readers <- q :: l.Sync.readers);
-      (match t.emit with
-      | None -> ()
-      | Some emit ->
-          emit
-            (Event.Lock_granted
-               { t = deliver + apply_ns; lock = l.Sync.lid; from_ = releaser; to_ = q;
-                 shared = (mode = Sync.Shared); payload_bytes = app }));
+      Account.grant rc l mode ~to_:q ~payload_bytes:app ~at:(deliver + apply_ns);
       waker ~at:(deliver + apply_ns)
   | exception Reliable.Suspected s ->
       (* The grant raced a crash at one end of the link. *)
@@ -438,38 +360,20 @@ let acquire_mode c l mode =
   in
   if grantable_locally then begin
     (* Local re-acquisition: no messages, no collection. *)
-    c.counters.lock_acquires_local <- c.counters.lock_acquires_local + 1;
-    Engine.charge c.proc Cost_model.local_lock_ns;
     (match mode with
     | Sync.Exclusive -> l.Sync.held_by <- Some c.cid
     | Sync.Shared -> l.Sync.readers <- c.cid :: l.Sync.readers);
-    match t.emit with
-    | None -> ()
-    | Some emit ->
-        let lock = l.Sync.lid and shared = mode = Sync.Shared in
-        emit (Event.Lock_local { t = now_ns c; lock; proc = c.cid; shared })
+    Account.local_grant c l mode
   end
   else begin
-    c.counters.lock_acquires_remote <- c.counters.lock_acquires_remote + 1;
-    c.counters.messages <- c.counters.messages + 1;
     let req_at = now_ns c in
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        let lock = l.Sync.lid and shared = mode = Sync.Shared in
-        emit (Event.Lock_requested { t = req_at; lock; proc = c.cid; shared }));
+    Account.request c l mode;
     let r = c.request in
     r.Sync.r_lock <- l;
     r.Sync.r_mode <- mode;
     r.Sync.r_arrival <- request_owner t c l;
     Engine.block c.proc ?reason:c.acquire_reason ~setup:c.acquire_setup;
-    (* The wait runs from the request leaving this processor to the grant
-       (update applied) waking it. *)
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        let lock = l.Sync.lid and t1 = now_ns c in
-        emit (Event.Acquire_wait { proc = c.cid; lock; t0 = req_at; t1 }));
+    Account.acquire_wait c l ~since:req_at;
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
     Recovery.crash_check c
@@ -483,14 +387,10 @@ let release c l =
   let t = c.machine in
   Engine.yield c.proc;
   Recovery.crash_check c;
-  Engine.charge c.proc Cost_model.release_ns;
   let exclusive = match l.Sync.held_by with Some holder -> holder = c.cid | None -> false in
   if not (exclusive || Sync.is_reader l c.cid) then
     failwith (Printf.sprintf "Runtime.release: lock %d not held by p%d" l.Sync.lid c.cid);
-  (match t.emit with
-  | None -> ()
-  | Some emit ->
-      emit (Event.Lock_released { t = now_ns c; lock = l.Sync.lid; proc = c.cid }));
+  Account.release c l;
   if exclusive then begin
     (* The release commits this critical section: with crash faults
        armed, snapshot the bound data to the backup processors before
@@ -519,15 +419,8 @@ let rebind c l ranges =
   (match l.Sync.held_by with
   | Some holder when holder = c.cid -> ()
   | _ -> failwith (Printf.sprintf "Runtime.rebind: lock %d not held by p%d" l.Sync.lid c.cid));
-  Engine.charge c.proc Cost_model.release_ns;
   Detector.rebind c.machine.detection l ~ranges;
-  match c.machine.emit with
-  | None -> ()
-  | Some emit ->
-      let lock = l.Sync.lid and bound_bytes = Sync.lock_bound_bytes l in
-      emit
-        (Event.Lock_rebound
-           { t = now_ns c; lock; proc = c.cid; bound_bytes; ranges = raw_pairs ranges })
+  Account.rebind c l ranges
 
 (* ------------------------------------------------------------------ *)
 (* Barrier protocol                                                    *)
@@ -563,47 +456,43 @@ let barrier_release t (b : Sync.barrier) =
      (a switch waits for the barrier's mailboxes to drain). *)
   let scheme = barrier_scheme t b.Sync.branges in
   let cursor = List.fold_left (fun acc a -> Int.max acc a.Sync.a_stamp) 0 arrivals in
-  List.iter
-    (fun a ->
-      let p = a.Sync.a_proc in
-      if Recovery.fiber_dead_at t p ~at:t_release then
+  (* Wake each arrival with its release; returns the messages sent. *)
+  let rec release = function
+    | [] -> 0
+    | a :: rest when Recovery.fiber_dead_at t a.Sync.a_proc ~at:t_release ->
         (* The arrival's contribution was already merged, but the fiber
            is gone: wake it without a release grant so it terminates
            through its post-block crash check. *)
-        a.Sync.a_waker ~at:t_release
-      else begin
-      let pc = t.ctxs.(p) in
-      let payload = payload_for p in
-      let app = Payload.app_bytes payload in
-      if p <> b.Sync.manager then
-        t.ctxs.(b.Sync.manager).counters.messages <-
-          t.ctxs.(b.Sync.manager).counters.messages + 1;
-      let deliver =
-        match
-          send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_release
-            ~src:b.Sync.manager ~dst:p ~payload_bytes:app ~at:t_release
-        with
-        | d -> d
-        | exception Reliable.Suspected s ->
-            (* The broadcast raced a crash at one end of the link.  The
-               merged modifications already sit in the arrival mailboxes,
-               so a live participant proceeds after the detection delay;
-               a dead one dies at its post-block crash check either way. *)
-            t_release + s.Reliable.s_elapsed_ns
-      in
-      let d = detector pc scheme in
-      let apply_ns =
-        apply pc d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges:b.Sync.branges ~app ~deliver payload
-      in
-      Detector.advance_barrier d cursor;
-      a.Sync.a_waker ~at:(deliver + apply_ns)
-      end)
-    arrivals;
-  (match t.emit with
-  | None -> ()
-  | Some emit ->
-      let barrier = b.Sync.bid and episode = b.Sync.episode in
-      emit (Event.Barrier_completed { t = t_release; barrier; episode }));
+        a.Sync.a_waker ~at:t_release;
+        release rest
+    | a :: rest ->
+        let p = a.Sync.a_proc in
+        let pc = t.ctxs.(p) in
+        let payload = payload_for p in
+        let app = Payload.app_bytes payload in
+        let deliver =
+          match
+            send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_release
+              ~src:b.Sync.manager ~dst:p ~payload_bytes:app ~at:t_release
+          with
+          | d -> d
+          | exception Reliable.Suspected s ->
+              (* The broadcast raced a crash at one end of the link.  The
+                 merged modifications already sit in the arrival mailboxes,
+                 so a live participant proceeds after the detection delay;
+                 a dead one dies at its post-block crash check either way. *)
+              t_release + s.Reliable.s_elapsed_ns
+        in
+        let d = detector pc scheme in
+        let apply_ns =
+          Account.apply pc d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges:b.Sync.branges ~app
+            ~deliver payload
+        in
+        Detector.advance_barrier d cursor;
+        a.Sync.a_waker ~at:(deliver + apply_ns);
+        Bool.to_int (p <> b.Sync.manager) + release rest
+  in
+  Account.barrier_completed t b ~at:t_release ~messages:(release arrivals);
   b.Sync.episode <- b.Sync.episode + 1;
   b.Sync.arrived <- [];
   (* Barrier-bound regions adapt here: the episode is over, every
@@ -615,34 +504,20 @@ let barrier c b =
   let t = c.machine in
   Engine.yield c.proc;
   Recovery.crash_check c;
-  c.counters.barrier_crossings <- c.counters.barrier_crossings + 1;
   if b.Sync.participants = 1 then begin
     (* Degenerate (uniprocessor) barrier: no consumers, so no collection
        takes place — the paper's uniprocessor VM run "never diffs or write
-       protects a page, since the data is never transferred".  It records
-       no event, so ECSan hears of the crossing directly. *)
+       protects a page, since the data is never transferred". *)
+    Account.barrier_completed t b ~at:(now_ns c) ~messages:0;
     b.Sync.episode <- b.Sync.episode + 1;
-    match t.checker with
-    | Some ch ->
-        Check.on_barrier_complete ch ~id:b.Sync.bid;
-        Check.on_barrier_cross ch ~id:b.Sync.bid ~proc:c.cid
-    | None -> ()
+    Account.barrier_wait c b ~since:(now_ns c)
   end
   else begin
     if t.cfg.untargetted && b.Sync.branges <> [] then
       failwith "Runtime.barrier: the untargetted model supports lock-based data sharing only";
     let d = detector c (barrier_scheme t b.Sync.branges) in
-    let ranges = b.Sync.branges in
-    let t0 = now_ns c in
-    let pages0 = c.counters.pages_diffed and dirty0 = c.counters.dirty_bytes_found in
-    let payload, collect_ns, cursor = Detector.collect_barrier d b in
-    let app =
-      collected c d ~sync:Event.Barrier ~id:b.Sync.bid ~ranges
-        ~bound_bytes:(Range.total_bytes ranges) ~rebound:false ~t0 ~pages0 ~dirty0 payload
-        collect_ns
-    in
-    Engine.charge c.proc collect_ns;
-    if c.cid <> b.Sync.manager then c.counters.messages <- c.counters.messages + 1;
+    let payload, _, cursor = Account.collect_barrier c d b in
+    let app = Payload.app_bytes payload in
     (* With crash faults armed the arrival can exhaust its retries
        against a dead manager; the lowest live processor takes over the
        manager role (a pure mailbox — no barrier data lives there) and
@@ -655,18 +530,14 @@ let barrier c b =
       with
       | deliver -> deliver
       | exception Reliable.Suspected s ->
-          Engine.charge c.proc s.Reliable.s_elapsed_ns;
+          Account.suspicion c s.Reliable.s_elapsed_ns;
           (* A dead *sender* dies here rather than retrying forever. *)
           Recovery.crash_check c;
           Recovery.reassign_manager t b ~at:(now_ns c);
           send_arrival ()
     in
     let deliver = send_arrival () in
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        let barrier = b.Sync.bid and proc = c.cid and payload_bytes = app in
-        emit (Event.Barrier_arrived { t = now_ns c; barrier; proc; payload_bytes }));
+    Account.barrier_arrived c b ~payload_bytes:app;
     let wait0 = now_ns c in
     (* the episode as this processor arrives: its release moves it on *)
     let bid = b.Sync.bid and episode = b.Sync.episode in
@@ -685,11 +556,7 @@ let barrier c b =
               };
             ];
         if Recovery.barrier_ready t b then barrier_release t b);
-    (match t.emit with
-    | None -> ()
-    | Some emit ->
-        let barrier = b.Sync.bid and t1 = now_ns c in
-        emit (Event.Barrier_wait { proc = c.cid; barrier; t0 = wait0; t1 }));
+    Account.barrier_wait c b ~since:wait0;
     Recovery.crash_check c
   end
 
@@ -760,7 +627,7 @@ let run_each t bodies =
      let detail = deadlock_diagnostics t in
      raise
        (Engine.Deadlock (if detail = "" then msg else Printf.sprintf "%s\n%s" msg detail)));
-  Recovery.epilogue t
+  Account.recoveries t
 
 let run t body = run_each t (Array.make t.cfg.nprocs body)
 
@@ -837,7 +704,7 @@ let check_invariants t =
   (match t.checker with
   | Some ch ->
       let expect what id ranges =
-        let mine = raw_pairs (Range.normalize ranges) in
+        let mine = Account.raw_pairs (Range.normalize ranges) in
         let index = Check.current_ranges ch ~id in
         if mine <> index then
           report "%s %d: sanitizer binding index out of sync (%d vs %d range(s))" what id
@@ -854,8 +721,6 @@ let check_report t =
   | Some ch -> Check.report ch
 
 let elapsed_ns t = Engine.elapsed t.engine
-
-let proc_clock_ns t i = Engine.clock_of t.engine i
 
 let schedule_choices t = Engine.choices t.engine
 

@@ -29,9 +29,9 @@ val validate : Config.t -> (unit, string) result
 (** Whether the configuration may run, with the first rule it breaks:
     the standalone backend is uniprocessor; the untargetted model needs
     rt; adaptive detection needs rt or vm and targetted bindings; ECSan
-    needs targetted bindings; [trace_capacity] is not negative; a crash
-    plan names only the machine's processors and needs a distributed
-    backend. *)
+    needs targetted bindings; [trace_capacity] is not negative;
+    [update_log_window] is at least 1; a crash plan names only the
+    machine's processors and needs a distributed backend. *)
 
 val create : Config.t -> t
 (** Raises [Invalid_argument ("Runtime.create: " ^ msg)] when
@@ -52,14 +52,12 @@ val log : t -> Midway_obs.Obs.t option
 (** The protocol event log ({!Midway_obs.Event}): [Some] iff
     {!Config.t.obs} (every event) or {!Config.t.trace_capacity} > 0 (the
     most recent [trace_capacity] events).  The runtime records one event
-    per protocol fact — lock requests, grants, releases, rebinds,
-    barrier arrivals and completions, collections, applies, waits,
-    scheduler blocks, reliable-channel exchanges, crashes, recoveries,
-    replications, failovers and backend switches — and builds none
-    when neither the log nor ECSan, the stream's other subscriber, is
-    armed.  A failed operation (a release of a lock the caller does not
-    hold) records nothing.  Its tail is the text that
-    [midway-run --trace N] prints and the context of ECSan findings. *)
+    per protocol fact where it counts the fact, so each counter an event
+    accounts for equals a fold over the log; it builds none when neither
+    the log nor ECSan, the stream's other subscriber, is armed.  A failed
+    operation (a release of a lock the caller does not hold) records
+    nothing.  Its tail is the text that [midway-run --trace N] prints and
+    the context of ECSan findings. *)
 
 val obs : t -> Midway_obs.Obs.t option
 (** The complete event log — [Some] iff {!Config.t.obs}, so the spans
@@ -127,8 +125,6 @@ val check_report : t -> Midway_check.Check.report
 
 val elapsed_ns : t -> int
 (** After [run]: simulated execution time (max over processors). *)
-
-val proc_clock_ns : t -> int -> int
 
 val schedule_choices : t -> int list
 (** The engine's recorded tie-break choices (oldest first; empty under

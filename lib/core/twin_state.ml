@@ -84,8 +84,3 @@ let apply_pieces t ~space ~proc ~counters ~cost ~id ~ranges pieces =
         tw.buffers)
     pieces;
   !total_cost
-
-let twin_bytes t =
-  Hashtbl.fold
-    (fun _ tw acc -> acc + List.fold_left (fun a (_, b) -> a + Bytes.length b) 0 tw.buffers)
-    t.twins 0

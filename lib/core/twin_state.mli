@@ -53,6 +53,3 @@ val apply_pieces :
 (** Apply incoming pieces at the requester, patching its twin for object
     [id] so the update is not re-collected as a local modification.
     Returns the apply cost. *)
-
-val twin_bytes : t -> int
-(** Total twin storage held — the section 3.5 storage-cost argument. *)

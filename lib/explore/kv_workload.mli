@@ -26,22 +26,10 @@ val default : cfg
     Poisson arrivals, half the keyspace preloaded — small enough for
     schedule exploration. *)
 
-val preload_value : int -> int
-
 val build : Midway.Runtime.t -> cfg -> Midway_kv.Kvstore.t * (Midway.Runtime.ctx -> unit)
 (** Allocate the store on the machine and return it with the
     per-processor program (load / run / converge).  The caller runs the
     program and applies {!Midway_kv.Kvstore.check}. *)
-
-val run_stream :
-  ?migrate_every:int ->
-  ?broken:bool ->
-  Midway.Runtime.ctx ->
-  Midway_kv.Kvstore.t ->
-  Ycsb.req array ->
-  unit
-(** Execute one client's stream with open-loop pacing against the
-    stream's schedule (offset from the current simulated time). *)
 
 val workload : name:string -> ?buggy:bool -> cfg -> Workload.t
 

@@ -215,8 +215,6 @@ let client_stream cfg ~client =
       in
       { r_idx = i; r_sched_ns = sched; r_op = op })
 
-let op_kind = function Get _ -> "get" | Put _ -> "put" | Delete _ -> "delete" | Scan _ -> "scan"
-
 let render_op = function
   | Get k -> Printf.sprintf "get %d" k
   | Put (k, v) -> Printf.sprintf "put %d=%d" k v

@@ -70,9 +70,6 @@ val zipf_pmf : n:int -> theta:float -> float array
 (** The exact zipfian probabilities [P(rank)] the sampler targets — the
     reference distribution for the generator's chi-squared test. *)
 
-val op_kind : op -> string
-val render_req : req -> string
-
 val stream_digest : req array -> string
 (** Canonical rendering of a whole stream — the cross-run/backend
     identity check. *)

@@ -104,7 +104,6 @@ let buckets t = t.buckets
 let metrics t = t.metrics
 let request_count t = t.requests
 let bucket_of t key = key / t.per_bucket
-let lock_of_bucket t b = t.locks.(b)
 
 let check_key t key =
   if key < 0 || key >= t.keys then invalid_arg "Kvstore: key outside the keyspace"

@@ -36,7 +36,6 @@ val create : ?service_ns:int -> Midway.Runtime.t -> keys:int -> buckets:int -> t
 val keys : t -> int
 val buckets : t -> int
 val bucket_of : t -> int -> int
-val lock_of_bucket : t -> int -> Midway.Sync.lock
 
 (** {1 Operations} (run inside a simulated processor)
 

@@ -25,7 +25,6 @@ type kind =
   | K_load  (** initial data load, sequenced like a put *)
 
 val kind_name : kind -> string
-val is_write : kind -> bool
 
 type obs = {
   o_proc : int;

@@ -29,8 +29,10 @@ type t =
   | Lock_released of { t : int; lock : int; proc : int }  (** only by a release that succeeds *)
   | Lock_rebound of { t : int; lock : int; proc : int; bound_bytes : int; ranges : (int * int) list }
       (** [ranges]: the caller's [(addr, len)] list, before normalization *)
-  | Barrier_arrived of { t : int; barrier : int; proc : int; payload_bytes : int }
-  | Barrier_completed of { t : int; barrier : int; episode : int }
+  | Barrier_arrived of { t : int; barrier : int; proc : int; payload_bytes : int; messages : int }
+      (** [messages]: 1, or 0 when [proc] manages the barrier *)
+  | Barrier_completed of { t : int; barrier : int; episode : int; manager : int; messages : int }
+      (** [messages]: the releases [manager] sent *)
   | Proc_crashed of { t : int; proc : int }
       (** the processor's fiber crash-stopped at a synchronization point *)
   | Proc_recovered of { t : int; proc : int }
@@ -38,9 +40,10 @@ type t =
   | Replicated of { t : int; lock : int; proc : int; backups : int; bytes : int }
       (** an exclusive release snapshotted the bound data to [backups]
           processors (crash faults armed) *)
-  | No_quorum of { t : int; lock : int; proc : int; suspect : int; votes : int }
-      (** a failover attempt by [proc] against [suspect] collected only
-          [votes] ballots, short of a majority *)
+  | No_quorum of { t : int; lock : int; proc : int; suspect : int; votes : int; ballots : int }
+      (** a failover attempt by [proc] against [suspect] sent [ballots]
+          vote requests and collected only [votes] ballots, short of a
+          majority *)
   | Backend_switched of { t : int; region : int; from_ : string; to_ : string }
       (** a region's write-detection scheme was re-elected
           ([Config.backend_name] strings), manually or adaptively *)
@@ -52,6 +55,9 @@ type t =
       to_ : int;
       epoch : int;  (** the lock's incarnation after the bump *)
       votes : int;  (** ballots collected, the initiator's own included *)
+      ballots : int;  (** vote requests the new owner sent *)
+      replica : int;  (** the backup that shipped the replica, or -1 *)
+      replica_bytes : int;  (** the replica the new owner installed *)
     }
   | Collect of {
       proc : int;

@@ -22,7 +22,8 @@ val observe : t -> name:string -> ?label:string -> ?buckets:int array -> int -> 
 (** Record one histogram observation.  [buckets] (strictly increasing
     upper bounds; a value [v] lands in the first bucket with
     [v <= bound], else the implicit overflow bucket) applies only to the
-    first observation of [name] and defaults to {!ns_buckets}. *)
+    first observation of [name] and defaults to latencies, 1 us .. 1 s in
+    coarse decades. *)
 
 (** {1 Series handles}
 
@@ -49,9 +50,6 @@ val record : histogram -> int -> unit
 (** Record one observation: [observe] without the lookup. *)
 
 (** {1 Stock bucket layouts} *)
-
-val ns_buckets : int array
-(** Latencies: 1 us .. 1 s in coarse decades. *)
 
 val bytes_buckets : int array
 (** Payload sizes: 0 .. 1 MiB. *)

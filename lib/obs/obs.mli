@@ -63,11 +63,6 @@ type span = {
   note : string;
 }
 
-val spans_of : Event.t -> span list
-(** The spans one event yields, in order: a collection yields a
-    [Collect] and a [Diff] span, a reliable exchange a [Retransmit] span
-    only if it retransmitted, a protocol step none. *)
-
 val spans : t -> span list
 (** Every retained event's spans, in recording order. *)
 

@@ -207,8 +207,6 @@ let set_block_observer t f = t.block_observer <- f
 
 let set_kill_observer t f = t.kill_observer <- f
 
-let is_killed p = p.killed
-
 let killed t =
   Array.to_list t.procs |> List.filter (fun p -> p.killed) |> List.map (fun p -> p.id)
 

@@ -62,7 +62,7 @@ exception Deadlock of string
 exception Killed of string
 (** Crash-stop, raised *inside* a fiber (typically by the runtime's
     crash layer at a synchronization point): the fiber terminates
-    immediately with the given typed reason, is marked {!is_killed},
+    immediately with the given typed reason, is listed by {!killed},
     stops counting toward deadlock detection, and the
     {!set_kill_observer} hook fires so the recovery protocol can fail
     over whatever the dead fiber held — its waiters must be unblocked,
@@ -91,8 +91,6 @@ val set_kill_observer : t -> (proc:int -> reason:string -> at:int -> unit) optio
     clock at death.  The hook runs in scheduler context (it must not
     perform engine effects) and may push wakes — the crash layer uses it
     to run lock failover and barrier repair. *)
-
-val is_killed : proc -> bool
 
 val killed : t -> int list
 (** Processors whose fibers died of {!Killed}, ascending. *)

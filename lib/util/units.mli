@@ -5,10 +5,6 @@
     MB. These helpers centralize the conversions so the report code cannot
     drift. *)
 
-val ns_per_us : int
-val ns_per_ms : int
-val ns_per_s : int
-
 val us_of_ns : int -> float
 val ms_of_ns : int -> float
 val s_of_ns : int -> float

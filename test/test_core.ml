@@ -1199,7 +1199,8 @@ let test_trace_render () =
   Obs.record log
     (Event.Lock_granted
        { t = 1_000; lock = 2; from_ = 0; to_ = 1; shared = false; payload_bytes = 64 });
-  Obs.record log (Event.Barrier_completed { t = 2_000; barrier = 5; episode = 3 });
+  Obs.record log
+    (Event.Barrier_completed { t = 2_000; barrier = 5; episode = 3; manager = 0; messages = 3 });
   match List.map Event.to_string (Obs.events log) with
   | [ grant; barrier ] ->
       Alcotest.(check string) "grant rendered" "1.00 us      lock 2: p0 -> p1, 64 B" grant;

@@ -174,10 +174,123 @@ let run_workload ?(setup = fun _ _ -> ()) cfg =
       done);
   machine
 
+(* Each counter a protocol event accounts for, folded per processor out
+   of the event log. *)
+let fold_events nprocs events =
+  let cs = Array.init nprocs (fun _ -> Counters.create ()) in
+  let msgs p n = cs.(p).Counters.messages <- cs.(p).Counters.messages + n in
+  let sent p n = cs.(p).Counters.data_sent_bytes <- cs.(p).Counters.data_sent_bytes + n in
+  let received p n =
+    cs.(p).Counters.data_received_bytes <- cs.(p).Counters.data_received_bytes + n
+  in
+  let collect_ns p n = cs.(p).Counters.collect_time_ns <- cs.(p).Counters.collect_time_ns + n in
+  List.iter
+    (fun (e : Event.t) ->
+      match e with
+      | Lock_local { proc; _ } ->
+          cs.(proc).lock_acquires_local <- cs.(proc).lock_acquires_local + 1
+      | Lock_requested { proc; _ } ->
+          cs.(proc).lock_acquires_remote <- cs.(proc).lock_acquires_remote + 1;
+          msgs proc 1
+      | Lock_granted { from_; _ } -> msgs from_ 1
+      | Barrier_arrived { proc; messages; _ } -> msgs proc messages
+      | Barrier_completed { manager; messages; _ } -> msgs manager messages
+      | Barrier_wait { proc; _ } ->
+          cs.(proc).barrier_crossings <- cs.(proc).barrier_crossings + 1
+      | Collect { proc; ns; bytes; _ } -> collect_ns proc ns; sent proc bytes
+      | Apply { proc; ns; bytes; _ } -> collect_ns proc ns; received proc bytes
+      | Replicated { proc; backups; _ } ->
+          msgs proc backups;
+          cs.(proc).replications <- cs.(proc).replications + backups
+      | No_quorum { proc; ballots; _ } -> msgs proc ballots
+      | Lock_failover { to_; ballots; replica; replica_bytes; _ } ->
+          msgs to_ ballots;
+          received to_ replica_bytes;
+          cs.(to_).failovers <- cs.(to_).failovers + 1;
+          if replica >= 0 then begin
+            msgs replica 1;
+            sent replica replica_bytes
+          end
+      | Send_episode { src; retransmits; _ } ->
+          cs.(src).retransmits <- cs.(src).retransmits + retransmits
+      | _ -> ())
+    events;
+  cs
+
+let folded_fields =
+  Counters.
+    [
+      ("lock_acquires_local", fun c -> c.lock_acquires_local);
+      ("lock_acquires_remote", fun c -> c.lock_acquires_remote);
+      ("barrier_crossings", fun c -> c.barrier_crossings);
+      ("messages", fun c -> c.messages);
+      ("data_sent_bytes", fun c -> c.data_sent_bytes);
+      ("data_received_bytes", fun c -> c.data_received_bytes);
+      ("collect_time_ns", fun c -> c.collect_time_ns);
+      ("failovers", fun c -> c.failovers);
+      ("replications", fun c -> c.replications);
+      ("retransmits", fun c -> c.retransmits);
+    ]
+
+(* Every counter above equals its fold over the complete event log, on
+   every processor of the run [name]. *)
+let check_fold name machine =
+  let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
+  let counters = R.all_counters machine in
+  let folded = fold_events (Array.length counters) (Obs.events o) in
+  Array.iteri
+    (fun p c ->
+      List.iter
+        (fun (field, get) ->
+          Alcotest.(check int) (Printf.sprintf "%s p%d %s" name p field) (get c) (get folded.(p)))
+        folded_fields)
+    counters
+
+(* The fingerprint's configurations (every app under every scheme at
+   scale 0.05 on 4 processors) and the two app crash runs @obssmoke
+   exports, each with the log armed. *)
+let fold_runs () =
+  let module Suite = Midway_report.Suite in
+  let nprocs = 4 and scale = 0.05 in
+  let schemes =
+    List.map
+      (fun mode ->
+        let cfg = { (Config.make Config.Rt ~nprocs) with Config.rt_mode = mode } in
+        ("rt-" ^ Config.rt_mode_name mode, cfg))
+      [ Config.Plain; Config.Two_level; Config.Update_queue ]
+    @ List.map
+        (fun b -> (Config.backend_name b, Config.make b ~nprocs))
+        [ Config.Vm; Config.Twin; Config.Vm_fine ]
+    @ [
+        ("standalone", Config.make Config.Standalone ~nprocs:1);
+        ("rt-plain+faults", Config.with_faults ~drop:0.02 ~seed:42 (Config.make Config.Rt ~nprocs));
+        ("vm+faults", Config.with_faults ~drop:0.02 ~seed:42 (Config.make Config.Vm ~nprocs));
+      ]
+  in
+  let crash spec cfg =
+    match Midway_simnet.Crash.parse_spec ~nprocs spec with
+    | Ok plan -> Config.with_crash plan cfg
+    | Error msg -> Alcotest.fail msg
+  in
+  List.concat_map
+    (fun app -> List.map (fun (name, cfg) -> (app, name, cfg)) schemes)
+    Suite.apps
+  @ [
+      (Suite.Quicksort, "blast", Config.make Config.Blast ~nprocs);
+      (Suite.Sor, "rt stop@1ms:p0,recover@3ms:p0",
+       crash "stop@1ms:p0,recover@3ms:p0" (Config.make Config.Rt ~nprocs));
+      (Suite.Water, "vm stop@3ms:p0", crash "stop@3ms:p0" (Config.make Config.Vm ~nprocs));
+    ]
+  |> List.map (fun (app, name, cfg) ->
+         let o = Suite.run_app app { cfg with Config.obs = true } ~scale in
+         (Printf.sprintf "%s/%s" (Suite.app_name app) name, o.Midway_apps.Outcome.machine))
+
 let test_machine_reconciliation () =
+  List.iter (fun (name, machine) -> check_fold name machine) (fold_runs ());
   let nprocs = 4 in
   let cfg = { (Config.make Config.Rt ~nprocs) with Config.obs = true } in
   let machine = run_workload cfg in
+  check_fold "lock+barrier workload" machine;
   let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
   let spans = Obs.spans o in
   (* every processor shows up, and the protocol phases are all covered *)
