@@ -8,8 +8,6 @@ let encode ~round ~item ~word = (((round * 1_000_000) + item) * 100_000) + word
 
 let decode v = (v / 1_000_000 / 100_000, v / 100_000 mod 1_000_000, v mod 100_000)
 
-let default = { total_bytes = 256 * 1024; items = 64; rounds = 4 }
-
 let run cfg { total_bytes; items; rounds } =
   if cfg.Midway.Config.nprocs < 2 then invalid_arg "Granularity.run: needs 2 processors";
   let item_bytes = total_bytes / items / 8 * 8 in

@@ -22,9 +22,6 @@ type params = {
   rounds : int;  (** producer/consumer iterations *)
 }
 
-val default : params
-(** 256 KB in 64 items, 4 rounds. *)
-
 val run : Midway.Config.t -> params -> Outcome.t
 (** Runs on 2 processors: processor 0 writes every item (under its lock),
     processor 1 reads and checks every item, [rounds] times. *)

@@ -25,6 +25,13 @@ let request c (l : Sync.lock) mode =
   let t = now_ns c and lock = l.Sync.lid and shared = mode = Sync.Shared in
   if armed c.machine then emit c.machine (Event.Lock_requested { t; lock; proc = c.cid; shared })
 
+(* [c] woke from the block it entered at [since], with the [reason] it
+   gave {!Engine.block}. *)
+let woke c ~reason ~since =
+  if armed c.machine then
+    let reason = match reason with Some r -> r () | None -> "" in
+    emit c.machine (Event.Sched_block { proc = c.cid; reason; t0 = since; t1 = now_ns c })
+
 let acquire_wait c (l : Sync.lock) ~since =
   let proc = c.cid and lock = l.Sync.lid and t1 = now_ns c in
   if armed c.machine then emit c.machine (Event.Acquire_wait { proc; lock; t0 = since; t1 })
@@ -122,6 +129,31 @@ let barrier_wait c (b : Sync.barrier) ~since =
   c.counters.barrier_crossings <- c.counters.barrier_crossings + 1;
   let proc = c.cid and barrier = b.Sync.bid and t1 = now_ns c in
   if armed c.machine then emit c.machine (Event.Barrier_wait { proc; barrier; t0 = since; t1 })
+
+(* Route one protocol message; the time its payload lands at [dst].
+   With faults and crashes off this is the bare fabric, the exact
+   pre-fault path, so such runs stay bit-identical to the seed.  Armed,
+   it goes through the reliable channel: the exchange's retransmissions,
+   observed drops and backoff go to the sender's counters, the
+   duplicates suppressed to the receiver's.  A send that ends in
+   [Reliable.Suspected] or [Exhausted] records nothing. *)
+let send t ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
+  match t.reliable with
+  | None -> Net.arrival t.net ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at
+  | Some ch ->
+      let d = Reliable.send ~overhead_bytes ch ~kind ~src ~dst ~payload_bytes ~at in
+      let sc = t.ctxs.(src).counters and dc = t.ctxs.(dst).counters in
+      sc.retransmits <- sc.retransmits + d.Reliable.retransmits;
+      sc.drops_observed <- sc.drops_observed + d.Reliable.drops_seen;
+      sc.backoff_time_ns <- sc.backoff_time_ns + d.Reliable.backoff_ns;
+      dc.duplicates_suppressed <- dc.duplicates_suppressed + d.Reliable.dups_suppressed;
+      if armed t && src <> dst then
+        emit t
+          (Event.Send_episode
+             { src; dst; msg = Net.kind_name kind; seq = d.Reliable.seq;
+               retransmits = d.Reliable.retransmits; bytes = payload_bytes; t0 = at;
+               t1 = d.Reliable.acked_at });
+      d.Reliable.delivered_at
 
 (* [c] retransmitted for [ns] to a peer the channel then suspected; it
    waits for a failover it ran to complete [at]. *)

@@ -5,7 +5,7 @@
     machine parameter some caller varies, so a run is reproduced by its
     [t].  The parameters no caller varies are constants where they are
     used: the network's latency, bandwidth and header
-    ({!Midway_simnet.Net.create}), the wire descriptor
+    ({!Midway_simnet.Net.transfer_ns}), the wire descriptor
     ({!Payload.descriptor_bytes}), the default line size
     ({!Runtime.alloc}), the two-level group and the synchronization
     costs the paper does not measure

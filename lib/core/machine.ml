@@ -1,7 +1,6 @@
 (* The machine record and what the protocol ([Runtime], which includes
    this module) and crash recovery ([Recovery]) share: construction, the
-   scheme election, detector lookup, message routing and the event
-   stream. *)
+   scheme election, detector lookup and the event stream. *)
 
 module Engine = Midway_sched.Engine
 module Space = Midway_memory.Space
@@ -185,30 +184,6 @@ let create (cfg : Config.t) ~recovery ~service_queue =
   in
   let counters = Array.init cfg.nprocs (fun _ -> Counters.create ()) in
   let detection = Detector.env cfg space ~counters ~reliable:(reliable <> None) in
-  (match (log, emit) with
-  | Some _, Some emit -> (
-      (* Scheduler blocks (reason = what the fiber waited on) and, with
-         faults or crashes armed, reliable-channel episodes.  ECSan reads
-         neither, so only an armed log installs these hooks.  Both read
-         values the simulator computed anyway. *)
-      Engine.set_block_observer engine
-        (Some
-           (fun ~proc ~reason ~blocked_at:t0 ~woke_at:t1 ->
-             let reason = Option.value reason ~default:"" in
-             emit (Event.Sched_block { proc; reason; t0; t1 })));
-      match reliable with
-      | None -> ()
-      | Some ch ->
-          Reliable.set_observer ch
-            (Some
-               (fun (e : Reliable.episode) ->
-                 emit
-                   (Event.Send_episode
-                      { src = e.Reliable.e_src; dst = e.Reliable.e_dst;
-                        msg = Net.kind_name e.Reliable.e_kind; seq = e.Reliable.e_seq;
-                        retransmits = e.Reliable.e_retransmits; bytes = e.Reliable.e_payload_bytes;
-                        t0 = e.Reliable.e_sent_at; t1 = e.Reliable.e_acked_at }))))
-  | _ -> ());
   let machine =
     {
       cfg;
@@ -323,26 +298,3 @@ let lock_scheme t ranges =
 
 let barrier_scheme t ranges =
   unanimous t ~conflict:Detector.barrier_fallback ~first:true t.cfg.backend ranges
-
-(* ------------------------------------------------------------------ *)
-(* Message routing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Route one protocol message.  With faults off this is the bare fabric —
-   the exact pre-fault code path, so such runs stay bit-identical to the
-   seed.  With faults armed the message goes through the reliable
-   channel, and the channel's per-message activity is attributed to the
-   sender's counters (retransmissions, observed drops, backoff) and the
-   destination's (suppressed duplicates).  Either way the result is the
-   virtual time the payload lands at [dst]. *)
-let send_msg (t : t) ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
-  match t.reliable with
-  | None -> Net.arrival t.net ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at
-  | Some ch ->
-      let d = Reliable.send ~overhead_bytes ch ~kind ~src ~dst ~payload_bytes ~at in
-      let sc = t.ctxs.(src).counters and dc = t.ctxs.(dst).counters in
-      sc.retransmits <- sc.retransmits + d.Reliable.retransmits;
-      sc.drops_observed <- sc.drops_observed + d.Reliable.drops_seen;
-      sc.backoff_time_ns <- sc.backoff_time_ns + d.Reliable.backoff_ns;
-      dc.duplicates_suppressed <- dc.duplicates_suppressed + d.Reliable.dups_suppressed;
-      d.Reliable.delivered_at

@@ -41,36 +41,18 @@ type stats = {
   mutable cooldown : int;  (* windows to sit out after a switch *)
 }
 
-type t = {
-  cost : Cost_model.t;
-  min_window : int;
-  hysteresis_pct : int;
-  cooldown_windows : int;
-  min_gain_ns : int;
-  regions : (int, stats) Hashtbl.t;
-}
+type t = { cost : Cost_model.t; regions : (int, stats) Hashtbl.t }
 
-let create ?(min_window = 8) ?(hysteresis_pct = 25) ?(cooldown = 2) ?min_gain_ns ~cost () =
-  if min_window <= 0 then invalid_arg "Policy.create: min_window must be positive";
-  if hysteresis_pct < 0 then invalid_arg "Policy.create: hysteresis_pct must be >= 0";
-  if cooldown < 0 then invalid_arg "Policy.create: cooldown must be >= 0";
-  (* A switch is not free: it epoch-bumps every intersecting binding, so
-     the next transfers are full.  Demand the window show savings at
-     least comparable to page machinery before paying that — without the
-     floor, a window of empty return-transfers (est 0 under VM, a few
-     hundred ns of scan under RT) recommends a switch to save nothing. *)
-  let min_gain_ns =
-    match min_gain_ns with Some g -> g | None -> cost.Cost_model.page_fault_ns
-  in
-  if min_gain_ns < 0 then invalid_arg "Policy.create: min_gain_ns must be >= 0";
-  {
-    cost;
-    min_window;
-    hysteresis_pct;
-    cooldown_windows = cooldown;
-    min_gain_ns;
-    regions = Hashtbl.create 8;
-  }
+(* Transfers a window needs before [decide] speaks. *)
+let min_window = 8
+
+(* The challenger must undercut the incumbent's estimate by this margin. *)
+let hysteresis_pct = 25
+
+(* Decision windows sat out after each switch. *)
+let cooldown_windows = 2
+
+let create ~cost () = { cost; regions = Hashtbl.create 8 }
 
 let stats_for t region =
   match Hashtbl.find_opt t.regions region with
@@ -128,7 +110,7 @@ let manages = function Config.Rt | Config.Vm -> true | _ -> false
 
 let decide t ~region ~current =
   let s = stats_for t region in
-  if s.collects < t.min_window then None
+  if s.collects < min_window then None
   else if s.cooldown > 0 then begin
     (* Sitting out a post-switch window: consume it and start fresh so
        the next decision prices only post-switch behaviour. *)
@@ -144,14 +126,19 @@ let decide t ~region ~current =
       | _ -> invalid_arg "Policy.decide: only rt and vm regions are managed"
     in
     reset_window s;
+    (* A switch is not free: it epoch-bumps every intersecting binding,
+       so the next transfers are full.  The window must also save more
+       than a page fault: without that floor, a window of empty return
+       transfers (est 0 under VM, a few hundred ns of scan under RT)
+       recommends a switch to save nothing. *)
     if
-      cur_ns * 100 > other_ns * (100 + t.hysteresis_pct)
-      && cur_ns - other_ns > t.min_gain_ns
+      cur_ns * 100 > other_ns * (100 + hysteresis_pct)
+      && cur_ns - other_ns > t.cost.Cost_model.page_fault_ns
     then Some other
     else None
   end
 
 let note_switch t ~region =
   let s = stats_for t region in
-  s.cooldown <- t.cooldown_windows;
+  s.cooldown <- cooldown_windows;
   reset_window s

@@ -12,23 +12,14 @@
 
 type t
 
-val create :
-  ?min_window:int ->
-  ?hysteresis_pct:int ->
-  ?cooldown:int ->
-  ?min_gain_ns:int ->
-  cost:Midway_stats.Cost_model.t ->
-  unit ->
-  t
-(** [min_window] (default 8): transfers a region must accumulate before
-    [decide] speaks.  [hysteresis_pct] (default 25): the challenger must
-    beat the incumbent's estimated cost by this margin.  [cooldown]
-    (default 2): decision windows sat out after each switch, so a
-    workload at the break-even point cannot thrash (each switch forces a
-    round of full transfers).  [min_gain_ns] (default: the cost model's
-    page-fault time): the window must additionally show at least this
-    much absolute saving — a switch epoch-bumps every intersecting
-    binding, so saving a few hundred nanoseconds is never worth one. *)
+val create : cost:Midway_stats.Cost_model.t -> unit -> t
+(** A region's window needs 8 transfers before {!decide} speaks.  The
+    challenger must beat the incumbent's estimated cost by 25%, and by
+    more than the cost model's page-fault time: a switch epoch-bumps
+    every intersecting binding, so saving a few hundred nanoseconds is
+    never worth one.  Two decision windows are sat out after each
+    switch, so a workload at the break-even point cannot thrash (each
+    switch forces a round of full transfers). *)
 
 val note_collect :
   t ->
@@ -54,8 +45,7 @@ val decide : t -> region:int -> current:Config.backend -> Config.backend option
 (** Close the region's window and recommend a switch, or [None] to stay.
     Only meaningful for regions currently running [Rt] or [Vm]
     (raises [Invalid_argument] otherwise).  Returns [None] without
-    closing the window while fewer than [min_window] transfers have
-    accumulated. *)
+    closing the window while fewer than 8 transfers have accumulated. *)
 
 val note_switch : t -> region:int -> unit
 (** The runtime committed a switch for this region: start the cooldown. *)

@@ -124,8 +124,8 @@ let replicate c (l : Sync.lock) =
     List.iter
       (fun b ->
         match
-          send_msg t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes ~overhead_bytes:0
-            ~at
+          Account.send t ~kind:Net.Replicate ~src:c.cid ~dst:b ~payload_bytes:bytes
+            ~overhead_bytes:0 ~at
         with
         | (_ : int) -> ()
         | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())
@@ -151,9 +151,9 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
       incr ballots;
       match
         let a =
-          send_msg t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~overhead_bytes:0 ~at
+          Account.send t ~kind:Net.Vote ~src:new_owner ~dst:v ~payload_bytes:8 ~overhead_bytes:0 ~at
         in
-        send_msg t ~kind:Net.Vote_reply ~src:v ~dst:new_owner ~payload_bytes:8 ~overhead_bytes:0
+        Account.send t ~kind:Net.Vote_reply ~src:v ~dst:new_owner ~payload_bytes:8 ~overhead_bytes:0
           ~at:a
       with
       | reply -> incr votes; t_votes := max !t_votes reply
@@ -184,8 +184,8 @@ let failover t (l : Sync.lock) ~new_owner ~suspect ~at =
           | Some h -> (
               replica := h;
               match
-                send_msg t ~kind:Net.Replicate ~src:h ~dst:new_owner ~payload_bytes:!replica_bytes
-                  ~overhead_bytes:0 ~at:!t_votes
+                Account.send t ~kind:Net.Replicate ~src:h ~dst:new_owner
+                  ~payload_bytes:!replica_bytes ~overhead_bytes:0 ~at:!t_votes
               with
               | deliver -> t_done := deliver
               | exception (Reliable.Suspected _ | Reliable.Exhausted _) -> ())

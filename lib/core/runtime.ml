@@ -259,7 +259,7 @@ let rec serve t (l : Sync.lock) (r : Sync.request) =
   let payload, collect_ns, cursor = Account.collect_lock rc rd l ~for_:q ~at:service_time in
   let app = Payload.app_bytes payload in
   match
-    send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Lock_reply
+    Account.send t ~overhead_bytes:(wire_overhead payload) ~kind:Net.Lock_reply
       ~src:releaser ~dst:q ~payload_bytes:app ~at:(service_time + collect_ns)
   with
   | deliver ->
@@ -336,7 +336,7 @@ let create cfg = Machine.create cfg ~recovery:(Recovery.state cfg) ~service_queu
 let rec request_owner t c l =
   let dst = l.Sync.owner in
   match
-    send_msg t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~overhead_bytes:0
+    Account.send t ~kind:Net.Lock_request ~src:c.cid ~dst ~payload_bytes:0 ~overhead_bytes:0
       ~at:(now_ns c)
   with
   | arrival -> arrival
@@ -372,7 +372,9 @@ let acquire_mode c l mode =
     r.Sync.r_lock <- l;
     r.Sync.r_mode <- mode;
     r.Sync.r_arrival <- request_owner t c l;
+    let blocked_at = now_ns c in
     Engine.block c.proc ?reason:c.acquire_reason ~setup:c.acquire_setup;
+    Account.woke c ~reason:c.acquire_reason ~since:blocked_at;
     Account.acquire_wait c l ~since:req_at;
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
@@ -472,7 +474,7 @@ let barrier_release t (b : Sync.barrier) =
         let app = Payload.app_bytes payload in
         let deliver =
           match
-            send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_release
+            Account.send t ~overhead_bytes:(wire_overhead payload) ~kind:Net.Barrier_release
               ~src:b.Sync.manager ~dst:p ~payload_bytes:app ~at:t_release
           with
           | d -> d
@@ -525,7 +527,7 @@ let barrier c b =
     let rec send_arrival () =
       let dst = b.Sync.manager in
       match
-        send_msg ~overhead_bytes:(wire_overhead payload) t ~kind:Net.Barrier_arrive
+        Account.send t ~overhead_bytes:(wire_overhead payload) ~kind:Net.Barrier_arrive
           ~src:c.cid ~dst ~payload_bytes:app ~at:(now_ns c)
       with
       | deliver -> deliver
@@ -541,8 +543,8 @@ let barrier c b =
     let wait0 = now_ns c in
     (* the episode as this processor arrives: its release moves it on *)
     let bid = b.Sync.bid and episode = b.Sync.episode in
-    Engine.block c.proc
-      ~reason:(fun () -> Printf.sprintf "barrier %d (episode %d)" bid episode)
+    let reason = Some (fun () -> Printf.sprintf "barrier %d (episode %d)" bid episode) in
+    Engine.block c.proc ?reason
       ~setup:(fun ~wake ->
         b.Sync.arrived <-
           b.Sync.arrived
@@ -556,6 +558,7 @@ let barrier c b =
               };
             ];
         if Recovery.barrier_ready t b then barrier_release t b);
+    Account.woke c ~reason ~since:wait0;
     Account.barrier_wait c b ~since:wait0;
     Recovery.crash_check c
   end

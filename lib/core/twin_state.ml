@@ -40,25 +40,26 @@ let refresh t ~space ~proc ~id ~ranges =
           ranges;
     }
 
+(* Ship one modified run of [current] and refresh the twin under it,
+   which the scan has already passed. *)
+let ship_run (pieces, base, current, twin) off len =
+  pieces := { Payload.addr = base + off; data = Bytes.sub current off len } :: !pieces;
+  Bytes.blit current off twin off len
+
 let collect t ~space ~proc ~counters ~cost ~id ~ranges =
   let tw = get_or_create t ~id ~ranges in
   let pieces = ref [] in
   let total_cost = ref 0 in
   List.iter
-    (fun (base, twin_buf) ->
-      let len = Bytes.length twin_buf in
+    (fun (base, twin) ->
+      let len = Bytes.length twin in
       let current = Space.read_bytes space ~proc base ~len in
-      let runs, transitions = Diff.diff ~old_:twin_buf ~new_:current ~off:0 ~len in
+      let transitions =
+        Diff.scan_between ~old_:twin ~old_off:0 ~new_:current ~new_off:0 ~len ship_run
+          (pieces, base, current, twin)
+      in
       counters.Counters.twin_compare_bytes <- counters.Counters.twin_compare_bytes + len;
-      total_cost := !total_cost + Cost_model.diff_cost_ns cost ~words:(len / 4) ~transitions;
-      List.iter
-        (fun (r : Diff.run) ->
-          pieces :=
-            { Payload.addr = base + r.Diff.off; data = Bytes.sub current r.Diff.off r.Diff.len }
-            :: !pieces)
-        runs;
-      (* refresh the twin to the current contents *)
-      Diff.apply ~src:current ~dst:twin_buf runs)
+      total_cost := !total_cost + Cost_model.diff_cost_ns cost ~words:(len / 4) ~transitions)
     tw.buffers;
   (List.rev !pieces, !total_cost)
 

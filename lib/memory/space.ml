@@ -117,13 +117,12 @@ let new_region t ~kind ~line_size =
 
 let align_up v a = (v + a - 1) land lnot (a - 1)
 
-let alloc t ~kind ?(line_size = 64) ?align bytes =
+let alloc t ~kind ?(line_size = 64) bytes =
   if bytes <= 0 then invalid_arg "Space.alloc: size must be positive";
   if bytes > t.region_size then invalid_arg "Space.alloc: size exceeds region size";
   if not (Pow2.is_power_of_two line_size) then
     invalid_arg "Space.alloc: line_size must be a power of two";
-  let align = match align with Some a -> a | None -> max 8 line_size in
-  if not (Pow2.is_power_of_two align) then invalid_arg "Space.alloc: align must be a power of two";
+  let align = max 8 line_size in
   let key = (kind, line_size) in
   let region =
     match Hashtbl.find_opt t.bump key with

@@ -46,11 +46,11 @@ exception Crosses_region of { addr : addr; len : int; last : addr }
     engine from silently mis-diffing a page straddling a boundary
     (e.g. after a migration-style rebinding). *)
 
-val alloc : t -> kind:Region.kind -> ?line_size:int -> ?align:int -> int -> addr
+val alloc : t -> kind:Region.kind -> ?line_size:int -> int -> addr
 (** [alloc t ~kind ~line_size bytes] reserves [bytes] bytes in a region of
-    the given kind and cache-line size (default line size 64, default
-    alignment [max 8 line_size]), opening a new region when the current
-    one is full.  Allocations never span regions.  Returns the base
+    the given kind and cache-line size (default 64), aligned to
+    [max 8 line_size], opening a new region when the current one is
+    full.  Allocations never span regions.  Returns the base
     address.  Raises [Invalid_argument] if [bytes] exceeds the region
     size or is non-positive. *)
 
@@ -147,6 +147,6 @@ val copy_range : t -> src_proc:int -> dst_proc:int -> addr -> len:int -> unit
     consistency protocol to apply updates). *)
 
 val ranges_equal : t -> proc_a:int -> proc_b:int -> addr -> len:int -> bool
-(** Compare a range across two processors' copies (used by tests and by
-    the VM diff engine).  Compares eight bytes at a time with a byte-wise
-    tail; equivalent to a byte-by-byte comparison. *)
+(** Compare a range across two processors' copies (used by tests).
+    Compares eight bytes at a time with a byte-wise tail; equivalent to
+    a byte-by-byte comparison. *)

@@ -4,8 +4,6 @@
     payload traffic and every primitive-operation counter from Table 2.
     `midway-experiments --csv FILE` writes this. *)
 
-val header : string
-
 val field : string -> string
 (** RFC-4180 quoting of one field: wrapped in double quotes (embedded
     quotes doubled) iff it contains a comma, quote or line break. *)

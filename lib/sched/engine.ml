@@ -19,9 +19,7 @@ type proc = {
   queue : queue;  (* the engine's run queue: [yield] and [wake] push here *)
   mutable clock : int;
   mutable finished : bool;
-  mutable killed : bool;
-  mutable blocked_reason : (unit -> string) option;
-      (* built only when a deadlock message or the block observer reads it *)
+  mutable blocked_reason : (unit -> string) option;  (* forced only by a deadlock message *)
   mutable parked : (unit, unit) continuation option;  (* Some while suspended *)
   mutable waiting : bool;  (* blocked, and [wake] not called yet *)
   mutable blocked_at : int;  (* clock at the pending block; -1 when none *)
@@ -53,11 +51,6 @@ type t = {
   mutable started : bool;
   policy : policy;
   chooser : chooser option;  (* None iff policy = Fifo *)
-  (* Observability hook: called after a blocked fiber's clock is
-     advanced to its wake time, before it resumes.  Reads state the
-     scheduler computed anyway, so arming it cannot change a run. *)
-  mutable block_observer :
-    (proc:int -> reason:string option -> blocked_at:int -> woke_at:int -> unit) option;
   (* Called when a fiber dies of [Killed], after its bookkeeping is
      settled.  The crash-recovery layer uses it to run failover for the
      resources the dead fiber held, so its waiters are unblocked with a
@@ -176,7 +169,6 @@ let create ?(policy = Fifo) ~nprocs () =
         queue = runq;
         clock = 0;
         finished = false;
-        killed = false;
         blocked_reason = None;
         parked = None;
         waiting = false;
@@ -195,20 +187,10 @@ let create ?(policy = Fifo) ~nprocs () =
     started = false;
     policy;
     chooser;
-    block_observer = None;
     kill_observer = None;
   }
 
-let nprocs t = t.n
-
-let policy t = t.policy
-
-let set_block_observer t f = t.block_observer <- f
-
 let set_kill_observer t f = t.kill_observer <- f
-
-let killed t =
-  Array.to_list t.procs |> List.filter (fun p -> p.killed) |> List.map (fun p -> p.id)
 
 let choices t =
   match t.chooser with None -> [] | Some ch -> List.rev ch.recorded_rev
@@ -266,7 +248,6 @@ let start_fiber t p body =
                  observer's problem; it must not count as live or the
                  run would end in a spurious deadlock *)
               p.finished <- true;
-              p.killed <- true;
               p.blocked_reason <- None;
               t.live <- t.live - 1;
               (match t.kill_observer with
@@ -282,18 +263,13 @@ let start_fiber t p body =
 
 (* Resume processor [p], popped at [key]: its first slice, or its parked
    continuation.  A fiber woken from a block has its clock advanced to
-   the wake time (never back) and is reported to the block observer. *)
+   the wake time (never back). *)
 let resume t p ~key =
   match p.parked with
   | Some k ->
       p.parked <- None;
       if p.blocked_at >= 0 then begin
         if key > p.clock then p.clock <- key;
-        (match t.block_observer with
-        | Some f ->
-            let reason = Option.map (fun r -> r ()) p.blocked_reason in
-            f ~proc:p.id ~reason ~blocked_at:p.blocked_at ~woke_at:p.clock
-        | None -> ());
         p.blocked_at <- -1;
         p.blocked_reason <- None
       end;

@@ -62,28 +62,14 @@ exception Deadlock of string
 exception Killed of string
 (** Crash-stop, raised *inside* a fiber (typically by the runtime's
     crash layer at a synchronization point): the fiber terminates
-    immediately with the given typed reason, is listed by {!killed},
-    stops counting toward deadlock detection, and the
-    {!set_kill_observer} hook fires so the recovery protocol can fail
-    over whatever the dead fiber held — its waiters must be unblocked,
-    not deadlocked.  Unlike other exceptions, [Killed] does not escape
-    {!run}. *)
+    immediately with the given typed reason, stops counting toward
+    deadlock detection, and the {!set_kill_observer} hook fires so the
+    recovery protocol can fail over whatever the dead fiber held — its
+    waiters must be unblocked, not deadlocked.  Unlike other
+    exceptions, [Killed] does not escape {!run}. *)
 
 val create : ?policy:policy -> nprocs:int -> unit -> t
 (** [policy] defaults to [Fifo]. *)
-
-val policy : t -> policy
-
-val set_block_observer :
-  t -> (proc:int -> reason:string option -> blocked_at:int -> woke_at:int -> unit) option -> unit
-(** Install (or clear) a hook called whenever a blocked fiber is about
-    to resume: [proc] is the processor id, [reason] the {!block} reason
-    at suspension time, [blocked_at] its clock when it suspended and
-    [woke_at] its (already advanced) clock as it resumes, so
-    [woke_at - blocked_at] is the virtual time spent blocked.  The hook
-    only reads state the scheduler computed anyway — installing one
-    cannot alter the simulation.  Used by the observability layer to
-    record scheduler-block spans. *)
 
 val set_kill_observer : t -> (proc:int -> reason:string -> at:int -> unit) option -> unit
 (** Install (or clear) the hook called after a fiber dies of {!Killed}:
@@ -92,17 +78,12 @@ val set_kill_observer : t -> (proc:int -> reason:string -> at:int -> unit) optio
     perform engine effects) and may push wakes — the crash layer uses it
     to run lock failover and barrier repair. *)
 
-val killed : t -> int list
-(** Processors whose fibers died of {!Killed}, ascending. *)
-
 val choices : t -> int list
 (** The tie-break choices applied so far, oldest first — empty under
     [Fifo].  Feeding this list to [Replay] reproduces the schedule
     exactly.  Valid during and after [run] (including after a
     {!Deadlock} escaped), which is what lets the schedule explorer
     shrink a failing schedule. *)
-
-val nprocs : t -> int
 
 val proc : t -> int -> proc
 (** Handle for processor [i]; raises [Invalid_argument] out of range. *)
@@ -147,9 +128,9 @@ val block : ?reason:(unit -> string) -> proc -> setup:(wake:(at:int -> unit) -> 
     [reason] describes what the fiber is waiting on (e.g. ["acquire lock
     3"]); it is cleared when the fiber resumes and included in the
     {!Deadlock} message for every still-blocked processor, so
-    fault-induced hangs are diagnosable at a glance.  It is a thunk, called only by that message
-    and by the block observer, so a block nobody reports on builds no
-    string; it must return the same text whenever it is called. *)
+    fault-induced hangs are diagnosable at a glance.  It is a thunk,
+    which the engine calls only for that message, so a block that ends
+    in a wake builds no string. *)
 
 val run : t -> unit
 (** Execute all spawned fibers to completion.  Raises {!Deadlock} if the

@@ -92,8 +92,6 @@ let render p =
   String.concat ","
     (List.map (fun e -> Printf.sprintf "%s@%d:p%d" (action_name e.action) e.at_ns e.proc) p.evs)
 
-let pp fmt p = Format.pp_print_string fmt (render p)
-
 let parse_time s =
   let num suffix scale =
     match int_of_string_opt (String.sub s 0 (String.length s - String.length suffix)) with

@@ -64,5 +64,3 @@ val parse_spec : nprocs:int -> string -> (plan, string) result
     - scripted: ["stop@2ms:p1,recover@8ms:p1"] (times accept [ns], [us],
       [ms], [s] suffixes; bare integers are nanoseconds);
     - seeded: ["n=2,seed=7"] with optional [horizon=NS] (default 50ms). *)
-
-val pp : Format.formatter -> plan -> unit

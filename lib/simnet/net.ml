@@ -66,11 +66,14 @@ type fault_state = {
   mutable dups : int;
 }
 
+let latency_ns = 150_000
+
+let ns_per_byte = 57
+
+let header_bytes = 64
+
 type t = {
   nprocs : int;
-  latency_ns : int;
-  ns_per_byte : int;
-  header_bytes : int;
   msgs_sent : int array;
   payload_sent : int array;
   payload_received : int array;
@@ -83,13 +86,10 @@ type t = {
   mutable crash_drops : int;
 }
 
-let create ?(latency_ns = 150_000) ?(ns_per_byte = 57) ?(header_bytes = 64) ~nprocs () =
+let create ~nprocs () =
   if nprocs <= 0 then invalid_arg "Net.create: nprocs must be positive";
   {
     nprocs;
-    latency_ns;
-    ns_per_byte;
-    header_bytes;
     msgs_sent = Array.make nprocs 0;
     payload_sent = Array.make nprocs 0;
     payload_received = Array.make nprocs 0;
@@ -109,16 +109,13 @@ let set_fault_policy t policy =
         dups = 0;
       }
 
-let fault_policy t = Option.map (fun f -> f.policy) t.fault
-
 let set_crash_predicate t down = t.down <- down
 
 let crash_drops_injected t = t.crash_drops
 
 let nprocs t = t.nprocs
 
-let transfer_ns t ~payload_bytes =
-  t.latency_ns + ((t.header_bytes + payload_bytes) * t.ns_per_byte)
+let transfer_ns ~payload_bytes = latency_ns + ((header_bytes + payload_bytes) * ns_per_byte)
 
 type outcome = Delivered of int | Dropped | Duplicated of int * int
 
@@ -164,7 +161,7 @@ let put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at =
   t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
   t.payload_sent.(src) <- t.payload_sent.(src) + payload_bytes;
   t.by_kind.(kind_index kind) <- t.by_kind.(kind_index kind) + 1;
-  at + transfer_ns t ~payload_bytes:(payload_bytes + overhead_bytes)
+  at + transfer_ns ~payload_bytes:(payload_bytes + overhead_bytes)
 
 let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
   check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
@@ -179,7 +176,7 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
     let outcome =
       match t.fault with
       | None -> Delivered base
-      | Some f -> inject f ~base ~echo_ns:t.latency_ns
+      | Some f -> inject f ~base ~echo_ns:latency_ns
     in
     (* a copy arriving at a down destination is destroyed in the NIC;
        each surviving copy is judged at its own arrival time, so an

@@ -59,16 +59,12 @@ val validate_fault_policy : fault_policy -> fault_policy
 
 type t
 
-val create :
-  ?latency_ns:int -> ?ns_per_byte:int -> ?header_bytes:int -> nprocs:int -> unit -> t
-(** Defaults: 150 us per-message latency, 57 ns/byte (140 Mbit/s ATM at
-    AAL3/4 framing efficiency), 64-byte protocol header.  No faults. *)
+val create : nprocs:int -> unit -> t
+(** A reliable fabric: no faults. *)
 
 val set_fault_policy : t -> fault_policy -> unit
 (** Arm fault injection.  Call once, before any traffic; calling again
     resets the injection PRNG to the new policy's seed. *)
-
-val fault_policy : t -> fault_policy option
 
 val set_crash_predicate : t -> (proc:int -> at:int -> bool) option -> unit
 (** Arm (or disarm with [None]) node-level faults: when the predicate
@@ -83,9 +79,11 @@ val crash_drops_injected : t -> int
 
 val nprocs : t -> int
 
-val transfer_ns : t -> payload_bytes:int -> int
+val transfer_ns : payload_bytes:int -> int
 (** Wire time for one message carrying [payload_bytes] of application
-    data: latency + (header + payload) x bandwidth cost. *)
+    data: 150 us of latency plus 57 ns (140 Mbit/s ATM at AAL3/4
+    framing efficiency) for each byte of the payload and of a 64-byte
+    protocol header. *)
 
 (** What the fabric did with one message. *)
 type outcome =

@@ -2,20 +2,6 @@ type config = { timeout_ns : int; backoff_cap_ns : int; max_attempts : int }
 
 let default_config = { timeout_ns = 1_000_000; backoff_cap_ns = 16_000_000; max_attempts = 20 }
 
-type episode = {
-  e_kind : Net.kind;
-  e_src : int;
-  e_dst : int;
-  e_seq : int;
-  e_payload_bytes : int;
-  e_sent_at : int;
-  e_delivered_at : int;
-  e_acked_at : int;
-  e_transmissions : int;
-  e_retransmits : int;
-  e_backoff_ns : int;
-}
-
 type t = {
   cfg : config;
   net : Net.t;
@@ -23,10 +9,6 @@ type t = {
   mutable unacked : int;
   mutable retransmits : int;
   mutable backoff_ns : int;
-  (* Observability hook, called once per completed non-local exchange.
-     It sees values [send] computed anyway, after all fault draws are
-     resolved, so arming it cannot perturb the PRNG stream or the run. *)
-  mutable observer : (episode -> unit) option;
   (* Suspicion oracle: when set and the retry budget runs out against a
      peer the oracle says is down, the episode surfaces as [Suspected]
      (a failure-detector event the recovery protocol reacts to) instead
@@ -66,17 +48,13 @@ let create ?(config = default_config) net =
     unacked = 0;
     retransmits = 0;
     backoff_ns = 0;
-    observer = None;
     suspector = None;
   }
-
-let config t = t.cfg
-
-let set_observer t f = t.observer <- f
 
 let set_suspector t f = t.suspector <- f
 
 type delivery = {
+  seq : int;
   delivered_at : int;
   acked_at : int;
   transmissions : int;
@@ -88,6 +66,7 @@ type delivery = {
 
 let local_delivery at =
   {
+    seq = -1;
     delivered_at = at;
     acked_at = at;
     transmissions = 0;
@@ -183,24 +162,8 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
     t.unacked <- t.unacked - 1;
     t.retransmits <- t.retransmits + !attempts - 1;
     t.backoff_ns <- t.backoff_ns + !backoff;
-    (match t.observer with
-    | Some f ->
-        f
-          {
-            e_kind = kind;
-            e_src = src;
-            e_dst = dst;
-            e_seq = seq;
-            e_payload_bytes = payload_bytes;
-            e_sent_at = at;
-            e_delivered_at = Option.get !delivered;
-            e_acked_at = Option.get !acked;
-            e_transmissions = !attempts;
-            e_retransmits = !attempts - 1;
-            e_backoff_ns = !backoff;
-          }
-    | None -> ());
     {
+      seq;
       delivered_at = Option.get !delivered;
       acked_at = Option.get !acked;
       transmissions = !attempts;

@@ -76,32 +76,11 @@ val set_suspector : t -> (peer:int -> at:int -> bool) option -> unit
 
 val create : ?config:config -> Net.t -> t
 
-val config : t -> config
-
-type episode = {
-  e_kind : Net.kind;
-  e_src : int;
-  e_dst : int;
-  e_seq : int;
-  e_payload_bytes : int;
-  e_sent_at : int;  (** when the first copy went on the wire *)
-  e_delivered_at : int;  (** first arrival of the payload *)
-  e_acked_at : int;  (** when the sender saw the ack *)
-  e_transmissions : int;
-  e_retransmits : int;  (** [e_transmissions - 1] *)
-  e_backoff_ns : int;
-}
-(** One completed non-local exchange, as seen by the {!set_observer}
-    hook. *)
-
-val set_observer : t -> (episode -> unit) option -> unit
-(** Install (or clear) a hook invoked once per completed non-local
-    {!send}, after every fault draw is resolved.  The hook only reads
-    values [send] computed anyway, so arming it perturbs neither the
-    injection PRNG stream nor the simulated timeline — the observability
-    layer uses it to record retransmit spans and per-channel metrics. *)
-
 type delivery = {
+  seq : int;
+      (** the exchange's sequence number on its (src, dst) link: the
+          {!next_seq} before the send; -1 for a self-send, which
+          consumes none *)
   delivered_at : int;  (** first arrival of the payload at the destination *)
   acked_at : int;  (** when the sender learned the transfer succeeded *)
   transmissions : int;  (** data copies put on the wire (1 = clean first try) *)

@@ -68,28 +68,10 @@ let scan_between ~old_ ~old_off ~new_ ~new_off ~len run ctx =
   check_window "Diff.scan_between" ~old_ ~old_off ~new_ ~new_off ~len;
   scan_runs ~old_ ~old_off ~new_ ~new_off ~len run ctx
 
-(* The list-building callers: each run is consed as it closes, at
-   [base] plus its window offset. *)
-let cons_run (runs, base) off len = runs := { off = base + off; len } :: !runs
-
-let run_list ~old_ ~old_off ~new_ ~new_off ~len ~base =
-  let runs = ref [] in
-  let transitions = scan_runs ~old_ ~old_off ~new_ ~new_off ~len cons_run (runs, base) in
-  (List.rev !runs, transitions)
-
-let diff ~old_ ~new_ ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length old_ || off + len > Bytes.length new_
-  then invalid_arg "Diff.diff: range out of bounds";
-  run_list ~old_ ~old_off:off ~new_ ~new_off:off ~len ~base:off
+let cons_run runs off len = runs := { off; len } :: !runs
 
 let diff_between ~old_ ~old_off ~new_ ~new_off ~len =
   check_window "Diff.diff_between" ~old_ ~old_off ~new_ ~new_off ~len;
-  run_list ~old_ ~old_off ~new_ ~new_off ~len ~base:0
-
-let runs_bytes runs = List.fold_left (fun acc r -> acc + r.len) 0 runs
-
-let apply ~src ~dst runs =
-  List.iter (fun r -> Bytes.blit src r.off dst r.off r.len) runs
-
-let apply_to ~src ~dst ~src_off ~dst_off runs =
-  List.iter (fun r -> Bytes.blit src (src_off + r.off) dst (dst_off + r.off) r.len) runs
+  let runs = ref [] in
+  let transitions = scan_runs ~old_ ~old_off ~new_ ~new_off ~len cons_run runs in
+  (List.rev !runs, transitions)

@@ -30,30 +30,12 @@ val scan_between :
     relative to the start of the window; it returns the number of
     transitions.  Building nothing itself, it lets a caller ship or
     save each run without a run list: give it a [run] that captures
-    nothing, with its state in [ctx].  {!diff} and {!diff_between} are
-    this scan with a list-building [run].  Raises [Invalid_argument]
-    when a window leaves its buffer. *)
-
-val diff : old_:Bytes.t -> new_:Bytes.t -> off:int -> len:int -> run list * int
-(** [diff ~old_ ~new_ ~off ~len] scans the byte range [off, off+len) of
-    both buffers and returns the modified runs (offsets relative to the
-    buffer) in increasing order, plus the number of transitions between
-    modified and unmodified words.  Both buffers must be at least
-    [off+len] long. *)
+    nothing, with its state in [ctx].  [run] may overwrite the [old_]
+    window up to the end of the run it is given, which the scan has
+    passed.  Raises [Invalid_argument] when a window leaves its
+    buffer. *)
 
 val diff_between :
   old_:Bytes.t -> old_off:int -> new_:Bytes.t -> new_off:int -> len:int -> run list * int
-(** Like {!diff} but the compared windows start at independent offsets in
-    the two buffers, and run offsets are reported relative to the start
-    of the window (0-based).  Lets the caller diff a page twin against a
-    zero-copy view of live memory without first copying the page. *)
-
-val runs_bytes : run list -> int
-(** Total modified bytes described by a diff. *)
-
-val apply : src:Bytes.t -> dst:Bytes.t -> run list -> unit
-(** Copy each run from [src] into [dst] (same offsets). *)
-
-val apply_to : src:Bytes.t -> dst:Bytes.t -> src_off:int -> dst_off:int -> run list -> unit
-(** Like {!apply} with a relocation: each run offset is interpreted
-    relative to [src_off] in [src] and [dst_off] in [dst]. *)
+(** {!scan_between} collecting the runs, in increasing order, with the
+    transitions. *)

@@ -645,9 +645,8 @@ let test_policy_min_window () =
 
 let test_policy_min_gain_floor () =
   (* Empty return transfers: est_rt is a few hundred ns of scan, est_vm
-     is 0 — an infinite relative margin that saves nothing.  The default
-     floor (one page fault) must refuse the switch; with the floor
-     removed the same window switches. *)
+     is 0 — an infinite relative margin that saves nothing.  The floor
+     (one page fault) must refuse the switch. *)
   let feed p =
     for _ = 1 to 8 do
       Policy.note_collect p ~region:1 ~line_size:64 ~bound_bytes:64 ~payload_bytes:0
@@ -660,17 +659,13 @@ let test_policy_min_gain_floor () =
   Alcotest.(check bool) "the window is lopsided but tiny" true
     (est_vm = 0 && est_rt > 0 && est_rt < cost.Cost_model.page_fault_ns);
   Alcotest.(check bool) "no switch for sub-page-fault gain" true
-    (Policy.decide p ~region:1 ~current:Config.Rt = None);
-  let p = Policy.create ~min_gain_ns:0 ~cost () in
-  feed p;
-  Alcotest.(check bool) "floorless controller would thrash" true
-    (Policy.decide p ~region:1 ~current:Config.Rt = Some Config.Vm)
+    (Policy.decide p ~region:1 ~current:Config.Rt = None)
 
 let test_policy_hysteresis () =
-  (* decide must follow the documented inequality exactly, whichever way
-     the window leans *)
-  let check ~hysteresis_pct ~current feeds expect_name =
-    let p = Policy.create ~hysteresis_pct ~min_gain_ns:0 ~min_window:1 ~cost () in
+  (* decide must follow the documented rule exactly, whichever way the
+     window leans: a 25% margin and more than a page fault saved *)
+  let check ~current feeds expect_name =
+    let p = Policy.create ~cost () in
     feeds p;
     let _, est_rt, est_vm = Policy.window p ~region:1 in
     let cur, other, other_b =
@@ -679,38 +674,34 @@ let test_policy_hysteresis () =
       | _ -> (est_vm, est_rt, Config.Rt)
     in
     let expected =
-      if cur * 100 > other * (100 + hysteresis_pct) then Some other_b else None
+      if cur * 100 > other * 125 && cur - other > cost.Cost_model.page_fault_ns then Some other_b
+      else None
     in
     Alcotest.(check bool) expect_name true
       (Policy.decide p ~region:1 ~current = expected)
   in
-  check ~hysteresis_pct:25 ~current:Config.Rt (fun p -> feed_rebounds p ~region:1 4)
-    "rebound window, rt incumbent";
-  check ~hysteresis_pct:25 ~current:Config.Vm (fun p -> feed_rebounds p ~region:1 4)
-    "rebound window, vm incumbent";
-  check ~hysteresis_pct:25 ~current:Config.Vm (fun p -> feed_fine p ~region:1 4)
-    "fine window, vm incumbent";
-  (* an enormous margin requirement pins the controller down *)
-  check ~hysteresis_pct:1_000_000 ~current:Config.Rt
-    (fun p -> feed_rebounds p ~region:1 4)
-    "unreachable hysteresis never switches"
+  check ~current:Config.Rt (fun p -> feed_rebounds p ~region:1 8) "rebound window, rt incumbent";
+  check ~current:Config.Vm (fun p -> feed_rebounds p ~region:1 8) "rebound window, vm incumbent";
+  check ~current:Config.Vm (fun p -> feed_fine p ~region:1 8) "fine window, vm incumbent"
 
 let test_policy_cooldown () =
-  let p = Policy.create ~cooldown:1 ~cost () in
+  let p = Policy.create ~cost () in
   feed_rebounds p ~region:1 8;
   Alcotest.(check bool) "switches first" true
     (Policy.decide p ~region:1 ~current:Config.Rt = Some Config.Vm);
   Policy.note_switch p ~region:1;
-  feed_fine p ~region:1 8;
-  Alcotest.(check bool) "the post-switch window is sat out" true
-    (Policy.decide p ~region:1 ~current:Config.Vm = None);
+  for _ = 1 to 2 do
+    feed_fine p ~region:1 8;
+    Alcotest.(check bool) "the two post-switch windows are sat out" true
+      (Policy.decide p ~region:1 ~current:Config.Vm = None)
+  done;
   feed_fine p ~region:1 8;
   Alcotest.(check bool) "the next window decides again" true
     (Policy.decide p ~region:1 ~current:Config.Vm = Some Config.Rt)
 
 let test_policy_rejects_unmanaged_backends () =
-  let p = Policy.create ~min_window:1 ~cost () in
-  feed_fine p ~region:1 1;
+  let p = Policy.create ~cost () in
+  feed_fine p ~region:1 8;
   match Policy.decide p ~region:1 ~current:Config.Blast with
   | _ -> Alcotest.fail "blast is not a managed backend"
   | exception Invalid_argument _ -> ()

@@ -232,12 +232,47 @@ let folded_fields =
       ("retransmits", fun c -> c.retransmits);
     ]
 
+(* Scheduler blocks and waits come in adjacent pairs: each Sched_block
+   is immediately followed by its processor's acquire or barrier wait,
+   ending at the same time, and each wait immediately follows its block;
+   only a one-participant barrier's wait, which never blocks, follows
+   the barrier's completion instead. *)
+let check_blocks name events =
+  let pairs prev e =
+    match (prev, e) with
+    | Event.Sched_block { proc; t1; _ }, Event.Acquire_wait w -> w.proc = proc && w.t1 = t1
+    | Event.Sched_block { proc; t1; _ }, Event.Barrier_wait w -> w.proc = proc && w.t1 = t1
+    | Event.Barrier_completed { barrier; messages = 0; _ }, Event.Barrier_wait w ->
+        w.barrier = barrier
+    | _ -> false
+  in
+  let rec go prev = function
+    | e :: rest ->
+        let paired = match prev with Some p -> pairs p e | None -> false in
+        (match (prev, e) with
+        | Some (Event.Sched_block _ as b), _ when not paired ->
+            Alcotest.failf "%s: [%s] is followed by [%s], not by its wait" name
+              (Event.to_string b) (Event.to_string e)
+        | _, (Event.Acquire_wait _ | Event.Barrier_wait _) when not paired ->
+            Alcotest.failf "%s: [%s] follows no block" name (Event.to_string e)
+        | _ -> ());
+        go (Some e) rest
+    | [] -> (
+        match prev with
+        | Some (Event.Sched_block _ as b) ->
+            Alcotest.failf "%s: [%s] ends the log" name (Event.to_string b)
+        | _ -> ())
+  in
+  go None events
+
 (* Every counter above equals its fold over the complete event log, on
-   every processor of the run [name]. *)
+   every processor of the run [name]; so do the blocks, as above. *)
 let check_fold name machine =
   let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
   let counters = R.all_counters machine in
-  let folded = fold_events (Array.length counters) (Obs.events o) in
+  let events = Obs.events o in
+  check_blocks name events;
+  let folded = fold_events (Array.length counters) events in
   Array.iteri
     (fun p c ->
       List.iter
@@ -292,6 +327,8 @@ let test_machine_reconciliation () =
   let machine = run_workload cfg in
   check_fold "lock+barrier workload" machine;
   let o = match R.obs machine with Some o -> o | None -> Alcotest.fail "obs not armed" in
+  Alcotest.(check bool) "the workload blocks" true
+    (List.exists (function Event.Sched_block _ -> true | _ -> false) (Obs.events o));
   let spans = Obs.spans o in
   (* every processor shows up, and the protocol phases are all covered *)
   List.iter

@@ -12,13 +12,12 @@ let deliver net ?overhead_bytes ~kind ~src ~dst ~payload_bytes ~at () =
   Net.delivery (Net.send ?overhead_bytes net ~kind ~src ~dst ~payload_bytes ~at)
 
 let test_transfer_time () =
-  let net = Net.create ~latency_ns:150_000 ~ns_per_byte:57 ~header_bytes:64 ~nprocs:2 () in
   Alcotest.(check int) "empty message = latency + header"
     (150_000 + (64 * 57))
-    (Net.transfer_ns net ~payload_bytes:0);
+    (Net.transfer_ns ~payload_bytes:0);
   Alcotest.(check int) "1 KB payload"
     (150_000 + ((64 + 1024) * 57))
-    (Net.transfer_ns net ~payload_bytes:1024)
+    (Net.transfer_ns ~payload_bytes:1024)
 
 let test_send_accounting () =
   let net = Net.create ~nprocs:3 () in
@@ -55,11 +54,11 @@ let test_self_send_immune_to_faults () =
   Alcotest.(check int) "no injected duplicates" 0 (Net.duplicates_injected net)
 
 let test_overhead_excluded_from_accounting () =
-  let net = Net.create ~latency_ns:0 ~ns_per_byte:1 ~header_bytes:0 ~nprocs:2 () in
+  let net = Net.create ~nprocs:2 () in
   let t =
     deliver ~overhead_bytes:50 net ~kind:Net.Lock_reply ~src:0 ~dst:1 ~payload_bytes:10 ~at:0 ()
   in
-  Alcotest.(check int) "wire time includes overhead" 60 t;
+  Alcotest.(check int) "wire time includes overhead" (Net.transfer_ns ~payload_bytes:60) t;
   Alcotest.(check int) "accounting excludes overhead" 10 (Net.bytes_sent net ~proc:0)
 
 let test_validation () =
@@ -120,11 +119,11 @@ let test_certain_drop () =
   Alcotest.(check int) "nothing received" 0 (Net.bytes_received net ~proc:1)
 
 let test_certain_duplication () =
-  let net = Net.create ~latency_ns:1000 ~ns_per_byte:0 ~header_bytes:0 ~nprocs:2 () in
+  let net = Net.create ~nprocs:2 () in
   Net.set_fault_policy net (Net.uniform_faults ~duplicate:1.0 ~drop:0.0 ());
   (match Net.send net ~kind:Net.Lock_reply ~src:0 ~dst:1 ~payload_bytes:100 ~at:0 with
   | Net.Duplicated (a, b) ->
-      Alcotest.(check int) "first copy on time" 1000 a;
+      Alcotest.(check int) "first copy on time" (Net.transfer_ns ~payload_bytes:100) a;
       Alcotest.(check bool) "echo strictly later" true (b > a)
   | Net.Delivered _ | Net.Dropped -> Alcotest.fail "duplicate=1.0 did not duplicate");
   Alcotest.(check int) "duplicate counted" 1 (Net.duplicates_injected net);
@@ -170,7 +169,7 @@ let test_reliable_faultless_passthrough () =
   let ch = Reliable.create net in
   let d = Reliable.send ch ~kind:Net.Lock_request ~src:0 ~dst:1 ~payload_bytes:32 ~at:10 in
   Alcotest.(check int) "delivered on the bare-fabric schedule"
-    (Net.transfer_ns net ~payload_bytes:32 + 10)
+    (Net.transfer_ns ~payload_bytes:32 + 10)
     d.Reliable.delivered_at;
   Alcotest.(check int) "single transmission" 1 d.Reliable.transmissions;
   Alcotest.(check int) "no retransmit" 0 d.Reliable.retransmits;
@@ -185,6 +184,7 @@ let test_reliable_self_send () =
   let d = Reliable.send ch ~kind:Net.Lock_request ~src:1 ~dst:1 ~payload_bytes:64 ~at:3 in
   Alcotest.(check int) "instant" 3 d.Reliable.delivered_at;
   Alcotest.(check int) "no wire traffic" 0 d.Reliable.transmissions;
+  Alcotest.(check int) "no sequence number" (-1) d.Reliable.seq;
   Alcotest.(check int) "no sequence consumed" 0 (Reliable.next_seq ch ~src:1 ~dst:1)
 
 let test_reliable_survives_drops () =
@@ -193,7 +193,9 @@ let test_reliable_survives_drops () =
   let ch = Reliable.create net in
   let retr = ref 0 in
   for i = 0 to 99 do
+    let seq = Reliable.next_seq ch ~src:0 ~dst:1 in
     let d = Reliable.send ch ~kind:Net.Lock_reply ~src:0 ~dst:1 ~payload_bytes:128 ~at:(i * 10_000) in
+    Alcotest.(check int) "the link's next sequence number" seq d.Reliable.seq;
     retr := !retr + d.Reliable.retransmits;
     Alcotest.(check bool) "delivered at or after send" true
       (d.Reliable.delivered_at >= i * 10_000)
@@ -326,26 +328,28 @@ let test_reliable_ack_lost_on_final_attempt () =
 let test_reliable_dup_suppression_across_retransmit () =
   (* An ack lost in a bounded outage: the payload arrives on the first
      try, the retransmitted copy is suppressed by sequence number, and
-     the second ack completes the exchange.  With latency 100 ns and no
-     byte costs every timestamp is exact. *)
-  let net = Net.create ~latency_ns:100 ~ns_per_byte:0 ~header_bytes:0 ~nprocs:2 () in
-  (* p0 is down from 200 to 1000 ns: the first ack (arriving at 200)
-     dies, the second (arriving at 1200) does not *)
-  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at >= 200 && at < 1_000));
+     the second ack completes the exchange. *)
+  let net = Net.create ~nprocs:2 () in
+  let data = Net.transfer_ns ~payload_bytes:8 and ack = Net.transfer_ns ~payload_bytes:0 in
+  (* p0 is down for the 1000 ns from the first ack's arrival: that ack
+     dies, the second (sent a 1000 ns timeout later) does not *)
+  Net.set_crash_predicate net
+    (Some (fun ~proc ~at -> proc = 0 && at >= data + ack && at < data + ack + 1_000));
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 16_000; max_attempts = 5 }
       net
   in
   let d = Reliable.send ch ~kind:Net.Lock_reply ~src:0 ~dst:1 ~payload_bytes:8 ~at:0 in
-  Alcotest.(check int) "payload arrived on the first copy" 100 d.Reliable.delivered_at;
+  Alcotest.(check int) "payload arrived on the first copy" data d.Reliable.delivered_at;
   Alcotest.(check int) "two data copies on the wire" 2 d.Reliable.transmissions;
   Alcotest.(check int) "one retransmission" 1 d.Reliable.retransmits;
   Alcotest.(check int) "the redundant copy was suppressed by seqno" 1 d.Reliable.dups_suppressed;
   Alcotest.(check int) "one copy (the first ack) was destroyed" 1 d.Reliable.drops_seen;
   Alcotest.(check int) "one full timeout of backoff" 1_000 d.Reliable.backoff_ns;
-  (* retransmit leaves at 1000, arrives 1100, re-ack arrives 1200 *)
-  Alcotest.(check int) "acked by the retransmitted copy's ack" 1_200 d.Reliable.acked_at;
+  (* the retransmission leaves at 1000 *)
+  Alcotest.(check int) "acked by the retransmitted copy's ack" (1_000 + data + ack)
+    d.Reliable.acked_at;
   (* the fabric counts both data copies (each was a real wire transfer);
      suppression by sequence number happens above the fabric *)
   Alcotest.(check int) "both copies hit the receiver's wire accounting" 16
