@@ -150,13 +150,8 @@ let create (cfg : Config.t) ~recovery ~service_queue =
     | None, None -> None
     | faults, crash ->
         Option.iter (Net.set_fault_policy net) faults;
-        let ch = Reliable.create ~config:recovery.channel net in
-        if crash <> None then begin
-          let down ~proc ~at = Crash.is_down recovery.plan ~proc ~at in
-          Net.set_crash_predicate net (Some down);
-          Reliable.set_suspector ch (Some (fun ~peer ~at -> down ~proc:peer ~at))
-        end;
-        Some ch
+        if crash <> None then Net.set_crash_plan net recovery.plan;
+        Some (Reliable.create ~config:recovery.channel net)
   in
   let log =
     if cfg.obs then Some (Obs.create ())

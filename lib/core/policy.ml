@@ -37,7 +37,6 @@ type stats = {
   mutable collects : int;  (* transfers observed this window *)
   mutable est_rt_ns : int;
   mutable est_vm_ns : int;
-  mutable rebounds : int;  (* rebinding-forced fulls this window *)
   mutable cooldown : int;  (* windows to sit out after a switch *)
 }
 
@@ -58,7 +57,7 @@ let stats_for t region =
   match Hashtbl.find_opt t.regions region with
   | Some s -> s
   | None ->
-      let s = { collects = 0; est_rt_ns = 0; est_vm_ns = 0; rebounds = 0; cooldown = 0 } in
+      let s = { collects = 0; est_rt_ns = 0; est_vm_ns = 0; cooldown = 0 } in
       Hashtbl.replace t.regions region s;
       s
 
@@ -69,7 +68,6 @@ let note_collect t ~region ~line_size ~bound_bytes ~payload_bytes ~payload_pages
   let c = t.cost in
   let s = stats_for t region in
   s.collects <- s.collects + 1;
-  if rebound then s.rebounds <- s.rebounds + 1;
   let dirty_lines = ceil_div payload_bytes line_size in
   let bound_lines = ceil_div bound_bytes line_size in
   (* One dirtied word is at least one instrumented store, so payload
@@ -103,8 +101,7 @@ let window t ~region =
 let reset_window s =
   s.collects <- 0;
   s.est_rt_ns <- 0;
-  s.est_vm_ns <- 0;
-  s.rebounds <- 0
+  s.est_vm_ns <- 0
 
 let manages = function Config.Rt | Config.Vm -> true | _ -> false
 

@@ -50,26 +50,18 @@ let proto_down t p ~at = Crash.is_down t.recovery.plan ~proc:p ~at
 (* Crashes take effect at synchronization points: every protocol
    operation calls this right after its scheduling yield, and again when
    a blocked fiber resumes (a grant can reach a processor that died while
-   parked).  The typed [Engine.Killed] unwinds the fiber; the engine's
-   kill observer (wired in [Runtime.run_each]) then runs [fallout]. *)
+   parked).  [Engine.Killed] unwinds the fiber to [Runtime.run_each],
+   which runs [fallout] before the engine ends it.
+
+   The second condition is an application-level livelock guard: the
+   recovery protocol keeps the DSM itself making progress, but a program
+   can poll shared state only a crashed processor would have advanced (a
+   task queue whose worker died mid-task never drains).  Such survivors
+   burn virtual time forever; past the watchdog they are declared lost
+   and crash-stopped so the run terminates and reports honestly. *)
 let crash_check c =
   let r = c.machine.recovery and now = now_ns c in
-  let stop = r.stop_at.(c.cid) in
-  if stop <= now then
-    raise (Engine.Killed (Printf.sprintf "crash-stop of p%d (scheduled at %d ns)" c.cid stop))
-  else if now > r.watchdog_ns then
-    (* Application-level livelock guard: the recovery protocol keeps the
-       DSM itself making progress, but a program can poll shared state
-       only a crashed processor would have advanced (a task queue whose
-       worker died mid-task never drains).  Such survivors burn virtual
-       time forever; past the watchdog they are declared lost and
-       crash-stopped so the run terminates and reports honestly. *)
-    raise
-      (Engine.Killed
-         (Printf.sprintf
-            "crash watchdog: p%d still running at %d ns — survivors likely spinning on state a \
-             crashed processor can no longer advance"
-            c.cid now))
+  if r.stop_at.(c.cid) <= now || now > r.watchdog_ns then raise Engine.Killed
 
 let killed_procs t = List.filter (fun p -> t.recovery.killed.(p)) (List.init t.cfg.nprocs Fun.id)
 
@@ -225,13 +217,15 @@ let take_over c (l : Sync.lock) ~suspect ~elapsed_ns =
            (Printf.sprintf "lock %d: p%d suspects owner p%d but no majority quorum is reachable"
               l.Sync.lid c.cid suspect))
 
-(* Protocol fallout of fiber [p] crash-stopping, run from the engine's
-   kill observer (scheduler context: no engine effects, but wakes are
-   fine).  Held and managed state moves to live processors so waiters
-   unblock with a grant instead of deadlocking: held locks fail over by
-   quorum, barrier managership is reassigned, and barriers whose only
-   missing participants are dead complete.  The protocol lends the two
-   steps that serve what the fallout frees. *)
+(* Protocol fallout of fiber [p] crash-stopping at its clock [at], run
+   on the dying fiber's stack as [Engine.Killed] unwinds it out of its
+   program ([Runtime.run_each]), in the same engine step.  It performs
+   no engine effect; it only pushes wakes.  Held and managed state moves
+   to live processors so waiters unblock with a grant instead of
+   deadlocking: held locks fail over by quorum, barrier managership is
+   reassigned, and barriers whose only missing participants are dead
+   complete.  The protocol lends the two steps that serve what the
+   fallout frees. *)
 let fallout t ~service_queue ~barrier_release ~proc:p ~at =
   t.recovery.killed.(p) <- true;
   Account.crashed t ~proc:p ~at;

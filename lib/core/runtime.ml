@@ -621,10 +621,17 @@ let run_each t bodies =
           | Some r -> if r.Region.kind = Region.Shared then `Shared else `Private
           | None -> `Unmapped)
   | None -> ());
-  Engine.set_kill_observer t.engine
-    (Some
-       (fun ~proc ~reason:_ ~at -> Recovery.fallout t ~service_queue ~barrier_release ~proc ~at));
-  Array.iteri (fun i body -> Engine.spawn t.engine i (fun _proc -> body t.ctxs.(i))) bodies;
+  (* A crash-stopped processor's fallout runs as [Engine.Killed] leaves
+     its program, at its clock, before the engine ends the fiber. *)
+  Array.iteri
+    (fun i body ->
+      let c = t.ctxs.(i) in
+      Engine.spawn t.engine i (fun _proc ->
+          try body c
+          with Engine.Killed ->
+            Recovery.fallout t ~service_queue ~barrier_release ~proc:i ~at:(now_ns c);
+            raise Engine.Killed))
+    bodies;
   (try Engine.run t.engine
    with Engine.Deadlock msg ->
      let detail = deadlock_diagnostics t in

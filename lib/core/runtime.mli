@@ -94,9 +94,11 @@ val run : t -> (ctx -> unit) -> unit
     synchronization bug.
 
     With {!Config.t.crash} armed, processors crash-stop at their
-    scheduled times (taking effect at synchronization points); a crashed
-    fiber unwinds with {!Midway_sched.Engine.Killed}, its held locks
-    fail over to live processors by majority quorum, and the run
+    scheduled times (taking effect at synchronization points): a crashed
+    fiber unwinds with {!Midway_sched.Engine.Killed}, and as it leaves
+    its program, at its clock, [run] fails its held locks over to live
+    processors by majority quorum and repairs the barriers it manages
+    or was missing from; the engine then ends the fiber, and the run
     completes with the survivors.  May then raise {!Crash_unavailable}
     (see above). *)
 

@@ -19,10 +19,9 @@ type proc = {
   queue : queue;  (* the engine's run queue: [yield] and [wake] push here *)
   mutable clock : int;
   mutable finished : bool;
-  mutable blocked_reason : (unit -> string) option;  (* forced only by a deadlock message *)
+  mutable blocked_reason : (unit -> string) option;  (* set by each block, read by [Deadlock] *)
   mutable parked : (unit, unit) continuation option;  (* Some while suspended *)
   mutable waiting : bool;  (* blocked, and [wake] not called yet *)
-  mutable blocked_at : int;  (* clock at the pending block; -1 when none *)
   wake : at:int -> unit;  (* this processor's waker, built once *)
 }
 
@@ -51,19 +50,11 @@ type t = {
   mutable started : bool;
   policy : policy;
   chooser : chooser option;  (* None iff policy = Fifo *)
-  (* Called when a fiber dies of [Killed], after its bookkeeping is
-     settled.  The crash-recovery layer uses it to run failover for the
-     resources the dead fiber held, so its waiters are unblocked with a
-     typed reason instead of deadlocking. *)
-  mutable kill_observer : (proc:int -> reason:string -> at:int -> unit) option;
 }
 
 exception Deadlock of string
 
-exception Killed of string
-(** Raised *inside* a fiber to crash-stop it: the fiber terminates, is
-    excluded from deadlock accounting, and the kill observer fires with
-    the typed reason. *)
+exception Killed
 
 (* The one effect: the running fiber parks its continuation in its proc
    record.  Whoever performs it has already arranged to be queued again
@@ -172,7 +163,6 @@ let create ?(policy = Fifo) ~nprocs () =
         blocked_reason = None;
         parked = None;
         waiting = false;
-        blocked_at = -1;
         wake = (fun ~at -> wake_proc p ~at);
       }
     in
@@ -187,10 +177,7 @@ let create ?(policy = Fifo) ~nprocs () =
     started = false;
     policy;
     chooser;
-    kill_observer = None;
   }
-
-let set_kill_observer t f = t.kill_observer <- f
 
 let choices t =
   match t.chooser with None -> [] | Some ch -> List.rev ch.recorded_rev
@@ -226,34 +213,24 @@ let yield p =
 
 let block ?reason p ~setup =
   p.blocked_reason <- reason;
-  p.blocked_at <- p.clock;
   p.waiting <- true;
   setup ~wake:p.wake;
   Effect.perform Suspend
 
 (* Run a fiber under the deep handler until it first suspends (its
-   continuation then waits in [p.parked]) or terminates. *)
+   continuation then waits in [p.parked]) or terminates.  A fiber that
+   dies of [Killed] ends like one that returns: it no longer counts as
+   live, so the run does not wait for it. *)
 let start_fiber t p body =
   let park = Some (fun (k : (unit, unit) continuation) -> p.parked <- Some k) in
+  let finish () =
+    p.finished <- true;
+    t.live <- t.live - 1
+  in
   match_with body p
     {
-      retc = (fun () ->
-          p.finished <- true;
-          t.live <- t.live - 1);
-      exnc =
-        (fun e ->
-          match e with
-          | Killed reason ->
-              (* crash-stop: the fiber dies, its waiters are the kill
-                 observer's problem; it must not count as live or the
-                 run would end in a spurious deadlock *)
-              p.finished <- true;
-              p.blocked_reason <- None;
-              t.live <- t.live - 1;
-              (match t.kill_observer with
-              | Some f -> f ~proc:p.id ~reason ~at:p.clock
-              | None -> ())
-          | e -> raise e);
+      retc = finish;
+      exnc = (function Killed -> finish () | e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -262,17 +239,14 @@ let start_fiber t p body =
     }
 
 (* Resume processor [p], popped at [key]: its first slice, or its parked
-   continuation.  A fiber woken from a block has its clock advanced to
-   the wake time (never back). *)
+   continuation with its clock advanced to [key] (never back).  After a
+   block [key] is the wake time; a yield is queued at its own clock, so
+   there the advance changes nothing. *)
 let resume t p ~key =
   match p.parked with
   | Some k ->
       p.parked <- None;
-      if p.blocked_at >= 0 then begin
-        if key > p.clock then p.clock <- key;
-        p.blocked_at <- -1;
-        p.blocked_reason <- None
-      end;
+      if key > p.clock then p.clock <- key;
       continue k ()
   | None -> (
       match t.bodies.(p.id) with

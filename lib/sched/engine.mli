@@ -59,24 +59,17 @@ exception Deadlock of string
     replay length), so a hang found by the schedule explorer is
     reproducible from the message alone. *)
 
-exception Killed of string
-(** Crash-stop, raised *inside* a fiber (typically by the runtime's
-    crash layer at a synchronization point): the fiber terminates
-    immediately with the given typed reason, stops counting toward
-    deadlock detection, and the {!set_kill_observer} hook fires so the
-    recovery protocol can fail over whatever the dead fiber held — its
-    waiters must be unblocked, not deadlocked.  Unlike other
-    exceptions, [Killed] does not escape {!run}. *)
+exception Killed
+(** Crash-stop, raised *inside* a fiber (by the runtime's crash layer
+    at a synchronization point): the fiber ends there and stops
+    counting toward deadlock detection.  Unlike other exceptions,
+    [Killed] does not escape {!run}.  The engine does nothing else
+    about the death: whoever raises it settles what the fiber held
+    first, so a fiber that waits for a wake only the dead fiber would
+    have sent ends the run in {!Deadlock}. *)
 
 val create : ?policy:policy -> nprocs:int -> unit -> t
 (** [policy] defaults to [Fifo]. *)
-
-val set_kill_observer : t -> (proc:int -> reason:string -> at:int -> unit) option -> unit
-(** Install (or clear) the hook called after a fiber dies of {!Killed}:
-    [proc] is the dead processor, [reason] the kill reason, [at] its
-    clock at death.  The hook runs in scheduler context (it must not
-    perform engine effects) and may push wakes — the crash layer uses it
-    to run lock failover and barrier repair. *)
 
 val choices : t -> int list
 (** The tie-break choices applied so far, oldest first — empty under
@@ -126,11 +119,10 @@ val block : ?reason:(unit -> string) -> proc -> setup:(wake:(at:int -> unit) -> 
     the waker.
 
     [reason] describes what the fiber is waiting on (e.g. ["acquire lock
-    3"]); it is cleared when the fiber resumes and included in the
-    {!Deadlock} message for every still-blocked processor, so
-    fault-induced hangs are diagnosable at a glance.  It is a thunk,
-    which the engine calls only for that message, so a block that ends
-    in a wake builds no string. *)
+    3"]); the {!Deadlock} message includes it for every still-blocked
+    processor, so fault-induced hangs are diagnosable at a glance.  It
+    is a thunk, which the engine calls only for that message, so a
+    block that ends in a wake builds no string. *)
 
 val run : t -> unit
 (** Execute all spawned fibers to completion.  Raises {!Deadlock} if the

@@ -1,10 +1,8 @@
 type kind =
   | Lock_request
   | Lock_reply
-  | Lock_forward
   | Barrier_arrive
   | Barrier_release
-  | Startup
   | Ack
   | Replicate
   | Vote
@@ -13,10 +11,8 @@ type kind =
 let kind_name = function
   | Lock_request -> "lock-request"
   | Lock_reply -> "lock-reply"
-  | Lock_forward -> "lock-forward"
   | Barrier_arrive -> "barrier-arrive"
   | Barrier_release -> "barrier-release"
-  | Startup -> "startup"
   | Ack -> "ack"
   | Replicate -> "replicate"
   | Vote -> "vote"
@@ -25,16 +21,14 @@ let kind_name = function
 let kind_index = function
   | Lock_request -> 0
   | Lock_reply -> 1
-  | Lock_forward -> 2
-  | Barrier_arrive -> 3
-  | Barrier_release -> 4
-  | Startup -> 5
-  | Ack -> 6
-  | Replicate -> 7
-  | Vote -> 8
-  | Vote_reply -> 9
+  | Barrier_arrive -> 2
+  | Barrier_release -> 3
+  | Ack -> 4
+  | Replicate -> 5
+  | Vote -> 6
+  | Vote_reply -> 7
 
-let nkinds = 10
+let nkinds = 8
 
 type fault_link = { drop : float; duplicate : float; jitter_ns : int }
 
@@ -79,10 +73,10 @@ type t = {
   payload_received : int array;
   by_kind : int array;
   mutable fault : fault_state option;
-  (* Node-level faults: when set, a message from or to a down processor
-     is destroyed deterministically (no PRNG draw), composing with the
-     probabilistic hazards below. *)
-  mutable down : (proc:int -> at:int -> bool) option;
+  (* Node-level faults: when set, a message from or to a processor the
+     plan has down is destroyed deterministically (no PRNG draw),
+     composing with the probabilistic hazards below. *)
+  mutable crash : Crash.plan option;
   mutable crash_drops : int;
 }
 
@@ -95,7 +89,7 @@ let create ~nprocs () =
     payload_received = Array.make nprocs 0;
     by_kind = Array.make nkinds 0;
     fault = None;
-    down = None;
+    crash = None;
     crash_drops = 0;
   }
 
@@ -109,7 +103,10 @@ let set_fault_policy t policy =
         dups = 0;
       }
 
-let set_crash_predicate t down = t.down <- down
+let set_crash_plan t plan = t.crash <- Some plan
+
+let is_down t ~proc ~at =
+  match t.crash with None -> false | Some plan -> Crash.is_down plan ~proc ~at
 
 let crash_drops_injected t = t.crash_drops
 
@@ -149,8 +146,6 @@ let inject f ~base ~echo_ns =
     else Delivered first
   end
 
-let is_down t proc at = match t.down with None -> false | Some f -> f ~proc ~at
-
 let check_send t ~src ~dst ~payload_bytes ~overhead_bytes =
   if src < 0 || src >= t.nprocs || dst < 0 || dst >= t.nprocs then
     invalid_arg "Net.send: processor out of range";
@@ -166,7 +161,7 @@ let put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at =
 let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
   check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
   if src = dst then Delivered at
-  else if is_down t src at then begin
+  else if is_down t ~proc:src ~at then begin
     (* a halted processor puts nothing on the wire *)
     t.crash_drops <- t.crash_drops + 1;
     Dropped
@@ -185,13 +180,13 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
       match outcome with
       | Dropped -> Dropped
       | Delivered a ->
-          if is_down t dst a then begin
+          if is_down t ~proc:dst ~at:a then begin
             t.crash_drops <- t.crash_drops + 1;
             Dropped
           end
           else outcome
       | Duplicated (a, b) -> (
-          match (is_down t dst a, is_down t dst b) with
+          match (is_down t ~proc:dst ~at:a, is_down t ~proc:dst ~at:b) with
           | false, false -> outcome
           | false, true ->
               t.crash_drops <- t.crash_drops + 1;
@@ -211,7 +206,7 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
   end
 
 let arrival t ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
-  match (t.fault, t.down) with
+  match (t.fault, t.crash) with
   | None, None when src <> dst ->
       check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
       let a = put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at in

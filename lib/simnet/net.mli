@@ -21,10 +21,8 @@
 type kind =
   | Lock_request
   | Lock_reply
-  | Lock_forward
   | Barrier_arrive
   | Barrier_release
-  | Startup
   | Ack  (** reliable-channel acknowledgement (see {!Reliable}) *)
   | Replicate  (** bound-data replica shipped to a backup at release (see {!Crash}) *)
   | Vote  (** failover ballot requesting an ownership-transfer vote *)
@@ -66,16 +64,21 @@ val set_fault_policy : t -> fault_policy -> unit
 (** Arm fault injection.  Call once, before any traffic; calling again
     resets the injection PRNG to the new policy's seed. *)
 
-val set_crash_predicate : t -> (proc:int -> at:int -> bool) option -> unit
-(** Arm (or disarm with [None]) node-level faults: when the predicate
-    says a processor is down, any message it would send is never put on
-    the wire, and any copy arriving at it is destroyed in the NIC — a
-    deterministic drop, composing with the probabilistic hazards.
-    Typically [Crash.is_down] partially applied to a {!Crash.plan}. *)
+val set_crash_plan : t -> Crash.plan -> unit
+(** Arm node-level faults: while the plan has a processor down (see
+    {!is_down}), any message it would send is never put on the wire,
+    and any copy arriving at it is destroyed in the NIC — a
+    deterministic drop, composing with the probabilistic hazards.  Call
+    once, before any traffic. *)
+
+val is_down : t -> proc:int -> at:int -> bool
+(** [Crash.is_down] on the armed plan; [false] when none is armed.
+    {!Reliable} asks it which end to blame when a retry budget runs
+    out. *)
 
 val crash_drops_injected : t -> int
 (** Copies destroyed because an endpoint was down (0 without a crash
-    predicate). *)
+    plan). *)
 
 val nprocs : t -> int
 

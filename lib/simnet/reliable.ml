@@ -9,11 +9,6 @@ type t = {
   mutable unacked : int;
   mutable retransmits : int;
   mutable backoff_ns : int;
-  (* Suspicion oracle: when set and the retry budget runs out against a
-     peer the oracle says is down, the episode surfaces as [Suspected]
-     (a failure-detector event the recovery protocol reacts to) instead
-     of the generic [Exhausted]. *)
-  mutable suspector : (peer:int -> at:int -> bool) option;
 }
 
 type suspicion = {
@@ -48,10 +43,7 @@ let create ?(config = default_config) net =
     unacked = 0;
     retransmits = 0;
     backoff_ns = 0;
-    suspector = None;
   }
-
-let set_suspector t f = t.suspector <- f
 
 type delivery = {
   seq : int;
@@ -108,17 +100,15 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
         t.retransmits <- t.retransmits + !attempts - 1;
         t.backoff_ns <- t.backoff_ns + !backoff;
         let elapsed_ns = !send_at - at in
-        (* Either end being down explains the exhaustion as a crash
-           fault: a dead receiver never acks, and a sender that crashed
-           mid-episode stops retransmitting (its remaining copies drop
-           at the network).  The caller tells the cases apart from the
-           plan — a dead source means the caller itself is the crash. *)
-        let suspected =
-          match t.suspector with
-          | Some dead -> dead ~peer:dst ~at:!send_at || dead ~peer:src ~at:!send_at
-          | None -> false
-        in
-        if suspected then
+        (* Either end down in the fabric's crash plan explains the
+           exhaustion as a crash fault, a failure-detector event the
+           recovery protocol reacts to: a dead receiver never acks, and
+           a sender that crashed mid-episode stops retransmitting (its
+           remaining copies drop at the network).  The caller tells the
+           cases apart from the plan — a dead source means the caller
+           itself is the crash. *)
+        if Net.is_down t.net ~proc:dst ~at:!send_at || Net.is_down t.net ~proc:src ~at:!send_at
+        then
           raise
             (Suspected
                {

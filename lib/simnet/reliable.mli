@@ -51,28 +51,26 @@ type suspicion = {
   s_attempts : int;
   s_elapsed_ns : int;  (** virtual time burned before giving up *)
 }
-(** A failure-detector event: the retry budget ran out against a peer
-    the {!set_suspector} oracle considers down. *)
+(** A failure-detector event: the retry budget ran out while the
+    fabric's crash plan ({!Net.set_crash_plan}) had an end of the link
+    down. *)
 
 exception Suspected of suspicion
-(** Raised instead of {!Exhausted} when the suspicion oracle blames
-    either end of the link, not the wire: a dead receiver never acks,
-    and a sender that crashed mid-episode stops retransmitting.  The
-    recovery protocol ({!Midway.Runtime}) tells the cases apart from
-    the crash plan — a dead receiver triggers quorum ownership
-    failover, a dead sender is the caller's own crash taking effect.  A
-    partitioned-but-alive peer still surfaces as {!Exhausted}. *)
+(** Raised instead of {!Exhausted} when the fabric's crash plan has
+    either end of the link down at the give-up time ({!Net.is_down}),
+    so the crash, not the wire, is to blame: a dead receiver never
+    acks, and a sender that crashed mid-episode stops retransmitting.
+    The recovery protocol ({!Midway.Runtime}) tells the cases apart
+    from the same plan — a dead receiver triggers quorum ownership
+    failover, a dead sender is the caller's own crash taking effect.
+    With both ends up, or no plan armed, the give-up is
+    {!Exhausted}. *)
 
 val exhausted_message :
   kind:Net.kind -> src:int -> dst:int -> seq:int -> attempts:int -> elapsed_ns:int ->
   string
 (** The exact message {!Exhausted} carries — exposed so tests can assert
     the format. *)
-
-val set_suspector : t -> (peer:int -> at:int -> bool) option -> unit
-(** Install (or clear) the suspicion oracle consulted when a retry
-    budget runs out.  With node-level faults armed this is
-    {!Crash.is_down} on the run's crash plan. *)
 
 val create : ?config:config -> Net.t -> t
 
@@ -98,7 +96,7 @@ val send :
     fault-free fabric this degenerates to exactly one data copy plus one
     ack.  Self-sends are delivered locally: no messages, no sequence
     number, all counters zero.  Raises {!Exhausted} (or {!Suspected},
-    when the suspicion oracle blames the peer) when
+    when the crash plan has either end down) when
     [config.max_attempts] transmissions all fail to produce an ack; the
     failed attempts still count toward {!total_retransmits} and
     {!total_backoff_ns}. *)

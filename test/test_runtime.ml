@@ -836,6 +836,65 @@ let test_crash_plan_out_of_range () =
     (Invalid_argument "Runtime.create: the crash plan names p7 but the machine has 4 processors")
     (fun () -> ignore (R.create (Config.with_crash plan (Config.make Config.Rt ~nprocs:4))))
 
+(* A lock holder crash-stops: p0 holds L past its scheduled stop while
+   p1's request waits in L's queue, and dies at its release.  Its
+   fallout runs at that release's clock: p0's crash, L's failover to p1
+   suspected at the same instant, then p1's grant. *)
+let test_crash_lock_holder () =
+  let module Event = Midway_obs.Event in
+  let plan = Crash.scripted [ { Crash.at_ns = 1_000_000; proc = 0; action = Crash.Stop } ] in
+  let cfg = Config.with_crash plan { (Config.make Config.Rt ~nprocs:3) with Config.obs = true } in
+  let machine = R.create cfg in
+  let x = R.alloc machine ~line_size:8 8 in
+  let lock = R.new_lock machine ~owner:0 [ Range.v x 8 ] in
+  let lid = lock.Midway.Sync.lid and release_at = ref (-1) in
+  R.run_each machine
+    [|
+      (fun c ->
+        R.acquire c lock;
+        R.write_int c x 1;
+        R.work_ns c 3_000_000;
+        release_at := R.now_ns c;
+        R.release c lock);
+      (fun c ->
+        R.work_ns c 100_000;
+        R.acquire c lock;
+        R.write_int c x 2;
+        R.release c lock);
+      (fun _ -> ());
+    |];
+  Alcotest.(check (list int)) "p0 crash-stopped" [ 0 ] (R.killed_procs machine);
+  let events = Midway_obs.Obs.events (Option.get (R.log machine)) in
+  let index what f =
+    let rec go i = function
+      | [] -> Alcotest.fail ("no " ^ what)
+      | e :: rest -> ( match f e with Some v -> (i, v) | None -> go (i + 1) rest)
+    in
+    go 0 events
+  in
+  let requested, () =
+    index "request by p1" (function
+      | Event.Lock_requested { lock; proc = 1; _ } when lock = lid -> Some ()
+      | _ -> None)
+  in
+  let crashed, crash_t =
+    index "crash of p0" (function Event.Proc_crashed { proc = 0; t } -> Some t | _ -> None)
+  in
+  let failover, t0 =
+    index "failover of L" (function
+      | Event.Lock_failover { lock; from_ = 0; to_ = 1; t0; _ } when lock = lid -> Some t0
+      | _ -> None)
+  in
+  let granted, () =
+    index "grant of L to p1" (function
+      | Event.Lock_granted { lock; to_ = 1; _ } when lock = lid -> Some ()
+      | _ -> None)
+  in
+  Alcotest.(check bool) "p1's request queued before the crash" true (requested < crashed);
+  Alcotest.(check int) "the crash carries the release's clock" !release_at crash_t;
+  Alcotest.(check int) "the failover is suspected at that clock" !release_at t0;
+  Alcotest.(check bool) "the grant to p1 comes after the failover" true (granted > failover)
+
 (* --- a releaser blocked at a barrier --------------------------------------------- *)
 
 (* A lock transfer reads the runs it ships out of the releaser's copy,
@@ -1207,6 +1266,7 @@ let () =
         [
           Alcotest.test_case "out-of-range plan rejected" `Quick test_crash_plan_out_of_range;
           Alcotest.test_case "unarmed: no watchdog" `Quick test_unarmed_no_watchdog;
+          Alcotest.test_case "lock holder dies at its release" `Quick test_crash_lock_holder;
         ] );
       ("validate", [ Alcotest.test_case "one rule, one message" `Quick test_validate_table ]);
       ( "blocked releaser",

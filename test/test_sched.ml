@@ -495,6 +495,46 @@ let test_proc_accessor_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Engine.proc: index out of range")
     (fun () -> ignore (Engine.proc e 2))
 
+(* A fiber that raises Killed ends there: the rest of its body never
+   runs, its clock stays where it died, and the run returns normally. *)
+let test_killed_fiber_ends () =
+  let e = Engine.create ~nprocs:2 () in
+  let after = ref false in
+  Engine.spawn e 0 (fun p ->
+      Engine.charge p 100;
+      Engine.yield p;
+      if Engine.clock p = 100 then raise Engine.Killed;
+      after := true);
+  Engine.spawn e 1 (fun p ->
+      Engine.charge p 300;
+      Engine.yield p);
+  Engine.run e;
+  Alcotest.(check bool) "the rest of the body never ran" false !after;
+  Alcotest.(check int) "the dead fiber's clock" 100 (Engine.clock_of e 0);
+  Alcotest.(check int) "the survivor ran to its end" 300 (Engine.elapsed e)
+
+(* The engine settles nothing for a dead fiber: a survivor waiting for
+   a wake only the killed fiber would have sent is a deadlock, and the
+   message names the survivor, not the dead fiber. *)
+let test_killed_fiber_leaves_waiter_deadlocked () =
+  let e = Engine.create ~nprocs:2 () in
+  let waker = ref None in
+  Engine.spawn e 0 (fun p ->
+      Engine.block ~reason:(fun () -> "a wake from p1") p ~setup:(fun ~wake ->
+          waker := Some wake));
+  Engine.spawn e 1 (fun p ->
+      Engine.charge p 10;
+      Engine.yield p;
+      if Engine.clock p = 10 then raise Engine.Killed;
+      Option.get !waker ~at:20);
+  match Engine.run e with
+  | () -> Alcotest.fail "expected a deadlock"
+  | exception Engine.Deadlock msg ->
+      Alcotest.(check bool) "one processor stuck" true (contains ~sub:"1 processor(s)" msg);
+      Alcotest.(check bool) "names the survivor and its reason" true
+        (contains ~sub:"p0@0ns (blocked in a wake from p1)" msg);
+      Alcotest.(check bool) "does not name the dead fiber" false (contains ~sub:"p1@" msg)
+
 let () =
   Alcotest.run "sched"
     [
@@ -516,6 +556,9 @@ let () =
           qtest random_wake_graph;
           qtest run_queue_model;
           Alcotest.test_case "proc accessor bounds" `Quick test_proc_accessor_bounds;
+          Alcotest.test_case "killed fiber ends" `Quick test_killed_fiber_ends;
+          Alcotest.test_case "killed fiber leaves its waiter deadlocked" `Quick
+            test_killed_fiber_leaves_waiter_deadlocked;
         ] );
       ( "tie-break policy",
         [

@@ -64,15 +64,16 @@ let test_overhead_excluded_from_accounting () =
 let test_validation () =
   let net = Net.create ~nprocs:2 () in
   Alcotest.check_raises "bad proc" (Invalid_argument "Net.send: processor out of range")
-    (fun () -> ignore (Net.send net ~kind:Net.Startup ~src:0 ~dst:2 ~payload_bytes:0 ~at:0));
+    (fun () -> ignore (Net.send net ~kind:Net.Lock_request ~src:0 ~dst:2 ~payload_bytes:0 ~at:0));
   Alcotest.check_raises "negative payload" (Invalid_argument "Net.send: negative payload")
-    (fun () -> ignore (Net.send net ~kind:Net.Startup ~src:0 ~dst:1 ~payload_bytes:(-1) ~at:0))
+    (fun () ->
+      ignore (Net.send net ~kind:Net.Lock_request ~src:0 ~dst:1 ~payload_bytes:(-1) ~at:0))
 
 let test_kind_names () =
   List.iter
     (fun k -> Alcotest.(check bool) "nonempty name" true (String.length (Net.kind_name k) > 0))
-    [ Net.Lock_request; Net.Lock_reply; Net.Lock_forward; Net.Barrier_arrive;
-      Net.Barrier_release; Net.Startup; Net.Ack ]
+    [ Net.Lock_request; Net.Lock_reply; Net.Barrier_arrive; Net.Barrier_release; Net.Ack;
+      Net.Replicate; Net.Vote; Net.Vote_reply ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -214,13 +215,19 @@ let test_reliable_suppresses_duplicates () =
   Alcotest.(check int) "payload delivered once (received accounting)" 64
     (Net.bytes_received net ~proc:1)
 
+(* One event of a scripted crash plan: the outages below are plans. *)
+let ev at_ns proc action = { Crash.at_ns; proc; action }
+
 let test_reliable_backoff_doubles () =
   (* Every processor is down for the first 3.5 ms, so nothing sent
      before then reaches the wire: each retry waits twice the previous
      timeout, capped, so total backoff for n retries is the geometric
      sum. *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_crash_predicate net (Some (fun ~proc:_ ~at -> at < 3_500_000));
+  Net.set_crash_plan net
+    (Crash.scripted
+       [ ev 0 0 Crash.Stop; ev 0 1 Crash.Stop; ev 3_500_000 0 Crash.Recover;
+         ev 3_500_000 1 Crash.Recover ]);
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000_000; backoff_cap_ns = 16_000_000; max_attempts = 20 }
@@ -254,18 +261,16 @@ let test_reliable_exhausts () =
   | _ -> Alcotest.fail "a 100% loss rate must exhaust the retry budget");
   Alcotest.(check int) "gave up cleanly: nothing left in flight" 0 (Reliable.unacked ch)
 
-(* With the suspicion oracle armed, a retry budget burned against a dead
+(* With a crash plan armed, a retry budget burned against a dead
    RECEIVER surfaces as the failure-detector event the recovery protocol
    reacts to, with the full episode context. *)
 let test_reliable_suspects_dead_receiver () =
   let net = Net.create ~nprocs:2 () in
-  let plan = Crash.scripted [ { Crash.at_ns = 0; proc = 1; action = Crash.Stop } ] in
-  Net.set_crash_predicate net (Some (fun ~proc ~at -> Crash.is_down plan ~proc ~at));
+  Net.set_crash_plan net (Crash.scripted [ ev 0 1 Crash.Stop ]);
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 4_000; max_attempts = 3 } net
   in
-  Reliable.set_suspector ch (Some (fun ~peer ~at -> Crash.is_down plan ~proc:peer ~at));
   (match Reliable.send ch ~kind:Net.Lock_request ~src:0 ~dst:1 ~payload_bytes:0 ~at:100 with
   | exception Reliable.Suspected s ->
       Alcotest.(check int) "suspect is the receiver" 1 s.Reliable.s_dst;
@@ -283,8 +288,7 @@ let test_reliable_suspects_dead_receiver () =
    caller (the runtime) recognises its own crash from the plan. *)
 let test_reliable_suspects_dead_sender () =
   let net = Net.create ~nprocs:2 () in
-  let plan = Crash.scripted [ { Crash.at_ns = 2_000; proc = 0; action = Crash.Stop } ] in
-  Net.set_crash_predicate net (Some (fun ~proc ~at -> Crash.is_down plan ~proc ~at));
+  Net.set_crash_plan net (Crash.scripted [ ev 2_000 0 Crash.Stop ]);
   (* the first two copies (at 100 and 1100) die to certain loss; the
      third is never put on the wire — the sender is down by then *)
   Net.set_fault_policy net (Net.uniform_faults ~drop:1.0 ());
@@ -292,7 +296,6 @@ let test_reliable_suspects_dead_sender () =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 4_000; max_attempts = 3 } net
   in
-  Reliable.set_suspector ch (Some (fun ~peer ~at -> Crash.is_down plan ~proc:peer ~at));
   (match Reliable.send ch ~kind:Net.Lock_request ~src:0 ~dst:1 ~payload_bytes:0 ~at:100 with
   | exception Reliable.Suspected s ->
       Alcotest.(check int) "episode blamed on a crash, src recorded" 0 s.Reliable.s_src;
@@ -308,9 +311,10 @@ let test_reliable_ack_lost_on_final_attempt () =
      so the sender burns its whole budget for a transfer that in fact
      succeeded.  The channel must still raise Exhausted and clean up.
      p0's NIC goes down after it sent both data copies (at 0 and 1 us),
-     so each ack dies on arrival (~300 us). *)
+     so each ack dies on arrival (~300 us).  The channel gives up at
+     3 us, before p0's stop, so neither end is down to blame. *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at >= 100_000));
+  Net.set_crash_plan net (Crash.scripted [ ev 100_000 0 Crash.Stop ]);
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 4_000; max_attempts = 2 }
@@ -333,8 +337,8 @@ let test_reliable_dup_suppression_across_retransmit () =
   let data = Net.transfer_ns ~payload_bytes:8 and ack = Net.transfer_ns ~payload_bytes:0 in
   (* p0 is down for the 1000 ns from the first ack's arrival: that ack
      dies, the second (sent a 1000 ns timeout later) does not *)
-  Net.set_crash_predicate net
-    (Some (fun ~proc ~at -> proc = 0 && at >= data + ack && at < data + ack + 1_000));
+  Net.set_crash_plan net
+    (Crash.scripted [ ev (data + ack) 0 Crash.Stop; ev (data + ack + 1_000) 0 Crash.Recover ]);
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 16_000; max_attempts = 5 }
@@ -361,7 +365,7 @@ let test_reliable_backoff_cap_clamps () =
      clamps them at 2000: copies go out at 0, 1000, 3000, 5000 (all
      while the sender is down until 6000) and 7000 (delivered). *)
   let net = Net.create ~nprocs:2 () in
-  Net.set_crash_predicate net (Some (fun ~proc ~at -> proc = 0 && at < 6_000));
+  Net.set_crash_plan net (Crash.scripted [ ev 0 0 Crash.Stop; ev 6_000 0 Crash.Recover ]);
   let ch =
     Reliable.create
       ~config:{ Reliable.timeout_ns = 1_000; backoff_cap_ns = 2_000; max_attempts = 10 }
@@ -378,8 +382,6 @@ let test_reliable_backoff_cap_clamps () =
 (* ------------------------------------------------------------------ *)
 (* Crash plans                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let ev at_ns proc action = { Crash.at_ns; proc; action }
 
 let test_crash_scripted_validation () =
   Alcotest.check_raises "double stop"
