@@ -23,7 +23,16 @@ expect_usage_error --nprocs ./midway_fuzz.exe --nprocs 0
 expect_usage_error --nprocs ./midway_analyze.exe --nprocs 0 --apps counter
 expect_usage_error --trace ./midway_run.exe sor --trace=-1
 expect_usage_error --buckets ./midway_kv.exe --keys 10 --buckets 3
+expect_usage_error --max-scan ./midway_kv.exe --max-scan=0
+expect_usage_error --theta ./midway_kv.exe --theta=1.5
+expect_usage_error --preload ./midway_kv.exe --preload=5000 --keys=64
+expect_usage_error --service-ns ./midway_kv.exe --service-ns=-5
+expect_usage_error --migrate-every ./midway_kv.exe --migrate-every=-2
+expect_usage_error --arrival-ns ./midway_kv.exe --arrival-ns=-3
 expect_usage_error --schedules ./midway_fuzz.exe --schedules=-1 --apps counter
+expect_usage_error --crash-horizon ./midway_fuzz.exe --crash-horizon=-5 --crash-events=1 --apps counter
+expect_usage_error --crash-events ./midway_fuzz.exe --crash-events=-1 --apps counter
+expect_usage_error --shrink-budget ./midway_fuzz.exe --shrink-budget=-1 --apps counter
 expect_usage_error --scale ./midway_run.exe sor --scale=-1
 expect_usage_error --scale ./midway_fuzz.exe --scale=-1 --apps counter
 expect_usage_error --scale ./experiments.exe --scale=-1 --only table1

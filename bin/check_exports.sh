@@ -4,12 +4,21 @@
 # other than its own module's two.  A file uses Mod.v where it names it
 # qualified (Mod.v, Lib.Mod.v, or A.v after `module A = ...Mod`), or
 # names v bare while it opens or includes Mod (`open`, `include`, or a
-# local `Mod.(...)`).  Comments and strings count.  Run from the
+# local `Mod.(...)`).  Comments and strings count.
+#
+# Test-only exports are a ratchet: the values that test/ uses but no
+# file under lib/, bin/, perfbench/ or examples/ uses outside their own
+# module must be exactly the sorted list in bin/test_only_exports.txt.
+# So a new one is either given a caller there or listed, and a listed
+# one that gains such a caller (or goes) leaves the list.  Run from the
 # repository root:
 #   sh bin/check_exports.sh
-awk '
+list=bin/test_only_exports.txt
+LC_ALL=C sort -c "$list" || exit 1
+awk -v list="$list" '
   function last(path,   c) { return c[split(path, c, ".")] }
   function resolve(f, q) { return ((f, q) in alias) ? alias[f, q] : q }
+  FILENAME == list { listed[$0] = 1; next }
   FNR == 1 { f = FILENAME; sub(/\.mli?$/, "", f); prev = ""; prev2 = ""; tail = "" }
   FILENAME ~ /^lib\/[^\/]+\/[^\/]+\.mli$/ && $1 == "val" && $2 ~ /^[a-z_]/ {
     v = $2
@@ -55,15 +64,31 @@ awk '
     for (k in used) {
       split(k, p, SUBSEP)
       users[p[1], p[2]]++
+      if (p[3] !~ /^test\//) program[p[1], p[2]]++
     }
     for (k in vals) {
       split(k, p, SUBSEP)
       n = split(p[1], path, "/")
       mod = toupper(substr(path[n], 1, 1)) substr(path[n], 2)
-      if (users[mod, p[2]] - ((mod, p[2], p[1]) in used) > 0) continue
-      print mod "." p[2] ": exported by " p[1] ".mli and used in no other module" | "sort"
-      dead = 1
+      name = mod "." p[2]
+      own = ((mod, p[2], p[1]) in used)
+      if (users[mod, p[2]] - own == 0) {
+        print name ": exported by " p[1] ".mli and used in no other module" | "sort"
+        bad = 1
+      }
+      else if (program[mod, p[2]] - own == 0) {
+        test_only[name] = 1
+        if (!(name in listed)) {
+          print name ": used outside its module only by test/ and not in " list | "sort"
+          bad = 1
+        }
+      }
     }
+    for (name in listed)
+      if (!(name in test_only)) {
+        print name ": in " list " but not a test-only export" | "sort"
+        bad = 1
+      }
     close("sort")
-    exit dead
-  }' $(find lib bin test perfbench examples -name '*.ml' -o -name '*.mli' | sort)
+    exit bad
+  }' "$list" $(find lib bin test perfbench examples -name '*.ml' -o -name '*.mli' | sort)

@@ -273,7 +273,7 @@ let crash =
 
 let crash_events =
   Arg.(
-    value & opt int 0
+    value & opt Cli.non_negative 0
     & info [ "crash-events" ] ~docv:"N"
         ~doc:
           "Compose node-crash schedules with thread schedules: up to N seeded crash episodes \
@@ -286,7 +286,7 @@ let crash_seed =
 
 let crash_horizon =
   Arg.(
-    value & opt int 2_000_000
+    value & opt Cli.positive 2_000_000
     & info [ "crash-horizon" ] ~docv:"NS"
         ~doc:"Window (virtual ns) the seeded crash episodes land in.")
 
@@ -324,7 +324,7 @@ let analyze =
 
 let shrink_budget =
   Arg.(
-    value & opt int 48
+    value & opt Cli.non_negative 48
     & info [ "shrink-budget" ] ~docv:"N" ~doc:"Re-executions one shrink may spend.")
 
 let dump =

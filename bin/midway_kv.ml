@@ -75,9 +75,14 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
     | "scrambled" -> Ycsb.Scrambled_zipfian theta
     | s -> die "unknown distribution %S (expected uniform|zipfian|scrambled)" s
   in
-  let arrival = if arrival_ns <= 0 then Ycsb.Closed else Ycsb.Poisson arrival_ns in
+  let arrival = if arrival_ns = 0 then Ycsb.Closed else Ycsb.Poisson arrival_ns in
   let per_client = requests / nprocs in
-  let preload = if preload < 0 then keys / 2 else preload in
+  let preload =
+    match preload with
+    | None -> keys / 2
+    | Some p when p > keys -> die "--preload %d exceeds --keys %d" p keys
+    | Some p -> p
+  in
   let cfg = { (Config.make backend ~nprocs) with Config.ecsan; obs } in
   let cfg =
     match Midway_cli.Cli.crash_plan ~nprocs crash_spec with
@@ -213,36 +218,43 @@ let dist =
         ~doc:"Key popularity: uniform, zipfian (rank-ordered) or scrambled (hashed ranks).")
 
 let theta =
+  let skew =
+    Cli.bounded Arg.float ~ok:(fun x -> x > 0. && x < 1.) ~expect:"expected a number in (0, 1)"
+  in
   Arg.(
-    value & opt float 0.99
+    value & opt skew 0.99
     & info [ "theta" ] ~docv:"T" ~doc:"Zipfian skew in (0, 1); YCSB's default is 0.99.")
 
 let arrival_ns =
   Arg.(
-    value & opt int 2_000
+    value & opt Cli.non_negative 2_000
     & info [ "arrival-ns" ] ~docv:"NS"
         ~doc:
           "Mean Poisson inter-arrival per client (open loop: latency counts from the \
            schedule).  0 = closed loop.")
 
 let max_scan =
-  Arg.(value & opt int 16 & info [ "max-scan" ] ~docv:"L" ~doc:"Scan lengths uniform in [1, L].")
+  Arg.(
+    value & opt Cli.positive 16
+    & info [ "max-scan" ] ~docv:"L" ~doc:"Scan lengths uniform in [1, L].")
 
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
 
 let service_ns =
   Arg.(
-    value & opt int 300
+    value & opt Cli.non_negative 300
     & info [ "service-ns" ] ~docv:"NS" ~doc:"Simulated service time inside each critical section.")
 
 let preload =
   Arg.(
-    value & opt int (-1)
-    & info [ "preload" ] ~docv:"P" ~doc:"Keys preloaded before the run (default: half).")
+    value
+    & opt (some Cli.non_negative) None
+    & info [ "preload" ] ~docv:"P"
+        ~doc:"Keys preloaded before the run, at most $(b,--keys) (default: half of them).")
 
 let migrate_every =
   Arg.(
-    value & opt int 0
+    value & opt Cli.non_negative 0
     & info [ "migrate-every" ] ~docv:"M"
         ~doc:
           "Each client re-homes one bucket to itself (by lock re-binding) after every M-th \

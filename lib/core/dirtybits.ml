@@ -26,14 +26,12 @@ type t = {
   group_shift : int;  (* log2 group *)
   mutable tables : region_table option array;  (* by region index *)
   mutable queue : Range.t list;  (* update-queue mode, newest first *)
-  mutable queue_len : int;
   run : run_acc;  (* the pending run of the scan in progress *)
 }
 
 type scan_counts = {
   mutable clean_reads : int;
   mutable dirty_reads : int;
-  mutable groups_skipped : int;
   mutable group_checks : int;
   mutable queue_entries : int;
 }
@@ -49,7 +47,6 @@ let create ~mode ~group =
     group_shift = Pow2.log2 group;
     tables = Array.make 16 None;
     queue = [];
-    queue_len = 0;
     run =
       {
         r_addr = 0;
@@ -127,9 +124,7 @@ let note_write t ~region ~addr ~len =
           let lo = Int.min prev.Range.addr entry.Range.addr in
           let hi = Int.max (Range.limit prev) (Range.limit entry) in
           t.queue <- Range.v lo (hi - lo) :: rest
-      | q ->
-          t.queue <- entry :: q;
-          t.queue_len <- t.queue_len + 1)
+      | q -> t.queue <- entry :: q)
   | Config.Plain | Config.Two_level ->
       let first = line_index region addr in
       let last = line_index region (addr + Int.max len 1 - 1) in
@@ -174,7 +169,7 @@ let set_ts_run t ~region ~addr ~lines ~ts =
   end
 
 let fresh_counts () =
-  { clean_reads = 0; dirty_reads = 0; groups_skipped = 0; group_checks = 0; queue_entries = 0 }
+  { clean_reads = 0; dirty_reads = 0; group_checks = 0; queue_entries = 0 }
 
 (* Close the pending run, if any, by emitting it. *)
 let flush t emit =
@@ -270,9 +265,7 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
         if lo = g_first && hi = g_last then begin
           (* Group fully covered by the scan: the first level applies. *)
           counts.group_checks <- counts.group_checks + 1;
-          if group_skippable tbl ~select g then
-            counts.groups_skipped <- counts.groups_skipped + 1
-          else begin
+          if not (group_skippable tbl ~select g) then begin
             scan_lines t tbl counts ~region ~stamp ~select ~emit lo hi;
             (* Every sentinel in the group has been stamped. *)
             Bytes.set tbl.l1 g '\000'
@@ -282,23 +275,17 @@ let scan_range t counts ~region ~range ~stamp ~select ~emit =
       done
 
 let scan_queue t counts ~region_of ~ranges ~stamp ~emit =
-  let keep = ref [] and consumed = ref [] and kept = ref 0 in
+  let keep = ref [] and consumed = ref [] in
   List.iter
     (fun entry ->
       let inside = Range.clip entry ~within:ranges in
-      if inside = [] then begin
-        keep := entry :: !keep;
-        incr kept
-      end
+      if inside = [] then keep := entry :: !keep
       else begin
         consumed := inside @ !consumed;
-        let remain = Range.subtract entry ~minus:ranges in
-        keep := remain @ !keep;
-        kept := !kept + List.length remain
+        keep := Range.subtract entry ~minus:ranges @ !keep
       end)
     t.queue;
   t.queue <- List.rev !keep;
-  t.queue_len <- !kept;
   List.iter
     (fun (piece : Range.t) ->
       counts.queue_entries <- counts.queue_entries + 1;
@@ -348,7 +335,7 @@ let scan t ~region_of ~ranges ~stamp ~select ~emit =
   flush t emit;
   counts
 
-let queue_length t = t.queue_len
+let queue_length t = List.length t.queue
 
 (* Forget everything about one region: detection restarts from the
    initial stamp, exactly as if the region had never been written here.
@@ -365,7 +352,5 @@ let reset_region t (r : Region.t) =
          Array.fill tbl.group_max 0 (Array.length tbl.group_max) Timestamp.initial);
   if t.queue <> [] then begin
     let span = Range.v (Region.base r) r.Region.region_size in
-    let keep = List.concat_map (fun e -> Range.subtract e ~minus:[ span ]) t.queue in
-    t.queue <- keep;
-    t.queue_len <- List.length keep
+    t.queue <- List.concat_map (fun e -> Range.subtract e ~minus:[ span ]) t.queue
   end

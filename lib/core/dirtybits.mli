@@ -63,7 +63,6 @@ val set_ts_run :
 type scan_counts = {
   mutable clean_reads : int;  (** lines read and found stamped *)
   mutable dirty_reads : int;  (** lines read and found locally dirty (stamped during the scan) *)
-  mutable groups_skipped : int;  (** [Two_level]: groups skipped via the first level *)
   mutable group_checks : int;  (** [Two_level]: first-level bits examined *)
   mutable queue_entries : int;  (** [Update_queue]: queue entries consumed *)
 }
@@ -101,7 +100,8 @@ val scan :
     history). *)
 
 val queue_length : t -> int
-(** [Update_queue] mode: entries currently queued (0 in other modes). *)
+(** [Update_queue] mode: entries currently queued, counted by walking
+    the queue (0 in other modes). *)
 
 val reset_region : t -> Midway_memory.Region.t -> unit
 (** Forget all detection state for one region: timestamps back to

@@ -22,8 +22,7 @@ type t = {
   region_size : int;
   shift : int;  (* log2 region_size: an address's region is [addr lsr shift] *)
   mask : int;  (* region_size - 1: offset within a region is [addr land mask] *)
-  mutable regions : Region.t array;  (* indexed by region number; None slots are Region 0 / holes *)
-  mutable region_list : Region.t list;  (* creation order, reversed *)
+  mutable regions : Region.t array;  (* by region number; slot 0 and unused slots: a sentinel *)
   mutable next_index : int;
   (* The region each (kind, line_size) allocates from. *)
   bump : (Region.kind * int, Region.t) Hashtbl.t;
@@ -55,7 +54,6 @@ let create ?(region_size = 16 * 1024 * 1024) ~nprocs () =
       shift = Pow2.log2 region_size;
       mask = region_size - 1;
       regions = Array.make 8 (Region.create ~index:0 ~kind:Private ~line_size:8 ~region_size:8 ~nprocs:1);
-      region_list = [];
       next_index = 1;  (* region 0 stays unmapped so address 0 is null *)
       bump = Hashtbl.create 8;
       cache = [||];
@@ -102,7 +100,8 @@ let find_region t a =
   let idx = index_of t a in
   if a >= 0 && mapped t idx then Some t.regions.(idx) else None
 
-let regions t = List.rev t.region_list
+(* Regions are numbered in creation order from 1, with no gaps. *)
+let regions t = List.init (t.next_index - 1) (fun i -> t.regions.(i + 1))
 
 let new_region t ~kind ~line_size =
   let idx = t.next_index in
@@ -112,7 +111,6 @@ let new_region t ~kind ~line_size =
     Region.create ~index:idx ~kind ~line_size ~region_size:t.region_size ~nprocs:t.nprocs
   in
   t.regions.(idx) <- r;
-  t.region_list <- r :: t.region_list;
   r
 
 let align_up v a = (v + a - 1) land lnot (a - 1)
@@ -298,20 +296,3 @@ let copy_range t ~src_proc ~dst_proc a ~len =
 let backing_slice t ~proc a ~len =
   let r = validate_range t a len in
   reaching t r ~proc (a - Region.base r + len)
-
-let ranges_equal t ~proc_a ~proc_b a ~len =
-  let r = validate_range t a len in
-  let off = a - Region.base r in
-  let ba = reaching t r ~proc:proc_a (off + len) in
-  let bb = reaching t r ~proc:proc_b (off + len) in
-  (* word-wise comparison with a byte-wise tail *)
-  let words = len / 8 in
-  let rec words_eq i =
-    i >= words
-    || (Bytes.get_int64_le ba (off + (i * 8)) = Bytes.get_int64_le bb (off + (i * 8))
-       && words_eq (i + 1))
-  in
-  let rec tail_eq i =
-    i >= len || (Bytes.get ba (off + i) = Bytes.get bb (off + i) && tail_eq (i + 1))
-  in
-  words_eq 0 && tail_eq (words * 8)

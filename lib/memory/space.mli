@@ -11,8 +11,7 @@
     created at the first access over the region's allocated bytes and
     grows (geometrically, zero-filled, keeping its contents) whenever an
     access reaches past its end — a typed access, {!read_bytes},
-    {!write_bytes}, {!write_sub}, {!copy_range}, {!ranges_equal} or
-    {!backing_slice}.
+    {!write_bytes}, {!write_sub}, {!copy_range} or {!backing_slice}.
     Every mapped address is readable (as zero until written) and
     writable; the growth is invisible except through
     {!backing_slice}.
@@ -145,8 +144,3 @@ val write_sub : t -> proc:int -> addr -> Bytes.t -> off:int -> len:int -> unit
 val copy_range : t -> src_proc:int -> dst_proc:int -> addr -> len:int -> unit
 (** Copy the range between two processors' physical copies (used by the
     consistency protocol to apply updates). *)
-
-val ranges_equal : t -> proc_a:int -> proc_b:int -> addr -> len:int -> bool
-(** Compare a range across two processors' copies (used by tests).
-    Compares eight bytes at a time with a byte-wise tail; equivalent to
-    a byte-by-byte comparison. *)

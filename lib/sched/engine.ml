@@ -36,7 +36,6 @@ type chooser = {
   prng : Midway_util.Prng.t option;  (* Some for Seeded *)
   mutable replaying : int list;  (* remaining choices to replay *)
   mutable recorded_rev : int list;  (* every applied choice, newest first *)
-  mutable n_recorded : int;
   tied_ids : int array;  (* the candidates of one tie-break, reused *)
   tied_seqs : int array;
 }
@@ -129,7 +128,6 @@ let create ?(policy = Fifo) ~nprocs () =
         prng;
         replaying;
         recorded_rev = [];
-        n_recorded = 0;
         tied_ids = Array.make nprocs 0;
         tied_seqs = Array.make nprocs 0;
       }
@@ -290,7 +288,6 @@ let pop_next t =
                   c mod n)
         in
         ch.recorded_rev <- c :: ch.recorded_rev;
-        ch.n_recorded <- ch.n_recorded + 1;
         for i = 0 to n - 1 do
           if i <> c then push_seq q ~id:ch.tied_ids.(i) ~key ~seq:ch.tied_seqs.(i)
         done;
@@ -300,14 +297,11 @@ let pop_next t =
 (* Identify the schedule in a deadlock message so a hang found by the
    explorer is reproducible from the message alone. *)
 let schedule_tag t =
+  let n = match t.chooser with Some ch -> List.length ch.recorded_rev | None -> 0 in
   match t.policy with
   | Fifo -> ""
-  | Seeded seed ->
-      let n = match t.chooser with Some ch -> ch.n_recorded | None -> 0 in
-      Printf.sprintf " [schedule seed %d, %d tie-break choice(s) made]" seed n
-  | Replay _ ->
-      let n = match t.chooser with Some ch -> ch.n_recorded | None -> 0 in
-      Printf.sprintf " [replayed schedule, %d tie-break choice(s) applied]" n
+  | Seeded seed -> Printf.sprintf " [schedule seed %d, %d tie-break choice(s) made]" seed n
+  | Replay _ -> Printf.sprintf " [replayed schedule, %d tie-break choice(s) applied]" n
 
 let run t =
   if t.started then invalid_arg "Engine.run: engine already ran";

@@ -53,12 +53,7 @@ let validate_fault_policy policy =
 let uniform_faults ?(duplicate = 0.0) ?(jitter_ns = 0) ?(seed = 42) ~drop () =
   validate_fault_policy { link = { drop; duplicate; jitter_ns }; fault_seed = seed }
 
-type fault_state = {
-  policy : fault_policy;
-  prng : Midway_util.Prng.t;
-  mutable drops : int;
-  mutable dups : int;
-}
+type fault_state = { policy : fault_policy; prng : Midway_util.Prng.t }
 
 let latency_ns = 150_000
 
@@ -66,32 +61,22 @@ let ns_per_byte = 57
 
 let header_bytes = 64
 
+(* The fabric's accounting is two facts about the copies put on the
+   wire: how many of each kind, and their payload bytes. *)
 type t = {
   nprocs : int;
-  msgs_sent : int array;
-  payload_sent : int array;
-  payload_received : int array;
   by_kind : int array;
+  mutable payload : int;  (* overhead excluded *)
   mutable fault : fault_state option;
   (* Node-level faults: when set, a message from or to a processor the
      plan has down is destroyed deterministically (no PRNG draw),
      composing with the probabilistic hazards below. *)
   mutable crash : Crash.plan option;
-  mutable crash_drops : int;
 }
 
 let create ~nprocs () =
   if nprocs <= 0 then invalid_arg "Net.create: nprocs must be positive";
-  {
-    nprocs;
-    msgs_sent = Array.make nprocs 0;
-    payload_sent = Array.make nprocs 0;
-    payload_received = Array.make nprocs 0;
-    by_kind = Array.make nkinds 0;
-    fault = None;
-    crash = None;
-    crash_drops = 0;
-  }
+  { nprocs; by_kind = Array.make nkinds 0; payload = 0; fault = None; crash = None }
 
 let set_fault_policy t policy =
   t.fault <-
@@ -99,16 +84,12 @@ let set_fault_policy t policy =
       {
         policy = validate_fault_policy policy;
         prng = Midway_util.Prng.create ~seed:policy.fault_seed;
-        drops = 0;
-        dups = 0;
       }
 
 let set_crash_plan t plan = t.crash <- Some plan
 
 let is_down t ~proc ~at =
   match t.crash with None -> false | Some plan -> Crash.is_down plan ~proc ~at
-
-let crash_drops_injected t = t.crash_drops
 
 let nprocs t = t.nprocs
 
@@ -130,19 +111,14 @@ let inject f ~base ~echo_ns =
   let jitter () =
     if link.jitter_ns > 0 then Midway_util.Prng.int f.prng (link.jitter_ns + 1) else 0
   in
-  if link.drop > 0.0 && draw () < link.drop then begin
-    f.drops <- f.drops + 1;
-    Dropped
-  end
+  if link.drop > 0.0 && draw () < link.drop then Dropped
   else begin
     let dup = link.duplicate > 0.0 && draw () < link.duplicate in
     let first = base + jitter () in
-    if dup then begin
-      f.dups <- f.dups + 1;
+    if dup then
       (* the echo trails the original by one switch latency (plus jitter) *)
       let second = first + echo_ns + jitter () in
       Duplicated (first, second)
-    end
     else Delivered first
   end
 
@@ -152,22 +128,19 @@ let check_send t ~src ~dst ~payload_bytes ~overhead_bytes =
   if payload_bytes < 0 || overhead_bytes < 0 then invalid_arg "Net.send: negative payload"
 
 (* A copy goes on the wire: count it; returns its undisturbed arrival. *)
-let put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at =
-  t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
-  t.payload_sent.(src) <- t.payload_sent.(src) + payload_bytes;
+let put_on_wire t ~kind ~payload_bytes ~overhead_bytes ~at =
   t.by_kind.(kind_index kind) <- t.by_kind.(kind_index kind) + 1;
+  t.payload <- t.payload + payload_bytes;
   at + transfer_ns ~payload_bytes:(payload_bytes + overhead_bytes)
 
 let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
   check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
   if src = dst then Delivered at
-  else if is_down t ~proc:src ~at then begin
+  else if is_down t ~proc:src ~at then
     (* a halted processor puts nothing on the wire *)
-    t.crash_drops <- t.crash_drops + 1;
     Dropped
-  end
   else begin
-    let base = put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at in
+    let base = put_on_wire t ~kind ~payload_bytes ~overhead_bytes ~at in
     let outcome =
       match t.fault with
       | None -> Delivered base
@@ -176,56 +149,26 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
     (* a copy arriving at a down destination is destroyed in the NIC;
        each surviving copy is judged at its own arrival time, so an
        echo can outlive a recovery the original missed *)
-    let outcome =
-      match outcome with
-      | Dropped -> Dropped
-      | Delivered a ->
-          if is_down t ~proc:dst ~at:a then begin
-            t.crash_drops <- t.crash_drops + 1;
-            Dropped
-          end
-          else outcome
-      | Duplicated (a, b) -> (
-          match (is_down t ~proc:dst ~at:a, is_down t ~proc:dst ~at:b) with
-          | false, false -> outcome
-          | false, true ->
-              t.crash_drops <- t.crash_drops + 1;
-              Delivered a
-          | true, false ->
-              t.crash_drops <- t.crash_drops + 1;
-              Delivered b
-          | true, true ->
-              t.crash_drops <- t.crash_drops + 2;
-              Dropped)
-    in
-    (match outcome with
-    | Dropped -> ()
-    | Delivered _ | Duplicated _ ->
-        t.payload_received.(dst) <- t.payload_received.(dst) + payload_bytes);
-    outcome
+    match outcome with
+    | Dropped -> Dropped
+    | Delivered a -> if is_down t ~proc:dst ~at:a then Dropped else outcome
+    | Duplicated (a, b) -> (
+        match (is_down t ~proc:dst ~at:a, is_down t ~proc:dst ~at:b) with
+        | false, false -> outcome
+        | false, true -> Delivered a
+        | true, false -> Delivered b
+        | true, true -> Dropped)
   end
 
 let arrival t ~kind ~src ~dst ~payload_bytes ~overhead_bytes ~at =
   match (t.fault, t.crash) with
   | None, None when src <> dst ->
       check_send t ~src ~dst ~payload_bytes ~overhead_bytes;
-      let a = put_on_wire t ~kind ~src ~payload_bytes ~overhead_bytes ~at in
-      t.payload_received.(dst) <- t.payload_received.(dst) + payload_bytes;
-      a
+      put_on_wire t ~kind ~payload_bytes ~overhead_bytes ~at
   | _ -> delivery (send ~overhead_bytes t ~kind ~src ~dst ~payload_bytes ~at)
 
-let messages_sent t ~proc = t.msgs_sent.(proc)
+let total_messages t = Array.fold_left ( + ) 0 t.by_kind
 
-let bytes_sent t ~proc = t.payload_sent.(proc)
-
-let bytes_received t ~proc = t.payload_received.(proc)
-
-let total_messages t = Array.fold_left ( + ) 0 t.msgs_sent
-
-let total_payload_bytes t = Array.fold_left ( + ) 0 t.payload_sent
+let total_payload_bytes t = t.payload
 
 let messages_of_kind t kind = t.by_kind.(kind_index kind)
-
-let drops_injected t = match t.fault with None -> 0 | Some f -> f.drops
-
-let duplicates_injected t = match t.fault with None -> 0 | Some f -> f.dups

@@ -5,7 +5,7 @@
     bypasses the Unix server.  For the simulation we model a message as a
     fixed per-message latency (send + switch + receive + protocol
     processing) plus a bandwidth term proportional to its size, and we
-    account messages and bytes per processor pair.
+    count the copies put on the wire, by kind, and their payload bytes.
 
     Only *application* payload counts toward the paper's "data
     transferred" figures; protocol headers contribute to transfer time but
@@ -76,10 +76,6 @@ val is_down : t -> proc:int -> at:int -> bool
     {!Reliable} asks it which end to blame when a retry budget runs
     out. *)
 
-val crash_drops_injected : t -> int
-(** Copies destroyed because an endpoint was down (0 without a crash
-    plan). *)
-
 val nprocs : t -> int
 
 val transfer_ns : payload_bytes:int -> int
@@ -114,11 +110,11 @@ val send :
     to fault injection: a message that does not cross the fabric cannot
     be dropped, duplicated or jittered.
 
-    Accounting under faults: every copy put on the wire counts as sent
-    ([messages_sent], [bytes_sent], the kind counter), but only messages
-    that actually arrive count as received, and a duplicated payload is
-    received once (the second copy is a protocol-level artifact the
-    {!Reliable} layer suppresses). *)
+    Accounting under faults: a copy put on the wire counts (see
+    {!total_messages}) whatever becomes of it, a dropped one included,
+    and a duplicated one counts once (the switch's echo is not a second
+    send).  A message a down source never puts on the wire counts
+    nothing. *)
 
 val arrival :
   t -> kind:kind -> src:int -> dst:int -> payload_bytes:int -> overhead_bytes:int -> at:int ->
@@ -127,21 +123,11 @@ val arrival :
     arrival time, with the same accounting.  Raises [Invalid_argument]
     when the message is dropped. *)
 
-val messages_sent : t -> proc:int -> int
-
-val bytes_sent : t -> proc:int -> int
-(** Payload bytes this processor put on the wire. *)
-
-val bytes_received : t -> proc:int -> int
-
 val total_messages : t -> int
+(** Copies put on the wire by {!send} and {!arrival}: the sum of
+    {!messages_of_kind} over the kinds. *)
 
 val total_payload_bytes : t -> int
+(** The payload bytes of those copies, without their [overhead_bytes]. *)
 
 val messages_of_kind : t -> kind -> int
-
-val drops_injected : t -> int
-(** Copies the fault layer destroyed (0 without a policy). *)
-
-val duplicates_injected : t -> int
-(** Second copies the fault layer manufactured (0 without a policy). *)

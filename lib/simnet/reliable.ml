@@ -7,8 +7,6 @@ type t = {
   net : Net.t;
   seqs : int array;  (* next sequence number per (src, dst) link *)
   mutable unacked : int;
-  mutable retransmits : int;
-  mutable backoff_ns : int;
 }
 
 type suspicion = {
@@ -24,32 +22,18 @@ exception Exhausted of string
 
 exception Suspected of suspicion
 
-let exhausted_message ~kind ~src ~dst ~seq ~attempts ~elapsed_ns =
-  Printf.sprintf
-    "Reliable.send: exhausted {kind=%s; src=p%d; dst=p%d; seq=%d; attempts=%d; \
-     elapsed_ns=%d}"
-    (Net.kind_name kind) src dst seq attempts elapsed_ns
-
 let create ?(config = default_config) net =
   if config.timeout_ns <= 0 then invalid_arg "Reliable.create: timeout must be positive";
   if config.backoff_cap_ns < config.timeout_ns then
     invalid_arg "Reliable.create: backoff cap below the initial timeout";
   if config.max_attempts < 1 then invalid_arg "Reliable.create: need at least one attempt";
   let n = Net.nprocs net in
-  {
-    cfg = config;
-    net;
-    seqs = Array.make (n * n) 0;
-    unacked = 0;
-    retransmits = 0;
-    backoff_ns = 0;
-  }
+  { cfg = config; net; seqs = Array.make (n * n) 0; unacked = 0 }
 
 type delivery = {
   seq : int;
   delivered_at : int;
   acked_at : int;
-  transmissions : int;
   retransmits : int;
   drops_seen : int;
   dups_suppressed : int;
@@ -61,7 +45,6 @@ let local_delivery at =
     seq = -1;
     delivered_at = at;
     acked_at = at;
-    transmissions = 0;
     retransmits = 0;
     drops_seen = 0;
     dups_suppressed = 0;
@@ -97,8 +80,6 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
     while !acked = None do
       if !attempts >= t.cfg.max_attempts then begin
         t.unacked <- t.unacked - 1;
-        t.retransmits <- t.retransmits + !attempts - 1;
-        t.backoff_ns <- t.backoff_ns + !backoff;
         let elapsed_ns = !send_at - at in
         (* Either end down in the fabric's crash plan explains the
            exhaustion as a crash fault, a failure-detector event the
@@ -122,7 +103,10 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
         else
           raise
             (Exhausted
-               (exhausted_message ~kind ~src ~dst ~seq ~attempts:!attempts ~elapsed_ns))
+               (Printf.sprintf
+                  "Reliable.send: exhausted {kind=%s; src=p%d; dst=p%d; seq=%d; attempts=%d; \
+                   elapsed_ns=%d}"
+                  (Net.kind_name kind) src dst seq !attempts elapsed_ns))
       end;
       incr attempts;
       let ack =
@@ -150,13 +134,10 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
           timeout := min (2 * !timeout) t.cfg.backoff_cap_ns
     done;
     t.unacked <- t.unacked - 1;
-    t.retransmits <- t.retransmits + !attempts - 1;
-    t.backoff_ns <- t.backoff_ns + !backoff;
     {
       seq;
       delivered_at = Option.get !delivered;
       acked_at = Option.get !acked;
-      transmissions = !attempts;
       retransmits = !attempts - 1;
       drops_seen = !drops;
       dups_suppressed = !dups;
@@ -167,7 +148,3 @@ let send ?(overhead_bytes = 0) t ~kind ~src ~dst ~payload_bytes ~at =
 let unacked t = t.unacked
 
 let next_seq t ~src ~dst = t.seqs.((src * Net.nprocs t.net) + dst)
-
-let total_retransmits (t : t) = t.retransmits
-
-let total_backoff_ns (t : t) = t.backoff_ns

@@ -66,12 +66,6 @@ exception Suspected of suspicion
     With both ends up, or no plan armed, the give-up is
     {!Exhausted}. *)
 
-val exhausted_message :
-  kind:Net.kind -> src:int -> dst:int -> seq:int -> attempts:int -> elapsed_ns:int ->
-  string
-(** The exact message {!Exhausted} carries — exposed so tests can assert
-    the format. *)
-
 val create : ?config:config -> Net.t -> t
 
 type delivery = {
@@ -81,8 +75,7 @@ type delivery = {
           consumes none *)
   delivered_at : int;  (** first arrival of the payload at the destination *)
   acked_at : int;  (** when the sender learned the transfer succeeded *)
-  transmissions : int;  (** data copies put on the wire (1 = clean first try) *)
-  retransmits : int;  (** [transmissions - 1] *)
+  retransmits : int;  (** data copies put on the wire after the first (0 = clean first try) *)
   drops_seen : int;  (** data or ack copies the fabric destroyed *)
   dups_suppressed : int;  (** redundant data copies discarded by sequence number *)
   backoff_ns : int;  (** total virtual time spent waiting on timeouts *)
@@ -97,9 +90,10 @@ val send :
     ack.  Self-sends are delivered locally: no messages, no sequence
     number, all counters zero.  Raises {!Exhausted} (or {!Suspected},
     when the crash plan has either end down) when
-    [config.max_attempts] transmissions all fail to produce an ack; the
-    failed attempts still count toward {!total_retransmits} and
-    {!total_backoff_ns}. *)
+    [config.max_attempts] transmissions all fail to produce an ack.  The
+    channel keeps no totals: a [delivery] is the only record of an
+    exchange's retransmissions and backoff, so nothing counts those of
+    an exchange that raised. *)
 
 val unacked : t -> int
 (** Messages currently in flight (sent, not yet acknowledged).  Because
@@ -110,7 +104,3 @@ val unacked : t -> int
 val next_seq : t -> src:int -> dst:int -> int
 (** The sequence number the next [send] on this link will carry
     (starts at 0). *)
-
-val total_retransmits : t -> int
-
-val total_backoff_ns : t -> int

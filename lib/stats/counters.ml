@@ -57,34 +57,6 @@ let create () =
     replications = 0;
   }
 
-let reset t =
-  t.dirtybits_set <- 0;
-  t.dirtybits_misclassified <- 0;
-  t.clean_dirtybits_read <- 0;
-  t.dirty_dirtybits_read <- 0;
-  t.dirtybits_updated <- 0;
-  t.write_faults <- 0;
-  t.pages_diffed <- 0;
-  t.pages_write_protected <- 0;
-  t.twin_update_bytes <- 0;
-  t.twin_compare_bytes <- 0;
-  t.data_received_bytes <- 0;
-  t.data_sent_bytes <- 0;
-  t.messages <- 0;
-  t.bound_bytes_scanned <- 0;
-  t.dirty_bytes_found <- 0;
-  t.lock_acquires_local <- 0;
-  t.lock_acquires_remote <- 0;
-  t.barrier_crossings <- 0;
-  t.trap_time_ns <- 0;
-  t.collect_time_ns <- 0;
-  t.retransmits <- 0;
-  t.drops_observed <- 0;
-  t.duplicates_suppressed <- 0;
-  t.backoff_time_ns <- 0;
-  t.failovers <- 0;
-  t.replications <- 0
-
 let add ~into t =
   into.dirtybits_set <- into.dirtybits_set + t.dirtybits_set;
   into.dirtybits_misclassified <- into.dirtybits_misclassified + t.dirtybits_misclassified;

@@ -47,8 +47,6 @@ type t = {
 
 val create : unit -> t
 
-val reset : t -> unit
-
 val add : into:t -> t -> unit
 (** Accumulate [t] into [into], field by field. *)
 

@@ -254,7 +254,6 @@ let test_two_level_skips () =
     base_scan db ~region ~ranges:[ Range.v base 64 ] ~stamp:9 ~select:Dirtybits.Fresh_only
   in
   Alcotest.(check int) "two first-level checks" 2 counts.Dirtybits.group_checks;
-  Alcotest.(check int) "group 0 skipped" 1 counts.Dirtybits.groups_skipped;
   Alcotest.(check int) "only group 1 lines read" 4
     (counts.Dirtybits.clean_reads + counts.Dirtybits.dirty_reads);
   Alcotest.(check int) "dirty line found" 1 (List.length emitted);
@@ -262,7 +261,8 @@ let test_two_level_skips () =
   let counts2, _ =
     base_scan db ~region ~ranges:[ Range.v base 64 ] ~stamp:10 ~select:Dirtybits.Fresh_only
   in
-  Alcotest.(check int) "both groups skipped now" 2 counts2.Dirtybits.groups_skipped
+  Alcotest.(check int) "both groups skipped now" 0
+    (counts2.Dirtybits.clean_reads + counts2.Dirtybits.dirty_reads)
 
 (* A line's group is found by a shift, so a group that is not a power of
    two would put lines in the wrong groups: it is refused. *)
@@ -386,17 +386,20 @@ let scan_matches_per_line_oracle =
             done;
             if expanded <> List.rev !expected then fail ();
             (* dirty lines are always read (their group's first-level bit
-               is set); skipped groups account for the missing cleans *)
+               is set); a group is read whole when it holds a line dirtied
+               this round or stamped above the cursor, and skipped
+               otherwise *)
             if counts.Dirtybits.dirty_reads <> !dirty then fail ();
             (match mode with
             | Config.Plain ->
                 if counts.Dirtybits.clean_reads <> !clean then fail ()
             | Config.Two_level ->
-                if
-                  counts.Dirtybits.clean_reads + counts.Dirtybits.dirty_reads
-                  + (4 * counts.Dirtybits.groups_skipped)
-                  <> nlines
-                then fail ()
+                let read = ref 0 in
+                for g = 0 to (nlines / 4) - 1 do
+                  if Array.exists (fun ts -> ts > cursor) (Array.sub model (4 * g) 4) then incr read
+                done;
+                if counts.Dirtybits.clean_reads + counts.Dirtybits.dirty_reads <> 4 * !read then
+                  fail ()
             | Config.Update_queue -> ())
       done;
       !ok)

@@ -477,6 +477,10 @@ let test_policy_deadlock_reports_seed () =
   | exception Engine.Deadlock msg ->
       Alcotest.(check bool) "message names the schedule seed" true
         (contains ~sub:"schedule seed 7" msg);
+      Alcotest.(check bool) "message counts the recorded choices" true
+        (contains
+           ~sub:(Printf.sprintf ", %d tie-break choice(s) made" (List.length (Engine.choices e)))
+           msg);
       Alcotest.(check bool) "message keeps the blocked reason" true
         (contains ~sub:"never woken" msg)
 

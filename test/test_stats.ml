@@ -76,14 +76,6 @@ let test_counters_add_average () =
   (* inputs untouched *)
   Alcotest.(check int) "a unchanged" 10 a.Counters.dirtybits_set
 
-let test_counters_reset () =
-  let a = Counters.create () in
-  a.Counters.write_faults <- 5;
-  a.Counters.trap_time_ns <- 123;
-  Counters.reset a;
-  Alcotest.(check int) "faults" 0 a.Counters.write_faults;
-  Alcotest.(check int) "trap time" 0 a.Counters.trap_time_ns
-
 let test_percent_dirty () =
   let a = Counters.create () in
   Alcotest.(check (float 1e-9)) "no scans" 0.0 (Counters.percent_dirty_data a);
@@ -176,7 +168,6 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "add/average/total" `Quick test_counters_add_average;
-          Alcotest.test_case "reset" `Quick test_counters_reset;
           Alcotest.test_case "percent dirty" `Quick test_percent_dirty;
           Alcotest.test_case "empty average" `Quick test_average_empty;
         ] );
