@@ -185,6 +185,33 @@ let test_regions_listed_in_order () =
   let idxs = List.map (fun r -> r.Region.index) (Space.regions s) in
   Alcotest.(check (list int)) "creation order" [ 1; 2; 3 ] idxs
 
+(* [Space.regions] is read off the region table, so it must list exactly
+   the regions the allocations opened, each once and in the order they
+   were opened, with the kind and line size of the allocation that
+   opened it.  Small regions make the allocations spill into many, past
+   the table's initial slots. *)
+let regions_match_allocations =
+  QCheck.Test.make ~name:"regions lists each region once, in creation order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 60) (triple bool (int_bound 3) (int_range 1 4096)))
+    (fun allocs ->
+      let s = Space.create ~region_size:4096 ~nprocs:1 () in
+      let opened = ref [] and ok = ref true in
+      List.iter
+        (fun (shared, line, size) ->
+          let kind = if shared then Region.Shared else Region.Private in
+          let line_size = [| 8; 16; 64; 256 |].(line) in
+          let r = Space.region_of_addr s (Space.alloc s ~kind ~line_size size) in
+          if not (List.memq r !opened) then begin
+            opened := r :: !opened;
+            ok := !ok && r.Region.kind = kind && r.Region.line_size = line_size
+          end)
+        allocs;
+      let listed = Space.regions s and expected = List.rev !opened in
+      !ok
+      && List.length listed = List.length expected
+      && List.for_all2 ( == ) listed expected
+      && List.for_all Fun.id (List.mapi (fun i (r : Region.t) -> r.Region.index = i + 1) listed))
+
 let region_lookup_consistent =
   QCheck.Test.make ~name:"every allocated byte maps back to its region" ~count:100
     QCheck.(int_range 1 10_000)
@@ -317,6 +344,7 @@ let () =
           Alcotest.test_case "kind separation" `Quick test_alloc_kind_separation;
           Alcotest.test_case "unmapped addresses" `Quick test_unmapped;
           Alcotest.test_case "regions in order" `Quick test_regions_listed_in_order;
+          qtest regions_match_allocations;
           qtest alloc_no_overlap;
           qtest region_lookup_consistent;
         ] );
