@@ -33,6 +33,8 @@ expect_usage_error --schedules ./midway_fuzz.exe --schedules=-1 --apps counter
 expect_usage_error --crash-horizon ./midway_fuzz.exe --crash-horizon=-5 --crash-events=1 --apps counter
 expect_usage_error --crash-events ./midway_fuzz.exe --crash-events=-1 --apps counter
 expect_usage_error --shrink-budget ./midway_fuzz.exe --shrink-budget=-1 --apps counter
+# a crash-armed sweep names only workloads whose oracles judge crash runs
+expect_usage_error "workload counter" ./midway_fuzz.exe --crash-events 1 --apps counter
 expect_usage_error --scale ./midway_run.exe sor --scale=-1
 expect_usage_error --scale ./midway_fuzz.exe --scale=-1 --apps counter
 expect_usage_error --scale ./experiments.exe --scale=-1 --only table1

@@ -9,6 +9,12 @@
      midway-fuzz --faults 0.02 --fault-seed 42    # fault x thread schedules
      midway-fuzz --crash-events 2                 # crash x thread schedules
 
+   A crash-armed sweep runs only workloads whose oracles judge crash
+   runs (crashy, crashy-broken and the kv family); without --apps it
+   sweeps crashy, kv, kv-migrate and kv-crashy, --demo-bug hunts
+   kv-broken-migration and crashy-broken, and an --apps list naming
+   any other workload exits 2.
+
    Demo: hunt the deliberately buggy workloads (order-sensitive, racy,
    deadlocky) and exit 0 only if every one is caught and shrunk within
    the grid — the self-test wired into @fuzzsmoke.  The synchronization
@@ -131,12 +137,17 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
         match (apps_csv, demo_bug) with
         | Some csv, _ -> parse_names (Explore.workload_of_name ~scale) csv
         | None, true ->
-            (* with the crash dimension armed, the broken-failover prey
-               joins the hunt — it only manifests under node crashes *)
-            Explore.buggy_workloads ()
-            @ (if crash_armed then [ Workload.crashy_broken ~iters:6 ] else [])
+            (* with the crash dimension armed, the hunt keeps the prey
+               whose oracles judge crash runs and adds the
+               broken-failover prey, which only manifests under node
+               crashes *)
+            if crash_armed then
+              List.filter (fun w -> w.Workload.judges_crashes) (Explore.buggy_workloads ())
+              @ [ Workload.crashy_broken ~iters:6 ]
+            else Explore.buggy_workloads ()
         | None, false ->
-            Explore.clean_workloads () @ [ Midway_explore.Ecgen.workload ~seed:1 () ]
+            if crash_armed then Explore.crash_workloads ()
+            else Explore.clean_workloads () @ [ Midway_explore.Ecgen.workload ~seed:1 () ]
       in
       let backends = parse_names Config.backend_of_string backends_csv in
       let spec =
@@ -158,6 +169,11 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
           max_shrink_runs = shrink_budget;
         }
       in
+      Result.iter_error
+        (fun msg ->
+          Printf.eprintf "%s\n" msg;
+          exit 2)
+        (Explore.validate spec);
       (* static pre-pass: the demo's synchronization defects must be
          flagged before any run; --analyze reports (and hunts) every
          static warning of the selected workloads *)
@@ -229,9 +245,11 @@ let apps =
     & info [ "apps"; "a" ] ~docv:"NAMES"
         ~doc:
           "Comma-separated workloads: counter, readers-writer, mix, order-sensitive, racy, \
-           crashy, crashy-broken, ecgen:SEED, ecgen-buggy:SEED, or an application name \
-           (water, quicksort, matrix, sor, cholesky).  Default: the clean synthetic \
-           workloads plus ecgen:1.")
+           deadlocky, crashy, crashy-broken, kv, kv-migrate, kv-broken-migration, kv-crashy, \
+           kv:SEED, ecgen:SEED, ecgen-buggy:SEED, or an application name (water, quicksort, \
+           matrix, sor, cholesky).  Default: the clean synthetic workloads plus ecgen:1, or \
+           crashy, kv, kv-migrate and kv-crashy when crashes are armed; a crash-armed sweep \
+           accepts only crashy, crashy-broken and the kv workloads.")
 
 let backends =
   Arg.(
@@ -277,7 +295,8 @@ let crash_events =
     & info [ "crash-events" ] ~docv:"N"
         ~doc:
           "Compose node-crash schedules with thread schedules: up to N seeded crash episodes \
-           per run, derived from the schedule seed.  0 (default) = no crash dimension.")
+           per run, derived from the schedule seed.  0 (default) = no crash dimension.  \
+           Only workloads whose oracles judge crash runs take part (see $(b,--apps)).")
 
 let crash_seed =
   Arg.(

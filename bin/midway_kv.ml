@@ -160,7 +160,7 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
   let violations = Kvstore.check store in
   (match violations with
   | [] -> Printf.printf "\nrefinement oracle   : ok (%d observation(s) linearized)\n"
-            (List.length (Kvstore.observations store))
+            (Array.length (Kvstore.observations store))
   | v ->
       Printf.printf "\nrefinement oracle   : %d violation(s)\n" (List.length v);
       List.iteri (fun i msg -> if i < 10 then Printf.printf "  %s\n" msg) v);

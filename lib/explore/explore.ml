@@ -272,7 +272,23 @@ type report = {
 
 let null_progress _ = ()
 
+(* Crashes are armed only on workloads whose oracle can tell a dead
+   processor's missing work from a wrong answer. *)
+let refuse_crashes (w : Workload.t) =
+  Printf.sprintf
+    "workload %s cannot run with crashes: its oracle counts a dead processor's missing work \
+     as a wrong answer (crashes need crashy, crashy-broken or a kv workload)"
+    w.Workload.name
+
+let validate spec =
+  if spec.crash_events <= 0 && spec.crash_plan = None then Ok ()
+  else
+    match List.find_opt (fun w -> not w.Workload.judges_crashes) spec.workloads with
+    | None -> Ok ()
+    | Some w -> Error (refuse_crashes w)
+
 let run_spec ?(progress = null_progress) spec =
+  Result.iter_error invalid_arg (validate spec);
   let total = ref 0 in
   let points = ref 0 in
   let failures = ref [] in
@@ -537,6 +553,12 @@ let clean_workloads () =
     Workload.mix ~groups:3 ~iters:6;
   ]
 
+let crash_workloads () =
+  Workload.crashy ~iters:6
+  :: List.map
+       (fun name -> match workload_of_name name with Ok w -> w | Error e -> failwith e)
+       [ "kv"; "kv-migrate"; "kv-crashy" ]
+
 let buggy_workloads () =
   [
     Workload.order_sensitive;
@@ -554,6 +576,10 @@ let replay ?scale ?trace_out ?metrics_out (name, (cfg : Config.t)) =
       Error
         (Printf.sprintf "workload %s does not support backend %s" name
            (Config.backend_name cfg.Config.backend))
+  in
+  let* () =
+    if cfg.Config.crash <> None && not w.Workload.judges_crashes then Error (refuse_crashes w)
+    else Ok ()
   in
   let* () = R.validate cfg in
   (* Dumping a trace of the replayed (typically shrunk) schedule arms

@@ -64,6 +64,10 @@ val clean_workloads : unit -> Workload.t list
 (** The synthetic always-should-pass workloads (counter,
     readers-writer, mix). *)
 
+val crash_workloads : unit -> Workload.t list
+(** The clean workloads whose oracles judge crash runs (crashy, kv,
+    kv-migrate, kv-crashy): what a crash-armed sweep runs by default. *)
+
 val buggy_workloads : unit -> Workload.t list
 (** The deliberately broken prey (order-sensitive, racy, deadlocky,
     kv-broken-migration). *)
@@ -100,10 +104,16 @@ type report = {
   failures : counterexample list;
 }
 
+val validate : spec -> (unit, string) result
+(** [Error] naming the first workload whose oracle does not judge crash
+    runs ({!Workload.t.judges_crashes}) when the spec arms crashes
+    ([crash_events > 0] or a [crash_plan]). *)
+
 val run_spec : ?progress:(string -> unit) -> spec -> report
 (** Sweep the grid.  Per (workload, backend) pair the seed loop stops
     at the first failure, which is then shrunk; clean pairs run all
-    [schedules] seeds. *)
+    [schedules] seeds.  Raises [Invalid_argument] with {!validate}'s
+    message when the spec is refused. *)
 
 (** {1 Shrinking} *)
 
@@ -147,7 +157,8 @@ val replay :
   ?scale:float -> ?trace_out:string -> ?metrics_out:string -> string * Midway.Config.t ->
   (judged, string) result
 (** Re-execute a parsed counterexample.  [Error] when the workload is
-    unknown, does not support the backend, or the configuration fails
+    unknown, does not support the backend or does not judge crash runs
+    under a crash-armed configuration, or the configuration fails
     {!Midway.Runtime.validate}; [Ok] with [j_failed = true] means the
     failure reproduced.  [trace_out] / [metrics_out] arm the
     observability layer (which never perturbs the run) and write the

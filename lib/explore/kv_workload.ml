@@ -94,6 +94,7 @@ let workload ~name ?(buggy = false) cfg =
   {
     Workload.name;
     buggy;
+    judges_crashes = true;
     supports = Workload.lock_based;
     (* a full application over dynamic streams — beyond the EC-IR *)
     ir = None;
@@ -113,6 +114,7 @@ let crashy_workload ~name cfg =
   {
     Workload.name;
     buggy = false;
+    judges_crashes = true;
     supports = Workload.lock_based;
     ir = None;
     run =

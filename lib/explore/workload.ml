@@ -28,6 +28,7 @@ type outcome = {
 type t = {
   name : string;
   buggy : bool;
+  judges_crashes : bool;  (* the oracle judges crash-armed runs *)
   supports : Config.backend -> bool;
   run : Config.t -> outcome;
   ir : (nprocs:int -> Ir.program) option;
@@ -110,6 +111,7 @@ let counter ~iters =
   {
     name = "counter";
     buggy = false;
+    judges_crashes = false;
     supports = lock_based;
     ir =
       Some
@@ -159,6 +161,7 @@ let readers_writer ~iters =
   {
     name = "readers-writer";
     buggy = false;
+    judges_crashes = false;
     supports = lock_based;
     ir =
       Some
@@ -228,6 +231,7 @@ let mix ~groups ~iters =
   {
     name = "mix";
     buggy = false;
+    judges_crashes = false;
     supports = lock_based;
     ir =
       Some
@@ -298,6 +302,7 @@ let order_sensitive =
   {
     name = "order-sensitive";
     buggy = true;
+    judges_crashes = false;
     supports = lock_based;
     (* Statically clean: the bug is an oracle assumption about commit
        order, not a synchronization defect — the precision half of the
@@ -351,6 +356,7 @@ let racy =
   {
     name = "racy";
     buggy = true;
+    judges_crashes = false;
     supports = lock_based;
     (* Statically flagged before any run: p1 touches lock 0's bound data
        without holding it — the exact class ECSan reports dynamically. *)
@@ -413,6 +419,7 @@ let deadlocky =
   {
     name = "deadlocky";
     buggy = true;
+    judges_crashes = false;
     supports = lock_based;
     ir =
       Some
@@ -489,6 +496,7 @@ let crashy_with ~name ~buggy ~broken ~iters =
   {
     name;
     buggy;
+    judges_crashes = true;
     supports = lock_based;
     (* crash plans and quorum failover are beyond the IR *)
     ir = None;
@@ -594,6 +602,7 @@ let app ~scale suite_app =
   {
     name;
     buggy = false;
+    judges_crashes = false;
     (* applications are real programs, not IR grids *)
     ir = None;
     supports =

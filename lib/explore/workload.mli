@@ -25,6 +25,11 @@ type outcome = {
 type t = {
   name : string;
   buggy : bool;  (** deliberately wrong: fuzzer prey, excluded from clean sweeps *)
+  judges_crashes : bool;
+      (** the oracle judges crash-armed runs: it knows which processors
+          died and does not count their missing work as a wrong answer
+          (crashy, crashy-broken and the kv family).  The explorer
+          arms crashes on no other workload. *)
   supports : Midway.Config.backend -> bool;
   run : Midway.Config.t -> outcome;
   ir : (nprocs:int -> Midway_analyze.Ir.program) option;

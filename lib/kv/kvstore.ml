@@ -57,7 +57,8 @@ type t = {
   metrics : Metrics.t;  (* host-side registry: always on, never perturbs the run *)
   requests_of : Metrics.counter option array;  (* by kind code, from its first request *)
   latency_of : Metrics.histogram option array;
-  mutable log : Oracle.obs list;  (* newest first *)
+  mutable log : Oracle.obs array;  (* the first [logged] entries, oldest first *)
+  mutable logged : int;
   mutable requests : int;
 }
 
@@ -95,7 +96,8 @@ let create ?(service_ns = 0) rt ~keys ~buckets =
     metrics = Metrics.create ();
     requests_of = Array.make 6 None;
     latency_of = Array.make 6 None;
-    log = [];
+    log = [||];
+    logged = 0;
     requests = 0;
   }
 
@@ -142,9 +144,8 @@ let write_journal c t b ~seq ~kind ~key ~value =
   Runtime.write_int c (j + 16) key;
   Runtime.write_int c (j + 24) value
 
-let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched ~start =
-  let done_ns = Runtime.now_ns c in
-  t.log <-
+let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched =
+  let o =
     {
       Oracle.o_proc = Runtime.id c;
       o_bucket = bucket;
@@ -154,10 +155,12 @@ let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched ~start =
       o_value = value;
       o_read = read;
       o_sched_ns = sched;
-      o_start_ns = start;
-      o_done_ns = done_ns;
+      o_done_ns = Runtime.now_ns c;
     }
-    :: t.log
+  in
+  t.log <- Midway_util.Grow.array t.log t.logged ~fill:o;
+  t.log.(t.logged) <- o;
+  t.logged <- t.logged + 1
 
 (* Throughput/latency accounting: once per client-visible request, into
    the store's own registry (host side), and a Request event in the
@@ -192,7 +195,6 @@ let account t c ~kind ~bucket ~sched =
 let get c t ?sched_ns key =
   check_key t key;
   let sched = match sched_ns with Some s -> s | None -> Runtime.now_ns c in
-  let start = Runtime.now_ns c in
   let b = bucket_of t key in
   let lk = t.locks.(b) in
   Runtime.acquire_read c lk;
@@ -204,14 +206,13 @@ let get c t ?sched_ns key =
   if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
   record t c ~kind:Oracle.K_get ~bucket:b ~seq ~key ~value:0 ~read:[ (key, present, value) ]
-    ~sched ~start;
+    ~sched;
   account t c ~kind:Oracle.K_get ~bucket:b ~sched;
   (present, value)
 
 let mutate c t ~kind ?sched_ns key value =
   check_key t key;
   let sched = match sched_ns with Some s -> s | None -> Runtime.now_ns c in
-  let start = Runtime.now_ns c in
   let b = bucket_of t key in
   let lk = t.locks.(b) in
   Runtime.acquire c lk;
@@ -230,7 +231,7 @@ let mutate c t ~kind ?sched_ns key value =
   | _ -> assert false);
   if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
-  record t c ~kind ~bucket:b ~seq ~key ~value ~read:[] ~sched ~start;
+  record t c ~kind ~bucket:b ~seq ~key ~value ~read:[] ~sched;
   account t c ~kind ~bucket:b ~sched
 
 let put c t ?sched_ns key value = mutate c t ~kind:Oracle.K_put ?sched_ns key value
@@ -261,8 +262,7 @@ let load c t pairs =
       Runtime.write_int c s 1;
       Runtime.write_int c (s + 8) v;
       Runtime.release c lk;
-      record t c ~kind:Oracle.K_load ~bucket:b ~seq ~key:k ~value:v ~read:[] ~sched
-        ~start:sched)
+      record t c ~kind:Oracle.K_load ~bucket:b ~seq ~key:k ~value:v ~read:[] ~sched)
     pairs
 
 (* A scan is per-bucket atomic: each bucket's segment reads under its
@@ -274,7 +274,6 @@ let scan c t ?sched_ns ~lo ~n () =
   check_key t lo;
   let hi = Int.min t.keys (lo + n) in
   let sched = match sched_ns with Some s -> s | None -> Runtime.now_ns c in
-  let start = Runtime.now_ns c in
   let out = ref [] in
   let b0 = bucket_of t lo and b1 = bucket_of t (hi - 1) in
   for b = b0 to b1 do
@@ -294,7 +293,7 @@ let scan c t ?sched_ns ~lo ~n () =
     done;
     if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
     Runtime.release c lk;
-    record t c ~kind:Oracle.K_scan ~bucket:b ~seq ~key:klo ~value:0 ~read:!seen ~sched ~start
+    record t c ~kind:Oracle.K_scan ~bucket:b ~seq ~key:klo ~value:0 ~read:!seen ~sched
   done;
   account t c ~kind:Oracle.K_scan ~bucket:b1 ~sched;
   List.rev !out
@@ -316,7 +315,6 @@ let copy_area c t b ~src_loc ~broken =
 let migrate ?(broken = false) c t b =
   if b < 0 || b >= t.buckets then invalid_arg "Kvstore.migrate: no such bucket";
   let sched = Runtime.now_ns c in
-  let start = sched in
   let lk = t.locks.(b) in
   let m = t.meta.(b) in
   let a0, a1 = t.area.(b) in
@@ -341,7 +339,7 @@ let migrate ?(broken = false) c t b =
   if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
   record t c ~kind:Oracle.K_migrate ~bucket:b ~seq ~key:(b * t.per_bucket)
-    ~value:(Runtime.id c) ~read:[] ~sched ~start;
+    ~value:(Runtime.id c) ~read:[] ~sched;
   account t c ~kind:Oracle.K_migrate ~bucket:b ~sched
 
 (* Pull every bucket once in read mode so this processor's copies are
@@ -359,7 +357,7 @@ let read_sweep c t =
 (* Host-side extraction for the oracle                                 *)
 (* ------------------------------------------------------------------ *)
 
-let observations t = List.rev t.log
+let observations t = Array.sub t.log 0 t.logged
 
 (* Read the authoritative copy of bucket [b]: the lock owner's memory.
    After a run with crashes the owner is live whenever any live
@@ -409,7 +407,7 @@ let final_state t =
 
 let check t =
   Oracle.check ~keys:t.keys ~buckets:t.buckets ~killed:(Runtime.killed_procs t.rt)
-    ~journal:(journal t) ~final:(Some (final_state t)) (observations t)
+    ~journal:(journal t) ~final:(Some (final_state t)) ~len:t.logged t.log
 
 let digest t =
   let f = final_state t in

@@ -69,8 +69,8 @@ val read_sweep : Midway.Runtime.ctx -> t -> unit
 
 (** {1 Host side} (after the run) *)
 
-val observations : t -> Oracle.obs list
-(** Oldest first. *)
+val observations : t -> Oracle.obs array
+(** A copy of the log, oldest first. *)
 
 val journal : t -> Oracle.journal_entry list
 val final_state : t -> Oracle.final_state

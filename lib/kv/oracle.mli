@@ -39,7 +39,6 @@ type obs = {
   o_read : (int * bool * int) list;
       (** what the read observed: (key, present, value) *)
   o_sched_ns : int;  (** scheduled open-loop arrival *)
-  o_start_ns : int;  (** service start *)
   o_done_ns : int;  (** completion; sojourn latency = o_done_ns - o_sched_ns *)
 }
 
@@ -56,7 +55,8 @@ type journal_entry = {
     between committing a write (at its release) and logging the
     observation (host side), the journal is the only witness of the
     committed op; the oracle admits exactly such journal-covered
-    sequence gaps and no others. *)
+    sequence gaps, inside a bucket's sequence or after its last logged
+    write, and no others. *)
 
 type final_state = {
   f_entries : (int * bool * int) array;  (** every key once: (key, present, value) *)
@@ -71,11 +71,29 @@ val check :
   killed:int list ->
   journal:journal_entry list ->
   final:final_state option ->
-  obs list ->
+  ?len:int ->
+  obs array ->
   string list
-(** Replays each bucket's writes in sequence order against a model
-    dictionary and returns the violations (empty = the run refines the
-    dictionary): duplicate or unexplained sequence numbers, reads that
-    contradict the model at their observed prefix, keys outside their
-    bucket, and (when [final] is given) a converged final state or op
-    counter differing from the model. *)
+(** [check ... ?len log] judges the first [len] observations of [log]
+    (default: all of them), oldest first, and returns the violations
+    (empty = the run refines the dictionary).  First, in log order,
+    every observation whose key is outside the keyspace or in another
+    bucket; then, bucket by bucket:
+    - a duplicate sequence number, or a missing one (inside the
+      sequence or after its last logged write) that no killed
+      processor's journal entry supplies;
+    - a read whose observed op counter is negative or above the
+      bucket's committed count;
+    - a read that contradicts the model at its observed prefix, or
+      names a key outside the bucket, and a write of a key outside the
+      bucket;
+    - when [final] is given, a final op counter other than the
+      committed count, and a final entry differing from the model
+      (entries whose key is outside the keyspace are not judged).
+
+    One linear replay over arrays: the log is grouped by bucket with
+    a counting sort that keeps log order, a bucket's writes are sorted
+    only when they do not already ascend, its reads are grouped by
+    observed prefix with a second counting sort, and the model is a
+    presence and a value array over the bucket's contiguous keys.
+    Nothing is allocated per observation. *)

@@ -23,7 +23,9 @@
      length of the lock's incarnation log; a saved diff that empties
      and is saved again takes a pooled page buffer for its shadow;
    - sor and water: a red-black sweep and the pair evaluations keep
-     their floats unboxed.
+     their floats unboxed;
+   - kv: the refinement oracle replays a run's log without allocating
+     per observation.
 
    The repository builds in the release profile (dune-workspace), which
    lets the typed accessors inline into their callers; that is what
@@ -42,6 +44,8 @@ module Sync = Midway.Sync
 module Counters = Midway_stats.Counters
 module Cost_model = Midway_stats.Cost_model
 module Engine = Midway_sched.Engine
+module Kvstore = Midway_kv.Kvstore
+module Kv_workload = Midway_explore.Kv_workload
 
 (* Words allocated so far: every minor-heap word (Gc.counters' minor
    count lags the minor heap's fill) plus the blocks too large for the
@@ -534,6 +538,25 @@ let water_pair_words () =
   if not o.Midway_apps.Outcome.ok then Alcotest.fail "water failed its oracle";
   words /. float_of_int (2 * steps * n * (n - 1))
 
+(* Words per observation of [Kvstore.check] on a kv run: rt, 4
+   processors, 2,000 requests per client, a migration every 25
+   requests. *)
+let kv_check_words () =
+  let cfg =
+    {
+      Kv_workload.default with
+      Kv_workload.ycsb = { Kv_workload.default.Kv_workload.ycsb with requests = 2_000 };
+      migrate_every = 25;
+    }
+  in
+  let machine = R.create (Config.make Config.Rt ~nprocs:4) in
+  let store, prog = Kv_workload.build machine cfg in
+  R.run machine prog;
+  let violations = ref [] in
+  let words = words_of (fun () -> violations := Kvstore.check store) in
+  if !violations <> [] then Alcotest.failf "kv run failed its oracle: %s" (List.hd !violations);
+  words /. float_of_int (Array.length (Kvstore.observations store))
+
 let gate ?backend name ~below body =
   Alcotest.test_case name `Quick (fun () ->
       let w = words_per_op ?backend body in
@@ -653,5 +676,15 @@ let () =
               let w = water_pair_words () in
               if not (w < 1.0) then
                 Alcotest.failf "water: %.4f words/pair evaluation (gate: < 1.0)" w);
+        ] );
+      ( "kv",
+        [
+          (* 3.7 words over 8,352 observations, in arrays sized by
+             the log, a bucket or the keyspace; the list-and-Hashtbl
+             checker it replaced allocated 46.9 *)
+          Alcotest.test_case "oracle replay" `Quick (fun () ->
+              let w = kv_check_words () in
+              if not (w < 8.) then
+                Alcotest.failf "Kvstore.check: %.4f words/observation (gate: < 8)" w);
         ] );
     ]

@@ -269,6 +269,53 @@ let test_fuzzer_crash_clean_sweep () =
         (Printf.sprintf "quorum failover corrupted a clean run: %s" c.Explore.c_reason));
   Alcotest.(check int) "three grid points swept" 3 report.Explore.grid_points
 
+(* Crashes are armed only where the oracle judges crash runs: a sweep
+   or a replay naming any other workload is refused before it runs. *)
+let test_crash_needs_a_judging_oracle () =
+  let judges name =
+    match Explore.workload_of_name name with
+    | Ok w -> w.Workload.judges_crashes
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " judges crash runs") true (judges name))
+    [ "crashy"; "crashy-broken"; "kv"; "kv-migrate"; "kv-broken-migration"; "kv-crashy"; "kv:3" ];
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " does not") false (judges name))
+    [
+      "counter"; "readers-writer"; "mix"; "order-sensitive"; "racy"; "deadlocky"; "ecgen:1"; "sor";
+    ];
+  let refusal =
+    "workload mix cannot run with crashes: its oracle counts a dead processor's missing work as \
+     a wrong answer (crashes need crashy, crashy-broken or a kv workload)"
+  in
+  let spec =
+    { Explore.default_spec with Explore.workloads = Explore.crash_workloads (); crash_events = 1 }
+  in
+  Alcotest.(check (result unit string)) "the crash workloads" (Ok ()) (Explore.validate spec);
+  let with_mix =
+    { spec with Explore.workloads = spec.Explore.workloads @ [ Workload.mix ~groups:3 ~iters:6 ] }
+  in
+  Alcotest.(check (result unit string)) "mix refused" (Error refusal) (Explore.validate with_mix);
+  Alcotest.check_raises "the sweep refuses" (Invalid_argument refusal) (fun () ->
+      ignore (Explore.run_spec with_mix));
+  Alcotest.(check (result unit string)) "an explicit plan arms crashes too" (Error refusal)
+    (Explore.validate
+       {
+         with_mix with
+         Explore.crash_events = 0;
+         crash_plan = Some (Midway_simnet.Crash.scripted []);
+       });
+  Alcotest.(check (result unit string)) "mix without crashes" (Ok ())
+    (Explore.validate { with_mix with Explore.crash_events = 0 });
+  match
+    Result.bind
+      (Explore.parse_counterexample "workload=mix\ncrash=stop@1000:p1\nschedule-seed=1")
+      Explore.replay
+  with
+  | Error e -> Alcotest.(check string) "the replay refuses" refusal e
+  | Ok _ -> Alcotest.fail "a crash-armed mix counterexample must not replay"
+
 (* Counterexample file round trip. *)
 let test_counterexample_roundtrip () =
   let module Crash = Midway_simnet.Crash in
@@ -482,6 +529,8 @@ let () =
             test_fuzzer_finds_broken_failover;
           Alcotest.test_case "clean failover survives the crash grid" `Quick
             test_fuzzer_crash_clean_sweep;
+          Alcotest.test_case "crash runs need an oracle that judges them" `Quick
+            test_crash_needs_a_judging_oracle;
         ] );
       ( "counterexample files",
         [

@@ -1,6 +1,7 @@
 (* The sharded KV store: the YCSB-style generator's determinism and
    distribution properties, the refinement oracle's soundness (passing
-   hand-written interleavings, rejected mutants), the migration edge
+   hand-written interleavings, rejected mutants, the same verdicts as
+   the list-and-Hashtbl checker it replaced), the migration edge
    cases (re-bind under shared readers, under message faults, across a
    crash of the old owner), and the latency-percentile report
    cross-checked against exact percentiles from the raw observation
@@ -172,7 +173,6 @@ let obs ?(read = []) ~proc ~bucket ~seq ~kind ~key ~value () =
     o_value = value;
     o_read = read;
     o_sched_ns = 0;
-    o_start_ns = 0;
     o_done_ns = 0;
   }
 
@@ -209,7 +209,7 @@ let final_ok =
   }
 
 let run_oracle ?(killed = []) ?(journal = []) ?final history =
-  Oracle.check ~keys:8 ~buckets:2 ~killed ~journal ~final history
+  Oracle.check ~keys:8 ~buckets:2 ~killed ~journal ~final (Array.of_list history)
 
 let test_oracle_passes () =
   Alcotest.(check (list string)) "hand-written interleaving linearizes" []
@@ -275,6 +275,427 @@ let test_oracle_crash_gaps () =
     ~journal:[ { j with Oracle.j_seq = 4 } ]
     ()
 
+(* Every read is judged: one whose op counter is negative or above the
+   bucket's committed count is reported, even when no write ever
+   reached that prefix. *)
+let test_oracle_read_counters () =
+  let put = obs ~proc:0 ~bucket:0 ~seq:1 ~kind:Oracle.K_put ~key:0 ~value:3 () in
+  Alcotest.(check (list string)) "counter above the committed count"
+    [
+      "bucket 0: p1 get key 0 (bucket 0, seq 5) observed op counter 5 but only 1 write(s) ever \
+       committed";
+    ]
+    (run_oracle
+       [
+         put;
+         obs ~proc:1 ~bucket:0 ~seq:5 ~kind:Oracle.K_get ~key:0 ~value:0 ~read:[ (0, true, 4) ] ();
+       ]);
+  Alcotest.(check (list string)) "negative counter"
+    [ "bucket 0: p1 get key 0 (bucket 0, seq -1) observed a negative op counter -1" ]
+    (run_oracle
+       [
+         obs ~proc:1 ~bucket:0 ~seq:(-1) ~kind:Oracle.K_get ~key:0 ~value:0
+           ~read:[ (0, false, 0) ] ();
+       ])
+
+(* A killed processor's write may also be the bucket's last: committed
+   by its release, with the log entry lost.  Its journal entry admits it
+   after the last logged write, and the reads and the final state see
+   it; a live processor's journal admits nothing. *)
+let test_oracle_trailing_journal () =
+  let history =
+    [
+      obs ~proc:0 ~bucket:0 ~seq:1 ~kind:Oracle.K_put ~key:0 ~value:3 ();
+      obs ~proc:2 ~bucket:0 ~seq:2 ~kind:Oracle.K_get ~key:1 ~value:0 ~read:[ (1, true, 8) ] ();
+    ]
+  in
+  let journal =
+    [
+      {
+        Oracle.j_bucket = 0;
+        j_proc = 1;
+        j_seq = 2;
+        j_kind = Oracle.K_put;
+        j_key = 1;
+        j_value = 8;
+      };
+    ]
+  in
+  let final =
+    {
+      Oracle.f_entries =
+        Array.init 8 (fun k ->
+            if k = 0 then (0, true, 3) else if k = 1 then (1, true, 8) else (k, false, 0));
+      f_opcounts = [| 2; 0 |];
+    }
+  in
+  Alcotest.(check (list string)) "trailing journal-covered write accepted" []
+    (run_oracle ~killed:[ 1 ] ~journal ~final history);
+  expect_reject "trailing write of a live processor" history ~journal ~final ()
+
+(* --- the linear replay against the checker it replaced ------------------ *)
+
+(* The list-and-Hashtbl checker that [Oracle.check] replaced, kept as the
+   model the linear replay must agree with, message for message.  It
+   differs from the replaced code only by the two rules the replay
+   added: a read whose counter is outside [0, committed] is reported,
+   and a killed processor's journal-covered writes after the last
+   logged one are admitted. *)
+module Reference = struct
+  open Oracle
+
+  let is_write = function
+    | K_put | K_delete | K_migrate | K_load -> true
+    | K_get | K_scan -> false
+
+  let check_bucket ~bucket ~lo ~hi ~killed ~journal ~violations obs_list =
+    let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+    let in_bucket k = k >= lo && k < hi in
+    let writes, reads = List.partition (fun o -> is_write o.o_kind) obs_list in
+    let writes = List.stable_sort (fun a b -> Int.compare a.o_seq b.o_seq) writes in
+    let expected = ref 1 in
+    let checked = ref [] in
+    let recover () =
+      match
+        List.find_opt
+          (fun j -> j.j_bucket = bucket && j.j_seq = !expected && List.mem j.j_proc killed)
+          journal
+      with
+      | Some j ->
+          checked :=
+            {
+              o_proc = j.j_proc;
+              o_bucket = bucket;
+              o_seq = j.j_seq;
+              o_kind = j.j_kind;
+              o_key = j.j_key;
+              o_value = j.j_value;
+              o_read = [];
+              o_sched_ns = 0;
+              o_done_ns = 0;
+            }
+            :: !checked;
+          true
+      | None -> false
+    in
+    List.iter
+      (fun w ->
+        if w.o_seq < !expected then
+          bad "bucket %d: duplicate sequence %d (%s)" bucket w.o_seq (describe w)
+        else begin
+          while w.o_seq > !expected do
+            if not (recover ()) then
+              bad
+                "bucket %d: sequence gap at %d (next logged write is seq %d) not covered by \
+                 any killed processor's journal"
+                bucket !expected w.o_seq;
+            incr expected
+          done;
+          checked := w :: !checked;
+          incr expected
+        end)
+      writes;
+    while recover () do
+      incr expected
+    done;
+    let writes = List.rev !checked in
+    let max_seq = !expected - 1 in
+    List.iter
+      (fun r ->
+        if r.o_seq < 0 then
+          bad "bucket %d: %s observed a negative op counter %d" bucket (describe r) r.o_seq
+        else if r.o_seq > max_seq then
+          bad "bucket %d: %s observed op counter %d but only %d write(s) ever committed" bucket
+            (describe r) r.o_seq max_seq)
+      reads;
+    let model : (int, bool * int) Hashtbl.t = Hashtbl.create 64 in
+    let entry k = match Hashtbl.find_opt model k with Some e -> e | None -> (false, 0) in
+    let check_read r =
+      List.iter
+        (fun (k, present, v) ->
+          if not (in_bucket k) then
+            bad "bucket %d: %s returned key %d outside the bucket" bucket (describe r) k
+          else
+            let mp, mv = entry k in
+            if present <> mp || (present && v <> mv) then
+              bad "bucket %d: %s observed key %d = %s but the dictionary says %s" bucket
+                (describe r) k
+                (if present then string_of_int v else "absent")
+                (if mp then string_of_int mv else "absent"))
+        r.o_read
+    in
+    let reads_at = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        Hashtbl.replace reads_at r.o_seq
+          (r :: Option.value (Hashtbl.find_opt reads_at r.o_seq) ~default:[]))
+      reads;
+    let flush_reads s =
+      match Hashtbl.find_opt reads_at s with
+      | Some l -> List.iter check_read (List.rev l)
+      | None -> ()
+    in
+    flush_reads 0;
+    List.iter
+      (fun w ->
+        (if not (in_bucket w.o_key) && w.o_kind <> K_migrate then
+           bad "bucket %d: %s writes a key outside the bucket" bucket (describe w));
+        (match w.o_kind with
+        | K_put | K_load -> Hashtbl.replace model w.o_key (true, w.o_value)
+        | K_delete -> Hashtbl.replace model w.o_key (false, 0)
+        | K_migrate -> ()
+        | K_get | K_scan -> assert false);
+        flush_reads w.o_seq)
+      writes;
+    (model, max_seq)
+
+  let check ~keys ~buckets ~killed ~journal ~final obs_list =
+    let violations = ref [] in
+    let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+    if keys mod buckets <> 0 then bad "keys (%d) not divisible by buckets (%d)" keys buckets;
+    let per_bucket = keys / buckets in
+    let bucket_of k = k / per_bucket in
+    List.iter
+      (fun o ->
+        if o.o_key < 0 || o.o_key >= keys then
+          bad "%s: key outside the keyspace [0, %d)" (describe o) keys
+        else if o.o_bucket <> bucket_of o.o_key then
+          bad "%s: key %d lives in bucket %d" (describe o) o.o_key (bucket_of o.o_key))
+      obs_list;
+    let by_bucket = Array.make buckets [] in
+    List.iter
+      (fun o ->
+        if o.o_bucket >= 0 && o.o_bucket < buckets then
+          by_bucket.(o.o_bucket) <- o :: by_bucket.(o.o_bucket))
+      obs_list;
+    for b = 0 to buckets - 1 do
+      let lo = b * per_bucket in
+      let model, max_seq =
+        check_bucket ~bucket:b ~lo ~hi:(lo + per_bucket) ~killed ~journal ~violations
+          (List.rev by_bucket.(b))
+      in
+      match final with
+      | None -> ()
+      | Some f ->
+          if f.f_opcounts.(b) <> max_seq then
+            bad "bucket %d: final op counter is %d but %d write(s) committed" b f.f_opcounts.(b)
+              max_seq;
+          Array.iter
+            (fun (k, present, v) ->
+              if bucket_of k = b then
+                let mp, mv =
+                  match Hashtbl.find_opt model k with Some e -> e | None -> (false, 0)
+                in
+                if present <> mp || (present && v <> mv) then
+                  bad "bucket %d: final state of key %d is %s but the dictionary says %s" b k
+                    (if present then string_of_int v else "absent")
+                    (if mp then string_of_int mv else "absent"))
+            f.f_entries
+    done;
+    List.rev !violations
+end
+
+type history = {
+  h_keys : int;
+  h_buckets : int;
+  h_killed : int list;
+  h_journal : Oracle.journal_entry list;
+  h_final : Oracle.final_state option;
+  h_log : Oracle.obs list;
+}
+
+let journal_of (w : Oracle.obs) =
+  {
+    Oracle.j_bucket = w.o_bucket;
+    j_proc = w.o_proc;
+    j_seq = w.o_seq;
+    j_kind = w.o_kind;
+    j_key = w.o_key;
+    j_value = w.o_value;
+  }
+
+(* A random history: each bucket's legal run (writes numbered 1..N,
+   reads reporting the model at the prefix they name, every processor's
+   last write in the journal), then up to six faults, then the buckets'
+   logs interleaved, and one history in four shuffled outright.  The
+   faults: a dropped write (a gap, its journal entry kept or not, its
+   processor killed or not), a duplicated write, a write or a read
+   renumbered to a duplicate, zero, negative or trailing sequence
+   number, a flipped read value or presence, a write or read moved to
+   any key of the keyspace, an observation naming another bucket or
+   none, a processor killed or revived, a journal entry renumbered, and
+   a wrong final op counter or final value. *)
+let gen_history st =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let buckets = 1 + int 3 and per_bucket = 1 + int 4 and nprocs = 4 in
+  let keys = buckets * per_bucket in
+  let killed = ref (List.filter (fun _ -> int 3 = 0) [ 0; 1; 2; 3 ]) in
+  let last_write = Hashtbl.create 16 in
+  let logs = Array.make buckets [] in
+  let opcounts = Array.make buckets 0 in
+  let entries = Array.init keys (fun k -> (k, false, 0)) in
+  for b = 0 to buckets - 1 do
+    let lo = b * per_bucket in
+    let seq = ref 0 and log = ref [] in
+    for _ = 1 to int 14 do
+      let proc = int nprocs and key = lo + int per_bucket in
+      if int 2 = 0 then begin
+        incr seq;
+        let kind =
+          pick [| Oracle.K_put; Oracle.K_put; Oracle.K_delete; Oracle.K_load; Oracle.K_migrate |]
+        in
+        let key, value =
+          match kind with
+          | Oracle.K_put | Oracle.K_load -> (key, int 50)
+          | Oracle.K_delete -> (key, 0)
+          | _ -> (lo, proc)
+        in
+        if kind <> Oracle.K_migrate then entries.(key) <- (key, kind <> Oracle.K_delete, value);
+        let w = obs ~proc ~bucket:b ~seq:!seq ~kind ~key ~value () in
+        Hashtbl.replace last_write (b, proc) (journal_of w);
+        log := w :: !log
+      end
+      else begin
+        let n = if int 2 = 0 then 1 else 1 + int (lo + per_bucket - key) in
+        let read = List.init n (fun i -> entries.(key + i)) in
+        let kind = if n = 1 && int 2 = 0 then Oracle.K_get else Oracle.K_scan in
+        log := obs ~proc ~bucket:b ~seq:!seq ~kind ~key ~value:0 ~read () :: !log
+      end
+    done;
+    opcounts.(b) <- !seq;
+    logs.(b) <- List.rev !log
+  done;
+  let journal = ref (List.sort compare (Hashtbl.fold (fun _ j l -> j :: l) last_write [])) in
+  let one_of b pred =
+    match List.filter pred logs.(b) with
+    | [] -> None
+    | l -> Some (List.nth l (int (List.length l)))
+  in
+  let replace b pred by =
+    Option.iter
+      (fun victim ->
+        logs.(b) <- List.concat_map (fun o -> if o == victim then by o else [ o ]) logs.(b))
+      (one_of b pred)
+  in
+  let is_write o = Reference.is_write o.Oracle.o_kind in
+  let is_read o = not (is_write o) in
+  let any_seq b = int (opcounts.(b) + 5) - 2 in
+  for _ = 1 to int 7 do
+    let b = int buckets in
+    match int 11 with
+    | 0 ->
+        replace b is_write (fun w ->
+            if int 2 = 0 then begin
+              journal := journal_of w :: !journal;
+              if int 2 = 0 then killed := w.Oracle.o_proc :: !killed
+            end;
+            [])
+    | 1 ->
+        replace b is_write (fun w ->
+            [ w; { w with Oracle.o_proc = int nprocs; o_value = int 50 } ])
+    | 2 -> replace b is_write (fun w -> [ { w with Oracle.o_seq = any_seq b } ])
+    | 3 -> replace b is_read (fun r -> [ { r with Oracle.o_seq = any_seq b } ])
+    | 4 ->
+        let flip (k, p, v) = if int 2 = 0 then (k, not p, v) else (k, p, v + 1) in
+        replace b is_read (fun r -> [ { r with Oracle.o_read = List.map flip r.Oracle.o_read } ])
+    | 5 ->
+        let k = int keys in
+        replace b
+          (fun _ -> true)
+          (fun o ->
+            if is_write o then [ { o with Oracle.o_key = k } ]
+            else
+              [ { o with Oracle.o_read = List.map (fun (_, p, v) -> (k, p, v)) o.Oracle.o_read } ])
+    | 6 ->
+        replace b
+          (fun _ -> true)
+          (fun o -> [ { o with Oracle.o_bucket = int (buckets + 2) - 1 } ])
+    | 7 ->
+        let p = int nprocs in
+        killed := if List.mem p !killed then List.filter (( <> ) p) !killed else p :: !killed
+    | 8 -> (
+        match !journal with
+        | [] -> ()
+        | l ->
+            let j = List.nth l (int (List.length l)) in
+            journal :=
+              { j with Oracle.j_seq = any_seq b } :: List.filter (( != ) j) l)
+    | 9 -> opcounts.(b) <- opcounts.(b) + pick [| -1; 1; 2 |]
+    | _ ->
+        let k = int keys in
+        let _, p, v = entries.(k) in
+        entries.(k) <- (if int 2 = 0 then (k, not p, v) else (k, p, v + 1))
+  done;
+  let log = ref [] and rest = Array.copy logs in
+  while Array.exists (( <> ) []) rest do
+    let b = int buckets in
+    match rest.(b) with
+    | o :: tl ->
+        log := o :: !log;
+        rest.(b) <- tl
+    | [] -> ()
+  done;
+  let log = Array.of_list (List.rev !log) in
+  if int 4 = 0 then
+    for i = Array.length log - 1 downto 1 do
+      let j = int (i + 1) in
+      let o = log.(i) in
+      log.(i) <- log.(j);
+      log.(j) <- o
+    done;
+  {
+    h_keys = keys;
+    h_buckets = buckets;
+    h_killed = List.sort_uniq compare !killed;
+    h_journal = !journal;
+    h_final =
+      (if int 5 = 0 then None else Some { Oracle.f_entries = entries; f_opcounts = opcounts });
+    h_log = Array.to_list log;
+  }
+
+let print_history h =
+  let entries l =
+    String.concat " "
+      (List.map (fun (k, p, v) -> Printf.sprintf "%d=%s" k (if p then string_of_int v else "-")) l)
+  in
+  let journal (j : Oracle.journal_entry) =
+    Printf.sprintf "journal: p%d %s key %d = %d (bucket %d, seq %d)" j.j_proc
+      (Oracle.kind_name j.j_kind) j.j_key j.j_value j.j_bucket j.j_seq
+  in
+  let final =
+    match h.h_final with
+    | None -> [ "no final state" ]
+    | Some f ->
+        [
+          "final op counters: "
+          ^ String.concat " " (Array.to_list (Array.map string_of_int f.Oracle.f_opcounts));
+          "final entries: " ^ entries (Array.to_list f.Oracle.f_entries);
+        ]
+  in
+  String.concat "\n"
+    ((Printf.sprintf "keys %d, buckets %d, killed [%s]" h.h_keys h.h_buckets
+        (String.concat " " (List.map string_of_int h.h_killed))
+     :: List.map journal h.h_journal)
+    @ List.map
+        (fun o ->
+          Printf.sprintf "%s value %d read [%s]" (Oracle.describe o) o.Oracle.o_value
+            (entries o.Oracle.o_read))
+        h.h_log
+    @ final)
+
+let replay_matches_reference =
+  QCheck.Test.make ~name:"the linear replay reports what the reference checker does" ~count:1000
+    (QCheck.make ~print:print_history gen_history)
+    (fun h ->
+      let keys = h.h_keys and buckets = h.h_buckets and killed = h.h_killed in
+      let journal = h.h_journal and final = h.h_final in
+      let want = Reference.check ~keys ~buckets ~killed ~journal ~final h.h_log in
+      let got = Oracle.check ~keys ~buckets ~killed ~journal ~final (Array.of_list h.h_log) in
+      got = want
+      || QCheck.Test.fail_reportf "replay:\n%s\nreference:\n%s" (String.concat "\n" got)
+           (String.concat "\n" want))
+
 (* --- the oracle against the real store: seeded mutation test ------------ *)
 
 let run_store ?(cfg = Kv_workload.default) ?(nprocs = 4) ?(backend = Config.Rt) ?(sseed = 1)
@@ -289,7 +710,7 @@ let run_store ?(cfg = Kv_workload.default) ?(nprocs = 4) ?(backend = Config.Rt) 
 let test_oracle_mutation () =
   let machine, store = run_store () in
   Alcotest.(check (list string)) "unmutated run linearizes" [] (Kvstore.check store);
-  let all = Array.of_list (Kvstore.observations store) in
+  let all = Kvstore.observations store in
   let gets =
     Array.to_list all
     |> List.filter (fun o -> o.Oracle.o_kind = Oracle.K_get && o.Oracle.o_read <> [])
@@ -304,7 +725,7 @@ let test_oracle_mutation () =
     Oracle.check ~keys:(Kvstore.keys store) ~buckets:(Kvstore.buckets store)
       ~killed:(R.killed_procs machine) ~journal:(Kvstore.journal store)
       ~final:(Some (Kvstore.final_state store))
-      (Array.to_list mutated)
+      mutated
   in
   (* corrupt one observed get five different ways: flip the value, flip
      the presence — the oracle must reject every mutant *)
@@ -405,7 +826,7 @@ let test_percentiles_vs_raw () =
   let _machine, store = run_store ~cfg () in
   Alcotest.(check (list string)) "run linearizes" [] (Kvstore.check store);
   let raw =
-    Kvstore.observations store
+    Kvstore.observations store |> Array.to_list
     |> List.filter (fun o -> o.Oracle.o_kind = Oracle.K_get)
     |> List.map (fun o -> o.Oracle.o_done_ns - o.Oracle.o_sched_ns)
     |> List.sort compare |> Array.of_list
@@ -487,6 +908,10 @@ let () =
           Alcotest.test_case "passing interleavings" `Quick test_oracle_passes;
           Alcotest.test_case "rejections" `Quick test_oracle_rejects;
           Alcotest.test_case "crash gaps" `Quick test_oracle_crash_gaps;
+          Alcotest.test_case "read counters outside the committed prefix" `Quick
+            test_oracle_read_counters;
+          Alcotest.test_case "trailing journal writes" `Quick test_oracle_trailing_journal;
+          qtest replay_matches_reference;
           Alcotest.test_case "seeded mutation" `Quick test_oracle_mutation;
         ] );
       ( "migration",
