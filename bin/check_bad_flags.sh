@@ -33,6 +33,9 @@ expect_usage_error --schedules ./midway_fuzz.exe --schedules=-1 --apps counter
 expect_usage_error --crash-horizon ./midway_fuzz.exe --crash-horizon=-5 --crash-events=1 --apps counter
 expect_usage_error --crash-events ./midway_fuzz.exe --crash-events=-1 --apps counter
 expect_usage_error --shrink-budget ./midway_fuzz.exe --shrink-budget=-1 --apps counter
+# names are parsed verbatim by every tool: no trimming
+expect_usage_error "unknown workload" ./midway_analyze.exe --apps ' counter' --expect-clean
+expect_usage_error "did you mean" ./midway_analyze.exe --apps counter --backends ' rt' --confirm
 # a crash-armed sweep names only workloads whose oracles judge crash runs
 expect_usage_error "workload counter" ./midway_fuzz.exe --crash-events 1 --apps counter
 expect_usage_error --scale ./midway_run.exe sor --scale=-1

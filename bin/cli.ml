@@ -46,6 +46,21 @@ let crash_plan ~nprocs = function
           Printf.eprintf "--crash: %s\n" msg;
           exit 2)
 
+(* A comma-separated list of names, each parsed by [of_name]; a bad
+   name exits 2 with the parser's message.  Names go to the strict
+   shared parsers verbatim, with no trimming or case folding, so " rt"
+   and "RT" are rejected with the same did-you-mean hint every tool
+   gives.  Only empty segments (a trailing comma) are skipped. *)
+let parse_names of_name csv =
+  String.split_on_char ',' csv
+  |> List.filter (fun s -> s <> "")
+  |> List.map (fun s ->
+         match of_name s with
+         | Ok v -> v
+         | Error msg ->
+             Printf.eprintf "%s\n" msg;
+             exit 2)
+
 let ecsan ~doc = Arg.(value & flag & info [ "ecsan" ] ~doc)
 
 let trace_out ~doc =

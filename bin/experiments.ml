@@ -152,8 +152,9 @@ let kv_run ~requests cfg =
 type ctx = { suite : Suite.t Lazy.t; apps : Suite.app list; scale : float; nprocs : int }
 
 (* The KV store's capacity row (extension; not a paper table) on rt and
-   vm.  Percentiles are get-sojourn bucket upper bounds from the store's
-   host-side histograms (see doc/KVSTORE.md). *)
+   vm.  Percentiles are get-sojourn bucket upper bounds from the
+   histograms the store folds from its observation log (see
+   doc/KVSTORE.md). *)
 let kv { scale; nprocs; _ } =
   let module Metrics = Midway_obs.Metrics in
   let per_client = max 100 (int_of_float (20_000. *. scale)) in

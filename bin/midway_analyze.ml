@@ -19,17 +19,7 @@ module Workload = Midway_explore.Workload
 module Analyze = Midway_analyze.Analyze
 module Ir = Midway_analyze.Ir
 
-let workload_named name =
-  match Explore.workload_of_name name with
-  | Ok w -> w
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
-let parse_workloads csv =
-  String.split_on_char ',' csv
-  |> List.filter (fun s -> String.trim s <> "")
-  |> List.map (fun s -> workload_named (String.trim s))
+module Cli = Midway_cli.Cli
 
 (* NAME=CLASS expectation specs *)
 let parse_expect specs =
@@ -57,7 +47,7 @@ let has_class report slug =
 
 let run apps_csv nprocs dump_ir expect_clean expect_specs confirm schedules schedule_seed
     backends_csv =
-  let workloads = parse_workloads apps_csv in
+  let workloads = Cli.parse_names Explore.workload_of_name apps_csv in
   let expects = parse_expect expect_specs in
   List.iter
     (fun (name, _) ->
@@ -66,16 +56,7 @@ let run apps_csv nprocs dump_ir expect_clean expect_specs confirm schedules sche
         exit 2
       end)
     expects;
-  let backends =
-    String.split_on_char ',' backends_csv
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s ->
-           match Config.backend_of_string (String.trim s) with
-           | Ok b -> b
-           | Error msg ->
-               Printf.eprintf "%s\n" msg;
-               exit 2)
-  in
+  let backends = Cli.parse_names Config.backend_of_string backends_csv in
   let failed = ref false in
   let fail fmt = Printf.ksprintf (fun s -> print_endline s; failed := true) fmt in
   List.iter
@@ -111,7 +92,6 @@ let run apps_csv nprocs dump_ir expect_clean expect_specs confirm schedules sche
   if !failed then 1 else 0
 
 open Cmdliner
-module Cli = Midway_cli.Cli
 
 let apps =
   Arg.(

@@ -16,19 +16,12 @@
    any other workload exits 2.
 
    Demo: hunt the deliberately buggy workloads (order-sensitive, racy,
-   deadlocky) and exit 0 only if every one is caught and shrunk within
-   the grid — the self-test wired into @fuzzsmoke.  The synchronization
-   defects among them (racy, deadlocky) must additionally be flagged by
-   the static analyzer first, with the exact diagnostic class and zero
-   executions (order-sensitive is statically clean by design: its bug
-   is an oracle assumption, not a synchronization defect):
+   deadlocky, kv-broken-migration) and exit 0 only if every one is
+   caught and shrunk within the grid — the self-test wired into
+   @fuzzsmoke.  Static analysis of the synchronization defects among
+   them is midway-analyze's job:
 
      midway-fuzz --demo-bug --schedules 12
-
-   Analyze: static EC-IR analysis of the selected workloads before the
-   sweep, each static warning handed to the explorer as a hunt target:
-
-     midway-fuzz --analyze --apps racy,deadlocky,ecgen-buggy:1
 
    Replay: re-execute a dumped counterexample and exit 0 iff the
    failure reproduces:
@@ -39,30 +32,7 @@
 module Config = Midway.Config
 module Explore = Midway_explore.Explore
 module Workload = Midway_explore.Workload
-module Analyze = Midway_analyze.Analyze
-
-(* The demo's static contract: these seeded bugs are synchronization
-   defects, so the analyzer must flag them — with this exact class —
-   before any run. *)
-let demo_static_expectations =
-  [ ("racy", "unsynchronized-access"); ("deadlocky", "lock-cycle") ]
-
-let static_flags report slug =
-  List.exists (fun f -> Analyze.class_slug f.Analyze.cls = slug) report.Analyze.warnings
-
-(* Names go to the strict shared parsers verbatim — no trimming or case
-   folding here, so " rt" and "RT" are rejected with the same
-   did-you-mean hint every tool gives.  Only genuinely empty segments
-   (a trailing comma) are skipped. *)
-let parse_names of_name csv =
-  String.split_on_char ',' csv
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun s ->
-         match of_name s with
-         | Ok v -> v
-         | Error msg ->
-             Printf.eprintf "%s\n" msg;
-             exit 2)
+module Cli = Midway_cli.Cli
 
 let print_failure (c : Explore.counterexample) =
   let cfg = c.Explore.c_config in
@@ -121,8 +91,7 @@ let run_replay scale trace_out metrics_out path =
       end
 
 let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_seed crash
-    crash_events crash_seed crash_horizon trace no_ecsan adaptive demo_bug analyze
-    shrink_budget dump
+    crash_events crash_seed crash_horizon trace no_ecsan adaptive demo_bug shrink_budget dump
     replay_file trace_out metrics_out =
   match replay_file with
   | Some path -> run_replay scale trace_out metrics_out path
@@ -131,11 +100,11 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
         Printf.eprintf "--trace-out/--metrics-out apply to --replay runs only\n";
         exit 2
       end;
-      let crash_plan = Midway_cli.Cli.crash_plan ~nprocs crash in
+      let crash_plan = Cli.crash_plan ~nprocs crash in
       let crash_armed = crash_plan <> None || crash_events > 0 in
       let workloads =
         match (apps_csv, demo_bug) with
-        | Some csv, _ -> parse_names (Explore.workload_of_name ~scale) csv
+        | Some csv, _ -> Cli.parse_names (Explore.workload_of_name ~scale) csv
         | None, true ->
             (* with the crash dimension armed, the hunt keeps the prey
                whose oracles judge crash runs and adds the
@@ -149,7 +118,7 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
             if crash_armed then Explore.crash_workloads ()
             else Explore.clean_workloads () @ [ Midway_explore.Ecgen.workload ~seed:1 () ]
       in
-      let backends = parse_names Config.backend_of_string backends_csv in
+      let backends = Cli.parse_names Config.backend_of_string backends_csv in
       let spec =
         {
           Explore.workloads;
@@ -174,36 +143,6 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
           Printf.eprintf "%s\n" msg;
           exit 2)
         (Explore.validate spec);
-      (* static pre-pass: the demo's synchronization defects must be
-         flagged before any run; --analyze reports (and hunts) every
-         static warning of the selected workloads *)
-      let static_ok = ref true in
-      if demo_bug then
-        List.iter
-          (fun (w : Workload.t) ->
-            match List.assoc_opt w.Workload.name demo_static_expectations with
-            | None -> ()
-            | Some slug -> (
-                match Explore.static_report ~nprocs w with
-                | Some rep when static_flags rep slug ->
-                    Printf.printf "demo: %s statically flagged as [%s] with zero runs\n"
-                      w.Workload.name slug
-                | _ ->
-                    Printf.printf "demo: %s NOT statically flagged as [%s] — analyzer miss\n"
-                      w.Workload.name slug;
-                    static_ok := false))
-          workloads;
-      if analyze then
-        List.iter
-          (fun (w : Workload.t) ->
-            match
-              Explore.confirm_static ~backends ~schedules ~schedule_seed ~nprocs w
-            with
-            | None -> Printf.printf "analyze: %s has no EC-IR lift, skipped\n" w.Workload.name
-            | Some (rep, confirmations) ->
-                print_string (Analyze.render rep);
-                List.iter (fun c -> print_endline (Explore.render_confirmation c)) confirmations)
-          workloads;
       let report = Explore.run_spec ~progress:print_endline spec in
       let failures = report.Explore.failures in
       Printf.printf "\n%d run(s) over %d grid point(s): %d failure(s)\n" report.Explore.total_runs
@@ -219,11 +158,10 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
             failures
         in
         let missed = List.filter (fun w -> not (caught w)) workloads in
-        if missed = [] && !static_ok then begin
+        if missed = [] then begin
           Printf.printf "demo: every seeded bug was found and shrunk\n";
           0
         end
-        else if missed = [] then 1 (* dynamically caught, but the static pre-pass missed *)
         else begin
           List.iter
             (fun (w : Workload.t) ->
@@ -236,7 +174,6 @@ let run apps_csv backends_csv schedules schedule_seed nprocs scale faults fault_
       else 1
 
 open Cmdliner
-module Cli = Midway_cli.Cli
 
 let apps =
   Arg.(
@@ -329,17 +266,7 @@ let demo_bug =
     & info [ "demo-bug" ]
         ~doc:
           "Hunt the deliberately buggy workloads instead of the clean ones; exit 0 only if \
-           the static analyzer flags the synchronization defects first (exact class, zero \
-           runs) and every seeded bug is then found and shrunk within the grid.")
-
-let analyze =
-  Arg.(
-    value & flag
-    & info [ "analyze" ]
-        ~doc:
-          "Before the sweep, statically analyze each selected workload's EC-IR and hand every \
-           static warning to the explorer as a hunt target (CONFIRMED vs unconfirmed).  \
-           Informational: does not change the exit code.")
+           every seeded bug is found and shrunk within the grid.")
 
 let shrink_budget =
   Arg.(
@@ -377,7 +304,6 @@ let cmd =
     Term.(
       const run $ apps $ backends $ schedules $ schedule_seed $ nprocs $ scale $ faults
       $ fault_seed $ crash $ crash_events $ crash_seed $ crash_horizon $ trace $ no_ecsan
-      $ adaptive
-      $ demo_bug $ analyze $ shrink_budget $ dump $ replay_file $ trace_out $ metrics_out)
+      $ adaptive $ demo_bug $ shrink_budget $ dump $ replay_file $ trace_out $ metrics_out)
 
 let () = exit (Cmd.eval' cmd)

@@ -30,7 +30,7 @@ type arrival = {
 
 type barrier = {
   bid : int;
-  mutable branges : Range.t list;
+  branges : Range.t list;
   participants : int;
   mutable manager : int;
   mutable episode : int;

@@ -49,7 +49,7 @@ type arrival = {
 
 type barrier = {
   bid : int;
-  mutable branges : Range.t list;
+  branges : Range.t list;
   participants : int;
   mutable manager : int;
       (** processor acting as barrier manager (0); reassigned to the

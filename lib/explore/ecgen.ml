@@ -204,7 +204,6 @@ let run program cfg =
 let workload ?(buggy = false) ~seed () =
   {
     Workload.name = Printf.sprintf "%s:%d" (if buggy then "ecgen-buggy" else "ecgen") seed;
-    buggy;
     judges_crashes = false;
     supports = Workload.lock_based;
     ir = Some (fun ~nprocs -> to_ir (generate ~buggy ~seed ~nprocs ()));

@@ -515,7 +515,7 @@ let workload_of_name ?(scale = 0.05) name =
          dropped presence flags can never be repaired by a later put, so
          the refinement violation is deterministic on every schedule *)
       Ok
-        (Kv_workload.workload ~name:"kv-broken-migration" ~buggy:true
+        (Kv_workload.workload ~name:"kv-broken-migration"
            {
              Kv_workload.default with
              ycsb = { Kv_workload.default.ycsb with mix = Ycsb.mix_c };
@@ -610,9 +610,6 @@ let replay ?scale ?trace_out ?metrics_out (name, (cfg : Config.t)) =
 
 module Analyze = Midway_analyze.Analyze
 
-let static_report ?(nprocs = 4) (w : Workload.t) =
-  Option.map (fun lift -> Analyze.analyze (lift ~nprocs)) w.Workload.ir
-
 type confirmation = {
   cf_finding : Analyze.finding;
   cf_confirmed : (Config.backend * int) option;
@@ -650,9 +647,10 @@ let realizes (f : Analyze.finding) (j : judged) machine =
    may-race classes are its diagnoses). *)
 let confirm_static ?(backends = [ Config.Rt; Config.Vm ]) ?(schedules = 6)
     ?(schedule_seed = 1) ?(nprocs = 4) (w : Workload.t) =
-  match static_report ~nprocs w with
+  match w.Workload.ir with
   | None -> None
-  | Some rep ->
+  | Some lift ->
+      let rep = Analyze.analyze (lift ~nprocs) in
       let confirm f =
         let runs = ref 0 in
         let hit = ref None in

@@ -175,10 +175,6 @@ val replay :
     the same diagnostic class (and sync object, when both name one), a
     lock cycle when some execution deadlocks. *)
 
-val static_report : ?nprocs:int -> Workload.t -> Midway_analyze.Analyze.report option
-(** Analyze the workload's IR lift at [nprocs] (default 4); [None] when
-    the workload has no lift. *)
-
 type confirmation = {
   cf_finding : Midway_analyze.Analyze.finding;
   cf_confirmed : (Midway.Config.backend * int) option;

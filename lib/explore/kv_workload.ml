@@ -90,10 +90,9 @@ let outcome_of_store store =
       in
       (false, detail, Kvstore.digest store)
 
-let workload ~name ?(buggy = false) cfg =
+let workload ~name cfg =
   {
     Workload.name;
-    buggy;
     judges_crashes = true;
     supports = Workload.lock_based;
     (* a full application over dynamic streams — beyond the EC-IR *)
@@ -113,7 +112,6 @@ let workload ~name ?(buggy = false) cfg =
 let crashy_workload ~name cfg =
   {
     Workload.name;
-    buggy = false;
     judges_crashes = true;
     supports = Workload.lock_based;
     ir = None;

@@ -31,7 +31,7 @@ val build : Midway.Runtime.t -> cfg -> Midway_kv.Kvstore.t * (Midway.Runtime.ctx
     per-processor program (load / run / converge).  The caller runs the
     program and applies {!Midway_kv.Kvstore.check}. *)
 
-val workload : name:string -> ?buggy:bool -> cfg -> Workload.t
+val workload : name:string -> cfg -> Workload.t
 
 val crashy_workload : name:string -> cfg -> Workload.t
 (** Unless the configuration already arms crash faults, injects a

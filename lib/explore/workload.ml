@@ -27,7 +27,6 @@ type outcome = {
 
 type t = {
   name : string;
-  buggy : bool;
   judges_crashes : bool;  (* the oracle judges crash-armed runs *)
   supports : Config.backend -> bool;
   run : Config.t -> outcome;
@@ -110,7 +109,6 @@ let converge c fin locks =
 let counter ~iters =
   {
     name = "counter";
-    buggy = false;
     judges_crashes = false;
     supports = lock_based;
     ir =
@@ -160,7 +158,6 @@ let counter ~iters =
 let readers_writer ~iters =
   {
     name = "readers-writer";
-    buggy = false;
     judges_crashes = false;
     supports = lock_based;
     ir =
@@ -230,7 +227,6 @@ let readers_writer ~iters =
 let mix ~groups ~iters =
   {
     name = "mix";
-    buggy = false;
     judges_crashes = false;
     supports = lock_based;
     ir =
@@ -301,7 +297,6 @@ let mix ~groups ~iters =
 let order_sensitive =
   {
     name = "order-sensitive";
-    buggy = true;
     judges_crashes = false;
     supports = lock_based;
     (* Statically clean: the bug is an oracle assumption about commit
@@ -355,7 +350,6 @@ let order_sensitive =
 let racy =
   {
     name = "racy";
-    buggy = true;
     judges_crashes = false;
     supports = lock_based;
     (* Statically flagged before any run: p1 touches lock 0's bound data
@@ -418,7 +412,6 @@ let racy =
 let deadlocky =
   {
     name = "deadlocky";
-    buggy = true;
     judges_crashes = false;
     supports = lock_based;
     ir =
@@ -491,11 +484,10 @@ let deadlocky =
    us, so on every backend it dies mid-section holding the lock — the
    canonical failover scenario, and [crashy-broken]'s opening to serve
    stale data. *)
-let crashy_with ~name ~buggy ~broken ~iters =
+let crashy_with ~name ~broken ~iters =
   let module Crash = Midway_simnet.Crash in
   {
     name;
-    buggy;
     judges_crashes = true;
     supports = lock_based;
     (* crash plans and quorum failover are beyond the IR *)
@@ -588,9 +580,9 @@ let crashy_with ~name ~buggy ~broken ~iters =
             (body, verify)));
   }
 
-let crashy ~iters = crashy_with ~name:"crashy" ~buggy:false ~broken:false ~iters
+let crashy ~iters = crashy_with ~name:"crashy" ~broken:false ~iters
 
-let crashy_broken ~iters = crashy_with ~name:"crashy-broken" ~buggy:true ~broken:true ~iters
+let crashy_broken ~iters = crashy_with ~name:"crashy-broken" ~broken:true ~iters
 
 (* Wrap one of the five paper applications.  The application verifies
    itself against its sequential oracle; the digest is left empty
@@ -601,7 +593,6 @@ let app ~scale suite_app =
   let name = Midway_report.Suite.app_name suite_app in
   {
     name;
-    buggy = false;
     judges_crashes = false;
     (* applications are real programs, not IR grids *)
     ir = None;

@@ -24,7 +24,6 @@ type outcome = {
 
 type t = {
   name : string;
-  buggy : bool;  (** deliberately wrong: fuzzer prey, excluded from clean sweeps *)
   judges_crashes : bool;
       (** the oracle judges crash-armed runs: it knows which processors
           died and does not count their missing work as a wrong answer

@@ -25,7 +25,6 @@ type dist =
 
 type arrival =
   | Closed  (* no schedule: each request issues when the last completes *)
-  | Fixed of int  (* deterministic inter-arrival, ns *)
   | Poisson of int  (* exponential inter-arrival with the given mean, ns *)
 
 type mix = { w_get : int; w_put : int; w_delete : int; w_scan : int }
@@ -192,9 +191,6 @@ let client_stream cfg ~client =
   let next_sched () =
     match cfg.arrival with
     | Closed -> -1
-    | Fixed gap ->
-        clock := !clock + gap;
-        !clock
     | Poisson mean ->
         let u = Prng.float g 1.0 in
         let gap = int_of_float (ceil (-.float_of_int mean *. log (1. -. u))) in

@@ -19,7 +19,6 @@ type dist =
 
 type arrival =
   | Closed  (** no schedule — each request issues when the previous completes *)
-  | Fixed of int  (** deterministic inter-arrival, ns *)
   | Poisson of int  (** exponential inter-arrival with the given mean, ns *)
 
 type mix = { w_get : int; w_put : int; w_delete : int; w_scan : int }

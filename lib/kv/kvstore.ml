@@ -54,12 +54,8 @@ type t = {
   meta : int array;  (* per-bucket metadata base address *)
   area : (int * int) array;  (* per-bucket (area0, area1) base addresses *)
   locks : Sync.lock array;
-  metrics : Metrics.t;  (* host-side registry: always on, never perturbs the run *)
-  requests_of : Metrics.counter option array;  (* by kind code, from its first request *)
-  latency_of : Metrics.histogram option array;
   mutable log : Oracle.obs array;  (* the first [logged] entries, oldest first *)
   mutable logged : int;
-  mutable requests : int;
 }
 
 let meta_size nprocs = 16 + (nprocs * journal_bytes)
@@ -93,18 +89,12 @@ let create ?(service_ns = 0) rt ~keys ~buckets =
     meta;
     area;
     locks;
-    metrics = Metrics.create ();
-    requests_of = Array.make 6 None;
-    latency_of = Array.make 6 None;
     log = [||];
     logged = 0;
-    requests = 0;
   }
 
 let keys t = t.keys
 let buckets t = t.buckets
-let metrics t = t.metrics
-let request_count t = t.requests
 let bucket_of t key = key / t.per_bucket
 
 let check_key t key =
@@ -144,7 +134,11 @@ let write_journal c t b ~seq ~kind ~key ~value =
   Runtime.write_int c (j + 16) key;
   Runtime.write_int c (j + 24) value
 
-let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched =
+(* Log one observation.  One that completes a client request carries
+   its completion time and, when the machine's log is armed, emits a
+   [Request] event; a load and a scan's segments before its last
+   complete none and carry [o_done_ns = -1]. *)
+let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched ~completes =
   let o =
     {
       Oracle.o_proc = Runtime.id c;
@@ -155,42 +149,14 @@ let record t c ~kind ~bucket ~seq ~key ~value ~read ~sched =
       o_value = value;
       o_read = read;
       o_sched_ns = sched;
-      o_done_ns = Runtime.now_ns c;
+      o_done_ns = (if completes then Runtime.now_ns c else -1);
     }
   in
   t.log <- Midway_util.Grow.array t.log t.logged ~fill:o;
   t.log.(t.logged) <- o;
-  t.logged <- t.logged + 1
-
-(* Throughput/latency accounting: once per client-visible request, into
-   the store's own registry (host side), and a Request event in the
-   machine's log when one is armed.  A kind's two series are resolved on
-   its first request, so the registry holds only kinds that ran. *)
-let account t c ~kind ~bucket ~sched =
-  let code = kind_code kind and label = Oracle.kind_name kind in
-  t.requests <- t.requests + 1;
-  let requests =
-    match t.requests_of.(code) with
-    | Some r -> r
-    | None ->
-        let r = Metrics.counter t.metrics ~name:"kv_requests" ~label () in
-        t.requests_of.(code) <- Some r;
-        r
-  in
-  Metrics.add requests 1;
-  let latency =
-    match t.latency_of.(code) with
-    | Some h -> h
-    | None ->
-        let h =
-          Metrics.histogram t.metrics ~name:"kv_latency_ns" ~label
-            ~buckets:Metrics.latency_buckets ()
-        in
-        t.latency_of.(code) <- Some h;
-        h
-  in
-  Metrics.record latency (Runtime.now_ns c - sched);
-  Runtime.log_request c ~lock:t.locks.(bucket) ~op:label ~since:sched
+  t.logged <- t.logged + 1;
+  if completes then
+    Runtime.log_request c ~lock:t.locks.(bucket) ~op:(Oracle.kind_name kind) ~since:sched
 
 let get c t ?sched_ns key =
   check_key t key;
@@ -206,10 +172,11 @@ let get c t ?sched_ns key =
   if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
   record t c ~kind:Oracle.K_get ~bucket:b ~seq ~key ~value:0 ~read:[ (key, present, value) ]
-    ~sched;
-  account t c ~kind:Oracle.K_get ~bucket:b ~sched;
+    ~sched ~completes:true;
   (present, value)
 
+(* One mutation, one critical section: sequenced and journaled.  A load
+   is a put with no service time that completes no request. *)
 let mutate c t ~kind ?sched_ns key value =
   check_key t key;
   let sched = match sched_ns with Some s -> s | None -> Runtime.now_ns c in
@@ -229,41 +196,24 @@ let mutate c t ~kind ?sched_ns key value =
       Runtime.write_int c s 0;
       Runtime.write_int c (s + 8) 0
   | _ -> assert false);
-  if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
+  let request = kind <> Oracle.K_load in
+  if t.service_ns > 0 && request then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
-  record t c ~kind ~bucket:b ~seq ~key ~value ~read:[] ~sched;
-  account t c ~kind ~bucket:b ~sched
+  record t c ~kind ~bucket:b ~seq ~key ~value ~read:[] ~sched ~completes:request
 
 let put c t ?sched_ns key value = mutate c t ~kind:Oracle.K_put ?sched_ns key value
 let delete c t ?sched_ns key = mutate c t ~kind:Oracle.K_delete ?sched_ns key 0
 
-(* The initial population: one critical section per seed pair, each
-   sequenced and journaled exactly like a put.  One pair per section is
-   a crash-safety invariant, not a style choice: effects commit at the
-   release, the host-side observation is logged after it, and a killed
-   processor's journal witnesses only its *last* committed op — so a
-   critical section must never commit more writes than the journal can
-   explain, or a crash landing inside it leaves either logged-but-
-   uncommitted observations or committed-but-unexplainable sequence
-   gaps, and the oracle rightly rejects the run. *)
-let load c t pairs =
-  List.iter
-    (fun (k, v) ->
-      check_key t k;
-      let b = bucket_of t k in
-      let lk = t.locks.(b) in
-      let sched = Runtime.now_ns c in
-      Runtime.acquire c lk;
-      let seq = Runtime.read_int c (opcount_addr t b) + 1 in
-      Runtime.write_int c (opcount_addr t b) seq;
-      write_journal c t b ~seq ~kind:Oracle.K_load ~key:k ~value:v;
-      let loc = Runtime.read_int c (location_addr t b) in
-      let s = slot_addr t b ~loc k in
-      Runtime.write_int c s 1;
-      Runtime.write_int c (s + 8) v;
-      Runtime.release c lk;
-      record t c ~kind:Oracle.K_load ~bucket:b ~seq ~key:k ~value:v ~read:[] ~sched)
-    pairs
+(* The initial population: one critical section per seed pair.  One
+   pair per section is a crash-safety invariant, not a style choice:
+   effects commit at the release, the host-side observation is logged
+   after it, and a killed processor's journal witnesses only its *last*
+   committed op — so a critical section must never commit more writes
+   than the journal can explain, or a crash landing inside it leaves
+   either logged-but-uncommitted observations or committed-but-
+   unexplainable sequence gaps, and the oracle rightly rejects the
+   run. *)
+let load c t pairs = List.iter (fun (k, v) -> mutate c t ~kind:Oracle.K_load k v) pairs
 
 (* A scan is per-bucket atomic: each bucket's segment reads under its
    own shared hold (never two locks at once — no deadlock by
@@ -294,8 +244,8 @@ let scan c t ?sched_ns ~lo ~n () =
     if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
     Runtime.release c lk;
     record t c ~kind:Oracle.K_scan ~bucket:b ~seq ~key:klo ~value:0 ~read:!seen ~sched
+      ~completes:(b = b1)
   done;
-  account t c ~kind:Oracle.K_scan ~bucket:b1 ~sched;
   List.rev !out
 
 (* Copy active -> target, slot by slot.  The broken variant is the
@@ -339,8 +289,7 @@ let migrate ?(broken = false) c t b =
   if t.service_ns > 0 then Runtime.work_ns c t.service_ns;
   Runtime.release c lk;
   record t c ~kind:Oracle.K_migrate ~bucket:b ~seq ~key:(b * t.per_bucket)
-    ~value:(Runtime.id c) ~read:[] ~sched;
-  account t c ~kind:Oracle.K_migrate ~bucket:b ~sched
+    ~value:(Runtime.id c) ~read:[] ~sched ~completes:true
 
 (* Pull every bucket once in read mode so this processor's copies are
    current before the host-side oracle looks — and so any bucket whose
@@ -358,6 +307,28 @@ let read_sweep c t =
 (* ------------------------------------------------------------------ *)
 
 let observations t = Array.sub t.log 0 t.logged
+
+(* The request views fold the log: an observation counts once when it
+   completes a request ([o_done_ns >= 0]), under its kind. *)
+let request_count t =
+  let n = ref 0 in
+  for i = 0 to t.logged - 1 do
+    if t.log.(i).Oracle.o_done_ns >= 0 then incr n
+  done;
+  !n
+
+let metrics t =
+  let m = Metrics.create () in
+  for i = 0 to t.logged - 1 do
+    let o = t.log.(i) in
+    if o.Oracle.o_done_ns >= 0 then begin
+      let label = Oracle.kind_name o.Oracle.o_kind in
+      Metrics.incr m ~name:"kv_requests" ~label 1;
+      Metrics.observe m ~name:"kv_latency_ns" ~label ~buckets:Metrics.latency_buckets
+        (o.Oracle.o_done_ns - o.Oracle.o_sched_ns)
+    end
+  done;
+  m
 
 (* Read the authoritative copy of bucket [b]: the lock owner's memory.
    After a run with crashes the owner is live whenever any live

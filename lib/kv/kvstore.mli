@@ -20,11 +20,11 @@
     host-side log recorded it, the journal is the only witness; the
     oracle accepts exactly such journal-covered sequence gaps.
 
-    The store keeps its own host-side {!Midway_obs.Metrics} registry
-    (request counts and sojourn-latency histograms per operation kind)
-    that never perturbs the simulated run; when the machine's
-    observability layer is armed it additionally emits a [Request] span
-    per request for the Perfetto export. *)
+    The observation log the oracle replays is the store's only record
+    of requests: {!request_count} and {!metrics} fold it on demand.
+    When the machine's observability layer is armed, each completed
+    request also emits a [Request] event (a [kv_request] span in the
+    Perfetto export). *)
 
 type t
 
@@ -52,9 +52,9 @@ val scan : Midway.Runtime.ctx -> t -> ?sched_ns:int -> lo:int -> n:int -> unit -
     once), not across buckets. *)
 
 val load : Midway.Runtime.ctx -> t -> (int * int) list -> unit
-(** Seed the store: one critical section per pair, each sequenced and
-    journaled exactly like a put — never more writes per section than
-    the one-op journal can witness across a crash. *)
+(** Seed the store: one put's critical section per pair, without its
+    service time, completing no request — never more writes per
+    section than the one-op journal can witness across a crash. *)
 
 val migrate : ?broken:bool -> Midway.Runtime.ctx -> t -> int -> unit
 (** Re-home the bucket to the calling processor by re-binding (see
@@ -70,7 +70,10 @@ val read_sweep : Midway.Runtime.ctx -> t -> unit
 (** {1 Host side} (after the run) *)
 
 val observations : t -> Oracle.obs array
-(** A copy of the log, oldest first. *)
+(** A copy of the log, oldest first.  An observation completes a
+    client request when its [o_done_ns] is the completion time; a
+    load's, and a scan's segments before its last (all a client that
+    dies mid-scan leaves), have [o_done_ns = -1]. *)
 
 val journal : t -> Oracle.journal_entry list
 val final_state : t -> Oracle.final_state
@@ -85,8 +88,10 @@ val digest : t -> string
     set — replay identity checks. *)
 
 val metrics : t -> Midway_obs.Metrics.t
-(** The host-side registry: counter [kv_requests] and histogram
-    [kv_latency_ns] (on {!Midway_obs.Metrics.latency_buckets}), each
-    labelled by operation kind. *)
+(** A registry folded from the log: counter [kv_requests] and histogram
+    [kv_latency_ns] of sojourn times (on
+    {!Midway_obs.Metrics.latency_buckets}), each labelled by operation
+    kind, over the completed requests. *)
 
 val request_count : t -> int
+(** The completed requests in the log. *)

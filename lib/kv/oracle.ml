@@ -64,7 +64,7 @@ type obs = {
   o_value : int;  (* the value written; 0 for everything else *)
   o_read : (int * bool * int) list;  (* observed (key, present, value) *)
   o_sched_ns : int;  (* scheduled open-loop arrival *)
-  o_done_ns : int;  (* completion *)
+  o_done_ns : int;  (* completion; -1 when it completes no request *)
 }
 
 type journal_entry = {

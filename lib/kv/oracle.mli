@@ -39,7 +39,10 @@ type obs = {
   o_read : (int * bool * int) list;
       (** what the read observed: (key, present, value) *)
   o_sched_ns : int;  (** scheduled open-loop arrival *)
-  o_done_ns : int;  (** completion; sojourn latency = o_done_ns - o_sched_ns *)
+  o_done_ns : int;
+      (** completion, when this observation completes a client request
+          (sojourn latency = [o_done_ns - o_sched_ns]); [-1] for a load
+          and for a scan's segments before its last *)
 }
 
 type journal_entry = {

@@ -50,21 +50,10 @@ type t = {
 let create () =
   { counters = Hashtbl.create 32; hists = Hashtbl.create 32; bucket_spec = Hashtbl.create 8 }
 
-type counter = int ref
-
-type histogram = hist
-
-let counter t ~name ?(label = "") () =
+let incr t ~name ?(label = "") v =
   match Hashtbl.find_opt t.counters (name, label) with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters (name, label) r;
-      r
-
-let add r v = r := !r + v
-
-let incr t ~name ?label v = add (counter t ~name ?label ()) v
+  | Some r -> r := !r + v
+  | None -> Hashtbl.replace t.counters (name, label) (ref v)
 
 let validate_buckets buckets =
   if Array.length buckets = 0 then invalid_arg "Metrics.observe: empty bucket layout";
@@ -90,33 +79,31 @@ let rec bucket_from (buckets : int array) (v : int) i =
 
 let bucket_index buckets v = bucket_from buckets v 0
 
-let histogram t ~name ?(label = "") ?buckets () =
-  match Hashtbl.find_opt t.hists (name, label) with
-  | Some h -> h
-  | None ->
-      let layout = layout_for t ~name ~buckets in
-      let h =
-        {
-          buckets = layout;
-          counts = Array.make (Array.length layout + 1) 0;
-          sum = 0;
-          n = 0;
-          vmin = max_int;
-          vmax = min_int;
-        }
-      in
-      Hashtbl.replace t.hists (name, label) h;
-      h
-
-let record h v =
+let observe t ~name ?(label = "") ?buckets v =
+  let h =
+    match Hashtbl.find_opt t.hists (name, label) with
+    | Some h -> h
+    | None ->
+        let layout = layout_for t ~name ~buckets in
+        let h =
+          {
+            buckets = layout;
+            counts = Array.make (Array.length layout + 1) 0;
+            sum = 0;
+            n = 0;
+            vmin = max_int;
+            vmax = min_int;
+          }
+        in
+        Hashtbl.replace t.hists (name, label) h;
+        h
+  in
   let i = bucket_index h.buckets v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.sum <- h.sum + v;
   h.n <- h.n + 1;
   if v < h.vmin then h.vmin <- v;
   if v > h.vmax then h.vmax <- v
-
-let observe t ~name ?label ?buckets v = record (histogram t ~name ?label ?buckets ()) v
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

@@ -25,30 +25,6 @@ val observe : t -> name:string -> ?label:string -> ?buckets:int array -> int -> 
     first observation of [name] and defaults to latencies, 1 us .. 1 s in
     coarse decades. *)
 
-(** {1 Series handles}
-
-    A handle is one series, looked up once: a hot path that updates the
-    same series on every request resolves it on first use and then
-    updates it without hashing its key.  Resolving a handle creates the
-    series (at zero, or empty), so a snapshot lists it from then on. *)
-
-type counter
-
-type histogram
-
-val counter : t -> name:string -> ?label:string -> unit -> counter
-(** The counter [(name, label)], created at zero on first use. *)
-
-val add : counter -> int -> unit
-
-val histogram :
-  t -> name:string -> ?label:string -> ?buckets:int array -> unit -> histogram
-(** The histogram [(name, label)], created empty on first use; [buckets]
-    as for {!observe}. *)
-
-val record : histogram -> int -> unit
-(** Record one observation: [observe] without the lookup. *)
-
 (** {1 Stock bucket layouts} *)
 
 val bytes_buckets : int array

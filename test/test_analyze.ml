@@ -259,8 +259,8 @@ let test_validate_rejects_malformed () =
 (* ------------------------------------------------------------------ *)
 
 let static_of w =
-  match Explore.static_report ~nprocs:4 w with
-  | Some r -> r
+  match w.Workload.ir with
+  | Some lift -> Analyze.analyze (lift ~nprocs:4)
   | None -> Alcotest.fail (w.Workload.name ^ " lost its IR lift")
 
 let test_clean_workloads_are_statically_clean () =

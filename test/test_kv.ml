@@ -3,14 +3,18 @@
    hand-written interleavings, rejected mutants, the same verdicts as
    the list-and-Hashtbl checker it replaced), the migration edge
    cases (re-bind under shared readers, under message faults, across a
-   crash of the old owner), and the latency-percentile report
-   cross-checked against exact percentiles from the raw observation
-   log. *)
+   crash of the old owner), the latency-percentile report
+   cross-checked against exact percentiles from the event log's
+   requests, and the request views folded from the observation log
+   counting each request once, at its end. *)
 
 module Config = Midway.Config
 module R = Midway.Runtime
 module Engine = Midway_sched.Engine
+module Crash = Midway_simnet.Crash
+module Event = Midway_obs.Event
 module Metrics = Midway_obs.Metrics
+module Obs = Midway_obs.Obs
 module Oracle = Midway_kv.Oracle
 module Kvstore = Midway_kv.Kvstore
 module Ycsb = Midway_explore.Ycsb
@@ -100,7 +104,7 @@ let sample_counts ~n ~total ~dist ~seed =
       requests = total;
       mix = Ycsb.mix_c;
       dist;
-      arrival = Ycsb.Fixed 1;
+      arrival = Ycsb.Closed;
       max_scan = 1;
       seed;
     }
@@ -809,11 +813,28 @@ let test_migrate_across_crash () =
 
 (* --- latency percentiles ------------------------------------------------ *)
 
+(* A kv run under [mcfg] with the event log armed. *)
+let run_logged cfg mcfg =
+  let machine = R.create { mcfg with Config.obs = true } in
+  let store, prog = Kv_workload.build machine cfg in
+  R.run machine prog;
+  (machine, store)
+
+(* The log's [Request] events as (op, sojourn time t1 - t0). *)
+let request_events machine =
+  match R.obs machine with
+  | None -> Alcotest.fail "event log not armed"
+  | Some o ->
+      List.filter_map
+        (function Event.Request { op; t0; t1; _ } -> Some (op, t1 - t0) | _ -> None)
+        (Obs.events o)
+
 (* p50/p95/p99 from the store's bucketed histogram must bracket the exact
-   nearest-rank percentiles of the raw per-observation sojourn times.
-   The quantization bound: {!Metrics.latency_buckets} steps by at most
-   ~1.8x, so [quantile] returns (lo, hi] with hi <= ~1.8*lo (hi is what
-   the report prints — a conservative upper end). *)
+   nearest-rank percentiles of the raw sojourn times of the event log's
+   get requests.  The quantization bound: {!Metrics.latency_buckets}
+   steps by at most ~1.8x, so [quantile] returns (lo, hi] with
+   hi <= ~1.8*lo (hi is what the report prints — a conservative upper
+   end). *)
 let test_percentiles_vs_raw () =
   let cfg =
     {
@@ -823,12 +844,11 @@ let test_percentiles_vs_raw () =
       service_ns = 2_000;
     }
   in
-  let _machine, store = run_store ~cfg () in
+  let machine, store = run_logged cfg (seeded_config ~ecsan:false Config.Rt 1) in
   Alcotest.(check (list string)) "run linearizes" [] (Kvstore.check store);
   let raw =
-    Kvstore.observations store |> Array.to_list
-    |> List.filter (fun o -> o.Oracle.o_kind = Oracle.K_get)
-    |> List.map (fun o -> o.Oracle.o_done_ns - o.Oracle.o_sched_ns)
+    request_events machine
+    |> List.filter_map (fun (op, ns) -> if op = "get" then Some ns else None)
     |> List.sort compare |> Array.of_list
   in
   let n = Array.length raw in
@@ -879,6 +899,78 @@ let test_quantile_units () =
         (lo < exact && exact <= hi))
     [ 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ]
 
+(* --- request views ------------------------------------------------------ *)
+
+(* Each request is counted once, at its end.  A client's completed
+   requests are the prefix of its stream whose observations it logged
+   in full: one per get, put or delete and one per bucket a scan spans;
+   a load completes none.  In two runs where a client dies mid-scan,
+   the store's request count equals both that count and the number of
+   the log's [Request] events, and each op's [kv_requests] count and
+   [kv_latency_ns] sum equal the fold over its events. *)
+let test_requests_counted_once () =
+  let ycsb =
+    {
+      Kv_workload.default.Kv_workload.ycsb with
+      Ycsb.mix = Ycsb.mix_e;
+      max_scan = 40;
+      requests = 100;
+    }
+  in
+  let cfg = { Kv_workload.default with Kv_workload.ycsb } in
+  List.iter
+    (fun (backend, victim, at_ms) ->
+      let what =
+        Printf.sprintf "%s, p%d stopped at %d ms" (Config.backend_name backend) victim at_ms
+      in
+      let plan =
+        Crash.scripted [ { Crash.at_ns = at_ms * 1_000_000; proc = victim; action = Crash.Stop } ]
+      in
+      let machine, store = run_logged cfg (Config.with_crash plan (Config.make backend ~nprocs:4)) in
+      Alcotest.(check (list string)) (what ^ ": linearizes") [] (Kvstore.check store);
+      let log = Array.to_list (Kvstore.observations store) in
+      let completed = ref 0 in
+      for p = 0 to 3 do
+        let left =
+          ref (List.filter (fun o -> o.Oracle.o_proc = p && o.Oracle.o_kind <> Oracle.K_load) log)
+        in
+        let cut = ref false in
+        Array.iter
+          (fun (r : Ycsb.req) ->
+            let segments =
+              match r.Ycsb.r_op with
+              | Ycsb.Scan (lo, n) ->
+                  Kvstore.bucket_of store (lo + n - 1) - Kvstore.bucket_of store lo + 1
+              | _ -> 1
+            in
+            if (not !cut) && List.length !left >= segments then begin
+              left := List.filteri (fun i _ -> i >= segments) !left;
+              incr completed
+            end
+            else cut := true)
+          (Ycsb.client_stream ycsb ~client:p);
+        if p = victim then
+          Alcotest.(check bool) (what ^ ": the victim left a scan unfinished") true (!left <> [])
+        else Alcotest.(check int) (Printf.sprintf "%s: p%d finished" what p) 0 (List.length !left)
+      done;
+      let events = request_events machine in
+      Alcotest.(check int) (what ^ ": request_count") !completed (Kvstore.request_count store);
+      Alcotest.(check int) (what ^ ": Request events") !completed (List.length events);
+      let snap = Metrics.snapshot (Kvstore.metrics store) in
+      List.iter
+        (fun op ->
+          let mine = List.filter_map (fun (o, ns) -> if o = op then Some ns else None) events in
+          Alcotest.(check int) (what ^ ": kv_requests " ^ op) (List.length mine)
+            (Metrics.counter_value snap ~name:"kv_requests" ~label:op);
+          Alcotest.(check int)
+            (what ^ ": kv_latency_ns sum " ^ op)
+            (List.fold_left ( + ) 0 mine)
+            (match Metrics.find_hist snap ~name:"kv_latency_ns" ~label:op with
+            | Some h -> h.Metrics.h_sum
+            | None -> 0))
+        [ "get"; "put"; "delete"; "scan"; "migrate"; "load" ])
+    [ (Config.Rt, 1, 1); (Config.Vm, 2, 3) ]
+
 (* --- cross-backend end-to-end ------------------------------------------- *)
 
 (* the same seeded workload linearizes on both backends, and the two
@@ -924,6 +1016,8 @@ let () =
         [
           Alcotest.test_case "percentiles vs raw log" `Quick test_percentiles_vs_raw;
           Alcotest.test_case "quantile brackets" `Quick test_quantile_units;
+          Alcotest.test_case "each request counted once, at its end" `Quick
+            test_requests_counted_once;
         ] );
       ("backends", [ Alcotest.test_case "rt/vm agree" `Quick test_backends_agree ]);
     ]
