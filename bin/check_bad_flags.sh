@@ -42,6 +42,8 @@ expect_usage_error --scale ./midway_run.exe sor --scale=-1
 expect_usage_error --scale ./midway_fuzz.exe --scale=-1 --apps counter
 expect_usage_error --scale ./experiments.exe --scale=-1 --only table1
 expect_usage_error --requests ./midway_kv.exe --requests 10 --nprocs 4
+expect_usage_error --workload ./midway_kv.exe --workload A
+expect_usage_error --dist ./midway_kv.exe --dist Zipfian
 expect_usage_error --faults ./experiments.exe --faults drop=1.5
 expect_usage_error --faults ./experiments.exe --faults dup=-0.5
 expect_usage_error --faults ./experiments.exe --faults jitter=-5000
@@ -66,6 +68,17 @@ expect_usage_error ecsan run_small sor --ecsan --untargetted
 expect_usage_error adaptive run_small sor --backend twin --adaptive
 expect_usage_error untargetted run_small sor --adaptive --untargetted
 expect_usage_error crash run_small sor --backend standalone --crash stop@1ms:p0
+# A run that raises is a failed run (exit 1), never cmdliner's 125.  This
+# one raises on the rt failover race of a lock holder crash-stopped at
+# its release, and passes too once that race is fixed.
+expect_not_uncaught() {
+  "$@" >/dev/null 2>&1
+  if [ "$?" -eq 125 ]; then
+    echo "uncaught exception (exit 125): $*" >&2
+    status=1
+  fi
+}
+expect_not_uncaught ./midway_kv.exe --backend rt --nprocs 4 --requests 400 --crash stop@8ms:p0
 expect_success() {
   "$@" >/dev/null 2>&1
   code=$?

@@ -274,16 +274,16 @@ let sections =
   [
     ("table1", no_app (fun _ -> Midway_report.Table1.render Midway_stats.Cost_model.default));
     ("fig2", suite Midway_report.Fig2.render);
-    ("table2", suite Midway_report.Table2.render);
-    ("table3", suite Midway_report.Table3.render);
+    ("table2", suite Midway_report.Tables.(render table2));
+    ("table3", suite Midway_report.Tables.(render table3));
     ( "fig3",
       sweep "Figure 3: write trapping cost vs page-fault time"
         Midway_report.Sweep.trapping_lines );
-    ("table4", suite Midway_report.Table4.render);
+    ("table4", suite Midway_report.Tables.(render table4));
     ( "fig4",
       sweep "Figure 4: total write detection cost vs page-fault time"
         Midway_report.Sweep.total_lines );
-    ("table5", suite Midway_report.Table5.render);
+    ("table5", suite Midway_report.Tables.(render table5));
     ( "speedup",
       {
         runs = (fun c -> List.map (fun n -> (c.apps, n, speedup_scale c.scale)) speedup_procs);

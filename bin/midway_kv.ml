@@ -8,8 +8,8 @@
      midway-kv --migrate-every 50 --crash 'stop@2ms:p1'
      midway-kv --obs --trace-out kv.json --metrics-out kv-metrics.json
 
-   Exit status: 1 on a refinement violation or (with --ecsan) a
-   sanitizer finding, 0 otherwise. *)
+   Exit status: 1 on a refinement violation, (with --ecsan) a sanitizer
+   finding or a run that raises, 0 otherwise. *)
 
 module Config = Midway.Config
 module R = Midway.Runtime
@@ -48,7 +48,15 @@ let latency_row label (h : Metrics.hist_view) =
     (Metrics.quantile_le h 0.50) (Metrics.quantile_le h 0.95) (Metrics.quantile_le h 0.99)
     h.Metrics.h_max
 
-let run backend_name nprocs keys buckets requests workload_name dist_name theta arrival_ns
+(* --dist's names, each with the distribution it picks at skew [theta] *)
+let dists theta =
+  [
+    ("uniform", Ycsb.Uniform);
+    ("zipfian", Ycsb.Zipfian theta);
+    ("scrambled", Ycsb.Scrambled_zipfian theta);
+  ]
+
+let run backend_name nprocs keys buckets requests mix dist_name theta arrival_ns
     max_scan seed service_ns preload migrate_every broken crash_spec ecsan
     { Midway_cli.Cli.obs; trace_out; metrics_out } =
   let backend =
@@ -59,22 +67,7 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
   if requests mod nprocs <> 0 then
     die "--requests %d must be a multiple of --nprocs %d (requests are split evenly)" requests
       nprocs;
-  let mix =
-    match String.lowercase_ascii workload_name with
-    | "a" -> Ycsb.mix_a
-    | "b" -> Ycsb.mix_b
-    | "c" -> Ycsb.mix_c
-    | "e" -> Ycsb.mix_e
-    | "crud" -> Ycsb.mix_crud
-    | s -> die "unknown workload mix %S (expected a|b|c|e|crud)" s
-  in
-  let dist =
-    match String.lowercase_ascii dist_name with
-    | "uniform" -> Ycsb.Uniform
-    | "zipfian" -> Ycsb.Zipfian theta
-    | "scrambled" -> Ycsb.Scrambled_zipfian theta
-    | s -> die "unknown distribution %S (expected uniform|zipfian|scrambled)" s
-  in
+  let dist = List.assoc dist_name (dists theta) in
   let arrival = if arrival_ns = 0 then Ycsb.Closed else Ycsb.Poisson arrival_ns in
   let per_client = requests / nprocs in
   let preload =
@@ -160,7 +153,7 @@ let run backend_name nprocs keys buckets requests workload_name dist_name theta 
   let violations = Kvstore.check store in
   (match violations with
   | [] -> Printf.printf "\nrefinement oracle   : ok (%d observation(s) linearized)\n"
-            (Array.length (Kvstore.observations store))
+            (Kvstore.observation_count store)
   | v ->
       Printf.printf "\nrefinement oracle   : %d violation(s)\n" (List.length v);
       List.iteri (fun i msg -> if i < 10 then Printf.printf "  %s\n" msg) v);
@@ -204,8 +197,17 @@ let requests =
         ~doc:"Total requests, split evenly across clients (a multiple of --nprocs).")
 
 let workload =
+  let mixes =
+    [
+      ("a", Ycsb.mix_a);
+      ("b", Ycsb.mix_b);
+      ("c", Ycsb.mix_c);
+      ("e", Ycsb.mix_e);
+      ("crud", Ycsb.mix_crud);
+    ]
+  in
   Arg.(
-    value & opt string "a"
+    value & opt (enum mixes) Ycsb.mix_a
     & info [ "workload"; "w" ] ~docv:"MIX"
         ~doc:
           "Operation mix: $(b,a) (50/50 get/put), $(b,b) (95/5), $(b,c) (read-only), $(b,e) \
@@ -213,7 +215,8 @@ let workload =
 
 let dist =
   Arg.(
-    value & opt string "zipfian"
+    value
+    & opt (enum (List.map (fun (name, _) -> (name, name)) (dists 0.))) "zipfian"
     & info [ "dist" ] ~docv:"D"
         ~doc:"Key popularity: uniform, zipfian (rank-ordered) or scrambled (hashed ranks).")
 
@@ -289,4 +292,11 @@ let cmd =
             "Write the machine and store registries as JSON ($(i,{\"machine\": .., \"kv\": ..})) \
              to $(docv).")
 
-let () = exit (Cmd.eval cmd)
+(* A run that raises is a failed run: exit 1 naming the exception, not
+   cmdliner's 125. *)
+let () =
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception e ->
+      prerr_endline (Printexc.to_string e);
+      exit 1

@@ -613,7 +613,7 @@ let log_apply d log ~id ~ranges payload =
       List.fold_left (fun acc u -> acc + log_apply_pieces d log ~id ~ranges u) 0 updates
   | Payload.Vm_full pieces -> log_apply_pieces d log ~id ~ranges pieces
   | Payload.Empty -> 0
-  | Payload.Rt_runs _ | Payload.Blast_data _ -> invalid_arg "Detector.apply: wrong payload kind"
+  | Payload.Rt_runs _ -> invalid_arg "Detector.apply: wrong payload kind"
 
 (* Every dirty page must have a twin. *)
 let pages_invariants d vm =
@@ -632,7 +632,7 @@ let blast_collect d (l : Sync.lock) =
   let bound = Sync.lock_bound_bytes l in
   d.counters.bound_bytes_scanned <- d.counters.bound_bytes_scanned + bound;
   d.counters.dirty_bytes_found <- d.counters.dirty_bytes_found + bound;
-  Payload.Blast_data (read_bound d l.Sync.ranges)
+  Payload.Vm_full (read_bound d l.Sync.ranges)
 
 let blast_apply d pieces =
   Payload.write_pieces d.env.space ~proc:d.proc pieces;
@@ -663,7 +663,7 @@ let apply d ~id ~ranges payload =
   | Stamps { db; faults = None; _ }, Payload.Rt_runs parts -> apply_runs d db 0 parts
   | Stamps { db; faults = Some vm; _ }, Payload.Rt_runs parts -> apply_runs_paged d db vm 0 parts
   | Log log, _ -> log_apply d log ~id ~ranges payload
-  | Blast, Payload.Blast_data pieces -> blast_apply d pieces
+  | Blast, Payload.Vm_full pieces -> blast_apply d pieces
   | _ -> invalid_arg "Detector.apply: payload/scheme mismatch"
 
 let advance d l ~requester cursor =

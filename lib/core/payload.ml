@@ -10,7 +10,6 @@ type t =
   | Rt_runs of rt_runs list
   | Vm_updates of vm_piece list list
   | Vm_full of vm_piece list
-  | Blast_data of vm_piece list
   | Empty
 
 let pieces_bytes pieces =
@@ -19,13 +18,13 @@ let pieces_bytes pieces =
 let app_bytes = function
   | Rt_runs parts -> List.fold_left (fun acc p -> acc + Gather.total_bytes p.runs) 0 parts
   | Vm_updates updates -> List.fold_left (fun acc u -> acc + pieces_bytes u) 0 updates
-  | Vm_full pieces | Blast_data pieces -> pieces_bytes pieces
+  | Vm_full pieces -> pieces_bytes pieces
   | Empty -> 0
 
 let descriptors = function
   | Rt_runs parts -> List.fold_left (fun acc p -> acc + Gather.descriptors p.runs) 0 parts
   | Vm_updates updates -> List.fold_left (fun acc u -> acc + List.length u) 0 updates
-  | Vm_full pieces | Blast_data pieces -> List.length pieces
+  | Vm_full pieces -> List.length pieces
   | Empty -> 0
 
 let descriptor_bytes = 8
@@ -76,7 +75,7 @@ let page_runs payload ~page_size =
   in
   (match payload with
   | Rt_runs parts -> List.iter note_part parts
-  | Vm_full pieces | Blast_data pieces -> List.iter note_piece pieces
+  | Vm_full pieces -> List.iter note_piece pieces
   | Vm_updates updates -> List.iter (List.iter note_piece) updates
   | Empty -> ());
   (!pages, !runs)

@@ -33,8 +33,9 @@ type t =
   | Vm_updates of vm_piece list list
       (** one piece list per missed incarnation, oldest first: the
           application order *)
-  | Vm_full of vm_piece list  (** one piece per bound range *)
-  | Blast_data of vm_piece list
+  | Vm_full of vm_piece list
+      (** one piece per bound range: VM's full transfer, and every
+          transfer of the blast backend *)
   | Empty
 
 val app_bytes : t -> int

@@ -307,6 +307,7 @@ let read_sweep c t =
 (* ------------------------------------------------------------------ *)
 
 let observations t = Array.sub t.log 0 t.logged
+let observation_count t = t.logged
 
 (* The request views fold the log: an observation counts once when it
    completes a request ([o_done_ns >= 0]), under its kind. *)

@@ -75,6 +75,9 @@ val observations : t -> Oracle.obs array
     load's, and a scan's segments before its last (all a client that
     dies mid-scan leaves), have [o_done_ns = -1]. *)
 
+val observation_count : t -> int
+(** The log's length, without the copy. *)
+
 val journal : t -> Oracle.journal_entry list
 val final_state : t -> Oracle.final_state
 

@@ -5,11 +5,10 @@ module Runtime = Midway.Runtime
 module Texttab = Midway_util.Texttab
 module Units = Midway_util.Units
 
-(* [title] is the heading line followed by any notes. *)
 type table = {
   title : string list;
   columns : (string * Texttab.align) list;
-  rows : string list list;
+  groups : string list list list;
 }
 
 let run f cfg = Suite.check (f cfg)
@@ -68,12 +67,14 @@ let tables ~scale ~nprocs =
     {
       title = [ "Ablation: RT trapping organizations (section 3.5) on sor" ];
       columns = ("mode", Texttab.Left) :: rt_cost_columns;
-      rows =
-        List.map
-          (fun mode ->
-            Config.rt_mode_name mode
-            :: rt_costs (run sor { (make Config.Rt) with Config.rt_mode = mode }))
-          rt_modes;
+      groups =
+        [
+          List.map
+            (fun mode ->
+              Config.rt_mode_name mode
+              :: rt_costs (run sor { (make Config.Rt) with Config.rt_mode = mode }))
+            rt_modes;
+        ];
     };
     {
       title = [ "Ablation: detection backends on quicksort (incl. blast strawman)" ];
@@ -84,17 +85,19 @@ let tables ~scale ~nprocs =
           ("KB/proc moved", Texttab.Right);
           ("messages", Texttab.Right);
         ];
-      rows =
-        List.map
-          (fun backend ->
-            let o = run quicksort (make backend) in
-            [
-              Config.backend_name backend;
-              exec_time o;
-              kb_moved o;
-              Texttab.fmt_int (Midway_simnet.Net.total_messages (Runtime.net o.Outcome.machine));
-            ])
-          [ Config.Rt; Config.Vm; Config.Vm_fine; Config.Twin; Config.Blast ];
+      groups =
+        [
+          List.map
+            (fun backend ->
+              let o = run quicksort (make backend) in
+              [
+                Config.backend_name backend;
+                exec_time o;
+                kb_moved o;
+                Texttab.fmt_int (Midway_simnet.Net.total_messages (Runtime.net o.Outcome.machine));
+              ])
+            [ Config.Rt; Config.Vm; Config.Vm_fine; Config.Twin; Config.Blast ];
+        ];
     };
     {
       title = [ "Ablation: VM update-log window (incarnation history) on quicksort" ];
@@ -104,12 +107,14 @@ let tables ~scale ~nprocs =
           ("exec time", Texttab.Right);
           ("KB/proc moved", Texttab.Right);
         ];
-      rows =
-        List.map
-          (fun window ->
-            let o = run quicksort { (make Config.Vm) with Config.update_log_window = window } in
-            [ string_of_int window; exec_time o; kb_moved o ])
-          [ 1; 4; 16; 64 ];
+      groups =
+        [
+          List.map
+            (fun window ->
+              let o = run quicksort { (make Config.Vm) with Config.update_log_window = window } in
+              [ string_of_int window; exec_time o; kb_moved o ])
+            [ 1; 4; 16; 64 ];
+        ];
     };
     {
       title =
@@ -125,29 +130,31 @@ let tables ~scale ~nprocs =
           ("VM detect (ms)", Texttab.Right);
           ("Twin detect (ms)", Texttab.Right);
         ];
-      rows =
-        List.map
-          (fun items ->
-            let detect backend =
-              let o =
-                run
-                  (fun cfg ->
-                    Midway_apps.Granularity.run cfg
-                      { total_bytes = 256 * 1024; items; rounds = 3 })
-                  (Config.make backend ~nprocs:2)
+      groups =
+        [
+          List.map
+            (fun items ->
+              let detect backend =
+                let o =
+                  run
+                    (fun cfg ->
+                      Midway_apps.Granularity.run cfg
+                        { total_bytes = 256 * 1024; items; rounds = 3 })
+                    (Config.make backend ~nprocs:2)
+                in
+                let avg = Outcome.avg_counters o in
+                Texttab.fmt_float ~decimals:1
+                  (Units.ms_of_ns (avg.Counters.trap_time_ns + avg.Counters.collect_time_ns))
               in
-              let avg = Outcome.avg_counters o in
-              Texttab.fmt_float ~decimals:1
-                (Units.ms_of_ns (avg.Counters.trap_time_ns + avg.Counters.collect_time_ns))
-            in
-            [
-              string_of_int items;
-              Units.pp_bytes (256 * 1024 / items);
-              detect Config.Rt;
-              detect Config.Vm;
-              detect Config.Twin;
-            ])
-          [ 8; 32; 128; 512; 2048 ];
+              [
+                string_of_int items;
+                Units.pp_bytes (256 * 1024 / items);
+                detect Config.Rt;
+                detect Config.Vm;
+                detect Config.Twin;
+              ])
+            [ 8; 32; 128; 512; 2048 ];
+        ];
     };
     {
       title =
@@ -157,18 +164,20 @@ let tables ~scale ~nprocs =
           " trapping organizations exist for this case)";
         ];
       columns = ("trapping mode", Texttab.Left) :: rt_cost_columns;
-      rows =
-        List.map
-          (fun mode ->
-            Config.rt_mode_name mode
-            :: rt_costs
-                 (run untargetted
-                    {
-                      (Config.make Config.Rt ~nprocs:2) with
-                      Config.untargetted = true;
-                      rt_mode = mode;
-                    }))
-          rt_modes;
+      groups =
+        [
+          List.map
+            (fun mode ->
+              Config.rt_mode_name mode
+              :: rt_costs
+                   (run untargetted
+                      {
+                        (Config.make Config.Rt ~nprocs:2) with
+                        Config.untargetted = true;
+                        rt_mode = mode;
+                      }))
+            rt_modes;
+        ];
     };
     {
       title = [ "Ablation: water synchronization styles (barrier phases vs molecule locks)" ];
@@ -180,34 +189,40 @@ let tables ~scale ~nprocs =
           ("KB/proc moved", Texttab.Right);
           ("remote acquires", Texttab.Right);
         ];
-      rows =
-        List.concat_map
-          (fun (sync, style) ->
-            List.map
-              (fun backend ->
-                let water cfg =
-                  Midway_apps.Water.run cfg
-                    { (Midway_apps.Water.scaled scale) with Midway_apps.Water.sync }
-                in
-                let o = run water (make backend) in
-                [
-                  style;
-                  Config.backend_name backend;
-                  exec_time o;
-                  kb_moved o;
-                  Texttab.fmt_int (Outcome.avg_counters o).Counters.lock_acquires_remote;
-                ])
-              [ Config.Rt; Config.Vm ])
-          [
-            (Midway_apps.Water.Barrier_phases, "barrier-phases");
-            (Midway_apps.Water.Molecule_locks, "molecule-locks");
-          ];
+      groups =
+        [
+          List.concat_map
+            (fun (sync, style) ->
+              List.map
+                (fun backend ->
+                  let water cfg =
+                    Midway_apps.Water.run cfg
+                      { (Midway_apps.Water.scaled scale) with Midway_apps.Water.sync }
+                  in
+                  let o = run water (make backend) in
+                  [
+                    style;
+                    Config.backend_name backend;
+                    exec_time o;
+                    kb_moved o;
+                    Texttab.fmt_int (Outcome.avg_counters o).Counters.lock_acquires_remote;
+                  ])
+                [ Config.Rt; Config.Vm ])
+            [
+              (Midway_apps.Water.Barrier_phases, "barrier-phases");
+              (Midway_apps.Water.Molecule_locks, "molecule-locks");
+            ];
+        ];
     };
   ]
 
 let render_table t =
   let tab = Texttab.create ~columns:t.columns in
-  List.iter (Texttab.row tab) t.rows;
+  List.iteri
+    (fun i rows ->
+      if i > 0 then Texttab.separator tab;
+      List.iter (Texttab.row tab) rows)
+    t.groups;
   String.concat "\n" t.title ^ "\n" ^ Texttab.render tab
 
 let render ~scale ~nprocs = String.concat "\n" (List.map render_table (tables ~scale ~nprocs))

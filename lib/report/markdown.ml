@@ -37,15 +37,14 @@ let of_suite (suite : Suite.t) =
   line (header [ "application"; "RT-DSM"; "VM-DSM"; "paper RT"; "paper VM" ]);
   List.iter
     (fun (e : Suite.entry) ->
-      let p = Paper_data.table2 e.Suite.app in
       line
         (row
            [
              Suite.app_name e.Suite.app;
              Printf.sprintf "%.0f" (Outcome.data_received_kb_per_proc e.Suite.rt);
              Printf.sprintf "%.0f" (Outcome.data_received_kb_per_proc e.Suite.vm);
-             string_of_int p.Paper_data.rt_data_kb;
-             string_of_int p.Paper_data.vm_data_kb;
+             Printf.sprintf "%.0f" (Tables.published Tables.rt_data_kb e.Suite.app);
+             Printf.sprintf "%.0f" (Tables.published Tables.vm_data_kb e.Suite.app);
            ]))
     suite.Suite.entries;
   line "";
@@ -57,20 +56,21 @@ let of_suite (suite : Suite.t) =
          "paper VM t/c" ]);
   List.iter
     (fun (e : Suite.entry) ->
-      let app = e.Suite.app in
-      let rt_t, vm_t = Table3.measured_ms suite app in
-      let rt_c, vm_c = Table4.measured_ms suite app in
-      let p3 = Paper_data.table3 app and p4 = Paper_data.table4 app in
+      let measured r = Printf.sprintf "%.1f" (Tables.measured r suite e) in
+      let paper trap collect =
+        Printf.sprintf "%.1f / %.1f" (Tables.published trap e.Suite.app)
+          (Tables.published collect e.Suite.app)
+      in
       line
         (row
            [
-             Suite.app_name app;
-             Printf.sprintf "%.1f" rt_t;
-             Printf.sprintf "%.1f" rt_c;
-             Printf.sprintf "%.1f" vm_t;
-             Printf.sprintf "%.1f" vm_c;
-             Printf.sprintf "%.1f / %.1f" p3.Paper_data.rt_trap_ms p4.Paper_data.rt_total_ms;
-             Printf.sprintf "%.1f / %.1f" p3.Paper_data.vm_trap_ms p4.Paper_data.vm_total_ms;
+             Suite.app_name e.Suite.app;
+             measured Tables.rt_trapping;
+             measured Tables.rt_collection;
+             measured Tables.vm_trapping;
+             measured Tables.vm_collection;
+             paper Tables.rt_trapping Tables.rt_collection;
+             paper Tables.vm_trapping Tables.vm_collection;
            ]))
     suite.Suite.entries;
   line "";

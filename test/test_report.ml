@@ -3,6 +3,7 @@
 
 module Suite = Midway_report.Suite
 module Sweep = Midway_report.Sweep
+module Tables = Midway_report.Tables
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -47,19 +48,26 @@ let render_mentions_apps render =
   Alcotest.(check bool) "mentions quicksort" true (contains out "quicksort");
   Alcotest.(check bool) "mentions paper" true (contains out "paper")
 
-let test_table2 () = render_mentions_apps Midway_report.Table2.render
+let test_table2 () = render_mentions_apps (Tables.render Tables.table2)
+
+(* A row pair's measured values for one application of a suite. *)
+let measured s app rt vm =
+  let e = Suite.entry s app in
+  (Tables.measured rt s e, Tables.measured vm s e)
 
 let test_table3 () =
-  render_mentions_apps Midway_report.Table3.render;
-  let s = Lazy.force suite in
-  let rt_ms, vm_ms = Midway_report.Table3.measured_ms s Suite.Sor in
+  render_mentions_apps (Tables.render Tables.table3);
+  let rt_ms, vm_ms =
+    measured (Lazy.force suite) Suite.Sor Tables.rt_trapping Tables.vm_trapping
+  in
   Alcotest.(check bool) "positive costs" true (rt_ms > 0.0 && vm_ms > 0.0);
   Alcotest.(check bool) "sor trapping favours RT (paper shape)" true (rt_ms < vm_ms)
 
 let test_table4 () =
-  render_mentions_apps Midway_report.Table4.render;
-  let s = Lazy.force suite in
-  let rt_ms, vm_ms = Midway_report.Table4.measured_ms s Suite.Quicksort in
+  render_mentions_apps (Tables.render Tables.table4);
+  let rt_ms, vm_ms =
+    measured (Lazy.force suite) Suite.Quicksort Tables.rt_collection Tables.vm_collection
+  in
   Alcotest.(check bool) "collection costs positive" true (rt_ms > 0.0 && vm_ms > 0.0)
 
 let test_table4_quicksort_shape () =
@@ -67,12 +75,62 @@ let test_table4_quicksort_shape () =
      needs the paper's task size to show: the fixed per-page diff cost
      dominates when leaves are small, so this runs at full scale. *)
   let s = Suite.run ~apps:[ Suite.Quicksort ] ~nprocs:8 ~scale:1.0 () in
-  let rt_ms, vm_ms = Midway_report.Table4.measured_ms s Suite.Quicksort in
+  let rt_ms, vm_ms = measured s Suite.Quicksort Tables.rt_collection Tables.vm_collection in
   Alcotest.(check bool)
     (Printf.sprintf "quicksort collection favours VM (rt=%.1f vm=%.1f)" rt_ms vm_ms)
     true (vm_ms < rt_ms)
 
-let test_table5 () = render_mentions_apps Midway_report.Table5.render
+let test_table5 () = render_mentions_apps (Tables.render Tables.table5)
+
+(* A rendered table's box, each line reduced to its label and "(paper)"
+   cells, trimmed ([["+"]] for a rule): what does not depend on the
+   suite's scale or processor count. *)
+let published_cells box =
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix:"+" l then Some [ "+" ]
+      else if String.starts_with ~prefix:"|" l then
+        let cells = String.split_on_char '|' l in
+        let cells = List.filteri (fun i _ -> i > 0 && i < List.length cells - 1) cells in
+        Some (List.filteri (fun i _ -> i < 2 || i mod 2 = 1) (List.map String.trim cells))
+      else None)
+    box
+
+(* The lines of the section of [text] whose title starts with [prefix],
+   up to the blank line that ends it. *)
+let section text prefix =
+  let rec from = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix l -> l :: upto rest
+    | _ :: rest -> from rest
+  and upto = function [] | "" :: _ -> [] | l :: rest -> l :: upto rest in
+  from (String.split_on_char '\n' text)
+
+let test_published_cells () =
+  (* the published cells do not depend on scale: a small five-app suite
+     renders them as the committed full-size run does *)
+  let s = Suite.run ~nprocs:4 ~scale:0.05 () in
+  let full =
+    In_channel.with_open_bin
+      (Filename.concat
+         (Filename.dirname (Filename.dirname Sys.executable_name))
+         "experiments_full.txt")
+      In_channel.input_all
+  in
+  List.iter
+    (fun (name, table) ->
+      let rendered = section (Tables.render table s) name in
+      let committed = section full name in
+      Alcotest.(check int) (name ^ " lines") (List.length committed) (List.length rendered);
+      Alcotest.(check (list (list string)))
+        (name ^ " labels and paper cells") (published_cells committed)
+        (published_cells rendered))
+    [
+      ("Table 2:", Tables.table2);
+      ("Table 3:", Tables.table3);
+      ("Table 4:", Tables.table4);
+      ("Table 5:", Tables.table5);
+    ]
 
 let test_fig2 () =
   let s = Lazy.force suite in
@@ -151,33 +209,29 @@ let test_csv_quoting () =
 
 let test_paper_data_consistency () =
   (* guards against transcription typos: the published component rows
-     must sum to the published totals (Table 4), and Table 5 totals are
-     the sum of trapping and collection. *)
+     must sum to the published totals (Table 4), and Table 3 must follow
+     from Table 2 counts x Table 1 costs.  Table 5's totals are sums of
+     its rows by construction. *)
+  let table2_row operation =
+    List.find (fun r -> r.Tables.operation = operation) (List.concat Tables.table2.Tables.groups)
+  in
   List.iter
     (fun app ->
-      let p4 = Midway_report.Paper_data.table4 app in
-      let close a b = Float.abs (a -. b) <= 0.15 in
-      Alcotest.(check bool)
-        (Suite.app_name app ^ " rt table4 components sum")
-        true
-        (close
-           (p4.Midway_report.Paper_data.rt_clean_ms +. p4.Midway_report.Paper_data.rt_dirty_ms
-          +. p4.Midway_report.Paper_data.rt_updated_ms)
-           p4.Midway_report.Paper_data.rt_total_ms);
-      Alcotest.(check bool)
-        (Suite.app_name app ^ " vm table4 components sum")
-        true
-        (close
-           (p4.Midway_report.Paper_data.vm_diff_ms +. p4.Midway_report.Paper_data.vm_protect_ms
-          +. p4.Midway_report.Paper_data.vm_twin_ms)
-           p4.Midway_report.Paper_data.vm_total_ms);
-      (* Table 3 must follow from Table 2 counts x Table 1 costs *)
-      let p2 = Midway_report.Paper_data.table2 app in
-      let p3 = Midway_report.Paper_data.table3 app in
+      let paper r = Tables.published r app in
+      List.iter
+        (fun total ->
+          let group = List.find (List.memq total) Tables.table4.Tables.groups in
+          let components = List.filter (fun r -> r != total) group in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s table4 components sum" (Suite.app_name app)
+               (List.hd group).Tables.system)
+            true
+            (Float.abs (List.fold_left (fun acc r -> acc +. paper r) 0.0 components -. paper total)
+            <= 0.15))
+        [ Tables.rt_collection; Tables.vm_collection ];
       let rt_ms =
-        float_of_int
-          ((p2.Midway_report.Paper_data.rt_dirtybits_set * 360)
-          + (p2.Midway_report.Paper_data.rt_misclassified * 240))
+        ((paper (table2_row "dirtybits set") *. 360.0)
+        +. (paper (table2_row "dirtybits misclassified") *. 240.0))
         /. 1.0e6
       in
       (* cholesky is inconsistent IN THE PAPER: Table 2 prints 1,284,004
@@ -187,15 +241,15 @@ let test_paper_data_consistency () =
       let tolerance = if app = Suite.Cholesky then 25.0 else 0.6 in
       Alcotest.(check bool)
         (Printf.sprintf "%s table3 rt from table2 (%.1f vs %.1f)" (Suite.app_name app) rt_ms
-           p3.Midway_report.Paper_data.rt_trap_ms)
+           (paper Tables.rt_trapping))
         true
-        (Float.abs (rt_ms -. p3.Midway_report.Paper_data.rt_trap_ms) <= tolerance);
-      let vm_ms = float_of_int (p2.Midway_report.Paper_data.vm_write_faults * 1_200_000) /. 1.0e6 in
+        (Float.abs (rt_ms -. paper Tables.rt_trapping) <= tolerance);
+      let vm_ms = paper (table2_row "write faults") *. 1_200_000.0 /. 1.0e6 in
       Alcotest.(check bool)
         (Printf.sprintf "%s table3 vm from table2 (%.1f vs %.1f)" (Suite.app_name app) vm_ms
-           p3.Midway_report.Paper_data.vm_trap_ms)
+           (paper Tables.vm_trapping))
         true
-        (Float.abs (vm_ms -. p3.Midway_report.Paper_data.vm_trap_ms) <= 0.6))
+        (Float.abs (vm_ms -. paper Tables.vm_trapping) <= 0.6))
     Suite.apps
 
 let test_markdown () =
@@ -251,6 +305,7 @@ let () =
           Alcotest.test_case "table4" `Quick test_table4;
           Alcotest.test_case "table4 quicksort shape" `Slow test_table4_quicksort_shape;
           Alcotest.test_case "table5" `Quick test_table5;
+          Alcotest.test_case "published cells as committed" `Quick test_published_cells;
         ] );
       ( "figures",
         [
