@@ -11,19 +11,20 @@ type sync = {
 
 type t = {
   nprocs : int;
-  syncs : (int, sync) Hashtbl.t;
-  word_index : (int, int list) Hashtbl.t;  (* word -> ids currently binding it *)
-  retired_index : (int, int list) Hashtbl.t;  (* word -> ids that retired it *)
+  syncs : sync Int_table.t;
+  word_index : int list Int_table.t;  (* word -> ids currently binding it *)
+  retired_index : int list Int_table.t;  (* word -> ids that retired it *)
   mutable ever : Range.t list;  (* word-granular: every word ever bound *)
   mutable degenerate : (int * int * int) list;  (* newest first *)
 }
 
+(* Sized for a small machine; the tables grow with the bindings. *)
 let create ~nprocs =
   {
     nprocs;
-    syncs = Hashtbl.create 16;
-    word_index = Hashtbl.create 256;
-    retired_index = Hashtbl.create 64;
+    syncs = Int_table.create 8;
+    word_index = Int_table.create 32;
+    retired_index = Int_table.create 8;
     ever = [];
     degenerate = [];
   }
@@ -43,17 +44,17 @@ let words_of ranges =
 
 let index_add tbl ranges id =
   Range.iter_points (words_of ranges) ~f:(fun w ->
-      let ids = Option.value (Hashtbl.find_opt tbl w) ~default:[] in
-      if not (List.mem id ids) then Hashtbl.replace tbl w (ids @ [ id ]))
+      let ids = Option.value (Int_table.find_opt tbl w) ~default:[] in
+      if not (List.mem id ids) then Int_table.replace tbl w (ids @ [ id ]))
 
 let index_remove tbl ranges id =
   Range.iter_points (words_of ranges) ~f:(fun w ->
-      match Hashtbl.find_opt tbl w with
+      match Int_table.find_opt tbl w with
       | None -> ()
       | Some ids -> (
           match List.filter (fun i -> i <> id) ids with
-          | [] -> Hashtbl.remove tbl w
-          | ids -> Hashtbl.replace tbl w ids))
+          | [] -> Int_table.remove tbl w
+          | ids -> Int_table.replace tbl w ids))
 
 let note_degenerate t ~id ~raw =
   List.iter
@@ -61,15 +62,15 @@ let note_degenerate t ~id ~raw =
     raw
 
 let register t ~id ~kind ~raw =
-  if Hashtbl.mem t.syncs id then invalid_arg "Binding_index.register: duplicate sync id";
+  if Int_table.mem t.syncs id then invalid_arg "Binding_index.register: duplicate sync id";
   note_degenerate t ~id ~raw;
   let cur = ranges_of_raw raw in
   let s = { id; kind; cur; retired = []; sync_count = Array.make t.nprocs 0; episode = 0 } in
-  Hashtbl.replace t.syncs id s;
+  Int_table.replace t.syncs id s;
   index_add t.word_index cur id;
   t.ever <- Range.union t.ever (words_of cur)
 
-let find t id = Hashtbl.find_opt t.syncs id
+let find t id = Int_table.find_opt t.syncs id
 
 let get t id =
   match find t id with
@@ -91,13 +92,13 @@ let rebind t ~id ~raw =
   t.ever <- Range.union t.ever (words_of nw)
 
 let all t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.syncs []
+  Int_table.fold (fun _ s acc -> s :: acc) t.syncs []
   |> List.sort (fun a b -> compare a.id b.id)
 
 let ids_at tbl t w =
-  match Hashtbl.find_opt tbl w with
-  | None -> []
-  | Some ids -> List.map (get t) ids
+  match Int_table.find tbl w with
+  | ids -> List.map (get t) ids
+  | exception Not_found -> []
 
 let syncs_at t w = ids_at t.word_index t w
 

@@ -76,65 +76,65 @@ let flag_uncovered t ~proc ~w ~time ~op ~writing ~covering =
         | None -> List.hd retired
       in
       note t ~cls:Diag.Stale_binding_access ~proc ~sync:l.Binding_index.id ~w ~time ~op
-        ~detail:
-          (Printf.sprintf "p%d %s data that lock %d no longer binds (rebound away)" proc verb
-             l.Binding_index.id)
+        ~detail:(fun () ->
+          Printf.sprintf "p%d %s data that lock %d no longer binds (rebound away)" proc verb
+            l.Binding_index.id)
   | [] -> (
       match covering with
       | (s : Binding_index.sync) :: _ ->
           note t ~cls:Diag.Unsynchronized_access ~proc ~sync:s.Binding_index.id ~w ~time ~op
-            ~detail:
-              (Printf.sprintf
-                 "p%d %s data bound to %s %d without holding it or ever synchronizing on it"
-                 proc verb (kind_name s.Binding_index.kind) s.Binding_index.id)
+            ~detail:(fun () ->
+              Printf.sprintf
+                "p%d %s data bound to %s %d without holding it or ever synchronizing on it" proc
+                verb (kind_name s.Binding_index.kind) s.Binding_index.id)
       | [] ->
           if Binding_index.ever_bound t.index w then
             note t ~cls:Diag.Unsynchronized_access ~proc ~sync:(-1) ~w ~time ~op
-              ~detail:(Printf.sprintf "p%d %s formerly-bound data with no current binding" proc verb)
+              ~detail:(fun () ->
+                Printf.sprintf "p%d %s formerly-bound data with no current binding" proc verb)
           else
             note t ~cls:Diag.Unbound_shared_data ~proc ~sync:(-1) ~w ~time ~op
-              ~detail:
-                (Printf.sprintf
-                   "shared data touched by several processors (p%d %s it) but never bound to any \
-                    lock or barrier"
-                   proc verb))
+              ~detail:(fun () ->
+                Printf.sprintf
+                  "shared data touched by several processors (p%d %s it) but never bound to any \
+                   lock or barrier"
+                  proc verb))
 
 let covering_credit ~proc covering =
   List.exists
     (fun (s : Binding_index.sync) -> s.Binding_index.sync_count.(proc) > 0)
     covering
 
+(* Each rule looks its word up once, with [Shadow.touch]: a fresh word
+   is one [proc] alone has touched, with nothing written, so a first
+   toucher passes every rule and keeps the word. *)
 let check_read t ~proc ~time ~op ~shared_region w =
-  match Shadow.find t.shadow w with
-  | None -> ignore (Shadow.touch t.shadow w ~proc)  (* first toucher, via a read *)
-  | Some s ->
-      if s.Shadow.priv_writer >= 0 && s.Shadow.priv_writer <> proc then
-        note t ~cls:Diag.Misclassified_private_store ~proc:s.Shadow.priv_writer ~sync:(-1) ~w
-          ~time ~op
-          ~detail:
-            (Printf.sprintf
-               "p%d stored through write_*_private but p%d later read the data (the store \
-                needed instrumentation)"
-               s.Shadow.priv_writer proc);
-      let was_excl = s.Shadow.excl in
-      if shared_region && s.Shadow.written && was_excl <> proc then begin
-        let covering = Binding_index.syncs_at t.index w in
-        let held_cover =
-          List.exists
-            (fun (sy : Binding_index.sync) ->
-              sy.Binding_index.kind = Binding_index.Lock
-              && Lockset.holds t.held ~proc ~id:sy.Binding_index.id)
-            covering
-        in
-        if (not held_cover) && not (covering_credit ~proc covering) then
-          flag_uncovered t ~proc ~w ~time ~op ~writing:false ~covering
-      end;
-      if was_excl <> proc then s.Shadow.excl <- -1
+  let s = Shadow.touch t.shadow w ~proc in
+  if s.Shadow.priv_writer >= 0 && s.Shadow.priv_writer <> proc then
+    note t ~cls:Diag.Misclassified_private_store ~proc:s.Shadow.priv_writer ~sync:(-1) ~w ~time
+      ~op ~detail:(fun () ->
+        Printf.sprintf
+          "p%d stored through write_*_private but p%d later read the data (the store needed \
+           instrumentation)"
+          s.Shadow.priv_writer proc);
+  let was_excl = s.Shadow.excl in
+  if shared_region && s.Shadow.written && was_excl <> proc then begin
+    let covering = Binding_index.syncs_at t.index w in
+    let held_cover =
+      List.exists
+        (fun (sy : Binding_index.sync) ->
+          sy.Binding_index.kind = Binding_index.Lock
+          && Lockset.holds t.held ~proc ~id:sy.Binding_index.id)
+        covering
+    in
+    if (not held_cover) && not (covering_credit ~proc covering) then
+      flag_uncovered t ~proc ~w ~time ~op ~writing:false ~covering
+  end;
+  if was_excl <> proc then s.Shadow.excl <- -1
 
 let check_write t ~proc ~time ~op ~shared_region w =
-  let virgin = Shadow.find t.shadow w = None in
   let s = Shadow.touch t.shadow w ~proc in
-  let was_excl = if virgin then proc else s.Shadow.excl in
+  let was_excl = s.Shadow.excl in
   s.Shadow.priv_writer <- -1;
   if shared_region then begin
     let covering = Binding_index.syncs_at t.index w in
@@ -168,11 +168,11 @@ let check_write t ~proc ~time ~op ~shared_region w =
           && s.Shadow.lw_episode = b.Binding_index.episode
         then
           note t ~cls:Diag.Unsynchronized_access ~proc ~sync:b.Binding_index.id ~w ~time ~op
-            ~detail:
-              (Printf.sprintf
-                 "p%d and p%d both wrote barrier %d's bound data in the same episode (one update \
-                  is lost at the merge)"
-                 s.Shadow.last_writer proc b.Binding_index.id);
+            ~detail:(fun () ->
+              Printf.sprintf
+                "p%d and p%d both wrote barrier %d's bound data in the same episode (one update \
+                 is lost at the merge)"
+                s.Shadow.last_writer proc b.Binding_index.id);
         s.Shadow.last_writer <- proc;
         s.Shadow.lw_sync <- b.Binding_index.id;
         s.Shadow.lw_episode <- b.Binding_index.episode
@@ -182,10 +182,9 @@ let check_write t ~proc ~time ~op ~shared_region w =
       match shared_hold with
       | Some l ->
           note t ~cls:Diag.Write_under_shared_hold ~proc ~sync:l.Binding_index.id ~w ~time ~op
-            ~detail:
-              (Printf.sprintf
-                 "p%d wrote data bound to lock %d while holding it in shared (read) mode" proc
-                 l.Binding_index.id)
+            ~detail:(fun () ->
+              Printf.sprintf "p%d wrote data bound to lock %d while holding it in shared (read) mode"
+                proc l.Binding_index.id)
       | None ->
           if barrier_cover <> None then ()  (* ships at the next crossing *)
           else if was_excl = proc then ()  (* sole toucher: initialization *)
@@ -195,9 +194,8 @@ let check_write t ~proc ~time ~op ~shared_region w =
   if was_excl <> proc then s.Shadow.excl <- -1
 
 let check_private_write t ~proc w =
-  let virgin = Shadow.find t.shadow w = None in
   let s = Shadow.touch t.shadow w ~proc in
-  let was_excl = if virgin then proc else s.Shadow.excl in
+  let was_excl = s.Shadow.excl in
   s.Shadow.priv_writer <- proc;
   if was_excl <> proc then s.Shadow.excl <- -1
 
@@ -226,7 +224,7 @@ let lint t ~region_kind =
     List.iter
       (fun (id, addr, len) ->
         lint_note ~cls:Diag.Lint_degenerate_range ~sync:id ~lo:addr ~hi:(addr + len)
-          ~detail:(Printf.sprintf "sync %d binds a zero-length range at %#x" id addr))
+          ~detail:(fun () -> Printf.sprintf "sync %d binds a zero-length range at %#x" id addr))
       (Binding_index.degenerate t.index);
     let syncs = Binding_index.all t.index in
     (* Ranges bound to two different locks: a datum can only be made
@@ -248,9 +246,9 @@ let lint t ~region_kind =
                             let lo = o.Range.addr and hi = Range.limit o in
                             lint_note ~cls:Diag.Lint_overlapping_bindings ~sync:a.Binding_index.id
                               ~lo ~hi
-                              ~detail:
-                                (Printf.sprintf "locks %d and %d both bind [%#x,%#x)"
-                                   a.Binding_index.id b.Binding_index.id lo hi))
+                              ~detail:(fun () ->
+                                Printf.sprintf "locks %d and %d both bind [%#x,%#x)"
+                                  a.Binding_index.id b.Binding_index.id lo hi))
                       b.Binding_index.cur)
                   a.Binding_index.cur)
             rest;
@@ -272,9 +270,9 @@ let lint t ~region_kind =
             match (bad lo, bad (hi - 1)) with
             | Some what, _ | None, Some what ->
                 lint_note ~cls:Diag.Lint_private_binding ~sync:s.Binding_index.id ~lo ~hi
-                  ~detail:
-                    (Printf.sprintf "%s %d binds [%#x,%#x), which lies in %s"
-                       (kind_name s.Binding_index.kind) s.Binding_index.id lo hi what)
+                  ~detail:(fun () ->
+                    Printf.sprintf "%s %d binds [%#x,%#x), which lies in %s"
+                      (kind_name s.Binding_index.kind) s.Binding_index.id lo hi what)
             | None, None -> ())
           s.Binding_index.cur)
       syncs

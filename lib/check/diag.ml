@@ -77,7 +77,7 @@ let note t ~cls ~proc ~sync ~lo ~hi ~time ~op ~detail ~context =
           r_count = 1;
           r_first_time = time;
           r_first_op = op;
-          r_detail = detail;
+          r_detail = detail ();
           r_context = context ();
           r_order = t.next_order;
         }

@@ -56,11 +56,12 @@ val note :
   hi:int ->
   time:int ->
   op:string ->
-  detail:string ->
+  detail:(unit -> string) ->
   context:(unit -> string list) ->
   unit
-(** Record one occurrence.  [context] is forced only the first time a
-    (class, proc, sync) key is seen. *)
+(** Record one occurrence.  [detail] and [context] are forced, before
+    [note] returns, only the first time a (class, proc, sync) key is
+    seen: a repeat keeps only its count and address hull. *)
 
 val violations : table -> violation list
 (** All records, ordered by first occurrence time (ties: insertion

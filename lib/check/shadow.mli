@@ -23,12 +23,11 @@ type t
 
 val create : unit -> t
 
-val find : t -> int -> word option
-
 val touch : t -> int -> proc:int -> word
 (** Get or create the word's record; a created record starts with
-    [excl = proc].  The caller updates [excl] for existing records (so it
-    can read the pre-access value first). *)
+    [excl = proc] and nothing written, so a caller can treat a fresh
+    word as one [proc] alone has touched.  The caller updates [excl]
+    (so it can read the pre-access value first). *)
 
 val tracked : t -> int
 (** Number of words with shadow state. *)

@@ -25,12 +25,19 @@ let request c (l : Sync.lock) mode =
   let t = now_ns c and lock = l.Sync.lid and shared = mode = Sync.Shared in
   if armed c.machine then emit c.machine (Event.Lock_requested { t; lock; proc = c.cid; shared })
 
-(* [c] woke from the block it entered at [since], with the [reason] it
-   gave {!Engine.block}. *)
-let woke c ~reason ~since =
+(* [c] woke from the block it entered at [since] to wait for the grant
+   of [l] in [mode]. *)
+let woke_acquire c (l : Sync.lock) mode ~since =
   if armed c.machine then
-    let reason = match reason with Some r -> r () | None -> "" in
-    emit c.machine (Event.Sched_block { proc = c.cid; reason; t0 = since; t1 = now_ns c })
+    let wait = Event.Acquire { lock = l.Sync.lid; shared = mode = Sync.Shared } in
+    emit c.machine (Event.Sched_block { proc = c.cid; wait; t0 = since; t1 = now_ns c })
+
+(* [c] woke from the block it entered at [since] to wait for the release
+   of [b]'s [episode]. *)
+let woke_barrier c (b : Sync.barrier) ~episode ~since =
+  if armed c.machine then
+    let wait = Event.Crossing { barrier = b.Sync.bid; episode } in
+    emit c.machine (Event.Sched_block { proc = c.cid; wait; t0 = since; t1 = now_ns c })
 
 let acquire_wait c (l : Sync.lock) ~since =
   let proc = c.cid and lock = l.Sync.lid and t1 = now_ns c in

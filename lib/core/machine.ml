@@ -28,8 +28,8 @@ type ctx = {
   request : Sync.request;  (* this processor's lock request, reused *)
   acquire_reason : (unit -> string) option;
   acquire_setup : wake:(at:int -> unit) -> unit;
-      (* a remote acquire's block: its reason and its setup (queue
-         [request] and drain the queue), built once *)
+      (* a remote acquire's block: its deadlock reason and its setup
+         (queue [request] and drain the queue), built once *)
 }
 
 (* Crash-recovery state, built by [Recovery.state]: inert when crashes
@@ -216,10 +216,8 @@ let create (cfg : Config.t) ~recovery ~service_queue =
           acquire_reason =
             Some
               (fun () ->
-                Printf.sprintf "acquire of lock %d (%s mode)" request.Sync.r_lock.Sync.lid
-                  (match request.Sync.r_mode with
-                  | Sync.Exclusive -> "exclusive"
-                  | Sync.Shared -> "shared"));
+                let shared = request.Sync.r_mode = Sync.Shared in
+                Event.wait_reason (Event.Acquire { lock = request.Sync.r_lock.Sync.lid; shared }));
           acquire_setup =
             (fun ~wake ->
               request.Sync.r_waker <- wake;

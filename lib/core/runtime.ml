@@ -374,7 +374,7 @@ let acquire_mode c l mode =
     r.Sync.r_arrival <- request_owner t c l;
     let blocked_at = now_ns c in
     Engine.block c.proc ?reason:c.acquire_reason ~setup:c.acquire_setup;
-    Account.woke c ~reason:c.acquire_reason ~since:blocked_at;
+    Account.woke_acquire c l mode ~since:blocked_at;
     Account.acquire_wait c l ~since:req_at;
     (* The processor may have crash-stopped while parked: the wake (a
        grant, or the queue skipping a dead requester) is where it dies. *)
@@ -543,8 +543,8 @@ let barrier c b =
     let wait0 = now_ns c in
     (* the episode as this processor arrives: its release moves it on *)
     let bid = b.Sync.bid and episode = b.Sync.episode in
-    let reason = Some (fun () -> Printf.sprintf "barrier %d (episode %d)" bid episode) in
-    Engine.block c.proc ?reason
+    Engine.block c.proc
+      ~reason:(fun () -> Event.wait_reason (Event.Crossing { barrier = bid; episode }))
       ~setup:(fun ~wake ->
         b.Sync.arrived <-
           b.Sync.arrived
@@ -558,7 +558,7 @@ let barrier c b =
               };
             ];
         if Recovery.barrier_ready t b then barrier_release t b);
-    Account.woke c ~reason ~since:wait0;
+    Account.woke_barrier c b ~episode ~since:wait0;
     Account.barrier_wait c b ~since:wait0;
     Recovery.crash_check c
   end

@@ -23,7 +23,7 @@ type judged = {
   j_reason : string;  (* "" when the run is clean *)
   j_digest : string;
   j_choices : int list option;  (* None when the machine was lost *)
-  j_trace : string list;  (* tail of the protocol event log, oldest first *)
+  j_trace : string list;  (* a failed run's event-log tail, oldest first; [] when clean *)
 }
 
 let trace_tail ?(n = 12) machine =
@@ -33,8 +33,10 @@ let trace_tail ?(n = 12) machine =
 
 (* Judge one execution: oracle, then structural invariants, then ECSan.
    All three verdicts are collected so the report shows every angle of
-   a failure, not just the first.  The machine (when the workload kept
-   one) rides along so [replay] can export its observability data. *)
+   a failure, not just the first.  Only a failure renders the trace
+   tail: a clean run's is never read.  The machine (when the workload
+   kept one) rides along so [replay] can export its observability
+   data. *)
 let execute_machine (w : Workload.t) cfg =
   let o = w.Workload.run cfg in
   let reasons = ref [] in
@@ -61,7 +63,7 @@ let execute_machine (w : Workload.t) cfg =
             add ("ecsan: " ^ String.concat " | " head)
           end
         end;
-        (Some (R.schedule_choices m), trace_tail m)
+        (Some (R.schedule_choices m), if !reasons = [] then [] else trace_tail m)
   in
   ( {
       j_failed = !reasons <> [];

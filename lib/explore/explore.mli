@@ -20,7 +20,9 @@ type judged = {
   j_reason : string;  (** "" when the run is clean; one line per check otherwise *)
   j_digest : string;
   j_choices : int list option;  (** [None] when the machine was lost *)
-  j_trace : string list;  (** tail of the protocol event log, oldest first *)
+  j_trace : string list;
+      (** empty unless the run failed: then the last 12 events of the
+          protocol event log, oldest first *)
 }
 
 val execute : Workload.t -> Midway.Config.t -> judged

@@ -13,6 +13,13 @@
 
 type sync = Lock | Barrier  (** the kind of synchronization object a transfer serves *)
 
+(** What a blocked fiber waited for: rendered as text only on export,
+    by {!wait_reason}. *)
+type wait =
+  | Acquire of { lock : int; shared : bool }  (** a remote acquisition's grant *)
+  | Crossing of { barrier : int; episode : int }
+      (** a barrier's release; [episode] is the one the fiber arrived in *)
+
 type t =
   | Lock_requested of { t : int; lock : int; proc : int; shared : bool }
       (** a remote acquisition left [proc] *)
@@ -76,8 +83,8 @@ type t =
       (** a remote acquisition, from request to grant *)
   | Barrier_wait of { proc : int; barrier : int; t0 : int; t1 : int }
       (** a barrier crossing, from arrival to release *)
-  | Sched_block of { proc : int; reason : string; t0 : int; t1 : int }
-      (** any scheduler block, with the reason the fiber gave *)
+  | Sched_block of { proc : int; wait : wait; t0 : int; t1 : int }
+      (** any scheduler block, with what the fiber waited for *)
   | Send_episode of {
       src : int;
       dst : int;
@@ -118,6 +125,13 @@ let time = function
 
 (** ["lock"] or ["barrier"]. *)
 let sync_name = function Lock -> "lock" | Barrier -> "barrier"
+
+(** A block's reason as the text tail, the span note and a deadlock
+    report give it. *)
+let wait_reason = function
+  | Acquire { lock; shared } ->
+      Printf.sprintf "acquire of lock %d (%s mode)" lock (if shared then "shared" else "exclusive")
+  | Crossing { barrier; episode } -> Printf.sprintf "barrier %d (episode %d)" barrier episode
 
 (** One line of the text tail, without a newline. *)
 let to_string e =
@@ -165,8 +179,8 @@ let to_string e =
   | Barrier_wait { proc; barrier; t0; t1 } ->
       Printf.sprintf "%-12s barrier %d: p%d waited %s for the release" at barrier proc
         (pp_time (t1 - t0))
-  | Sched_block { proc; reason; t0; t1 } ->
-      Printf.sprintf "%-12s p%d blocked %s on %s" at proc (pp_time (t1 - t0)) reason
+  | Sched_block { proc; wait; t0; t1 } ->
+      Printf.sprintf "%-12s p%d blocked %s on %s" at proc (pp_time (t1 - t0)) (wait_reason wait)
   | Send_episode { src; dst; msg; seq; retransmits; t0; t1; _ } ->
       Printf.sprintf "%-12s p%d -> p%d: %s seq %d acked after %s (%d retransmit(s))" at src dst
         msg seq (pp_time (t1 - t0)) retransmits

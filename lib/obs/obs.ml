@@ -101,7 +101,8 @@ let spans_of : Event.t -> span list = function
   | Apply { proc; id; t0; ns; bytes; _ } -> [ span Apply ~proc ~sync:id ~bytes ~t0 ~t1:(t0 + ns) ]
   | Acquire_wait { proc; lock; t0; t1 } -> [ span Acquire_wait ~proc ~sync:lock ~t0 ~t1 ]
   | Barrier_wait { proc; barrier; t0; t1 } -> [ span Barrier_wait ~proc ~sync:barrier ~t0 ~t1 ]
-  | Sched_block { proc; reason; t0; t1 } -> [ span Sched_block ~proc ~note:reason ~t0 ~t1 ]
+  | Sched_block { proc; wait; t0; t1 } ->
+      [ span Sched_block ~proc ~note:(Event.wait_reason wait) ~t0 ~t1 ]
   | Send_episode { src; dst; msg; seq; retransmits; bytes; t0; t1 } ->
       if retransmits = 0 then []
       else

@@ -25,7 +25,8 @@
    - sor and water: a red-black sweep and the pair evaluations keep
      their floats unboxed;
    - kv: the refinement oracle replays a run's log without allocating
-     per observation.
+     per observation;
+   - explore: a passing fuzz run renders no failure context.
 
    The repository builds in the release profile (dune-workspace), which
    lets the typed accessors inline into their callers; that is what
@@ -46,6 +47,7 @@ module Cost_model = Midway_stats.Cost_model
 module Engine = Midway_sched.Engine
 module Kvstore = Midway_kv.Kvstore
 module Kv_workload = Midway_explore.Kv_workload
+module Explore = Midway_explore.Explore
 
 (* Words allocated so far: every minor-heap word (Gc.counters' minor
    count lags the minor heap's fill) plus the blocks too large for the
@@ -557,6 +559,29 @@ let kv_check_words () =
   if !violations <> [] then Alcotest.failf "kv run failed its oracle: %s" (List.hd !violations);
   words /. float_of_int (Array.length (Kvstore.observations store))
 
+(* Words of one passing explorer run, after a warm-up run: the counter
+   workload as the fuzz grid runs it, on the sweep's processors with
+   ECSan armed and its trace capacity, under a seeded schedule.  The
+   trace tail must stay unrendered. *)
+let fuzz_run_words backend =
+  let spec = Explore.default_spec in
+  let w = Midway_explore.Workload.counter ~iters:6 in
+  let cfg =
+    {
+      (Config.make backend ~nprocs:spec.Explore.nprocs) with
+      Config.ecsan = spec.Explore.ecsan;
+      trace_capacity = spec.Explore.trace_capacity;
+    }
+    |> Config.with_schedule_seed 17
+  in
+  ignore (Explore.execute w cfg);
+  let j = ref None in
+  let words = words_of (fun () -> j := Some (Explore.execute w cfg)) in
+  let j = Option.get !j in
+  if j.Explore.j_failed then Alcotest.failf "counter failed: %s" j.Explore.j_reason;
+  if j.Explore.j_trace <> [] then Alcotest.fail "a passing run rendered its trace tail";
+  words
+
 let gate ?backend name ~below body =
   Alcotest.test_case name `Quick (fun () ->
       let w = words_per_op ?backend body in
@@ -676,6 +701,20 @@ let () =
               let w = water_pair_words () in
               if not (w < 1.0) then
                 Alcotest.failf "water: %.4f words/pair evaluation (gate: < 1.0)" w);
+        ] );
+      ( "explore",
+        [
+          (* rt 10,743 words, vm 12,381.  Over perfbench's fuzz grid,
+             rendering the trace tail of a passing run adds about 2,400
+             words a run and formatting a reason per block about 1,500 *)
+          Alcotest.test_case "passing fuzz run" `Quick (fun () ->
+              List.iter
+                (fun backend ->
+                  let w = fuzz_run_words backend in
+                  if not (w < 12_500.) then
+                    Alcotest.failf "%s fuzz run: %.0f words (gate: < 12,500)"
+                      (Config.backend_name backend) w)
+                [ Config.Rt; Config.Vm ]);
         ] );
       ( "kv",
         [

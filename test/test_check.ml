@@ -420,11 +420,14 @@ let test_dedup () =
   let tbl = Diag.create_table () in
   let ctx () = [ "ctx" ] in
   Diag.note tbl ~cls:Diag.Unsynchronized_access ~proc:1 ~sync:0 ~lo:0 ~hi:8 ~time:10 ~op:"write_int"
-    ~detail:"first" ~context:ctx;
+    ~detail:(fun () -> "first") ~context:ctx;
+  (* a repeat keeps its count and hull: its detail and context are
+     never built *)
   Diag.note tbl ~cls:Diag.Unsynchronized_access ~proc:1 ~sync:0 ~lo:64 ~hi:72 ~time:20 ~op:"read_int"
-    ~detail:"second occurrence, same key" ~context:ctx;
+    ~detail:(fun () -> Alcotest.fail "a repeat formatted its detail")
+    ~context:(fun () -> Alcotest.fail "a repeat built its context");
   Diag.note tbl ~cls:Diag.Unsynchronized_access ~proc:0 ~sync:0 ~lo:0 ~hi:8 ~time:15 ~op:"write_int"
-    ~detail:"different processor, own record" ~context:ctx;
+    ~detail:(fun () -> "different processor, own record") ~context:ctx;
   match Diag.violations tbl with
   | [ a; b ] ->
       Alcotest.(check int) "first record is the earliest" 10 a.Diag.first_time;

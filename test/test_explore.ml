@@ -8,6 +8,9 @@ module Engine = Midway_sched.Engine
 module Explore = Midway_explore.Explore
 module Workload = Midway_explore.Workload
 module Ecgen = Midway_explore.Ecgen
+module R = Midway.Runtime
+module Obs = Midway_obs.Obs
+module Event = Midway_obs.Event
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -65,17 +68,22 @@ let test_replay_reproduces_clean_run () =
   Alcotest.(check (list int)) "replay re-records its schedule" choices
     (Option.get j2.Explore.j_choices)
 
+(* The first schedule seed that breaks the order-sensitive workload
+   under [config], and its judgement. *)
+let hunt_order_bug config =
+  let rec hunt s =
+    if s > 40 then Alcotest.fail "no schedule broke order-sensitive in 40 seeds"
+    else
+      let j = Explore.execute Workload.order_sensitive (config s) in
+      if j.Explore.j_failed then (s, j) else hunt (s + 1)
+  in
+  hunt 1
+
 let test_replay_reproduces_failure () =
   (* find a schedule that breaks the order-sensitive workload, then
      replay its recording and demand the same wrong memory *)
   let w = Workload.order_sensitive in
-  let rec hunt s =
-    if s > 40 then Alcotest.fail "no schedule broke order-sensitive in 40 seeds"
-    else
-      let j = Explore.execute w (seeded_config ~nprocs:4 Config.Rt s) in
-      if j.Explore.j_failed then (s, j) else hunt (s + 1)
-  in
-  let _, j1 = hunt 1 in
+  let _, j1 = hunt_order_bug (seeded_config ~nprocs:4 Config.Rt) in
   let choices = Option.get j1.Explore.j_choices in
   let cfg = Config.make Config.Rt ~nprocs:4 in
   let cfg = { cfg with Config.ecsan = true; sched_policy = Engine.Replay choices } in
@@ -83,6 +91,23 @@ let test_replay_reproduces_failure () =
   Alcotest.(check bool) "failure reproduced" true j2.Explore.j_failed;
   Alcotest.(check string) "same wrong memory" j1.Explore.j_digest j2.Explore.j_digest;
   Alcotest.(check string) "same diagnosis" j1.Explore.j_reason j2.Explore.j_reason
+
+(* Only a failed run renders its trace tail: the last 12 events of its
+   machine's log.  A clean run under the same log carries none. *)
+let test_trace_tail_only_on_failure () =
+  let config s = { (seeded_config ~nprocs:4 Config.Rt s) with Config.trace_capacity = 64 } in
+  let s, j = hunt_order_bug config in
+  (* the failed machine again: the same schedule replays the same log *)
+  let o = Workload.order_sensitive.Workload.run (config s) in
+  let log = Option.get (R.log (Option.get o.Workload.machine)) in
+  Alcotest.(check bool) "the log holds more than the tail" true (Obs.length log > 12);
+  Alcotest.(check (list string))
+    "the failure carries its machine's last 12 events"
+    (List.map Event.to_string (Obs.tail log 12))
+    j.Explore.j_trace;
+  let clean = Explore.execute (Workload.counter ~iters:5) (config 9) in
+  Alcotest.(check bool) "counter is clean" false clean.Explore.j_failed;
+  Alcotest.(check (list string)) "a clean run carries no tail" [] clean.Explore.j_trace
 
 (* The shrinker, against pure predicates. *)
 let test_shrink_prefix_and_zeroing () =
@@ -509,6 +534,7 @@ let () =
           Alcotest.test_case "replay reproduces a clean run" `Quick
             test_replay_reproduces_clean_run;
           Alcotest.test_case "replay reproduces a failure" `Quick test_replay_reproduces_failure;
+          Alcotest.test_case "trace tail only on failure" `Quick test_trace_tail_only_on_failure;
         ] );
       ( "shrinking",
         [

@@ -45,6 +45,28 @@ let test_span_log_order () =
       Alcotest.(check string) "scan label on the diff" "page diff" diff.Obs.note
   | _ -> Alcotest.fail "no spans"
 
+(* A block's reason is data: the text tail and the span note render it
+   with the same words. *)
+let test_block_reasons () =
+  let o = Obs.create () in
+  Obs.record o
+    (Event.Sched_block
+       { proc = 2; wait = Event.Acquire { lock = 3; shared = true }; t0 = 1_000; t1 = 3_000 });
+  Obs.record o
+    (Event.Sched_block
+       { proc = 0; wait = Event.Crossing { barrier = 1; episode = 2 }; t0 = 2_000; t1 = 5_000 });
+  Alcotest.(check (list string))
+    "text tail"
+    [
+      "1.00 us      p2 blocked 2.00 us on acquire of lock 3 (shared mode)";
+      "2.00 us      p0 blocked 3.00 us on barrier 1 (episode 2)";
+    ]
+    (List.map Event.to_string (Obs.events o));
+  Alcotest.(check (list string))
+    "span notes"
+    [ "acquire of lock 3 (shared mode)"; "barrier 1 (episode 2)" ]
+    (List.map (fun (s : Obs.span) -> s.Obs.note) (Obs.spans o))
+
 (* --- metrics: buckets --------------------------------------------------- *)
 
 let test_bucket_boundaries () =
@@ -233,15 +255,18 @@ let folded_fields =
     ]
 
 (* Scheduler blocks and waits come in adjacent pairs: each Sched_block
-   is immediately followed by its processor's acquire or barrier wait,
-   ending at the same time, and each wait immediately follows its block;
-   only a one-participant barrier's wait, which never blocks, follows
-   the barrier's completion instead. *)
+   is immediately followed by its processor's wait for the lock or
+   barrier it blocked on, ending at the same time, and each wait
+   immediately follows its block; only a one-participant barrier's
+   wait, which never blocks, follows the barrier's completion instead. *)
 let check_blocks name events =
   let pairs prev e =
     match (prev, e) with
-    | Event.Sched_block { proc; t1; _ }, Event.Acquire_wait w -> w.proc = proc && w.t1 = t1
-    | Event.Sched_block { proc; t1; _ }, Event.Barrier_wait w -> w.proc = proc && w.t1 = t1
+    | Event.Sched_block { proc; t1; wait = Event.Acquire { lock; _ }; _ }, Event.Acquire_wait w ->
+        w.proc = proc && w.t1 = t1 && w.lock = lock
+    | Event.Sched_block { proc; t1; wait = Event.Crossing { barrier; _ }; _ }, Event.Barrier_wait w
+      ->
+        w.proc = proc && w.t1 = t1 && w.barrier = barrier
     | Event.Barrier_completed { barrier; messages = 0; _ }, Event.Barrier_wait w ->
         w.barrier = barrier
     | _ -> false
@@ -430,6 +455,7 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "recording order" `Quick test_span_log_order;
+          Alcotest.test_case "block reasons" `Quick test_block_reasons;
         ] );
       ( "metrics",
         [
